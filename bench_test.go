@@ -33,6 +33,26 @@ import (
 	"repro/internal/stream"
 )
 
+// mustWrap builds a paths-regime estimator (δ = 0.001, as the theorems'
+// tiny-δ rows use) through the one construction path.
+func mustWrap(b *testing.B, pol robust.Policy, eps float64, n uint64, seed int64, prob robust.Problem) sketch.Estimator {
+	b.Helper()
+	est, err := pol.Wrap(eps, 0.001, n, seed, prob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return est
+}
+
+func mustLpProblemFor(b *testing.B, p float64, m robust.Model) robust.Problem {
+	b.Helper()
+	prob, err := robust.LpProblemFor(p, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prob
+}
+
 func feed(b *testing.B, est sketch.Estimator, g stream.Generator) {
 	b.Helper()
 	for {
@@ -74,7 +94,7 @@ func BenchmarkTable1Fp(b *testing.B) {
 // BenchmarkTable1FpSmallDelta — Theorem 1.5: computation-paths Fp update
 // cost at the tiny-δ sizing (capped; see EXPERIMENTS.md).
 func BenchmarkTable1FpSmallDelta(b *testing.B) {
-	rob := robust.NewFpPaths(2, 0.5, 1<<10, 1<<12, 1024, 2048, 7)
+	rob := mustWrap(b, robust.Policy{Kind: robust.Paths, StreamLen: 1 << 12, MaxCount: 1024, KCap: 2048}, 0.5, 1<<10, 7, robust.LpProblem(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rob.Update(uint64(i%1024), 1)
@@ -85,7 +105,7 @@ func BenchmarkTable1FpSmallDelta(b *testing.B) {
 // BenchmarkTable1FpBig — Table 1, Fp (p > 2) row: the n^{1−2/p} width
 // scaling surfaced as a metric, plus robust update throughput at p = 3.
 func BenchmarkTable1FpBig(b *testing.B) {
-	rob := robust.NewFpBig(3, 0.4, 4096, 10000, 60, 2, 13)
+	rob := mustWrap(b, robust.Policy{Kind: robust.Paths, StreamLen: 10000, MaxCount: 4000}, 0.4, 4096, 13, robust.FpBigProblem(3, 60, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rob.Update(uint64(i%4096), 1)
@@ -125,7 +145,7 @@ func BenchmarkTable1Entropy(b *testing.B) {
 // BenchmarkTable1Turnstile — Theorem 1.6 row: robust Fp on the λ-bounded
 // insert-then-delete class.
 func BenchmarkTable1Turnstile(b *testing.B) {
-	rob := robust.NewTurnstileFp(2, 0.5, 200, 4096, 2048, 2048, 7)
+	rob := mustWrap(b, robust.Policy{Kind: robust.Paths, StreamLen: 4096, KCap: 2048}, 0.5, 2048, 7, mustLpProblemFor(b, 2, robust.TurnstileModel(200)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		delta := int64(1)
@@ -140,15 +160,15 @@ func BenchmarkTable1Turnstile(b *testing.B) {
 // BenchmarkTable1BoundedDeletion — Theorem 1.11 row: the α-linear flip
 // budget surfaced as a metric plus robust update throughput.
 func BenchmarkTable1BoundedDeletion(b *testing.B) {
-	rob := robust.NewBoundedDeletionFp(1, 4, 0.5, 256, 4000, 4000, 1500, 17)
+	rob := mustWrap(b, robust.Policy{Kind: robust.Paths, StreamLen: 4000, MaxCount: 4000, KCap: 1500}, 0.5, 256, 17, mustLpProblemFor(b, 1, robust.BoundedDeletionModel(4)))
 	g := stream.NewBoundedDeletion(256, 1<<30, 1, 4, 0.4, 19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := g.Next()
 		rob.Update(u.Item, u.Delta)
 	}
-	l2 := robust.BoundedDeletionLambda(1, 2, 0.5, 1<<12, 4096)
-	l8 := robust.BoundedDeletionLambda(1, 8, 0.5, 1<<12, 4096)
+	l2 := core.FlipBoundBoundedDeletion(1, 2, 0.5, 1<<12, 4096)
+	l8 := core.FlipBoundBoundedDeletion(1, 8, 0.5, 1<<12, 4096)
 	b.ReportMetric(float64(l8)/float64(l2), "flip-growth-4x-alpha")
 }
 

@@ -34,10 +34,15 @@ func runAblation() {
 
 	fmt.Println("\n--- 2. rounding granularity vs switch count (20000-distinct ramp) ---")
 	fmt.Printf("  %8s %10s\n", "ε", "switches")
+	exact := robust.F0Problem()
+	exact.Inner = func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
+		return f0.NewExact()
+	}
 	for _, eps := range []float64{0.1, 0.2, 0.4, 0.8} {
-		sw := core.NewSwitcher(eps, core.RingCopies(eps), true, 1, func(seed int64) sketch.Estimator {
-			return f0.NewExact()
-		})
+		sw, err := robust.Policy{Kind: robust.Ring}.Wrap(eps, 0.05, 1<<20, 1, exact)
+		if err != nil {
+			panic(err)
+		}
 		g := stream.NewDistinct(20000)
 		for {
 			u, ok := g.Next()
@@ -46,7 +51,7 @@ func runAblation() {
 			}
 			sw.Update(u.Item, u.Delta)
 		}
-		fmt.Printf("  %8.2f %10d\n", eps, sw.Switches())
+		fmt.Printf("  %8.2f %10d\n", eps, sw.(sketch.RobustnessReporter).Robustness().Switches)
 	}
 
 	fmt.Println("\n--- 3. entropy: Clifford–Cosma vs Rényi-via-Fα at equal counters ---")

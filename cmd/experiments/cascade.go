@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cascaded"
 	"repro/internal/core"
+	"repro/internal/robust"
+	"repro/internal/sketch"
 )
 
 // runCascade demonstrates the extension the paper sketches right after
@@ -34,7 +36,10 @@ func runCascade() {
 	}
 
 	fmt.Println("\nrobust (1,2)-cascade (switching over exact trackers):")
-	rob := cascaded.NewRobust(1, 2, eps, 64, 1)
+	rob, err := robust.Policy{Kind: robust.Ring}.Wrap(eps, 0.05, 16*64, 1, cascaded.Problem(1, 2, 64))
+	if err != nil {
+		panic(err)
+	}
 	truth := cascaded.NewExact(1, 2)
 	worst := 0.0
 	for i := 0; i < 6000; i++ {
@@ -48,10 +53,10 @@ func runCascade() {
 		}
 	}
 	fmt.Printf("  max rel.err %.1f%% over 6000 updates (budget ε=%.0f%%), switches %d\n",
-		100*worst, 100*eps, rob.Switches())
+		100*worst, 100*eps, rob.(sketch.RobustnessReporter).Robustness().Switches)
 
 	fmt.Println("\nrobust (2,2)-cascade (fully sketched — flattens to F2):")
-	rob22 := cascaded.NewRobust22(eps, 0.05, 1<<16, 3)
+	rob22 := robust.NewFp(2, eps, 0.05, 1<<16, 3)
 	truth22 := cascaded.NewExact(2, 2)
 	worst = 0.0
 	for i := 0; i < 8000; i++ {

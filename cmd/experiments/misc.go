@@ -124,7 +124,10 @@ func runFpBig() {
 	}
 
 	fmt.Println("\nrobust F3 tracking on a Zipf stream (computation paths, ε = 0.4):")
-	alg := robust.NewFpBig(3, 0.4, 4096, 10000, 100, 3, 13)
+	alg, err := robust.Policy{Kind: robust.Paths, StreamLen: 10000, MaxCount: 4000}.Wrap(0.4, 0.001, 4096, 13, robust.FpBigProblem(3, 100, 3))
+	if err != nil {
+		panic(err)
+	}
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewZipf(4096, 8000, 1.5, 15)),
 		func(f *stream.Freq) float64 { return f.Lp(3) },
@@ -140,8 +143,7 @@ func widthFor(p float64, n uint64) int {
 // runTurnstile exercises Theorem 1.6 on the canonical insert-then-delete
 // hard instance, with the flip budget λ measured from the stream class.
 // The estimator is assembled the way a sketchd tenant is: a declared
-// stream model picks the problem (LpProblemFor) and a policy wraps it —
-// the constructor robust.NewTurnstileFp is exactly this composition.
+// stream model picks the problem (LpProblemFor) and a policy wraps it.
 func runTurnstile() {
 	const eps = 0.5
 	const n = 1500
@@ -168,14 +170,13 @@ func runTurnstile() {
 // runBoundedDeletion sweeps α for Theorem 1.11: the flip budget — and so
 // the space — grows linearly in α, while accuracy holds throughout. Like
 // runTurnstile, each estimator is the model-API composition a
-// model=bounded_deletion tenant hosts (robust.NewBoundedDeletionFp is
-// the pinned constructor form of the same thing).
+// model=bounded_deletion tenant hosts.
 func runBoundedDeletion() {
 	const eps, p = 0.5, 1.0
 	fmt.Printf("robust F1 on α-bounded-deletion streams (ε = %.1f):\n\n", eps)
 	fmt.Printf("  %6s %14s %12s %14s %10s\n", "α", "flip bound", "max rel.err", "space (KiB)", "broken")
 	for _, alpha := range []float64{1.5, 2, 4, 8} {
-		lambda := robust.BoundedDeletionLambda(p, alpha, eps, 256, 4000)
+		lambda := core.FlipBoundBoundedDeletion(p, alpha, eps, 256, 4000)
 		prob, err := robust.LpProblemFor(p, robust.BoundedDeletionModel(alpha))
 		if err != nil {
 			panic(err)
@@ -227,6 +228,6 @@ func runEntropy() {
 			}
 		}
 		fmt.Printf("  %-18s %12.3f %12.3f %12.3f %10v\n",
-			w.name, truth.Entropy(), alg.Estimate(), maxErr, alg.Exhausted())
+			w.name, truth.Entropy(), alg.Estimate(), maxErr, alg.(sketch.RobustnessReporter).Robustness().Exhausted)
 	}
 }

@@ -32,20 +32,21 @@
 //     switching, ring, paths) and composes with any robust.Problem (the
 //     per-statistic sizing: inner factory, ε₀ divisor, flip bound, value
 //     range — plus the stream model) through one constructor,
-//     Policy.Wrap — the full sketch × policy × model matrix from four
-//     problem descriptors. robust.Model declares which streams the
+//     Policy.Wrap — the full sketch × policy × model matrix from a
+//     handful of problem descriptors. robust.Model declares which streams the
 //     guarantee quantifies over and selects the flip bound that sizes
 //     the wrapper: InsertionModel (Proposition 3.4), TurnstileModel(λ)
 //     (the Theorem 1.6 flip class S_λ), or BoundedDeletionModel(α)
 //     (Lemma 8.2); LpProblemFor(p, model) builds the matching Fp
 //     problem, switching to a signed inner sketch for the non-insertion
 //     models, and invalid compositions (ring under deletions, non-Fp
-//     statistics under a signed model) are rejected at Wrap time. The
-//     per-theorem constructors (NewFp, NewF0, NewEntropy,
-//     NewTurnstileFp, NewBoundedDeletionFp, …) are thin instances of
-//     it — the model tests pin the latter two update-for-update against
-//     the composition — and every wrapper reports its flip-budget
-//     consumption through sketch.RobustnessReporter.
+//     statistics under a signed model) are rejected at Wrap time.
+//     Wrap is the only construction path — nothing else calls
+//     core.NewSwitcher or core.NewPaths — so each theorem is a (policy
+//     kind, problem) pair: the table in the internal/robust package doc
+//     lists them, NewF0 / NewFp / NewHeavyHitters / NewEntropy are
+//     shorthands for four of its rows, and every wrapper reports its
+//     flip-budget consumption through sketch.RobustnessReporter.
 //   - internal/engine — a sharded, batched, concurrent ingest pipeline
 //     that hash-routes updates to per-shard estimator instances (static
 //     or robust), coalesces duplicates per batch, and recombines the

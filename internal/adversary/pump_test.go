@@ -81,7 +81,14 @@ func TestPumpCannotBreakTurnstileFp(t *testing.T) {
 		m   = 1200
 		eps = 0.5
 	)
-	alg := robust.NewTurnstileFp(2, eps, m, uint64(2*m), float64(m), 3000, 11)
+	prob, err := robust.LpProblemFor(2, robust.TurnstileModel(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := robust.Policy{Kind: robust.Paths, StreamLen: 2 * m, KCap: 3000}.Wrap(eps, 0.001, m, 11, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	adv := NewPump(m, math.Inf(1), 13)
 	// The published statistic is the moment ‖f‖₂²; a (1±ε₀) norm-scale
 	// inner error is ≈ (1±2ε₀) on the moment, and the output rounding adds

@@ -3,6 +3,8 @@ package cascaded
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/robust"
 )
 
 func BenchmarkExactApply(b *testing.B) {
@@ -15,7 +17,10 @@ func BenchmarkExactApply(b *testing.B) {
 }
 
 func BenchmarkRobustCascadeUpdate(b *testing.B) {
-	rob := NewRobust(1, 2, 0.3, 256, 1)
+	rob, err := robust.Policy{Kind: robust.Ring}.Wrap(0.3, 0.05, 64*256, 1, Problem(1, 2, 256))
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/robust"
+	"repro/internal/sketch"
 )
 
 // bruteNorm computes ‖A‖_(p,k) from a dense map, the reference for the
@@ -128,7 +130,10 @@ func TestFlipBoundCoversEmpirical(t *testing.T) {
 func TestRobustCascadeTracks(t *testing.T) {
 	const eps = 0.3
 	const cols = 64
-	rob := NewRobust(1, 2, eps, cols, 1)
+	rob, err := robust.Policy{Kind: robust.Ring}.Wrap(eps, 0.05, 16*cols, 1, Problem(1, 2, cols))
+	if err != nil {
+		t.Fatal(err)
+	}
 	truth := NewExact(1, 2)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 6000; i++ {
@@ -142,14 +147,14 @@ func TestRobustCascadeTracks(t *testing.T) {
 			t.Fatalf("robust cascade %v not within ε of %v at step %d", got, want, i)
 		}
 	}
-	if rob.Exhausted() {
+	if rob.(sketch.RobustnessReporter).Robustness().Exhausted {
 		t.Error("robust cascade exhausted its ring")
 	}
 }
 
 func TestRobust22SketchedTracks(t *testing.T) {
 	const eps = 0.3
-	rob := NewRobust22(eps, 0.05, 1<<16, 3)
+	rob := robust.NewFp(2, eps, 0.05, 1<<16, 3)
 	truth := NewExact(2, 2)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8000; i++ {

@@ -41,7 +41,7 @@ func TestSwitcherPublishesOnlyRoundedValues(t *testing.T) {
 // computation-paths wrapper (Definition 3.7).
 func TestPathsPublishesOnlyRoundedValues(t *testing.T) {
 	const eps = 0.3
-	p := NewPaths(eps, f0.NewExact())
+	p := NewPaths(eps, 64, f0.NewExact())
 	g := stream.NewUniform(1024, 5000, 3)
 	for {
 		u, ok := g.Next()
@@ -111,7 +111,7 @@ func BenchmarkSwitcherDenseUpdate(b *testing.B) {
 }
 
 func BenchmarkPathsUpdate(b *testing.B) {
-	p := NewPaths(0.3, f0.NewExact())
+	p := NewPaths(0.3, 64, f0.NewExact())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Update(uint64(i), 1)

@@ -25,9 +25,15 @@ type Paths struct {
 }
 
 // NewPaths wraps inner (already instantiated at the Lemma 3.8 failure
-// probability) with an ε-rounding of its outputs.
-func NewPaths(eps float64, inner sketch.Estimator) *Paths {
-	return &Paths{inner: inner, r: NewRounder(eps / 2)}
+// probability) with an ε-rounding of its outputs. lambda is the flip
+// number inner's δ₀ was union-bounded over: once the output has changed
+// more than lambda times the Lemma 3.8 guarantee no longer covers the
+// stream, which Robustness reports as Exhausted.
+func NewPaths(eps float64, lambda int, inner sketch.Estimator) *Paths {
+	if lambda < 1 {
+		panic("core: NewPaths needs lambda >= 1")
+	}
+	return &Paths{inner: inner, r: NewRounder(eps / 2), budget: lambda}
 }
 
 // Update implements sketch.Estimator.
@@ -91,21 +97,15 @@ func (p *Paths) TopK(k int) []sketch.ItemWeight {
 // Changes returns how many distinct values the output has taken.
 func (p *Paths) Changes() int { return p.r.Changes() }
 
-// SetFlipBudget records the flip number λ the inner instance's δ₀ was
-// union-bounded over, enabling budget introspection: once the output has
-// changed more than λ times the Lemma 3.8 guarantee no longer covers the
-// stream. Zero (the default) means the budget was not communicated.
-func (p *Paths) SetFlipBudget(lambda int) { p.budget = lambda }
-
-// Robustness implements sketch.RobustnessReporter. With no recorded flip
-// budget the budget reports as unbounded.
+// Robustness implements sketch.RobustnessReporter.
 func (p *Paths) Robustness() sketch.Robustness {
-	r := sketch.Robustness{Policy: "paths", Copies: 1, Switches: p.Changes(), Budget: -1}
-	if p.budget > 0 {
-		r.Budget = p.budget
-		r.Exhausted = p.Changes() > p.budget
+	return sketch.Robustness{
+		Policy:    "paths",
+		Copies:    1,
+		Switches:  p.Changes(),
+		Budget:    p.budget,
+		Exhausted: p.Changes() > p.budget,
 	}
-	return r
 }
 
 // SpaceBytes charges the inner instance plus the held output.

@@ -10,7 +10,7 @@ import (
 
 func TestPathsTracksWithExactInner(t *testing.T) {
 	const eps = 0.3
-	p := NewPaths(eps, f0.NewExact())
+	p := NewPaths(eps, 64, f0.NewExact())
 	f := stream.NewFreq()
 	g := stream.NewUniform(4096, 8000, 3)
 	for {
@@ -30,7 +30,8 @@ func TestPathsTracksWithExactInner(t *testing.T) {
 func TestPathsChangeBudget(t *testing.T) {
 	const eps = 0.4
 	const m = 10000
-	p := NewPaths(eps, f0.NewExact())
+	budget := FlipBoundFp(0, eps/20, m, 1)
+	p := NewPaths(eps, budget, f0.NewExact())
 	g := stream.NewDistinct(m)
 	for {
 		u, ok := g.Next()
@@ -39,8 +40,16 @@ func TestPathsChangeBudget(t *testing.T) {
 		}
 		p.Update(u.Item, u.Delta)
 	}
-	if budget := FlipBoundFp(0, eps/20, m, 1); p.Changes() > budget {
-		t.Errorf("rounded output changed %d times, budget %d", p.Changes(), budget)
+	if r := p.Robustness(); r.Exhausted || r.Budget != budget || r.Switches != p.Changes() {
+		t.Errorf("rounded output changed %d times; robustness %+v, want unexhausted budget %d", p.Changes(), r, budget)
+	}
+
+	tiny := NewPaths(eps, 2, f0.NewExact())
+	for i := uint64(0); i < 100; i++ {
+		tiny.Update(i, 1)
+	}
+	if r := tiny.Robustness(); !r.Exhausted || r.Remaining() != 0 {
+		t.Errorf("budget-2 paths over 100 distinct items: robustness %+v, want exhausted", r)
 	}
 }
 
@@ -85,7 +94,7 @@ func TestMedianRepsForLn(t *testing.T) {
 
 func TestPathsSpaceDominatedByInner(t *testing.T) {
 	inner := f0.NewExact()
-	p := NewPaths(0.2, inner)
+	p := NewPaths(0.2, 64, inner)
 	for i := uint64(0); i < 100; i++ {
 		p.Update(i, 1)
 	}

@@ -57,7 +57,7 @@ func TestSwitcherQueryAnswersFromPublishedCopy(t *testing.T) {
 // point and topk queries to its single δ₀-sized inner instance.
 func TestPathsQueryForwardsToInner(t *testing.T) {
 	inner := csFactory(0.1)(11)
-	p := NewPaths(0.2, inner)
+	p := NewPaths(0.2, 64, inner)
 	truth := stream.NewFreq()
 	gen := stream.NewZipf(1<<8, 5000, 1.3, 9)
 	for {
@@ -116,7 +116,7 @@ func TestQueryOnNonQuerierInner(t *testing.T) {
 	if got := s.TopK(2); got != nil {
 		t.Errorf("Switcher.TopK over non-querier inner = %v, want nil", got)
 	}
-	p := NewPaths(0.2, exactF0Factory(1))
+	p := NewPaths(0.2, 64, exactF0Factory(1))
 	p.Update(1, 1)
 	if got := p.Query(1); got != 0 {
 		t.Errorf("Paths.Query over non-querier inner = %v, want 0", got)

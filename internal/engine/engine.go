@@ -64,17 +64,6 @@ type Config struct {
 	// hash-partitioned shards (F0, F1, frequency moments).
 	Combine Combiner
 
-	// DisableCoalesce turns off per-batch pre-aggregation. By default a
-	// worker merges duplicate items within a batch (summing their deltas)
-	// before touching the estimator, which on skewed streams cuts the
-	// number of estimator updates by the batch's duplication factor. This
-	// is state-preserving for every estimator in this repository: the
-	// linear sketches (Indyk, F2, CC, CountSketch) are linear in delta,
-	// and the F0 sketches are duplicate-insensitive. Disable it for an
-	// estimator whose state depends on the exact update sequence rather
-	// than the frequency vector.
-	DisableCoalesce bool
-
 	// Factory builds the estimator owned by each shard. Shard seeds are
 	// derived from Seed by SplitMix64, so instances use independent
 	// randomness as sketch.Factory requires.
@@ -137,7 +126,6 @@ type Engine struct {
 	queue     int
 	refresh   int
 	combine   Combiner
-	coalesce  bool
 	pool      sync.Pool
 	liveBufs  atomic.Int64 // batch buffers checked out of the pool
 	deleted   atomic.Int64 // Σ|delta| over accepted negative deltas
@@ -191,12 +179,11 @@ func New(cfg Config) *Engine {
 		cfg.Combine = Sum
 	}
 	e := &Engine{
-		salt:     dist.SplitMix64(uint64(cfg.Seed) ^ 0xA5A5A5A55A5A5A5A),
-		batch:    cfg.Batch,
-		queue:    cfg.Queue,
-		refresh:  cfg.RefreshEvery,
-		combine:  cfg.Combine,
-		coalesce: !cfg.DisableCoalesce,
+		salt:    dist.SplitMix64(uint64(cfg.Seed) ^ 0xA5A5A5A55A5A5A5A),
+		batch:   cfg.Batch,
+		queue:   cfg.Queue,
+		refresh: cfg.RefreshEvery,
+		combine: cfg.Combine,
 	}
 	e.pool.New = func() any { b := make([]Update, 0, cfg.Batch); return &b }
 	for i := 0; i < cfg.Shards; i++ {
@@ -226,9 +213,7 @@ func (e *Engine) run(s *shard) {
 		if o.batch != nil {
 			b := *o.batch
 			sinceRefresh += len(b) // count pre-coalesce stream updates
-			if e.coalesce {
-				b = s.coalesceBatch(b)
-			}
+			b = s.coalesceBatch(b)
 			if s.batch != nil {
 				s.batch.UpdateBatch(b)
 				for _, u := range b {
@@ -262,8 +247,10 @@ func (e *Engine) run(s *shard) {
 
 // coalesceBatch compacts a batch in place, merging duplicate items by
 // summing their deltas (first-occurrence order; zero-sum entries are kept
-// so delta-ignoring F0 estimators still see the item). Worker goroutine
-// only.
+// so delta-ignoring F0 estimators still see the item). This is
+// state-preserving for every estimator in this repository: the linear
+// sketches (Indyk, F2, CC, CountSketch) are linear in delta, and the F0
+// sketches are duplicate-insensitive. Worker goroutine only.
 func (s *shard) coalesceBatch(b []Update) []Update {
 	clear(s.idx)
 	out := b[:0]
@@ -480,9 +467,7 @@ func (e *Engine) SpaceBytes() int {
 		total += int(s.pubSpace.Load())
 	}
 	total += int(e.liveBufs.Load()) * e.batch * 16 // Update structs
-	if e.coalesce {
-		total += len(e.shards) * e.batch * 24 // map entries: item, index, bucket overhead
-	}
+	total += len(e.shards) * e.batch * 24          // coalescing map entries: item, index, bucket overhead
 	return total
 }
 

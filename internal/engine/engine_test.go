@@ -327,42 +327,29 @@ func TestMassAndDeletedMass(t *testing.T) {
 	}
 }
 
-// TestCoalescePreservesTurnstile: mixed-sign duplicate-heavy batches must
-// produce the same state with coalescing on (default) and off.
+// TestCoalescePreservesTurnstile: mixed-sign duplicate-heavy batches,
+// coalesced before they reach the estimator, must produce exactly the
+// state of the uncoalesced stream.
 func TestCoalescePreservesTurnstile(t *testing.T) {
-	run := func(disable bool) float64 {
-		e := New(Config{
-			Shards:          4,
-			Batch:           64,
-			Seed:            8,
-			DisableCoalesce: disable,
-			Factory:         func(seed int64) sketch.Estimator { return &sumSq{counts: make(map[uint64]int64)} },
-		})
-		defer e.Close()
-		for i := 0; i < 30000; i++ {
-			item := uint64(i % 37) // heavy duplication within every batch
-			delta := int64(1)
-			if i%3 == 0 {
-				delta = -2
-			}
-			e.Update(item, delta)
-		}
-		return e.Estimate()
-	}
+	e := New(Config{
+		Shards:  4,
+		Batch:   64,
+		Seed:    8,
+		Factory: func(seed int64) sketch.Estimator { return &sumSq{counts: make(map[uint64]int64)} },
+	})
+	defer e.Close()
 	truth := stream.NewFreq()
 	for i := 0; i < 30000; i++ {
+		item := uint64(i % 37) // heavy duplication within every batch
 		delta := int64(1)
 		if i%3 == 0 {
 			delta = -2
 		}
-		truth.Apply(stream.Update{Item: uint64(i % 37), Delta: delta})
+		e.Update(item, delta)
+		truth.Apply(stream.Update{Item: item, Delta: delta})
 	}
-	want := truth.Fp(2)
-	if got := run(false); got != want {
+	if got, want := e.Estimate(), truth.Fp(2); got != want {
 		t.Errorf("coalesced Σf² = %v, want %v", got, want)
-	}
-	if got := run(true); got != want {
-		t.Errorf("uncoalesced Σf² = %v, want %v", got, want)
 	}
 }
 

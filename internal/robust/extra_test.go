@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/f0"
 	"repro/internal/game"
 	"repro/internal/prf"
@@ -40,7 +41,7 @@ func TestOracleF0RejectsNonDuplicateInsensitive(t *testing.T) {
 
 func TestFpPathsTracks(t *testing.T) {
 	const eps = 0.5
-	alg := NewFpPaths(2, eps, 1<<10, 1<<12, 1024, 2048, 7)
+	alg := mustWrap(t, Policy{Kind: Paths, StreamLen: 1 << 12, MaxCount: 1024, KCap: 2048}, eps, 0.001, 1<<10, 7, LpProblem(2))
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewUniform(1<<10, 3000, 9)),
 		(*stream.Freq).L2,
@@ -55,7 +56,9 @@ func TestFpPathsTracks(t *testing.T) {
 func TestFpPathsLnInvDeltaRegime(t *testing.T) {
 	// The Theorem 1.5 sizing must demand an astronomically small δ₀:
 	// ln(1/δ₀) far beyond anything float64-representable as a probability.
-	ln := FpPathsLnInvDelta(2, 0.2, 1<<20, 1<<20, float64(1<<20))
+	const n, eps = 1 << 20, 0.2
+	prob := LpProblem(2)
+	ln := core.PathsLnInvDelta(n, prob.FlipBound(eps/20, n, n), eps, prob.MaxValue(n, n), math.Log(1000))
 	if ln < 700 { // e^{-700} is below float64's smallest positive value
 		t.Errorf("ln(1/δ₀) = %v; expected the deep sub-float64 regime", ln)
 	}

@@ -1,10 +1,9 @@
 package robust
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/f0"
+	"repro/internal/sketch"
 )
 
 // NewF0 returns the adversarially robust distinct-elements estimator of
@@ -26,31 +25,19 @@ func NewF0(eps, delta float64, n uint64, seed int64) *core.Switcher {
 	return est.(*core.Switcher)
 }
 
-// F0FastLnInvDelta returns ln(1/δ₀) for the computation-paths reduction
-// applied to F0 over streams of length m (Theorem 1.2's regime
-// δ = n^{−Θ((1/ε)·log n)}).
-func F0FastLnInvDelta(eps float64, n, m uint64) float64 {
-	lambda := core.FlipBoundFp(0, eps/20, n, 1)
-	return core.PathsLnInvDelta(m, lambda, eps, float64(n), math.Log(1000))
-}
-
-// NewF0Fast returns the fast robust distinct-elements estimator of
-// Theorem 1.2: a single instance of the paper's Algorithm 2 (batched
-// multipoint hashing, so the update cost depends only poly-log-log on the
-// tiny failure probability), instantiated at the computation-paths δ₀ and
-// published through ε/2-rounding.
-func NewF0Fast(eps float64, n, m uint64, seed int64) *core.Paths {
-	params := f0.Alg2Sizing(eps/10, F0FastLnInvDelta(eps, n, m), n)
-	return core.NewPaths(eps, f0.NewAlg2(params, true, seed))
-}
-
-// NewF0FastScaled is NewF0Fast with a caller-chosen ln(1/δ₀) instead of
-// the full Theorem 1.2 value. At laptop scale the honest δ₀ makes
-// Algorithm 2's exact prefix longer than the whole stream (the space bound
-// ε⁻³·log³n exceeds the stream size until n is very large — an honest
-// consequence of the theory); the scaled variant lets demos and benchmarks
-// exercise the level-sampling path.
-func NewF0FastScaled(eps, lnInvDelta float64, n uint64, seed int64) *core.Paths {
-	params := f0.Alg2Sizing(eps/10, lnInvDelta, n)
-	return core.NewPaths(eps, f0.NewAlg2(params, true, seed))
+// F0FastProblem is F0Problem with the paper's Algorithm 2 as the inner
+// instance (batched multipoint hashing, so the update cost depends only
+// poly-log-log on the failure probability). Under the paths policy it is
+// the fast robust distinct-elements estimator of Theorem 1.2, whose regime
+// is δ = n^{−Θ((1/ε)·log n)}. At laptop scale the honest δ₀ keeps
+// Algorithm 2 in its exact prefix (the space bound ε⁻³·log³n exceeds the
+// stream until n is very large — an honest consequence of the theory).
+func F0FastProblem() Problem {
+	prob := F0Problem()
+	prob.Name = "f0-fast"
+	prob.Eps0Div = 10
+	prob.Inner = func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
+		return f0.NewAlg2(f0.Alg2Sizing(eps0, lnInvDelta, n), true, seed)
+	}
+	return prob
 }

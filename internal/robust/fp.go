@@ -1,11 +1,13 @@
 package robust
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/fp"
+	"repro/internal/sketch"
 )
 
 // NewFp returns the adversarially robust Lp-norm estimator of Theorem 1.4
@@ -22,66 +24,27 @@ func NewFp(p, eps, delta float64, n uint64, seed int64) *core.Switcher {
 	return est.(*core.Switcher)
 }
 
-// FpPathsLnInvDelta returns ln(1/δ₀) for the computation-paths reduction
-// applied to ‖·‖_p over streams of length m with counts ≤ maxCount
-// (Theorems 1.5/4.2: δ ≈ n^{−C·(1/ε)·log n}).
-func FpPathsLnInvDelta(p, eps float64, n, m uint64, maxCount float64) float64 {
-	lambda := core.FlipBoundLp(p, eps/20, n, maxCount)
-	t := math.Pow(float64(n)*math.Pow(maxCount, p), 1/p)
-	return core.PathsLnInvDelta(m, lambda, eps, t, math.Log(1000))
-}
-
-// NewFpPaths returns the computation-paths robust Lp estimator of
-// Theorem 1.5 (preferable to switching in the very-small-δ regime): one
-// p-stable sketch instantiated at δ₀ and published through ε/2-rounding.
-// kCap, when positive, caps the sketch's counter count so the estimator
-// stays runnable at laptop scale; pass 0 for the honest Theorem 4.2 sizing.
-func NewFpPaths(p, eps float64, n, m uint64, maxCount float64, kCap int, seed int64) *core.Paths {
-	lnInvDelta0 := FpPathsLnInvDelta(p, eps, n, m, maxCount)
-	k := int(math.Ceil(3 / (eps / 6 * eps / 6) * 0.3 * lnInvDelta0 * math.Log2E))
-	if kCap > 0 && k > kCap {
-		k = kCap
+// FpBigProblem describes the Lp norm for p > 2 (Theorem 1.7): the
+// max-stability estimator, whose width carries the n^{1−2/p} dependence of
+// the space bound. reps and rows size the estimator directly — the honest
+// δ₀-driven repetition count is far beyond laptop scale, so the experiment
+// harness sweeps them — and the paths policy contributes the flip budget
+// and the rounding.
+func FpBigProblem(p float64, reps, rows int) Problem {
+	if p <= 2 {
+		panic("robust: FpBigProblem needs p > 2 (use LpProblem)")
 	}
-	return core.NewPaths(eps, fp.NewIndyk(p, k, rand.New(rand.NewSource(seed))))
-}
-
-// NewTurnstileFp returns the robust Fp estimator of Theorem 1.6 for the
-// class S_λ of turnstile streams with Fp flip number at most λ: the
-// computation-paths reduction with the caller-supplied flip budget. The
-// published value tracks the moment F_p = ‖f‖_p^p, as in Theorem 4.3.
-// kCap as in NewFpPaths. It is the paths instance of the generic policy
-// layer over the turnstile moment problem — update-for-update identical
-// to the pre-model hand-built construction (pinned by
-// TestTurnstileFpAliasMatchesConstructor); maxT overrides the problem's
-// natural value bound, preserving the old signature.
-func NewTurnstileFp(p, eps float64, lambda int, m uint64, maxT float64, kCap int, seed int64) *core.Paths {
-	prob, err := LpProblemFor(p, TurnstileModel(lambda))
-	if err != nil {
-		panic("robust: " + err.Error())
+	return Problem{
+		Name:     fmt.Sprintf("l%g-norm", p),
+		Monotone: true,
+		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
+			return fp.NewMaxStable(p, reps, rows, fp.SizeMaxStableWidth(p, n), rand.New(rand.NewSource(seed)))
+		},
+		FlipBound: func(eps float64, n uint64, maxCount float64) int {
+			return core.FlipBoundLp(p, eps, n, maxCount)
+		},
+		MaxValue: func(n uint64, maxCount float64) float64 {
+			return math.Pow(float64(n)*math.Pow(maxCount, p), 1/p)
+		},
 	}
-	prob.MaxValue = func(uint64, float64) float64 { return maxT }
-	est, err := Policy{Kind: Paths, StreamLen: m, KCap: kCap}.Wrap(eps, 0.001, m, seed, prob)
-	if err != nil {
-		panic("robust: " + err.Error())
-	}
-	return est.(*core.Paths)
-}
-
-// momentAdapter publishes the moment ‖f‖_p^p from a norm-semantics sketch.
-type momentAdapter struct {
-	inner *fp.Indyk
-}
-
-func (a momentAdapter) Update(item uint64, delta int64) { a.inner.Update(item, delta) }
-func (a momentAdapter) Estimate() float64               { return a.inner.Moment() }
-func (a momentAdapter) SpaceBytes() int                 { return a.inner.SpaceBytes() }
-
-// NewFpBig returns the robust Fp estimator for p > 2 of Theorem 1.7:
-// computation paths over the max-stability estimator, whose width carries
-// the n^{1−2/p} dependence of the space bound. reps/rows size the inner
-// estimator (the benchmark harness sweeps them).
-func NewFpBig(p, eps float64, n, m uint64, reps, rows int, seed int64) *core.Paths {
-	w := fp.SizeMaxStableWidth(p, n)
-	inner := fp.NewMaxStable(p, reps, rows, w, rand.New(rand.NewSource(seed)))
-	return core.NewPaths(eps, inner)
 }

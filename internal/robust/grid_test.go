@@ -30,7 +30,9 @@ func TestRobustAdversaryGrid(t *testing.T) {
 		},
 		{
 			"F0/fast-paths",
-			func(seed int64) sketch.Estimator { return NewF0Fast(eps, 1<<12, 1<<13, seed) },
+			func(seed int64) sketch.Estimator {
+				return mustWrap(t, Policy{Kind: Paths, StreamLen: 1 << 13}, eps, 0.001, 1<<12, seed, F0FastProblem())
+			},
 			(*stream.Freq).F0,
 			game.RelCheck(2 * eps),
 		},

@@ -214,7 +214,7 @@ func fpMomentProblem(p float64, m Model, flip func(eps float64, n uint64, maxCou
 			if kCap > 0 && k > kCap {
 				k = kCap
 			}
-			return momentAdapter{fp.NewIndyk(p, k, rand.New(rand.NewSource(seed)))}
+			return mapAdapter{fp.NewIndyk(p, k, rand.New(rand.NewSource(seed))), func(norm float64) float64 { return math.Pow(norm, p) }}
 		},
 		FlipBound: flip,
 		MaxValue: func(n uint64, maxCount float64) float64 {

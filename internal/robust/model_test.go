@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fp"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
-// oldTurnstileFp is the hand-built construction of NewTurnstileFp for
-// p = 2 (the bucketed AMS inner sketch, whose Estimate is the F2 moment
-// directly), kept as the pin the policy-layer constructor must match
+// oldTurnstileFp is the hand-built Theorem 1.6 construction for p = 2
+// (the bucketed AMS inner sketch, whose Estimate is the F2 moment
+// directly), kept as the pin the policy layer must match
 // update-for-update.
 func oldTurnstileFp(p, eps float64, lambda int, m uint64, maxT float64, kCap int, seed int64) *core.Paths {
 	if p != 2 {
@@ -22,11 +23,18 @@ func oldTurnstileFp(p, eps float64, lambda int, m uint64, maxT float64, kCap int
 	s := fp.SizeF2Ln(eps/6, lnInvDelta0)
 	s.Rows = oddReps(s.Rows, s.Width, kCap)
 	inner := fp.NewF2(s, rand.New(rand.NewSource(seed)))
-	return core.NewPaths(eps, inner)
+	return core.NewPaths(eps, lambda, inner)
 }
 
-// oldBoundedDeletionFp is the pre-model hand-built construction of
-// NewBoundedDeletionFp, kept verbatim as the pin.
+// momentRef publishes ‖f‖_p^p from an Indyk sketch without going through
+// the package's adapter, so the hand-built references stay independent of
+// the code they pin.
+type momentRef struct{ *fp.Indyk }
+
+func (m momentRef) Estimate() float64 { return m.Moment() }
+
+// oldBoundedDeletionFp is the pre-model hand-built Theorem 1.11
+// construction, kept verbatim as the pin.
 func oldBoundedDeletionFp(p, alpha, eps float64, n, m uint64, maxCount float64, kCap int, seed int64) *core.Paths {
 	lambda := core.FlipBoundBoundedDeletion(p, alpha, eps/20, n, maxCount)
 	t := float64(n) * math.Pow(maxCount, p)
@@ -36,12 +44,12 @@ func oldBoundedDeletionFp(p, alpha, eps float64, n, m uint64, maxCount float64, 
 		k = kCap
 	}
 	inner := fp.NewIndyk(p, k, rand.New(rand.NewSource(seed)))
-	return core.NewPaths(eps, momentAdapter{inner})
+	return core.NewPaths(eps, lambda, momentRef{inner})
 }
 
 // pinIdentical drives both estimators through the same stream and requires
 // bitwise-identical estimates at every step plus identical space.
-func pinIdentical(t *testing.T, name string, viaModel, viaOld *core.Paths, gen stream.Generator) {
+func pinIdentical(t *testing.T, name string, viaModel sketch.Estimator, viaOld *core.Paths, gen stream.Generator) {
 	t.Helper()
 	step := 0
 	for {
@@ -69,13 +77,17 @@ func TestTurnstileFpAliasMatchesConstructor(t *testing.T) {
 	eps := 0.5
 	seq := stream.Trajectory(stream.Collect(stream.NewInsertDelete(n), 0), func(f *stream.Freq) float64 { return f.Fp(2) })
 	lambda := core.FlipNumber(seq, eps/20) + 8
-	viaModel := NewTurnstileFp(2, eps, lambda, 2*n, float64(n), 3000, 7)
+	// maxT overrides the problem's natural value bound to match the
+	// hand-built sizing exactly.
+	prob := mustLpProblemFor(t, 2, TurnstileModel(lambda))
+	prob.MaxValue = func(uint64, float64) float64 { return n }
+	viaModel := mustWrap(t, Policy{Kind: Paths, StreamLen: 2 * n, KCap: 3000}, eps, 0.001, 2*n, 7, prob)
 	viaOld := oldTurnstileFp(2, eps, lambda, 2*n, float64(n), 3000, 7)
 	pinIdentical(t, "turnstile", viaModel, viaOld, stream.NewInsertDelete(n))
 
-	// The new constructor additionally installs the declared budget, so
-	// robustness introspection reports the class promise.
-	rb := viaModel.Robustness()
+	// Wrap installs the declared budget, so robustness introspection
+	// reports the class promise.
+	rb := viaModel.(sketch.RobustnessReporter).Robustness()
 	if rb.Budget != lambda {
 		t.Errorf("turnstile: flip budget %d not installed, got %d", lambda, rb.Budget)
 	}
@@ -86,7 +98,7 @@ func TestBoundedDeletionFpAliasMatchesConstructor(t *testing.T) {
 	// spread of α, uncapped and capped.
 	eps := 0.5
 	for _, alpha := range []float64{1.5, 4} {
-		viaModel := NewBoundedDeletionFp(1, alpha, eps, 256, 4000, 4000, 2500, 17)
+		viaModel := mustWrap(t, Policy{Kind: Paths, StreamLen: 4000, MaxCount: 4000, KCap: 2500}, eps, 0.001, 256, 17, mustLpProblemFor(t, 1, BoundedDeletionModel(alpha)))
 		viaOld := oldBoundedDeletionFp(1, alpha, eps, 256, 4000, 4000, 2500, 17)
 		pinIdentical(t, "bounded-deletion", viaModel, viaOld, stream.NewBoundedDeletion(256, 4000, 1, alpha, 0.4, 19))
 	}

@@ -208,7 +208,8 @@ func (pol Policy) Check(prob Problem) error {
 // scale) with probability 1−delta on any adaptively chosen insertion-only
 // stream over [n] — by the static guarantee alone for None, and by the
 // corresponding robustness theorem otherwise. The result implements
-// sketch.RobustnessReporter for every kind except None.
+// sketch.RobustnessReporter for every kind except None, where at most the
+// problem's adapter does, reporting the zero Robustness.
 func (pol Policy) Wrap(eps, delta float64, n uint64, seed int64, prob Problem) (sketch.Estimator, error) {
 	if prob.EpsScale > 0 {
 		eps *= prob.EpsScale
@@ -271,36 +272,38 @@ func (pol Policy) Wrap(eps, delta float64, n uint64, seed int64, prob Problem) (
 			m = n
 		}
 		lnInvDelta0 := core.PathsLnInvDelta(m, lambda, eps, prob.MaxValue(n, maxCount), math.Log(1/delta))
-		p := core.NewPaths(eps, prob.Inner(eps0, lnInvDelta0, n, pol.KCap, seed))
-		p.SetFlipBudget(lambda)
-		return pol.publish(prob, p), nil
+		return pol.publish(prob, core.NewPaths(eps, lambda, prob.Inner(eps0, lnInvDelta0, n, pol.KCap, seed))), nil
 	}
 	return nil, fmt.Errorf("robust: unknown policy kind %d", pol.Kind)
 }
 
-// publish applies the problem's output transform, preserving robustness
-// introspection.
+// publish applies the problem's output transform.
 func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {
 	if prob.Publish == nil {
 		return est
 	}
-	return publishAdapter{inner: est, f: prob.Publish}
+	return mapAdapter{inner: est, f: prob.Publish}
 }
 
-// publishAdapter transforms the wrapped estimator's output while
-// forwarding updates, space, and robustness state.
-type publishAdapter struct {
+// mapAdapter publishes f(inner.Estimate()) and forwards everything else.
+// It is the package's one estimate-mapping adapter, serving both ends of
+// a wrapper: below it, it gives an inner sketch the semantics its Problem
+// tracks (norm from a moment sketch, moment from a norm sketch, 2^H from
+// an entropy sketch); above it, it applies Problem.Publish to the rounded
+// output. The optional surfaces — batch ingest, resummation, point and
+// top-k queries, robustness state — forward to inner when it has them and
+// degrade to the per-update loop, a no-op, or the zero answer otherwise.
+type mapAdapter struct {
 	inner sketch.Estimator
 	f     func(float64) float64
 }
 
-func (a publishAdapter) Update(item uint64, delta int64) { a.inner.Update(item, delta) }
-func (a publishAdapter) Estimate() float64               { return a.f(a.inner.Estimate()) }
-func (a publishAdapter) SpaceBytes() int                 { return a.inner.SpaceBytes() }
+func (a mapAdapter) Update(item uint64, delta int64) { a.inner.Update(item, delta) }
+func (a mapAdapter) Estimate() float64               { return a.f(a.inner.Estimate()) }
+func (a mapAdapter) SpaceBytes() int                 { return a.inner.SpaceBytes() }
 
-// UpdateBatch implements sketch.BatchUpdater, forwarding to the wrapped
-// estimator's batch path when it has one.
-func (a publishAdapter) UpdateBatch(batch []sketch.Update) {
+// UpdateBatch implements sketch.BatchUpdater.
+func (a mapAdapter) UpdateBatch(batch []sketch.Update) {
 	if bu, ok := a.inner.(sketch.BatchUpdater); ok {
 		bu.UpdateBatch(batch)
 		return
@@ -310,15 +313,32 @@ func (a publishAdapter) UpdateBatch(batch []sketch.Update) {
 	}
 }
 
-// Resummate implements sketch.IncrementalEstimator when the wrapped
-// estimator maintains running aggregates; otherwise it is a no-op.
-func (a publishAdapter) Resummate() {
+// Resummate implements sketch.IncrementalEstimator.
+func (a mapAdapter) Resummate() {
 	if inc, ok := a.inner.(sketch.IncrementalEstimator); ok {
 		inc.Resummate()
 	}
 }
 
-func (a publishAdapter) Robustness() sketch.Robustness {
+// Query implements sketch.PointQuerier; per-coordinate answers are in the
+// inner sketch's frequency domain, so f does not apply.
+func (a mapAdapter) Query(item uint64) float64 {
+	if pq, ok := a.inner.(sketch.PointQuerier); ok {
+		return pq.Query(item)
+	}
+	return 0
+}
+
+// TopK implements sketch.TopKQuerier; see Query.
+func (a mapAdapter) TopK(k int) []sketch.ItemWeight {
+	if tk, ok := a.inner.(sketch.TopKQuerier); ok {
+		return tk.TopK(k)
+	}
+	return nil
+}
+
+// Robustness implements sketch.RobustnessReporter.
+func (a mapAdapter) Robustness() sketch.Robustness {
 	if rr, ok := a.inner.(sketch.RobustnessReporter); ok {
 		return rr.Robustness()
 	}
@@ -361,7 +381,7 @@ func LpProblem(p float64) Problem {
 			if p == 2 {
 				s := fp.SizeF2Ln(eps0, lnInv)
 				s.Rows = oddReps(s.Rows, s.Width, kCap)
-				return l2Adapter{fp.NewF2(s, rand.New(rand.NewSource(seed)))}
+				return mapAdapter{fp.NewF2(s, rand.New(rand.NewSource(seed))), math.Sqrt}
 			}
 			boost := 0.3 * lnInv * math.Log2E
 			if boost < 1 {
@@ -427,7 +447,9 @@ func EntropyProblem() Problem {
 			// bits, hence the /ln2.
 			s := entropy.SizeCCLn(eps0/math.Ln2, lnInvDelta)
 			s.Groups = oddReps(s.Groups, s.Per, kCap)
-			return exp2Adapter{entropy.NewCC(s, rand.New(rand.NewSource(seed)))}
+			// Prop. 7.2 bounds the flip number of 2^H, not of H: the
+			// multiplicative rounding machinery tracks the former.
+			return mapAdapter{entropy.NewCC(s, rand.New(rand.NewSource(seed))), func(h float64) float64 { return math.Pow(2, h) }}
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundEntropyExp(eps, n, maxCount)
@@ -457,7 +479,7 @@ func HHL2Problem() Problem {
 			milestones := math.Log(float64(n)+4)/math.Log1p(eps0) + 2
 			s := heavyhitters.SizeForPointQueryLn(eps0, lnInvDelta+math.Log(milestones))
 			s.Rows = oddReps(s.Rows, s.Width, kCap)
-			return csL2Adapter{heavyhitters.NewCountSketch(s, rand.New(rand.NewSource(seed)))}
+			return mapAdapter{heavyhitters.NewCountSketch(s, rand.New(rand.NewSource(seed))), math.Sqrt}
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundLp(2, eps, n, maxCount)
@@ -470,11 +492,3 @@ func HHL2Problem() Problem {
 		},
 	}
 }
-
-// csL2Adapter publishes ‖f‖₂ from a CountSketch (whose Estimate is the F2
-// moment), giving the heavy hitters problem norm semantics.
-type csL2Adapter struct {
-	*heavyhitters.CountSketch
-}
-
-func (a csL2Adapter) Estimate() float64 { return a.L2() }

@@ -3,59 +3,35 @@
 // internal/heavyhitters, internal/entropy) and the generic transformations
 // of internal/core.
 //
-// The composition surface is the policy layer: a Policy names a
-// transformation (None, Switching, Ring, Paths) and Policy.Wrap applies
-// it to any Problem — a per-statistic bundle of inner-sketch factory,
-// ε₀ divisor, flip bound and value range (LpProblem, F0Problem,
-// EntropyProblem, HHL2Problem). This makes the paper's central claim
-// literal: the transformations are generic, so the full sketch × policy
-// matrix is reachable from one constructor, and wrappers expose their
-// flip-budget consumption through sketch.RobustnessReporter.
+// There is one construction path: a Policy names a transformation (None,
+// Switching, Ring, Paths) and Policy.Wrap applies it to a Problem — a
+// per-statistic bundle of inner-sketch factory, ε₀ divisor, flip bound and
+// value range. Wrap is the only caller of core.NewSwitcher and
+// core.NewPaths, which makes the paper's central claim literal: the
+// transformations are generic, every theorem is a (policy kind, problem)
+// pair, and every wrapper exposes its flip-budget consumption through
+// sketch.RobustnessReporter.
 //
-// The per-theorem constructors are thin instances of the policy layer
-// (or specialized paths sizings where a theorem fixes its own δ₀):
+//	Theorem       Policy kind  Problem
+//	1.1  / 5.1    Ring         F0Problem()                               = NewF0
+//	1.2  / 5.4    Paths        F0FastProblem()
+//	1.4  / 4.1    Ring         LpProblem(p), 0 < p ≤ 2                   = NewFp
+//	1.5  / 4.2    Paths        LpProblem(p)
+//	1.6  / 4.3    Paths        LpProblemFor(p, TurnstileModel(λ))
+//	1.7  / 4.4    Paths        FpBigProblem(p, reps, rows), p > 2
+//	1.9  / 6.5    Ring         HHL2Problem() (its NewRing)               = NewHeavyHitters
+//	1.10 / 7.3    Switching    EntropyProblem(), Budget λ                = NewEntropy
+//	1.11 / 8.3    Paths        LpProblemFor(p, BoundedDeletionModel(α))
+//	Prop. 3.4     Ring         cascaded.Problem(p, k, cols)
 //
-//	NewF0                 Theorem 1.1 / 5.1  (sketch switching, ring)
-//	NewF0Fast             Theorem 1.2 / 5.4  (computation paths over Algorithm 2)
-//	NewFp                 Theorem 1.4 / 4.1  (sketch switching, ring)
-//	NewFpPaths            Theorem 1.5 / 4.2  (computation paths, small δ)
-//	NewTurnstileFp        Theorem 1.6 / 4.3  (computation paths, λ-flip class)
-//	NewFpBig              Theorem 1.7 / 4.4  (computation paths, p > 2)
-//	NewHeavyHitters       Theorem 1.9 / 6.5  (switching + frozen CountSketch ring)
-//	NewEntropy            Theorem 1.10 / 7.3 (dense sketch switching on 2^H)
-//	NewBoundedDeletionFp  Theorem 1.11 / 8.3 (computation paths, Lemma 8.2 flips)
-//	NewCryptoF0           Theorem 10.1       (PRF + duplicate-insensitive sketch)
+// The Section 10 constructions (NewCryptoF0, NewOracleF0; Theorem 10.1)
+// robustify through a PRF instead of a policy and stand apart.
 //
-// Sizing philosophy: every constructor accepts the robustness budget (flip
-// number / copies) explicitly where the paper's worst-case value is
-// impractically large at laptop scale, with helpers returning the paper's
-// worst-case bound. This mirrors the paper's own Theorem 4.3, which is
+// Sizing philosophy: Policy carries the robustness budget (flip number /
+// copies) explicitly where the paper's worst-case value is impractically
+// large at laptop scale, with the Problem's FlipBound supplying the
+// worst-case default. This mirrors the paper's own Theorem 4.3, which is
 // parameterized by the class S_λ of streams with flip number at most λ;
-// Exhausted() surfaces budget overruns instead of failing silently.
+// Robustness().Exhausted surfaces budget overruns instead of failing
+// silently.
 package robust
-
-import (
-	"math"
-
-	"repro/internal/fp"
-	"repro/internal/sketch"
-)
-
-// l2Adapter publishes ‖f‖₂ from an F2Sketch (which estimates ‖f‖₂²), so
-// every Fp estimator in this package has norm semantics.
-type l2Adapter struct {
-	*fp.F2Sketch
-}
-
-func (a l2Adapter) Estimate() float64 { return a.EstimateL2() }
-
-// exp2Adapter publishes 2^H from an additive entropy estimator, the
-// monotone-range form the multiplicative rounding machinery needs
-// (Prop. 7.2 bounds the flip number of 2^H, not of H).
-type exp2Adapter struct {
-	inner sketch.Estimator
-}
-
-func (a exp2Adapter) Update(item uint64, delta int64) { a.inner.Update(item, delta) }
-func (a exp2Adapter) Estimate() float64               { return math.Pow(2, a.inner.Estimate()) }
-func (a exp2Adapter) SpaceBytes() int                 { return a.inner.SpaceBytes() }

@@ -9,8 +9,29 @@ import (
 	"repro/internal/f0"
 	"repro/internal/game"
 	"repro/internal/prf"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
+
+// mustWrap is Policy.Wrap for constructions the test knows to be valid.
+func mustWrap(t testing.TB, pol Policy, eps, delta float64, n uint64, seed int64, prob Problem) sketch.Estimator {
+	t.Helper()
+	est, err := pol.Wrap(eps, delta, n, seed, prob)
+	if err != nil {
+		t.Fatalf("Wrap(%s over %s): %v", pol, prob.Name, err)
+	}
+	return est
+}
+
+// mustLpProblemFor is LpProblemFor for a valid (p, model) pair.
+func mustLpProblemFor(t testing.TB, p float64, m Model) Problem {
+	t.Helper()
+	prob, err := LpProblemFor(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prob
+}
 
 func TestRobustF0TracksObliviousStream(t *testing.T) {
 	const eps = 0.3
@@ -55,7 +76,7 @@ func TestRobustF0FastExactRegime(t *testing.T) {
 	// At laptop scale the honest Theorem 1.2 sizing keeps Algorithm 2 in
 	// its exact prefix, so tracking is perfect up to rounding.
 	const eps = 0.4
-	alg := NewF0Fast(eps, 1<<12, 1<<12, 1)
+	alg := mustWrap(t, Policy{Kind: Paths, StreamLen: 1 << 12}, eps, 0.001, 1<<12, 1, F0FastProblem())
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewUniform(1<<11, 4096, 5)),
 		(*stream.Freq).F0,
@@ -68,10 +89,13 @@ func TestRobustF0FastExactRegime(t *testing.T) {
 }
 
 func TestRobustF0FastScaledLevelRegime(t *testing.T) {
-	// The scaled variant leaves the exact prefix and exercises the
-	// level-sampling estimator.
+	// A caller-chosen ln(1/δ₀) = 3 instead of the full Theorem 1.2 value
+	// leaves Algorithm 2's exact prefix and exercises the level-sampling
+	// estimator; no policy sizes an inner that loosely, so the wrapper is
+	// assembled by hand.
 	const eps = 0.3
-	alg := NewF0FastScaled(eps, 3, 1<<20, 7)
+	const n = 1 << 20
+	alg := core.NewPaths(eps, core.FlipBoundFp(0, eps/20, n, 1), f0.NewAlg2(f0.Alg2Sizing(eps/10, 3, n), true, 7))
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewDistinct(300000)),
 		(*stream.Freq).F0,
@@ -119,7 +143,7 @@ func TestRobustTurnstileFpOnInsertDelete(t *testing.T) {
 	seq := stream.Trajectory(stream.Collect(stream.NewInsertDelete(n), 0),
 		func(f *stream.Freq) float64 { return f.Fp(2) })
 	lambda := core.FlipNumber(seq, eps/20) + 8
-	alg := NewTurnstileFp(2, eps, lambda, 2*n, float64(n), 3000, 7)
+	alg := mustWrap(t, Policy{Kind: Paths, StreamLen: 2 * n, KCap: 3000}, eps, 0.001, n, 7, mustLpProblemFor(t, 2, TurnstileModel(lambda)))
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewInsertDelete(n)),
 		func(f *stream.Freq) float64 { return f.Fp(2) },
@@ -135,7 +159,7 @@ func TestRobustTurnstileFpOnInsertDelete(t *testing.T) {
 
 func TestRobustFpBigTracksF3(t *testing.T) {
 	const eps = 0.4
-	alg := NewFpBig(3, eps, 4096, 10000, 100, 3, 13)
+	alg := mustWrap(t, Policy{Kind: Paths, StreamLen: 10000, MaxCount: 4000}, eps, 0.001, 4096, 13, FpBigProblem(3, 100, 3))
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewZipf(4096, 8000, 1.5, 15)),
 		func(f *stream.Freq) float64 { return f.Lp(3) },
@@ -149,7 +173,7 @@ func TestRobustFpBigTracksF3(t *testing.T) {
 
 func TestRobustBoundedDeletionFp(t *testing.T) {
 	const eps, p, alpha = 0.5, 1.0, 4.0
-	alg := NewBoundedDeletionFp(p, alpha, eps, 256, 4000, 4000, 2500, 17)
+	alg := mustWrap(t, Policy{Kind: Paths, StreamLen: 4000, MaxCount: 4000, KCap: 2500}, eps, 0.001, 256, 17, mustLpProblemFor(t, p, BoundedDeletionModel(alpha)))
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewBoundedDeletion(256, 4000, p, alpha, 0.4, 19)),
 		func(f *stream.Freq) float64 { return f.Fp(p) },
@@ -173,7 +197,7 @@ func TestRobustEntropyTracks(t *testing.T) {
 		t.Fatalf("robust entropy broke at step %d: est %v vs truth %v",
 			res.BrokenAt, res.BrokenEst, res.BrokenTru)
 	}
-	if alg.Exhausted() {
+	if alg.(sketch.RobustnessReporter).Robustness().Exhausted {
 		t.Error("entropy switcher exhausted its flip budget on a mild stream")
 	}
 }

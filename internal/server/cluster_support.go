@@ -50,18 +50,9 @@ func (s *Server) ShipTenant(key string) (*Shipment, error) {
 	if !sh.Mergeable {
 		return sh, nil
 	}
-	parts := make([][]byte, t.eng.Shards())
-	err = t.eng.Visit(func(i int, est sketch.Estimator) error {
-		b, err := t.spec.marshal(est)
-		parts[i] = b
-		return err
-	})
-	if err != nil {
+	if sh.State, err = t.snapshot(); err != nil {
 		return nil, err
 	}
-	// Visit flushed above, so the mass reading matches the serialized
-	// state.
-	sh.State = encodeSnapshot(t.spec.Name, parts)
 	sh.Mass = t.eng.Mass()
 	sh.Deleted = t.eng.DeletedMass()
 	return sh, nil

@@ -257,6 +257,17 @@ func TestForwarderRedirect(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /v1/estimate?key=local: got HTTP %d, want local 404", resp.StatusCode)
 	}
+
+	// A method the endpoint does not take is a 405 whose Allow header
+	// names every method it does take.
+	resp, err = hc.Get(hs.URL + "/v1/keys?key=local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("Allow"); resp.StatusCode != http.StatusMethodNotAllowed || got != "POST, DELETE" {
+		t.Errorf("GET /v1/keys: got HTTP %d with Allow %q, want 405 with Allow \"POST, DELETE\"", resp.StatusCode, got)
+	}
 }
 
 // TestForwardingFollowedByClient: a client pointed at a non-owner node

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/sketch"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -269,25 +268,18 @@ func (s *Server) checkpointTenant(t *tenant) error {
 // no update for this tenant can land between the state serialization and
 // the recorded LSN, so the cut is exact.
 func (s *Server) checkpointTenantLocked(t *tenant) error {
-	var state []byte
-	if t.spec.Mergeable() {
-		parts := make([][]byte, t.eng.Shards())
-		err := t.eng.Visit(func(i int, est sketch.Estimator) error {
-			b, err := t.spec.marshal(est)
-			parts[i] = b
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		state = encodeSnapshot(t.spec.Name, parts)
-	}
 	specJSON, err := json.Marshal(t.ts)
 	if err != nil {
 		return err
 	}
-	// Visit flushed and republished above, so the mass reading is exact
-	// for the serialized state (no updates can land under walMu).
+	var state []byte
+	if t.spec.Mergeable() {
+		if state, err = t.snapshot(); err != nil {
+			return err
+		}
+	}
+	// snapshot flushed and republished above, so the mass reading is
+	// exact for the serialized state (no updates can land under walMu).
 	ck := wal.Checkpoint{
 		Key: t.key, LSN: s.wal.HeadLSN(), Spec: specJSON, State: state,
 		Mass: t.eng.Mass(), Deleted: t.eng.DeletedMass(),
@@ -311,14 +303,8 @@ func (s *Server) Shutdown() error {
 	if s.wal == nil {
 		return nil
 	}
-	s.mu.RLock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.RUnlock()
 	var firstErr error
-	for _, t := range ts {
+	for _, t := range s.tenantList() {
 		if !t.spec.Mergeable() {
 			continue
 		}

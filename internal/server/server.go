@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -111,11 +112,6 @@ type Config struct {
 	// Defaults to 64 (the value previously hardcoded for robust-entropy).
 	FlipBudget int
 
-	// PathsKCap caps the repetition dimension of a computation-paths
-	// inner sketch, whose honest ln(1/δ₀) sizing reaches thousands of
-	// repetitions; see robust.Policy.KCap. Defaults to 4096.
-	PathsKCap int
-
 	// DataDir, when non-empty and the server is created with Open, enables
 	// durability: a write-ahead log plus per-tenant checkpoints live there
 	// and every tenant survives a crash or restart. New ignores it.
@@ -163,9 +159,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.FlipBudget <= 0 {
 		cfg.FlipBudget = 64
 	}
-	if cfg.PathsKCap <= 0 {
-		cfg.PathsKCap = 4096
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1 << 17
 	}
@@ -195,6 +188,23 @@ type tenant struct {
 	walMu     sync.RWMutex
 	sinceCkpt atomic.Int64 // updates applied since the last checkpoint
 	ckptBusy  atomic.Bool  // one background checkpoint at a time
+}
+
+// snapshot serializes a mergeable tenant's state into a snapshot
+// envelope, one part per shard. The Visit flushes and republishes every
+// shard first, so a Mass/DeletedMass reading taken right after matches the
+// serialized state.
+func (t *tenant) snapshot() ([]byte, error) {
+	parts := make([][]byte, t.eng.Shards())
+	err := t.eng.Visit(func(i int, est sketch.Estimator) error {
+		b, err := t.spec.marshal(est)
+		parts[i] = b
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return encodeSnapshot(t.spec.Name, parts), nil
 }
 
 // Server is a sketchd instance. Create with New (in-memory) or Open
@@ -381,15 +391,22 @@ func (s *Server) Drain() {
 	if !s.draining.CompareAndSwap(false, true) {
 		return
 	}
+	for _, t := range s.tenantList() {
+		t.eng.Close()
+	}
+}
+
+// tenantList copies the tenant map under the read lock, so callers can do
+// per-tenant work that visits shard workers (stats, close, checkpoint)
+// without blocking concurrent keyspace creation or deletion.
+func (s *Server) tenantList() []*tenant {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	ts := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		ts = append(ts, t)
 	}
-	s.mu.RUnlock()
-	for _, t := range ts {
-		t.eng.Close()
-	}
+	return ts
 }
 
 // Draining reports whether Drain has been called.
@@ -439,7 +456,7 @@ func methodIs(w http.ResponseWriter, r *http.Request, methods ...string) bool {
 			return true
 		}
 	}
-	w.Header().Set("Allow", methods[0])
+	w.Header().Set("Allow", strings.Join(methods, ", "))
 	writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed"})
 	return false
 }
@@ -527,19 +544,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sketch type %q is not serializable (robust ensembles are not linear-mergeable)", t.spec.Name))
 		return
 	}
-	parts := make([][]byte, t.eng.Shards())
-	err := t.eng.Visit(func(i int, est sketch.Estimator) error {
-		b, err := t.spec.marshal(est)
-		parts[i] = b
-		return err
-	})
+	state, err := t.snapshot()
 	if err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Sketch", t.spec.Name)
-	_, _ = w.Write(encodeSnapshot(t.spec.Name, parts))
+	_, _ = w.Write(state)
 }
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
@@ -749,16 +761,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodGet) {
 		return
 	}
-	// Snapshot the tenant map first, then gather per-tenant stats without
-	// the lock: Robustness visits shard workers, which must not block
-	// concurrent keyspace creation or deletion.
-	s.mu.RLock()
-	resp := StatsResponse{Keys: len(s.tenants), MaxKeys: s.cfg.MaxKeys, Draining: s.draining.Load()}
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.RUnlock()
+	ts := s.tenantList()
+	resp := StatsResponse{Keys: len(ts), MaxKeys: s.cfg.MaxKeys, Draining: s.draining.Load()}
 	for _, t := range ts {
 		resp.Tenants = append(resp.Tenants, t.stats())
 	}

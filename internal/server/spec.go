@@ -309,6 +309,11 @@ const (
 	// linearly in α, so an enormous α is an enormous implied flip class;
 	// the cap keeps the declared class meaningful at server scale.
 	MaxTenantAlpha = 1 << 20
+
+	// pathsKCap caps the repetition dimension of a computation-paths
+	// tenant's inner sketch, whose honest ln(1/δ₀) sizing reaches
+	// thousands of repetitions; see robust.Policy.KCap.
+	pathsKCap = 4096
 )
 
 // normalize validates a raw TenantSpec and fills every unset field from
@@ -494,7 +499,7 @@ func resolveWith(raw TenantSpec, cfg Config, trusted bool) (spec, TenantSpec, er
 		// Only the paths sizing needs the cap: its honest ln(1/δ₀)
 		// reaches thousands of repetitions, while the switching and ring
 		// ensembles run at moderate per-copy δ.
-		pol.KCap = cfg.PathsKCap
+		pol.KCap = pathsKCap
 	}
 	sp := spec{
 		Name:     name,

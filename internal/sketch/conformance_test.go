@@ -33,7 +33,6 @@ var (
 	_ sketch.Estimator = (*entropy.Renyi)(nil)
 	_ sketch.Estimator = (*robust.CryptoF0)(nil)
 	_ sketch.Estimator = (*robust.OracleF0)(nil)
-	_ sketch.Estimator = (*robust.Entropy)(nil)
 	_ sketch.Estimator = (*robust.HeavyHitters)(nil)
 
 	_ sketch.PointQuerier = (*heavyhitters.CountSketch)(nil)
