@@ -13,7 +13,10 @@
 //     field, deterministic pseudorandom variates (SplitMix64, exponential,
 //     p-stable and maximally skewed 1-stable via Chambers–Mallows–Stuck,
 //     plus the MedianAbs calibration constant of Indyk's estimator), an
-//     AES-based PRF, and the binary codec behind sketch marshaling.
+//     AES-based PRF, and the binary codec: the one bounds-checked byte
+//     cursor (codec.Reader) that sketch marshaling, the snapshot envelope,
+//     WAL checkpoints and every wire frame decoder parse untrusted bytes
+//     through.
 //   - internal/sketch — the Estimator/Factory interfaces every algorithm
 //     implements, plus the type-erased Codec over the mergeable types'
 //     marshal/merge methods.
@@ -59,7 +62,8 @@
 //     length-prefixed, versioned frames for update batches and the v2
 //     query/answer envelopes (fixed u64 item ids — no 2^53 JSON cliff —
 //     with zigzag-varint deltas), encoded into and decoded from
-//     caller-supplied buffers. Clients and servers negotiate it per
+//     caller-supplied buffers; payloads are read through a codec.Reader
+//     held on the decoder's stack. Clients and servers negotiate it per
 //     request via Content-Type/Accept ("application/x-sketch-frame");
 //     JSON stays as the debug/compat codec with identical semantics,
 //     pinned byte-for-byte by the cross-codec snapshot tests.

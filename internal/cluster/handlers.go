@@ -144,14 +144,10 @@ func (n *Node) handlePull(w http.ResponseWriter, r *http.Request) {
 		clusterFail(w, http.StatusNotFound, err)
 		return
 	}
-	frame := wire.AppendShip(nil, &wire.Ship{
-		From: n.cfg.Self, Key: key, Seq: n.localSeq(key),
-		Mass: sh.Mass, Deleted: sh.Deleted,
-		Spec: sh.Spec, State: sh.State,
-	})
+	sh.From, sh.Seq = n.cfg.Self, n.localSeq(key)
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
+	_, _ = w.Write(wire.AppendShip(nil, sh))
 }
 
 // handleQuery serves POST /cluster/query: the global query entry point.

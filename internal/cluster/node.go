@@ -477,11 +477,8 @@ func (n *Node) shipRound() int {
 		if err != nil {
 			continue // deleted concurrently
 		}
-		frame := wire.AppendShip(nil, &wire.Ship{
-			From: n.cfg.Self, Key: key, Seq: seq,
-			Mass: sh.Mass, Deleted: sh.Deleted,
-			Spec: sh.Spec, State: sh.State,
-		})
+		sh.From, sh.Seq = n.cfg.Self, seq
+		frame := wire.AppendShip(nil, sh)
 		for _, tgt := range targets {
 			if tgt == n.cfg.Self {
 				continue

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/sketch"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Cluster support: the server-side primitives internal/cluster composes
@@ -18,26 +19,18 @@ import (
 // engine for cross-node queries, and redirecting tenant traffic the
 // placement layer says belongs elsewhere.
 
-// Shipment is one tenant's replication payload, produced by ShipTenant
-// and consumed by ApplyShipment on a replica. Spec carries the resolved
-// TenantSpec as JSON — including the resolved seed, which is what makes
-// the replica's copy snapshot-compatible with the owner's. Shipments are
-// a server-to-server surface: handing one to a tenant would leak the
-// seed the API everywhere else withholds.
-type Shipment struct {
-	Spec      []byte
-	State     []byte // snapshot envelope; nil for non-mergeable tenants
-	Mass      int64
-	Deleted   int64
-	Mergeable bool
-}
-
-// ShipTenant serializes tenant key for replication. Non-mergeable
-// (robust-policy) tenants ship as spec-only declarations: their ensemble
-// state is not linear and cannot be folded into a copy, so replication
-// preserves the declaration and the replica rebuilds state only if the
-// key fails over to it and the stream is replayed by clients.
-func (s *Server) ShipTenant(key string) (*Shipment, error) {
+// ShipTenant serializes tenant key for replication as a wire.Ship with
+// Key, Spec, State, Mass and Deleted filled; the cluster layer stamps From
+// and Seq. Spec carries the resolved TenantSpec as JSON — including the
+// resolved seed, which is what makes the replica's copy snapshot-compatible
+// with the owner's, and why a shipment is a server-to-server surface:
+// handing one to a tenant would leak the seed the API everywhere else
+// withholds. Non-mergeable (robust-policy) tenants ship as spec-only
+// declarations (State nil): their ensemble state is not linear and cannot
+// be folded into a copy, so replication preserves the declaration and the
+// replica rebuilds state only if the key fails over to it and the stream
+// is replayed by clients.
+func (s *Server) ShipTenant(key string) (*wire.Ship, error) {
 	t := s.lookup(key)
 	if t == nil {
 		return nil, fmt.Errorf("unknown key %q", key)
@@ -46,8 +39,8 @@ func (s *Server) ShipTenant(key string) (*Shipment, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shipment{Spec: specJSON, Mergeable: t.spec.Mergeable()}
-	if !sh.Mergeable {
+	sh := &wire.Ship{Key: key, Spec: specJSON}
+	if !t.spec.Mergeable() {
 		return sh, nil
 	}
 	if sh.State, err = t.snapshot(); err != nil {

@@ -326,7 +326,7 @@ func TestShipTenantApplyShipment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sh.Mergeable || len(sh.State) == 0 {
+		if len(sh.State) == 0 {
 			t.Fatalf("f2 shipment = %+v, want mergeable state", sh)
 		}
 		if err := replicaSrv.ApplyShipment("k", sh.Spec, sh.State, sh.Mass, sh.Deleted); err != nil {
@@ -380,7 +380,7 @@ func TestShipTenantApplyShipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Mergeable || sh.State != nil {
+	if sh.State != nil {
 		t.Fatalf("robust shipment = %+v, want spec-only", sh)
 	}
 	if err := replicaSrv.ApplyShipment("rob", sh.Spec, nil, 0, 0); err != nil {

@@ -17,20 +17,18 @@ import (
 // shares randomness with shard i's on the destination and the items hash
 // to the same shards.
 //
-// V2 (the only version written since snapshots became the WAL checkpoint
-// body) prefixes the body with a CRC32-C so a bit-flipped or truncated
-// shard blob is rejected before it can merge silently-corrupt counters:
+// The body is prefixed with a CRC32-C so a bit-flipped or truncated shard
+// blob is rejected before it can merge silently-corrupt counters:
 //
 //	+---------+----------------+================================+
 //	| version |  CRC32-C (u64) |  body: name, count, parts      |
 //	+---------+----------------+================================+
 //
-// V1 envelopes (no checksum) still decode for compatibility with
-// snapshots taken by older builds.
-const (
-	snapshotFormatV1 = 1
-	snapshotFormatV2 = 2
-)
+// Version 2 is the only one: version 1 had no checksum, nothing has
+// written it since snapshots became the WAL checkpoint body, and decoding
+// it would let a /v1/merge caller opt out of the integrity check by
+// choosing the version byte.
+const snapshotFormatV2 = 2
 
 // snapshotV2HeaderLen is the version byte plus the codec-encoded (u64)
 // checksum that precede the body.
@@ -59,21 +57,15 @@ func encodeSnapshot(sketchName string, parts [][]byte) []byte {
 
 func decodeSnapshot(data []byte) (sketchName string, parts [][]byte, err error) {
 	r := codec.NewReader(data)
-	switch v := r.U8(); {
-	case r.Err() != nil:
-		return "", nil, r.Err()
-	case v == snapshotFormatV1:
-		// Legacy: no checksum, body follows the version byte directly.
-	case v == snapshotFormatV2:
-		sum := r.U64()
-		if r.Err() != nil {
-			return "", nil, r.Err()
-		}
-		if sum != uint64(crc32.Checksum(data[snapshotV2HeaderLen:], snapshotCRCTable)) {
-			return "", nil, ErrSnapshotChecksum
-		}
-	default:
+	if v := r.U8(); r.Err() == nil && v != snapshotFormatV2 {
 		return "", nil, fmt.Errorf("server: unsupported snapshot format version %d", v)
+	}
+	sum := r.U64()
+	if r.Err() != nil {
+		return "", nil, r.Err()
+	}
+	if sum != uint64(crc32.Checksum(data[snapshotV2HeaderLen:], snapshotCRCTable)) {
+		return "", nil, ErrSnapshotChecksum
 	}
 	name := string(r.U8s())
 	n := r.U64()

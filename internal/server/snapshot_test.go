@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/codec"
 )
 
 func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
@@ -31,35 +29,15 @@ func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
 	if _, _, err := decodeSnapshot(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated envelope accepted")
 	}
-	if _, _, err := decodeSnapshot([]byte{9}); err == nil {
-		t.Error("unknown version accepted")
+	// Version 1 had no checksum; accepting it would make the CRC optional.
+	v1 := append([]byte{1}, enc[snapshotV2HeaderLen:]...)
+	for _, bad := range [][]byte{{9}, v1} {
+		if _, _, err := decodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "unsupported snapshot format version") {
+			t.Errorf("version %d: err = %v, want unsupported snapshot format version", bad[0], err)
+		}
 	}
 	if enc[0] != snapshotFormatV2 {
 		t.Fatalf("encodeSnapshot emits version %d, want V2", enc[0])
-	}
-}
-
-// encodeSnapshotV1 reproduces the legacy checksum-free envelope so decode
-// compatibility stays pinned even though nothing writes V1 anymore.
-func encodeSnapshotV1(sketchName string, parts [][]byte) []byte {
-	var w codec.Writer
-	w.U8(snapshotFormatV1)
-	w.U8s([]byte(sketchName))
-	w.U64(uint64(len(parts)))
-	for _, p := range parts {
-		w.U8s(p)
-	}
-	return w.Bytes()
-}
-
-func TestSnapshotV1StillDecodes(t *testing.T) {
-	parts := [][]byte{{4, 5}, {6}}
-	name, got, err := decodeSnapshot(encodeSnapshotV1("kmv", parts))
-	if err != nil {
-		t.Fatalf("V1 envelope rejected: %v", err)
-	}
-	if name != "kmv" || len(got) != 2 || !bytes.Equal(got[0], parts[0]) || !bytes.Equal(got[1], parts[1]) {
-		t.Fatalf("V1 decode = (%q, %v)", name, got)
 	}
 }
 
@@ -181,7 +159,9 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 // POST /v1/merge).
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(encodeSnapshot("f2", [][]byte{{1, 2}, {3}}))
-	f.Add(encodeSnapshotV1("f2", [][]byte{{1, 2}, {3}}))
+	// A V1-shaped envelope (version byte, then the body with no checksum):
+	// must be rejected, never panic.
+	f.Add(append([]byte{1}, encodeSnapshot("f2", [][]byte{{1, 2}, {3}})[snapshotV2HeaderLen:]...))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0})

@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/codec"
 )
 
 // A Checkpoint captures one tenant's durable state at a log position: the
@@ -55,9 +57,8 @@ func checkpointPath(dir, key string) string {
 	return filepath.Join(dir, "ck-"+hex.EncodeToString(sum[:12])+".ckpt")
 }
 
-// WriteCheckpoint atomically persists ck into dir, replacing any previous
-// checkpoint for the same key.
-func WriteCheckpoint(dir string, ck Checkpoint) error {
+// encodeCheckpoint renders ck as the bytes of its checkpoint file.
+func encodeCheckpoint(ck Checkpoint) []byte {
 	body := make([]byte, 0, 32+len(ck.Key)+len(ck.Spec)+len(ck.State))
 	body = binary.LittleEndian.AppendUint64(body, ck.LSN)
 	body = binary.LittleEndian.AppendUint64(body, uint64(ck.Mass))
@@ -73,8 +74,13 @@ func WriteCheckpoint(dir string, ck Checkpoint) error {
 	out = append(out, ckptMagic...)
 	out = append(out, ckptVersion)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	out = append(out, body...)
+	return append(out, body...)
+}
 
+// WriteCheckpoint atomically persists ck into dir, replacing any previous
+// checkpoint for the same key.
+func WriteCheckpoint(dir string, ck Checkpoint) error {
+	out := encodeCheckpoint(ck)
 	final := checkpointPath(dir, ck.Key)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -137,46 +143,31 @@ func readCheckpoint(p string) (Checkpoint, error) {
 	if err != nil {
 		return Checkpoint{}, err
 	}
+	return decodeCheckpoint(data)
+}
+
+// decodeCheckpoint parses the bytes of a checkpoint file. Whatever is wrong
+// with them — header, checksum, a length running past the body, trailing
+// bytes — the answer is ErrCheckpointCorrupt.
+func decodeCheckpoint(data []byte) (Checkpoint, error) {
 	if len(data) < ckptHeaderLen || string(data[:4]) != ckptMagic || data[4] != ckptVersion {
 		return Checkpoint{}, ErrCheckpointCorrupt
 	}
-	crc := binary.LittleEndian.Uint32(data[5:9])
 	body := data[ckptHeaderLen:]
-	if crc32.Checksum(body, crcTable) != crc {
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[5:9]) {
 		return Checkpoint{}, ErrCheckpointCorrupt
 	}
-
-	var ck Checkpoint
-	if len(body) < 24 {
+	r := codec.NewReader(body)
+	ck := Checkpoint{
+		LSN:     r.U64(),
+		Mass:    r.I64(),
+		Deleted: r.I64(),
+		Key:     string(r.View()),
+		Spec:    append([]byte(nil), r.View()...),
+		State:   append([]byte(nil), r.View()...),
+	}
+	if r.Done() != nil {
 		return Checkpoint{}, ErrCheckpointCorrupt
 	}
-	ck.LSN = binary.LittleEndian.Uint64(body)
-	ck.Mass = int64(binary.LittleEndian.Uint64(body[8:]))
-	ck.Deleted = int64(binary.LittleEndian.Uint64(body[16:]))
-	body = body[24:]
-	next := func() ([]byte, bool) {
-		n, w := binary.Uvarint(body)
-		if w <= 0 || n > uint64(len(body)-w) {
-			return nil, false
-		}
-		v := body[w : w+int(n)]
-		body = body[w+int(n):]
-		return v, true
-	}
-	key, ok := next()
-	if !ok {
-		return Checkpoint{}, ErrCheckpointCorrupt
-	}
-	spec, ok := next()
-	if !ok {
-		return Checkpoint{}, ErrCheckpointCorrupt
-	}
-	state, ok := next()
-	if !ok || len(body) != 0 {
-		return Checkpoint{}, ErrCheckpointCorrupt
-	}
-	ck.Key = string(key)
-	ck.Spec = append([]byte(nil), spec...)
-	ck.State = append([]byte(nil), state...)
 	return ck, nil
 }

@@ -52,6 +52,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // Fsync policies. FsyncAlways is the zero value on purpose: the safe mode is
@@ -318,19 +320,15 @@ func encodePayload(buf []byte, rec Record) []byte {
 }
 
 func decodePayload(p []byte) (Record, error) {
-	if len(p) < 2 {
-		return Record{}, errors.New("wal: short record payload")
+	r := codec.NewReader(p)
+	rec := Record{Kind: Kind(r.U8()), Key: string(r.View()), Data: r.Rest()}
+	if err := r.Err(); err != nil {
+		return Record{}, fmt.Errorf("wal: bad record payload: %w", err)
 	}
-	kind := Kind(p[0])
-	if kind != KindCreate && kind != KindUpdate && kind != KindDelete {
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", p[0])
+	if rec.Kind != KindCreate && rec.Kind != KindUpdate && rec.Kind != KindDelete {
+		return Record{}, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 	}
-	klen, n := binary.Uvarint(p[1:])
-	if n <= 0 || klen > uint64(len(p)-1-n) {
-		return Record{}, errors.New("wal: bad key length")
-	}
-	rest := p[1+n:]
-	return Record{Kind: kind, Key: string(rest[:klen]), Data: rest[klen:]}, nil
+	return rec, nil
 }
 
 func (l *Log) newSegmentLocked() error {

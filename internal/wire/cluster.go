@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Cluster frames. internal/cluster turns N sketchd processes into one
 // logical service by shipping tenant snapshots between peers and
@@ -101,32 +98,12 @@ func appendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// readBytes decodes a length-prefixed byte string, validating the length
-// against the remaining payload before allocating for it.
-func readBytes(p []byte, off int) ([]byte, int, error) {
-	n, off, err := readUvarint(p, off)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > uint64(len(p)-off) {
-		return nil, 0, fmt.Errorf("%w: byte-string length %d exceeds remaining %d bytes", ErrCorrupt, n, len(p)-off)
-	}
-	if n == 0 {
-		return nil, off, nil
-	}
-	out := make([]byte, n)
-	copy(out, p[off:off+int(n)])
-	return out, off + int(n), nil
-}
-
 // AppendShip appends a complete ship frame to dst.
 func AppendShip(dst []byte, sh *Ship) []byte {
 	dst, hdr := beginFrame(dst, FrameShip)
 	dst = appendString(dst, sh.From)
 	dst = appendString(dst, sh.Key)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], sh.Seq)
-	dst = append(dst, b[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, sh.Seq)
 	dst = binary.AppendUvarint(dst, zigzag(sh.Mass))
 	dst = binary.AppendUvarint(dst, zigzag(sh.Deleted))
 	var flags byte
@@ -141,63 +118,36 @@ func AppendShip(dst []byte, sh *Ship) []byte {
 	return endFrame(dst, hdr)
 }
 
-// DecodeShip decodes a ship frame.
+// DecodeShip decodes a ship frame. Spec and State are copies: they outlive
+// the frame buffer (an applied shipment's spec is journaled, its state
+// folded later).
 func DecodeShip(frame []byte, sh *Ship) error {
-	p, err := expect(frame, FrameShip)
+	r, err := payload(frame, FrameShip)
 	if err != nil {
 		return err
 	}
-	off := 0
 	*sh = Ship{}
-	if sh.From, off, err = readString(p, off); err != nil {
-		return err
-	}
-	if sh.Key, off, err = readString(p, off); err != nil {
-		return err
-	}
-	if sh.Seq, off, err = readU64(p, off); err != nil {
-		return err
-	}
-	var zz uint64
-	if zz, off, err = readUvarint(p, off); err != nil {
-		return err
-	}
-	sh.Mass = unzigzag(zz)
-	if zz, off, err = readUvarint(p, off); err != nil {
-		return err
-	}
-	sh.Deleted = unzigzag(zz)
-	var flags byte
-	if flags, off, err = readByte(p, off); err != nil {
-		return err
-	}
+	sh.From = string(r.View())
+	sh.Key = string(r.View())
+	sh.Seq = r.U64()
+	sh.Mass = r.Varint()
+	sh.Deleted = r.Varint()
+	flags := r.U8()
 	if flags&^byte(shipHasState) != 0 {
-		return fmt.Errorf("%w: unknown ship flag bits 0x%02x", ErrCorrupt, flags)
+		r.Failf("unknown ship flag bits 0x%02x", flags)
 	}
-	if sh.Spec, off, err = readBytes(p, off); err != nil {
-		return err
-	}
+	sh.Spec = append([]byte(nil), r.View()...)
 	if flags&shipHasState != 0 {
-		if sh.State, off, err = readBytes(p, off); err != nil {
-			return err
-		}
-		if sh.State == nil {
-			sh.State = []byte{}
-		}
+		sh.State = append([]byte{}, r.View()...) // present but empty stays non-nil
 	}
-	if off != len(p) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-off)
-	}
-	return nil
+	return finish(&r)
 }
 
 // AppendShipAck appends a complete ship-ack frame to dst.
 func AppendShipAck(dst []byte, ack *ShipAck) []byte {
 	dst, hdr := beginFrame(dst, FrameShipAck)
 	dst = appendString(dst, ack.Key)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], ack.Seq)
-	dst = append(dst, b[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, ack.Seq)
 	var applied byte
 	if ack.Applied {
 		applied = 1
@@ -209,33 +159,20 @@ func AppendShipAck(dst []byte, ack *ShipAck) []byte {
 
 // DecodeShipAck decodes a ship-ack frame.
 func DecodeShipAck(frame []byte, ack *ShipAck) error {
-	p, err := expect(frame, FrameShipAck)
+	r, err := payload(frame, FrameShipAck)
 	if err != nil {
 		return err
 	}
-	off := 0
 	*ack = ShipAck{}
-	if ack.Key, off, err = readString(p, off); err != nil {
-		return err
-	}
-	if ack.Seq, off, err = readU64(p, off); err != nil {
-		return err
-	}
-	var applied byte
-	if applied, off, err = readByte(p, off); err != nil {
-		return err
-	}
+	ack.Key = string(r.View())
+	ack.Seq = r.U64()
+	applied := r.U8()
 	if applied > 1 {
-		return fmt.Errorf("%w: bad applied byte %d", ErrCorrupt, applied)
+		r.Failf("bad applied byte %d", applied)
 	}
 	ack.Applied = applied == 1
-	if ack.Err, off, err = readString(p, off); err != nil {
-		return err
-	}
-	if off != len(p) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-off)
-	}
-	return nil
+	ack.Err = string(r.View())
+	return finish(&r)
 }
 
 // AppendRoute appends a complete route frame to dst.
@@ -243,11 +180,9 @@ func AppendRoute(dst []byte, rt *RouteTable) []byte {
 	dst, hdr := beginFrame(dst, FrameRoute)
 	dst = appendString(dst, rt.From)
 	dst = appendUvarint(dst, uint64(len(rt.Entries)))
-	var b [8]byte
 	for _, e := range rt.Entries {
 		dst = appendString(dst, e.Addr)
-		binary.LittleEndian.PutUint64(b[:], e.Seq)
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, e.Seq)
 		var flags byte
 		if e.Draining {
 			flags |= routeDraining
@@ -259,45 +194,22 @@ func AppendRoute(dst []byte, rt *RouteTable) []byte {
 
 // DecodeRoute decodes a route frame.
 func DecodeRoute(frame []byte, rt *RouteTable) error {
-	p, err := expect(frame, FrameRoute)
+	r, err := payload(frame, FrameRoute)
 	if err != nil {
 		return err
 	}
-	off := 0
-	rt.From = ""
+	rt.From = string(r.View())
 	rt.Entries = rt.Entries[:0]
-	if rt.From, off, err = readString(p, off); err != nil {
-		return err
-	}
-	count, off, err := readUvarint(p, off)
-	if err != nil {
-		return err
-	}
 	// Each entry occupies at least 10 payload bytes (1 addr length + 8 seq
-	// + 1 flags): reject counts the payload cannot hold before allocating.
-	if count > uint64(len(p)-off)/10 {
-		return fmt.Errorf("%w: entry count %d exceeds payload capacity", ErrCorrupt, count)
-	}
-	for i := uint64(0); i < count; i++ {
-		var e RouteEntry
-		if e.Addr, off, err = readString(p, off); err != nil {
-			return err
-		}
-		if e.Seq, off, err = readU64(p, off); err != nil {
-			return err
-		}
-		var flags byte
-		if flags, off, err = readByte(p, off); err != nil {
-			return err
-		}
+	// + 1 flags).
+	for n := r.Count(10); n > 0 && r.Err() == nil; n-- {
+		e := RouteEntry{Addr: string(r.View()), Seq: r.U64()}
+		flags := r.U8()
 		if flags&^byte(routeDraining) != 0 {
-			return fmt.Errorf("%w: unknown route flag bits 0x%02x", ErrCorrupt, flags)
+			r.Failf("unknown route flag bits 0x%02x", flags)
 		}
 		e.Draining = flags&routeDraining != 0
 		rt.Entries = append(rt.Entries, e)
 	}
-	if off != len(p) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-off)
-	}
-	return nil
+	return finish(&r)
 }

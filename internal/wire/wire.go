@@ -1,11 +1,13 @@
 // Package wire defines the compact binary framing sketchd negotiates as
 // an alternative to its JSON bodies: length-prefixed, versioned frames
-// for update batches and for the v2 query/answer envelopes. It follows
-// the little-endian conventions of internal/codec (the sketch snapshot
-// format): fixed-width words for values that are usually large (item
+// for update batches and for the v2 query/answer envelopes. Payloads are
+// little-endian: fixed-width words for values that are usually large (item
 // identifiers are full u64s — no 2^53 float hazard, so no string-or-number
 // workaround), varints for values that are usually small (counts, deltas,
-// string lengths).
+// string lengths). This package owns the frame layouts; reading words,
+// varints, counts and byte strings out of an untrusted payload is
+// internal/codec's job, and every decoder here parses through a
+// codec.Reader.
 //
 // Every frame is
 //
@@ -24,7 +26,11 @@
 //
 // Encoders append to caller-supplied buffers and decoders fill
 // caller-supplied slices, so a steady-state client/server pair recycles
-// its buffers through pools and the codec layer allocates nothing.
+// its buffers through pools and the codec layer allocates nothing. That
+// holds only while each decoder keeps its codec.Reader in a local
+// variable: payload hands it back by value, and a decoder that took it
+// by pointer from a helper would pay one heap allocation per frame
+// (TestDecodeUpdatesZeroAlloc).
 package wire
 
 import (
@@ -32,6 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/codec"
 )
 
 // ContentType is the negotiated media type for binary frames: a request
@@ -208,71 +216,42 @@ func parseHeader(b []byte) ([]byte, FrameType, error) {
 	return b[HeaderSize:], t, nil
 }
 
-// expect parses the header and requires the given frame type.
-func expect(b []byte, want FrameType) ([]byte, error) {
-	payload, t, err := parseHeader(b)
+// payload parses the header, requires the given frame type and returns a
+// reader over the payload.
+func payload(frame []byte, want FrameType) (codec.Reader, error) {
+	p, t, err := parseHeader(frame)
 	if err != nil {
-		return nil, err
+		return codec.Reader{}, err
 	}
 	if t != want {
-		return nil, fmt.Errorf("%w: got %v, want %v", ErrWrongType, t, want)
+		return codec.Reader{}, fmt.Errorf("%w: got %v, want %v", ErrWrongType, t, want)
 	}
-	return payload, nil
+	return codec.NewReader(p), nil
+}
+
+// finish closes a payload decode: any failed read, any damage the decoder
+// flagged and any trailing byte make the frame corrupt.
+func finish(r *codec.Reader) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
-// Varint / zigzag primitives (append-style encoders, offset-style decoders)
+// Append-side primitives (the read side is codec.Reader)
 
 func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
 // zigzag folds signed deltas into uvarints so small magnitudes of either
-// sign stay short on the wire.
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func readUvarint(p []byte, off int) (uint64, int, error) {
-	v, n := binary.Uvarint(p[off:])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, off)
-	}
-	return v, off + n, nil
-}
-
-func readU64(p []byte, off int) (uint64, int, error) {
-	if off+8 > len(p) {
-		return 0, 0, fmt.Errorf("%w: truncated u64 at offset %d", ErrCorrupt, off)
-	}
-	return binary.LittleEndian.Uint64(p[off : off+8]), off + 8, nil
-}
-
-func readF64(p []byte, off int) (float64, int, error) {
-	u, off, err := readU64(p, off)
-	return math.Float64frombits(u), off, err
-}
-
-func readByte(p []byte, off int) (byte, int, error) {
-	if off >= len(p) {
-		return 0, 0, fmt.Errorf("%w: truncated byte at offset %d", ErrCorrupt, off)
-	}
-	return p[off], off + 1, nil
-}
+// sign stay short on the wire; codec.Reader.Varint unfolds them.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func appendString(dst []byte, s string) []byte {
 	dst = appendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func readString(p []byte, off int) (string, int, error) {
-	n, off, err := readUvarint(p, off)
-	if err != nil {
-		return "", 0, err
-	}
-	if n > uint64(len(p)-off) {
-		return "", 0, fmt.Errorf("%w: string length %d exceeds remaining %d bytes", ErrCorrupt, n, len(p)-off)
-	}
-	return string(p[off : off+int(n)]), off + int(n), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -292,11 +271,9 @@ func AppendUpdates(dst []byte, us []Update) []byte {
 func AppendUpdatesFunc(dst []byte, n int, at func(int) Update) []byte {
 	dst, hdr := beginFrame(dst, FrameUpdates)
 	dst = appendUvarint(dst, uint64(n))
-	var b [8]byte
 	for i := 0; i < n; i++ {
 		u := at(i)
-		binary.LittleEndian.PutUint64(b[:], u.Item)
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, u.Item)
 		dst = binary.AppendUvarint(dst, zigzag(u.Delta))
 	}
 	return endFrame(dst, hdr)
@@ -306,32 +283,17 @@ func AppendUpdatesFunc(dst []byte, n int, at func(int) Update) []byte {
 // and returns the filled slice. The frame must be complete and exact:
 // header, declared count, no trailing bytes.
 func DecodeUpdates(frame []byte, dst []Update) ([]Update, error) {
-	p, err := expect(frame, FrameUpdates)
+	r, err := payload(frame, FrameUpdates)
 	if err != nil {
 		return nil, err
-	}
-	count, off, err := readUvarint(p, 0)
-	if err != nil {
-		return nil, err
-	}
-	// Each update occupies at least 9 payload bytes (8 item + 1 delta):
-	// reject counts the payload cannot hold before allocating for them.
-	if count > uint64(len(p)-off)/9 {
-		return nil, fmt.Errorf("%w: count %d exceeds payload capacity", ErrCorrupt, count)
 	}
 	dst = dst[:0]
-	for i := uint64(0); i < count; i++ {
-		var item, zz uint64
-		if item, off, err = readU64(p, off); err != nil {
-			return nil, err
-		}
-		if zz, off, err = readUvarint(p, off); err != nil {
-			return nil, err
-		}
-		dst = append(dst, Update{Item: item, Delta: unzigzag(zz)})
+	// Each update occupies at least 9 payload bytes (8 item + 1 delta).
+	for n := r.Count(9); n > 0 && r.Err() == nil; n-- {
+		dst = append(dst, Update{Item: r.U64(), Delta: r.Varint()})
 	}
-	if off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-off)
+	if err := finish(&r); err != nil {
+		return nil, err
 	}
 	return dst, nil
 }
@@ -346,13 +308,11 @@ func AppendQuery(dst []byte, req *QueryRequest) []byte {
 	dst, hdr := beginFrame(dst, FrameQuery)
 	dst = appendString(dst, req.Key)
 	dst = appendUvarint(dst, uint64(len(req.Queries)))
-	var b [8]byte
 	for _, q := range req.Queries {
 		dst = append(dst, q.Kind)
 		switch q.Kind {
 		case KindPoint:
-			binary.LittleEndian.PutUint64(b[:], q.Item)
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, q.Item)
 		case KindTopK:
 			dst = appendUvarint(dst, uint64(q.K))
 		}
@@ -364,51 +324,30 @@ func AppendQuery(dst []byte, req *QueryRequest) []byte {
 // error here (the codec cannot know how to skip their operands); kind
 // validity beyond framing is the server's job, same as for JSON.
 func DecodeQuery(frame []byte, req *QueryRequest) error {
-	p, err := expect(frame, FrameQuery)
+	r, err := payload(frame, FrameQuery)
 	if err != nil {
 		return err
 	}
-	off := 0
-	if req.Key, off, err = readString(p, off); err != nil {
-		return err
-	}
-	count, off, err := readUvarint(p, off)
-	if err != nil {
-		return err
-	}
-	if count > uint64(len(p)-off) { // every query is ≥ 1 byte
-		return fmt.Errorf("%w: query count %d exceeds payload capacity", ErrCorrupt, count)
-	}
+	req.Key = string(r.View())
 	req.Queries = req.Queries[:0]
-	for i := uint64(0); i < count; i++ {
-		var q Query
-		if q.Kind, off, err = readByte(p, off); err != nil {
-			return err
-		}
+	for n := r.Count(1); n > 0 && r.Err() == nil; n-- { // every query is ≥ 1 byte
+		q := Query{Kind: r.U8()}
 		switch q.Kind {
 		case KindEstimate:
 		case KindPoint:
-			if q.Item, off, err = readU64(p, off); err != nil {
-				return err
-			}
+			q.Item = r.U64()
 		case KindTopK:
-			var k uint64
-			if k, off, err = readUvarint(p, off); err != nil {
-				return err
-			}
+			k := r.Uvarint()
 			if k > math.MaxInt32 {
-				return fmt.Errorf("%w: topk k %d out of range", ErrCorrupt, k)
+				r.Failf("topk k %d out of range", k)
 			}
 			q.K = int(k)
 		default:
-			return fmt.Errorf("%w: unknown query kind %d", ErrCorrupt, q.Kind)
+			r.Failf("unknown query kind %d", q.Kind)
 		}
 		req.Queries = append(req.Queries, q)
 	}
-	if off != len(p) {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-off)
-	}
-	return nil
+	return finish(&r)
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +367,6 @@ func AppendAnswer(dst []byte, resp *QueryResponse) []byte {
 	dst = appendString(dst, resp.Policy)
 	dst = appendString(dst, resp.Model)
 	dst = appendUvarint(dst, uint64(len(resp.Answers)))
-	var b [8]byte
 	for _, a := range resp.Answers {
 		dst = append(dst, a.Kind)
 		var flags byte
@@ -440,19 +378,14 @@ func AppendAnswer(dst []byte, resp *QueryResponse) []byte {
 		}
 		dst = append(dst, flags)
 		if a.HasItem {
-			binary.LittleEndian.PutUint64(b[:], a.Item)
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, a.Item)
 		}
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.Value))
-		dst = append(dst, b[:]...)
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.ErrorBound))
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Value))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.ErrorBound))
 		dst = appendUvarint(dst, uint64(len(a.Items)))
 		for _, iw := range a.Items {
-			binary.LittleEndian.PutUint64(b[:], iw.Item)
-			dst = append(dst, b[:]...)
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(iw.Weight))
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, iw.Item)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(iw.Weight))
 		}
 	}
 	if r := resp.Robustness; r != nil {
@@ -475,106 +408,54 @@ func AppendAnswer(dst []byte, resp *QueryResponse) []byte {
 
 // DecodeAnswer decodes an answer frame.
 func DecodeAnswer(frame []byte) (*QueryResponse, error) {
-	p, err := expect(frame, FrameAnswer)
+	r, err := payload(frame, FrameAnswer)
 	if err != nil {
 		return nil, err
 	}
-	resp := &QueryResponse{}
-	off := 0
-	for _, dst := range []*string{&resp.Key, &resp.Sketch, &resp.Policy, &resp.Model} {
-		if *dst, off, err = readString(p, off); err != nil {
-			return nil, err
-		}
+	resp := &QueryResponse{
+		Key:    string(r.View()),
+		Sketch: string(r.View()),
+		Policy: string(r.View()),
+		Model:  string(r.View()),
 	}
-	count, off, err := readUvarint(p, off)
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(p)-off) { // every answer is ≥ 2 bytes
-		return nil, fmt.Errorf("%w: answer count %d exceeds payload capacity", ErrCorrupt, count)
-	}
-	resp.Answers = make([]Answer, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var a Answer
-		var flags byte
-		if a.Kind, off, err = readByte(p, off); err != nil {
-			return nil, err
-		}
-		if flags, off, err = readByte(p, off); err != nil {
-			return nil, err
-		}
+	// Every answer is at least 19 bytes: kind, flags, value, error bound
+	// and a one-byte item count.
+	n := r.Count(19)
+	resp.Answers = make([]Answer, 0, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		a := Answer{Kind: r.U8()}
+		flags := r.U8()
 		a.HasItem = flags&ansHasItem != 0
 		a.Additive = flags&ansAdditive != 0
 		if a.HasItem {
-			if a.Item, off, err = readU64(p, off); err != nil {
-				return nil, err
-			}
+			a.Item = r.U64()
 		}
-		if a.Value, off, err = readF64(p, off); err != nil {
-			return nil, err
-		}
-		if a.ErrorBound, off, err = readF64(p, off); err != nil {
-			return nil, err
-		}
-		var n uint64
-		if n, off, err = readUvarint(p, off); err != nil {
-			return nil, err
-		}
-		if n > uint64(len(p)-off)/16 { // each entry is exactly 16 bytes
-			return nil, fmt.Errorf("%w: topk item count %d exceeds payload capacity", ErrCorrupt, n)
-		}
-		if n > 0 {
-			a.Items = make([]ItemWeight, 0, n)
-			for j := uint64(0); j < n; j++ {
-				var iw ItemWeight
-				if iw.Item, off, err = readU64(p, off); err != nil {
-					return nil, err
-				}
-				if iw.Weight, off, err = readF64(p, off); err != nil {
-					return nil, err
-				}
-				a.Items = append(a.Items, iw)
+		a.Value = r.F64()
+		a.ErrorBound = r.F64()
+		if k := r.Count(16); k > 0 { // each entry is exactly 16 bytes
+			a.Items = make([]ItemWeight, 0, k)
+			for ; k > 0; k-- {
+				a.Items = append(a.Items, ItemWeight{Item: r.U64(), Weight: r.F64()})
 			}
 		}
 		resp.Answers = append(resp.Answers, a)
 	}
-	present, off, err := readByte(p, off)
-	if err != nil {
+	switch present := r.U8(); present {
+	case 0:
+	case 1:
+		resp.Robustness = &Robustness{
+			Policy:    string(r.View()),
+			Copies:    int(r.Uvarint()),
+			Switches:  int(r.Uvarint()),
+			Budget:    int(r.Varint()),
+			Remaining: int(r.Varint()),
+			Exhausted: r.U8() != 0,
+		}
+	default:
+		r.Failf("bad robustness presence byte %d", present)
+	}
+	if err := finish(&r); err != nil {
 		return nil, err
-	}
-	if present == 1 {
-		r := &Robustness{}
-		if r.Policy, off, err = readString(p, off); err != nil {
-			return nil, err
-		}
-		var u uint64
-		if u, off, err = readUvarint(p, off); err != nil {
-			return nil, err
-		}
-		r.Copies = int(u)
-		if u, off, err = readUvarint(p, off); err != nil {
-			return nil, err
-		}
-		r.Switches = int(u)
-		if u, off, err = readUvarint(p, off); err != nil {
-			return nil, err
-		}
-		r.Budget = int(unzigzag(u))
-		if u, off, err = readUvarint(p, off); err != nil {
-			return nil, err
-		}
-		r.Remaining = int(unzigzag(u))
-		var ex byte
-		if ex, off, err = readByte(p, off); err != nil {
-			return nil, err
-		}
-		r.Exhausted = ex != 0
-		resp.Robustness = r
-	} else if present != 0 {
-		return nil, fmt.Errorf("%w: bad robustness presence byte %d", ErrCorrupt, present)
-	}
-	if off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-off)
 	}
 	return resp, nil
 }
