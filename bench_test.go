@@ -371,14 +371,14 @@ func BenchmarkEngineIngestZipfSharded8(b *testing.B) {
 // allocs/op columns are the per-update allocation cost of the whole
 // client→HTTP→server→engine spine.
 func benchSketchdIngest(b *testing.B, sketchType string, codec client.Codec) {
-	benchSketchdIngestFsync(b, sketchType, codec, "")
+	benchSketchdIngestFsync(b, sketchType, "", codec, "")
 }
 
 // benchSketchdIngestFsync is benchSketchdIngest with durability switched
 // on: a non-empty fsync policy opens the server over a write-ahead log in
 // a temp dir, so the WAL cells price the journal (frame re-encode + append
 // + sync policy) against their in-memory twins.
-func benchSketchdIngestFsync(b *testing.B, sketchType string, codec client.Codec, fsync string) {
+func benchSketchdIngestFsync(b *testing.B, sketchType, policy string, codec client.Codec, fsync string) {
 	if testing.Short() {
 		b.Skip("loopback-HTTP load benchmark: binds a TCP listener and spins a real server; skipped under -short")
 	}
@@ -396,7 +396,7 @@ func benchSketchdIngestFsync(b *testing.B, sketchType string, codec client.Codec
 	defer srv.Shutdown() // == Drain for the in-memory cells
 	c := client.New(hs.URL, hs.Client(), client.WithCodec(codec))
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, "load", sketchType); err != nil {
+	if err := c.CreateKeyPolicy(ctx, "load", sketchType, policy); err != nil {
 		b.Fatal(err)
 	}
 	var producer atomic.Uint64
@@ -439,15 +439,24 @@ func BenchmarkSketchdIngestBinaryRobustF2(b *testing.B) {
 	benchSketchdIngest(b, "robust-f2", client.CodecBinary)
 }
 
+// The robust-F0 twin of the cell above (dense switching over
+// median-of-KMV copies, the benchmark's kmv-switching tenant). Its items
+// are all distinct, so the drain's coalescing saves it nothing: what it
+// prices is the KMV insert path, once per repetition of every live copy —
+// one compare each when the threshold comes before the map lookup.
+func BenchmarkSketchdIngestBinaryRobustF0(b *testing.B) {
+	benchSketchdIngestFsync(b, "kmv", "switching", client.CodecBinary, "")
+}
+
 // The WAL cells measure the durability tax over the fastest in-memory
 // cell (BinaryCountSketch): every acknowledged batch is journaled before
 // its ack, under the batch (background sync) and always (sync per append)
 // policies.
 func BenchmarkSketchdIngestBinaryWALBatch(b *testing.B) {
-	benchSketchdIngestFsync(b, "countsketch", client.CodecBinary, "batch")
+	benchSketchdIngestFsync(b, "countsketch", "", client.CodecBinary, "batch")
 }
 func BenchmarkSketchdIngestBinaryWALAlways(b *testing.B) {
-	benchSketchdIngestFsync(b, "countsketch", client.CodecBinary, "always")
+	benchSketchdIngestFsync(b, "countsketch", "", client.CodecBinary, "always")
 }
 
 // benchPolicyIngest — robust-ingest throughput per policy: the per-update

@@ -29,7 +29,10 @@
 //     internal/cascaded — the static (non-robust) sketches.
 //   - internal/core — the paper's generic robustifications: sketch
 //     switching (§4), computation paths (§4), ε-rounding and flip-number
-//     machinery (§3).
+//     machinery (§3). The Switcher's trailing copies catch up from a
+//     bounded lag buffer; a drain coalesces it once (per-item net deltas)
+//     for every copy whose inner sketch declares
+//     sketch.CoalesceInvariant, instead of replaying repeats per copy.
 //   - internal/robust — the robustness policy layer and the assembled
 //     robust estimators. robust.Policy names a transformation (none,
 //     switching, ring, paths) and composes with any robust.Problem (the
@@ -52,7 +55,8 @@
 //     flip-budget consumption through sketch.RobustnessReporter.
 //   - internal/engine — a sharded, batched, concurrent ingest pipeline
 //     that hash-routes updates to per-shard estimator instances (static
-//     or robust), coalesces duplicates per batch, and recombines the
+//     or robust), coalesces duplicates per batch (sketch.Coalescer, the
+//     routine the Switcher's drain shares), and recombines the
 //     per-shard estimates into the global statistic (sums, power sums, or
 //     the entropy chain rule). Batch buffers are pooled end to end, so
 //     the steady-state ingest path allocates nothing per update

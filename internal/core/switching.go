@@ -38,7 +38,12 @@ const pendingCap = 16384
 // behind a bounded lag buffer and catch up in batch, or lazily when read.
 // Every instance still ingests every update it is responsible for, in
 // stream order, so published outputs, switch counts and flip budgets are
-// update-for-update identical to the synchronous formulation. In dense
+// update-for-update identical to the synchronous formulation. On a skewed
+// stream most of a lag buffer repeats items already in it, so when the
+// inner sketch declares sketch.CoalesceInvariant a drain coalesces the
+// buffer once and feeds that to every instance that owes all of it; the
+// few that hold a prefix (active since the last drain, restarted ring
+// slots) and every catch-up outside a drain replay the raw suffix. In dense
 // mode, instances below the published one can never influence an output
 // again — they are retired (dropped entirely) at switch time, so a dense
 // Switcher's footprint shrinks as its flip budget is consumed.
@@ -48,6 +53,9 @@ type Switcher struct {
 	instances []sketch.Estimator // instances[:retired] are nil (dense mode)
 	applied   []int              // per instance: prefix of pending already applied
 	pending   []sketch.Update    // lag buffer shared by all trailing instances
+	coalesce  bool               // the instances declare sketch.CoalesceInvariant
+	co        sketch.Coalescer   // drain scratch: item index …
+	net       []sketch.Update    // … and the coalesced lag buffer
 	active    int
 	published int // instance whose estimate produced the current output
 	retired   int // dense mode: count of dropped instances (ring: always 0)
@@ -83,8 +91,11 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 		s.nextSeed += 7919
 	}
 	s.applied = make([]int, copies)
+	ci, ok := s.instances[0].(sketch.CoalesceInvariant)
+	s.coalesce = ok && ci.CoalesceInvariant()
 	// pending grows lazily toward pendingCap so an idle tenant does not
-	// pay the full buffer; after the first drain it is allocation-free.
+	// pay the full buffer (nor the drain's coalescing scratch); after the
+	// first drain it is allocation-free.
 	return s
 }
 
@@ -127,10 +138,21 @@ func (s *Switcher) step(item uint64, delta int64) {
 }
 
 // drain applies the buffered backlog to every live trailing instance and
-// resets the buffer. Loop order is copy-outer, update-inner.
+// resets the buffer. Loop order is copy-outer, update-inner; instances
+// that owe the whole buffer share one coalesced copy of it, built on first
+// need, when the inner sketch allows.
 func (s *Switcher) drain() {
+	coalesced := false
 	for i := s.retired; i < len(s.instances); i++ {
-		s.catchUp(i)
+		if !s.coalesce || s.applied[i] != 0 {
+			s.catchUp(i)
+			continue
+		}
+		if !coalesced {
+			s.net = s.co.Coalesce(s.net[:0], s.pending)
+			coalesced = true
+		}
+		sketch.ApplyBatch(s.instances[i], s.net)
 	}
 	s.pending = s.pending[:0]
 	for i := range s.applied {
@@ -145,15 +167,7 @@ func (s *Switcher) catchUp(i int) {
 	if inst == nil {
 		return
 	}
-	if rest := s.pending[s.applied[i]:]; len(rest) > 0 {
-		if bu, ok := inst.(sketch.BatchUpdater); ok {
-			bu.UpdateBatch(rest)
-		} else {
-			for _, u := range rest {
-				inst.Update(u.Item, u.Delta)
-			}
-		}
-	}
+	sketch.ApplyBatch(inst, s.pending[s.applied[i]:])
 	s.applied[i] = len(s.pending)
 }
 
@@ -276,9 +290,12 @@ func (s *Switcher) Robustness() sketch.Robustness {
 	return r
 }
 
-// SpaceBytes sums the live instances' space plus the lag buffer.
+// SpaceBytes sums the live instances' space plus the lag buffer and the
+// drain's coalescing scratch.
 func (s *Switcher) SpaceBytes() int {
-	total := 16 + 16*cap(s.pending) // published output + lag buffer
+	// Published output, lag buffer, and the coalesced buffer with its item
+	// index (one 16-byte entry per slot each).
+	total := 16 + 16*cap(s.pending) + 32*cap(s.net)
 	for _, inst := range s.instances {
 		if inst != nil {
 			total += inst.SpaceBytes()

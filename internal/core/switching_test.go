@@ -151,6 +151,24 @@ func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 	if big.SpaceBytes() < 3*small.SpaceBytes() {
 		t.Errorf("8-copy space %d not ≈ 4x the 2-copy space %d", big.SpaceBytes(), small.SpaceBytes())
 	}
+
+	// The first drain allocates the coalescing scratch — the net-delta
+	// buffer and its item index — and from then on it is charged, like the
+	// lag buffer it shadows. Four items keep the switch count under the
+	// copy count, so trailing copies exist for the drain to feed.
+	for i := 0; i < pendingCap; i++ {
+		big.Update(uint64(i%4), 1)
+	}
+	if len(big.pending) != 0 || len(big.net) != 4 {
+		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", pendingCap, len(big.pending), len(big.net))
+	}
+	inner := 0
+	for _, inst := range big.instances[big.retired:] {
+		inner += inst.SpaceBytes()
+	}
+	if got, want := big.SpaceBytes()-inner, 16+16*cap(big.pending)+32*cap(big.net); got != want {
+		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer + coalesced buffer and its index)", got, want)
+	}
 }
 
 func TestSwitcherRetirementShrinksSpace(t *testing.T) {
@@ -349,5 +367,71 @@ func TestSwitcherDenseQueryMatchesReference(t *testing.T) {
 				t.Fatalf("update %d: Query(%d) = %v, reference %v", i, item, got, want)
 			}
 		}
+	}
+}
+
+// TestSwitcherMatchesReferenceAcrossDrains is the equality oracle that
+// actually executes drain(): the stream is longer than three lag buffers,
+// Zipf-skewed so most entries of a buffer repeat an item already in it,
+// with small mixed-sign deltas so repeats net to zero now and then.
+// Published output, switch count and exhaustion must match the synchronous
+// reference after every update, and once the backlog is drained every live
+// instance must hold the reference instance's estimate bit for bit.
+func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
+	f2 := func(seed int64) sketch.Estimator {
+		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
+	}
+	kmv := func(seed int64) sketch.Estimator {
+		return f0.NewMedian(5, seed, func(s int64) sketch.Estimator {
+			return f0.NewKMV(24, rand.New(rand.NewSource(s)))
+		})
+	}
+	rng := rand.New(rand.NewSource(29))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1<<16)
+	deltas := []int64{1, 1, 2, 3, -1, -2}
+	ups := make([]sketch.Update, 3*pendingCap+777)
+	for i := range ups {
+		ups[i] = sketch.Update{Item: zipf.Uint64(), Delta: deltas[rng.Intn(len(deltas))]}
+	}
+	for _, tc := range []struct {
+		name    string
+		factory sketch.Factory
+		ring    bool
+		copies  int
+	}{
+		{"f2/dense", f2, false, 160},
+		{"f2/ring", f2, true, RingCopies(0.3)},
+		{"kmv/dense", kmv, false, 96},
+		{"kmv/ring", kmv, true, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := NewSwitcher(0.3, tc.copies, tc.ring, 42, tc.factory)
+			ref := newReferenceSwitcher(0.3, tc.copies, tc.ring, 42, tc.factory)
+			for i, u := range ups {
+				sw.Update(u.Item, u.Delta)
+				ref.Update(u.Item, u.Delta)
+				if sw.Estimate() != ref.Estimate() || sw.Switches() != ref.switches || sw.Exhausted() != ref.exhausted {
+					t.Fatalf("update %d: (estimate, switches, exhausted) = (%v, %d, %v), reference (%v, %d, %v)",
+						i, sw.Estimate(), sw.Switches(), sw.Exhausted(), ref.Estimate(), ref.switches, ref.exhausted)
+				}
+			}
+			if sw.Switches() < 8 {
+				t.Fatalf("only %d switches; the stream must move instances between the drained groups", sw.Switches())
+			}
+			sw.drain()
+			live := 0
+			for i, inst := range sw.instances {
+				if inst == nil {
+					continue
+				}
+				live++
+				if got, want := inst.Estimate(), ref.instances[i].Estimate(); got != want {
+					t.Errorf("instance %d after the final drain estimates %v, reference %v", i, got, want)
+				}
+			}
+			if live < 2 {
+				t.Fatalf("%d live instances; nothing trailing was compared", live)
+			}
+		})
 	}
 }

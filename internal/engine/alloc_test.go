@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/robust"
 	"repro/internal/sketch"
 )
 
@@ -65,5 +66,46 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Update(uint64(i), 1)
+	}
+}
+
+// TestSteadyStateZeroAllocsRobustF0 extends the contract through a robust
+// tenant's estimator: dense switching over median-of-KMV copies reads the
+// active copy's estimate after every update and drains its lag buffer —
+// coalescing it — every 16 384, and none of that may allocate once the
+// buffers have grown. The stream revisits a fixed universe, so past the
+// warm-up no KMV set changes and no switch builds a new copy.
+func TestSteadyStateZeroAllocsRobustF0(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc contract is checked in non-race runs")
+	}
+	e := New(Config{
+		Shards: 2,
+		Batch:  256,
+		Seed:   1,
+		Factory: func(seed int64) sketch.Estimator {
+			est, err := robust.Policy{Kind: robust.Switching, Budget: 64, KCap: 64}.Wrap(0.5, 0.05, 1<<16, seed, robust.F0Problem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est
+		},
+	})
+	defer e.Close()
+	const universe = 1 << 12
+	for i := 0; i < 1<<17; i++ { // four drains per shard
+		e.Update(uint64(i%universe), 1)
+	}
+	e.Flush()
+	if r, _ := e.Robustness(); r.Exhausted || r.Copies < 2*8 {
+		t.Fatalf("robustness %+v after the warm-up; the drains need trailing copies to feed", r)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.Update(uint64(i%universe), 1)
+		}
+	})
+	if a := res.AllocsPerOp(); a != 0 {
+		t.Fatalf("steady-state Update: %d allocs/op (%d B/op), want 0", a, res.AllocedBytesPerOp())
 	}
 }

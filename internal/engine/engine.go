@@ -93,10 +93,9 @@ type shard struct {
 	pending *[]Update
 	closed  bool
 
-	est   sketch.Estimator    // owned by the worker goroutine
-	batch sketch.BatchUpdater // est's batch fast path, nil if unsupported
-	mass  int64               // worker-local net Σdelta
-	idx   map[uint64]int      // coalescing scratch, worker-local
+	est  sketch.Estimator // owned by the worker goroutine
+	mass int64            // worker-local net Σdelta
+	co   sketch.Coalescer // coalescing scratch, worker-local
 
 	// Published snapshots, refreshed every RefreshEvery updates and on
 	// every Flush/Close.
@@ -191,11 +190,7 @@ func New(cfg Config) *Engine {
 			ops:  make(chan op, cfg.Queue),
 			done: make(chan struct{}),
 			est:  cfg.Factory(int64(dist.SplitMix64(uint64(cfg.Seed) + uint64(i)))),
-			idx:  make(map[uint64]int, cfg.Batch),
 		}
-		// The estimator never changes identity after construction (Visit
-		// mutates it in place), so the batch fast path can be resolved once.
-		s.batch, _ = s.est.(sketch.BatchUpdater)
 		s.publish() // estimator space and zero estimate visible before the first refresh
 		e.shards = append(e.shards, s)
 		go e.run(s)
@@ -213,17 +208,13 @@ func (e *Engine) run(s *shard) {
 		if o.batch != nil {
 			b := *o.batch
 			sinceRefresh += len(b) // count pre-coalesce stream updates
-			b = s.coalesceBatch(b)
-			if s.batch != nil {
-				s.batch.UpdateBatch(b)
-				for _, u := range b {
-					s.mass += u.Delta
-				}
-			} else {
-				for _, u := range b {
-					s.est.Update(u.Item, u.Delta)
-					s.mass += u.Delta
-				}
+			// Compacted in place. State-preserving for the F0 sketches
+			// (duplicate-insensitive) and the linear sketches (linear in
+			// delta; the float-variate ones up to rounding).
+			b = s.co.Coalesce(b[:0], b)
+			sketch.ApplyBatch(s.est, b)
+			for _, u := range b {
+				s.mass += u.Delta
 			}
 			e.putBuf(o.batch)
 		}
@@ -243,26 +234,6 @@ func (e *Engine) run(s *shard) {
 		first = false
 	}
 	s.publish()
-}
-
-// coalesceBatch compacts a batch in place, merging duplicate items by
-// summing their deltas (first-occurrence order; zero-sum entries are kept
-// so delta-ignoring F0 estimators still see the item). This is
-// state-preserving for every estimator in this repository: the linear
-// sketches (Indyk, F2, CC, CountSketch) are linear in delta, and the F0
-// sketches are duplicate-insensitive. Worker goroutine only.
-func (s *shard) coalesceBatch(b []Update) []Update {
-	clear(s.idx)
-	out := b[:0]
-	for _, u := range b {
-		if j, ok := s.idx[u.Item]; ok {
-			out[j].Delta += u.Delta
-		} else {
-			s.idx[u.Item] = len(out)
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 // MassReporter is implemented by estimators that track the stream mass

@@ -104,15 +104,28 @@ func TestMedianReducesVariance(t *testing.T) {
 	}
 }
 
+// constEst is a fixed-estimate stub for exercising Median's selection.
+type constEst float64
+
+func (c constEst) Update(uint64, int64) {}
+func (c constEst) Estimate() float64    { return float64(c) }
+func (c constEst) SpaceBytes() int      { return 8 }
+
 func TestMedianOfHelper(t *testing.T) {
-	if got := medianOf([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("medianOf odd = %v, want 2", got)
+	medianOf := func(xs ...float64) float64 {
+		i := 0
+		m := NewMedian(len(xs), 0, func(int64) sketch.Estimator { i++; return constEst(xs[i-1]) })
+		m.Estimate() // a second call must not see the first one's partition
+		return m.Estimate()
 	}
-	if got := medianOf([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("medianOf even = %v, want 2.5", got)
+	if got := medianOf(3, 1, 2); got != 2 {
+		t.Errorf("Median.Estimate odd = %v, want 2", got)
 	}
-	if got := medianOf([]float64{7}); got != 7 {
-		t.Errorf("medianOf single = %v, want 7", got)
+	if got := medianOf(4, 1, 2, 3); got != 2.5 {
+		t.Errorf("Median.Estimate even = %v, want 2.5", got)
+	}
+	if got := medianOf(7); got != 7 {
+		t.Errorf("Median.Estimate single = %v, want 7", got)
 	}
 }
 

@@ -1,11 +1,11 @@
 package f0
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 
 	"repro/internal/hash"
+	"repro/internal/order"
 	"repro/internal/sketch"
 )
 
@@ -23,24 +23,8 @@ import (
 type KMV struct {
 	k    int
 	h    hash.Poly
-	vals maxHeap
+	vals []uint64 // max-heap of the retained minima: the k-th minimum is vals[0]
 	in   map[uint64]struct{}
-}
-
-// maxHeap is a max-heap over hash values, so the largest of the k retained
-// minima is at the root and can be evicted in O(log k).
-type maxHeap []uint64
-
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // NewKMV returns a KMV sketch retaining the k smallest hash values, with a
@@ -57,23 +41,75 @@ func NewKMV(k int, rng *rand.Rand) *KMV {
 }
 
 // Update implements sketch.Estimator (deltas ignored; F0 counts presence).
-func (s *KMV) Update(item uint64, delta int64) {
-	v := s.h.Eval(item)
+func (s *KMV) Update(item uint64, delta int64) { s.insertValue(s.h.Eval(item)) }
+
+// UpdateBatch implements sketch.BatchUpdater.
+func (s *KMV) UpdateBatch(batch []sketch.Update) {
+	for _, u := range batch {
+		s.insertValue(s.h.Eval(u.Item))
+	}
+}
+
+// CoalesceInvariant implements sketch.CoalesceInvariant: deltas are
+// ignored and a repeated item changes nothing.
+func (s *KMV) CoalesceInvariant() bool { return true }
+
+// insertValue inserts an already-hashed value, preserving the k-minima
+// invariant. Once the heap is full almost every value is at or above the
+// k-th minimum, so that compare comes first and is the whole cost of a
+// rejected update; the membership map is consulted only below it.
+func (s *KMV) insertValue(v uint64) {
+	full := len(s.vals) == s.k
+	if full && v >= s.vals[0] {
+		return
+	}
 	if _, ok := s.in[v]; ok {
 		return
 	}
-	if len(s.vals) < s.k {
-		heap.Push(&s.vals, v)
-		s.in[v] = struct{}{}
-		return
+	if full {
+		delete(s.in, s.vals[0])
+		s.vals[0] = v
+		siftDown(s.vals, 0)
+	} else {
+		s.vals = append(s.vals, v)
+		siftUp(s.vals, len(s.vals)-1)
 	}
-	if v >= s.vals[0] {
-		return
-	}
-	delete(s.in, s.vals[0])
-	s.vals[0] = v
-	heap.Fix(&s.vals, 0)
 	s.in[v] = struct{}{}
+}
+
+// siftUp and siftDown restore the max-heap order of h around index i.
+// They leave every element where container/heap's up and down would:
+// MarshalBinary writes the heap in array order, so the layout is format.
+func siftUp(h []uint64, i int) {
+	v := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] >= v {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = v
+}
+
+func siftDown(h []uint64, i int) {
+	v := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r] > h[child] {
+			child = r
+		}
+		if h[child] <= v {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = v
 }
 
 // Estimate returns the current distinct-count estimate.
@@ -110,6 +146,7 @@ func (s *KMV) Hash() hash.Poly { return s.h }
 // member has it.
 type Median struct {
 	reps []sketch.Estimator
+	ests []float64 // Estimate's selection scratch, one slot per repetition
 }
 
 // NewMedian builds r instances from factory (seeded 0..r−1 offsets of seed).
@@ -117,7 +154,7 @@ func NewMedian(r int, seed int64, factory func(seed int64) sketch.Estimator) *Me
 	if r < 1 {
 		panic("f0: Median needs r >= 1")
 	}
-	m := &Median{}
+	m := &Median{ests: make([]float64, r)}
 	for i := 0; i < r; i++ {
 		m.reps = append(m.reps, factory(seed+int64(i)*1000003))
 	}
@@ -131,13 +168,22 @@ func (m *Median) Update(item uint64, delta int64) {
 	}
 }
 
-// Estimate returns the median of the repetitions' estimates.
-func (m *Median) Estimate() float64 {
-	ests := make([]float64, len(m.reps))
-	for i, r := range m.reps {
-		ests[i] = r.Estimate()
+// UpdateBatch implements sketch.BatchUpdater repetition-outer: one
+// repetition's hash and heap stay hot while the batch streams through it.
+func (m *Median) UpdateBatch(batch []sketch.Update) {
+	for _, r := range m.reps {
+		sketch.ApplyBatch(r, batch)
 	}
-	return medianOf(ests)
+}
+
+// Estimate returns the median of the repetitions' estimates (the mean of
+// the middle two for an even count). The robust wrappers call it after
+// every update, so it selects in owned scratch and allocates nothing.
+func (m *Median) Estimate() float64 {
+	for i, r := range m.reps {
+		m.ests[i] = r.Estimate()
+	}
+	return order.Median(m.ests)
 }
 
 // SpaceBytes sums the repetitions.
@@ -160,18 +206,16 @@ func (m *Median) DuplicateInsensitive() bool {
 	return true
 }
 
-func medianOf(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ { // insertion sort; len is O(log 1/δ)
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// CoalesceInvariant implements sketch.CoalesceInvariant: it holds iff
+// every member declares it.
+func (m *Median) CoalesceInvariant() bool {
+	for _, r := range m.reps {
+		c, ok := r.(sketch.CoalesceInvariant)
+		if !ok || !c.CoalesceInvariant() {
+			return false
 		}
 	}
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return true
 }
 
 // TrackingParams holds the sizing of a strong-tracking KMV estimator.

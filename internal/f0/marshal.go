@@ -1,7 +1,6 @@
 package f0
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/codec"
@@ -46,7 +45,9 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 	s.k = k
 	s.h = hash.PolyFromCoeffs(coeffs)
 	s.vals = vals
-	heap.Init(&s.vals)
+	for i := len(vals)/2 - 1; i >= 0; i-- { // heapify, as container/heap.Init
+		siftDown(vals, i)
+	}
 	s.in = make(map[uint64]struct{}, len(vals))
 	for _, v := range vals {
 		s.in[v] = struct{}{}

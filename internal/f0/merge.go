@@ -1,9 +1,6 @@
 package f0
 
-import (
-	"container/heap"
-	"errors"
-)
+import "errors"
 
 // Merge errors shared by the distributed-sketching support.
 var (
@@ -37,26 +34,6 @@ func (s *KMV) Merge(other *KMV) error {
 		s.insertValue(v)
 	}
 	return nil
-}
-
-// insertValue inserts an already-hashed value, preserving the k-minima
-// invariant.
-func (s *KMV) insertValue(v uint64) {
-	if _, ok := s.in[v]; ok {
-		return
-	}
-	if len(s.vals) < s.k {
-		heap.Push(&s.vals, v)
-		s.in[v] = struct{}{}
-		return
-	}
-	if v >= s.vals[0] {
-		return
-	}
-	delete(s.in, s.vals[0])
-	s.vals[0] = v
-	heap.Fix(&s.vals, 0)
-	s.in[v] = struct{}{}
 }
 
 func samePoly(a, b interface{ Coeffs() []uint64 }) bool {

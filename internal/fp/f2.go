@@ -115,6 +115,12 @@ func (f *F2Sketch) UpdateBatch(batch []sketch.Update) {
 	}
 }
 
+// CoalesceInvariant implements sketch.CoalesceInvariant: counters and row
+// aggregates are integer-valued, hence exact, so an item's summed delta
+// lands them where its separate deltas would. (Self-resummation counts
+// batch entries, so its cadence may differ; on integers it is a no-op.)
+func (f *F2Sketch) CoalesceInvariant() bool { return true }
+
 // Estimate returns the median-of-rows estimate of F2 = ‖f‖₂², read from
 // the running row aggregates in O(rows).
 func (f *F2Sketch) Estimate() float64 {

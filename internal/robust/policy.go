@@ -303,14 +303,13 @@ func (a mapAdapter) Estimate() float64               { return a.f(a.inner.Estima
 func (a mapAdapter) SpaceBytes() int                 { return a.inner.SpaceBytes() }
 
 // UpdateBatch implements sketch.BatchUpdater.
-func (a mapAdapter) UpdateBatch(batch []sketch.Update) {
-	if bu, ok := a.inner.(sketch.BatchUpdater); ok {
-		bu.UpdateBatch(batch)
-		return
-	}
-	for _, u := range batch {
-		a.inner.Update(u.Item, u.Delta)
-	}
+func (a mapAdapter) UpdateBatch(batch []sketch.Update) { sketch.ApplyBatch(a.inner, batch) }
+
+// CoalesceInvariant implements sketch.CoalesceInvariant: the adapter only
+// maps the estimate, so the property is the inner sketch's.
+func (a mapAdapter) CoalesceInvariant() bool {
+	c, ok := a.inner.(sketch.CoalesceInvariant)
+	return ok && c.CoalesceInvariant()
 }
 
 // Resummate implements sketch.IncrementalEstimator.

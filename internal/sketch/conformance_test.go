@@ -2,6 +2,7 @@ package sketch_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/entropy"
@@ -84,6 +85,24 @@ func TestEstimatorContractSmoke(t *testing.T) {
 		}
 		if e.SpaceBytes() <= 0 {
 			t.Errorf("%s: SpaceBytes = %d after updates, want > 0", name, e.SpaceBytes())
+		}
+	}
+}
+
+// TestCoalescer pins the routine the engine's shard workers and the
+// Switcher's drain share: first-occurrence order, net deltas, zero-sum
+// entries kept, in place or into a separate buffer, index reused.
+func TestCoalescer(t *testing.T) {
+	batch := []sketch.Update{{Item: 7, Delta: 2}, {Item: 3, Delta: 1}, {Item: 7, Delta: -2}, {Item: 9, Delta: 4}, {Item: 3, Delta: 5}}
+	want := []sketch.Update{{Item: 7, Delta: 0}, {Item: 3, Delta: 6}, {Item: 9, Delta: 4}}
+	var co sketch.Coalescer
+	for _, dst := range [][]sketch.Update{nil, make([]sketch.Update, 0, 8), nil} {
+		b := append([]sketch.Update(nil), batch...)
+		if dst == nil {
+			dst = b[:0]
+		}
+		if got := co.Coalesce(dst, b); !slices.Equal(got, want) {
+			t.Fatalf("coalesced to %v, want %v", got, want)
 		}
 	}
 }

@@ -25,6 +25,18 @@ type BatchUpdater interface {
 	UpdateBatch(batch []Update)
 }
 
+// ApplyBatch feeds batch to est in order, through its batch kernel when it
+// has one.
+func ApplyBatch(est Estimator, batch []Update) {
+	if bu, ok := est.(BatchUpdater); ok {
+		bu.UpdateBatch(batch)
+		return
+	}
+	for _, u := range batch {
+		est.Update(u.Item, u.Delta)
+	}
+}
+
 // IncrementalEstimator is implemented by sketches that answer Estimate
 // from running aggregates maintained in O(rows) per update instead of
 // rescanning their counters — the fast path that makes per-update

@@ -13,8 +13,13 @@
 // coalesced batch per virtual call, with the hard requirement that
 // batching is observationally invisible (identical published estimates,
 // switch counts and flip budgets for any chunking of the same stream).
-// The conformance kit's incremental-consistency and batch-consistency
-// properties enforce both contracts for every registered type.
+// A third, CoalesceInvariant (coalesce.go), marks batch estimators whose
+// state does not depend on whether a batch's duplicate items were merged
+// first; Coalescer does the merging, per batch for the engine's shard
+// workers and per lag buffer for core.Switcher's drain (declarers only).
+// The conformance kit's incremental-consistency, batch-consistency and
+// coalesce-consistency properties enforce the three contracts for every
+// registered type.
 package sketch
 
 // Estimator is a one-pass streaming algorithm that tracks a real-valued

@@ -2,12 +2,13 @@
 // this repository: hand it a sketch.Factory (and, for mergeable types, a
 // sketch.Codec) and it checks the contracts every estimator must honor —
 // the update/estimate tracking contract, determinism under a fixed seed,
-// duplicate-insensitivity where declared, serialization round-trips, and
-// the merge laws (zero identity, associativity, linearity) that the
-// engine's snapshot/merge path and the server's /v1/merge endpoint rely
-// on. The server's spec registry is run through the full battery by
-// internal/server's conformance test, so a newly registered sketch type
-// inherits every check from its single registry entry.
+// duplicate-insensitivity and coalesce-invariance where declared,
+// serialization round-trips, and the merge laws (zero identity,
+// associativity, linearity) that the engine's snapshot/merge path and the
+// server's /v1/merge endpoint rely on. The server's spec registry is run
+// through the full battery by internal/server's conformance test, so a
+// newly registered sketch type inherits every check from its single
+// registry entry.
 //
 // Properties are implemented against a plain error-reporting core (Check)
 // with a testing wrapper (Run) on top, so the kit is usable both from
@@ -117,6 +118,7 @@ func Properties(h Harness) []Property {
 		{"duplicate-insensitive", checkDuplicateInsensitive},
 		{"incremental-consistency", checkIncrementalConsistency},
 		{"batch-consistency", checkBatchConsistency},
+		{"coalesce-consistency", checkCoalesceConsistency},
 	}
 	if h.Codec != nil {
 		props = append(props,
@@ -300,6 +302,45 @@ func checkBatchConsistency(h Harness) error {
 		i += n
 		if ea, eb := a.Estimate(), b.Estimate(); ea != eb {
 			return fmt.Errorf("after %d updates: per-update estimate %v, batch estimate %v", i, ea, eb)
+		}
+	}
+	return nil
+}
+
+// checkCoalesceConsistency holds estimators that declare
+// sketch.CoalesceInvariant to it: same-seed instances fed the stream in
+// three batches, one raw and one with every batch coalesced first, must
+// agree after each batch on the estimate, bit for bit, and (when a codec is
+// available) on the serialized state. core.Switcher feeds declarers a
+// coalesced lag buffer on the strength of this property alone.
+func checkCoalesceConsistency(h Harness) error {
+	a, b := h.Factory(h.Seed+13), h.Factory(h.Seed+13)
+	raw, ok := a.(sketch.CoalesceInvariant)
+	if !ok || !raw.CoalesceInvariant() {
+		return nil // property not declared; nothing to enforce
+	}
+	ups := h.testStream(13, h.updates())
+	var co sketch.Coalescer
+	for third := 1; third <= 3; third++ {
+		var batch []sketch.Update
+		for _, u := range ups[(third-1)*len(ups)/3 : third*len(ups)/3] {
+			batch = append(batch, sketch.Update(u))
+		}
+		raw.UpdateBatch(batch)
+		b.(sketch.BatchUpdater).UpdateBatch(co.Coalesce(nil, batch))
+		if ea, eb := a.Estimate(), b.Estimate(); math.Float64bits(ea) != math.Float64bits(eb) {
+			return fmt.Errorf("after batch %d: raw estimate %v, coalesced estimate %v", third, ea, eb)
+		}
+		if h.Codec == nil {
+			continue
+		}
+		sa, errA := h.Codec.Marshal(a)
+		sb, errB := h.Codec.Marshal(b)
+		if errA != nil || errB != nil {
+			return fmt.Errorf("marshal: %v, %v", errA, errB)
+		}
+		if !bytes.Equal(sa, sb) {
+			return fmt.Errorf("after batch %d: serialized state differs between raw and coalesced batches", third)
 		}
 	}
 	return nil

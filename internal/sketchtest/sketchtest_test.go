@@ -54,6 +54,20 @@ func (f *falseDI) Estimate() float64          { return f.n }
 func (f *falseDI) SpaceBytes() int            { return 8 }
 func (f *falseDI) DuplicateInsensitive() bool { return true }
 
+// falseCoalesce claims coalesce-invariance but decays its state on every
+// update, so merging an item's repeats into one entry changes the outcome.
+type falseCoalesce struct{ acc float64 }
+
+func (f *falseCoalesce) Update(_ uint64, delta int64) { f.acc = f.acc/2 + float64(delta) }
+func (f *falseCoalesce) Estimate() float64            { return f.acc }
+func (f *falseCoalesce) SpaceBytes() int              { return 8 }
+func (f *falseCoalesce) CoalesceInvariant() bool      { return true }
+func (f *falseCoalesce) UpdateBatch(batch []sketch.Update) {
+	for _, u := range batch {
+		f.Update(u.Item, u.Delta)
+	}
+}
+
 // TestKitCatchesViolations feeds deliberately broken estimators through
 // Check and requires the matching property to fail — the kit is only
 // trustworthy if it actually rejects bad implementations.
@@ -89,6 +103,14 @@ func TestKitCatchesViolations(t *testing.T) {
 			},
 			property: "duplicate-insensitive",
 		},
+		{
+			name: "false coalesce-invariance claim",
+			h: Harness{
+				Name:    "falseCoalesce",
+				Factory: func(int64) sketch.Estimator { return &falseCoalesce{} },
+			},
+			property: "coalesce-consistency",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,5 +136,19 @@ func TestKitMergePropertiesExerciseKMV(t *testing.T) {
 			return f0.NewKMV(64, rand.New(rand.NewSource(seed)))
 		},
 		Codec: sketch.CodecFor[f0.KMV]("kmv"),
+	})
+}
+
+// TestKitBatchPropertiesExerciseMedian holds the median-of-KMV ensemble —
+// what the robust F0 cells copy; no registry entry hosts it bare — to its
+// batch and coalesce declarations.
+func TestKitBatchPropertiesExerciseMedian(t *testing.T) {
+	Run(t, Harness{
+		Name: "f0.Median",
+		Factory: func(seed int64) sketch.Estimator {
+			return f0.NewMedian(5, seed, func(s int64) sketch.Estimator {
+				return f0.NewKMV(32, rand.New(rand.NewSource(s)))
+			})
+		},
 	})
 }
