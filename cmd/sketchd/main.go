@@ -105,7 +105,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		policy    = fs.String("policy", "none", "default robustness policy for keyspaces created with a base sketch type (none, switching, ring, paths; robust-* aliases pin their own)")
 		budget    = fs.Int("flip-budget", 64, "flip budget λ for the switching and paths policies (published-output changes the robustness guarantee covers; /v1/stats reports consumption)")
 		drainT    = fs.Duration("drain-timeout", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")
-		dataDir   = fs.String("data-dir", "", "durability directory for the write-ahead log and checkpoints (empty: in-memory only)")
+		dataDir   = fs.String("data-dir", "", "directory for the write-ahead log and checkpoints (empty: in-memory only)")
 		fsync     = fs.String("fsync", "always", "WAL sync policy: always (every ack survives power loss), batch (background sync, bounded loss window), none (OS page cache)")
 		ckptEvery = fs.Int("checkpoint-every", 1<<17, "applied updates between automatic checkpoints of a mergeable keyspace (bounds replay-on-boot)")
 

@@ -29,10 +29,12 @@
 //     internal/cascaded — the static (non-robust) sketches.
 //   - internal/core — the paper's generic robustifications: sketch
 //     switching (§4), computation paths (§4), ε-rounding and flip-number
-//     machinery (§3). The Switcher's trailing copies catch up from a
-//     bounded lag buffer; a drain coalesces it once (per-item net deltas)
-//     for every copy whose inner sketch declares
-//     sketch.CoalesceInvariant, instead of replaying repeats per copy.
+//     machinery (§3). core.Lagged holds instances that trail a shared
+//     bounded lag buffer — the Switcher's non-active copies, and
+//     robust.HeavyHitters' CountSketch ring; a drain coalesces the
+//     buffer once (per-item net deltas) for every copy whose inner sketch
+//     declares sketch.CoalesceInvariant, instead of replaying repeats
+//     per copy.
 //   - internal/robust — the robustness policy layer and the assembled
 //     robust estimators. robust.Policy names a transformation (none,
 //     switching, ring, paths) and composes with any robust.Problem (the
@@ -71,7 +73,7 @@
 //     request via Content-Type/Accept ("application/x-sketch-frame");
 //     JSON stays as the debug/compat codec with identical semantics,
 //     pinned byte-for-byte by the cross-codec snapshot tests.
-//   - internal/wal — the durability layer: a segmented, CRC-framed
+//   - internal/wal — the persistence layer: a segmented, CRC-framed
 //     write-ahead log whose update records are the wire codec's update
 //     frames byte-for-byte (journaling is an append, not a re-encode),
 //     plus per-tenant checkpoints through the CRC-bearing snapshot
@@ -104,11 +106,18 @@
 //     of a straddled batch, under either codec — error replies are
 //     always JSON; client.UpdateRetry loops that protocol to completion
 //     for at-least-once ingest across drains and restarts), and — with
-//     -data-dir — crash durability: acknowledged updates are journaled
+//     -data-dir — crash safety: acknowledged updates are journaled
 //     to the WAL before their ack, checkpoints bound replay, and boot
 //     recovery restores bit-identical estimates (TestCrashRecoveryE2E
 //     SIGKILLs a loaded server, corrupts the log tail, and asserts
-//     exact estimate equality across restarts). The Go client sends
+//     exact estimate equality across restarts). A tenant crosses a
+//     restart or a node boundary one way: tenant.export writes the
+//     (resolved spec with seed, snapshot envelope if linear, mass) that
+//     create records, checkpoints and shipments carry, Server.rebuild
+//     installs it, and every snapshot — merge body, checkpoint, shipment,
+//     peer envelope — folds through one stage-check-apply
+//     (TestInstallPathsAgree holds the three routes to identical bytes).
+//     The Go client sends
 //     frames by default (client.WithCodec opts out) and drains every
 //     response body so keep-alive connections survive error storms.
 //   - internal/cluster — distributed sketchd (cmd/sketchctl is the

@@ -531,19 +531,6 @@ func (c *Client) Merge(ctx context.Context, key string, snapshot []byte) error {
 	return c.do(ctx, http.MethodPost, "/v1/merge", keyQuery(key), snapshot, "application/octet-stream", "", nil, nil)
 }
 
-// MergeDeferred is Merge with durability=deferred: the merge lands
-// atomically in live state, but instead of a synchronous checkpoint its
-// durability coalesces into the server's checkpoint cadence. This is the
-// mode for high-frequency state shipping (replication); a crash before
-// the coalesced checkpoint may lose the merge, so callers must be
-// prepared to re-send state — the replication shipper is, every ship
-// interval.
-func (c *Client) MergeDeferred(ctx context.Context, key string, snapshot []byte) error {
-	q := keyQuery(key)
-	q.Set("durability", "deferred")
-	return c.do(ctx, http.MethodPost, "/v1/merge", q, snapshot, "application/octet-stream", "", nil, nil)
-}
-
 // Healthz fetches GET /v1/healthz. ready reports readiness (HTTP 200
 // versus the 503 a draining or still-recovering server answers); the
 // response body describes why, plus the WAL and checkpoint counters,

@@ -1,0 +1,137 @@
+package core
+
+import "repro/internal/sketch"
+
+// Lagged is a set of estimator instances that all owe the same stream but
+// need not be current at the same moment: updates land in one shared
+// bounded lag buffer, each instance remembers the prefix of it already
+// applied, and an instance catches up — through its batch kernel when it
+// has one — only when it is about to be read (Current) or when the buffer
+// fills (Drain: copy-outer, update-inner, so each instance's state stays
+// hot in cache while it chews through the backlog). Every instance still
+// ingests every update it is responsible for, in stream order, so whatever
+// is read from a Current instance is update-for-update what the
+// synchronous formulation would have produced.
+//
+// On a skewed stream most of a lag buffer repeats items already in it, so
+// when the instances declare sketch.CoalesceInvariant a Drain coalesces
+// the buffer once and feeds that to every instance that owes all of it;
+// the few that hold a prefix (stepped since the last drain, replaced
+// mid-buffer) and every catch-up outside a drain replay the raw suffix.
+//
+// Switcher keeps its trailing copies in one, robust.HeavyHitters its
+// Theorem 6.5 CountSketch ring.
+type Lagged struct {
+	instances []sketch.Estimator // nil once dropped
+	applied   []int              // per instance: prefix of pending already applied
+	pending   []sketch.Update    // grows lazily toward bound: an idle tenant does not pay for it
+	bound     int
+	coalesce  bool             // the instances declare sketch.CoalesceInvariant
+	co        sketch.Coalescer // drain scratch: item index …
+	net       []sketch.Update  // … and the coalesced lag buffer, allocated by the first drain that needs it
+}
+
+// NewLagged takes ownership of the instances, none of which has seen an
+// update; bound is how many updates an instance may fall behind before
+// Full asks for a Drain.
+func NewLagged(instances []sketch.Estimator, bound int) Lagged {
+	ci, ok := instances[0].(sketch.CoalesceInvariant)
+	return Lagged{
+		instances: instances,
+		applied:   make([]int, len(instances)),
+		bound:     bound,
+		coalesce:  ok && ci.CoalesceInvariant(),
+	}
+}
+
+// Len returns the number of instance slots, dropped ones included.
+func (l *Lagged) Len() int { return len(l.instances) }
+
+// Push buffers one update for every instance.
+func (l *Lagged) Push(item uint64, delta int64) {
+	l.pending = append(l.pending, sketch.Update{Item: item, Delta: delta})
+}
+
+// Step is Push for a caller that needs instance i exact after every
+// update: the update is buffered for the others and applied to i at once.
+// i must be current, which it is after Current(i), a Drain, or a Step.
+func (l *Lagged) Step(i int, item uint64, delta int64) sketch.Estimator {
+	l.Push(item, delta)
+	inst := l.instances[i]
+	inst.Update(item, delta)
+	l.applied[i] = len(l.pending)
+	return inst
+}
+
+// Full reports whether the buffer has reached its bound; the caller Drains
+// at a point where no instance is mid-read.
+func (l *Lagged) Full() bool { return len(l.pending) >= l.bound }
+
+// Current replays instance i's unseen suffix of the buffer and returns the
+// instance (nil if it was dropped).
+func (l *Lagged) Current(i int) sketch.Estimator {
+	inst := l.instances[i]
+	if rest := l.pending[l.applied[i]:]; inst != nil && len(rest) > 0 {
+		sketch.ApplyBatch(inst, rest)
+		l.applied[i] = len(l.pending)
+	}
+	return inst
+}
+
+// Replace puts a fresh instance in slot i. It tracks the stream from here
+// on, so the buffered backlog is not its concern.
+func (l *Lagged) Replace(i int, fresh sketch.Estimator) {
+	l.instances[i] = fresh
+	l.applied[i] = len(l.pending)
+}
+
+// Drop releases instance i; its slot stays, empty.
+func (l *Lagged) Drop(i int) { l.instances[i] = nil }
+
+// Drain brings every live instance up to date and empties the buffer.
+// Instances that owe the whole buffer share one coalesced copy of it,
+// built on first need, when the instances allow.
+func (l *Lagged) Drain() {
+	coalesced := false
+	for i, inst := range l.instances {
+		if inst == nil {
+			continue
+		}
+		if !l.coalesce || l.applied[i] != 0 {
+			l.Current(i)
+			continue
+		}
+		if !coalesced {
+			l.net = l.co.Coalesce(l.net[:0], l.pending)
+			coalesced = true
+		}
+		sketch.ApplyBatch(inst, l.net)
+	}
+	l.pending = l.pending[:0]
+	for i := range l.applied {
+		l.applied[i] = 0
+	}
+}
+
+// Resummate drains, then recomputes the running aggregates of every live
+// instance that maintains them (sketch.IncrementalEstimator).
+func (l *Lagged) Resummate() {
+	l.Drain()
+	for _, inst := range l.instances {
+		if inc, ok := inst.(sketch.IncrementalEstimator); ok {
+			inc.Resummate()
+		}
+	}
+}
+
+// SpaceBytes sums the live instances, the lag buffer, and the coalesced
+// buffer with its item index (one 16-byte entry per slot each).
+func (l *Lagged) SpaceBytes() int {
+	total := 16*cap(l.pending) + 32*cap(l.net)
+	for _, inst := range l.instances {
+		if inst != nil {
+			total += inst.SpaceBytes()
+		}
+	}
+	return total
+}

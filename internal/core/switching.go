@@ -6,10 +6,9 @@ import (
 	"repro/internal/sketch"
 )
 
-// pendingCap bounds the lag buffer: non-active instances may fall at most
-// this many updates behind before a drain applies the backlog to every
-// live copy in one pass (copy-outer, update-inner — each instance's state
-// stays hot in cache while it chews through the buffer).
+// pendingCap bounds the Switcher's lag buffer: non-active instances may
+// fall at most this many updates behind before a drain applies the backlog
+// to every live copy in one pass.
 const pendingCap = 16384
 
 // Switcher implements sketch switching (Algorithm 1 of the paper): it
@@ -35,27 +34,16 @@ const pendingCap = 16384
 //
 // Only the active instance is updated synchronously (its estimate feeds
 // the per-update drift check, so it must be exact); the others trail
-// behind a bounded lag buffer and catch up in batch, or lazily when read.
-// Every instance still ingests every update it is responsible for, in
-// stream order, so published outputs, switch counts and flip budgets are
-// update-for-update identical to the synchronous formulation. On a skewed
-// stream most of a lag buffer repeats items already in it, so when the
-// inner sketch declares sketch.CoalesceInvariant a drain coalesces the
-// buffer once and feeds that to every instance that owes all of it; the
-// few that hold a prefix (active since the last drain, restarted ring
-// slots) and every catch-up outside a drain replay the raw suffix. In dense
+// behind a bounded lag buffer (Lagged) and catch up in batch, or lazily
+// when read, so published outputs, switch counts and flip budgets are
+// update-for-update identical to the synchronous formulation. In dense
 // mode, instances below the published one can never influence an output
 // again — they are retired (dropped entirely) at switch time, so a dense
 // Switcher's footprint shrinks as its flip budget is consumed.
 type Switcher struct {
 	eps       float64
 	factory   sketch.Factory
-	instances []sketch.Estimator // instances[:retired] are nil (dense mode)
-	applied   []int              // per instance: prefix of pending already applied
-	pending   []sketch.Update    // lag buffer shared by all trailing instances
-	coalesce  bool               // the instances declare sketch.CoalesceInvariant
-	co        sketch.Coalescer   // drain scratch: item index …
-	net       []sketch.Update    // … and the coalesced lag buffer
+	lag       Lagged // the instances; slots below retired are dropped (dense mode)
 	active    int
 	published int // instance whose estimate produced the current output
 	retired   int // dense mode: count of dropped instances (ring: always 0)
@@ -86,16 +74,12 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 		panic("core: NewSwitcher needs copies >= 1")
 	}
 	s := &Switcher{eps: eps, factory: factory, ring: ring, nextSeed: seed}
-	for i := 0; i < copies; i++ {
-		s.instances = append(s.instances, factory(s.nextSeed))
+	instances := make([]sketch.Estimator, copies)
+	for i := range instances {
+		instances[i] = factory(s.nextSeed)
 		s.nextSeed += 7919
 	}
-	s.applied = make([]int, copies)
-	ci, ok := s.instances[0].(sketch.CoalesceInvariant)
-	s.coalesce = ok && ci.CoalesceInvariant()
-	// pending grows lazily toward pendingCap so an idle tenant does not
-	// pay the full buffer (nor the drain's coalescing scratch); after the
-	// first drain it is allocation-free.
+	s.lag = NewLagged(instances, pendingCap)
 	return s
 }
 
@@ -104,8 +88,8 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 // published output is refreshed from the active instance if it drifted.
 func (s *Switcher) Update(item uint64, delta int64) {
 	s.step(item, delta)
-	if len(s.pending) >= pendingCap {
-		s.drain()
+	if s.lag.Full() {
+		s.lag.Drain()
 	}
 }
 
@@ -115,19 +99,12 @@ func (s *Switcher) Update(item uint64, delta int64) {
 // not a change in semantics.
 func (s *Switcher) UpdateBatch(batch []sketch.Update) {
 	for _, u := range batch {
-		s.step(u.Item, u.Delta)
-		if len(s.pending) >= pendingCap {
-			s.drain()
-		}
+		s.Update(u.Item, u.Delta)
 	}
 }
 
 func (s *Switcher) step(item uint64, delta int64) {
-	s.pending = append(s.pending, sketch.Update{Item: item, Delta: delta})
-	act := s.instances[s.active]
-	act.Update(item, delta)
-	s.applied[s.active] = len(s.pending)
-	y := act.Estimate()
+	y := s.lag.Step(s.active, item, delta).Estimate()
 	if withinRel(s.out, y, s.eps/2) {
 		return
 	}
@@ -137,62 +114,26 @@ func (s *Switcher) step(item uint64, delta int64) {
 	s.advance()
 }
 
-// drain applies the buffered backlog to every live trailing instance and
-// resets the buffer. Loop order is copy-outer, update-inner; instances
-// that owe the whole buffer share one coalesced copy of it, built on first
-// need, when the inner sketch allows.
-func (s *Switcher) drain() {
-	coalesced := false
-	for i := s.retired; i < len(s.instances); i++ {
-		if !s.coalesce || s.applied[i] != 0 {
-			s.catchUp(i)
-			continue
-		}
-		if !coalesced {
-			s.net = s.co.Coalesce(s.net[:0], s.pending)
-			coalesced = true
-		}
-		sketch.ApplyBatch(s.instances[i], s.net)
-	}
-	s.pending = s.pending[:0]
-	for i := range s.applied {
-		s.applied[i] = 0
-	}
-}
-
-// catchUp replays instance i's unseen suffix of the lag buffer, through
-// the instance's batch kernel when it has one.
-func (s *Switcher) catchUp(i int) {
-	inst := s.instances[i]
-	if inst == nil {
-		return
-	}
-	sketch.ApplyBatch(inst, s.pending[s.applied[i]:])
-	s.applied[i] = len(s.pending)
-}
-
 func (s *Switcher) advance() {
 	if s.ring {
 		// Restart the just-used instance with fresh randomness; it will
-		// track the suffix of the stream until its turn comes again. It
-		// has seen nothing, so the current backlog is not its concern.
-		s.instances[s.active] = s.factory(s.nextSeed)
+		// track the suffix of the stream until its turn comes again.
+		s.lag.Replace(s.active, s.factory(s.nextSeed))
 		s.nextSeed += 7919
-		s.applied[s.active] = len(s.pending)
-		s.active = (s.active + 1) % len(s.instances)
-		s.catchUp(s.active)
+		s.active = (s.active + 1) % s.lag.Len()
+		s.lag.Current(s.active)
 		return
 	}
 	// Dense mode: instances below the newly published one can never be
 	// read again (queries go to published, estimates to active) — drop
 	// them so the wrapper's footprint tracks the remaining flip budget.
 	for i := s.retired; i < s.published; i++ {
-		s.instances[i] = nil
+		s.lag.Drop(i)
 	}
 	s.retired = s.published
-	if s.active+1 < len(s.instances) {
+	if s.active+1 < s.lag.Len() {
 		s.active++
-		s.catchUp(s.active)
+		s.lag.Current(s.active)
 		return
 	}
 	// Flip budget exceeded: the λ sizing was too small for this stream.
@@ -207,14 +148,7 @@ func (s *Switcher) Estimate() float64 { return s.out }
 // Resummate implements sketch.IncrementalEstimator: the backlog is
 // drained, then forwarded to every live instance that maintains running
 // aggregates.
-func (s *Switcher) Resummate() {
-	s.drain()
-	for i := s.retired; i < len(s.instances); i++ {
-		if inc, ok := s.instances[i].(sketch.IncrementalEstimator); ok {
-			inc.Resummate()
-		}
-	}
-}
+func (s *Switcher) Resummate() { s.lag.Resummate() }
 
 // Query implements sketch.PointQuerier when the inner instances do: the
 // answer comes from the published copy — the instance whose estimate
@@ -238,8 +172,7 @@ func (s *Switcher) Query(item uint64) float64 {
 	if s.ring {
 		return 0
 	}
-	s.catchUp(s.published)
-	pq, ok := s.instances[s.published].(sketch.PointQuerier)
+	pq, ok := s.lag.Current(s.published).(sketch.PointQuerier)
 	if !ok {
 		return 0
 	}
@@ -253,8 +186,7 @@ func (s *Switcher) TopK(k int) []sketch.ItemWeight {
 	if s.ring {
 		return nil
 	}
-	s.catchUp(s.published)
-	tk, ok := s.instances[s.published].(sketch.TopKQuerier)
+	tk, ok := s.lag.Current(s.published).(sketch.TopKQuerier)
 	if !ok {
 		return nil
 	}
@@ -269,7 +201,7 @@ func (s *Switcher) Switches() int { return s.switches }
 func (s *Switcher) Exhausted() bool { return s.exhausted }
 
 // Copies returns the number of live (non-retired) instances.
-func (s *Switcher) Copies() int { return len(s.instances) - s.retired }
+func (s *Switcher) Copies() int { return s.lag.Len() - s.retired }
 
 // Robustness implements sketch.RobustnessReporter: ring mode reports an
 // unbounded budget (instances are recycled), dense mode reports the copy
@@ -278,9 +210,9 @@ func (s *Switcher) Copies() int { return len(s.instances) - s.retired }
 func (s *Switcher) Robustness() sketch.Robustness {
 	r := sketch.Robustness{
 		Policy:    "switching",
-		Copies:    len(s.instances) - s.retired,
+		Copies:    s.Copies(),
 		Switches:  s.switches,
-		Budget:    len(s.instances),
+		Budget:    s.lag.Len(),
 		Exhausted: s.exhausted,
 	}
 	if s.ring {
@@ -290,16 +222,6 @@ func (s *Switcher) Robustness() sketch.Robustness {
 	return r
 }
 
-// SpaceBytes sums the live instances' space plus the lag buffer and the
-// drain's coalescing scratch.
-func (s *Switcher) SpaceBytes() int {
-	// Published output, lag buffer, and the coalesced buffer with its item
-	// index (one 16-byte entry per slot each).
-	total := 16 + 16*cap(s.pending) + 32*cap(s.net)
-	for _, inst := range s.instances {
-		if inst != nil {
-			total += inst.SpaceBytes()
-		}
-	}
-	return total
-}
+// SpaceBytes charges the published output plus the live instances, the lag
+// buffer and the drain's coalescing scratch.
+func (s *Switcher) SpaceBytes() int { return 16 + s.lag.SpaceBytes() }

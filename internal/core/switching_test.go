@@ -159,14 +159,14 @@ func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 	for i := 0; i < pendingCap; i++ {
 		big.Update(uint64(i%4), 1)
 	}
-	if len(big.pending) != 0 || len(big.net) != 4 {
-		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", pendingCap, len(big.pending), len(big.net))
+	if len(big.lag.pending) != 0 || len(big.lag.net) != 4 {
+		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", pendingCap, len(big.lag.pending), len(big.lag.net))
 	}
 	inner := 0
-	for _, inst := range big.instances[big.retired:] {
+	for _, inst := range big.lag.instances[big.retired:] {
 		inner += inst.SpaceBytes()
 	}
-	if got, want := big.SpaceBytes()-inner, 16+16*cap(big.pending)+32*cap(big.net); got != want {
+	if got, want := big.SpaceBytes()-inner, 16+16*cap(big.lag.pending)+32*cap(big.lag.net); got != want {
 		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer + coalesced buffer and its index)", got, want)
 	}
 }
@@ -418,9 +418,9 @@ func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 			if sw.Switches() < 8 {
 				t.Fatalf("only %d switches; the stream must move instances between the drained groups", sw.Switches())
 			}
-			sw.drain()
+			sw.lag.Drain()
 			live := 0
-			for i, inst := range sw.instances {
+			for i, inst := range sw.lag.instances {
 				if inst == nil {
 					continue
 				}

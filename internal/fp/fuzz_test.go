@@ -29,24 +29,3 @@ func FuzzF2Unmarshal(f *testing.F) {
 		_ = s.SpaceBytes()
 	})
 }
-
-// FuzzIndykUnmarshal: same contract for the p-stable sketch wire format.
-func FuzzIndykUnmarshal(f *testing.F) {
-	seed := NewIndyk(1, 16, rand.New(rand.NewSource(1)))
-	for i := uint64(0); i < 100; i++ {
-		seed.Update(i, 1)
-	}
-	data, _ := seed.MarshalBinary()
-	f.Add(data)
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var s Indyk
-		if err := s.UnmarshalBinary(b); err != nil {
-			return
-		}
-		s.Update(42, 1)
-		_ = s.Estimate()
-		_ = s.SpaceBytes()
-	})
-}

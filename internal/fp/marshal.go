@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/codec"
-	"repro/internal/dist"
 	"repro/internal/hash"
 )
 
-const (
-	f2FormatV1    = 1
-	indykFormatV1 = 1
-)
+const f2FormatV1 = 1
 
 // MarshalBinary encodes the sketch state (hash functions + counters).
 func (f *F2Sketch) MarshalBinary() ([]byte, error) {
@@ -57,39 +53,5 @@ func (f *F2Sketch) UnmarshalBinary(data []byte) error {
 	f.sumSq = make([]float64, rows)
 	f.scratch = nil
 	f.Resummate()
-	return nil
-}
-
-// MarshalBinary encodes the sketch state (salts + counters; the
-// calibration constant is recomputed on decode).
-func (s *Indyk) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(indykFormatV1)
-	w.F64(s.p)
-	w.U64s(s.salts)
-	w.F64s(s.y)
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary decodes state produced by MarshalBinary, replacing s.
-func (s *Indyk) UnmarshalBinary(data []byte) error {
-	r := codec.NewReader(data)
-	if v := r.U8(); v != indykFormatV1 && r.Err() == nil {
-		return fmt.Errorf("fp: unsupported Indyk format version %d", v)
-	}
-	p := r.F64()
-	salts := r.U64s()
-	y := r.F64s()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if p <= 0 || p > 2 {
-		return fmt.Errorf("fp: invalid Indyk p = %v", p)
-	}
-	if len(salts) != len(y) || len(salts) < 2 {
-		return fmt.Errorf("fp: inconsistent Indyk state (%d salts, %d counters)", len(salts), len(y))
-	}
-	s.p, s.k, s.salts, s.y = p, len(salts), salts, y
-	s.calib = dist.MedianAbs(p)
 	return nil
 }

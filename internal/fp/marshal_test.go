@@ -45,46 +45,3 @@ func TestF2UnmarshalRejectsCorruption(t *testing.T) {
 		t.Error("unknown version accepted")
 	}
 }
-
-func TestIndykMarshalRoundTrip(t *testing.T) {
-	orig := NewIndyk(1.3, 32, rand.New(rand.NewSource(3)))
-	for i := uint64(0); i < 2000; i++ {
-		orig.Update(i%100, 1)
-	}
-	data, err := orig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded Indyk
-	if err := decoded.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Estimate() != orig.Estimate() {
-		t.Errorf("decoded estimate %v != original %v", decoded.Estimate(), orig.Estimate())
-	}
-	if decoded.P() != 1.3 {
-		t.Errorf("decoded p = %v", decoded.P())
-	}
-	// Variates must be identical after decode (same salts).
-	orig.Update(55, 3)
-	decoded.Update(55, 3)
-	if decoded.Estimate() != orig.Estimate() {
-		t.Error("post-continuation estimates diverged: variate derivation not preserved")
-	}
-}
-
-func TestIndykUnmarshalRejectsBadP(t *testing.T) {
-	orig := NewIndyk(1.5, 16, rand.New(rand.NewSource(4)))
-	data, _ := orig.MarshalBinary()
-	bad := append([]byte(nil), data...)
-	// Overwrite the p field (bytes 1..8) with the bit pattern of 7.5.
-	var w = make([]byte, 8)
-	for i := range w {
-		w[i] = 0
-	}
-	copy(bad[1:9], []byte{0, 0, 0, 0, 0, 0, 0x1e, 0x40}) // float64(7.5) little-endian
-	var s Indyk
-	if err := s.UnmarshalBinary(bad); err == nil {
-		t.Error("invalid p accepted")
-	}
-}

@@ -37,28 +37,6 @@ func (f *F2Sketch) Merge(other *F2Sketch) error {
 	return nil
 }
 
-// Fresh returns an empty Indyk sketch sharing s's variate salts.
-func (s *Indyk) Fresh() *Indyk {
-	return &Indyk{p: s.p, k: s.k, salts: s.salts, y: make([]float64, s.k), calib: s.calib}
-}
-
-// Merge adds other's counters into s (linear sketch; same requirements as
-// F2Sketch.Merge, with salts playing the role of the hash functions).
-func (s *Indyk) Merge(other *Indyk) error {
-	if s.p != other.p || s.k != other.k {
-		return ErrIncompatible
-	}
-	for i := range s.salts {
-		if s.salts[i] != other.salts[i] {
-			return ErrIncompatible
-		}
-	}
-	for i := range s.y {
-		s.y[i] += other.y[i]
-	}
-	return nil
-}
-
 func samePoly(a, b interface{ Coeffs() []uint64 }) bool {
 	ca, cb := a.Coeffs(), b.Coeffs()
 	if len(ca) != len(cb) {

@@ -38,38 +38,6 @@ func TestF2MergeRejectsForeignSketch(t *testing.T) {
 	}
 }
 
-func TestIndykMergeEqualsConcatenation(t *testing.T) {
-	origin := NewIndyk(1.5, 64, rand.New(rand.NewSource(3)))
-	s1, s2, whole := origin.Fresh(), origin.Fresh(), origin.Fresh()
-	for i := uint64(0); i < 3000; i++ {
-		item := i % 256
-		if i%3 == 0 {
-			s1.Update(item, 1)
-		} else {
-			s2.Update(item, 1)
-		}
-		whole.Update(item, 1)
-	}
-	if err := s1.Merge(s2); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s1.Estimate()-whole.Estimate()) > 1e-6*whole.Estimate() {
-		t.Errorf("merged Indyk %v != whole %v", s1.Estimate(), whole.Estimate())
-	}
-}
-
-func TestIndykMergeRejectsForeignSketch(t *testing.T) {
-	a := NewIndyk(1, 16, rand.New(rand.NewSource(1)))
-	b := NewIndyk(1, 16, rand.New(rand.NewSource(2)))
-	if err := a.Merge(b); err == nil {
-		t.Error("merging Indyk sketches with different salts must fail")
-	}
-	c := NewIndyk(1.5, 16, rand.New(rand.NewSource(1)))
-	if err := a.Merge(c); err == nil {
-		t.Error("merging Indyk sketches with different p must fail")
-	}
-}
-
 func TestFreshSketchesAreIndependentStates(t *testing.T) {
 	origin := NewF2(F2Sizing{Rows: 3, Width: 32}, rand.New(rand.NewSource(5)))
 	a, b := origin.Fresh(), origin.Fresh()

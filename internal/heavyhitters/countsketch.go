@@ -1,9 +1,9 @@
 // Package heavyhitters implements the point-query and heavy hitters
 // substrates of Section 6 of the paper: CountSketch (the static (ε, δ)
-// point-query algorithm of Lemma 6.4), CountMin, and the deterministic
-// Misra–Gries summary (the O(ε⁻¹ log n) L1 row of Table 1). The robust L2
-// heavy hitters algorithm of Theorem 6.5 is assembled from CountSketch and
-// a robust F2 estimator in internal/robust.
+// point-query algorithm of Lemma 6.4) and the deterministic Misra–Gries
+// summary (the O(ε⁻¹ log n) L1 row of Table 1). The robust L2 heavy
+// hitters algorithm of Theorem 6.5 is assembled from CountSketch and a
+// robust F2 estimator in internal/robust.
 package heavyhitters
 
 import (

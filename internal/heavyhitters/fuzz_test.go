@@ -25,22 +25,3 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		_ = s.HeavyHitters(1)
 	})
 }
-
-// FuzzCountMinUnmarshal: same contract for the CountMin wire format.
-func FuzzCountMinUnmarshal(f *testing.F) {
-	seed := NewCountMin(Sizing{Rows: 3, Width: 8}, rand.New(rand.NewSource(1)))
-	seed.Update(5, 10)
-	data, _ := seed.MarshalBinary()
-	f.Add(data)
-	f.Add([]byte{})
-	f.Add([]byte{1, 255, 255, 255, 255, 255, 255, 255, 255})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var s CountMin
-		if err := s.UnmarshalBinary(b); err != nil {
-			return
-		}
-		s.Update(42, 1)
-		_ = s.Query(42)
-		_ = s.SpaceBytes()
-	})
-}

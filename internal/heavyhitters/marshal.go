@@ -11,7 +11,6 @@ import (
 const (
 	csFormatV1 = 1
 	csFormatV2 = 2 // adds per-candidate retention tallies after the id list
-	cmFormatV1 = 1
 )
 
 // MarshalBinary encodes the sketch state (hash functions, counters, and
@@ -94,49 +93,5 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 		}
 		cs.cands[it] = wt
 	}
-	return nil
-}
-
-// MarshalBinary encodes the sketch state (hash functions + counters).
-func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(cmFormatV1)
-	w.U64(uint64(cm.rows))
-	w.U64(uint64(cm.w))
-	for r := 0; r < cm.rows; r++ {
-		w.U64s(cm.hs[r].Coeffs())
-		w.I64s(cm.c[r])
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary decodes state produced by MarshalBinary, replacing cm.
-func (cm *CountMin) UnmarshalBinary(data []byte) error {
-	r := codec.NewReader(data)
-	if v := r.U8(); v != cmFormatV1 && r.Err() == nil {
-		return fmt.Errorf("heavyhitters: unsupported CountMin format version %d", v)
-	}
-	rows := int(r.U64())
-	w := int(r.U64())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if rows < 1 || rows > 1<<20 || w < 1 {
-		return fmt.Errorf("heavyhitters: invalid CountMin dimensions %dx%d", rows, w)
-	}
-	hs := make([]hash.Poly, 0, rows)
-	c := make([][]int64, 0, rows)
-	for i := 0; i < rows; i++ {
-		hs = append(hs, hash.PolyFromCoeffs(r.U64s()))
-		row := r.I64s()
-		if r.Err() == nil && len(row) != w {
-			return fmt.Errorf("heavyhitters: row %d has %d counters, want %d", i, len(row), w)
-		}
-		c = append(c, row)
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	cm.rows, cm.w, cm.hs, cm.c = rows, w, hs, c
 	return nil
 }

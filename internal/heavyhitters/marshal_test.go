@@ -43,33 +43,6 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCountMinMarshalRoundTrip(t *testing.T) {
-	orig := NewCountMin(Sizing{Rows: 4, Width: 32}, rand.New(rand.NewSource(1)))
-	for i := uint64(0); i < 5000; i++ {
-		orig.Update(i%100, 1)
-	}
-	data, err := orig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded CountMin
-	if err := decoded.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	for _, item := range []uint64{0, 13, 99, 7777} {
-		if decoded.Query(item) != orig.Query(item) {
-			t.Errorf("decoded Query(%d) = %v, original %v", item, decoded.Query(item), orig.Query(item))
-		}
-	}
-	if err := decoded.Merge(orig.Fresh()); err != nil {
-		t.Errorf("decoded sketch rejected a shard of its origin: %v", err)
-	}
-	var bad CountMin
-	if err := bad.UnmarshalBinary(data[:9]); err == nil {
-		t.Error("truncated CountMin input accepted")
-	}
-}
-
 func TestCountSketchUnmarshalRejectsCorruption(t *testing.T) {
 	orig := NewCountSketch(Sizing{Rows: 3, Width: 16}, rand.New(rand.NewSource(2)))
 	data, _ := orig.MarshalBinary()

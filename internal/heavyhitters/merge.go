@@ -46,34 +46,6 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	return nil
 }
 
-// Fresh returns an empty CountMin sharing cm's hash functions.
-func (cm *CountMin) Fresh() *CountMin {
-	cp := &CountMin{rows: cm.rows, w: cm.w, hs: cm.hs}
-	for r := 0; r < cm.rows; r++ {
-		cp.c = append(cp.c, make([]int64, cm.w))
-	}
-	return cp
-}
-
-// Merge adds other's counters into cm (same requirements as
-// CountSketch.Merge).
-func (cm *CountMin) Merge(other *CountMin) error {
-	if cm.rows != other.rows || cm.w != other.w {
-		return ErrIncompatible
-	}
-	for r := range cm.hs {
-		if !samePoly(cm.hs[r], other.hs[r]) {
-			return ErrIncompatible
-		}
-	}
-	for r := 0; r < cm.rows; r++ {
-		for b := 0; b < cm.w; b++ {
-			cm.c[r][b] += other.c[r][b]
-		}
-	}
-	return nil
-}
-
 func samePoly(a, b interface{ Coeffs() []uint64 }) bool {
 	ca, cb := a.Coeffs(), b.Coeffs()
 	if len(ca) != len(cb) {

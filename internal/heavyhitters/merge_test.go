@@ -37,33 +37,3 @@ func TestCountSketchMergeRejectsForeign(t *testing.T) {
 		t.Error("merging CountSketches with different hashes must fail")
 	}
 }
-
-func TestCountMinMergeEqualsConcatenation(t *testing.T) {
-	origin := NewCountMin(Sizing{Rows: 3, Width: 64}, rand.New(rand.NewSource(3)))
-	s1, s2, whole := origin.Fresh(), origin.Fresh(), origin.Fresh()
-	for i := uint64(0); i < 10000; i++ {
-		item := i % 200
-		if i < 5000 {
-			s1.Update(item, 1)
-		} else {
-			s2.Update(item, 1)
-		}
-		whole.Update(item, 1)
-	}
-	if err := s1.Merge(s2); err != nil {
-		t.Fatal(err)
-	}
-	for item := uint64(0); item < 200; item += 13 {
-		if s1.Query(item) != whole.Query(item) {
-			t.Errorf("merged Query(%d) = %v, whole = %v", item, s1.Query(item), whole.Query(item))
-		}
-	}
-}
-
-func TestCountMinMergeRejectsForeign(t *testing.T) {
-	a := NewCountMin(Sizing{Rows: 2, Width: 16}, rand.New(rand.NewSource(1)))
-	b := NewCountMin(Sizing{Rows: 2, Width: 16}, rand.New(rand.NewSource(2)))
-	if err := a.Merge(b); err == nil {
-		t.Error("merging CountMins with different hashes must fail")
-	}
-}

@@ -2,85 +2,8 @@ package heavyhitters
 
 import (
 	"math"
-	"math/rand"
 	"sort"
-
-	"repro/internal/hash"
 )
-
-// CountMin is the Cormode–Muthukrishnan sketch for non-negative streams:
-// rows × width counters, Query returns the minimum over rows, which always
-// upper-bounds the true frequency and exceeds it by at most ‖f‖₁/width
-// with probability 1 − 2^{−rows} per query. It provides the L1 point-query
-// guarantee (weaker than CountSketch's L2 guarantee, as the paper
-// discusses in Section 6: ‖f‖₂ can be √n times smaller than ‖f‖₁).
-type CountMin struct {
-	rows, w int
-	hs      []hash.Poly
-	c       [][]int64
-}
-
-// SizeCountMin returns dimensions with additive error ≤ ε‖f‖₁ with
-// probability 1−δ per query.
-func SizeCountMin(eps, delta float64) Sizing {
-	if eps <= 0 || eps >= 1 {
-		panic("heavyhitters: need 0 < eps < 1")
-	}
-	rows := int(math.Ceil(math.Log2(1 / delta)))
-	if rows < 2 {
-		rows = 2
-	}
-	return Sizing{Rows: rows, Width: int(math.Ceil(math.E / eps))}
-}
-
-// NewCountMin returns a CountMin sketch with the given dimensions.
-func NewCountMin(s Sizing, rng *rand.Rand) *CountMin {
-	cm := &CountMin{rows: s.Rows, w: s.Width}
-	for r := 0; r < s.Rows; r++ {
-		cm.hs = append(cm.hs, hash.NewPoly(2, rng))
-		cm.c = append(cm.c, make([]int64, s.Width))
-	}
-	return cm
-}
-
-// Update implements sketch.PointQuerier. Deltas must be non-negative for
-// the minimum guarantee to hold.
-func (cm *CountMin) Update(item uint64, delta int64) {
-	for r := 0; r < cm.rows; r++ {
-		cm.c[r][cm.hs[r].Bucket(item, cm.w)] += delta
-	}
-}
-
-// Query returns min over rows — an overestimate of f_item on non-negative
-// streams.
-func (cm *CountMin) Query(item uint64) float64 {
-	min := int64(math.MaxInt64)
-	for r := 0; r < cm.rows; r++ {
-		if v := cm.c[r][cm.hs[r].Bucket(item, cm.w)]; v < min {
-			min = v
-		}
-	}
-	return float64(min)
-}
-
-// Estimate implements sketch.Estimator with the F1 estimate (exact on
-// non-negative streams: every row sums to F1).
-func (cm *CountMin) Estimate() float64 {
-	var s int64
-	for _, v := range cm.c[0] {
-		s += v
-	}
-	return float64(s)
-}
-
-// SpaceBytes charges counters and hash seeds.
-func (cm *CountMin) SpaceBytes() int {
-	total := 0
-	for r := 0; r < cm.rows; r++ {
-		total += 8*cm.w + cm.hs[r].SpaceBytes()
-	}
-	return total
-}
 
 // MisraGries is the deterministic frequent-elements summary [32]: at most
 // k counters; any item with f_i > ‖f‖₁/(k+1) is guaranteed to be present,

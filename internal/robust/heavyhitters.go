@@ -28,28 +28,26 @@ import (
 // CountSketch's randomness influences at most one published refresh —
 // the same mechanism that makes sketch switching robust.
 //
-// Ring instances are not updated synchronously: updates land in a
-// bounded lag buffer and are applied in batch (or on demand, just
-// before an instance is frozen), so the per-update cost is the norm
-// tracker plus an append. The frozen snapshot is always taken at the
-// exact refresh position, so published answers are update-for-update
-// identical to the synchronous formulation.
+// Ring instances are not updated synchronously: they sit in a core.Lagged
+// and are brought up to date in batch (or on demand, just before one is
+// frozen), so the per-update cost is the norm tracker plus an append. The
+// frozen snapshot is always taken at the exact refresh position, so
+// published answers are update-for-update identical to the synchronous
+// formulation.
 type HeavyHitters struct {
-	eps     float64
-	norm    *core.Switcher
-	ring    []*heavyhitters.CountSketch
-	applied []int           // per ring instance: prefix of pending already applied
-	pending []sketch.Update // lag buffer shared by the ring
-	next    int             // index of the least-recently-restarted live instance
-	frozen  *heavyhitters.CountSketch
-	lastR   float64
-	sizing  heavyhitters.Sizing
-	rng     *rand.Rand
+	eps    float64
+	norm   *core.Switcher
+	ring   core.Lagged // *heavyhitters.CountSketch instances
+	next   int         // index of the least-recently-restarted live instance
+	frozen *heavyhitters.CountSketch
+	lastR  float64
+	sizing heavyhitters.Sizing
+	rng    *rand.Rand
 }
 
-// hhPendingCap bounds the ring's lag buffer (same rationale as the
-// Switcher's: amortize catch-up work without unbounded memory).
-const hhPendingCap = 1024
+// ringLagBound is how far the ring may fall behind before it is drained:
+// enough to amortize the catch-up, small beside the sketches themselves.
+const ringLagBound = 1024
 
 // NewHeavyHitters returns a robust (ε, δ)-L2 heavy hitters algorithm
 // (Definition 6.1 semantics with threshold parameter ε) over a universe of
@@ -67,10 +65,11 @@ func NewHeavyHitters(eps, delta float64, n uint64, seed int64) *HeavyHitters {
 		sizing: sizing,
 		rng:    rand.New(rand.NewSource(seed + 0x5ee)),
 	}
-	for i := 0; i < copies; i++ {
-		hh.ring = append(hh.ring, heavyhitters.NewCountSketch(sizing, hh.rng))
+	ring := make([]sketch.Estimator, copies)
+	for i := range ring {
+		ring[i] = heavyhitters.NewCountSketch(sizing, hh.rng)
 	}
-	hh.applied = make([]int, copies)
+	hh.ring = core.NewLagged(ring, ringLagBound)
 	return hh
 }
 
@@ -78,13 +77,13 @@ func NewHeavyHitters(eps, delta float64, n uint64, seed int64) *HeavyHitters {
 // refreshes the frozen snapshot whenever the published norm moves.
 func (hh *HeavyHitters) Update(item uint64, delta int64) {
 	hh.norm.Update(item, delta)
-	hh.pending = append(hh.pending, sketch.Update{Item: item, Delta: delta})
+	hh.ring.Push(item, delta)
 	if r := hh.norm.Estimate(); r != hh.lastR {
 		hh.lastR = r
 		hh.refresh()
 	}
-	if len(hh.pending) >= hhPendingCap {
-		hh.drain()
+	if hh.ring.Full() {
+		hh.ring.Drain()
 	}
 }
 
@@ -97,46 +96,20 @@ func (hh *HeavyHitters) UpdateBatch(batch []sketch.Update) {
 	}
 }
 
-// catchUp replays ring instance i's unseen suffix of the lag buffer
-// through the CountSketch batch kernel.
-func (hh *HeavyHitters) catchUp(i int) {
-	if rest := hh.pending[hh.applied[i]:]; len(rest) > 0 {
-		hh.ring[i].UpdateBatch(rest)
-	}
-	hh.applied[i] = len(hh.pending)
-}
-
-// drain applies the buffered backlog to every ring instance and resets
-// the buffer.
-func (hh *HeavyHitters) drain() {
-	for i := range hh.ring {
-		hh.catchUp(i)
-	}
-	hh.pending = hh.pending[:0]
-	for i := range hh.applied {
-		hh.applied[i] = 0
-	}
-}
-
 // refresh freezes the next ring instance (caught up to the current
-// stream position first, so the snapshot is exact) and restarts it; the
-// restarted instance tracks the suffix and owes nothing from the buffer.
+// stream position first, so the snapshot is exact) and restarts it on the
+// stream suffix.
 func (hh *HeavyHitters) refresh() {
-	hh.catchUp(hh.next)
-	hh.frozen = hh.ring[hh.next].Clone()
-	hh.ring[hh.next] = heavyhitters.NewCountSketch(hh.sizing, hh.rng)
-	hh.applied[hh.next] = len(hh.pending)
-	hh.next = (hh.next + 1) % len(hh.ring)
+	hh.frozen = hh.ring.Current(hh.next).(*heavyhitters.CountSketch).Clone()
+	hh.ring.Replace(hh.next, heavyhitters.NewCountSketch(hh.sizing, hh.rng))
+	hh.next = (hh.next + 1) % hh.ring.Len()
 }
 
 // Resummate implements sketch.IncrementalEstimator: the backlog is
 // drained, then forwarded to the norm tracker and every CountSketch.
 func (hh *HeavyHitters) Resummate() {
-	hh.drain()
+	hh.ring.Resummate()
 	hh.norm.Resummate()
-	for _, cs := range hh.ring {
-		cs.Resummate()
-	}
 	if hh.frozen != nil {
 		hh.frozen.Resummate()
 	}
@@ -185,17 +158,14 @@ func (hh *HeavyHitters) Set() []uint64 {
 // the published-refresh count as the consumed switches.
 func (hh *HeavyHitters) Robustness() sketch.Robustness {
 	r := hh.norm.Robustness()
-	r.Copies += len(hh.ring)
+	r.Copies += hh.ring.Len()
 	return r
 }
 
-// SpaceBytes charges the norm tracker, the ring, the lag buffer, and the
-// frozen snapshot.
+// SpaceBytes charges the norm tracker, the ring with its lag buffer, and
+// the frozen snapshot.
 func (hh *HeavyHitters) SpaceBytes() int {
-	total := hh.norm.SpaceBytes() + 16*cap(hh.pending)
-	for _, cs := range hh.ring {
-		total += cs.SpaceBytes()
-	}
+	total := hh.norm.SpaceBytes() + hh.ring.SpaceBytes()
 	if hh.frozen != nil {
 		total += hh.frozen.SpaceBytes()
 	}

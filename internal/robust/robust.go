@@ -27,6 +27,11 @@
 // The Section 10 constructions (NewCryptoF0, NewOracleF0; Theorem 10.1)
 // robustify through a PRF instead of a policy and stand apart.
 //
+// Both places where copies trail the stream — the Switcher's non-active
+// instances and the Theorem 6.5 CountSketch ring of HeavyHitters — keep
+// them in a core.Lagged: one bounded lag buffer, batch catch-up, and
+// outputs update-for-update identical to the synchronous formulation.
+//
 // Sizing philosophy: Policy carries the robustness budget (flip number /
 // copies) explicitly where the paper's worst-case value is impractically
 // large at laptop scale, with the Problem's FlipBound supplying the

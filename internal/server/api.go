@@ -14,7 +14,9 @@ import (
 //	GET  /v1/estimate  flushes, returns the combined estimate
 //	GET  /v1/peek      lock-free snapshot estimate, never blocks ingest
 //	GET  /v1/snapshot  binary sketch state (application/octet-stream)
-//	POST /v1/merge     merges a snapshot (possibly from another server)
+//	POST /v1/merge     folds a snapshot (possibly from another server) into
+//	                   the keyspace, creating it if absent; on a durable
+//	                   server the merged state is checkpointed before the 200
 //	POST /v1/keys      creates a keyspace (?sketch= / ?policy=) — thin
 //	                   alias for POST /v2/keys with a spec holding only
 //	                   those two fields
@@ -22,11 +24,13 @@ import (
 //	GET  /v1/stats     server-wide stats and per-keyspace listing,
 //	                   including each tenant's resolved spec and
 //	                   flip-budget state
+//	GET  /v1/healthz   readiness plus WAL and checkpoint counters
 //
-// v2 endpoints (JSON bodies):
+// v2 endpoints (JSON bodies; update and query also take wire frames):
 //
 //	POST /v2/keys      {"key":"k","spec":{...TenantSpec...}} — declarative
 //	                   tenant creation; echoes the resolved KeyStats
+//	POST /v2/update    /v1/update under either negotiated codec
 //	POST /v2/query     {"key":"k","queries":[{"kind":"estimate"},
 //	                   {"kind":"point","item":"123"},{"kind":"topk","k":10}]}
 //	                   — batched structured queries with typed answers

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -20,51 +19,32 @@ import (
 // placement layer says belongs elsewhere.
 
 // ShipTenant serializes tenant key for replication as a wire.Ship with
-// Key, Spec, State, Mass and Deleted filled; the cluster layer stamps From
-// and Seq. Spec carries the resolved TenantSpec as JSON — including the
-// resolved seed, which is what makes the replica's copy snapshot-compatible
-// with the owner's, and why a shipment is a server-to-server surface:
-// handing one to a tenant would leak the seed the API everywhere else
-// withholds. Non-mergeable (robust-policy) tenants ship as spec-only
-// declarations (State nil): their ensemble state is not linear and cannot
-// be folded into a copy, so replication preserves the declaration and the
-// replica rebuilds state only if the key fails over to it and the stream
-// is replayed by clients.
+// Key, Spec, State, Mass and Deleted filled (tenant.export); the cluster
+// layer stamps From and Seq. Spec carries the resolved seed, which is why a
+// shipment is a server-to-server surface: handing one to a tenant would
+// leak the seed the API everywhere else withholds. Non-mergeable
+// (robust-policy) tenants ship as spec-only declarations (State nil):
+// replication preserves the declaration and the replica rebuilds state
+// only if the key fails over to it and the stream is replayed by clients.
 func (s *Server) ShipTenant(key string) (*wire.Ship, error) {
 	t := s.lookup(key)
 	if t == nil {
 		return nil, fmt.Errorf("unknown key %q", key)
 	}
-	specJSON, err := json.Marshal(t.ts)
-	if err != nil {
-		return nil, err
-	}
-	sh := &wire.Ship{Key: key, Spec: specJSON}
-	if !t.spec.Mergeable() {
-		return sh, nil
-	}
-	if sh.State, err = t.snapshot(); err != nil {
-		return nil, err
-	}
-	sh.Mass = t.eng.Mass()
-	sh.Deleted = t.eng.DeletedMass()
-	return sh, nil
+	return t.export(true)
 }
 
 // ApplyShipment installs a replication shipment: the tenant is rebuilt
-// from the shipped spec, the snapshot envelope (if any) is folded into
-// the fresh engine, and the copy replaces whatever the key held locally
-// — replica state is the owner's last shipment, not an additive fold
-// (adding two copies of the same stream would double count it).
-// Shipments are admitted past MaxKeys like recovery is: refusing would
-// silently drop replicated data the owner believes is protected.
+// from the shipped spec and state (Server.rebuild), and the copy replaces
+// whatever the key held locally — replica state is the owner's last
+// shipment, not an additive fold (adding two copies of the same stream
+// would double count it).
 //
 // Durability is deferred: the spec is journaled (so a restarted replica
 // still knows the tenant), but the state rides the CheckpointEvery
-// cadence via the same debounce as deferred merges — each ship is one
-// coalesced contribution, not one fsync (see maybeCheckpoint). A replica
-// that crashes between checkpoints recovers a stale copy and is
-// refreshed by the owner's next ship round.
+// cadence — each ship is one coalesced contribution, not one fsync (see
+// maybeCheckpoint). A replica that crashes between checkpoints recovers a
+// stale copy and is refreshed by the owner's next ship round.
 func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted int64) error {
 	if key == "" {
 		return fmt.Errorf("missing key")
@@ -72,52 +52,36 @@ func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted
 	if s.draining.Load() {
 		return errDraining
 	}
-	var raw TenantSpec
-	if err := json.Unmarshal(specJSON, &raw); err != nil {
-		return fmt.Errorf("bad shipment spec: %w", err)
-	}
-	sp, ts, err := resolveTrusted(raw, s.cfg)
+	t, err := s.rebuild(key, specJSON, state, mass, deleted)
 	if err != nil {
-		return fmt.Errorf("bad shipment spec: %w", err)
+		return fmt.Errorf("shipment for %q: %w", key, err)
 	}
-	if len(state) > 0 && !sp.Mergeable() {
-		return fmt.Errorf("shipment for %q carries state but %s is not mergeable", key, sp.Display())
-	}
-	t := s.newTenant(key, sp, ts)
-	if len(state) > 0 {
-		if err := restoreState(t, state); err != nil {
-			t.eng.Close()
-			return fmt.Errorf("shipment state for %q: %w", key, err)
+	// journal logs what recovery needs to re-declare the tenant in place of
+	// old; if it cannot, the shipment is refused and old stays.
+	journal := func(old *tenant) error {
+		switch {
+		case old == nil:
+			return s.logCreate(t)
+		case old.ts != t.ts:
+			// The owner re-declared the tenant: journal the replacement so
+			// recovery rebuilds the new declaration, not the old one.
+			if err := s.logDelete(key); err != nil {
+				return err
+			}
+			return s.logCreate(t)
 		}
-		t.eng.SeedMass(mass-t.eng.Mass(), deleted)
+		// Same declaration: the shipment only refreshes state, and state
+		// persistence rides the checkpoint cadence. Carry the debounce
+		// counter over so coalescing accumulates across ships.
+		t.sinceCkpt.Store(old.sinceCkpt.Load())
+		return nil
 	}
 	s.mu.Lock()
 	old := s.tenants[key]
-	switch {
-	case old == nil:
-		if err := s.logCreate(t); err != nil {
-			s.mu.Unlock()
-			t.eng.Close()
-			return err
-		}
-	case old.ts != ts:
-		// The owner re-declared the tenant: journal the replacement so
-		// recovery rebuilds the new declaration, not the old one.
-		if err := s.logDelete(key); err != nil {
-			s.mu.Unlock()
-			t.eng.Close()
-			return err
-		}
-		if err := s.logCreate(t); err != nil {
-			s.mu.Unlock()
-			t.eng.Close()
-			return err
-		}
-	default:
-		// Same declaration: the shipment only refreshes state, and state
-		// durability rides the checkpoint cadence. Carry the debounce
-		// counter over so coalescing accumulates across ships.
-		t.sinceCkpt.Store(old.sinceCkpt.Load())
+	if err := journal(old); err != nil {
+		s.mu.Unlock()
+		t.eng.Close()
+		return err
 	}
 	s.tenants[key] = t
 	s.mu.Unlock()
@@ -183,9 +147,8 @@ func (s *Server) AnswerMerged(req *QueryRequest, envelopes [][]byte) (*QueryResp
 	scratch := s.newTenant(t.key, t.spec, t.ts)
 	defer scratch.eng.Close()
 	for i, env := range envelopes {
-		if err := restoreState(scratch, env); err != nil {
-			return nil, http.StatusConflict,
-				fmt.Errorf("%w: envelope %d: %v (cross-node merge requires identical seed and shards)", errConflict, i, err)
+		if err := scratch.fold(env); err != nil {
+			return nil, http.StatusConflict, fmt.Errorf("envelope %d: %w", i, err)
 		}
 	}
 	return s.answerQuery(t, req, scratch.eng.QueryBatch)
@@ -301,8 +264,8 @@ func (s *Server) forwarded(w http.ResponseWriter, r *http.Request, key string) b
 
 // HealthResponse is the GET /v1/healthz body: liveness (the 200 itself),
 // readiness (status "ok" versus a 503 with "draining" or "recovering"),
-// and the durability counters a failure detector or load balancer wants
-// next to the verdict.
+// and the WAL and checkpoint counters a failure detector or load balancer
+// wants next to the verdict.
 type HealthResponse struct {
 	Status      string         `json:"status"` // "ok" | "draining" | "recovering"
 	Draining    bool           `json:"draining"`
@@ -349,9 +312,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// deferredCheckpointWeight is the debounce contribution of one deferred
-// merge or applied shipment: roughly eight of them coalesce into one
-// checkpoint, instead of each paying a synchronous fsync.
+// deferredCheckpointWeight is the debounce contribution of one applied
+// shipment: roughly eight of them coalesce into one checkpoint, instead of
+// each paying a synchronous fsync.
 func (s *Server) deferredCheckpointWeight() int {
 	if w := s.cfg.CheckpointEvery / 8; w > 0 {
 		return w

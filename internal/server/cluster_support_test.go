@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,11 +36,42 @@ func checkpointCount(t *testing.T, c *client.Client) int64 {
 	return h.Checkpoints
 }
 
+// shipmentSource boots a same-seed in-memory peer holding an f2 tenant "m"
+// with a few items in it, and returns a function that ships it into dst.
+func shipmentSource(t *testing.T, cfg server.Config, dst *server.Server) (ship func(), snapshot []byte) {
+	t.Helper()
+	ctx := context.Background()
+	srcCfg := memCfg()
+	srcCfg.Seed = cfg.Seed
+	srcCfg.Shards = cfg.Shards
+	src, cs, _ := bootMem(t, srcCfg)
+	if err := cs.CreateKey(ctx, "m", "f2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Add(ctx, "m", 100, 101, 102); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := cs.Snapshot(ctx, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		sh, err := src.ShipTenant("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ApplyShipment("m", sh.Spec, sh.State, sh.Mass, sh.Deleted); err != nil {
+			t.Fatal(err)
+		}
+	}, snapshot
+}
+
 // TestMergeDeferredDebounce is the regression test for the replication
-// fsync stampede: /v1/merge?durability=deferred must NOT write a
-// synchronous checkpoint per call — deferred merges coalesce into the
-// CheckpointEvery cadence — while the default operator merge stays
-// checkpoint-before-200.
+// fsync stampede: a shipment merged into a replica defers its durability —
+// ApplyShipment must NOT write a synchronous checkpoint, shipments coalesce
+// into the CheckpointEvery cadence — while an operator /v1/merge stays
+// checkpoint-before-200, whatever parameters ride along.
 func TestMergeDeferredDebounce(t *testing.T) {
 	ctx := context.Background()
 	cfg := durableCfg(t.TempDir())
@@ -52,34 +84,17 @@ func TestMergeDeferredDebounce(t *testing.T) {
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Drain)
 	c := client.New(hs.URL, hs.Client())
-
-	// A same-seed in-memory peer supplies snapshots to merge.
-	srcCfg := memCfg()
-	srcCfg.Seed = cfg.Seed
-	srcCfg.Shards = cfg.Shards
-	_, cs, _ := bootMem(t, srcCfg)
-	if err := cs.CreateKey(ctx, "m", "f2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Add(ctx, "m", 100, 101, 102); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := cs.Snapshot(ctx, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ship, snap := shipmentSource(t, cfg, srv)
 
 	base := checkpointCount(t, c)
 	for i := 0; i < 5; i++ {
-		if err := c.MergeDeferred(ctx, "m", snap); err != nil {
-			t.Fatal(err)
-		}
+		ship()
 	}
 	if got := checkpointCount(t, c); got != base {
-		t.Errorf("5 deferred merges wrote %d checkpoints, want 0 (they must coalesce into the cadence)", got-base)
+		t.Errorf("5 shipments wrote %d checkpoints, want 0 (they must coalesce into the cadence)", got-base)
 	}
 
-	// The default merge is still durable: checkpoint before the 200.
+	// The operator merge is durable: checkpoint before the 200.
 	if err := c.Merge(ctx, "m", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -87,52 +102,39 @@ func TestMergeDeferredDebounce(t *testing.T) {
 		t.Errorf("operator merge wrote %d checkpoints, want exactly 1", got-base)
 	}
 
-	// An unknown durability mode is a 400, not a silent default.
-	resp, err := http.Post(hs.URL+"/v1/merge?key=m&durability=yolo",
+	// The retired ?durability= selector is an unknown parameter like any
+	// other: ignored, and the merge checkpoints before its 200.
+	resp, err := http.Post(hs.URL+"/v1/merge?key=m&durability=deferred",
 		"application/octet-stream", bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("durability=yolo got HTTP %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("durability=deferred got HTTP %d, want 200 (the parameter is ignored)", resp.StatusCode)
+	}
+	if got := checkpointCount(t, c); got != base+2 {
+		t.Errorf("merge with durability=deferred wrote %d checkpoints, want exactly 1 (every merge is synchronous)", got-base-1)
 	}
 }
 
-// TestMergeDeferredCadenceCheckpoint: enough deferred merges must still
-// reach durability through the cadence (a background checkpoint), so
-// deferral is a debounce, not a durability hole that only a restart
-// closes.
+// TestMergeDeferredCadenceCheckpoint: enough shipments must still reach
+// durability through the cadence (a background checkpoint), so deferral
+// is a debounce, not a durability hole that only a restart closes.
 func TestMergeDeferredCadenceCheckpoint(t *testing.T) {
-	ctx := context.Background()
 	cfg := durableCfg(t.TempDir())
-	cfg.CheckpointEvery = 16 // deferred weight = 2: 8 merges trip the cadence
-	_, c := bootDurable(t, cfg)
+	cfg.CheckpointEvery = 16 // shipment weight = 2: 8 shipments trip the cadence
+	srv, c := bootDurable(t, cfg)
+	ship, _ := shipmentSource(t, cfg, srv)
 
-	srcCfg := memCfg()
-	srcCfg.Seed = cfg.Seed
-	srcCfg.Shards = cfg.Shards
-	_, cs, _ := bootMem(t, srcCfg)
-	if err := cs.CreateKey(ctx, "m", "f2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Add(ctx, "m", 7, 8, 9); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := cs.Snapshot(ctx, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := checkpointCount(t, c)
 	for i := 0; i < 10; i++ {
-		if err := c.MergeDeferred(ctx, "m", snap); err != nil {
-			t.Fatal(err)
-		}
+		ship()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for checkpointCount(t, c) == base {
 		if time.Now().After(deadline) {
-			t.Fatal("deferred merges never reached a cadence checkpoint")
+			t.Fatal("shipments never reached a cadence checkpoint")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -372,6 +374,30 @@ func TestShipTenantApplyShipment(t *testing.T) {
 		t.Errorf("replica mass %d, want 9", ks.Mass)
 	}
 
+	// State that does not fit the shipped declaration is refused, and the
+	// error names the shipment, not a checkpoint.
+	wide := cfg
+	wide.Shards = 3
+	wideSrv, wideClient, _ := bootMem(t, wide)
+	if err := wideClient.CreateKey(ctx, "k", "f2"); err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := ownerSrv.ShipTenant("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideShip, err := wideSrv.ShipTenant("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = replicaSrv.ApplyShipment("k", narrow.Spec, wideShip.State, 0, 0)
+	if want := `shipment for "k": conflict: snapshot has 3 shards, tenant runs 2`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("mis-sharded shipment: err = %v, want it to say %q", err, want)
+	}
+	if got, err := replicaClient.Estimate(ctx, "k"); err != nil || got != want {
+		t.Errorf("refused shipment disturbed the replica: estimate %v err %v, want %v", got, err, want)
+	}
+
 	// Non-mergeable tenants ship as spec-only declarations.
 	if err := ownerClient.CreateKeyPolicy(ctx, "rob", "f2", "switching"); err != nil {
 		t.Fatal(err)
@@ -454,7 +480,24 @@ func TestAnswerMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status, err := aSrv.AnswerMerged(req, [][]byte{shF.State}); err == nil || status != http.StatusConflict {
-		t.Errorf("foreign-seed merge: status %d err %v, want 409", status, err)
+	if _, status, err := aSrv.AnswerMerged(req, [][]byte{shA.State, shF.State}); err == nil || status != http.StatusConflict ||
+		!strings.HasPrefix(err.Error(), "envelope 1: conflict: ") {
+		t.Errorf("foreign-seed merge: status %d err %v, want 409 naming envelope 1", status, err)
+	}
+
+	// So must one of another geometry; the error names the envelope.
+	wide := cfg
+	wide.Shards = 3
+	wSrv, wClient, _ := bootMem(t, wide)
+	if err := wClient.CreateKey(ctx, "k", "f2"); err != nil {
+		t.Fatal(err)
+	}
+	shW, err := wSrv.ShipTenant("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, status, err = aSrv.AnswerMerged(req, [][]byte{shW.State})
+	if want := "envelope 0: conflict: snapshot has 3 shards, tenant runs 2"; err == nil || status != http.StatusConflict || !strings.Contains(err.Error(), want) {
+		t.Errorf("mis-sharded envelope: status %d err %v, want 409 saying %q", status, err, want)
 	}
 }

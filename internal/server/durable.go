@@ -1,9 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -48,8 +45,8 @@ type RecoveryStats struct {
 	SkippedCheckpoints int
 }
 
-// Open is New plus durability: with an empty cfg.DataDir it is exactly New;
-// otherwise it opens (or creates) the write-ahead log in cfg.DataDir,
+// Open is New plus a data directory: with an empty cfg.DataDir it is exactly
+// New; otherwise it opens (or creates) the write-ahead log in cfg.DataDir,
 // recovers every tenant from checkpoints and log replay, and journals all
 // subsequent mutations under cfg.Fsync. Call Shutdown (not just Drain) on a
 // durable server so final checkpoints land before exit.
@@ -96,31 +93,22 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 	minLSN := make(map[string]uint64)
 
 	for key, ck := range cks {
-		var raw TenantSpec
-		if err := json.Unmarshal(ck.Spec, &raw); err != nil {
-			s.recovery.SkippedCheckpoints++
-			continue // the create record will re-declare it
+		// The checkpoint covers the log up to its LSN only if it restores
+		// state; from a bare declaration the whole log replays.
+		low := ck.LSN
+		if len(ck.State) == 0 {
+			low = 0
 		}
-		sp, ts, err := resolveTrusted(raw, s.cfg)
+		t, err := s.rebuild(key, ck.Spec, ck.State, ck.Mass, ck.Deleted)
 		if err != nil {
+			// Corrupt or incompatible state: declare the tenant from the
+			// checkpoint's spec alone and let full replay rebuild it. If
+			// the spec is the unreadable part, the create record will
+			// re-declare it.
 			s.recovery.SkippedCheckpoints++
-			continue
-		}
-		t := s.newTenant(key, sp, ts)
-		var low uint64
-		if len(ck.State) > 0 && sp.Mergeable() {
-			if err := restoreState(t, ck.State); err != nil {
-				// Corrupt or incompatible state: start the engine over and
-				// let full replay rebuild it.
-				t.eng.Close()
-				t = s.newTenant(key, sp, ts)
-				s.recovery.SkippedCheckpoints++
-			} else {
-				low = ck.LSN
-				// Mass telemetry lives outside the sketch state; credit
-				// whatever the restore itself did not surface (zero for a
-				// MassReporter estimator, the full checkpoint mass others).
-				t.eng.SeedMass(ck.Mass-t.eng.Mass(), ck.Deleted)
+			low = 0
+			if t, err = s.rebuild(key, ck.Spec, nil, 0, 0); err != nil {
+				continue
 			}
 		}
 		s.tenants[key] = t
@@ -134,18 +122,14 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 			if _, ok := s.tenants[rec.Key]; ok {
 				return nil // already restored from a checkpoint
 			}
-			var raw TenantSpec
-			if err := json.Unmarshal(rec.Data, &raw); err != nil {
-				return nil // unreadable spec: updates for it are dropped too
-			}
-			sp, ts, err := resolveTrusted(raw, s.cfg)
-			if err != nil {
-				return nil
-			}
 			// Recovery re-admits every tenant the log once admitted, even
 			// past a lowered MaxKeys: refusing would silently drop
 			// acknowledged data. New creations stay quota-gated.
-			s.tenants[rec.Key] = s.newTenant(rec.Key, sp, ts)
+			t, err := s.rebuild(rec.Key, rec.Data, nil, 0, 0)
+			if err != nil {
+				return nil // unreadable spec: updates for it are dropped too
+			}
+			s.tenants[rec.Key] = t
 			minLSN[rec.Key] = lsn
 		case wal.KindDelete:
 			if t, ok := s.tenants[rec.Key]; ok {
@@ -173,30 +157,6 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 	})
 }
 
-// restoreState folds a checkpoint's snapshot envelope into a fresh tenant
-// engine via the same two-phase merge the /v1/merge endpoint uses. Any
-// failure means the caller rebuilds the tenant by full replay instead.
-func restoreState(t *tenant, state []byte) error {
-	name, parts, err := decodeSnapshot(state)
-	if err != nil {
-		return err
-	}
-	if name != t.spec.Name {
-		return fmt.Errorf("checkpoint state is a %q snapshot, tenant is %q", name, t.spec.Name)
-	}
-	if len(parts) != t.eng.Shards() {
-		return fmt.Errorf("checkpoint state has %d shards, tenant runs %d", len(parts), t.eng.Shards())
-	}
-	m, err := t.spec.prepare(parts)
-	if err != nil {
-		return err
-	}
-	if err := t.eng.Visit(m.Check); err != nil {
-		return err
-	}
-	return t.eng.Visit(m.Apply)
-}
-
 // logCreate journals a tenant declaration. Called under s.mu before the
 // tenant becomes visible, so every logged update for the key follows its
 // create record.
@@ -204,11 +164,11 @@ func (s *Server) logCreate(t *tenant) error {
 	if s.wal == nil {
 		return nil
 	}
-	specJSON, err := json.Marshal(t.ts)
+	sh, err := t.export(false)
 	if err != nil {
 		return err
 	}
-	_, err = s.wal.Append(wal.Record{Kind: wal.KindCreate, Key: t.key, Data: specJSON})
+	_, err = s.wal.Append(wal.Record{Kind: wal.KindCreate, Key: t.key, Data: sh.Spec})
 	return err
 }
 
@@ -268,21 +228,13 @@ func (s *Server) checkpointTenant(t *tenant) error {
 // no update for this tenant can land between the state serialization and
 // the recorded LSN, so the cut is exact.
 func (s *Server) checkpointTenantLocked(t *tenant) error {
-	specJSON, err := json.Marshal(t.ts)
+	sh, err := t.export(true)
 	if err != nil {
 		return err
 	}
-	var state []byte
-	if t.spec.Mergeable() {
-		if state, err = t.snapshot(); err != nil {
-			return err
-		}
-	}
-	// snapshot flushed and republished above, so the mass reading is
-	// exact for the serialized state (no updates can land under walMu).
 	ck := wal.Checkpoint{
-		Key: t.key, LSN: s.wal.HeadLSN(), Spec: specJSON, State: state,
-		Mass: t.eng.Mass(), Deleted: t.eng.DeletedMass(),
+		Key: t.key, LSN: s.wal.HeadLSN(), Spec: sh.Spec, State: sh.State,
+		Mass: sh.Mass, Deleted: sh.Deleted,
 	}
 	if err := wal.WriteCheckpoint(s.cfg.DataDir, ck); err != nil {
 		return err

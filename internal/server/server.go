@@ -16,6 +16,12 @@
 // — the distributed-aggregation pattern that motivates mergeable
 // sketches. Error replies are always JSON, whatever the request codec.
 //
+// Tenant state moves one way: tenant.export assembles what WAL create
+// records, checkpoints and replication shipments carry, Server.rebuild
+// installs it for boot recovery and ApplyShipment, and every snapshot
+// envelope — a /v1/merge body, a checkpoint, a shipment, a ?merge=all peer
+// envelope — is staged and folded by spec.stage and merger.fold.
+//
 // Tenants are declared with a TenantSpec (POST /v2/keys): a sketch ×
 // policy × model combination — any base sketch in the registry composed
 // with any robustness policy of internal/robust (none, switching, ring,
@@ -113,7 +119,7 @@ type Config struct {
 	FlipBudget int
 
 	// DataDir, when non-empty and the server is created with Open, enables
-	// durability: a write-ahead log plus per-tenant checkpoints live there
+	// persistence: a write-ahead log plus per-tenant checkpoints live there
 	// and every tenant survives a crash or restart. New ignores it.
 	DataDir string
 
@@ -205,6 +211,51 @@ func (t *tenant) snapshot() ([]byte, error) {
 		return nil, err
 	}
 	return encodeSnapshot(t.spec.Name, parts), nil
+}
+
+// export is the tenant as it crosses a restart or a node boundary — what
+// a WAL create record, a checkpoint and a replication shipment all carry:
+// the resolved TenantSpec as JSON (seed included, which is what makes the
+// rebuilt copy snapshot-compatible, and why none of the three is a
+// tenant-facing surface) and, withState, the snapshot envelope plus the
+// mass telemetry that lives outside it. A robust tenant exports its
+// declaration only, whatever withState says: a switching ensemble is not
+// linear state, it is rebuilt by replaying the stream under the same seed.
+// rebuild is the inverse.
+func (t *tenant) export(withState bool) (*wire.Ship, error) {
+	specJSON, err := json.Marshal(t.ts)
+	if err != nil {
+		return nil, err
+	}
+	sh := &wire.Ship{Key: t.key, Spec: specJSON}
+	if !withState || !t.spec.Mergeable() {
+		return sh, nil
+	}
+	if sh.State, err = t.snapshot(); err != nil {
+		return nil, err
+	}
+	// snapshot flushed and republished, so the mass reading is the
+	// serialized state's.
+	sh.Mass = t.eng.Mass()
+	sh.Deleted = t.eng.DeletedMass()
+	return sh, nil
+}
+
+// fold adds a snapshot envelope into the tenant's engine, or fails with
+// the engine untouched (see spec.stage and merger.fold).
+func (t *tenant) fold(envelope []byte) error {
+	name, parts, err := decodeSnapshot(envelope)
+	if err != nil {
+		return err
+	}
+	if name != t.spec.Name {
+		return fmt.Errorf("%w: snapshot is a %q snapshot, tenant is %q", errConflict, name, t.spec.Name)
+	}
+	m, err := t.spec.stage(parts, t.eng.Shards())
+	if err != nil {
+		return err
+	}
+	return m.fold(t.eng)
 }
 
 // Server is a sketchd instance. Create with New (in-memory) or Open
@@ -378,6 +429,40 @@ func (s *Server) newTenant(key string, sp spec, ts TenantSpec) *tenant {
 			Seed:    tenantSeed(root, key),
 		}),
 	}
+}
+
+// rebuild is the one way a tenant comes back from bytes this or another
+// server exported (see tenant.export): boot recovery's checkpoint and
+// create-record arms and ApplyShipment all install through it. The spec
+// resolves as trusted — the caps bound client requests, not declarations a
+// server already admitted — and the tenant is admitted past MaxKeys by
+// every caller: refusing would silently drop acknowledged or replicated
+// data. The returned tenant has a running engine and is not yet mapped.
+func (s *Server) rebuild(key string, specJSON, state []byte, mass, deleted int64) (*tenant, error) {
+	var raw TenantSpec
+	if err := json.Unmarshal(specJSON, &raw); err != nil {
+		return nil, fmt.Errorf("bad spec: %w", err)
+	}
+	sp, ts, err := resolveTrusted(raw, s.cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bad spec: %w", err)
+	}
+	if len(state) > 0 && !sp.Mergeable() {
+		return nil, fmt.Errorf("state for %s, which is not mergeable", sp.Display())
+	}
+	t := s.newTenant(key, sp, ts)
+	if len(state) == 0 {
+		return t, nil
+	}
+	if err := t.fold(state); err != nil {
+		t.eng.Close()
+		return nil, err
+	}
+	// Mass telemetry lives outside the sketch state; credit whatever the
+	// fold itself did not surface (zero for a MassReporter estimator, the
+	// full exported mass for the others).
+	t.eng.SeedMass(mass-t.eng.Mass(), deleted)
+	return t, nil
 }
 
 // Drain stops accepting writes and closes every tenant engine, flushing
@@ -565,22 +650,6 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if s.forwarded(w, r, r.URL.Query().Get("key")) {
 		return
 	}
-	// durability=deferred trades the per-merge fsync for the checkpoint
-	// cadence: the merge still lands atomically in live state, but its
-	// durability coalesces with other deferred merges into one background
-	// checkpoint (~8 per checkpoint; see deferredCheckpointWeight). The
-	// replication shipper merges on every ship interval — synchronous
-	// checkpoints there would serialize the whole cluster on fsync. The
-	// default keeps the operator-initiated merge durable before the 200.
-	deferred := false
-	switch d := r.URL.Query().Get("durability"); d {
-	case "", "checkpoint":
-	case "deferred":
-		deferred = true
-	default:
-		fail(w, http.StatusBadRequest, fmt.Errorf("unknown durability %q (use checkpoint or deferred)", d))
-		return
-	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
@@ -612,15 +681,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if t := s.lookup(r.URL.Query().Get("key")); t != nil {
 		want = t.eng.Shards()
 	}
-	if len(parts) != want {
-		fail(w, http.StatusConflict,
-			fmt.Errorf("%w: snapshot has %d shards, the destination keyspace runs %d (snapshot exchange requires identical shards and seed)",
-				errConflict, len(parts), want))
-		return
-	}
-	m, err := sp.prepare(parts)
+	// Still before the tenant map is touched: a snapshot that does not fit
+	// is a 409, one that does not decode a 400.
+	m, err := sp.stage(parts, want)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		fail(w, http.StatusBadRequest, fmt.Errorf("merge body: %w", err))
 		return
 	}
 	t, err := s.getOrCreate(r.URL.Query().Get("key"), raw)
@@ -629,23 +694,18 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A merge mutates sketch state without a WAL record (snapshot bodies
-	// are not journaled); its durability is the checkpoint written below.
-	// The tenant's walMu write lock makes merge + checkpoint atomic against
-	// concurrent update logging and cadence checkpoints.
+	// are not journaled); the checkpoint written below is what makes it
+	// durable. The tenant's walMu write lock makes merge + checkpoint atomic
+	// against concurrent update logging and cadence checkpoints.
 	if s.wal != nil {
 		t.walMu.Lock()
 		defer t.walMu.Unlock()
 	}
-	// Two-phase merge: check every shard's compatibility without mutating
-	// (phase 1), then apply (phase 2). A mismatch — almost always a
-	// different root seed — aborts with the sketches untouched, so the
-	// client can safely retry after fixing the snapshot.
-	if err := t.eng.Visit(m.Check); err != nil {
-		fail(w, http.StatusConflict, fmt.Errorf("%w: %v", errConflict, err))
-		return
-	}
-	if err := t.eng.Visit(m.Apply); err != nil {
-		fail(w, http.StatusInternalServerError, err)
+	// A failed compatibility check is a 409 with the sketches untouched, so
+	// the client can safely retry after fixing the snapshot; a failure once
+	// counters have moved is a 500.
+	if err := m.fold(t.eng); err != nil {
+		fail(w, http.StatusInternalServerError, fmt.Errorf("merge body: %w", err))
 		return
 	}
 	// Re-check the tenant map: Visit succeeds even on an engine closed by
@@ -660,12 +720,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.wal != nil {
-		if deferred {
-			// Counted toward the cadence, not checkpointed here: a crash
-			// before the coalesced checkpoint loses the merge, which the
-			// deferred contract allows (the shipper re-sends state anyway).
-			s.maybeCheckpoint(t, s.deferredCheckpointWeight())
-		} else if err := s.checkpointTenantLocked(t); err != nil {
+		if err := s.checkpointTenantLocked(t); err != nil {
 			// The merge is applied in memory but not durable. Refuse the
 			// 200: the client must treat the merge outcome as unknown (a
 			// blind retry could double-fold the snapshot into live state).

@@ -124,10 +124,14 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 	if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", bad); code != http.StatusBadRequest {
 		t.Errorf("corrupted merge into fresh key: HTTP %d, want 400", code)
 	}
-	if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", encodeSnapshot(name, parts[:1])); code != http.StatusConflict {
+	code, body := do(http.MethodPost, "/v1/merge?key=fresh", encodeSnapshot(name, parts[:1]))
+	if code != http.StatusConflict {
 		t.Errorf("wrong shard count into fresh key: HTTP %d, want 409", code)
 	}
-	code, body := do(http.MethodGet, "/v1/stats", nil)
+	if want := "merge body: conflict: snapshot has 1 shards, tenant runs 2"; !strings.Contains(string(body), want) {
+		t.Errorf("wrong shard count into fresh key answered %s, want it to say %q", body, want)
+	}
+	code, body = do(http.MethodGet, "/v1/stats", nil)
 	if code != 200 {
 		t.Fatalf("stats: HTTP %d", code)
 	}

@@ -80,17 +80,26 @@ func (sp spec) marshal(est sketch.Estimator) ([]byte, error) {
 // shard. Check is a non-mutating compatibility probe (it merges an empty
 // Fresh copy of the decoded part, which verifies dimensions and shared
 // randomness without changing any counter); Apply folds the part in. The
-// two-phase protocol makes POST /v1/merge atomic: every part is decoded
-// and checked against every shard before the first counter moves, so a
-// failed merge leaves no partial state for a client retry to double
+// two-phase protocol makes every fold atomic — POST /v1/merge, a restored
+// checkpoint, an applied shipment, a ?merge=all peer envelope: every part
+// is decoded and checked against every shard before the first counter
+// moves, so a failed fold leaves no partial state for a retry to double
 // count.
 type merger struct {
 	codec *sketch.Codec
 	parts []sketch.Estimator
 }
 
-// prepare decodes every snapshot part through the spec's codec.
-func (sp spec) prepare(parts [][]byte) (*merger, error) {
+// stage takes the parts of a decoded snapshot envelope (decodeSnapshot)
+// meant for a tenant of this spec running the given shard count and decodes
+// each through the spec's codec — everything the bytes alone can tell,
+// before any engine is touched. A well-formed snapshot of the wrong
+// geometry is errConflict; callers prefix where the bytes came from.
+func (sp spec) stage(parts [][]byte, shards int) (*merger, error) {
+	if len(parts) != shards {
+		return nil, fmt.Errorf("%w: snapshot has %d shards, tenant runs %d (snapshot exchange requires identical shards and seed)",
+			errConflict, len(parts), shards)
+	}
 	ms := make([]sketch.Estimator, len(parts))
 	for i, part := range parts {
 		o, err := sp.codec.Unmarshal(part)
@@ -100,6 +109,16 @@ func (sp spec) prepare(parts [][]byte) (*merger, error) {
 		ms[i] = o
 	}
 	return &merger{codec: sp.codec, parts: ms}, nil
+}
+
+// fold runs the two phases against an engine: check every shard without
+// mutating, then apply. A failed check — almost always a different root
+// seed — is errConflict and leaves the sketches untouched.
+func (m *merger) fold(eng *engine.Engine) error {
+	if err := eng.Visit(m.Check); err != nil {
+		return fmt.Errorf("%w: %v", errConflict, err)
+	}
+	return eng.Visit(m.Apply)
 }
 
 func (m *merger) Check(i int, est sketch.Estimator) error {

@@ -27,7 +27,6 @@ var (
 	_ sketch.Estimator = (*fp.Indyk)(nil)
 	_ sketch.Estimator = (*fp.MaxStable)(nil)
 	_ sketch.Estimator = (*heavyhitters.CountSketch)(nil)
-	_ sketch.Estimator = (*heavyhitters.CountMin)(nil)
 	_ sketch.Estimator = (*heavyhitters.MisraGries)(nil)
 	_ sketch.Estimator = (*entropy.Exact)(nil)
 	_ sketch.Estimator = (*entropy.CC)(nil)
@@ -37,7 +36,6 @@ var (
 	_ sketch.Estimator = (*robust.HeavyHitters)(nil)
 
 	_ sketch.PointQuerier = (*heavyhitters.CountSketch)(nil)
-	_ sketch.PointQuerier = (*heavyhitters.CountMin)(nil)
 	_ sketch.PointQuerier = (*heavyhitters.MisraGries)(nil)
 
 	_ sketch.DuplicateInsensitive = (*f0.Exact)(nil)
@@ -68,7 +66,6 @@ func TestEstimatorContractSmoke(t *testing.T) {
 		"fp.Indyk":       fp.NewIndyk(1, 16, rng),
 		"fp.MaxStable":   fp.NewMaxStable(3, 4, 2, 16, rng),
 		"hh.CountSketch": heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 3, Width: 16}, rng),
-		"hh.CountMin":    heavyhitters.NewCountMin(heavyhitters.Sizing{Rows: 2, Width: 16}, rng),
 		"hh.MisraGries":  heavyhitters.NewMisraGries(4),
 		"entropy.Exact":  entropy.NewExact(),
 		"entropy.CC":     entropy.NewCC(entropy.CCSizing{Groups: 3, Per: 8}, rng),

@@ -1,4 +1,4 @@
-// Package wal implements the durability layer behind sketchd: a segmented,
+// Package wal implements the persistence layer behind sketchd: a segmented,
 // CRC-per-record append-only log plus per-tenant checkpoint files.
 //
 // The log is deliberately dumb about its payloads. A record is a kind byte, a
