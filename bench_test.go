@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates every table and figure
-// of the paper at benchmark scale — one benchmark per experiment ID of
-// DESIGN.md §3. Custom metrics (space ratios, break points, error levels)
+// of the paper at benchmark scale — one benchmark per experiment ID in the
+// index of cmd/experiments' package comment. Custom metrics (space ratios, break points, error levels)
 // are attached via b.ReportMetric; run with
 //
 //	go test -bench=. -benchmem
@@ -92,7 +92,7 @@ func BenchmarkTable1Fp(b *testing.B) {
 }
 
 // BenchmarkTable1FpSmallDelta — Theorem 1.5: computation-paths Fp update
-// cost at the tiny-δ sizing (capped; see EXPERIMENTS.md).
+// cost at the tiny-δ sizing (capped; see robust.Policy.KCap).
 func BenchmarkTable1FpSmallDelta(b *testing.B) {
 	rob := mustWrap(b, robust.Policy{Kind: robust.Paths, StreamLen: 1 << 12, MaxCount: 1024, KCap: 2048}, 0.5, 1<<10, 7, robust.LpProblem(2))
 	b.ResetTimer()

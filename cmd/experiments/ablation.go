@@ -14,7 +14,7 @@ import (
 	"repro/internal/stream"
 )
 
-// runAblation exercises the design choices DESIGN.md calls out:
+// runAblation exercises four design choices:
 //
 //  1. ring vs dense sketch switching (Theorem 4.1's optimization);
 //  2. rounding granularity vs instance burn rate;

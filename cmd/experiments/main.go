@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index):
+// evaluation. The experiment index:
 //
 //	t1         Table 1: space of static vs robust vs deterministic algorithms
 //	ams        Theorem 9.1: Algorithm 3 vs the dense AMS sketch (series + success rate)

@@ -71,7 +71,7 @@ func runFastF0() {
 	fmt.Println("\n(the median approach pays Θ(log 1/δ) per update; Algorithm 2's level lists")
 	fmt.Println(" pay O(1) plus hashing. Over GF(2^61−1) — which has no NTT-friendly root of")
 	fmt.Println(" unity — Karatsuba multipoint hashing breaks even only at very large d, so")
-	fmt.Println(" the unbatched variant is the practical winner; see EXPERIMENTS.md.)")
+	fmt.Println(" the unbatched variant is the practical winner; see internal/hash/multipoint.go.)")
 }
 
 // runCrossover compares the space formulas of sketch switching

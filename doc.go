@@ -1,7 +1,7 @@
 // Package repro is the root of a from-scratch Go reproduction of
 // "A Framework for Adversarially Robust Streaming Algorithms"
 // (Ben-Eliezer, Jayaram, Woodruff, Yogev — PODS 2020). The library lives
-// under internal/ (see DESIGN.md for the package map), runnable examples
+// under internal/ (the package map is below), runnable examples
 // under examples/, and the experiment harness under cmd/experiments. The
 // root package holds the benchmark suite that regenerates every table and
 // figure of the paper (bench_test.go).

@@ -335,7 +335,7 @@ func queryResponseFromFrame(wr *wire.QueryResponse) *server.QueryResponse {
 
 // QueryPoint returns the point estimate of f[item] for keyspace key,
 // together with the absolute error bound ε·‖f‖₂ implied by the tenant's
-// resolved ε (point-querying tenants only — the countsketch column).
+// resolved ε (KeyStats.PointQueries tenants only; others answer HTTP 400).
 func (c *Client) QueryPoint(ctx context.Context, key string, item uint64) (value, bound float64, err error) {
 	resp, err := c.Query(ctx, key, []Query{{Kind: server.QueryPoint, Item: server.U64(item)}})
 	if err != nil {
@@ -349,7 +349,7 @@ func (c *Client) QueryPoint(ctx context.Context, key string, item uint64) (value
 
 // TopK returns the k largest-magnitude candidate heavy items of keyspace
 // key with their estimated frequencies, largest |weight| first
-// (point-querying tenants only).
+// (countsketch+none and countsketch+ring tenants only, as QueryPoint).
 func (c *Client) TopK(ctx context.Context, key string, k int) ([]ItemWeight, error) {
 	resp, err := c.Query(ctx, key, []Query{{Kind: server.QueryTopK, K: k}})
 	if err != nil {

@@ -18,6 +18,11 @@
 //     probability δ₀ small enough to union-bound over every output
 //     sequence the rounded algorithm can produce.
 //
+// Both transformations are robust only against an adversary who sees the
+// rounded output and nothing else (Lemmas 3.6, 3.8), so Switcher and Paths
+// expose no per-coordinate query; robust point queries are a different
+// construction, the frozen ring of Theorem 6.5 (robust.HeavyHitters).
+//
 // The assembled robust estimators for concrete problems (F0, Fp, heavy
 // hitters, entropy, bounded deletions, cryptographic F0) live in
 // internal/robust; the adversarial game loop lives in internal/game.

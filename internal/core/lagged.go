@@ -113,17 +113,6 @@ func (l *Lagged) Drain() {
 	}
 }
 
-// Resummate drains, then recomputes the running aggregates of every live
-// instance that maintains them (sketch.IncrementalEstimator).
-func (l *Lagged) Resummate() {
-	l.Drain()
-	for _, inst := range l.instances {
-		if inc, ok := inst.(sketch.IncrementalEstimator); ok {
-			inc.Resummate()
-		}
-	}
-}
-
 // SpaceBytes sums the live instances, the lag buffer, and the coalesced
 // buffer with its item index (one 16-byte entry per slot each).
 func (l *Lagged) SpaceBytes() int {

@@ -53,46 +53,8 @@ func (p *Paths) UpdateBatch(batch []sketch.Update) {
 	}
 }
 
-// Resummate implements sketch.IncrementalEstimator when the inner
-// instance maintains running aggregates; otherwise it is a no-op.
-func (p *Paths) Resummate() {
-	if inc, ok := p.inner.(sketch.IncrementalEstimator); ok {
-		inc.Resummate()
-	}
-}
-
 // Estimate returns the rounded output.
 func (p *Paths) Estimate() float64 { return p.r.Current() }
-
-// Query implements sketch.PointQuerier when the inner instance does,
-// forwarding its raw per-coordinate estimate. Returns 0 if the inner
-// instance cannot point-query.
-//
-// These answers are best-effort reads outside the robustness guarantee:
-// the path-collapse argument (Lemma 3.8) bounds the adversary's view by
-// the rounded output sequence, and an unrounded per-coordinate answer is
-// a side channel that view does not count — the δ₀ union bound covers
-// the fixed streams of the rounded game, not streams adapted to raw
-// point values. Theorem-backed adversarially robust point queries exist
-// only in the frozen-ring construction (robust.HeavyHitters).
-func (p *Paths) Query(item uint64) float64 {
-	pq, ok := p.inner.(sketch.PointQuerier)
-	if !ok {
-		return 0
-	}
-	return pq.Query(item)
-}
-
-// TopK implements sketch.TopKQuerier by forwarding to the inner instance;
-// see Query. Returns nil if the inner instance cannot enumerate
-// candidates.
-func (p *Paths) TopK(k int) []sketch.ItemWeight {
-	tk, ok := p.inner.(sketch.TopKQuerier)
-	if !ok {
-		return nil
-	}
-	return tk.TopK(k)
-}
 
 // Changes returns how many distinct values the output has taken.
 func (p *Paths) Changes() int { return p.r.Changes() }

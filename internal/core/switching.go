@@ -37,16 +37,14 @@ const pendingCap = 16384
 // behind a bounded lag buffer (Lagged) and catch up in batch, or lazily
 // when read, so published outputs, switch counts and flip budgets are
 // update-for-update identical to the synchronous formulation. In dense
-// mode, instances below the published one can never influence an output
-// again — they are retired (dropped entirely) at switch time, so a dense
-// Switcher's footprint shrinks as its flip budget is consumed.
+// mode an instance whose value has been published can never influence an
+// output again — it is dropped at switch time, so a dense Switcher's
+// footprint shrinks as its flip budget is consumed.
 type Switcher struct {
 	eps       float64
 	factory   sketch.Factory
-	lag       Lagged // the instances; slots below retired are dropped (dense mode)
+	lag       Lagged // the instances; dense mode drops the slots below active
 	active    int
-	published int // instance whose estimate produced the current output
-	retired   int // dense mode: count of dropped instances (ring: always 0)
 	out       float64
 	ring      bool
 	switches  int
@@ -110,7 +108,6 @@ func (s *Switcher) step(item uint64, delta int64) {
 	}
 	s.out = RoundEps(y, s.eps/2)
 	s.switches++
-	s.published = s.active
 	s.advance()
 }
 
@@ -124,74 +121,22 @@ func (s *Switcher) advance() {
 		s.lag.Current(s.active)
 		return
 	}
-	// Dense mode: instances below the newly published one can never be
-	// read again (queries go to published, estimates to active) — drop
-	// them so the wrapper's footprint tracks the remaining flip budget.
-	for i := s.retired; i < s.published; i++ {
-		s.lag.Drop(i)
-	}
-	s.retired = s.published
-	if s.active+1 < s.lag.Len() {
-		s.active++
-		s.lag.Current(s.active)
+	if s.active+1 == s.lag.Len() {
+		// Flip budget exceeded: the λ sizing was too small for this stream.
+		// Keep answering from the last instance (correctness is no longer
+		// guaranteed) and surface the condition via Exhausted.
+		s.exhausted = true
 		return
 	}
-	// Flip budget exceeded: the λ sizing was too small for this stream.
-	// Keep answering from the last instance (correctness is no longer
-	// guaranteed) and surface the condition via Exhausted.
-	s.exhausted = true
+	// Dense mode: the instance just published is spent — drop it, so the
+	// wrapper's footprint tracks the remaining flip budget.
+	s.lag.Drop(s.active)
+	s.active++
+	s.lag.Current(s.active)
 }
 
 // Estimate returns the current published (rounded) output.
 func (s *Switcher) Estimate() float64 { return s.out }
-
-// Resummate implements sketch.IncrementalEstimator: the backlog is
-// drained, then forwarded to every live instance that maintains running
-// aggregates.
-func (s *Switcher) Resummate() { s.lag.Resummate() }
-
-// Query implements sketch.PointQuerier when the inner instances do: the
-// answer comes from the published copy — the instance whose estimate
-// produced the current rounded output — never from the active instance,
-// whose randomness must stay unobserved until its value is published.
-// Meaningful in dense mode only (the published copy keeps ingesting but
-// its value has already been spent); in ring mode the published slot is
-// restarted with fresh randomness the moment its value is used, so the
-// slot holds a suffix-only sketch that would answer near-zero — Query
-// returns 0 explicitly, and ring-backed point queries must go through a
-// problem-specific frozen construction instead (robust.HeavyHitters,
-// Theorem 6.5). Returns 0 if the inner instances cannot point-query.
-//
-// These answers are best-effort reads outside the robustness guarantee:
-// they are neither rounded nor counted against the flip budget, and the
-// published copy keeps ingesting, so an adversary probing coordinates
-// between switches observes live randomness the Lemma 3.6 argument never
-// pays for. Theorem-backed adversarially robust point queries exist only
-// in the frozen-ring construction.
-func (s *Switcher) Query(item uint64) float64 {
-	if s.ring {
-		return 0
-	}
-	pq, ok := s.lag.Current(s.published).(sketch.PointQuerier)
-	if !ok {
-		return 0
-	}
-	return pq.Query(item)
-}
-
-// TopK implements sketch.TopKQuerier from the published copy; see Query
-// for which instance answers and why. Returns nil in ring mode and if the
-// inner instances cannot enumerate candidates.
-func (s *Switcher) TopK(k int) []sketch.ItemWeight {
-	if s.ring {
-		return nil
-	}
-	tk, ok := s.lag.Current(s.published).(sketch.TopKQuerier)
-	if !ok {
-		return nil
-	}
-	return tk.TopK(k)
-}
 
 // Switches returns how many times the published output changed.
 func (s *Switcher) Switches() int { return s.switches }
@@ -200,13 +145,19 @@ func (s *Switcher) Switches() int { return s.switches }
 // (never true in ring mode).
 func (s *Switcher) Exhausted() bool { return s.exhausted }
 
-// Copies returns the number of live (non-retired) instances.
-func (s *Switcher) Copies() int { return s.lag.Len() - s.retired }
+// Copies returns the number of live instances: every slot in ring mode,
+// the active one and those above it in dense mode.
+func (s *Switcher) Copies() int {
+	if s.ring {
+		return s.lag.Len()
+	}
+	return s.lag.Len() - s.active
+}
 
 // Robustness implements sketch.RobustnessReporter: ring mode reports an
 // unbounded budget (instances are recycled), dense mode reports the copy
 // count it was sized for as the flip budget, with Copies tracking the
-// live instances that retirement has not yet dropped.
+// instances not yet spent.
 func (s *Switcher) Robustness() sketch.Robustness {
 	r := sketch.Robustness{
 		Policy:    "switching",

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/f0"
 	"repro/internal/fp"
-	"repro/internal/heavyhitters"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -162,18 +161,14 @@ func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 	if len(big.lag.pending) != 0 || len(big.lag.net) != 4 {
 		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", pendingCap, len(big.lag.pending), len(big.lag.net))
 	}
-	inner := 0
-	for _, inst := range big.lag.instances[big.retired:] {
-		inner += inst.SpaceBytes()
-	}
-	if got, want := big.SpaceBytes()-inner, 16+16*cap(big.lag.pending)+32*cap(big.lag.net); got != want {
+	if got, want := big.SpaceBytes()-liveBytes(big), 16+16*cap(big.lag.pending)+32*cap(big.lag.net); got != want {
 		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer + coalesced buffer and its index)", got, want)
 	}
 }
 
 func TestSwitcherRetirementShrinksSpace(t *testing.T) {
-	// Dense mode: instances below the published copy can never influence
-	// an output again, so switching must release their space and report
+	// Dense mode: an instance whose value was published can never influence
+	// an output again, so switching must release its space and report
 	// fewer live copies. The inner sketch allocates its full footprint at
 	// construction (unlike KMV, which grows as it fills), so retirement
 	// shows up as an absolute drop.
@@ -219,7 +214,6 @@ type referenceSwitcher struct {
 	factory   sketch.Factory
 	instances []sketch.Estimator
 	active    int
-	published int
 	out       float64
 	ring      bool
 	switches  int
@@ -246,7 +240,6 @@ func (r *referenceSwitcher) Update(item uint64, delta int64) {
 	}
 	r.out = RoundEps(y, r.eps/2)
 	r.switches++
-	r.published = r.active
 	if r.ring {
 		r.instances[r.active] = r.factory(r.nextSeed)
 		r.nextSeed += 7919
@@ -262,15 +255,37 @@ func (r *referenceSwitcher) Update(item uint64, delta int64) {
 
 func (r *referenceSwitcher) Estimate() float64 { return r.out }
 
-func (r *referenceSwitcher) Query(item uint64) float64 {
-	if r.ring {
-		return 0
+// liveBytes sums the instances the Switcher still holds.
+func liveBytes(sw *Switcher) int {
+	total := 0
+	for _, inst := range sw.lag.instances {
+		if inst != nil {
+			total += inst.SpaceBytes()
+		}
 	}
-	pq, ok := r.instances[r.published].(sketch.PointQuerier)
-	if !ok {
-		return 0
+	return total
+}
+
+// checkShape is the footprint half of the equivalence: what the production
+// Switcher holds is a function of the reference's switch count alone. A
+// ring keeps every slot; a dense ensemble of slots instances has spent one
+// per switch, until the last one, which stays and keeps answering. With
+// fixedFootprint inner sketches (allocated whole at construction) the live
+// bytes are that many instances exactly, so SpaceBytes — live bytes plus
+// buffers a switch does not touch — never rises across a switch.
+func checkShape(t *testing.T, i int, sw *Switcher, ref *referenceSwitcher, fixedFootprint bool) {
+	t.Helper()
+	slots := len(ref.instances)
+	want := slots
+	if !ref.ring {
+		want = max(slots-ref.switches, 1)
 	}
-	return pq.Query(item)
+	if got := sw.Copies(); got != want {
+		t.Fatalf("update %d: %d live copies after %d switches of %d slots, want %d", i, got, ref.switches, slots, want)
+	}
+	if per := ref.instances[slots-1].SpaceBytes(); fixedFootprint && liveBytes(sw) != want*per {
+		t.Fatalf("update %d: %d live bytes, want %d copies of %d", i, liveBytes(sw), want, per)
+	}
 }
 
 // streamF2Updates yields a deterministic mixed-sign update sequence with
@@ -311,6 +326,10 @@ func TestSwitcherMatchesReferencePerUpdate(t *testing.T) {
 				if sw.Exhausted() != ref.exhausted {
 					t.Fatalf("update %d: exhausted %v != reference %v", i, sw.Exhausted(), ref.exhausted)
 				}
+				checkShape(t, i, sw, ref, true)
+			}
+			if ref.exhausted == tc.ring {
+				t.Fatalf("exhausted %v after %d switches of %d copies: the dense case must outrun its budget, so the last instance is seen staying", ref.exhausted, ref.switches, tc.copies)
 			}
 		})
 	}
@@ -348,34 +367,13 @@ func TestSwitcherBatchMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSwitcherDenseQueryMatchesReference(t *testing.T) {
-	// The published copy trails behind the lag buffer and catches up on
-	// read; its point-query answers must equal the synchronous form's.
-	factory := func(seed int64) sketch.Estimator {
-		return heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
-	}
-	sw := NewSwitcher(0.3, 24, false, 42, factory)
-	ref := newReferenceSwitcher(0.3, 24, false, 42, factory)
-	for i, u := range streamF2Updates(4000, 17) {
-		sw.Update(u.Item, u.Delta)
-		ref.Update(u.Item, u.Delta)
-		if i%97 != 0 {
-			continue
-		}
-		for item := uint64(0); item < 512; item += 31 {
-			if got, want := sw.Query(item), ref.Query(item); got != want {
-				t.Fatalf("update %d: Query(%d) = %v, reference %v", i, item, got, want)
-			}
-		}
-	}
-}
-
 // TestSwitcherMatchesReferenceAcrossDrains is the equality oracle that
 // actually executes drain(): the stream is longer than three lag buffers,
 // Zipf-skewed so most entries of a buffer repeat an item already in it,
 // with small mixed-sign deltas so repeats net to zero now and then.
-// Published output, switch count and exhaustion must match the synchronous
-// reference after every update, and once the backlog is drained every live
+// Published output, switch count, exhaustion and live-copy count must match
+// the synchronous reference after every update, and once the backlog is
+// drained every live
 // instance must hold the reference instance's estimate bit for bit.
 func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 	f2 := func(seed int64) sketch.Estimator {
@@ -398,11 +396,12 @@ func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 		factory sketch.Factory
 		ring    bool
 		copies  int
+		fixed   bool // the inner sketch allocates its whole footprint up front
 	}{
-		{"f2/dense", f2, false, 160},
-		{"f2/ring", f2, true, RingCopies(0.3)},
-		{"kmv/dense", kmv, false, 96},
-		{"kmv/ring", kmv, true, 12},
+		{"f2/dense", f2, false, 160, true},
+		{"f2/ring", f2, true, RingCopies(0.3), true},
+		{"kmv/dense", kmv, false, 96, false},
+		{"kmv/ring", kmv, true, 12, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sw := NewSwitcher(0.3, tc.copies, tc.ring, 42, tc.factory)
@@ -414,6 +413,7 @@ func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 					t.Fatalf("update %d: (estimate, switches, exhausted) = (%v, %d, %v), reference (%v, %d, %v)",
 						i, sw.Estimate(), sw.Switches(), sw.Exhausted(), ref.Estimate(), ref.switches, ref.exhausted)
 				}
+				checkShape(t, i, sw, ref, tc.fixed)
 			}
 			if sw.Switches() < 8 {
 				t.Fatalf("only %d switches; the stream must move instances between the drained groups", sw.Switches())

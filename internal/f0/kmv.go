@@ -228,8 +228,7 @@ type TrackingParams struct {
 // universe of size n. Correctness at the O(ε⁻¹ log n) milestones where F0
 // grows by (1+ε/3) extends to all steps by monotonicity, so the median
 // repetition count union-bounds over milestones rather than over all m
-// steps. This replaces the optimal tracking algorithm of [6] as documented
-// in DESIGN.md (substitution 1).
+// steps. This replaces the optimal tracking algorithm of [6].
 func TrackingSizing(eps, delta float64, n uint64) TrackingParams {
 	return TrackingSizingLn(eps, math.Log(1/delta), n)
 }

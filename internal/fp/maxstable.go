@@ -19,8 +19,7 @@ import (
 // scaled vector with width Θ(n^{1−2/p}) — the width at which the scaled
 // maximum dominates the sketch noise, and the source of the n^{1−2/p}
 // factor in Theorem 1.7's space bound. This construction substitutes for
-// the Ganguly–Woodruff algorithm [14] the paper cites (DESIGN.md,
-// substitution 3).
+// the Ganguly–Woodruff algorithm [14] the paper cites.
 // The sketch implements sketch.IncrementalEstimator: each row caches its
 // largest bucket magnitude (and its position), updated in O(1) per touch
 // except when the maximal bucket shrinks, which triggers an O(w) rescan

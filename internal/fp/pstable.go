@@ -14,8 +14,8 @@ import (
 // with relative error O(1/√k). The per-(item, counter) variates are
 // derived on the fly from a salted SplitMix64 stream, the standard
 // pseudorandom substitution for the full independence Indyk's analysis
-// assumes (Nisan's PRG in the original; documented in DESIGN.md,
-// substitution 2). It is a linear sketch and supports turnstile updates.
+// assumes (Nisan's PRG in the original; see package dist). It is a linear
+// sketch and supports turnstile updates.
 //
 // This is the static algorithm of Theorems 1.4, 1.5 and 4.3 (via the
 // robust wrappers), replacing the cited [27]/[7] constructions.

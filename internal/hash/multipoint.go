@@ -13,7 +13,7 @@ package hash
 // NTT; the batch evaluation costs O(M(d)·log d) field operations with
 // M(d) = O(d^1.585), still far below the d^2 cost of d Horner evaluations,
 // and the asymptotic claim of Prop. 5.3 is recovered with an FFT-capable
-// modulus. This trade-off is documented in DESIGN.md.
+// modulus (cmd/experiments' fastf0 measures the break-even).
 
 // polyAdd returns a + b (coefficient-wise, mod Prime).
 func polyAdd(a, b []uint64) []uint64 {

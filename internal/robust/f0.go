@@ -14,9 +14,9 @@ import (
 // output is a (1±ε)-approximation of ‖f^(t)‖₀ at every step of any
 // adaptively chosen insertion-only stream over [n].
 func NewF0(eps, delta float64, n uint64, seed int64) *core.Switcher {
-	// Inner accuracy ε/5 (the paper's proof constant is ε/20; see the
-	// DESIGN.md note on constants — the integration tests validate the
-	// end-to-end ε guarantee empirically). The construction is the ring
+	// Inner accuracy ε/5 (the paper's proof constant is ε/20; see
+	// Problem.Eps0Div — the integration tests validate the end-to-end ε
+	// guarantee empirically). The construction is the ring
 	// instance of the generic policy layer over F0Problem.
 	est, err := Policy{Kind: Ring}.Wrap(eps, delta, n, seed, F0Problem())
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/cascaded"
@@ -14,20 +13,24 @@ import (
 	"repro/internal/stream"
 )
 
-// goldenCell is one fixed-seed construction driven over one fixed stream.
-// hash digests, per update, (Float64bits(Estimate()), Robustness().Switches)
-// — plus Query/TopK probes every 50 updates for the point-querying cells —
-// and the final SpaceBytes and Copies. budget is the reported flip budget.
-// The cells whose name starts "long/" cross lag-buffer drains; their
-// digest leaves SpaceBytes out, because the parent that generated the
-// hashes did not yet charge the drain's coalescing scratch.
+// goldenCell is one fixed-seed construction driven over one fixed stream,
+// pinned by two records. stream is what an observer of the published
+// outputs sees: a digest of, per update, (Float64bits(Estimate()),
+// Robustness().Switches) — plus Query/TopK probes every 50 updates for the
+// two cells whose point answers a theorem covers (points). The shape is
+// what the operator pays at the end of the stream: SpaceBytes, live Copies
+// and the reported flip budget. A change to the wrappers' bookkeeping may
+// move a shape; nothing may move a stream.
 type goldenCell struct {
 	name   string
 	est    sketch.Estimator
 	gen    stream.Generator
 	points bool
-	hash   string
-	budget int
+}
+
+type goldenPin struct {
+	stream                string
+	space, copies, budget int
 }
 
 func goldenCells(t *testing.T) []goldenCell {
@@ -51,53 +54,47 @@ func goldenCells(t *testing.T) []goldenCell {
 		return robust.Policy{Kind: robust.Paths, StreamLen: m, MaxCount: maxCount, KCap: kCap}
 	}
 	cells := []goldenCell{
-		{"NewF0", robust.NewF0(0.4, 0.05, 1<<20, 7), zipf(), false, "495ca2c694639f87", -1},
-		{"NewFp/p=1", robust.NewFp(1, 0.5, 0.05, 1<<12, 5), short(), false, "e1258d9b760fe307", -1},
-		{"NewFp/p=1.5", robust.NewFp(1.5, 0.5, 0.05, 1<<12, 5), short(), false, "f9b9b8afc35dab13", -1},
-		{"NewFp/p=2", robust.NewFp(2, 0.4, 0.05, 1<<16, 9), zipf(), false, "5a0afc98de7928de", -1},
-		{"NewHeavyHitters", robust.NewHeavyHitters(0.3, 0.05, 1<<20, 25), zipf(), true, "a96d9d9c81566a00", -1},
-		{"NewEntropy", robust.NewEntropy(1.0, 0.05, 30, 21), short(), false, "52fc4ebf28fe3f2c", 30},
+		{"NewF0", robust.NewF0(0.4, 0.05, 1<<20, 7), zipf(), false},
+		{"NewFp/p=1", robust.NewFp(1, 0.5, 0.05, 1<<12, 5), short(), false},
+		{"NewFp/p=1.5", robust.NewFp(1.5, 0.5, 0.05, 1<<12, 5), short(), false},
+		{"NewFp/p=2", robust.NewFp(2, 0.4, 0.05, 1<<16, 9), zipf(), false},
+		{"NewHeavyHitters", robust.NewHeavyHitters(0.3, 0.05, 1<<20, 25), zipf(), true},
+		{"NewEntropy", robust.NewEntropy(1.0, 0.05, 30, 21), short(), false},
 
 		// Theorem 1.5 at its honest λ; Theorems 1.6 / 1.11 under their
 		// declared stream models (p = 1 takes the Indyk moment path).
 		{"f2+paths/theorem-1.5", wrap(paths(1<<12, 1024, 2048), 0.5, 0.001, 1<<10, 7, robust.LpProblem(2)),
-			zipf(), false, "4eecf83a467b777b", 424},
+			zipf(), false},
 		{"f2+paths/turnstile", wrap(paths(1200, 0, 4096), 0.5, 0.05, 600, 5, model(2, robust.TurnstileModel(64))),
-			stream.NewInsertDelete(600), false, "4a1c897957c67814", 64},
+			stream.NewInsertDelete(600), false},
 		{"f2+paths/bounded_deletion", wrap(paths(3000, 3000, 2048), 0.5, 0.05, 256, 17, model(2, robust.BoundedDeletionModel(4))),
-			stream.NewBoundedDeletion(256, 3000, 2, 4, 0.4, 19), false, "2377d0323240c23c", 137984},
+			stream.NewBoundedDeletion(256, 3000, 2, 4, 0.4, 19), false},
 		{"f1+paths/bounded_deletion", wrap(paths(4000, 4000, 2500), 0.5, 0.001, 256, 17, model(1, robust.BoundedDeletionModel(4))),
-			stream.NewBoundedDeletion(256, 3000, 1, 4, 0.4, 19), false, "1bc8dd5be89b885a", 2224},
+			stream.NewBoundedDeletion(256, 3000, 1, 4, 0.4, 19), false},
 
 		// Theorem 1.2 (Algorithm 2 inner) and Theorem 1.7 (max-stable
 		// inner): hand-assembled at the parent, where they reported -1.
 		{"F0-fast", wrap(paths(1<<13, 0, 0), 0.4, 0.001, 1<<12, 7, robust.F0FastProblem()),
-			stream.NewUniform(1<<11, 4096, 5), false, "4dee80b7581f826b", 423},
+			stream.NewUniform(1<<11, 4096, 5), false},
 		{"Fp-big", wrap(paths(10000, 4000, 0), 0.4, 0.001, 4096, 13, robust.FpBigProblem(3, 100, 3)),
-			stream.NewZipf(4096, 4000, 1.5, 15), false, "54e72f35d03df4e9", 561},
+			stream.NewZipf(4096, 4000, 1.5, 15), false},
 
 		// Cascaded norms: (2,2) flattens to the L2 norm (cascaded.NewRobust22
 		// at the parent); (p,k) rings over exact trackers.
-		{"cascaded(2,2)", robust.NewFp(2, 0.25, 0.05, 1<<16, 3), zipf(), false, "518abe2fd9d7464c", -1},
+		{"cascaded(2,2)", robust.NewFp(2, 0.25, 0.05, 1<<16, 3), zipf(), false},
 		{"cascaded(1,2)", wrap(robust.Policy{Kind: robust.Ring}, 0.25, 0.05, 16*64, 1, cascaded.Problem(1, 2, 64)),
-			stream.NewUniform(16*64, 3000, 9), false, "1847e89e93a8b5b6", -1},
+			stream.NewUniform(16*64, 3000, 9), false},
 
 		// Long enough to cross two lag-buffer drains (16 384 updates each):
 		// the trailing copies these cells switch to were fed by the drain.
 		{"long/kmv+switching", wrap(robust.Policy{Kind: robust.Switching, Budget: 96, KCap: 64}, 0.3, 0.05, 1<<20, 7, robust.F0Problem()),
-			stream.NewZipf(1<<20, 40000, 1.2, 31), false, "e259c483bc958fab", 96},
+			stream.NewZipf(1<<20, 40000, 1.2, 31), false},
 		{"long/f2+ring", wrap(robust.Policy{Kind: robust.Ring, KCap: 64}, 0.3, 0.05, 1<<20, 7, robust.LpProblem(2)),
-			stream.NewZipf(1<<20, 40000, 1.2, 33), false, "20fa3ef6d9f7f9a2", -1},
+			stream.NewZipf(1<<20, 40000, 1.2, 33), false},
 	}
 
 	// Every registry cell: the four hosted base problems under every policy
 	// Check admits, at test-scale budget and cap.
-	hashes := map[string]string{
-		"f2+switching": "4413b7f33b466c25", "f2+ring": "48751b01abc63837", "f2+paths": "507b68cb0fb3bc19",
-		"kmv+switching": "3e27274bdb676abc", "kmv+ring": "eaa87b0d68371faa", "kmv+paths": "8e23979b16e0370e",
-		"countsketch+switching": "756ee53cd72f8033", "countsketch+ring": "cf2b3ca27ad78b54", "countsketch+paths": "ed556852721641c9",
-		"cc+switching": "bd6ffe905ff6b150", "cc+paths": "64209cf61a383b94",
-	}
 	for _, r := range []struct {
 		name string
 		prob robust.Problem
@@ -110,31 +107,59 @@ func goldenCells(t *testing.T) []goldenCell {
 			if pol.Check(r.prob) != nil {
 				continue
 			}
-			budget := 24
-			if kind == robust.Ring {
-				budget = -1
-			}
 			name := r.name + "+" + kind.String()
-			cells = append(cells, goldenCell{name, wrap(pol, 0.5, 0.05, 1<<16, 3, r.prob), short(),
-				r.name == "countsketch", hashes[name], budget})
+			cells = append(cells, goldenCell{name, wrap(pol, 0.5, 0.05, 1<<16, 3, r.prob), short(), name == "countsketch+ring"})
 		}
 	}
 	return cells
 }
 
-// TestGoldenEstimates pins every surviving constructor and every registry
-// cell to the published outputs of the commit before Policy.Wrap became
-// the only construction path (hashes generated there, with the deleted
-// constructors in place of their Wrap spellings): same estimates, switch
-// counts, point-query answers and space, update for update. The one
-// permitted difference is the budget of F0-fast and Fp-big, which were
-// hand-assembled without a flip budget and reported -1; through Wrap they
-// report the theorem's λ.
+// goldenPins: the stream digests were generated at the last commit where
+// Switcher and Paths still served unrounded point/top-k reads, and no
+// change to the wrappers may edit one. Shapes follow the bookkeeping: a
+// dense-switching cell holds its slots minus one per switch.
+var goldenPins = map[string]goldenPin{
+	"F0-fast":                   {"5040067f2e70393e", 40168, 1, 423},
+	"Fp-big":                    {"7570bb2cfe8171da", 323316, 1, 561},
+	"NewEntropy":                {"44110b87c0ed9816", 514248, 21, 30},
+	"NewF0":                     {"703b690abf8cbe24", 144176, 32, -1},
+	"NewFp/p=1":                 {"5e3795570f4d4554", 834096, 25, -1},
+	"NewFp/p=1.5":               {"871437e321335868", 834096, 25, -1},
+	"NewFp/p=2":                 {"aadf5bcc2e76d117", 7658256, 32, -1},
+	"NewHeavyHitters":           {"05aa2030e7a97c4e", 31317536, 86, -1},
+	"cascaded(1,2)":             {"79ea6c67e5911445", 81632, 52, -1},
+	"cascaded(2,2)":             {"f4a10a040efaf203", 31693168, 52, -1},
+	"cc+paths":                  {"74ec798ec2111301", 21624, 1, 24},
+	"cc+switching":              {"b5abd9406b228642", 128536, 5, 24},
+	"countsketch+paths":         {"1809c267e82b0e01", 15832, 1, 24},
+	"countsketch+ring":          {"fa1a6118fb4ba630", 5965592, 50, -1},
+	"countsketch+switching":     {"d8a34ff62e98283b", 36312, 1, 24},
+	"f1+paths/bounded_deletion": {"1ccaad91ce70f7ff", 40016, 1, 2224},
+	"f2+paths":                  {"9cd527fa90e56d86", 41608, 1, 24},
+	"f2+paths/bounded_deletion": {"fa76d44daf814f8f", 41608, 1, 137984},
+	"f2+paths/theorem-1.5":      {"706368d5b88eea8c", 41608, 1, 424},
+	"f2+paths/turnstile":        {"4aa3f4058ff2ce57", 41608, 1, 64},
+	"f2+ring":                   {"c13b9f86ff3f4625", 1060296, 25, -1},
+	"f2+switching":              {"c13b9f86ff3f4625", 62088, 1, 24},
+	"kmv+paths":                 {"ac6bac138760c0c7", 10288, 1, 24},
+	"kmv+ring":                  {"ac6bac138760c0c7", 31920, 25, -1},
+	"kmv+switching":             {"ac6bac138760c0c7", 30960, 5, 24},
+	"long/f2+ring":              {"8aa832588dd47949", 5369408, 43, -1},
+	"long/kmv+switching":        {"065269990a0fd867", 2758064, 43, 96},
+}
+
+// TestGoldenEstimates pins every constructor and every registry cell:
+// same estimates, switch counts and theorem-backed point answers, update
+// for update, and the same final footprint.
 func TestGoldenEstimates(t *testing.T) {
 	for _, c := range goldenCells(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			want, ok := goldenPins[c.name]
+			if !ok {
+				t.Fatal("no golden pin")
+			}
 			rr := c.est.(sketch.RobustnessReporter)
 			h := fnv.New64a()
 			put := func(v uint64) {
@@ -162,15 +187,12 @@ func TestGoldenEstimates(t *testing.T) {
 				}
 			}
 			r := rr.Robustness()
-			if !strings.HasPrefix(c.name, "long/") {
-				put(uint64(c.est.SpaceBytes()))
+			got := goldenPin{fmt.Sprintf("%016x", h.Sum64()), c.est.SpaceBytes(), r.Copies, r.Budget}
+			if got.stream != want.stream {
+				t.Errorf("stream %s, want %s", got.stream, want.stream)
 			}
-			put(uint64(r.Copies))
-			if got := fmt.Sprintf("%016x", h.Sum64()); got != c.hash {
-				t.Errorf("hash %s, want %s", got, c.hash)
-			}
-			if r.Budget != c.budget || r.Exhausted {
-				t.Errorf("robustness %+v, want unexhausted budget %d", r, c.budget)
+			if got != want || r.Exhausted {
+				t.Errorf("shape %+v (exhausted %v), want unexhausted %+v", got, r.Exhausted, want)
 			}
 		})
 	}

@@ -105,16 +105,6 @@ func (hh *HeavyHitters) refresh() {
 	hh.next = (hh.next + 1) % hh.ring.Len()
 }
 
-// Resummate implements sketch.IncrementalEstimator: the backlog is
-// drained, then forwarded to the norm tracker and every CountSketch.
-func (hh *HeavyHitters) Resummate() {
-	hh.ring.Resummate()
-	hh.norm.Resummate()
-	if hh.frozen != nil {
-		hh.frozen.Resummate()
-	}
-}
-
 // Query returns the published point-query estimate of f_item (from the
 // frozen snapshot only — live instances never leak).
 func (hh *HeavyHitters) Query(item uint64) float64 {

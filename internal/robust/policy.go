@@ -150,7 +150,7 @@ type Problem struct {
 
 	// Eps0Div divides the (scaled) target ε to get the inner instances'
 	// accuracy ε₀ (the paper's proof constants are ε/20; the repository's
-	// coarser divisors are validated empirically — see DESIGN.md).
+	// coarser divisors are validated empirically by robust_test.go).
 	Eps0Div float64
 
 	// Inner builds a statically correct instance with accuracy eps0 and
@@ -290,9 +290,11 @@ func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {
 // a wrapper: below it, it gives an inner sketch the semantics its Problem
 // tracks (norm from a moment sketch, moment from a norm sketch, 2^H from
 // an entropy sketch); above it, it applies Problem.Publish to the rounded
-// output. The optional surfaces — batch ingest, resummation, point and
-// top-k queries, robustness state — forward to inner when it has them and
-// degrade to the per-update loop, a no-op, or the zero answer otherwise.
+// output. The optional write-side surfaces — batch ingest, the coalescing
+// declaration — and the robustness state forward to inner when it has them
+// and degrade to the per-update loop, false, or the zero answer otherwise.
+// It forwards no per-coordinate read: a wrapper's guarantee covers its
+// rounded output only.
 type mapAdapter struct {
 	inner sketch.Estimator
 	f     func(float64) float64
@@ -310,30 +312,6 @@ func (a mapAdapter) UpdateBatch(batch []sketch.Update) { sketch.ApplyBatch(a.inn
 func (a mapAdapter) CoalesceInvariant() bool {
 	c, ok := a.inner.(sketch.CoalesceInvariant)
 	return ok && c.CoalesceInvariant()
-}
-
-// Resummate implements sketch.IncrementalEstimator.
-func (a mapAdapter) Resummate() {
-	if inc, ok := a.inner.(sketch.IncrementalEstimator); ok {
-		inc.Resummate()
-	}
-}
-
-// Query implements sketch.PointQuerier; per-coordinate answers are in the
-// inner sketch's frequency domain, so f does not apply.
-func (a mapAdapter) Query(item uint64) float64 {
-	if pq, ok := a.inner.(sketch.PointQuerier); ok {
-		return pq.Query(item)
-	}
-	return 0
-}
-
-// TopK implements sketch.TopKQuerier; see Query.
-func (a mapAdapter) TopK(k int) []sketch.ItemWeight {
-	if tk, ok := a.inner.(sketch.TopKQuerier); ok {
-		return tk.TopK(k)
-	}
-	return nil
 }
 
 // Robustness implements sketch.RobustnessReporter.
@@ -374,7 +352,7 @@ func LpProblem(p float64) Problem {
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 			// Milestone union bound for (ε₀, δ)-tracking: correctness at
 			// the O(ε₀⁻¹·log T) milestones where the monotone norm grows
-			// by (1+ε₀) pins it everywhere (DESIGN.md, substitution 2).
+			// by (1+ε₀) pins it everywhere (the f0.TrackingSizing argument).
 			milestones := math.Log(float64(n)+4)/math.Log1p(eps0) + 2
 			lnInv := lnInvDelta + math.Log(milestones)
 			if p == 2 {

@@ -263,55 +263,40 @@ func (c batchCounter) UpdateBatch(b []sketch.Update) {
 // TestAdapterForwardsOptionalInterfaces: the single estimate-mapping
 // adapter sits between every wrapper and its inner sketches, so the
 // optional surfaces the wrappers probe for by type assertion must pass
-// through it — point and top-k queries down to the inner CountSketch, and
-// the trailing copies' batch catch-up down to the inner F2 sketch.
+// through it — the trailing copies' batch catch-up down to the inner F2
+// sketch — and it must add no per-coordinate read of its own.
 func TestAdapterForwardsOptionalInterfaces(t *testing.T) {
-	const heavy = uint64(7)
-	for _, pol := range []Policy{
-		{Kind: Switching, Budget: 24},
-		{Kind: Paths, Budget: 24, KCap: 64},
-	} {
-		est := mustWrap(t, pol, 0.5, 0.05, 1<<16, 3, HHL2Problem())
-		for i := uint64(0); i < 2000; i++ {
-			est.Update(heavy, 1)
-			est.Update(1000+i, 1)
-		}
-		tk, ok := est.(sketch.TopKQuerier)
-		if !ok {
-			t.Fatalf("countsketch+%s does not answer point queries", pol)
-		}
-		if got := tk.Query(heavy); math.Abs(got-2000) > 500 {
-			t.Errorf("countsketch+%s: Query(heavy) = %v, want ≈ 2000 from the inner CountSketch", pol, got)
-		}
-		if top := tk.TopK(1); len(top) != 1 || top[0].Item != heavy {
-			t.Errorf("countsketch+%s: TopK(1) = %v, want the heavy item", pol, top)
-		}
-	}
-
 	batches := 0
 	prob := LpProblem(2)
 	prob.Inner = func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 		f2 := fp.NewF2(fp.SizeF2Ln(eps0, lnInvDelta), rand.New(rand.NewSource(seed)))
 		return mapAdapter{batchCounter{f2, &batches}, math.Sqrt}
 	}
-	est := mustWrap(t, Policy{Kind: Switching, Budget: 8}, 0.5, 0.05, 1<<16, 3, prob)
-	for i := uint64(0); i < 100; i++ {
-		est.Update(i, 1)
+	est := mustWrap(t, Policy{Kind: Switching, Budget: 64}, 0.5, 0.05, 1<<16, 3, prob)
+	// A switch catches up one instance, the new active one. Only a drain —
+	// forced here by feeding past the lag bound, on four items so the norm
+	// climbs slowly enough to leave trailing copies — feeds several at once.
+	drained := false
+	for i := uint64(0); i < 20000; i++ {
+		before := batches
+		est.Update(i%4, 1)
+		drained = drained || batches-before > 1
 	}
-	est.(sketch.IncrementalEstimator).Resummate() // drains the lag buffer into every trailing copy
-	if batches == 0 {
-		t.Error("f2+switching: no trailing copy received its backlog through UpdateBatch")
+	if !drained {
+		t.Error("f2+switching: no drain fed the trailing copies their backlog through UpdateBatch")
+	}
+	if _, ok := est.(sketch.PointQuerier); ok {
+		t.Error("f2+switching answers point queries: a wrapper's only read is its rounded output")
 	}
 
 	// Over an inner with none of the optional surfaces the adapter
 	// degrades instead of panicking.
 	plain := mapAdapter{f0.NewExact(), math.Sqrt}
 	plain.UpdateBatch([]sketch.Update{{Item: 1, Delta: 1}, {Item: 2, Delta: 1}, {Item: 3, Delta: 1}, {Item: 4, Delta: 1}})
-	plain.Resummate()
 	if got := plain.Estimate(); got != 2 {
 		t.Errorf("adapter over exact F0: estimate %v after a 4-item batch, want sqrt(4)", got)
 	}
-	if plain.Query(1) != 0 || plain.TopK(1) != nil || plain.Robustness() != (sketch.Robustness{}) {
+	if plain.CoalesceInvariant() || plain.Robustness() != (sketch.Robustness{}) {
 		t.Error("adapter over a plain inner must answer zero values for the surfaces it lacks")
 	}
 }

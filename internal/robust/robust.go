@@ -27,6 +27,11 @@
 // The Section 10 constructions (NewCryptoF0, NewOracleF0; Theorem 10.1)
 // robustify through a PRF instead of a policy and stand apart.
 //
+// Every wrapper publishes its rounded estimate and its Robustness state,
+// and nothing per coordinate (Lemmas 3.6 and 3.8 bound the adversary's view
+// by the rounded outputs) — except the one the paper proves: HeavyHitters
+// answers Query, TopK and Set from the frozen ring of Theorem 6.5.
+//
 // Both places where copies trail the stream — the Switcher's non-active
 // instances and the Theorem 6.5 CountSketch ring of HeavyHitters — keep
 // them in a core.Lagged: one bounded lag buffer, batch catch-up, and

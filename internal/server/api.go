@@ -219,18 +219,17 @@ const (
 	// whatever the tenant's sketch × policy cell publishes.
 	QueryEstimate = "estimate"
 
-	// QueryPoint asks for the point estimate of f[item] (point-querying
-	// tenants only — the countsketch column). Robustness scope: the
-	// adversarially robust point-query guarantee (Theorem 6.5) holds for
-	// countsketch+ring tenants, whose answers come from frozen copies.
-	// countsketch+switching and +paths answer from live policy-layer
-	// state — best-effort reads the flip-budget guarantee (which covers
-	// the scalar estimate) does not extend to.
+	// QueryPoint asks for the point estimate of f[item]. Two cells
+	// answer it: countsketch+none from the live static sketch (oblivious
+	// guarantee), and countsketch+ring from the frozen copies of
+	// Theorem 6.5, the paper's one adversarially robust per-coordinate
+	// surface. Every other tenant — countsketch+switching and +paths
+	// included, whose guarantee exists only while the ε-rounded scalar is
+	// all the adversary sees (Lemmas 3.6, 3.8) — answers 400.
 	QueryPoint = "point"
 
 	// QueryTopK asks for the k largest-magnitude candidate heavy items
-	// with their estimated frequencies (point-querying tenants only;
-	// same robustness scope as QueryPoint).
+	// with their estimated frequencies (the same two cells as QueryPoint).
 	QueryTopK = "topk"
 )
 
@@ -331,7 +330,7 @@ type KeyStats struct {
 	Spec *TenantSpec `json:"spec,omitempty"`
 
 	// PointQueries reports whether the tenant answers point and topk
-	// queries over POST /v2/query.
+	// queries over POST /v2/query (see QueryPoint).
 	PointQueries bool `json:"point_queries,omitempty"`
 
 	// Robustness is the aggregated robustness-budget state of the

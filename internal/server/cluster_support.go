@@ -176,7 +176,7 @@ func (s *Server) answerQuery(t *tenant, req *QueryRequest, batch func([]uint64, 
 	}
 	if needsPoints && !t.spec.points {
 		return nil, http.StatusBadRequest,
-			fmt.Errorf("keyspace %q hosts %s, which does not answer point or topk queries (create a countsketch tenant)",
+			fmt.Errorf("keyspace %q hosts %s, which does not answer point or topk queries (countsketch+none and countsketch+ring do)",
 				t.key, t.spec.Display())
 	}
 

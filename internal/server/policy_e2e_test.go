@@ -115,9 +115,13 @@ func TestPolicyMatrixOverHTTP(t *testing.T) {
 	}
 
 	// Robust tenants refuse snapshots (their ensembles are not
-	// linear-mergeable); the static tenant still serves them.
-	if _, err := c.Snapshot(ctx, "f2-paths"); client.StatusCode(err) != 501 {
-		t.Errorf("snapshot of a paths tenant: %v, want 501", err)
+	// linear-mergeable), naming the cell — the base sketch alone is
+	// serializable; the static tenant still serves them.
+	for _, pol := range policies[1:] {
+		_, err := c.Snapshot(ctx, "f2-"+pol)
+		if want := `sketch type "f2+` + pol + `" is not serializable`; client.StatusCode(err) != 501 || !strings.Contains(err.Error(), want) {
+			t.Errorf("snapshot of the %s tenant: %v, want 501 %s", pol, err, want)
+		}
 	}
 	if _, err := c.Snapshot(ctx, "f2-none"); err != nil {
 		t.Errorf("snapshot of the static tenant: %v", err)

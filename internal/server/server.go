@@ -626,7 +626,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	if !t.spec.Mergeable() {
 		fail(w, http.StatusNotImplemented,
-			fmt.Errorf("sketch type %q is not serializable (robust ensembles are not linear-mergeable)", t.spec.Name))
+			fmt.Errorf("sketch type %q is not serializable (robust ensembles are not linear-mergeable)", t.spec.Display()))
 		return
 	}
 	state, err := t.snapshot()

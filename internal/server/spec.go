@@ -43,9 +43,10 @@ import (
 // conformance kit and the attack-campaign harness use both to judge
 // estimates against ground truth; robust marks the combinations whose
 // estimates must survive adaptive query/update interleaving. points marks
-// the combinations that answer POST /v2/query point and topk queries, and
-// l2Of converts their published estimate into the L2 norm the point-query
-// error bound ε·‖f‖₂ is stated against.
+// the two combinations that answer POST /v2/query point and topk queries,
+// countsketch+none and countsketch+ring (see QueryPoint for why no other),
+// and l2Of converts their published estimate into the L2 norm the
+// point-query error bound ε·‖f‖₂ is stated against.
 type spec struct {
 	Name     string // base sketch name (registry key)
 	Policy   string // robustness policy name ("none" for the static sketch)
@@ -525,7 +526,7 @@ func resolveWith(raw TenantSpec, cfg Config, trusted bool) (spec, TenantSpec, er
 		Policy:   policyName,
 		robust:   true,
 		additive: b.robustAdditive,
-		points:   b.static.points,
+		points:   b.static.points && pol.Kind == robust.Ring,
 		model:    model,
 		combine:  b.robustCombine,
 		truth:    b.robustTruth,

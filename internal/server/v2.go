@@ -122,14 +122,14 @@ func (s *Server) handleV2Keys(w http.ResponseWriter, r *http.Request) {
 
 // handleV2Query serves POST /v2/query: a batch of typed queries answered
 // from one flushed read of the tenant's engine, so every answer in the
-// batch reflects the same stream prefix. Point and topk queries require a
-// point-querying tenant (the countsketch column); their error bound is
-// the Section 6 guarantee ε·‖f‖₂, computed from the tenant's resolved ε
-// and its current norm estimate. Queries keep working on a draining
-// server — they are reads, like /v1/estimate. The body codec is
-// negotiated by Content-Type (JSON or a query frame) and the answer
-// codec by Accept; both arms share validateQueryRequest and the answer
-// assembly below, so codec choice never changes semantics.
+// batch reflects the same stream prefix. Point and topk queries are
+// answered by countsketch+none and countsketch+ring tenants only (see
+// QueryPoint); their error bound is the Section 6 guarantee ε·‖f‖₂, from
+// the tenant's resolved ε and its current norm estimate. Queries keep
+// working on a draining server — they are reads, like /v1/estimate. The
+// body codec is negotiated by Content-Type (JSON or a query frame) and the
+// answer codec by Accept; both arms share validateQueryRequest and the
+// answer assembly below, so codec choice never changes semantics.
 func (s *Server) handleV2Query(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodPost) {
 		return

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -186,6 +187,69 @@ func TestV2QueryBatch(t *testing.T) {
 	// Estimate queries still work on non-point tenants.
 	if resp, err := c.Query(ctx, "norms", []client.Query{{Kind: server.QueryEstimate}}); err != nil || len(resp.Answers) != 1 {
 		t.Errorf("estimate query on f2 tenant: %v / %+v", err, resp)
+	}
+}
+
+// TestV2PointQueryCells: of the countsketch column, the static sketch and
+// the Theorem 6.5 ring answer point and topk; switching and paths publish
+// their robust L2 scalar and refuse per-coordinate reads with one 400 body
+// whichever codec carried the batch. /v2/keys and /v1/stats say which is
+// which before a client has to find out.
+func TestV2PointQueryCells(t *testing.T) {
+	srv := server.New(server.Config{Shards: 1, Eps: 0.3, Delta: 0.05, N: 1 << 16, Seed: 3, MaxKeys: 8, FlipBudget: 32})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(srv.Drain)
+	jc := client.New(hs.URL, hs.Client(), client.WithCodec(client.CodecJSON))
+	bc := client.New(hs.URL, hs.Client(), client.WithCodec(client.CodecBinary))
+	ctx := context.Background()
+
+	var ups []client.Update
+	for i := uint64(0); i < 400; i++ {
+		ups = append(ups, client.Update{Item: i % 7, Delta: 1}, client.Update{Item: 100 + i, Delta: 1})
+	}
+	for _, tc := range []struct {
+		policy string
+		points bool
+	}{
+		{"none", true},
+		{"ring", true},
+		{"switching", false},
+		{"paths", false},
+	} {
+		key := "cs-" + tc.policy
+		ks, err := jc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "countsketch", Policy: tc.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ks.PointQueries != tc.points {
+			t.Errorf("countsketch+%s: /v2/keys echoes point_queries=%v, want %v", tc.policy, ks.PointQueries, tc.points)
+		}
+		if st, err := jc.KeyStats(ctx, key); err != nil || st.PointQueries != tc.points {
+			t.Errorf("countsketch+%s: /v1/stats reports point_queries=%v (%v), want %v", tc.policy, st.PointQueries, err, tc.points)
+		}
+		if err := bc.Update(ctx, key, ups); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := bc.Query(ctx, key, []client.Query{{Kind: server.QueryEstimate}}); err != nil || len(resp.Answers) != 1 || resp.Answers[0].Value <= 0 {
+			t.Errorf("countsketch+%s: estimate query: %v / %+v", tc.policy, err, resp)
+		}
+		for _, q := range []client.Query{{Kind: server.QueryPoint, Item: 3}, {Kind: server.QueryTopK, K: 2}} {
+			batch := []client.Query{{Kind: server.QueryEstimate}, q}
+			jresp, jerr := jc.Query(ctx, key, batch)
+			bresp, berr := bc.Query(ctx, key, batch)
+			if tc.points {
+				if jerr != nil || berr != nil || len(jresp.Answers) != 2 || len(bresp.Answers) != 2 {
+					t.Errorf("countsketch+%s: %s query: json %v, frame %v", tc.policy, q.Kind, jerr, berr)
+				}
+				continue
+			}
+			if client.StatusCode(jerr) != 400 || client.StatusCode(berr) != 400 || jerr.Error() != berr.Error() {
+				t.Errorf("countsketch+%s: %s query: json %v, frame %v; want the same HTTP 400", tc.policy, q.Kind, jerr, berr)
+			} else if !strings.Contains(jerr.Error(), "countsketch+"+tc.policy) || !strings.Contains(jerr.Error(), "countsketch+none and countsketch+ring do") {
+				t.Errorf("countsketch+%s: refusal %q does not name the cell and the two that answer", tc.policy, jerr)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
 // TestU64JSON: item identifiers survive the wire in both directions —
@@ -160,27 +162,25 @@ func TestResolvePerTenantSizing(t *testing.T) {
 	if fine <= coarse {
 		t.Errorf("ε=0.1 tenant (%d bytes) not larger than ε=0.4 tenant (%d bytes)", fine, coarse)
 	}
-	// Point-query metadata covers the whole countsketch policy column and
-	// nothing else.
-	for _, policy := range Policies() {
-		sp, _, err := resolve(TenantSpec{Sketch: "countsketch", Policy: policy}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sp.points {
-			t.Errorf("countsketch+%s does not report point queries", policy)
-		}
-		if sp.l2Of == nil {
-			t.Errorf("countsketch+%s has no L2 conversion for the point bound", policy)
-		}
-	}
-	for _, name := range []string{"f2", "kmv", "cc"} {
-		sp, _, err := resolve(TenantSpec{Sketch: name}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp.points {
-			t.Errorf("%s spuriously reports point queries", name)
+	// Point-query metadata is true exactly where a theorem (or the static
+	// sketch's oblivious guarantee) covers a per-coordinate answer, and that
+	// is exactly where the shard estimator can answer one.
+	for name := range bases {
+		for _, policy := range Policies() {
+			sp, ts, err := resolve(TenantSpec{Sketch: name, Policy: policy}, cfg)
+			if err != nil {
+				continue // cc+ring: not a hostable cell
+			}
+			want := name == "countsketch" && (policy == "none" || policy == "ring")
+			if sp.points != want {
+				t.Errorf("%s reports point queries = %v, want %v", sp.Display(), sp.points, want)
+			}
+			if _, ok := sp.factory(ts)(1).(sketch.TopKQuerier); ok != want {
+				t.Errorf("%s shard estimator answers point queries = %v, want %v", sp.Display(), ok, want)
+			}
+			if want && sp.l2Of == nil {
+				t.Errorf("%s has no L2 conversion for the point bound", sp.Display())
+			}
 		}
 	}
 }

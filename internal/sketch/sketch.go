@@ -20,6 +20,27 @@
 // The conformance kit's incremental-consistency, batch-consistency and
 // coalesce-consistency properties enforce the three contracts for every
 // registered type.
+//
+// Every optional interface is probed by type assertion, so each has to
+// earn its place by a non-test caller or a rung of the benchmark ladder
+// (bench --trace 1):
+//
+//	interface             implementers                                                         non-test caller                                     ladder rung
+//	BatchUpdater          F2Sketch, KMV, Median, CountSketch, Switcher, Paths, HeavyHitters    ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns
+//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                              core.NewLagged: one coalesced buffer per drain      robust.self_update_ns
+//	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                     none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
+//	PointQuerier          CountSketch, MisraGries, robust.HeavyHitters                         engine.QueryBatch                                   sketch.point_ns, engine.point_us
+//	TopKQuerier           CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
+//	RobustnessReporter    Switcher, Paths, robust.HeavyHitters                                 engine shard publish, to /v1/stats and /v2/query    robust.switches, robust.copies_live
+//	DuplicateInsensitive  KMV, Median (iff its members), Alg2 (unbatched), HLL, Exact          robust.NewCryptoF0, NewOracleF0 refuse non-declarers none: a soundness check (Theorem 10.1)
+//	engine.MassReporter   entropy.CC                                                           engine shard publish; the Entropy combiner needs it none: a merged cc tenant is wrong without it
+//
+// robust's estimate adapter forwards the first two and the reporter.
+// IncrementalEstimator is the one with no caller outside its implementers
+// (each resummates itself on ResumInterval, Merge and Unmarshal): it names
+// a contract, it is not dispatched on. The two per-coordinate rows stop at
+// the sketches and HeavyHitters on purpose: a generic wrapper's guarantee
+// covers its rounded estimate only.
 package sketch
 
 // Estimator is a one-pass streaming algorithm that tracks a real-valued
