@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/codec"
 )
@@ -41,6 +42,13 @@ func (cc *CC) UnmarshalBinary(data []byte) error {
 	if len(salts) != groups*per || len(y) != groups*per {
 		return fmt.Errorf("entropy: inconsistent CC state (%d×%d dims, %d salts, %d counters)",
 			groups, per, len(salts), len(y))
+	}
+	for j, v := range y {
+		// A stream only ever adds finite products; a NaN or ±Inf merged in
+		// would stay for good (NaN + x is NaN, Inf − Inf is NaN).
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("entropy: CC counter %d is %v", j, v)
+		}
 	}
 	cc.groups, cc.per, cc.salts, cc.y, cc.f1 = groups, per, salts, y, f1
 	return nil

@@ -115,7 +115,7 @@ func (s *HLL) Merge(other *HLL) error {
 	if other.precision != s.precision {
 		return errPrecisionMismatch
 	}
-	if !samePoly(s.h, other.h) {
+	if !s.h.Equal(other.h) {
 		return ErrIncompatible
 	}
 	for i, r := range other.regs {

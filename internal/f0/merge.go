@@ -27,24 +27,11 @@ func (s *KMV) Fresh() *KMV {
 // sketch is exactly the sketch of the concatenated streams, so shards of
 // a distributed stream can be combined losslessly.
 func (s *KMV) Merge(other *KMV) error {
-	if !samePoly(s.h, other.h) {
+	if !s.h.Equal(other.h) {
 		return ErrIncompatible
 	}
 	for _, v := range other.vals {
 		s.insertValue(v)
 	}
 	return nil
-}
-
-func samePoly(a, b interface{ Coeffs() []uint64 }) bool {
-	ca, cb := a.Coeffs(), b.Coeffs()
-	if len(ca) != len(cb) {
-		return false
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,3 +1,16 @@
+// Package fp implements frequency-moment (Fp) estimators: the AMS F2
+// sketch in both its dense form (the attack target of Section 9 of the
+// paper) and its fast bucketed form, Indyk's p-stable sketch for
+// p ∈ (0, 2], and a max-stability estimator for p > 2. These are the
+// static algorithms wrapped by the robustification framework
+// (Theorems 1.4–1.7).
+//
+// F2Sketch (f2.go) is also the repository's one signed-counter matrix:
+// the row update kernel, the running row aggregates, Resummate, the
+// counter merge and the per-row codec exist here and nowhere else.
+// heavyhitters.CountSketch holds an F2Sketch for its counters and owns
+// only what Lemma 6.4 adds on top — the median point query and the
+// candidate pool.
 package fp
 
 import (
@@ -23,10 +36,13 @@ import (
 // Estimate costs O(rows) — a scratch-buffer quickselect over the row
 // aggregates — instead of an O(rows·width) rescan. That difference is
 // what makes the robust wrappers' per-update drift checks affordable.
+//
+// Counters are int64 — every delta is an int64 and every sign is ±1 — which
+// is what keeps the aggregates exact and what CoalesceInvariant rests on.
 type F2Sketch struct {
 	rows, w int
 	hs      []hash.Poly
-	c       [][]float64
+	c       [][]int64
 
 	sumSq      []float64 // per-row running Σ_b c[r][b]²
 	scratch    []float64 // Estimate's quickselect buffer
@@ -69,21 +85,25 @@ func NewF2(s F2Sizing, rng *rand.Rand) *F2Sketch {
 	f := &F2Sketch{rows: s.Rows, w: s.Width}
 	for r := 0; r < s.Rows; r++ {
 		f.hs = append(f.hs, hash.NewPoly(4, rng))
-		f.c = append(f.c, make([]float64, s.Width))
+		f.c = append(f.c, make([]int64, s.Width))
 	}
 	f.sumSq = make([]float64, s.Rows)
 	return f
 }
 
+// Dims returns the sketch dimensions.
+func (f *F2Sketch) Dims() F2Sizing { return F2Sizing{Rows: f.rows, Width: f.w} }
+
 // Update implements sketch.Estimator (turnstile deltas allowed).
 func (f *F2Sketch) Update(item uint64, delta int64) {
-	d := float64(delta)
-	for r := 0; r < f.rows; r++ {
-		sign, b := f.hs[r].SignBucket(item, f.w)
-		x := float64(sign) * d
-		old := f.c[r][b]
-		f.c[r][b] = old + x
-		f.sumSq[r] += x * (2*old + x)
+	w, hs, sumSq := f.w, f.hs, f.sumSq // locals: the hash call makes the compiler reload fields per row
+	for r, row := range f.c {
+		sign, b := hs[r].SignBucket(item, w)
+		d := sign * delta
+		old := row[b]
+		row[b] = old + d
+		x := float64(d)
+		sumSq[r] += x * (2*float64(old) + x)
 	}
 	f.sinceResum++
 	if f.sinceResum >= sketch.ResumInterval {
@@ -96,16 +116,15 @@ func (f *F2Sketch) Update(item uint64, delta int64) {
 // whole batch streams through it. Rows are independent, so the final
 // state is bit-for-bit that of per-update calls.
 func (f *F2Sketch) UpdateBatch(batch []sketch.Update) {
-	for r := 0; r < f.rows; r++ {
-		h := f.hs[r]
-		row := f.c[r]
-		s := f.sumSq[r]
+	for r, row := range f.c {
+		h, w, s := f.hs[r], f.w, f.sumSq[r]
 		for _, u := range batch {
-			sign, b := h.SignBucket(u.Item, f.w)
-			x := float64(sign) * float64(u.Delta)
+			sign, b := h.SignBucket(u.Item, w)
+			d := sign * u.Delta
 			old := row[b]
-			row[b] = old + x
-			s += x * (2*old + x)
+			row[b] = old + d
+			x := float64(d)
+			s += x * (2*float64(old) + x)
 		}
 		f.sumSq[r] = s
 	}
@@ -138,11 +157,23 @@ func (f *F2Sketch) Resummate() {
 	for r := 0; r < f.rows; r++ {
 		var s float64
 		for _, v := range f.c[r] {
-			s += v * v
+			fv := float64(v)
+			s += fv * fv
 		}
 		f.sumSq[r] = s
 	}
 	f.sinceResum = 0
+}
+
+// AppendSigned appends, per row, item's signed counter sign_r(item)·C_r[b_r(item)]
+// — each an unbiased estimate of f_item with error ≤ ‖f‖₂/√width — for
+// the caller to take a median over (CountSketch's point query).
+func (f *F2Sketch) AppendSigned(dst []float64, item uint64) []float64 {
+	for r := 0; r < f.rows; r++ {
+		sign, b := f.hs[r].SignBucket(item, f.w)
+		dst = append(dst, float64(sign*f.c[r][b]))
+	}
+	return dst
 }
 
 // EstimateL2 returns the median-of-rows estimate of ‖f‖₂.

@@ -16,19 +16,6 @@ func relErr(est, truth float64) float64 {
 	return math.Abs(est-truth) / truth
 }
 
-func TestF1Counter(t *testing.T) {
-	c := NewF1()
-	c.Update(1, 5)
-	c.Update(2, 3)
-	c.Update(1, 2)
-	if c.Estimate() != 10 {
-		t.Errorf("F1 = %v, want 10", c.Estimate())
-	}
-	if c.SpaceBytes() != 8 {
-		t.Errorf("F1 space = %d, want 8", c.SpaceBytes())
-	}
-}
-
 func TestDenseAMSUnbiasedOnRandomStream(t *testing.T) {
 	const n, m = 512, 5000
 	failures := 0

@@ -1,6 +1,7 @@
 package fp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -22,9 +23,12 @@ func FuzzF2Unmarshal(f *testing.F) {
 		if err := s.UnmarshalBinary(b); err != nil {
 			return
 		}
-		// A successfully decoded sketch must be usable.
+		// A successfully decoded sketch must be usable, and must answer a
+		// number: no counter a stream could not have produced gets in.
 		s.Update(42, 1)
-		_ = s.Estimate()
+		if e := s.Estimate(); math.IsNaN(e) || math.IsInf(e, 0) {
+			t.Fatalf("decoded sketch estimates %v", e)
+		}
 		_ = s.EstimateL2()
 		_ = s.SpaceBytes()
 	})

@@ -1,6 +1,9 @@
 package fp
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // ErrIncompatible is returned when two sketches do not share the
 // randomness that linear-sketch merging requires.
@@ -10,9 +13,19 @@ var ErrIncompatible = errors.New("fp: sketches do not share randomness; use Fres
 func (f *F2Sketch) Fresh() *F2Sketch {
 	cp := &F2Sketch{rows: f.rows, w: f.w, hs: f.hs}
 	for r := 0; r < f.rows; r++ {
-		cp.c = append(cp.c, make([]float64, f.w))
+		cp.c = append(cp.c, make([]int64, f.w))
 	}
 	cp.sumSq = make([]float64, f.rows)
+	return cp
+}
+
+// Clone returns a deep copy of the counters and row aggregates, sharing
+// the immutable hash functions.
+func (f *F2Sketch) Clone() *F2Sketch {
+	cp := &F2Sketch{rows: f.rows, w: f.w, hs: f.hs, sumSq: slices.Clone(f.sumSq)}
+	for _, row := range f.c {
+		cp.c = append(cp.c, slices.Clone(row))
+	}
 	return cp
 }
 
@@ -24,7 +37,7 @@ func (f *F2Sketch) Merge(other *F2Sketch) error {
 		return ErrIncompatible
 	}
 	for r := range f.hs {
-		if !samePoly(f.hs[r], other.hs[r]) {
+		if !f.hs[r].Equal(other.hs[r]) {
 			return ErrIncompatible
 		}
 	}
@@ -35,17 +48,4 @@ func (f *F2Sketch) Merge(other *F2Sketch) error {
 	}
 	f.Resummate()
 	return nil
-}
-
-func samePoly(a, b interface{ Coeffs() []uint64 }) bool {
-	ca, cb := a.Coeffs(), b.Coeffs()
-	if len(ca) != len(cb) {
-		return false
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package hash
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Poly is a k-wise independent hash family member: a uniformly random
@@ -45,6 +46,10 @@ func (p Poly) Degree() int { return len(p.coeffs) - 1 }
 // the hash function's full description — the "randomness reuse" threat
 // model that Section 10's PRF construction defends against.
 func (p Poly) Coeffs() []uint64 { return append([]uint64(nil), p.coeffs...) }
+
+// Equal reports whether p and q are the same polynomial — the shared
+// randomness every sketch merge requires.
+func (p Poly) Equal(q Poly) bool { return slices.Equal(p.coeffs, q.coeffs) }
 
 // PolyFromCoeffs reconstructs a Poly from stored coefficients (constant
 // term first), the inverse of Coeffs; used by sketch deserialization.

@@ -1,17 +1,24 @@
 // Package heavyhitters implements the point-query and heavy hitters
-// substrates of Section 6 of the paper: CountSketch (the static (ε, δ)
-// point-query algorithm of Lemma 6.4) and the deterministic Misra–Gries
-// summary (the O(ε⁻¹ log n) L1 row of Table 1). The robust L2 heavy
-// hitters algorithm of Theorem 6.5 is assembled from CountSketch and a
-// robust F2 estimator in internal/robust.
+// substrate of Section 6 of the paper: CountSketch, the static (ε, δ)
+// point-query algorithm of Lemma 6.4. The robust L2 heavy hitters
+// algorithm of Theorem 6.5 is assembled from CountSketch and a robust F2
+// estimator in internal/robust.
+//
+// The rows × width signed counters are not this package's: a CountSketch
+// holds one fp.F2Sketch — the update kernel, the AMS row aggregates,
+// Resummate, the counter merge and the per-row codec live there once —
+// and owns what Lemma 6.4 adds: the median point query, the candidate
+// pool with its pruning, TopK, HeavyHitters, and the header and pool
+// halves of its own wire format.
 package heavyhitters
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
 
-	"repro/internal/hash"
+	"repro/internal/fp"
 	"repro/internal/order"
 	"repro/internal/sketch"
 )
@@ -22,7 +29,10 @@ import (
 // ≤ ‖f‖₂/√width per row (median over rows boosts the probability). The
 // sketch also tracks a bounded pool of candidate heavy items so the heavy
 // hitters *set* can be emitted without enumerating the universe, and its
-// rows double as AMS estimators of F2.
+// rows double as AMS estimators of F2 — they are an fp.F2Sketch, held as a
+// named field and not embedded: the pool depends on arrival order, so a
+// CountSketch must not inherit the kernel's sketch.CoalesceInvariant
+// declaration, nor its codec, Fresh or Merge.
 //
 // The candidate pool carries one int64 per item: the net delta observed
 // since the item was admitted. It is retention metadata only — a cheap
@@ -35,18 +45,12 @@ import (
 // streams; a recurring heavy item outgrows one-shot items either way,
 // which is all retention needs.
 type CountSketch struct {
-	rows, w int
-	hs      []hash.Poly
-	c       [][]int64
+	kernel *fp.F2Sketch // the rows × width signed counters
 
 	cands   map[uint64]int64
 	candCap int
 
-	sumSq      []float64 // per-row running Σ_b c[r][b]² (the AMS aggregate)
-	sinceResum int
-
 	qbuf []float64   // Query scratch: per-row estimates awaiting the median
-	ebuf []float64   // Estimate scratch: per-row aggregates awaiting the median
 	pbuf []candEntry // prune scratch: the pool staged for selection
 }
 
@@ -88,56 +92,27 @@ func SizeForPointQueryLn(eps, lnInvDelta float64) Sizing {
 // candidate pool holds up to 4·width items (enough for every possible
 // ε-heavy hitter at the sizing above).
 func NewCountSketch(s Sizing, rng *rand.Rand) *CountSketch {
-	cs := &CountSketch{rows: s.Rows, w: s.Width, candCap: 4 * s.Width}
-	for r := 0; r < s.Rows; r++ {
-		cs.hs = append(cs.hs, hash.NewPoly(4, rng))
-		cs.c = append(cs.c, make([]int64, s.Width))
+	return &CountSketch{
+		kernel:  fp.NewF2(fp.F2Sizing(s), rng),
+		cands:   make(map[uint64]int64),
+		candCap: 4 * s.Width,
 	}
-	cs.cands = make(map[uint64]int64)
-	cs.sumSq = make([]float64, s.Rows)
-	return cs
 }
 
 // Update implements sketch.PointQuerier (turnstile deltas allowed).
 func (cs *CountSketch) Update(item uint64, delta int64) {
-	for r := 0; r < cs.rows; r++ {
-		sign, b := cs.hs[r].SignBucket(item, cs.w)
-		x := float64(sign * delta)
-		old := float64(cs.c[r][b])
-		cs.c[r][b] += sign * delta
-		cs.sumSq[r] += x * (2*old + x)
-	}
-	cs.sinceResum++
-	if cs.sinceResum >= sketch.ResumInterval {
-		cs.Resummate()
-	}
+	cs.kernel.Update(item, delta)
 	cs.cands[item] += delta
 	if len(cs.cands) > 2*cs.candCap {
 		cs.pruneCandidates()
 	}
 }
 
-// UpdateBatch implements sketch.BatchUpdater with a row-outer counter
-// loop (one row's hash function, counters and aggregate stay hot for the
-// whole batch) followed by the candidate-pool pass in update order, so
+// UpdateBatch implements sketch.BatchUpdater: the kernel's batch pass
+// over the counters, then the candidate-pool pass in update order, so
 // admission and pruning decisions match per-update calls exactly.
 func (cs *CountSketch) UpdateBatch(batch []sketch.Update) {
-	for r := 0; r < cs.rows; r++ {
-		h := cs.hs[r]
-		row := cs.c[r]
-		s := cs.sumSq[r]
-		for _, u := range batch {
-			sign, b := h.SignBucket(u.Item, cs.w)
-			x := float64(sign * u.Delta)
-			s += x * (2*float64(row[b]) + x)
-			row[b] += sign * u.Delta
-		}
-		cs.sumSq[r] = s
-	}
-	cs.sinceResum += len(batch)
-	if cs.sinceResum >= sketch.ResumInterval {
-		cs.Resummate()
-	}
+	cs.kernel.UpdateBatch(batch)
 	for _, u := range batch {
 		cs.cands[u.Item] += u.Delta
 		if len(cs.cands) > 2*cs.candCap {
@@ -232,42 +207,17 @@ func abs64(v int64) int64 {
 
 // Query returns the point-query estimate of f_item.
 func (cs *CountSketch) Query(item uint64) float64 {
-	if cap(cs.qbuf) < cs.rows {
-		cs.qbuf = make([]float64, cs.rows)
-	}
-	ests := cs.qbuf[:cs.rows]
-	for r := 0; r < cs.rows; r++ {
-		sign, b := cs.hs[r].SignBucket(item, cs.w)
-		ests[r] = float64(sign * cs.c[r][b])
-	}
-	return order.Median(ests)
+	cs.qbuf = cs.kernel.AppendSigned(cs.qbuf[:0], item)
+	return order.Median(cs.qbuf)
 }
 
 // Estimate implements sketch.Estimator with the F2 estimate derived from
 // the rows (each row's squared norm is an AMS estimator of ‖f‖₂²), read
 // from the running row aggregates in O(rows).
-func (cs *CountSketch) Estimate() float64 {
-	if cap(cs.ebuf) < cs.rows {
-		cs.ebuf = make([]float64, cs.rows)
-	}
-	ests := cs.ebuf[:cs.rows]
-	copy(ests, cs.sumSq)
-	return order.UpperMedian(ests)
-}
+func (cs *CountSketch) Estimate() float64 { return cs.kernel.Estimate() }
 
-// Resummate implements sketch.IncrementalEstimator: it recomputes the row
-// aggregates exactly from the counters.
-func (cs *CountSketch) Resummate() {
-	for r := 0; r < cs.rows; r++ {
-		var s float64
-		for _, v := range cs.c[r] {
-			fv := float64(v)
-			s += fv * fv
-		}
-		cs.sumSq[r] = s
-	}
-	cs.sinceResum = 0
-}
+// Resummate implements sketch.IncrementalEstimator through the kernel.
+func (cs *CountSketch) Resummate() { cs.kernel.Resummate() }
 
 // L2 returns the estimate of ‖f‖₂.
 func (cs *CountSketch) L2() float64 { return math.Sqrt(cs.Estimate()) }
@@ -315,26 +265,9 @@ func (cs *CountSketch) TopK(k int) []sketch.ItemWeight {
 // hash functions). The robust heavy hitters algorithm freezes clones at
 // switching times.
 func (cs *CountSketch) Clone() *CountSketch {
-	cp := &CountSketch{rows: cs.rows, w: cs.w, candCap: cs.candCap, hs: cs.hs}
-	for r := 0; r < cs.rows; r++ {
-		row := make([]int64, cs.w)
-		copy(row, cs.c[r])
-		cp.c = append(cp.c, row)
-	}
-	cp.cands = make(map[uint64]int64, len(cs.cands))
-	for it, w := range cs.cands {
-		cp.cands[it] = w
-	}
-	cp.sumSq = append([]float64(nil), cs.sumSq...)
-	return cp
+	return &CountSketch{kernel: cs.kernel.Clone(), cands: maps.Clone(cs.cands), candCap: cs.candCap}
 }
 
-// SpaceBytes charges counters, hash seeds, the row aggregates and the
-// candidate pool (item id plus retention tally per entry).
-func (cs *CountSketch) SpaceBytes() int {
-	total := 16*len(cs.cands) + 8*cs.rows
-	for r := 0; r < cs.rows; r++ {
-		total += 8*cs.w + cs.hs[r].SpaceBytes()
-	}
-	return total
-}
+// SpaceBytes charges the kernel (counters, hash seeds, row aggregates) and
+// the candidate pool (item id plus retention tally per entry).
+func (cs *CountSketch) SpaceBytes() int { return cs.kernel.SpaceBytes() + 16*len(cs.cands) }

@@ -145,91 +145,12 @@ func TestCountSketchTurnstile(t *testing.T) {
 	}
 }
 
-func TestMisraGriesGuarantees(t *testing.T) {
-	const k = 9
-	mg := NewMisraGries(k)
-	f := feed(t, stream.NewZipf(1<<12, 20000, 1.5, 19), mg)
-	bound := mg.ErrorBound()
-	// Lower-bound property and bounded undercount, for every item.
-	for _, it := range f.Support() {
-		est, truth := mg.Query(it), float64(f.Count(it))
-		if est > truth {
-			t.Errorf("MG overestimated %d: %v > %v", it, est, truth)
-		}
-		if truth-est > bound {
-			t.Errorf("MG undercount for %d exceeds bound: %v - %v > %v", it, truth, est, bound)
-		}
-	}
-	// Every item above F1/(k+1) must be present.
-	for _, it := range f.HeavyHitters(bound + 1) {
-		if mg.Query(it) == 0 {
-			t.Errorf("MG missed guaranteed heavy item %d", it)
-		}
-	}
-	if len(mg.counters) > k {
-		t.Errorf("MG stored %d counters, cap %d", len(mg.counters), k)
-	}
-}
-
-func TestMisraGriesWeightedUpdates(t *testing.T) {
-	mg := NewMisraGries(2)
-	mg.Update(1, 100)
-	mg.Update(2, 50)
-	mg.Update(3, 80) // evicts mass: subtract min(50,80)=50, freeing item 2, then store 30
-	if mg.Query(1) != 50 {
-		t.Errorf("Query(1) = %v, want 50", mg.Query(1))
-	}
-	if mg.Query(2) != 0 {
-		t.Errorf("Query(2) = %v, want 0", mg.Query(2))
-	}
-	if mg.Query(3) != 30 {
-		t.Errorf("Query(3) = %v, want 30", mg.Query(3))
-	}
-	if mg.Estimate() != 230 {
-		t.Errorf("F1 = %v, want 230", mg.Estimate())
-	}
-}
-
-func TestMisraGriesRejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on delta <= 0")
-		}
-	}()
-	NewMisraGries(4).Update(1, -1)
-}
-
-func TestMisraGriesDeterministicAndRobust(t *testing.T) {
-	// Determinism: two instances fed the same stream agree exactly —
-	// the reason deterministic algorithms are trivially adversarially
-	// robust.
-	a, b := NewMisraGries(8), NewMisraGries(8)
-	g := stream.NewZipf(1024, 5000, 1.4, 21)
-	for {
-		u, ok := g.Next()
-		if !ok {
-			break
-		}
-		a.Update(u.Item, u.Delta)
-		b.Update(u.Item, u.Delta)
-	}
-	for it := uint64(0); it < 1024; it++ {
-		if a.Query(it) != b.Query(it) {
-			t.Fatalf("instances disagree at %d", it)
-		}
-	}
-}
-
 func TestSpacePositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cs := NewCountSketch(Sizing{Rows: 3, Width: 8}, rng)
-	mg := NewMisraGries(4)
 	cs.Update(1, 1)
-	mg.Update(1, 1)
-	for _, sb := range []int{cs.SpaceBytes(), mg.SpaceBytes()} {
-		if sb <= 0 {
-			t.Errorf("SpaceBytes = %d, want > 0", sb)
-		}
+	if sb := cs.SpaceBytes(); sb <= 0 {
+		t.Errorf("SpaceBytes = %d, want > 0", sb)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/hash"
+	"repro/internal/fp"
 )
 
 const (
@@ -19,13 +19,11 @@ const (
 func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	var w codec.Writer
 	w.U8(csFormatV2)
-	w.U64(uint64(cs.rows))
-	w.U64(uint64(cs.w))
+	dims := cs.kernel.Dims()
+	w.U64(uint64(dims.Rows))
+	w.U64(uint64(dims.Width))
 	w.U64(uint64(cs.candCap))
-	for r := 0; r < cs.rows; r++ {
-		w.U64s(cs.hs[r].Coeffs())
-		w.I64s(cs.c[r])
-	}
+	cs.kernel.AppendRows(&w, (*codec.Writer).I64s)
 	cands := make([]uint64, 0, len(cs.cands))
 	for it := range cs.cands {
 		cands = append(cands, it)
@@ -49,24 +47,14 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	if version != csFormatV1 && version != csFormatV2 && r.Err() == nil {
 		return fmt.Errorf("heavyhitters: unsupported CountSketch format version %d", version)
 	}
-	rows := int(r.U64())
-	w := int(r.U64())
+	dims := fp.F2Sizing{Rows: int(r.U64()), Width: int(r.U64())}
 	candCap := int(r.U64())
-	if r.Err() != nil {
-		return r.Err()
+	if r.Err() == nil && candCap < 0 {
+		return fmt.Errorf("heavyhitters: invalid CountSketch candidate cap %d", candCap)
 	}
-	if rows < 1 || rows > 1<<20 || w < 1 || candCap < 0 {
-		return fmt.Errorf("heavyhitters: invalid CountSketch header (%d, %d, %d)", rows, w, candCap)
-	}
-	hs := make([]hash.Poly, 0, rows)
-	c := make([][]int64, 0, rows)
-	for i := 0; i < rows; i++ {
-		hs = append(hs, hash.PolyFromCoeffs(r.U64s()))
-		row := r.I64s()
-		if r.Err() == nil && len(row) != w {
-			return fmt.Errorf("heavyhitters: row %d has %d counters, want %d", i, len(row), w)
-		}
-		c = append(c, row)
+	kernel, err := fp.ReadRows(&r, dims, (*codec.Reader).I64s)
+	if err != nil {
+		return err
 	}
 	cands := r.U64s()
 	var weights []int64
@@ -79,10 +67,7 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	cs.rows, cs.w, cs.candCap, cs.hs, cs.c = rows, w, candCap, hs, c
-	cs.sumSq = make([]float64, rows)
-	cs.qbuf, cs.ebuf = nil, nil
-	cs.Resummate()
+	cs.kernel, cs.candCap = kernel, candCap
 	cs.cands = make(map[uint64]int64, len(cands))
 	for i, it := range cands {
 		// V1 snapshots carry no tallies; re-admit at zero and let future

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fp"
@@ -63,16 +62,6 @@ func ModelKinds() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ParseModelKind resolves a stream model name.
-func ParseModelKind(s string) (ModelKind, error) {
-	for k, name := range modelNames {
-		if name == s {
-			return k, nil
-		}
-	}
-	return ModelInsertion, fmt.Errorf("unknown stream model %q (have: %s)", s, strings.Join(ModelKinds(), ", "))
 }
 
 // Model is a parameterized stream class: the kind plus the parameter that

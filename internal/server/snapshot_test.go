@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -60,6 +62,22 @@ func TestSnapshotChecksumRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// requester returns a function that sends one request to hs and returns
+// the status code and body.
+func requester(t *testing.T, hs *httptest.Server) func(method, path string, body []byte) (int, []byte) {
+	return func(method, path string, body []byte) (int, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(method, hs.URL+path, bytes.NewReader(body))
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, data
+	}
+}
+
 // TestMergeAtomicityAndQuota: a snapshot with one corrupted shard blob
 // must reject the whole merge (no shard partially applied — a retry after
 // repair must not double count), and failed merges against fresh keys
@@ -70,16 +88,7 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 	defer hs.Close()
 	defer srv.Drain()
 
-	do := func(method, path string, body []byte) (int, []byte) {
-		req, _ := http.NewRequest(method, hs.URL+path, bytes.NewReader(body))
-		resp, err := hs.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, data
-	}
+	do := requester(t, hs)
 	estimate := func(key string) float64 {
 		code, body := do(http.MethodGet, "/v1/estimate?key="+key, nil)
 		if code != 200 {
@@ -153,6 +162,72 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 	}
 	if after := estimate("k"); after != 4*before { // doubled counters → 4× F2
 		t.Errorf("estimate after self-merge = %v, want %v (4× — doubled linear counters)", after, 4*before)
+	}
+}
+
+// TestMergeRejectsPoisonedCounters: a correctly checksummed envelope whose
+// counters could never have come from a stream — NaN, ±Inf, or for f2 a
+// non-integer — must be refused as a 400. NaN + x stays NaN, so one
+// accepted body would leave the tenant answering an unencodable estimate
+// for good.
+func TestMergeRejectsPoisonedCounters(t *testing.T) {
+	srv := New(Config{Shards: 2, Seed: 3})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Drain()
+
+	do := requester(t, hs)
+	for _, tc := range []struct {
+		sketch string
+		back   int // the last counter ends this many bytes before the blob's end
+		poison []float64
+	}{
+		{"f2", 0, []float64{math.NaN(), math.Inf(1), 0.5, 1 << 63}},
+		{"cc", 8, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}},
+	} {
+		key := "k-" + tc.sketch
+		if code, body := do(http.MethodPost, "/v1/update?key="+key+"&sketch="+tc.sketch,
+			[]byte(`{"updates":[{"item":1,"delta":5},{"item":2,"delta":3},{"item":3,"delta":9}]}`)); code != 200 {
+			t.Fatalf("%s update: HTTP %d: %s", tc.sketch, code, body)
+		}
+		code, before := do(http.MethodGet, "/v1/estimate?key="+key, nil)
+		var e EstimateResponse
+		if err := json.Unmarshal(before, &e); code != 200 || err != nil || e.Estimate <= 0 {
+			t.Fatalf("%s estimate before: HTTP %d, %q (%v)", tc.sketch, code, before, err)
+		}
+		code, snap := do(http.MethodGet, "/v1/snapshot?key="+key, nil)
+		if code != 200 {
+			t.Fatalf("%s snapshot: HTTP %d", tc.sketch, code)
+		}
+		name, parts, err := decodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range tc.poison {
+			bad := make([][]byte, len(parts))
+			for i := range parts {
+				bad[i] = append([]byte(nil), parts[i]...)
+			}
+			last := bad[len(bad)-1]
+			binary.LittleEndian.PutUint64(last[len(last)-tc.back-8:], math.Float64bits(v))
+			body := encodeSnapshot(name, bad)
+			for _, target := range []string{key, "absent-" + tc.sketch} {
+				if code, resp := do(http.MethodPost, "/v1/merge?key="+target+"&sketch="+tc.sketch, body); code != http.StatusBadRequest {
+					t.Errorf("%s merge with counter %v into %q: HTTP %d (%s), want 400", tc.sketch, v, target, code, resp)
+				}
+			}
+			if code, after := do(http.MethodGet, "/v1/estimate?key="+key, nil); code != 200 || !bytes.Equal(after, before) {
+				t.Fatalf("%s estimate after refusing counter %v: HTTP %d %q, want %q", tc.sketch, v, code, after, before)
+			}
+		}
+	}
+	code, body := do(http.MethodGet, "/v1/stats", nil)
+	var st StatsResponse
+	if err := json.Unmarshal(body, &st); code != 200 || err != nil {
+		t.Fatalf("stats: HTTP %d (%v)", code, err)
+	}
+	if st.Keys != 2 {
+		t.Errorf("refused merges created tenants: %d keys, want 2", st.Keys)
 	}
 }
 

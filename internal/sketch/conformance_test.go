@@ -21,13 +21,11 @@ var (
 	_ sketch.Estimator = (*f0.KMV)(nil)
 	_ sketch.Estimator = (*f0.Median)(nil)
 	_ sketch.Estimator = (*f0.Alg2)(nil)
-	_ sketch.Estimator = (*fp.F1)(nil)
 	_ sketch.Estimator = (*fp.DenseAMS)(nil)
 	_ sketch.Estimator = (*fp.F2Sketch)(nil)
 	_ sketch.Estimator = (*fp.Indyk)(nil)
 	_ sketch.Estimator = (*fp.MaxStable)(nil)
 	_ sketch.Estimator = (*heavyhitters.CountSketch)(nil)
-	_ sketch.Estimator = (*heavyhitters.MisraGries)(nil)
 	_ sketch.Estimator = (*entropy.Exact)(nil)
 	_ sketch.Estimator = (*entropy.CC)(nil)
 	_ sketch.Estimator = (*entropy.Renyi)(nil)
@@ -36,7 +34,6 @@ var (
 	_ sketch.Estimator = (*robust.HeavyHitters)(nil)
 
 	_ sketch.PointQuerier = (*heavyhitters.CountSketch)(nil)
-	_ sketch.PointQuerier = (*heavyhitters.MisraGries)(nil)
 
 	_ sketch.DuplicateInsensitive = (*f0.Exact)(nil)
 	_ sketch.DuplicateInsensitive = (*f0.KMV)(nil)
@@ -61,12 +58,10 @@ func TestEstimatorContractSmoke(t *testing.T) {
 		"f0.Exact":       f0.NewExact(),
 		"f0.KMV":         f0.NewKMV(16, rng),
 		"f0.Alg2":        f0.NewAlg2(f0.Alg2Params{B: 16, D: 8}, false, 1),
-		"fp.F1":          fp.NewF1(),
 		"fp.F2Sketch":    fp.NewF2(fp.F2Sizing{Rows: 3, Width: 16}, rng),
 		"fp.Indyk":       fp.NewIndyk(1, 16, rng),
 		"fp.MaxStable":   fp.NewMaxStable(3, 4, 2, 16, rng),
 		"hh.CountSketch": heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 3, Width: 16}, rng),
-		"hh.MisraGries":  heavyhitters.NewMisraGries(4),
 		"entropy.Exact":  entropy.NewExact(),
 		"entropy.CC":     entropy.NewCC(entropy.CCSizing{Groups: 3, Per: 8}, rng),
 		"entropy.Renyi":  entropy.NewRenyi(1.5, 16, rng),
@@ -83,6 +78,28 @@ func TestEstimatorContractSmoke(t *testing.T) {
 		if e.SpaceBytes() <= 0 {
 			t.Errorf("%s: SpaceBytes = %d after updates, want > 0", name, e.SpaceBytes())
 		}
+	}
+}
+
+// TestKernelSurfacesStayApart: CountSketch holds its counters as an
+// F2Sketch, and every optional surface is probed by type assertion, so
+// neither may pick up the other's. CountSketch's candidate pool depends on
+// arrival order — were it CoalesceInvariant, core.Lagged would feed it
+// coalesced lag buffers; were F2Sketch a PointQuerier or TopKQuerier, the
+// server's point gate, engine.QueryBatch and the frozen ring would answer
+// per-coordinate reads from a sketch that has no candidate pool.
+func TestKernelSurfacesStayApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var cs sketch.Estimator = heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 3, Width: 16}, rng)
+	if _, ok := cs.(sketch.CoalesceInvariant); ok {
+		t.Error("CountSketch declares sketch.CoalesceInvariant")
+	}
+	var f2 sketch.Estimator = fp.NewF2(fp.F2Sizing{Rows: 3, Width: 16}, rng)
+	if _, ok := f2.(sketch.PointQuerier); ok {
+		t.Error("F2Sketch satisfies sketch.PointQuerier")
+	}
+	if _, ok := f2.(sketch.TopKQuerier); ok {
+		t.Error("F2Sketch satisfies sketch.TopKQuerier")
 	}
 }
 

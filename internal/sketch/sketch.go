@@ -29,11 +29,19 @@
 //	BatchUpdater          F2Sketch, KMV, Median, CountSketch, Switcher, Paths, HeavyHitters    ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns
 //	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                              core.NewLagged: one coalesced buffer per drain      robust.self_update_ns
 //	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                     none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
-//	PointQuerier          CountSketch, MisraGries, robust.HeavyHitters                         engine.QueryBatch                                   sketch.point_ns, engine.point_us
+//	PointQuerier          CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.point_ns, engine.point_us
 //	TopKQuerier           CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
 //	RobustnessReporter    Switcher, Paths, robust.HeavyHitters                                 engine shard publish, to /v1/stats and /v2/query    robust.switches, robust.copies_live
 //	DuplicateInsensitive  KMV, Median (iff its members), Alg2 (unbatched), HLL, Exact          robust.NewCryptoF0, NewOracleF0 refuse non-declarers none: a soundness check (Theorem 10.1)
 //	engine.MassReporter   entropy.CC                                                           engine shard publish; the Entropy combiner needs it none: a merged cc tenant is wrong without it
+//
+// CountSketch's counters are an fp.F2Sketch held as a named field, so where
+// both appear in a row CountSketch implements the interface through that
+// kernel (UpdateBatch, Resummate and Estimate forward to it). It still
+// does not declare CoalesceInvariant, and must not come to by embedding:
+// its candidate pool depends on arrival order. Likewise F2Sketch answers
+// no per-coordinate interface — the server's point gate, engine.QueryBatch
+// and the frozen ring all probe by assertion.
 //
 // robust's estimate adapter forwards the first two and the reporter.
 // IncrementalEstimator is the one with no caller outside its implementers

@@ -19,9 +19,6 @@ func TestUniformGenLengthAndRange(t *testing.T) {
 			t.Fatalf("delta = %d, want 1", u.Delta)
 		}
 	}
-	if !s.InsertionOnly() {
-		t.Error("uniform stream must be insertion-only")
-	}
 }
 
 func TestUniformGenDeterministic(t *testing.T) {
@@ -162,19 +159,6 @@ func TestBoundedDeletionActuallyDeletes(t *testing.T) {
 	}
 	if dels > len(s)/2 {
 		t.Errorf("deletions = %d out of %d; more deletions than insertions is impossible", dels, len(s))
-	}
-}
-
-func TestFromSliceRoundTrip(t *testing.T) {
-	orig := Stream{{1, 2}, {3, -1}, {1, 5}}
-	got := Collect(FromSlice(orig), 0)
-	if len(got) != len(orig) {
-		t.Fatalf("len = %d, want %d", len(got), len(orig))
-	}
-	for i := range orig {
-		if got[i] != orig[i] {
-			t.Errorf("update %d = %v, want %v", i, got[i], orig[i])
-		}
 	}
 }
 

@@ -40,32 +40,3 @@ func Collect(g Generator, max int) Stream {
 		}
 	}
 }
-
-// InsertionOnly reports whether every update in s has positive delta.
-func (s Stream) InsertionOnly() bool {
-	for _, u := range s {
-		if u.Delta <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SliceGenerator adapts a Stream into a Generator.
-type SliceGenerator struct {
-	s Stream
-	i int
-}
-
-// FromSlice returns a Generator that replays s.
-func FromSlice(s Stream) *SliceGenerator { return &SliceGenerator{s: s} }
-
-// Next implements Generator.
-func (g *SliceGenerator) Next() (Update, bool) {
-	if g.i >= len(g.s) {
-		return Update{}, false
-	}
-	u := g.s[g.i]
-	g.i++
-	return u, true
-}
