@@ -3,6 +3,10 @@
 // paper's own fast small-δ estimator (Algorithm 2 / Lemma 5.2). These are
 // the static algorithms that the robustification framework of
 // internal/core turns into adversarially robust ones (Theorems 1.1–1.3).
+//
+// A switching ensemble holds thousands of KMVs, nearly all in trailing
+// copies fed by the batch and never read, so a KMV carries a membership
+// index only once it is fed one value at a time: see KMV's two modes.
 package f0
 
 // Exact counts distinct elements exactly in Θ(F0) space. It is the

@@ -280,6 +280,48 @@ func BenchmarkKMVUpdate(b *testing.B) {
 	}
 }
 
+// benchTenantCopy is one copy of the benchmark's kmv+switching tenant — a
+// median of 17 × KMV(1 113) — and a Zipf(1.2) item source for it.
+func benchTenantCopy() (*Median, *rand.Zipf) {
+	m := NewMedian(17, 1, func(seed int64) sketch.Estimator {
+		return NewKMV(1113, rand.New(rand.NewSource(seed)))
+	})
+	return m, rand.NewZipf(rand.New(rand.NewSource(2)), 1.2, 1, 1<<20)
+}
+
+// BenchmarkKMVActivePath is the active copy: one update and one estimate
+// at a time, the path that keeps the heap and its membership index.
+func BenchmarkKMVActivePath(b *testing.B) {
+	m, z := benchTenantCopy()
+	items := make([]uint64, 30000)
+	for i := range items {
+		items[i] = z.Uint64()
+	}
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Update(items[i%len(items)], 1)
+		sink += m.Estimate()
+	}
+	_ = sink
+}
+
+// BenchmarkKMVDrain is a trailing copy: fed 16 384-update lag buffers
+// through UpdateBatch only; ns/op is per update.
+func BenchmarkKMVDrain(b *testing.B) {
+	m, z := benchTenantCopy()
+	batch := make([]sketch.Update, 16384)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(batch) {
+		b.StopTimer()
+		for j := range batch {
+			batch[j] = sketch.Update{Item: z.Uint64(), Delta: 1}
+		}
+		b.StartTimer()
+		m.UpdateBatch(batch)
+	}
+}
+
 func BenchmarkAlg2UpdateUnbatched(b *testing.B) {
 	a := NewAlg2(Alg2Params{B: 1000, D: 64}, false, 1)
 	b.ResetTimer()

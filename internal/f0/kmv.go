@@ -3,6 +3,7 @@ package f0
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/hash"
 	"repro/internal/order"
@@ -20,11 +21,23 @@ import (
 // current k-th minimum, so the state never changes. This is the property
 // Section 10 of the paper requires of the inner sketch of its
 // cryptographically robust F0 algorithm.
+//
+// A KMV is fed in one of two modes and pays for a membership index in one.
+// Update — a value at a time with an Estimate between, the active copy of
+// a switching ensemble — keeps vals as a max-heap beside a map of its
+// members, built from vals by the first insert that needs a membership
+// test. Until then (a new, Fresh or decoded sketch, and one fed by
+// UpdateBatch and Merge alone, as every trailing copy is) there is no map
+// and vals is sorted descending: a batch is hashed, cut at the threshold,
+// sorted and merged in. A descending run is a valid max-heap, so vals[0]
+// is the k-th minimum in both modes and the heap code takes over wherever
+// the merges left off. The state is the k smallest distinct values seen,
+// in any order and either mode: same estimates, same encoded bytes.
 type KMV struct {
 	k    int
 	h    hash.Poly
-	vals []uint64 // max-heap of the retained minima: the k-th minimum is vals[0]
-	in   map[uint64]struct{}
+	vals []uint64            // the retained minima, the k-th at vals[0] once full
+	in   map[uint64]struct{} // the members of vals; nil until insertValue needs it
 }
 
 // NewKMV returns a KMV sketch retaining the k smallest hash values, with a
@@ -33,20 +46,68 @@ func NewKMV(k int, rng *rand.Rand) *KMV {
 	if k < 2 {
 		panic("f0: KMV needs k >= 2")
 	}
-	return &KMV{
-		k:  k,
-		h:  hash.NewPoly(2, rng),
-		in: make(map[uint64]struct{}, k),
-	}
+	return &KMV{k: k, h: hash.NewPoly(2, rng)}
 }
 
 // Update implements sketch.Estimator (deltas ignored; F0 counts presence).
 func (s *KMV) Update(item uint64, delta int64) { s.insertValue(s.h.Eval(item)) }
 
-// UpdateBatch implements sketch.BatchUpdater.
+// UpdateBatch implements sketch.BatchUpdater. An indexed sketch inserts
+// value by value. An unindexed one collects the values under its threshold
+// on the stack and merges when that fills or the batch ends — not per
+// input block, which is an O(k) pass for a couple of values.
 func (s *KMV) UpdateBatch(batch []sketch.Update) {
-	for _, u := range batch {
-		s.insertValue(s.h.Eval(u.Item))
+	if s.in != nil {
+		for _, u := range batch {
+			s.insertValue(s.h.Eval(u.Item))
+		}
+		return
+	}
+	var cand [512]uint64
+	for len(batch) > 0 {
+		n, limit := 0, uint64(math.MaxUint64)
+		if len(s.vals) == s.k {
+			limit = s.vals[0]
+		}
+		for ; n < len(cand) && len(batch) > 0; batch = batch[1:] {
+			if v := s.h.Eval(batch[0].Item); v < limit {
+				cand[n] = v
+				n++
+			}
+		}
+		s.mergeValues(cand[:n])
+	}
+}
+
+// mergeValues folds hashed values into an unindexed sketch, using c as
+// scratch: an ascending pass finds what the k smallest distinct values of
+// the union keep — the a smallest of vals and b of c, compacted to c[:b] —
+// and a descending pass merges them in place.
+func (s *KMV) mergeValues(c []uint64) {
+	slices.Sort(c)
+	m, a, b := len(s.vals), 0, 0
+	for _, v := range c {
+		for a < m && a+b < s.k && s.vals[m-1-a] < v {
+			a++
+		}
+		if a+b < s.k && (a == m || s.vals[m-1-a] != v) && (b == 0 || c[b-1] != v) { // else over k, or a duplicate
+			c[b] = v
+			b++
+		}
+	}
+	a = min(m, s.k-b)
+	s.vals = append(s.vals, c[:a+b-m]...) // a+b >= m: a sketch never shrinks
+	copy(s.vals[b:], s.vals[m-a:m])       // the survivors, to the tail
+	// Largest first. The write index trails the read index by the number
+	// of candidates left, so when none is left the rest is in place.
+	for o, i, j := 0, b, b-1; j >= 0; o++ {
+		if i < len(s.vals) && s.vals[i] > c[j] {
+			s.vals[o] = s.vals[i]
+			i++
+		} else {
+			s.vals[o] = c[j]
+			j--
+		}
 	}
 }
 
@@ -57,11 +118,18 @@ func (s *KMV) CoalesceInvariant() bool { return true }
 // insertValue inserts an already-hashed value, preserving the k-minima
 // invariant. Once the heap is full almost every value is at or above the
 // k-th minimum, so that compare comes first and is the whole cost of a
-// rejected update; the membership map is consulted only below it.
+// rejected update; the membership map is consulted — and, the first time,
+// built — only below it.
 func (s *KMV) insertValue(v uint64) {
 	full := len(s.vals) == s.k
 	if full && v >= s.vals[0] {
 		return
+	}
+	if s.in == nil {
+		s.in = make(map[uint64]struct{}, len(s.vals)) // not k: a decoded k is any number
+		for _, have := range s.vals {
+			s.in[have] = struct{}{}
+		}
 	}
 	if _, ok := s.in[v]; ok {
 		return
@@ -78,8 +146,6 @@ func (s *KMV) insertValue(v uint64) {
 }
 
 // siftUp and siftDown restore the max-heap order of h around index i.
-// They leave every element where container/heap's up and down would:
-// MarshalBinary writes the heap in array order, so the layout is format.
 func siftUp(h []uint64, i int) {
 	v := h[i]
 	for i > 0 {
@@ -125,10 +191,14 @@ func (s *KMV) Estimate() float64 {
 	return float64(s.k-1) / uk
 }
 
-// SpaceBytes charges 8 bytes per retained hash value, 8 per set entry, and
-// the hash seed.
+// SpaceBytes charges 8 bytes per retained hash value, the hash seed, and,
+// while it exists, the index: a Go map keeps ~33 bytes resident per key.
 func (s *KMV) SpaceBytes() int {
-	return 16*len(s.vals) + s.h.SpaceBytes()
+	total := 8*len(s.vals) + s.h.SpaceBytes()
+	if s.in != nil {
+		total += 33 * len(s.vals)
+	}
+	return total
 }
 
 // DuplicateInsensitive implements sketch.DuplicateInsensitive.

@@ -2,6 +2,7 @@ package f0
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/hash"
@@ -15,16 +16,27 @@ const (
 
 // MarshalBinary encodes the sketch state (including the hash function, so
 // the decoded sketch can continue the stream and merge with its shards).
+// The minima are written descending whatever mode the sketch is in, so
+// equal states encode to equal bytes.
 func (s *KMV) MarshalBinary() ([]byte, error) {
+	vals := s.vals
+	if s.in != nil {
+		vals = slices.Clone(vals)
+		slices.Sort(vals)
+		slices.Reverse(vals)
+	}
 	var w codec.Writer
 	w.U8(kmvFormatV1)
 	w.U64(uint64(s.k))
 	w.U64s(s.h.Coeffs())
-	w.U64s(s.vals)
+	w.U64s(vals)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes state produced by MarshalBinary, replacing s.
+// UnmarshalBinary decodes state produced by MarshalBinary, replacing s with
+// an unindexed sketch. It takes the minima in any order (V1 was first
+// written in heap order) but not repeated or outside the field: no stream
+// produces either, and a repeat makes a heap its index disagrees with.
 func (s *KMV) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
 	if v := r.U8(); v != kmvFormatV1 && r.Err() == nil {
@@ -42,16 +54,14 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 	if len(vals) > k {
 		return fmt.Errorf("f0: KMV holds %d values but k = %d", len(vals), k)
 	}
-	s.k = k
-	s.h = hash.PolyFromCoeffs(coeffs)
-	s.vals = vals
-	for i := len(vals)/2 - 1; i >= 0; i-- { // heapify, as container/heap.Init
-		siftDown(vals, i)
+	slices.Sort(vals)
+	slices.Reverse(vals)
+	for i, v := range vals {
+		if v >= hash.Prime || (i > 0 && v == vals[i-1]) {
+			return fmt.Errorf("f0: KMV value %d is repeated or not a hash value", v)
+		}
 	}
-	s.in = make(map[uint64]struct{}, len(vals))
-	for _, v := range vals {
-		s.in[v] = struct{}{}
-	}
+	*s = KMV{k: k, h: hash.PolyFromCoeffs(coeffs), vals: vals}
 	return nil
 }
 

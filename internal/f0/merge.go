@@ -18,17 +18,22 @@ func (s *HLL) Fresh() *HLL {
 
 // Fresh returns an empty KMV sharing s's hash function.
 func (s *KMV) Fresh() *KMV {
-	return &KMV{k: s.k, h: s.h, in: make(map[uint64]struct{}, s.k)}
+	return &KMV{k: s.k, h: s.h}
 }
 
 // Merge folds other into s: the union of retained minima, re-trimmed to
 // the k smallest. Both sketches must share the hash function (be Fresh
 // copies of one origin); k may differ, the receiver's k wins. The merged
 // sketch is exactly the sketch of the concatenated streams, so shards of
-// a distributed stream can be combined losslessly.
+// a distributed stream can be combined losslessly. An unindexed receiver
+// stays unindexed.
 func (s *KMV) Merge(other *KMV) error {
 	if !s.h.Equal(other.h) {
 		return ErrIncompatible
+	}
+	if s.in == nil {
+		s.mergeValues(append([]uint64(nil), other.vals...))
+		return nil
 	}
 	for _, v := range other.vals {
 		s.insertValue(v)

@@ -111,22 +111,38 @@ func (f *F2Sketch) Update(item uint64, delta int64) {
 	}
 }
 
-// UpdateBatch implements sketch.BatchUpdater with a row-outer loop: one
-// row's hash function, counters and running aggregate stay hot while the
-// whole batch streams through it. Rows are independent, so the final
-// state is bit-for-bit that of per-update calls.
+// f2Block is how many updates UpdateBatch hashes at a time into stack
+// scratch. Sizes from 128 to 1 024 measure the same; 4 KiB costs a
+// one-update batch less to clear than the Horner chains it replaces.
+const f2Block = 128
+
+// UpdateBatch implements sketch.BatchUpdater. Per block of the batch it
+// takes the field powers of every item once for all rows; then per row one
+// pass that only hashes, into (bucket, sign) words, and one that only
+// moves the counters and the row aggregate. Kept apart, the hashes
+// pipeline and the counter loads overlap instead of each waiting on the
+// multiply chain before it. Rows are independent and each sees the batch
+// in order, so the final state is bit-for-bit that of per-update calls.
 func (f *F2Sketch) UpdateBatch(batch []sketch.Update) {
-	for r, row := range f.c {
-		h, w, s := f.hs[r], f.w, f.sumSq[r]
-		for _, u := range batch {
-			sign, b := h.SignBucket(u.Item, w)
-			d := sign * u.Delta
-			old := row[b]
-			row[b] = old + d
-			x := float64(d)
-			s += x * (2*float64(old) + x)
+	var pw [f2Block][3]uint64
+	var sb [f2Block]uint64
+	for lo := 0; lo < len(batch); lo += f2Block {
+		blk := batch[lo:min(lo+f2Block, len(batch))]
+		for i, u := range blk {
+			pw[i] = hash.Powers(u.Item)
 		}
-		f.sumSq[r] = s
+		for r, row := range f.c {
+			f.hs[r].SignBuckets(sb[:len(blk)], pw[:], f.w)
+			s := f.sumSq[r]
+			for i, u := range blk {
+				d := (int64(sb[i]&1)*2 - 1) * u.Delta
+				old := row[sb[i]>>1]
+				row[sb[i]>>1] = old + d
+				x := float64(d)
+				s += x * (2*float64(old) + x)
+			}
+			f.sumSq[r] = s
+		}
 	}
 	f.sinceResum += len(batch)
 	if f.sinceResum >= sketch.ResumInterval {

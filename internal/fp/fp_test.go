@@ -1,11 +1,14 @@
 package fp
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hash"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -279,6 +282,46 @@ func TestMaxStableRejectsSmallP(t *testing.T) {
 	NewMaxStable(2, 8, 2, 16, rand.New(rand.NewSource(1)))
 }
 
+// TestF2BatchKernelMatchesUpdate: the block kernel lands every counter,
+// every row aggregate and every encoded byte where per-update calls do, at
+// the batch lengths around its block boundaries and with signed deltas —
+// also for a decoded sketch whose rows are not cubics (ReadRows takes any
+// coefficient count), which hash through the Eval fallback.
+func TestF2BatchKernelMatchesUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	odd := NewF2(F2Sizing{Rows: 3, Width: 5}, rng)
+	odd.hs[0], odd.hs[2] = hash.NewPoly(2, rng), hash.PolyFromCoeffs(nil)
+	for name, origin := range map[string]*F2Sketch{
+		"cubic":     NewF2(F2Sizing{Rows: 5, Width: 134}, rng),
+		"one-wide":  NewF2(F2Sizing{Rows: 3, Width: 1}, rng),
+		"non-cubic": odd,
+	} {
+		for _, n := range []int{0, 1, f2Block - 1, f2Block, f2Block + 1, 3*f2Block + 7} {
+			batch := make([]sketch.Update, n)
+			for i := range batch {
+				batch[i] = sketch.Update{Item: uint64(rng.Intn(40)), Delta: []int64{1, 2, -1, -3}[rng.Intn(4)]}
+			}
+			single, batched := origin.Fresh(), origin.Fresh()
+			for round := 0; round < 2; round++ { // the second round lands on non-zero counters
+				for _, u := range batch {
+					single.Update(u.Item, u.Delta)
+				}
+				batched.UpdateBatch(batch)
+			}
+			for r := range single.sumSq {
+				if math.Float64bits(single.sumSq[r]) != math.Float64bits(batched.sumSq[r]) {
+					t.Errorf("%s, n = %d: row %d aggregate %v batched, %v per update", name, n, r, batched.sumSq[r], single.sumSq[r])
+				}
+			}
+			a, _ := single.MarshalBinary()
+			b, _ := batched.MarshalBinary()
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s, n = %d: batched sketch encodes differently from the per-update one", name, n)
+			}
+		}
+	}
+}
+
 func TestSizeF2Monotone(t *testing.T) {
 	a := SizeF2(0.3, 0.1)
 	b := SizeF2(0.1, 0.001)
@@ -292,6 +335,27 @@ func BenchmarkF2Update(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.Update(uint64(i), 1)
+	}
+}
+
+// BenchmarkF2UpdateBatch is the drain's view of the kernel: the benchmark
+// tenants' 13 × 4 800 sketch, a ring of eight copies so the counters are
+// not cache-resident, 4 096-update Zipf batches; ns/op is per update per
+// copy.
+func BenchmarkF2UpdateBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	copies := make([]*F2Sketch, 8)
+	for i := range copies {
+		copies[i] = NewF2(F2Sizing{Rows: 13, Width: 4800}, rng)
+	}
+	z := rand.NewZipf(rng, 1.2, 1, 1<<20)
+	batch := make([]sketch.Update, 4096)
+	for i := range batch {
+		batch[i] = sketch.Update{Item: z.Uint64(), Delta: 1}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(batch) {
+		copies[i/len(batch)%len(copies)].UpdateBatch(batch)
 	}
 }
 

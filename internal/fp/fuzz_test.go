@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
 // FuzzF2Unmarshal: arbitrary bytes must never panic or produce a sketch
@@ -18,6 +20,10 @@ func FuzzF2Unmarshal(f *testing.F) {
 	f.Add(data)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
+	batch := make([]sketch.Update, 300)
+	for i := range batch {
+		batch[i] = sketch.Update{Item: uint64(i % 97), Delta: int64(i%5) - 2}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var s F2Sketch
 		if err := s.UnmarshalBinary(b); err != nil {
@@ -25,6 +31,16 @@ func FuzzF2Unmarshal(f *testing.F) {
 		}
 		// A successfully decoded sketch must be usable, and must answer a
 		// number: no counter a stream could not have produced gets in.
+		// The batch kernel packs (bucket, sign) per decoded width and takes
+		// rows of any decoded degree; it must land where Update does.
+		single := s.Clone()
+		s.UpdateBatch(batch)
+		for _, u := range batch {
+			single.Update(u.Item, u.Delta)
+		}
+		if s.Estimate() != single.Estimate() {
+			t.Fatalf("batch-fed estimate %v, update-fed %v", s.Estimate(), single.Estimate())
+		}
 		s.Update(42, 1)
 		if e := s.Estimate(); math.IsNaN(e) || math.IsInf(e, 0) {
 			t.Fatalf("decoded sketch estimates %v", e)

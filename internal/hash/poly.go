@@ -7,7 +7,8 @@ import (
 )
 
 // Poly is a k-wise independent hash family member: a uniformly random
-// polynomial of degree k−1 over GF(2^61 − 1), evaluated by Horner's rule.
+// polynomial of degree k−1 over GF(2^61 − 1), evaluated by Horner's rule
+// (Eval) or, a cubic over a block of items, in power form (SignBuckets).
 // For distinct inputs x_1, …, x_k the values h(x_1), …, h(x_k) are fully
 // independent and uniform over [0, Prime). Degree-1 polynomials give the
 // classic pairwise family, degree-3 the 4-wise family required by AMS, and
@@ -124,4 +125,47 @@ func (p Poly) SignBucket(x uint64, w int) (sign int64, bucket int) {
 	// range so the high-multiply reduction sees the full word.
 	hi, _ := bits.Mul64((h>>1)<<4, uint64(w))
 	return sign, int(hi)
+}
+
+// Powers returns x, x² and x³ in the field: all SignBuckets needs of an
+// item, computed once for every polynomial the item is hashed by.
+func Powers(x uint64) [3]uint64 {
+	x = Canon(x)
+	x2 := Mul(x, x)
+	return [3]uint64{x, x2, Mul(x2, x)}
+}
+
+// SignBuckets is SignBucket over a block of items given by their Powers:
+// dst[i] = bucket<<1 | (sign+1)/2, which holds any int width. A cubic is
+// evaluated in power form, c₃x³ + c₂x² + c₁x + c₀, as three independent
+// multiplies summed in 128 bits — no Horner dependency chain — and reduced
+// once: the factors are canonical, so three products below 2¹²² sum below
+// 2¹²⁴, which one Mersenne fold brings under 2⁶⁴ as in Mul. The canonical
+// representative is unique, so every word is what SignBucket returns; any
+// other degree takes Eval.
+func (p Poly) SignBuckets(dst []uint64, pw [][3]uint64, w int) {
+	pw = pw[:len(dst)]
+	if len(p.coeffs) != 4 {
+		for i := range dst {
+			dst[i] = signBucketWord(p.Eval(pw[i][0]), w)
+		}
+		return
+	}
+	c0, c1, c2, c3 := p.coeffs[0], p.coeffs[1], p.coeffs[2], p.coeffs[3]
+	for i := range dst {
+		h1, l1 := bits.Mul64(c1, pw[i][0])
+		h2, l2 := bits.Mul64(c2, pw[i][1])
+		h3, l3 := bits.Mul64(c3, pw[i][2])
+		lo, carry1 := bits.Add64(l1, l2, 0)
+		lo, carry2 := bits.Add64(lo, l3, 0)
+		lo, carry3 := bits.Add64(lo, c0, 0)
+		hi := h1 + h2 + h3 + carry1 + carry2 + carry3
+		dst[i] = signBucketWord(reduce((lo&Prime)+(lo>>61)+hi<<3), w)
+	}
+}
+
+// signBucketWord packs SignBucket's outputs for the hash value h.
+func signBucketWord(h uint64, w int) uint64 {
+	bucket, _ := bits.Mul64((h>>1)<<4, uint64(w))
+	return bucket<<1 | h&1
 }

@@ -90,6 +90,48 @@ func TestPolySignBucketConsistency(t *testing.T) {
 	}
 }
 
+// TestSignBucketsMatchesSignBucket: the block evaluation is SignBucket,
+// word for word — for random cubics, for the inputs and coefficients at
+// the edges of the field (p−1 everywhere is the largest 128-bit sum the
+// single reduction ever sees), at every width a sketch can have, and for
+// the degrees that take the Eval fallback.
+func TestSignBucketsMatchesSignBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	xs := []uint64{0, 1, Prime - 1, Prime, Prime + 1, math.MaxUint64}
+	for i := 0; i < 500; i++ {
+		xs = append(xs, rng.Uint64())
+	}
+	polys := []Poly{{coeffs: []uint64{0}}} // what PolyFromCoeffs makes of no coefficients
+	for _, c := range []uint64{0, 1, Prime - 1} {
+		polys = append(polys, PolyFromCoeffs([]uint64{c, c, c, c}))
+	}
+	for _, k := range []int{1, 2, 3, 4, 4, 4, 4, 5, 9} {
+		polys = append(polys, NewPoly(k, rng))
+	}
+	pw := make([][3]uint64, len(xs))
+	for i, x := range xs {
+		pw[i] = Powers(x)
+	}
+	dst := make([]uint64, len(xs))
+	for _, p := range polys {
+		for _, w := range []int{1, 134, 4800, math.MaxInt} {
+			p.SignBuckets(dst, pw, w)
+			for i, x := range xs {
+				sign, bucket := p.SignBucket(x, w)
+				if got := (int64(dst[i]&1)*2 - 1); got != sign || int(dst[i]>>1) != bucket {
+					t.Fatalf("degree %d, w = %d, x = %d: block (%d, %d), SignBucket (%d, %d)",
+						p.Degree(), w, x, got, dst[i]>>1, sign, bucket)
+				}
+			}
+		}
+	}
+	// A short dst takes a prefix of the powers, as the kernel's last block does.
+	polys[5].SignBuckets(dst[:3], pw, 7)
+	if sign, bucket := polys[5].SignBucket(xs[2], 7); dst[2]>>1 != uint64(bucket) || int64(dst[2]&1)*2-1 != sign {
+		t.Errorf("prefix evaluation disagrees with SignBucket")
+	}
+}
+
 func TestPolyPairwiseCollisionRate(t *testing.T) {
 	// For a pairwise family, Pr[h(x) mod w == h(y) mod w] ≈ 1/w.
 	rng := rand.New(rand.NewSource(8))

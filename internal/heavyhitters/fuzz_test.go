@@ -3,6 +3,8 @@ package heavyhitters
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
 // FuzzCountSketchUnmarshal: arbitrary bytes must never panic; decoded
@@ -14,12 +16,17 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 	f.Add(data)
 	f.Add([]byte{})
 	f.Add([]byte{1, 255, 255, 255, 255, 255, 255, 255, 255})
+	batch := make([]sketch.Update, 300) // through the shared block kernel too
+	for i := range batch {
+		batch[i] = sketch.Update{Item: uint64(i % 97), Delta: int64(i%5) - 2}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var s CountSketch
 		if err := s.UnmarshalBinary(b); err != nil {
 			return
 		}
 		s.Update(42, 1)
+		s.UpdateBatch(batch)
 		_ = s.Query(42)
 		_ = s.Estimate()
 		_ = s.HeavyHitters(1)

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/hash"
 )
 
 func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
@@ -228,6 +230,66 @@ func TestMergeRejectsPoisonedCounters(t *testing.T) {
 	}
 	if st.Keys != 2 {
 		t.Errorf("refused merges created tenants: %d keys, want 2", st.Keys)
+	}
+}
+
+// TestMergeRejectsImpossibleKMVMinima: a correctly checksummed kmv
+// envelope whose minima no stream produces — one value twice, or a value
+// the hash cannot reach — must be refused as a 400 and leave the tenant
+// answering what it answered before. Decoded, a repeated minimum made a
+// sketch whose heap and membership index disagree from the first eviction
+// on.
+func TestMergeRejectsImpossibleKMVMinima(t *testing.T) {
+	srv := New(Config{Shards: 2, Seed: 3})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Drain()
+
+	do := requester(t, hs)
+	var req UpdateRequest
+	for item := uint64(1); item <= 40; item++ {
+		req.Updates = append(req.Updates, UpdateItem{Item: item, Delta: 1})
+	}
+	updates, _ := json.Marshal(req)
+	if code, body := do(http.MethodPost, "/v1/update?key=k&sketch=kmv", updates); code != 200 {
+		t.Fatalf("update: HTTP %d: %s", code, body)
+	}
+	code, before := do(http.MethodGet, "/v1/estimate?key=k", nil)
+	var e EstimateResponse
+	if err := json.Unmarshal(before, &e); code != 200 || err != nil || e.Estimate != 40 {
+		t.Fatalf("estimate before: HTTP %d, %q (%v)", code, before, err)
+	}
+	code, snap := do(http.MethodGet, "/v1/snapshot?key=k", nil)
+	if code != 200 {
+		t.Fatalf("snapshot: HTTP %d", code)
+	}
+	name, parts, err := decodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := parts[len(parts)-1] // ends with the shard's minima, at least two of them
+	for what, word := range map[string][]byte{
+		"repeated":     last[len(last)-16 : len(last)-8],
+		"out-of-field": binary.LittleEndian.AppendUint64(nil, hash.Prime),
+	} {
+		bad := append([][]byte(nil), parts...)
+		bad[len(bad)-1] = append(append([]byte(nil), last[:len(last)-8]...), word...)
+		body := encodeSnapshot(name, bad)
+		for _, target := range []string{"k", "absent"} {
+			if code, resp := do(http.MethodPost, "/v1/merge?key="+target+"&sketch=kmv", body); code != http.StatusBadRequest {
+				t.Errorf("merge of a %s minimum into %q: HTTP %d (%s), want 400", what, target, code, resp)
+			}
+		}
+		if code, after := do(http.MethodGet, "/v1/estimate?key=k", nil); code != 200 || !bytes.Equal(after, before) {
+			t.Fatalf("estimate after refusing a %s minimum: HTTP %d %q, want %q", what, code, after, before)
+		}
+	}
+	// The untouched snapshot still merges: same items, same estimate.
+	if code, body := do(http.MethodPost, "/v1/merge?key=k", snap); code != 200 {
+		t.Fatalf("valid merge: HTTP %d: %s", code, body)
+	}
+	if code, after := do(http.MethodGet, "/v1/estimate?key=k", nil); code != 200 || !bytes.Equal(after, before) {
+		t.Errorf("estimate after a self-merge: HTTP %d %q, want %q", code, after, before)
 	}
 }
 
