@@ -515,7 +515,7 @@ func BenchmarkModelIngestBoundedDeletion(b *testing.B) { benchModelIngest(b, "bo
 // benchTopKQuery — structured-query read cost: a countsketch tenant's
 // engine (built exactly as sketchd builds it, per-tenant spec included)
 // answers top-10 queries over a pre-ingested Zipf stream. Each iteration
-// is one TopK call: a flush barrier plus a per-shard candidate-pool rank
+// is one top-k QueryBatch: a flush barrier plus a per-shard candidate-pool rank
 // and a cross-shard merge — the server-side cost of one POST /v2/query
 // topk, minus the wire.
 func benchTopKQuery(b *testing.B, policy string) {
@@ -543,7 +543,7 @@ func benchTopKQuery(b *testing.B, policy string) {
 	eng.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.TopK(10); err != nil {
+		if _, _, _, err := eng.QueryBatch(nil, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,10 @@ import (
 // runAMS reproduces the Theorem 9.1 figure: the collapse of the dense AMS
 // estimate under Algorithm 3, its success probability over repeated
 // trials (paper: ≥ 9/10), the O(t) scaling of the break point, and the
-// impotence of the same adversary against the robust wrapper.
+// impotence of the same adversary against the robust wrapper, whose
+// rounded outputs starve it of feedback. The same game against a tenant of
+// a real sketchd, every round an update then an estimate over loopback
+// HTTP, is `experiments campaign -sketches f2,robust-f2 -targets http`.
 func runAMS() {
 	fmt.Println("series: AMS estimate / true F2 under Algorithm 3 (t = 64 rows)")
 	sk := fp.NewDenseAMS(64, 1<<16, rand.New(rand.NewSource(1)))
@@ -87,7 +90,11 @@ func runAMS() {
 
 // runKMV demonstrates the Section 10 threat model: an adversary holding
 // the hash seed inflates a static KMV arbitrarily; the PRF-wrapped and the
-// sketch-switching estimators resist the identical adversary.
+// sketch-switching estimators resist the identical adversary. It is the
+// paper's §1 scenario: a query optimiser estimates an attribute's distinct
+// values with a sketch and its next queries depend on the answers, so the
+// stream is adaptively chosen. Theorem 10.1 defends for one key schedule,
+// Theorem 1.1 with no cryptographic assumption at a poly(1/ε) space factor.
 func runKMV() {
 	const warmup, poison = 5000, 512
 	fmt.Printf("seed-leakage adversary: %d honest inserts, %d hash-preimage inserts\n\n", warmup, poison)
@@ -118,7 +125,10 @@ func runKMV() {
 }
 
 // runHH runs the Theorem 6.5 algorithm against an adaptive flooder and
-// reports recall/precision against exact ground truth.
+// reports recall/precision against exact ground truth. The stream is a
+// network monitor's: background flows, four heavy flows, and a flooder
+// that watches the published set — it hides behind one-packet flows while
+// its own flow is in the set and pushes that flow whenever it is not.
 func runHH() {
 	const eps = 0.3
 	const steps = 25000

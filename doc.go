@@ -1,8 +1,9 @@
 // Package repro is the root of a from-scratch Go reproduction of
 // "A Framework for Adversarially Robust Streaming Algorithms"
 // (Ben-Eliezer, Jayaram, Woodruff, Yogev — PODS 2020). The library lives
-// under internal/ (the package map is below), runnable examples
-// under examples/, and the experiment harness under cmd/experiments. The
+// under internal/ (the package map is below), three runnable examples
+// under examples/, and the experiment harness — every attack scenario's
+// one program — under cmd/experiments. The
 // root package holds the benchmark suite that regenerates every table and
 // figure of the paper (bench_test.go).
 //
@@ -34,7 +35,8 @@
 //     robust.HeavyHitters' CountSketch ring; a drain coalesces the
 //     buffer once (per-item net deltas) for every copy whose inner sketch
 //     declares sketch.CoalesceInvariant, instead of replaying repeats
-//     per copy.
+//     per copy. A wrapper has no batch method: sketch.ApplyBatch is the
+//     one batch loop.
 //   - internal/robust — the robustness policy layer and the assembled
 //     robust estimators. robust.Policy names a transformation (none,
 //     switching, ring, paths) and composes with any robust.Problem (the
@@ -55,6 +57,8 @@
 //     lists them, NewF0 / NewFp / NewHeavyHitters / NewEntropy are
 //     shorthands for four of its rows, and every wrapper reports its
 //     flip-budget consumption through sketch.RobustnessReporter.
+//     Policy.StateBytes prices what Wrap would build, unbuilt (sketchd
+//     admits tenants by it).
 //   - internal/engine — a sharded, batched, concurrent ingest pipeline
 //     that hash-routes updates to per-shard estimator instances (static
 //     or robust), coalesces duplicates per batch (sketch.Coalescer, the

@@ -292,6 +292,8 @@ func queryResponseFromFrame(wr *wire.QueryResponse) *server.QueryResponse {
 		Sketch: wr.Sketch,
 		Policy: wr.Policy,
 		Model:  wr.Model,
+		// Same fields, JSON tags apart: a conversion, not a copy to maintain.
+		Robustness: (*server.RobustnessStats)(wr.Robustness),
 	}
 	resp.Answers = make([]Answer, 0, len(wr.Answers))
 	for _, wa := range wr.Answers {
@@ -319,16 +321,6 @@ func queryResponseFromFrame(wr *wire.QueryResponse) *server.QueryResponse {
 			}
 		}
 		resp.Answers = append(resp.Answers, a)
-	}
-	if r := wr.Robustness; r != nil {
-		resp.Robustness = &server.RobustnessStats{
-			Policy:    r.Policy,
-			Copies:    r.Copies,
-			Switches:  r.Switches,
-			Budget:    r.Budget,
-			Remaining: r.Remaining,
-			Exhausted: r.Exhausted,
-		}
 	}
 	return resp
 }
@@ -484,18 +476,6 @@ func (c *Client) Add(ctx context.Context, key string, items ...uint64) error {
 	ups := make([]Update, len(items))
 	for i, it := range items {
 		ups[i] = Update{Item: it, Delta: 1}
-	}
-	return c.Update(ctx, key, ups)
-}
-
-// Delete is Update with delta −1 for each item. Insertion-only tenants
-// (model "insertion", the default) reject the whole batch with HTTP 400
-// and apply nothing; declare the tenant with model "turnstile" or
-// "bounded_deletion" to make deletions part of its guarantee.
-func (c *Client) Delete(ctx context.Context, key string, items ...uint64) error {
-	ups := make([]Update, len(items))
-	for i, it := range items {
-		ups[i] = Update{Item: it, Delta: -1}
 	}
 	return c.Update(ctx, key, ups)
 }

@@ -478,6 +478,11 @@ func TestProbeDetectsDeathAndRecovery(t *testing.T) {
 	victim, observer := nodes[2], nodes[0]
 	deadline := time.Now().Add(5 * time.Second)
 
+	// A dead process neither receives nor sends: stop the victim's loops
+	// before its listener. Left running, its prober keeps reaching the
+	// observer, mergeRoutes revives any peer it hears from, and the
+	// "dead" node flaps down and up there once a probe round.
+	victim.node.Close()
 	victim.hs.Close()
 	for {
 		if p := observer.node.peers[victim.url]; p.down.Load() {

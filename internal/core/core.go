@@ -22,6 +22,8 @@
 // rounded output and nothing else (Lemmas 3.6, 3.8), so Switcher and Paths
 // expose no per-coordinate query; robust point queries are a different
 // construction, the frozen ring of Theorem 6.5 (robust.HeavyHitters).
+// Both decide per update — any intermediate estimate can flip the output —
+// so neither has a batch method: sketch.ApplyBatch is the one batch loop.
 //
 // The assembled robust estimators for concrete problems (F0, Fp, heavy
 // hitters, entropy, bounded deletions, cryptographic F0) live in

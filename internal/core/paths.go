@@ -42,17 +42,6 @@ func (p *Paths) Update(item uint64, delta int64) {
 	p.r.Next(p.inner.Estimate())
 }
 
-// UpdateBatch implements sketch.BatchUpdater. The rounding machine must
-// observe every intermediate estimate (the flip count is part of the
-// Lemma 3.8 accounting), so the batch path is the per-update loop — the
-// win is that the inner instance's Estimate is O(rows) when it maintains
-// running aggregates, not a change in loop structure.
-func (p *Paths) UpdateBatch(batch []sketch.Update) {
-	for _, u := range batch {
-		p.Update(u.Item, u.Delta)
-	}
-}
-
 // Estimate returns the rounded output.
 func (p *Paths) Estimate() float64 { return p.r.Current() }
 

@@ -85,30 +85,14 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 // trailing instances, applied to the active instance immediately, and the
 // published output is refreshed from the active instance if it drifted.
 func (s *Switcher) Update(item uint64, delta int64) {
-	s.step(item, delta)
+	if y := s.lag.Step(s.active, item, delta).Estimate(); !withinRel(s.out, y, s.eps/2) {
+		s.out = RoundEps(y, s.eps/2)
+		s.switches++
+		s.advance()
+	}
 	if s.lag.Full() {
 		s.lag.Drain()
 	}
-}
-
-// UpdateBatch implements sketch.BatchUpdater: per-update drift checks are
-// preserved (switch decisions depend on every intermediate estimate), so
-// the batch win is amortization of the trailing instances' catch-up work,
-// not a change in semantics.
-func (s *Switcher) UpdateBatch(batch []sketch.Update) {
-	for _, u := range batch {
-		s.Update(u.Item, u.Delta)
-	}
-}
-
-func (s *Switcher) step(item uint64, delta int64) {
-	y := s.lag.Step(s.active, item, delta).Estimate()
-	if withinRel(s.out, y, s.eps/2) {
-		return
-	}
-	s.out = RoundEps(y, s.eps/2)
-	s.switches++
-	s.advance()
 }
 
 func (s *Switcher) advance() {

@@ -335,32 +335,52 @@ func TestSwitcherMatchesReferencePerUpdate(t *testing.T) {
 	}
 }
 
+// TestSwitcherBatchMatchesReference: a wrapper has no batch path of its
+// own — sketch.ApplyBatch, the one batch loop (engine shard worker,
+// Lagged, the adapter), feeds it update by update — so a wrapper fed in
+// uneven chunks must agree with its per-update twin on published output
+// and flip count at every chunk boundary. The Switcher's twin is the
+// synchronous reference; robust.HeavyHitters has the same row in its own
+// package, which this one cannot import.
 func TestSwitcherBatchMatchesReference(t *testing.T) {
 	factory := func(seed int64) sketch.Estimator {
 		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
 	}
 	sw := NewSwitcher(0.3, 24, false, 42, factory)
 	ref := newReferenceSwitcher(0.3, 24, false, 42, factory)
-	ups := streamF2Updates(6000, 13)
-	// Feed the production Switcher in uneven batches, the reference one
-	// update at a time; published outputs and switch counts must agree at
-	// every batch boundary.
-	for len(ups) > 0 {
-		n := 1 + int(ups[0].Item)%97
-		if n > len(ups) {
-			n = len(ups)
+	paths, pathsTwin := NewPaths(0.3, 64, factory(42)), NewPaths(0.3, 64, factory(42))
+	for _, tc := range []struct {
+		name string
+		fed  sketch.Estimator
+		twin interface {
+			Update(item uint64, delta int64)
+			Estimate() float64
 		}
-		sw.UpdateBatch(ups[:n])
-		for _, u := range ups[:n] {
-			ref.Update(u.Item, u.Delta)
-		}
-		ups = ups[n:]
-		if sw.Estimate() != ref.Estimate() {
-			t.Fatalf("estimate %v != reference %v", sw.Estimate(), ref.Estimate())
-		}
-		if sw.Switches() != ref.switches {
-			t.Fatalf("switches %d != reference %d", sw.Switches(), ref.switches)
-		}
+		flips func() (fed, twin int)
+	}{
+		{"switcher", sw, ref, func() (int, int) { return sw.Switches(), ref.switches }},
+		{"paths", paths, pathsTwin, func() (int, int) { return paths.Changes(), pathsTwin.Changes() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ups := streamF2Updates(6000, 13)
+			for len(ups) > 0 {
+				n := min(1+int(ups[0].Item)%97, len(ups))
+				sketch.ApplyBatch(tc.fed, ups[:n])
+				for _, u := range ups[:n] {
+					tc.twin.Update(u.Item, u.Delta)
+				}
+				ups = ups[n:]
+				if tc.fed.Estimate() != tc.twin.Estimate() {
+					t.Fatalf("estimate %v != per-update twin %v", tc.fed.Estimate(), tc.twin.Estimate())
+				}
+				if fed, twin := tc.flips(); fed != twin {
+					t.Fatalf("flips %d != per-update twin %d", fed, twin)
+				}
+			}
+			if fed, _ := tc.flips(); fed < 8 {
+				t.Fatalf("only %d flips: the chunks never straddled a published change", fed)
+			}
+		})
 	}
 	if sw.Robustness().Budget != 24 {
 		t.Errorf("budget %d, want 24", sw.Robustness().Budget)

@@ -476,9 +476,8 @@ func (e *Engine) SeedMass(mass, deleted int64) {
 	e.baseDeleted.Add(deleted)
 }
 
-// ErrNoPointQueries is returned by QueryPoints and TopK when the shard
-// estimators do not implement the point-query surface (sketch.PointQuerier
-// / sketch.TopKQuerier).
+// ErrNoPointQueries is returned by QueryBatch when the shard estimators do
+// not implement the point-query surface (sketch.PointQuerier / TopKQuerier).
 var ErrNoPointQueries = errors.New("engine: shard estimators do not support point queries")
 
 // QueryBatch answers a structured read in one flush pass: the combined
@@ -548,23 +547,6 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 		topk = merged
 	}
 	return estimate, points, topk, nil
-}
-
-// QueryPoints flushes the engine and returns the point estimates of
-// f[item] for every requested item; see QueryBatch for the semantics.
-func (e *Engine) QueryPoints(items []uint64) ([]float64, error) {
-	_, points, _, err := e.QueryBatch(items, 0)
-	return points, err
-}
-
-// TopK flushes the engine and merges the shards' candidate sets into the
-// global top-k; see QueryBatch for the semantics.
-func (e *Engine) TopK(k int) ([]sketch.ItemWeight, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	_, _, topk, err := e.QueryBatch(nil, k)
-	return topk, err
 }
 
 // Robustness aggregates the robustness-budget state of the shard

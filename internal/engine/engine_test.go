@@ -360,11 +360,11 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
-// TestQueryPointsAndTopK: the structured-query combiners. Point estimates
-// come from the owning shard alone (routing makes every other shard's
-// coordinate exactly zero), so each answer must be within the per-shard
-// CountSketch guarantee of the true count; TopK must merge per-shard
-// candidate sets into the true global heavy hitters.
+// TestQueryPointsAndTopK: the structured-query combiners of QueryBatch.
+// Point estimates come from the owning shard alone (routing makes every
+// other shard's coordinate exactly zero), so each answer must be within
+// the per-shard CountSketch guarantee of the true count; the top-k must
+// merge per-shard candidate sets into the true global heavy hitters.
 func TestQueryPointsAndTopK(t *testing.T) {
 	sizing := heavyhitters.SizeForPointQuery(0.1, 0.01)
 	eng := New(Config{
@@ -390,7 +390,7 @@ func TestQueryPointsAndTopK(t *testing.T) {
 
 	// Point queries: heavy items, light items, and never-seen items.
 	items := []uint64{0, 1, 2, 3, 100, 1 << 40}
-	got, err := eng.QueryPoints(items)
+	_, got, top, err := eng.QueryBatch(items, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +398,13 @@ func TestQueryPointsAndTopK(t *testing.T) {
 	for i, item := range items {
 		want := float64(truth.Count(item))
 		if math.Abs(got[i]-want) > bound {
-			t.Errorf("QueryPoints f[%d] = %v, true %v (bound %v)", item, got[i], want, bound)
+			t.Errorf("point f[%d] = %v, true %v (bound %v)", item, got[i], want, bound)
 		}
 	}
 
 	// TopK: the merged candidate set must surface the true top items.
-	top, err := eng.TopK(5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(top) != 5 {
-		t.Fatalf("TopK(5) returned %d items", len(top))
+		t.Fatalf("top-5 returned %d items", len(top))
 	}
 	inTop := map[uint64]bool{}
 	for i, iw := range top {
@@ -435,11 +431,11 @@ func TestQueryPointsAndTopK(t *testing.T) {
 	})
 	defer plain.Close()
 	plain.Update(1, 1)
-	if _, err := plain.QueryPoints([]uint64{1}); err == nil || !errors.Is(err, ErrNoPointQueries) {
-		t.Errorf("QueryPoints on kmv engine: err = %v, want ErrNoPointQueries", err)
+	if _, _, _, err := plain.QueryBatch([]uint64{1}, 0); !errors.Is(err, ErrNoPointQueries) {
+		t.Errorf("point query on kmv engine: err = %v, want ErrNoPointQueries", err)
 	}
-	if _, err := plain.TopK(3); err == nil || !errors.Is(err, ErrNoPointQueries) {
-		t.Errorf("TopK on kmv engine: err = %v, want ErrNoPointQueries", err)
+	if _, _, _, err := plain.QueryBatch(nil, 3); !errors.Is(err, ErrNoPointQueries) {
+		t.Errorf("top-k on kmv engine: err = %v, want ErrNoPointQueries", err)
 	}
 }
 

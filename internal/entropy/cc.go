@@ -32,6 +32,10 @@ type CCSizing struct {
 	Per    int // counters per group, Θ(1/ε²)
 }
 
+// Bytes is what a sketch of these dimensions keeps resident: a counter and
+// a salt per cell.
+func (s CCSizing) Bytes() float64 { return 16 * float64(s.Groups) * float64(s.Per) }
+
 // SizeCC returns dimensions for an additive-ε (in bits) estimate with
 // probability 1−δ; pass δ/m for strong tracking over m steps.
 func SizeCC(eps, delta float64) CCSizing {

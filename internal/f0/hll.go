@@ -42,23 +42,6 @@ func NewHLL(precision uint8, rng *rand.Rand) *HLL {
 	}
 }
 
-// HLLPrecisionFor returns the smallest precision whose standard error
-// 1.04/√m is at most eps.
-func HLLPrecisionFor(eps float64) uint8 {
-	if eps <= 0 {
-		panic("f0: need eps > 0")
-	}
-	m := (1.04 / eps) * (1.04 / eps)
-	p := uint8(math.Ceil(math.Log2(m)))
-	if p < 4 {
-		p = 4
-	}
-	if p > 18 {
-		p = 18
-	}
-	return p
-}
-
 // Update implements sketch.Estimator (deltas ignored).
 //
 // The polynomial hash value is passed through a SplitMix64 finalizer

@@ -1,7 +1,6 @@
 package f0
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -60,23 +59,6 @@ func TestHLLDuplicateInsensitiveProperty(t *testing.T) {
 	}
 	if !NewHLL(8, rand.New(rand.NewSource(1))).DuplicateInsensitive() {
 		t.Error("HLL must declare duplicate-insensitivity")
-	}
-}
-
-func TestHLLPrecisionFor(t *testing.T) {
-	if p := HLLPrecisionFor(0.01); p < 13 {
-		t.Errorf("precision for eps=0.01 = %d, want >= 13", p)
-	}
-	if p := HLLPrecisionFor(0.3); p > 8 {
-		t.Errorf("precision for eps=0.3 = %d, want small", p)
-	}
-	// Standard error at the returned precision must be <= eps (within the
-	// [4,18] clamp).
-	for _, eps := range []float64{0.05, 0.1, 0.2} {
-		p := HLLPrecisionFor(eps)
-		if se := 1.04 / math.Sqrt(float64(uint64(1)<<p)); se > eps*1.01 {
-			t.Errorf("eps=%v: precision %d gives std.err %v > eps", eps, p, se)
-		}
 	}
 }
 

@@ -64,8 +64,5 @@ func (s *DenseAMS) Estimate() float64 {
 
 // SpaceBytes charges the linear-sketch state y; the sign matrix is the
 // sketch's randomness (in the streaming model it would be derived from a
-// seed or random oracle), so it is reported separately by MatrixBytes.
+// seed or random oracle) and is not charged.
 func (s *DenseAMS) SpaceBytes() int { return 8 * s.t }
-
-// MatrixBytes returns the storage of the explicit sign matrix.
-func (s *DenseAMS) MatrixBytes() int { return len(s.signs) }

@@ -54,6 +54,9 @@ type F2Sizing struct {
 	Rows, Width int
 }
 
+// Bytes is what a sketch of these dimensions keeps resident: the counters.
+func (s F2Sizing) Bytes() float64 { return 8 * float64(s.Rows) * float64(s.Width) }
+
 // SizeF2 computes sketch dimensions for an (ε, δ) guarantee at a single
 // point in the stream; for (ε, δ)-strong tracking over m steps pass
 // δ/m (the union-bound reduction of the paper's footnote 1).
@@ -191,9 +194,6 @@ func (f *F2Sketch) AppendSigned(dst []float64, item uint64) []float64 {
 	}
 	return dst
 }
-
-// EstimateL2 returns the median-of-rows estimate of ‖f‖₂.
-func (f *F2Sketch) EstimateL2() float64 { return math.Sqrt(f.Estimate()) }
 
 // SpaceBytes charges the counters, row aggregates and hash seeds.
 func (f *F2Sketch) SpaceBytes() int {

@@ -1,9 +1,6 @@
 package fp
 
-import (
-	"errors"
-	"slices"
-)
+import "errors"
 
 // ErrIncompatible is returned when two sketches do not share the
 // randomness that linear-sketch merging requires.
@@ -16,16 +13,6 @@ func (f *F2Sketch) Fresh() *F2Sketch {
 		cp.c = append(cp.c, make([]int64, f.w))
 	}
 	cp.sumSq = make([]float64, f.rows)
-	return cp
-}
-
-// Clone returns a deep copy of the counters and row aggregates, sharing
-// the immutable hash functions.
-func (f *F2Sketch) Clone() *F2Sketch {
-	cp := &F2Sketch{rows: f.rows, w: f.w, hs: f.hs, sumSq: slices.Clone(f.sumSq)}
-	for _, row := range f.c {
-		cp.c = append(cp.c, slices.Clone(row))
-	}
 	return cp
 }
 

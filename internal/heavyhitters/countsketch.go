@@ -13,7 +13,6 @@
 package heavyhitters
 
 import (
-	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -65,6 +64,11 @@ type candEntry struct {
 type Sizing struct {
 	Rows, Width int
 }
+
+// Bytes is what a sketch of these dimensions keeps resident once its
+// stream has filled it: the counters, and the candidate pool at the 8·width
+// entries that trigger a prune.
+func (s Sizing) Bytes() float64 { return float64(s.Width) * (8*float64(s.Rows) + 8*16) }
 
 // SizeForPointQuery returns dimensions giving additive error ε‖f‖₂ on
 // every point query with probability 1−δ (union-bound δ over the queries
@@ -259,13 +263,6 @@ func (cs *CountSketch) TopK(k int) []sketch.ItemWeight {
 		all = all[:k]
 	}
 	return all
-}
-
-// Clone returns a deep copy of the sketch state (sharing the immutable
-// hash functions). The robust heavy hitters algorithm freezes clones at
-// switching times.
-func (cs *CountSketch) Clone() *CountSketch {
-	return &CountSketch{kernel: cs.kernel.Clone(), cands: maps.Clone(cs.cands), candCap: cs.candCap}
 }
 
 // SpaceBytes charges the kernel (counters, hash seeds, row aggregates) and

@@ -99,20 +99,6 @@ func TestCountSketchF2Estimate(t *testing.T) {
 	}
 }
 
-func TestCountSketchCloneIsIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	cs := NewCountSketch(Sizing{Rows: 3, Width: 64}, rng)
-	cs.Update(1, 10)
-	cp := cs.Clone()
-	cs.Update(1, 90)
-	if got := cp.Query(1); got != 10 {
-		t.Errorf("clone saw later update: Query(1) = %v, want 10", got)
-	}
-	if got := cs.Query(1); got != 100 {
-		t.Errorf("original Query(1) = %v, want 100", got)
-	}
-}
-
 func TestCountSketchCandidatePoolBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cs := NewCountSketch(Sizing{Rows: 3, Width: 16}, rng)

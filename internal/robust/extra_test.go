@@ -3,12 +3,14 @@ package robust
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/f0"
 	"repro/internal/game"
 	"repro/internal/prf"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -64,8 +66,8 @@ func TestFpPathsLnInvDeltaRegime(t *testing.T) {
 	}
 }
 
-// TestRobustHeavyHittersUnderAdaptiveFlooder ports the netmon scenario
-// into a regression test: the flooder throttles whenever the published set
+// TestRobustHeavyHittersUnderAdaptiveFlooder holds the flooder scenario of
+// `experiments -exp hh` as a regression test: the flooder throttles whenever the published set
 // contains it, so its behavior depends on the algorithm's outputs.
 func TestRobustHeavyHittersUnderAdaptiveFlooder(t *testing.T) {
 	const eps = 0.3
@@ -158,5 +160,106 @@ func TestDistributedShardsFeedRobustTracker(t *testing.T) {
 	}
 	if e := math.Abs(alg.Estimate()-truth.F0()) / truth.F0(); e > 0.15 {
 		t.Fatalf("post-merge continued tracking error %v", e)
+	}
+}
+
+// hhAnswers is everything a HeavyHitters publishes per coordinate.
+type hhAnswers struct {
+	points []float64
+	top    []sketch.ItemWeight
+	set    []uint64
+}
+
+func readHH(hh *HeavyHitters, items []uint64) hhAnswers {
+	a := hhAnswers{top: hh.TopK(10), set: hh.Set()}
+	for _, it := range items {
+		a.points = append(a.points, hh.Query(it))
+	}
+	return a
+}
+
+// TestFrozenCopyIsOutOfTheRing: refresh moves the caught-up instance out
+// of the ring instead of cloning it, which is sound only if nothing feeds
+// the frozen instance again. Located on the stream itself: the first
+// refresh followed by 1 000 quiet updates that cross a ring drain (where a
+// copy still in a slot would be fed its backlog) must leave every
+// per-coordinate answer bit-identical, and no slot may hold the pointer.
+func TestFrozenCopyIsOutOfTheRing(t *testing.T) {
+	const quiet = 1000
+	hh := NewHeavyHitters(0.3, 0.05, 1<<20, 25)
+	gen := stream.NewZipf(1<<12, 60000, 1.2, 31)
+	items := make([]uint64, 16) // the heaviest ranks: every window feeds them
+	for i := range items {
+		items[i] = uint64(i)
+	}
+	var want hhAnswers
+	since, drains := -1, false // updates since the last refresh; -1 before the first
+	for step := 0; ; step++ {
+		u, ok := gen.Next()
+		if !ok {
+			t.Fatalf("no refresh followed by %d quiet updates across a drain: lengthen the stream", quiet)
+		}
+		before := hh.L2()
+		hh.Update(u.Item, u.Delta)
+		switch {
+		case hh.L2() != before:
+			want, since = readHH(hh, items), 0
+			drains = (step+1)%ringLagBound+quiet >= ringLagBound
+		case since >= 0:
+			since++
+		}
+		if since == quiet && drains {
+			break
+		}
+	}
+	if got := readHH(hh, items); !reflect.DeepEqual(got, want) {
+		t.Errorf("frozen answers moved over %d updates without a refresh:\n got %+v\nwant %+v", quiet, got, want)
+	}
+	if want.points[0] == 0 || len(want.top) != 10 {
+		t.Fatalf("frozen copy answers nothing (%+v): the comparison is vacuous", want)
+	}
+	for i := 0; i < hh.ring.Len(); i++ {
+		if hh.ring.Current(i) == sketch.Estimator(hh.frozen) {
+			t.Errorf("ring slot %d still holds the frozen instance", i)
+		}
+	}
+}
+
+// TestHeavyHittersBatchMatchesPerUpdate is the HeavyHitters row of
+// core.TestSwitcherBatchMatchesReference: fed in uneven chunks through
+// sketch.ApplyBatch, the one batch loop, it publishes what its per-update
+// twin publishes at every chunk boundary.
+func TestHeavyHittersBatchMatchesPerUpdate(t *testing.T) {
+	fed, twin := NewHeavyHitters(0.3, 0.05, 1<<20, 25), NewHeavyHitters(0.3, 0.05, 1<<20, 25)
+	var ups []sketch.Update
+	for gen := stream.NewZipf(1<<12, 6000, 1.2, 13); ; {
+		u, ok := gen.Next()
+		if !ok {
+			break
+		}
+		ups = append(ups, sketch.Update(u))
+	}
+	items := []uint64{0, 1, 2, 3, 1 << 30}
+	for len(ups) > 0 {
+		n := min(1+int(ups[0].Item)%97, len(ups))
+		sketch.ApplyBatch(fed, ups[:n])
+		for _, u := range ups[:n] {
+			twin.Update(u.Item, u.Delta)
+		}
+		ups = ups[n:]
+		if fed.Estimate() != twin.Estimate() || fed.Robustness() != twin.Robustness() {
+			t.Fatalf("chunk-fed (%v, %+v) != per-update twin (%v, %+v)", fed.Estimate(), fed.Robustness(), twin.Estimate(), twin.Robustness())
+		}
+		for _, it := range items {
+			if fed.Query(it) != twin.Query(it) {
+				t.Fatalf("Query(%d) = %v, per-update twin %v", it, fed.Query(it), twin.Query(it))
+			}
+		}
+	}
+	if got, want := readHH(fed, items), readHH(twin, items); !reflect.DeepEqual(got, want) {
+		t.Errorf("chunk-fed answers %+v, per-update twin %+v", got, want)
+	}
+	if fed.Robustness().Switches < 8 {
+		t.Fatalf("only %d refreshes: the chunks never straddled one", fed.Robustness().Switches)
 	}
 }

@@ -17,12 +17,12 @@ import (
 //     time steps t_1 < t_2 < … at which the norm has grown enough for the
 //     published point-query vector to need refreshing;
 //   - a ring of Θ(ε⁻¹ log ε⁻¹) CountSketch instances. At each t_i the
-//     least-recently-restarted instance is frozen (cloned) to serve all
-//     point queries and the heavy hitters set until t_{i+1}, and the live
-//     instance restarts on the stream suffix. By Proposition 6.3 the
-//     frozen estimates stay O(ε)-correct between refreshes, and by the
-//     Theorem 6.5 argument a restarted instance misses at most an ε/100
-//     fraction of the L2 mass by the time it is frozen again.
+//     least-recently-restarted instance is frozen (moved out of the ring,
+//     not copied) to serve all point queries and the heavy hitters set
+//     until t_{i+1}, and its slot restarts on the stream suffix. By
+//     Proposition 6.3 the frozen estimates stay O(ε)-correct between
+//     refreshes, and by the Theorem 6.5 argument a restarted instance misses
+//     at most an ε/100 fraction of the L2 mass by the time it is frozen again.
 //
 // Only frozen outputs and the rounded norm are published, so each
 // CountSketch's randomness influences at most one published refresh —
@@ -53,8 +53,7 @@ const ringLagBound = 1024
 // (Definition 6.1 semantics with threshold parameter ε) over a universe of
 // size n.
 func NewHeavyHitters(eps, delta float64, n uint64, seed int64) *HeavyHitters {
-	copies := core.RingCopies(eps)
-	sizing := heavyhitters.SizeForPointQuery(eps/4, delta/float64(copies*4))
+	copies, sizing := ringSizing(eps, delta)
 	hh := &HeavyHitters{
 		eps: eps,
 		// Theorem 6.5 tracks the norm at accuracy ε/100; a Θ(ε)-accurate
@@ -73,6 +72,19 @@ func NewHeavyHitters(eps, delta float64, n uint64, seed int64) *HeavyHitters {
 	return hh
 }
 
+// ringSizing is the Theorem 6.5 CountSketch ring: how many, how large.
+func ringSizing(eps, delta float64) (int, heavyhitters.Sizing) {
+	copies := core.RingCopies(eps)
+	return copies, heavyhitters.SizeForPointQuery(eps/4, delta/float64(copies*4))
+}
+
+// heavyHittersBytes prices NewHeavyHitters: the norm tracker, and the ring
+// plus the frozen copy at their full pools.
+func heavyHittersBytes(eps, delta float64, n uint64) float64 {
+	copies, sizing := ringSizing(eps, delta)
+	return Policy{Kind: Ring}.StateBytes(eps, delta/2, n, LpProblem(2)) + float64(copies+1)*sizing.Bytes()
+}
+
 // Update feeds the norm tracker, buffers the update for the ring, and
 // refreshes the frozen snapshot whenever the published norm moves.
 func (hh *HeavyHitters) Update(item uint64, delta int64) {
@@ -87,20 +99,11 @@ func (hh *HeavyHitters) Update(item uint64, delta int64) {
 	}
 }
 
-// UpdateBatch implements sketch.BatchUpdater. The refresh cadence is
-// per-update (each published norm movement freezes a snapshot at that
-// exact stream position), so the batch path is the per-update loop.
-func (hh *HeavyHitters) UpdateBatch(batch []sketch.Update) {
-	for _, u := range batch {
-		hh.Update(u.Item, u.Delta)
-	}
-}
-
-// refresh freezes the next ring instance (caught up to the current
-// stream position first, so the snapshot is exact) and restarts it on the
-// stream suffix.
+// refresh moves the next ring instance (caught up to the current stream
+// position first, so the snapshot is exact) out of the ring to be the frozen
+// copy — nothing feeds it again — and restarts its slot on the stream suffix.
 func (hh *HeavyHitters) refresh() {
-	hh.frozen = hh.ring.Current(hh.next).(*heavyhitters.CountSketch).Clone()
+	hh.frozen = hh.ring.Current(hh.next).(*heavyhitters.CountSketch)
 	hh.ring.Replace(hh.next, heavyhitters.NewCountSketch(hh.sizing, hh.rng))
 	hh.next = (hh.next + 1) % hh.ring.Len()
 }

@@ -192,9 +192,7 @@ func fpMomentProblem(p float64, m Model, flip func(eps float64, n uint64, maxCou
 		Eps0Div:  6,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 			if p == 2 {
-				s := fp.SizeF2Ln(eps0, lnInvDelta)
-				s.Rows = oddReps(s.Rows, s.Width, kCap)
-				return fp.NewF2(s, rand.New(rand.NewSource(seed)))
+				return fp.NewF2(f2Sizing(eps0, lnInvDelta, kCap), rand.New(rand.NewSource(seed)))
 			}
 			k := int(math.Ceil(3 / (eps0 * eps0) * 0.3 * lnInvDelta * math.Log2E))
 			if k < 16 {
@@ -204,6 +202,12 @@ func fpMomentProblem(p float64, m Model, flip func(eps float64, n uint64, maxCou
 				k = kCap
 			}
 			return mapAdapter{fp.NewIndyk(p, k, rand.New(rand.NewSource(seed))), func(norm float64) float64 { return math.Pow(norm, p) }}
+		},
+		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
+			if p != 2 {
+				return 0 // unpriced: no hosted cell runs Indyk
+			}
+			return float64(copies) * f2Sizing(eps0, lnInvDelta, kCap).Bytes()
 		},
 		FlipBound: flip,
 		MaxValue: func(n uint64, maxCount float64) float64 {

@@ -177,6 +177,13 @@ type Problem struct {
 	// problem-specific one (heavy hitters couples the norm ring to a
 	// frozen CountSketch ring, Theorem 6.5).
 	NewRing func(eps, delta float64, n uint64, seed int64) sketch.Estimator
+
+	// InnerBytes optionally prices copies instances of what Inner would
+	// build, by the same sizing and without building them: the bytes they
+	// keep resident once filled, one of them fed an update at a time (a
+	// KMV indexes only then). RingBytes does the same for NewRing.
+	InnerBytes func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64
+	RingBytes  func(eps, delta float64, n uint64) float64
 }
 
 // Check reports whether the policy can soundly wrap the problem, without
@@ -203,6 +210,61 @@ func (pol Policy) Check(prob Problem) error {
 	return fmt.Errorf("robust: unknown policy kind %d", pol.Kind)
 }
 
+// plan is what a policy asks of a problem before anything is built: the
+// target ε in the problem's domain; how many inner instances at once, for
+// what flip budget (0 under none and ring); each one's ε₀ and ln(1/δ₀).
+type plan struct {
+	eps, eps0, lnInvDelta float64
+	copies, lambda        int
+}
+
+func (pol Policy) plan(eps, delta float64, n uint64, prob Problem) (plan, error) {
+	if prob.EpsScale > 0 {
+		eps *= prob.EpsScale
+	}
+	if eps <= 0 || eps >= 1 {
+		return plan{}, fmt.Errorf("robust: policy %s needs 0 < eps < 1 (after the problem's domain scaling), got %g", pol, eps)
+	}
+	if delta <= 0 || delta >= 1 {
+		return plan{}, fmt.Errorf("robust: policy %s needs 0 < delta < 1, got %g", pol, delta)
+	}
+	if err := pol.Check(prob); err != nil {
+		return plan{}, err
+	}
+	maxCount := pol.MaxCount
+	if maxCount <= 0 {
+		maxCount = 1
+	}
+	budget := func(flipEps float64) int {
+		if pol.Budget > 0 {
+			return pol.Budget
+		}
+		return prob.FlipBound(flipEps, n, maxCount)
+	}
+	pl := plan{eps: eps, copies: 1, eps0: eps / max(prob.Eps0Div, 1), lnInvDelta: math.Log(1 / delta)}
+	switch pol.Kind {
+	case None:
+		// The static algorithm at the full (eps, delta) target: the
+		// oblivious baseline, no rounding, no ensemble.
+		pl.eps0 = eps
+	case Ring:
+		pl.copies = core.RingCopies(eps)
+		pl.lnInvDelta = math.Log(float64(pl.copies) / delta)
+	case Switching:
+		pl.lambda = budget(eps / 8)
+		pl.copies = pl.lambda
+		pl.lnInvDelta = math.Log(float64(pl.lambda) / delta)
+	case Paths:
+		pl.lambda = budget(eps / 20)
+		m := pol.StreamLen
+		if m == 0 {
+			m = n
+		}
+		pl.lnInvDelta = core.PathsLnInvDelta(m, pl.lambda, eps, prob.MaxValue(n, maxCount), math.Log(1/delta))
+	}
+	return pl, nil
+}
+
 // Wrap composes the policy with the problem: it returns an estimator that
 // is (1±eps)-correct (additively for problems whose Publish changes the
 // scale) with probability 1−delta on any adaptively chosen insertion-only
@@ -211,70 +273,35 @@ func (pol Policy) Check(prob Problem) error {
 // sketch.RobustnessReporter for every kind except None, where at most the
 // problem's adapter does, reporting the zero Robustness.
 func (pol Policy) Wrap(eps, delta float64, n uint64, seed int64, prob Problem) (sketch.Estimator, error) {
-	if prob.EpsScale > 0 {
-		eps *= prob.EpsScale
-	}
-	if eps <= 0 || eps >= 1 {
-		return nil, fmt.Errorf("robust: policy %s needs 0 < eps < 1 (after the problem's domain scaling), got %g", pol, eps)
-	}
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("robust: policy %s needs 0 < delta < 1, got %g", pol, delta)
-	}
-	if err := pol.Check(prob); err != nil {
+	pl, err := pol.plan(eps, delta, n, prob)
+	if err != nil {
 		return nil, err
 	}
-	maxCount := pol.MaxCount
-	if maxCount <= 0 {
-		maxCount = 1
+	inner := func(s int64) sketch.Estimator { return prob.Inner(pl.eps0, pl.lnInvDelta, n, pol.KCap, s) }
+	switch {
+	case pol.Kind == None:
+		return pol.publish(prob, inner(seed)), nil
+	case pol.Kind == Paths:
+		return pol.publish(prob, core.NewPaths(pl.eps, pl.lambda, inner(seed))), nil
+	case pol.Kind == Ring && prob.NewRing != nil:
+		return prob.NewRing(pl.eps, delta, n, seed), nil
 	}
-	div := prob.Eps0Div
-	if div < 1 {
-		div = 1
+	return pol.publish(prob, core.NewSwitcher(pl.eps, pl.copies, pol.Kind == Ring, seed, inner)), nil
+}
+
+// StateBytes projects the resident bytes of what Wrap would build from the
+// sizing arithmetic alone: nothing is allocated and the product is taken in
+// float64. Where Wrap would fail, or the problem cannot price its
+// instances, the projection is 0.
+func (pol Policy) StateBytes(eps, delta float64, n uint64, prob Problem) float64 {
+	pl, err := pol.plan(eps, delta, n, prob)
+	switch {
+	case err != nil || prob.InnerBytes == nil:
+		return 0
+	case pol.Kind == Ring && prob.NewRing != nil:
+		return prob.RingBytes(pl.eps, delta, n)
 	}
-	eps0 := eps / div
-
-	budget := func(flipEps float64) int {
-		if pol.Budget > 0 {
-			return pol.Budget
-		}
-		return prob.FlipBound(flipEps, n, maxCount)
-	}
-
-	switch pol.Kind {
-	case None:
-		// The static algorithm at the full (eps, delta) target: the
-		// oblivious baseline, no rounding, no ensemble.
-		return pol.publish(prob, prob.Inner(eps, math.Log(1/delta), n, pol.KCap, seed)), nil
-
-	case Ring:
-		if prob.NewRing != nil {
-			return prob.NewRing(eps, delta, n, seed), nil
-		}
-		copies := core.RingCopies(eps)
-		lnInv := math.Log(float64(copies) / delta)
-		factory := func(s int64) sketch.Estimator {
-			return prob.Inner(eps0, lnInv, n, pol.KCap, s)
-		}
-		return pol.publish(prob, core.NewSwitcher(eps, copies, true, seed, factory)), nil
-
-	case Switching:
-		lambda := budget(eps / 8)
-		lnInv := math.Log(float64(lambda) / delta)
-		factory := func(s int64) sketch.Estimator {
-			return prob.Inner(eps0, lnInv, n, pol.KCap, s)
-		}
-		return pol.publish(prob, core.NewSwitcher(eps, lambda, false, seed, factory)), nil
-
-	case Paths:
-		lambda := budget(eps / 20)
-		m := pol.StreamLen
-		if m == 0 {
-			m = n
-		}
-		lnInvDelta0 := core.PathsLnInvDelta(m, lambda, eps, prob.MaxValue(n, maxCount), math.Log(1/delta))
-		return pol.publish(prob, core.NewPaths(eps, lambda, prob.Inner(eps0, lnInvDelta0, n, pol.KCap, seed))), nil
-	}
-	return nil, fmt.Errorf("robust: unknown policy kind %d", pol.Kind)
+	return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies)
 }
 
 // publish applies the problem's output transform.
@@ -350,15 +377,9 @@ func LpProblem(p float64) Problem {
 		Monotone: true,
 		Eps0Div:  6,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-			// Milestone union bound for (ε₀, δ)-tracking: correctness at
-			// the O(ε₀⁻¹·log T) milestones where the monotone norm grows
-			// by (1+ε₀) pins it everywhere (the f0.TrackingSizing argument).
-			milestones := math.Log(float64(n)+4)/math.Log1p(eps0) + 2
-			lnInv := lnInvDelta + math.Log(milestones)
+			lnInv := trackingLnInv(eps0, lnInvDelta, n)
 			if p == 2 {
-				s := fp.SizeF2Ln(eps0, lnInv)
-				s.Rows = oddReps(s.Rows, s.Width, kCap)
-				return mapAdapter{fp.NewF2(s, rand.New(rand.NewSource(seed))), math.Sqrt}
+				return mapAdapter{fp.NewF2(f2Sizing(eps0, lnInv, kCap), rand.New(rand.NewSource(seed))), math.Sqrt}
 			}
 			boost := 0.3 * lnInv * math.Log2E
 			if boost < 1 {
@@ -373,6 +394,12 @@ func LpProblem(p float64) Problem {
 			}
 			return fp.NewIndyk(p, k, rand.New(rand.NewSource(seed)))
 		},
+		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
+			if p != 2 {
+				return 0 // unpriced: no hosted cell runs Indyk
+			}
+			return float64(copies) * f2Sizing(eps0, trackingLnInv(eps0, lnInvDelta, n), kCap).Bytes()
+		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundLp(p, eps, n, maxCount)
 		},
@@ -380,6 +407,20 @@ func LpProblem(p float64) Problem {
 			return math.Pow(float64(n)*math.Pow(maxCount, p), 1/p)
 		},
 	}
+}
+
+// trackingLnInv is the milestone union bound for (ε₀, δ)-tracking of a
+// monotone norm: correctness at the O(ε₀⁻¹·log T) milestones where it
+// grows by (1+ε₀) pins it everywhere (the f0.TrackingSizing argument).
+func trackingLnInv(eps0, lnInvDelta float64, n uint64) float64 {
+	return lnInvDelta + math.Log(math.Log(float64(n)+4)/math.Log1p(eps0)+2)
+}
+
+// f2Sizing is the bucketed AMS sizing with the row count shaped by KCap.
+func f2Sizing(eps0, lnInvDelta float64, kCap int) fp.F2Sizing {
+	s := fp.SizeF2Ln(eps0, lnInvDelta)
+	s.Rows = oddReps(s.Rows, s.Width, kCap)
+	return s
 }
 
 // F0Problem describes the distinct-elements count ‖f‖₀: median-of-KMV
@@ -396,6 +437,11 @@ func F0Problem() Problem {
 			return f0.NewMedian(reps, seed, func(s int64) sketch.Estimator {
 				return f0.NewKMV(tp.K, rand.New(rand.NewSource(s)))
 			})
+		},
+		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
+			tp := f0.TrackingSizingLn(eps0, lnInvDelta, n)
+			values := float64(oddReps(tp.Reps, tp.K, kCap)) * float64(tp.K)
+			return values * (8*float64(copies) + 33) // KMV.SpaceBytes: the minima, and one copy's index
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundFp(0, eps, n, maxCount)
@@ -420,13 +466,12 @@ func EntropyProblem() Problem {
 		EpsScale: math.Ln2,
 		Eps0Div:  3,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-			// eps0 is multiplicative (nats) here; SizeCC's ε is additive
-			// bits, hence the /ln2.
-			s := entropy.SizeCCLn(eps0/math.Ln2, lnInvDelta)
-			s.Groups = oddReps(s.Groups, s.Per, kCap)
 			// Prop. 7.2 bounds the flip number of 2^H, not of H: the
 			// multiplicative rounding machinery tracks the former.
-			return mapAdapter{entropy.NewCC(s, rand.New(rand.NewSource(seed))), func(h float64) float64 { return math.Pow(2, h) }}
+			return mapAdapter{entropy.NewCC(ccSizing(eps0, lnInvDelta, kCap), rand.New(rand.NewSource(seed))), func(h float64) float64 { return math.Pow(2, h) }}
+		},
+		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
+			return float64(copies) * ccSizing(eps0, lnInvDelta, kCap).Bytes()
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundEntropyExp(eps, n, maxCount)
@@ -442,6 +487,15 @@ func EntropyProblem() Problem {
 	}
 }
 
+// ccSizing is the Clifford–Cosma sizing with the group count shaped by
+// KCap. eps0 is multiplicative (nats); SizeCC's ε is additive bits, hence
+// the /ln2.
+func ccSizing(eps0, lnInvDelta float64, kCap int) entropy.CCSizing {
+	s := entropy.SizeCCLn(eps0/math.Ln2, lnInvDelta)
+	s.Groups = oddReps(s.Groups, s.Per, kCap)
+	return s
+}
+
 // HHL2Problem describes the L2 norm tracked through CountSketch inner
 // instances. Its ring construction is the coupled norm-ring +
 // frozen-CountSketch-ring structure of Theorem 6.5 (robust point queries
@@ -453,10 +507,10 @@ func HHL2Problem() Problem {
 		Monotone: true,
 		Eps0Div:  4,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-			milestones := math.Log(float64(n)+4)/math.Log1p(eps0) + 2
-			s := heavyhitters.SizeForPointQueryLn(eps0, lnInvDelta+math.Log(milestones))
-			s.Rows = oddReps(s.Rows, s.Width, kCap)
-			return mapAdapter{heavyhitters.NewCountSketch(s, rand.New(rand.NewSource(seed))), math.Sqrt}
+			return mapAdapter{heavyhitters.NewCountSketch(countSketchSizing(eps0, lnInvDelta, n, kCap), rand.New(rand.NewSource(seed))), math.Sqrt}
+		},
+		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
+			return float64(copies) * countSketchSizing(eps0, lnInvDelta, n, kCap).Bytes()
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundLp(2, eps, n, maxCount)
@@ -467,5 +521,14 @@ func HHL2Problem() Problem {
 		NewRing: func(eps, delta float64, n uint64, seed int64) sketch.Estimator {
 			return NewHeavyHitters(eps, delta, n, seed)
 		},
+		RingBytes: heavyHittersBytes,
 	}
+}
+
+// countSketchSizing is the tracking CountSketch sizing with the row count
+// shaped by KCap.
+func countSketchSizing(eps0, lnInvDelta float64, n uint64, kCap int) heavyhitters.Sizing {
+	s := heavyhitters.SizeForPointQueryLn(eps0, trackingLnInv(eps0, lnInvDelta, n))
+	s.Rows = oddReps(s.Rows, s.Width, kCap)
+	return s
 }

@@ -25,7 +25,8 @@
 //	Prop. 3.4     Ring         cascaded.Problem(p, k, cols)
 //
 // The Section 10 constructions (NewCryptoF0, NewOracleF0; Theorem 10.1)
-// robustify through a PRF instead of a policy and stand apart.
+// robustify through a keyed item mapping instead of a policy and stand
+// apart: one wrapper, MappedF0, behind both.
 //
 // Every wrapper publishes its rounded estimate and its Robustness state,
 // and nothing per coordinate (Lemmas 3.6 and 3.8 bound the adversary's view
@@ -36,6 +37,8 @@
 // instances and the Theorem 6.5 CountSketch ring of HeavyHitters — keep
 // them in a core.Lagged: one bounded lag buffer, batch catch-up, and
 // outputs update-for-update identical to the synchronous formulation.
+// A wrapper has no batch method (sketch.ApplyBatch is the one batch loop);
+// Policy.StateBytes prices one unbuilt, from the plan Wrap builds it by.
 //
 // Sizing philosophy: Policy carries the robustness budget (flip number /
 // copies) explicitly where the paper's worst-case value is impractically

@@ -284,6 +284,8 @@ func responseToFrame(resp *QueryResponse) wire.QueryResponse {
 		Policy:  resp.Policy,
 		Model:   resp.Model,
 		Answers: make([]wire.Answer, 0, len(resp.Answers)),
+		// Same fields, JSON tags apart: a conversion, not a copy to maintain.
+		Robustness: (*wire.Robustness)(resp.Robustness),
 	}
 	for _, a := range resp.Answers {
 		wa := wire.Answer{
@@ -303,16 +305,6 @@ func responseToFrame(resp *QueryResponse) wire.QueryResponse {
 			}
 		}
 		out.Answers = append(out.Answers, wa)
-	}
-	if r := resp.Robustness; r != nil {
-		out.Robustness = &wire.Robustness{
-			Policy:    r.Policy,
-			Copies:    r.Copies,
-			Switches:  r.Switches,
-			Budget:    r.Budget,
-			Remaining: r.Remaining,
-			Exhausted: r.Exhausted,
-		}
 	}
 	return out
 }

@@ -67,7 +67,8 @@ import (
 // default. Config is the server's default-and-cap layer only: every
 // accuracy and sizing knob here can be overridden per tenant through
 // TenantSpec (POST /v2/keys), and the caps (MaxTenantShards,
-// MaxTenantBatch, MaxTenantFlipBudget) bound what a spec may ask for.
+// MaxTenantBatch, MaxTenantFlipBudget, and MaxTenantStateBytes on their
+// product) bound what a spec may ask for.
 type Config struct {
 	// MaxKeys is the server-wide keyspace quota: creating a tenant beyond
 	// it fails with 507 until another keyspace is deleted. Defaults to 64.

@@ -35,7 +35,8 @@ import (
 // per-statistic (ε, δ, n, λ) accounting is per tenant, with the server
 // Config supplying only defaults and caps; robust combinations size each
 // shard instance at δ/Shards so the union bound over the shard ensemble
-// restores the tenant-wide δ.
+// restores the tenant-wide δ. bytes prices one such instance by the
+// factory's own sizing, unbuilt, for admit.
 //
 // truth extracts the statistic the spec estimates from an exact frequency
 // vector, and additive says whether the spec's ε is an additive rather
@@ -61,6 +62,7 @@ type spec struct {
 	signed  bool
 	combine engine.Combiner
 	factory func(ts TenantSpec) sketch.Factory
+	bytes   func(ts TenantSpec) float64
 	truth   func(f *stream.Freq) float64
 	l2Of    func(estimate float64) float64
 	codec   *sketch.Codec
@@ -202,6 +204,7 @@ var bases = map[string]base{
 					return fp.NewF2(sizing, rand.New(rand.NewSource(seed)))
 				}
 			},
+			bytes: func(ts TenantSpec) float64 { return fp.SizeF2(ts.Eps, ts.Delta/float64(ts.Shards)).Bytes() },
 			truth: f2Truth,
 			codec: sketch.CodecFor[fp.F2Sketch]("f2"),
 		},
@@ -226,6 +229,7 @@ var bases = map[string]base{
 					return f0.NewKMV(k, rand.New(rand.NewSource(seed)))
 				}
 			},
+			bytes: func(ts TenantSpec) float64 { return 8 * float64(kmvK(ts.Eps, ts.Delta/float64(ts.Shards))) },
 			truth: (*stream.Freq).F0,
 			codec: sketch.CodecFor[f0.KMV]("kmv"),
 		},
@@ -244,6 +248,9 @@ var bases = map[string]base{
 				return func(seed int64) sketch.Estimator {
 					return heavyhitters.NewCountSketch(sizing, rand.New(rand.NewSource(seed)))
 				}
+			},
+			bytes: func(ts TenantSpec) float64 {
+				return heavyhitters.SizeForPointQuery(ts.Eps, ts.Delta/float64(ts.Shards)).Bytes()
 			},
 			truth: f2Truth,
 			l2Of:  math.Sqrt, // published estimate is the F2 moment
@@ -267,6 +274,7 @@ var bases = map[string]base{
 					return entropy.NewCC(sizing, rand.New(rand.NewSource(seed)))
 				}
 			},
+			bytes: func(ts TenantSpec) float64 { return entropy.SizeCC(ts.Eps, ts.Delta/float64(ts.Shards)).Bytes() },
 			truth: (*stream.Freq).Entropy,
 			codec: sketch.CodecFor[entropy.CC]("cc"),
 		},
@@ -329,6 +337,13 @@ const (
 	// linearly in α, so an enormous α is an enormous implied flip class;
 	// the cap keeps the declared class meaningful at server scale.
 	MaxTenantAlpha = 1 << 20
+
+	// MaxTenantStateBytes caps what a tenant is projected to keep resident:
+	// shards × copies × one inner sketch, from the sizing arithmetic alone
+	// (spec.admit). The caps above bound factors; this one bounds their
+	// product before anything is built — at ε = 1e-5 a single F2 row is
+	// 10¹¹ counters. It sits above every cell tests and benchmark create.
+	MaxTenantStateBytes = 4 << 30
 
 	// pathsKCap caps the repetition dimension of a computation-paths
 	// tenant's inner sketch, whose honest ln(1/δ₀) sizing reaches
@@ -458,7 +473,28 @@ func (ts TenantSpec) model() robust.Model {
 // default; empty policy picks the alias's pinned policy, then the server
 // default, then "none".
 func resolve(raw TenantSpec, cfg Config) (spec, TenantSpec, error) {
-	return resolveWith(raw, cfg, false)
+	sp, ts, err := resolveWith(raw, cfg, false)
+	if err == nil {
+		err = sp.admit(ts)
+	}
+	return sp, ts, err
+}
+
+// admit refuses a tenant whose projected resident state, Shards × bytes,
+// exceeds MaxTenantStateBytes. The product is taken in float64, and every
+// sketch holds at least 1/ε² 8-byte cells: settling that first keeps the
+// int-returning sizing functions behind sp.bytes away from an ε (≈ 1e-9)
+// whose dimensions overflow int.
+func (sp spec) admit(ts TenantSpec) error {
+	perShard := 8 / (ts.Eps * ts.Eps)
+	if float64(ts.Shards)*perShard <= MaxTenantStateBytes {
+		perShard = sp.bytes(ts)
+	}
+	if total := float64(ts.Shards) * perShard; total > MaxTenantStateBytes {
+		return fmt.Errorf("tenant spec: projected state of %s, %.3g bytes (%d shards × %.3g), exceeds MaxTenantStateBytes (%d) — raise eps, or lower shards or flip_budget",
+			sp.Display(), total, ts.Shards, perShard, int64(MaxTenantStateBytes))
+	}
+	return nil
 }
 
 // resolveTrusted is resolve for specs the server itself stored (WAL create
@@ -553,6 +589,9 @@ func resolveWith(raw TenantSpec, cfg Config, trusted bool) (spec, TenantSpec, er
 	}
 	if err := pol.Check(prob); err != nil {
 		return spec{}, TenantSpec{}, err
+	}
+	sp.bytes = func(ts TenantSpec) float64 {
+		return pol.StateBytes(ts.Eps, ts.Delta/float64(ts.Shards), uint64(ts.N), prob)
 	}
 	sp.factory = func(ts TenantSpec) sketch.Factory {
 		shardDelta := ts.Delta / float64(ts.Shards)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"io"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -343,5 +344,43 @@ func TestV2LargeItemsOverHTTP(t *testing.T) {
 	// path, the distinct count would crater.
 	if re := relErr(got, 500); re > 0.3 {
 		t.Errorf("distinct count of 2^63-range items = %v, want ≈500 (rel err %.3f)", got, re)
+	}
+}
+
+// TestCreateRefusesTenantBeyondStateCap: a tenant is admitted by what it
+// will cost. Each per-field cap passes these two bodies; their product is
+// 10¹¹ counters per F2 row, and 10⁶ copies of a 2 MB sketch per shard. Both
+// must be a 400 before anything proportional to the request is allocated
+// (building the first is a fatal out-of-memory error, not a panic a test
+// could recover), must create nothing, and must leave the server serving.
+func TestCreateRefusesTenantBeyondStateCap(t *testing.T) {
+	srv := server.New(server.Config{Seed: 5})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(srv.Drain)
+	c := client.New(hs.URL, hs.Client())
+	for _, body := range []string{
+		`{"key":"a","spec":{"sketch":"f2","policy":"none","eps":0.00001}}`,
+		`{"key":"a","spec":{"sketch":"f2","policy":"switching","flip_budget":1000000}}`,
+	} {
+		resp, err := hs.Client().Post(hs.URL+"/v2/keys", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 || !strings.Contains(string(msg), "tenant spec: projected state") {
+			t.Errorf("POST /v2/keys %s: HTTP %d %s; want 400 tenant spec: projected state …", body, resp.StatusCode, msg)
+		}
+	}
+	st, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Keys != 0 || len(st.Tenants) != 0 {
+		t.Errorf("refused creates left %d tenants behind: %+v", st.Keys, st.Tenants)
+	}
+	if _, err := c.CreateTenant(context.Background(), "a", client.TenantSpec{}); err != nil {
+		t.Errorf("default tenant after the refusals: %v", err)
 	}
 }

@@ -185,6 +185,76 @@ func TestResolvePerTenantSizing(t *testing.T) {
 	}
 }
 
+// TestProjectedStateTracksBuilt holds admit's arithmetic to the estimators
+// it stands in for: for every registry cell, at test-scale parameters, the
+// projection is within 2× of the peak SpaceBytes of the built shard
+// estimator. The occupancy-priced sketches (a KMV charges per retained
+// minimum, a CountSketch per pool entry) are first fed enough distinct
+// items, in engine-sized batches, to fill them and to force a drain of the
+// trailing copies; the fixed-footprint ones are read as built, which also
+// keeps the per-update cost of a CC ensemble out of the suite.
+func TestProjectedStateTracksBuilt(t *testing.T) {
+	cfg := Config{Shards: 1, Eps: 0.25, Delta: 0.05, N: 1 << 16, Seed: 1, FlipBudget: 128}.withDefaults()
+	fill := map[string]int{"kmv": 20000, "countsketch": 20000}
+	// A KMV is full only once F0 has reached its k, some sixty flips in: a
+	// dense ensemble must outlast that for its trailing copies to be seen
+	// full at the drain.
+	budget := map[string]int{"kmv": 256}
+	batch := make([]sketch.Update, 256)
+	cells := 0
+	for name := range bases {
+		for _, policy := range Policies() {
+			for _, model := range []TenantSpec{{}, {Model: "turnstile"}, {Model: "bounded_deletion", Alpha: 4}} {
+				sp, ts, err := resolve(TenantSpec{Sketch: name, Policy: policy, Model: model.Model, Alpha: model.Alpha, FlipBudget: budget[name]}, cfg)
+				if err != nil {
+					continue // not a hostable cell; TestRegistryConformance classifies these
+				}
+				cells++
+				est := sp.factory(ts)(7)
+				peak := est.SpaceBytes()
+				for fed := 0; fed < fill[name]; fed += len(batch) {
+					for i := range batch {
+						batch[i] = sketch.Update{Item: uint64(fed + i), Delta: 1}
+					}
+					sketch.ApplyBatch(est, batch)
+					peak = max(peak, est.SpaceBytes())
+				}
+				if ratio := sp.bytes(ts) / float64(peak); ratio < 0.5 || ratio > 2 {
+					t.Errorf("%s model=%s: projected %.0f bytes, built estimator peaks at %d (ratio %.2f, want within 2×)",
+						sp.Display(), ts.Model, sp.bytes(ts), peak, ratio)
+				}
+			}
+		}
+	}
+	if cells < 23 {
+		t.Errorf("only %d cells resolved, want the 15 insertion cells and at least 8 signed ones", cells)
+	}
+}
+
+// TestAdmitByProjectedState: the product cap binds untrusted specs only. A
+// stored or shipped spec above it still resolves — refusing one on reboot
+// would strand acknowledged data — and resolving builds nothing either way.
+func TestAdmitByProjectedState(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, raw := range []TenantSpec{
+		{Sketch: "f2", Policy: "none", Eps: 1e-5},
+		{Sketch: "f2", Policy: "none", Eps: 1e-9}, // 12/ε² overflows int: refused before any sizing call
+		{Sketch: "f2", Policy: "switching", FlipBudget: MaxTenantFlipBudget},
+		{Sketch: "kmv", Policy: "ring", Eps: 0.001, Shards: MaxTenantShards},
+	} {
+		if _, _, err := resolve(raw, cfg); err == nil || !strings.Contains(err.Error(), "tenant spec: projected state") {
+			t.Errorf("resolve(%+v): err = %v, want a projected-state refusal", raw, err)
+		}
+		if sp, _, err := resolveTrusted(raw, cfg); err != nil || sp.factory == nil {
+			t.Errorf("resolveTrusted(%+v): %v; a stored spec must resolve above the cap", raw, err)
+		}
+	}
+	// The largest cell anything in the repository creates stays admissible.
+	if _, _, err := resolve(TenantSpec{Sketch: "f2", Policy: "ring", Eps: 0.1}, cfg); err != nil {
+		t.Errorf("f2+ring at ε = 0.1 (2.97 GB): %v", err)
+	}
+}
+
 // FuzzTenantSpecDecode drives the POST /v2/keys parsing path: whatever
 // the bytes, decoding either fails cleanly or yields a request whose
 // resolved spec satisfies every validation invariant.
@@ -202,6 +272,8 @@ func FuzzTenantSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"key":"k","spec":{"model":"turnstile","lambda":0,"flip_budget":8}}`))
 	f.Add([]byte(`{"key":"k","spec":{"model":"insertion","alpha":2}}`))
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"kmv","model":"turnstile"}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","policy":"none","eps":0.00001}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"cc","policy":"switching","eps":1e-9,"flip_budget":1048576,"shards":64}}`))
 	cfg := Config{}.withDefaults()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodeCreateTenant(data)
@@ -257,6 +329,9 @@ func FuzzTenantSpecDecode(f *testing.F) {
 		}
 		if sp.Name != ts.Sketch || sp.Policy != ts.Policy {
 			t.Fatalf("spec/tenant-spec identity mismatch: %s+%s vs %s+%s", sp.Name, sp.Policy, ts.Sketch, ts.Policy)
+		}
+		if got := float64(ts.Shards) * sp.bytes(ts); !(got > 0 && got <= MaxTenantStateBytes) {
+			t.Fatalf("admitted a tenant projected at %v bytes (input %q)", got, data)
 		}
 	})
 }

@@ -29,8 +29,7 @@ var (
 	_ sketch.Estimator = (*entropy.Exact)(nil)
 	_ sketch.Estimator = (*entropy.CC)(nil)
 	_ sketch.Estimator = (*entropy.Renyi)(nil)
-	_ sketch.Estimator = (*robust.CryptoF0)(nil)
-	_ sketch.Estimator = (*robust.OracleF0)(nil)
+	_ sketch.Estimator = (*robust.MappedF0)(nil)
 	_ sketch.Estimator = (*robust.HeavyHitters)(nil)
 
 	_ sketch.PointQuerier = (*heavyhitters.CountSketch)(nil)

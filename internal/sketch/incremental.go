@@ -1,22 +1,21 @@
 package sketch
 
 // Update is one stream update: f[Item] += Delta. It is the unit the
-// engine's coalesced per-shard batches and the policy wrappers' batch
-// fast path (BatchUpdater) exchange.
+// engine's coalesced per-shard batches, core.Lagged's lag buffer and the
+// kernels' batch fast path (BatchUpdater) exchange.
 type Update struct {
 	Item  uint64
 	Delta int64
 }
 
-// BatchUpdater is the batch-apply fast path through the policy layer: an
+// BatchUpdater is the batch-apply fast path of a sketch kernel: an
 // estimator that can ingest a whole coalesced batch per virtual call.
 // UpdateBatch(b) must be observably identical to calling Update for each
-// element of b in order — published estimates, switch counts and flip
-// budgets may not depend on how the stream was chunked into batches.
-// Wrappers that maintain copy ensembles use it to apply updates
-// copy-outer/update-inner (dispatch amortization and cache locality on
-// the non-active copies) while the active copy keeps its per-update
-// drift checks, so robustness semantics are bit-for-bit unchanged.
+// element of b in order. Only kernels implement it (and robust's adapter,
+// forwarding to one): a robust wrapper's semantics are per update by
+// theorem, so its batch path would be the loop ApplyBatch already is.
+// core.Lagged feeds the non-active copies through it, copy-outer and
+// update-inner, while the active copy keeps its per-update drift checks.
 type BatchUpdater interface {
 	Estimator
 
@@ -26,7 +25,7 @@ type BatchUpdater interface {
 }
 
 // ApplyBatch feeds batch to est in order, through its batch kernel when it
-// has one.
+// has one. It is the repository's one batch loop.
 func ApplyBatch(est Estimator, batch []Update) {
 	if bu, ok := est.(BatchUpdater); ok {
 		bu.UpdateBatch(batch)

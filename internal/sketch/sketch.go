@@ -9,10 +9,11 @@
 // ingest fast paths (incremental.go): IncrementalEstimator marks sketches
 // whose Estimate reads running aggregates in O(rows) — maintained exactly
 // on integer-valued counters and rebuilt from scratch every ResumInterval
-// updates via Resummate — and BatchUpdater marks estimators that ingest a
+// updates via Resummate — and BatchUpdater marks kernels that ingest a
 // coalesced batch per virtual call, with the hard requirement that
-// batching is observationally invisible (identical published estimates,
-// switch counts and flip budgets for any chunking of the same stream).
+// batching is observationally invisible (identical state for any chunking
+// of the same stream). A robust wrapper decides per update by theorem and
+// has no batch method: ApplyBatch, the one batch loop, feeds it.
 // A third, CoalesceInvariant (coalesce.go), marks batch estimators whose
 // state does not depend on whether a batch's duplicate items were merged
 // first; Coalescer does the merging, per batch for the engine's shard
@@ -26,7 +27,7 @@
 // (bench --trace 1):
 //
 //	interface             implementers                                                         non-test caller                                     ladder rung
-//	BatchUpdater          F2Sketch, KMV, Median, CountSketch, Switcher, Paths, HeavyHitters    ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV carries no index)
+//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                    ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV carries no index)
 //	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                              core.NewLagged: one coalesced buffer per drain      robust.self_update_ns
 //	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                     none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
 //	PointQuerier          CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.point_ns, engine.point_us

@@ -287,29 +287,42 @@ func scanSegment(p string, wantLSN uint64) (segment, bool, error) {
 	seg := segment{path: p, firstLSN: first, size: segHeaderSize}
 	fmt.Sscanf(filepath.Base(p), "seg-%08d.wal", &seg.index)
 
-	off := int64(segHeaderSize)
 	n := int64(len(data))
-	for {
-		if off+recHeaderSize > n {
-			break // torn header (or clean EOF)
-		}
+	seg.size, seg.records, _ = walkRecords(data, n, nil)
+	return seg, seg.size == n, nil
+}
+
+// walkRecords is the one record walk, behind Open's scan and Replay alike:
+// it visits the records of a segment image in order up to limit and stops
+// at the first one that fails a check — header or payload past limit, zero
+// or oversized length, CRC mismatch, a payload decodePayload rejects. It
+// returns the offset just past the last record that passed and how many
+// did; fn, if any, sees each with its index, and its error aborts the walk.
+func walkRecords(data []byte, limit int64, fn func(i uint64, rec Record) error) (end int64, records uint64, err error) {
+	off := int64(segHeaderSize)
+	for off+recHeaderSize <= limit {
 		plen := int64(binary.LittleEndian.Uint32(data[off:]))
 		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if plen == 0 || plen > maxRecordBytes || off+recHeaderSize+plen > n {
+		if plen == 0 || plen > maxRecordBytes || off+recHeaderSize+plen > limit {
 			break // torn or garbage length
 		}
 		payload := data[off+recHeaderSize : off+recHeaderSize+plen]
 		if crc32.Checksum(payload, crcTable) != crc {
 			break
 		}
-		if _, err := decodePayload(payload); err != nil {
+		rec, derr := decodePayload(payload)
+		if derr != nil {
 			break // CRC-valid but not a record we could have written
 		}
+		if fn != nil {
+			if err := fn(records, rec); err != nil {
+				return off, records, err
+			}
+		}
 		off += recHeaderSize + plen
-		seg.records++
-		seg.size = off
+		records++
 	}
-	return seg, seg.size == n, nil
+	return off, records, nil
 }
 
 func encodePayload(buf []byte, rec Record) []byte {
@@ -499,22 +512,14 @@ func (l *Log) Replay(fn func(lsn uint64, rec Record) error) error {
 		if int64(len(data)) < seg.size {
 			return fmt.Errorf("wal: segment %s shrank", seg.path)
 		}
-		lsn := seg.firstLSN
-		off := int64(segHeaderSize)
-		for off < seg.size {
-			plen := int64(binary.LittleEndian.Uint32(data[off:]))
-			payload := data[off+recHeaderSize : off+recHeaderSize+plen]
-			rec, err := decodePayload(payload)
-			if err != nil {
-				// Open validated this prefix; reaching here means the file
-				// changed underneath us.
-				return fmt.Errorf("wal: segment %s: %w", seg.path, err)
-			}
-			if err := fn(lsn, rec); err != nil {
-				return err
-			}
-			lsn++
-			off += recHeaderSize + plen
+		end, _, err := walkRecords(data, seg.size, func(i uint64, rec Record) error { return fn(seg.firstLSN+i, rec) })
+		if err != nil {
+			return err
+		}
+		if end != seg.size {
+			// Open validated this prefix; stopping short of it means the
+			// file changed underneath us.
+			return fmt.Errorf("wal: segment %s: invalid record at offset %d of a prefix Open validated", seg.path, end)
 		}
 	}
 	return nil

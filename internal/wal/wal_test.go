@@ -211,6 +211,43 @@ func TestBitFlipTruncatesFromFlip(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsSegmentRewrittenAfterOpen: Replay re-reads the files
+// Open validated, so it must walk them with Open's checks. A length word
+// (or a payload byte) overwritten in place between the two is the "file
+// changed underneath us" error after the records before it — never a
+// slice out of range, never a record whose CRC no longer holds.
+func TestReplayRejectsSegmentRewrittenAfterOpen(t *testing.T) {
+	for name, corrupt := range map[string]func(rec []byte){
+		"length word": func(rec []byte) { binary.LittleEndian.PutUint32(rec, 1<<20) },
+		"payload bit": func(rec []byte) { rec[recHeaderSize] ^= 0x40 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			appendSome(t, dir, 5)
+			l, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			seg := singleSegment(t, dir)
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recSize := (len(data) - segHeaderSize) / 5
+			corrupt(data[segHeaderSize+2*recSize:]) // the third record
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			seen := 0
+			err = l.Replay(func(uint64, Record) error { seen++; return nil })
+			if err == nil || seen != 2 {
+				t.Fatalf("replay of a rewritten segment: %d records, err = %v; want 2 records then an error", seen, err)
+			}
+		})
+	}
+}
+
 func TestCorruptSegmentQuarantinesLaterSegments(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
