@@ -85,6 +85,10 @@ func NewReader(b []byte) Reader { return Reader{b: b} }
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
 
+// Remaining returns how many bytes are still unread, for a decoder that
+// must hold a product of declared dimensions against them.
+func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
 // Failf records damage the caller found in values it read — an unknown
 // kind byte, a flag bit no writer sets. Like a failed read it is sticky,
 // and the first failure wins.

@@ -78,8 +78,9 @@ func (l *Lagged) Current(i int) sketch.Estimator {
 	return inst
 }
 
-// Replace puts a fresh instance in slot i. It tracks the stream from here
-// on, so the buffered backlog is not its concern.
+// Replace puts a fresh instance in slot i — a new one, or the slot's own
+// after a Reset. It tracks the stream from here on, so the buffered backlog
+// is not its concern.
 func (l *Lagged) Replace(i int, fresh sketch.Estimator) {
 	l.instances[i] = fresh
 	l.applied[i] = len(l.pending)

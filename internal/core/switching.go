@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 
 	"repro/internal/sketch"
 )
@@ -98,8 +99,16 @@ func (s *Switcher) Update(item uint64, delta int64) {
 func (s *Switcher) advance() {
 	if s.ring {
 		// Restart the just-used instance with fresh randomness; it will
-		// track the suffix of the stream until its turn comes again.
-		s.lag.Replace(s.active, s.factory(s.nextSeed))
+		// track the suffix of the stream until its turn comes again. One
+		// that can re-draw itself in place does; the factory builds a
+		// replacement for one that cannot.
+		inst := s.lag.Current(s.active)
+		if r, ok := inst.(sketch.Resetter); ok {
+			r.Reset(rand.New(rand.NewSource(s.nextSeed)))
+		} else {
+			inst = s.factory(s.nextSeed)
+		}
+		s.lag.Replace(s.active, inst)
 		s.nextSeed += 7919
 		s.active = (s.active + 1) % s.lag.Len()
 		s.lag.Current(s.active)

@@ -10,7 +10,10 @@
 // counter merge and the per-row codec exist here and nowhere else.
 // heavyhitters.CountSketch holds an F2Sketch for its counters and owns
 // only what Lemma 6.4 adds on top — the median point query and the
-// candidate pool.
+// candidate pool. The matrix is one flat allocation, int32 until a counter
+// overflows and int64 from then on (F2Sketch says why nothing observable
+// depends on which), and a ring restarts one in place through Reset: what a
+// copy weighs is what a robust ensemble multiplies by its copy count.
 package fp
 
 import (
@@ -37,24 +40,43 @@ import (
 // aggregates — instead of an O(rows·width) rescan. That difference is
 // what makes the robust wrappers' per-update drift checks affordable.
 //
-// Counters are int64 — every delta is an int64 and every sign is ±1 — which
-// is what keeps the aggregates exact and what CoalesceInvariant rests on.
+// Counters are integers — every delta is an int64 and every sign is ±1 —
+// which is what keeps the aggregates exact and what CoalesceInvariant rests
+// on. They are kept narrow until one overflows: one flat row-major []int32,
+// which the whole sketch trades for a []int64 the moment a sum leaves int32
+// (in Update, UpdateBatch, Merge or ReadRows), and takes back only at Reset.
+// Width is storage, not state: the integers, and so every estimate,
+// aggregate, point read and encoding, are those of an all-int64 sketch, and
+// only SpaceBytes tells the two apart. (Coalescing reorders a bucket's
+// partial sums, so a coalesced batch can widen a sketch its separate deltas
+// would not, or the reverse; the integers it lands on are the same.) No
+// unit-insertion stream this repository hosts puts 2³¹ into one bucket, so
+// a robust ensemble's copies weigh half of what they are priced at:
+// F2Sizing.Bytes charges the wide form, because one client update with a
+// large delta widens every copy.
 type F2Sketch struct {
 	rows, w int
 	hs      []hash.Poly
-	c       [][]int64
+	c32     []int32 // the rows × w counters, row-major; exactly one of c32, c64 is non-nil
+	c64     []int64
 
 	sumSq      []float64 // per-row running Σ_b c[r][b]²
 	scratch    []float64 // Estimate's quickselect buffer
 	sinceResum int
 }
 
+// counter is a counter matrix's element type: the kernels are written once
+// and compiled for both.
+type counter interface{ int32 | int64 }
+
 // F2Sizing returns (rows, width) giving (ε, δ) relative error for F2.
 type F2Sizing struct {
 	Rows, Width int
 }
 
-// Bytes is what a sketch of these dimensions keeps resident: the counters.
+// Bytes is the most a sketch of these dimensions keeps resident: the
+// counters at 8 bytes each, the widened form — admission must hold for the
+// tenant whose client sends one 2³¹ delta. A narrow sketch reports half.
 func (s F2Sizing) Bytes() float64 { return 8 * float64(s.Rows) * float64(s.Width) }
 
 // SizeF2 computes sketch dimensions for an (ε, δ) guarantee at a single
@@ -85,13 +107,47 @@ func SizeF2Ln(eps, lnInvDelta float64) F2Sizing {
 
 // NewF2 returns an F2 sketch with the given dimensions.
 func NewF2(s F2Sizing, rng *rand.Rand) *F2Sketch {
-	f := &F2Sketch{rows: s.Rows, w: s.Width}
-	for r := 0; r < s.Rows; r++ {
-		f.hs = append(f.hs, hash.NewPoly(4, rng))
-		f.c = append(f.c, make([]int64, s.Width))
+	return &F2Sketch{
+		rows: s.Rows, w: s.Width,
+		hs:    drawRows(s.Rows, rng),
+		c32:   make([]int32, s.Rows*s.Width),
+		sumSq: make([]float64, s.Rows),
 	}
-	f.sumSq = make([]float64, s.Rows)
-	return f
+}
+
+// drawRows draws one 4-wise polynomial per row: all the randomness a sketch
+// has, in the order every stored seed and golden stream depends on.
+func drawRows(rows int, rng *rand.Rand) []hash.Poly {
+	hs := make([]hash.Poly, rows)
+	for r := range hs {
+		hs[r] = hash.NewPoly(4, rng)
+	}
+	return hs
+}
+
+// Reset implements sketch.Resetter: the sketch becomes what NewF2 would
+// build from rng at the same dimensions — fresh row polynomials, zero
+// counters and aggregates, narrow again — reusing the counter memory, so a
+// ring restarts a slot without allocating a copy. The polynomials go in a
+// new slice: Fresh copies share the old one.
+func (f *F2Sketch) Reset(rng *rand.Rand) {
+	f.hs = drawRows(f.rows, rng)
+	if f.c64 != nil {
+		f.c32, f.c64 = make([]int32, len(f.c64)), nil
+	} else {
+		clear(f.c32)
+	}
+	clear(f.sumSq)
+	f.sinceResum = 0
+}
+
+// widen trades the int32 counters for int64 ones holding the same integers.
+func (f *F2Sketch) widen() {
+	f.c64 = make([]int64, len(f.c32))
+	for i, v := range f.c32 {
+		f.c64[i] = int64(v)
+	}
+	f.c32 = nil
 }
 
 // Dims returns the sketch dimensions.
@@ -99,19 +155,40 @@ func (f *F2Sketch) Dims() F2Sizing { return F2Sizing{Rows: f.rows, Width: f.w} }
 
 // Update implements sketch.Estimator (turnstile deltas allowed).
 func (f *F2Sketch) Update(item uint64, delta int64) {
-	w, hs, sumSq := f.w, f.hs, f.sumSq // locals: the hash call makes the compiler reload fields per row
-	for r, row := range f.c {
-		sign, b := hs[r].SignBucket(item, w)
-		d := sign * delta
-		old := row[b]
-		row[b] = old + d
-		x := float64(d)
-		sumSq[r] += x * (2*float64(old) + x)
+	r := 0
+	if f.c64 == nil {
+		if r = updateRows(f.c32, f, 0, item, delta); r < f.rows {
+			f.widen()
+		}
+	}
+	if r < f.rows {
+		updateRows(f.c64, f, r, item, delta)
 	}
 	f.sinceResum++
 	if f.sinceResum >= sketch.ResumInterval {
 		f.Resummate()
 	}
+}
+
+// updateRows applies one update to rows from, from+1, … of the counters c
+// and returns the first row whose sum does not fit T, left untouched for
+// the widened sketch to resume at (f.rows if every row took it).
+func updateRows[T counter](c []T, f *F2Sketch, from int, item uint64, delta int64) int {
+	w, hs, sumSq := f.w, f.hs, f.sumSq // locals: the hash call makes the compiler reload fields per row
+	for r := from; r < len(hs); r++ {
+		sign, b := hs[r].SignBucket(item, w)
+		d := sign * delta
+		p := &c[r*w+b]
+		old := int64(*p)
+		v := old + d
+		if int64(T(v)) != v {
+			return r
+		}
+		*p = T(v)
+		x := float64(d)
+		sumSq[r] += x * (2*float64(old) + x)
+	}
+	return len(hs)
 }
 
 // f2Block is how many updates UpdateBatch hashes at a time into stack
@@ -125,7 +202,9 @@ const f2Block = 128
 // moves the counters and the row aggregate. Kept apart, the hashes
 // pipeline and the counter loads overlap instead of each waiting on the
 // multiply chain before it. Rows are independent and each sees the batch
-// in order, so the final state is bit-for-bit that of per-update calls.
+// in order, so the final state is bit-for-bit that of per-update calls. A
+// narrow row that meets a sum it cannot hold stops there; the sketch widens
+// and the same row takes the rest of its block.
 func (f *F2Sketch) UpdateBatch(batch []sketch.Update) {
 	var pw [f2Block][3]uint64
 	var sb [f2Block]uint64
@@ -134,15 +213,16 @@ func (f *F2Sketch) UpdateBatch(batch []sketch.Update) {
 		for i, u := range blk {
 			pw[i] = hash.Powers(u.Item)
 		}
-		for r, row := range f.c {
+		for r := 0; r < f.rows; r++ {
 			f.hs[r].SignBuckets(sb[:len(blk)], pw[:], f.w)
-			s := f.sumSq[r]
-			for i, u := range blk {
-				d := (int64(sb[i]&1)*2 - 1) * u.Delta
-				old := row[sb[i]>>1]
-				row[sb[i]>>1] = old + d
-				x := float64(d)
-				s += x * (2*float64(old) + x)
+			s, done := f.sumSq[r], 0
+			if f.c64 == nil {
+				if s, done = addSigned(f.c32[r*f.w:(r+1)*f.w], sb[:], blk, s); done < len(blk) {
+					f.widen()
+				}
+			}
+			if done < len(blk) {
+				s, _ = addSigned(f.c64[r*f.w:(r+1)*f.w], sb[done:], blk[done:], s)
 			}
 			f.sumSq[r] = s
 		}
@@ -151,6 +231,25 @@ func (f *F2Sketch) UpdateBatch(batch []sketch.Update) {
 	if f.sinceResum >= sketch.ResumInterval {
 		f.Resummate()
 	}
+}
+
+// addSigned moves one row's counters and its aggregate s by a block of
+// updates hashed into sb, and returns how many it applied: all of them, or
+// those before the first sum that does not fit T.
+func addSigned[T counter](row []T, sb []uint64, blk []sketch.Update, s float64) (float64, int) {
+	sb = sb[:len(blk)]
+	for i, u := range blk {
+		d := (int64(sb[i]&1)*2 - 1) * u.Delta
+		old := int64(row[sb[i]>>1])
+		v := old + d
+		if int64(T(v)) != v {
+			return s, i
+		}
+		row[sb[i]>>1] = T(v)
+		x := float64(d)
+		s += x * (2*float64(old) + x)
+	}
+	return s, len(blk)
 }
 
 // CoalesceInvariant implements sketch.CoalesceInvariant: counters and row
@@ -173,15 +272,25 @@ func (f *F2Sketch) Estimate() float64 {
 // Resummate implements sketch.IncrementalEstimator: it recomputes the row
 // aggregates exactly from the counters.
 func (f *F2Sketch) Resummate() {
-	for r := 0; r < f.rows; r++ {
+	if f.c64 != nil {
+		sumSquares(f.sumSq, f.c64)
+	} else {
+		sumSquares(f.sumSq, f.c32)
+	}
+	f.sinceResum = 0
+}
+
+// sumSquares sets sumSq[r] to row r's Σ_b c² for the len(sumSq) equal rows of c.
+func sumSquares[T counter](sumSq []float64, c []T) {
+	w := len(c) / len(sumSq)
+	for r := range sumSq {
 		var s float64
-		for _, v := range f.c[r] {
+		for _, v := range c[r*w : (r+1)*w] {
 			fv := float64(v)
 			s += fv * fv
 		}
-		f.sumSq[r] = s
+		sumSq[r] = s
 	}
-	f.sinceResum = 0
 }
 
 // AppendSigned appends, per row, item's signed counter sign_r(item)·C_r[b_r(item)]
@@ -190,16 +299,25 @@ func (f *F2Sketch) Resummate() {
 func (f *F2Sketch) AppendSigned(dst []float64, item uint64) []float64 {
 	for r := 0; r < f.rows; r++ {
 		sign, b := f.hs[r].SignBucket(item, f.w)
-		dst = append(dst, float64(sign*f.c[r][b]))
+		dst = append(dst, float64(sign*f.at(r*f.w+b)))
 	}
 	return dst
 }
 
-// SpaceBytes charges the counters, row aggregates and hash seeds.
+// at returns counter i of the row-major matrix.
+func (f *F2Sketch) at(i int) int64 {
+	if f.c64 != nil {
+		return f.c64[i]
+	}
+	return int64(f.c32[i])
+}
+
+// SpaceBytes charges the counters at the width they are held in, the row
+// aggregates and the hash seeds.
 func (f *F2Sketch) SpaceBytes() int {
-	total := 8 * f.rows // sumSq
-	for r := 0; r < f.rows; r++ {
-		total += 8*f.w + f.hs[r].SpaceBytes()
+	total := 4*len(f.c32) + 8*len(f.c64) + 8*f.rows // counters, sumSq
+	for _, h := range f.hs {
+		total += h.SpaceBytes()
 	}
 	return total
 }

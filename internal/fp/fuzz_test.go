@@ -20,6 +20,7 @@ func FuzzF2Unmarshal(f *testing.F) {
 	f.Add(data)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
+	f.Add(hostileDims)
 	batch := make([]sketch.Update, 300)
 	for i := range batch {
 		batch[i] = sketch.Update{Item: uint64(i % 97), Delta: int64(i%5) - 2}

@@ -65,14 +65,30 @@ func floatCounters(r *codec.Reader) []int64 {
 // in the caller's encoding: the f2 format's float64s, the countsketch
 // format's int64s.
 func (f *F2Sketch) AppendRows(w *codec.Writer, counters func(*codec.Writer, []int64)) {
+	var wide []int64 // a narrow row, widened for the caller
+	if f.c64 == nil {
+		wide = make([]int64, f.w)
+	}
 	for r := 0; r < f.rows; r++ {
 		w.U64s(f.hs[r].Coeffs())
-		counters(w, f.c[r])
+		if f.c64 != nil {
+			counters(w, f.c64[r*f.w:(r+1)*f.w])
+			continue
+		}
+		for i, v := range f.c32[r*f.w : (r+1)*f.w] {
+			wide[i] = int64(v)
+		}
+		counters(w, wide)
 	}
 }
 
 // ReadRows decodes what AppendRows wrote for a sketch of the given
-// dimensions and rebuilds the row aggregates.
+// dimensions and rebuilds the row aggregates; the sketch comes back narrow
+// unless a decoded counter needs 64 bits. counters must consume at least 8
+// bytes of input per counter it returns, as both formats' fixed words do:
+// the header's rows × width is held against the bytes that remain before
+// the one flat matrix is allocated from it, so a short body cannot claim a
+// large sketch.
 func ReadRows(r *codec.Reader, dims F2Sizing, counters func(*codec.Reader) []int64) (*F2Sketch, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -80,7 +96,15 @@ func ReadRows(r *codec.Reader, dims F2Sizing, counters func(*codec.Reader) []int
 	if dims.Rows < 1 || dims.Rows > 1<<20 || dims.Width < 1 {
 		return nil, fmt.Errorf("fp: invalid sketch dimensions %dx%d", dims.Rows, dims.Width)
 	}
-	f := &F2Sketch{rows: dims.Rows, w: dims.Width, sumSq: make([]float64, dims.Rows)}
+	// A row is two length words, its coefficients and 8 bytes a counter.
+	if left := r.Remaining(); dims.Width > left/8 || dims.Rows > left/(8*dims.Width+16) {
+		return nil, fmt.Errorf("fp: %d bytes cannot hold a %dx%d sketch", left, dims.Rows, dims.Width)
+	}
+	f := &F2Sketch{
+		rows: dims.Rows, w: dims.Width,
+		c32:   make([]int32, dims.Rows*dims.Width),
+		sumSq: make([]float64, dims.Rows),
+	}
 	for i := 0; i < dims.Rows; i++ {
 		f.hs = append(f.hs, hash.PolyFromCoeffs(r.U64s()))
 		row := counters(r)
@@ -90,7 +114,13 @@ func ReadRows(r *codec.Reader, dims F2Sizing, counters func(*codec.Reader) []int
 		if len(row) != dims.Width {
 			return nil, fmt.Errorf("fp: row %d has %d counters, want %d", i, len(row), dims.Width)
 		}
-		f.c = append(f.c, row)
+		lo := i * dims.Width
+		if f.c64 == nil && addCounters(f.c32[lo:], row) < len(row) {
+			f.widen() // the row is partly in place; it is copied whole below
+		}
+		if f.c64 != nil {
+			copy(f.c64[lo:], row)
+		}
 	}
 	f.Resummate()
 	return f, nil

@@ -65,8 +65,9 @@ type Sizing struct {
 	Rows, Width int
 }
 
-// Bytes is what a sketch of these dimensions keeps resident once its
-// stream has filled it: the counters, and the candidate pool at the 8·width
+// Bytes is the most a sketch of these dimensions keeps resident once its
+// stream has filled it: the counters at the kernel's widened 8 bytes each
+// (fp.F2Sizing.Bytes says why), and the candidate pool at the 8·width
 // entries that trigger a prune.
 func (s Sizing) Bytes() float64 { return float64(s.Width) * (8*float64(s.Rows) + 8*16) }
 
@@ -101,6 +102,14 @@ func NewCountSketch(s Sizing, rng *rand.Rand) *CountSketch {
 		cands:   make(map[uint64]int64),
 		candCap: 4 * s.Width,
 	}
+}
+
+// Reset implements sketch.Resetter: the sketch becomes what NewCountSketch
+// would build from rng at the same dimensions, in the memory it already
+// holds — the kernel's counters and the emptied pool's buckets.
+func (cs *CountSketch) Reset(rng *rand.Rand) {
+	cs.kernel.Reset(rng)
+	clear(cs.cands)
 }
 
 // Update implements sketch.PointQuerier (turnstile deltas allowed).

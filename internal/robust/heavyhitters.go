@@ -1,7 +1,9 @@
 package robust
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -40,6 +42,7 @@ type HeavyHitters struct {
 	ring   core.Lagged // *heavyhitters.CountSketch instances
 	next   int         // index of the least-recently-restarted live instance
 	frozen *heavyhitters.CountSketch
+	ranked []sketch.ItemWeight // frozen's whole pool in TopK order; nil until a TopK asks after a refresh
 	lastR  float64
 	sizing heavyhitters.Sizing
 	rng    *rand.Rand
@@ -101,10 +104,18 @@ func (hh *HeavyHitters) Update(item uint64, delta int64) {
 
 // refresh moves the next ring instance (caught up to the current stream
 // position first, so the snapshot is exact) out of the ring to be the frozen
-// copy — nothing feeds it again — and restarts its slot on the stream suffix.
+// copy — nothing feeds it again — and restarts its slot on the stream suffix
+// with the frozen copy this one retires, re-drawn in place: after the first
+// refresh the ring and the frozen copy trade the same copies+1 sketches.
 func (hh *HeavyHitters) refresh() {
-	hh.frozen = hh.ring.Current(hh.next).(*heavyhitters.CountSketch)
-	hh.ring.Replace(hh.next, heavyhitters.NewCountSketch(hh.sizing, hh.rng))
+	restart := hh.frozen
+	hh.frozen, hh.ranked = hh.ring.Current(hh.next).(*heavyhitters.CountSketch), nil
+	if restart == nil {
+		restart = heavyhitters.NewCountSketch(hh.sizing, hh.rng)
+	} else {
+		restart.Reset(hh.rng)
+	}
+	hh.ring.Replace(hh.next, restart)
 	hh.next = (hh.next + 1) % hh.ring.Len()
 }
 
@@ -120,12 +131,17 @@ func (hh *HeavyHitters) Query(item uint64) float64 {
 // TopK implements sketch.TopKQuerier from the frozen snapshot only: the
 // answer set changes at most once per published norm refresh, so — like
 // Query — each CountSketch's randomness influences at most one published
-// refresh, preserving the Theorem 6.5 robustness argument.
+// refresh, preserving the Theorem 6.5 robustness argument. The frozen copy
+// does not change between refreshes, so its pool is ranked by the first
+// call after one and every answer until the next is a prefix of that.
 func (hh *HeavyHitters) TopK(k int) []sketch.ItemWeight {
-	if hh.frozen == nil {
+	if hh.frozen == nil || k <= 0 {
 		return nil
 	}
-	return hh.frozen.TopK(k)
+	if hh.ranked == nil {
+		hh.ranked = hh.frozen.TopK(math.MaxInt)
+	}
+	return slices.Clone(hh.ranked[:min(k, len(hh.ranked))])
 }
 
 // L2 returns the robust norm estimate R_t.
@@ -156,9 +172,9 @@ func (hh *HeavyHitters) Robustness() sketch.Robustness {
 }
 
 // SpaceBytes charges the norm tracker, the ring with its lag buffer, and
-// the frozen snapshot.
+// the frozen snapshot with its ranking.
 func (hh *HeavyHitters) SpaceBytes() int {
-	total := hh.norm.SpaceBytes() + hh.ring.SpaceBytes()
+	total := hh.norm.SpaceBytes() + hh.ring.SpaceBytes() + 16*len(hh.ranked)
 	if hh.frozen != nil {
 		total += hh.frozen.SpaceBytes()
 	}

@@ -179,9 +179,11 @@ type Problem struct {
 	NewRing func(eps, delta float64, n uint64, seed int64) sketch.Estimator
 
 	// InnerBytes optionally prices copies instances of what Inner would
-	// build, by the same sizing and without building them: the bytes they
-	// keep resident once filled, one of them fed an update at a time (a
-	// KMV indexes only then). RingBytes does the same for NewRing.
+	// build, by the same sizing and without building them: the most they
+	// keep resident once filled — signed counters at their widened 8 bytes,
+	// which one large client delta makes true of every copy — one of them
+	// fed an update at a time (a KMV indexes only then). RingBytes does the
+	// same for NewRing.
 	InnerBytes func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64
 	RingBytes  func(eps, delta float64, n uint64) float64
 }
@@ -319,7 +321,9 @@ func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {
 // an entropy sketch); above it, it applies Problem.Publish to the rounded
 // output. The optional write-side surfaces — batch ingest, the coalescing
 // declaration — and the robustness state forward to inner when it has them
-// and degrade to the per-update loop, false, or the zero answer otherwise.
+// and degrade to the per-update loop, false, or the zero answer otherwise;
+// the in-place restart has nothing to degrade to, so only the adapter built
+// over a kernel that has it (resettable) does.
 // It forwards no per-coordinate read: a wrapper's guarantee covers its
 // rounded output only.
 type mapAdapter struct {
@@ -348,6 +352,17 @@ func (a mapAdapter) Robustness() sketch.Robustness {
 	}
 	return sketch.Robustness{}
 }
+
+// resettable is a mapAdapter over a kernel that restarts in place (the F2
+// copies of a norm ring). It is a type of its own so that a ring's probe
+// for sketch.Resetter is answered for the inner sketch, not for the adapter.
+type resettable struct {
+	mapAdapter
+	kernel sketch.Resetter
+}
+
+// Reset implements sketch.Resetter.
+func (a resettable) Reset(rng *rand.Rand) { a.kernel.Reset(rng) }
 
 // oddReps shapes a median-repetition count: capped so reps·perRep stays
 // within kCap counters (when kCap > 0), floored at 3, and forced odd.
@@ -379,7 +394,8 @@ func LpProblem(p float64) Problem {
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 			lnInv := trackingLnInv(eps0, lnInvDelta, n)
 			if p == 2 {
-				return mapAdapter{fp.NewF2(f2Sizing(eps0, lnInv, kCap), rand.New(rand.NewSource(seed))), math.Sqrt}
+				k := fp.NewF2(f2Sizing(eps0, lnInv, kCap), rand.New(rand.NewSource(seed)))
+				return resettable{mapAdapter{k, math.Sqrt}, k}
 			}
 			boost := 0.3 * lnInv * math.Log2E
 			if boost < 1 {

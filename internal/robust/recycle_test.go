@@ -1,0 +1,147 @@
+package robust
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fp"
+	"repro/internal/sketch"
+	"repro/internal/stream"
+)
+
+// climb feeds est deltas an eighth of its published norm, so the norm
+// passes a rounding boundary every twenty updates or so, until flips() has
+// grown by n; it returns the bytes allocated per flip on the way. Counters
+// stay far inside int32.
+func climb(t *testing.T, est sketch.Estimator, flips func() int, n int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := flips()
+	for i := uint64(0); flips() < start+n; i++ {
+		if i > 100000 {
+			t.Fatalf("%d flips after %d climbing updates, want %d", flips()-start, i, n)
+		}
+		est.Update(i%1024, 1+int64(est.Estimate()/8))
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestRingFlipRecycles: a ring restarts a slot in the memory it holds. A
+// flip of an f2+ring Switcher costs its seed's rand.NewSource (5 KB) and
+// the row polynomials, a refresh of the Theorem 6.5 ring the same for its
+// norm tracker plus one CountSketch's polynomials — not the ~500 KB copy
+// each used to build and abandon.
+func TestRingFlipRecycles(t *testing.T) {
+	warm := func(est sketch.Estimator) { // past a drain, so the lag buffers have their size
+		for i := uint64(0); i < 20000; i++ {
+			est.Update(i%1024, 1)
+		}
+	}
+	sw := NewFp(2, 0.3, 0.05, 1<<20, 7)
+	warm(sw)
+	if per := climb(t, sw, sw.Switches, 50); per >= 16<<10 {
+		t.Errorf("an f2+ring flip allocates %d bytes, want < 16 KiB", per)
+	}
+	hh := NewHeavyHitters(0.3, 0.05, 1<<20, 25)
+	warm(hh)
+	if hh.frozen == nil {
+		t.Fatal("no refresh during warm-up: the first one builds its restart copy and must not be measured")
+	}
+	if per := climb(t, hh, func() int { return hh.Robustness().Switches }, 50); per >= 16<<10 {
+		t.Errorf("a Theorem 6.5 refresh allocates %d bytes, want < 16 KiB", per)
+	}
+}
+
+// TestTopKRanksOncePerRefresh: the cached ranking answers what the frozen
+// copy would, for every k, across refreshes, and is not the caller's to
+// scribble on.
+func TestTopKRanksOncePerRefresh(t *testing.T) {
+	hh := NewHeavyHitters(0.3, 0.05, 1<<20, 25)
+	gen := stream.NewZipf(1<<12, 8000, 1.2, 13)
+	for step := 1; ; step++ {
+		u, ok := gen.Next()
+		if !ok {
+			break
+		}
+		hh.Update(u.Item, u.Delta)
+		if step%500 != 0 {
+			continue
+		}
+		for _, k := range []int{10, 1, 0, 3, math.MaxInt} {
+			got, want := hh.TopK(k), hh.frozen.TopK(k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: TopK(%d) = %v, the frozen copy ranks %v", step, k, got, want)
+			}
+			for i := range got {
+				got[i].Weight = -1
+			}
+		}
+	}
+	if hh.Robustness().Switches < 8 || len(hh.TopK(10)) != 10 {
+		t.Fatalf("%d refreshes, top-10 of %d: the comparison is vacuous", hh.Robustness().Switches, len(hh.TopK(10)))
+	}
+}
+
+// TestWideDeltaWidensEveryCopy: one client update with a 2³¹ delta reaches
+// every copy of an f2+switching ensemble — the active one at once, the
+// trailing ones at the drain, through the batch kernel — and each trades
+// its int32 counters for int64 ones. What is resident doubles and stays
+// under what admission priced; what is published does not notice: the
+// ensemble agrees, update for update, with one whose copies were all-int64
+// from birth.
+func TestWideDeltaWidensEveryCopy(t *testing.T) {
+	const (
+		eps, delta = 0.25, 0.05
+		n, seed    = 1 << 16, 5
+	)
+	pol, prob := Policy{Kind: Switching, Budget: 64, KCap: 64}, LpProblem(2)
+	got := mustWrap(t, pol, eps, delta, n, seed, prob).(*core.Switcher)
+
+	pl, err := pol.plan(eps, delta, n, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizing := f2Sizing(pl.eps0, trackingLnInv(pl.eps0, pl.lnInvDelta, n), pol.KCap)
+	ref := core.NewSwitcher(pl.eps, pl.copies, false, seed, func(s int64) sketch.Estimator {
+		k := fp.NewF2(sizing, rand.New(rand.NewSource(s)))
+		k.Update(0, 1<<32)      // out of int32 under either sign and back: wide for
+		k.Update(0, -(1 << 32)) // good, counters and aggregates at zero again, exactly
+		return mapAdapter{k, math.Sqrt}
+	})
+	narrow := got.SpaceBytes()
+	if wide := ref.SpaceBytes(); float64(wide) < 1.95*float64(narrow) {
+		t.Fatalf("the all-int64 reference holds %d bytes against %d narrow: it is not wide", wide, narrow)
+	}
+
+	step := func(i int, item uint64, d int64) {
+		t.Helper()
+		got.Update(item, d)
+		ref.Update(item, d)
+		if got.Estimate() != ref.Estimate() || got.Robustness() != ref.Robustness() {
+			t.Fatalf("update %d: (%v, %+v), all-int64 reference (%v, %+v)", i, got.Estimate(), got.Robustness(), ref.Estimate(), ref.Robustness())
+		}
+	}
+	for i := 0; i < 100; i++ { // some twenty flips of the sixty-four
+		step(i, uint64(i%64), 1)
+	}
+	if got.SpaceBytes() >= ref.SpaceBytes() {
+		t.Fatalf("unit updates alone brought the ensemble to %d bytes, the reference's %d", got.SpaceBytes(), ref.SpaceBytes())
+	}
+	step(100, 5, 1<<31)
+	for i := 101; i < 101+20000; i++ { // past the lag bound: the drain carries the delta to every trailing copy
+		step(i, uint64(i%64), 1)
+	}
+	projected := pol.StateBytes(eps, delta, n, prob)
+	if after := got.SpaceBytes(); after != ref.SpaceBytes() || float64(after) > projected {
+		t.Errorf("after one 2^31 delta the ensemble holds %d bytes; the all-int64 reference %d, the admission projection %.0f", after, ref.SpaceBytes(), projected)
+	}
+	if r := got.Robustness(); r.Exhausted || r.Copies < 32 {
+		t.Fatalf("%+v: too few copies left for the footprint to say anything", r)
+	}
+}

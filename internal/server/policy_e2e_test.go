@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -192,5 +193,67 @@ func TestPolicyAliasesAndConflictsOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	} else if ks.Robustness == nil || ks.Robustness.Policy != "paths" {
 		t.Errorf("cc+paths tenant robustness = %+v", ks.Robustness)
+	}
+}
+
+// TestSpentTenantSaysSoAndKeepsAnswering pins what a dense-switching tenant
+// does once its stream has used more flips than it was sized for: /v1/stats
+// and the robustness block of every /v2/query answer, JSON and binary, say
+// exhausted with nothing remaining and one copy live, and that last copy
+// goes on answering — still accurate on this oblivious stream, with no
+// guarantee left against an adaptive one.
+func TestSpentTenantSaysSoAndKeepsAnswering(t *testing.T) {
+	const eps = 0.3
+	srv := server.New(server.Config{Eps: eps, Delta: 0.05, N: 1 << 16, Seed: 11, MaxKeys: 4})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(srv.Drain)
+	jc := client.New(hs.URL, hs.Client(), client.WithCodec(client.CodecJSON))
+	bc := client.New(hs.URL, hs.Client(), client.WithCodec(client.CodecBinary))
+	ctx := context.Background()
+
+	if _, err := jc.CreateTenant(ctx, "spent", client.TenantSpec{Sketch: "f2", Policy: "switching", FlipBudget: 4, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	truth := stream.NewFreq()
+	feed := func(from, to uint64) {
+		t.Helper()
+		var ups []client.Update
+		for i := from; i < to; i++ {
+			u := stream.Update{Item: i, Delta: 1}
+			truth.Apply(u)
+			ups = append(ups, client.Update{Item: u.Item, Delta: u.Delta})
+		}
+		if err := bc.Update(ctx, "spent", ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string) float64 {
+		t.Helper()
+		jresp, jerr := jc.Query(ctx, "spent", []client.Query{{Kind: server.QueryEstimate}})
+		bresp, berr := bc.Query(ctx, "spent", []client.Query{{Kind: server.QueryEstimate}})
+		if jerr != nil || berr != nil {
+			t.Fatalf("%s: query: json %v, frame %v", when, jerr, berr)
+		}
+		st, err := jc.KeyStats(ctx, "spent") // after a query: stats read what the last flush published
+		if err != nil {
+			t.Fatal(err)
+		}
+		for where, r := range map[string]*server.RobustnessStats{"/v1/stats": st.Robustness, "/v2/query json": jresp.Robustness, "/v2/query frame": bresp.Robustness} {
+			if r == nil || !r.Exhausted || r.Remaining != 0 || r.Copies != 1 || r.Budget != 4 || r.Switches <= 4 {
+				t.Errorf("%s: %s reports %+v, want exhausted, remaining 0, copies 1 of budget 4", when, where, r)
+			}
+		}
+		got := jresp.Answers[0].Value
+		if bresp.Answers[0].Value != got || relErr(got, truth.L2()) > eps {
+			t.Errorf("%s: estimate json %v, frame %v, true norm %v", when, got, bresp.Answers[0].Value, truth.L2())
+		}
+		return got
+	}
+	feed(0, 200) // the norm climbs to √200: some twenty roundings at ε/2, of a budget of four
+	first := check("past the budget")
+	feed(200, 1000)
+	if later := check("800 updates later"); later <= first {
+		t.Errorf("the spent tenant's estimate stayed at %v while the norm went from √200 to √1000", later)
 	}
 }

@@ -36,7 +36,9 @@ import (
 // Config supplying only defaults and caps; robust combinations size each
 // shard instance at δ/Shards so the union bound over the shard ensemble
 // restores the tenant-wide δ. bytes prices one such instance by the
-// factory's own sizing, unbuilt, for admit.
+// factory's own sizing, unbuilt, for admit: the most it can come to hold,
+// so a signed counter at 8 bytes though /v1/stats reports it at the 4 it
+// occupies until one overflows.
 //
 // truth extracts the statistic the spec estimates from an exact frequency
 // vector, and additive says whether the spec's ε is an additive rather
@@ -343,6 +345,9 @@ const (
 	// (spec.admit). The caps above bound factors; this one bounds their
 	// product before anything is built — at ε = 1e-5 a single F2 row is
 	// 10¹¹ counters. It sits above every cell tests and benchmark create.
+	// It is a bound on the worst case, not a reading: an f2 or countsketch
+	// tenant's counters are priced at 8 bytes and held at 4 until one
+	// update's delta (2³¹ suffices) widens every copy at once.
 	MaxTenantStateBytes = 4 << 30
 
 	// pathsKCap caps the repetition dimension of a computation-paths

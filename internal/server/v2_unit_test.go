@@ -192,7 +192,10 @@ func TestResolvePerTenantSizing(t *testing.T) {
 // minimum, a CountSketch per pool entry) are first fed enough distinct
 // items, in engine-sized batches, to fill them and to force a drain of the
 // trailing copies; the fixed-footprint ones are read as built, which also
-// keeps the per-update cost of a CC ensemble out of the suite.
+// keeps the per-update cost of a CC ensemble out of the suite. Signed
+// counters are priced at the 8 bytes one large client delta makes of them:
+// the peak compared is that of the build after such a delta has reached
+// every copy, and until then a build must sit under its projection.
 func TestProjectedStateTracksBuilt(t *testing.T) {
 	cfg := Config{Shards: 1, Eps: 0.25, Delta: 0.05, N: 1 << 16, Seed: 1, FlipBudget: 128}.withDefaults()
 	fill := map[string]int{"kmv": 20000, "countsketch": 20000}
@@ -200,6 +203,7 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 	// dense ensemble must outlast that for its trailing copies to be seen
 	// full at the drain.
 	budget := map[string]int{"kmv": 256}
+	widenFeed := map[string]int{"f2": 16384, "countsketch": 16384} // core's pendingCap
 	batch := make([]sketch.Update, 256)
 	cells := 0
 	for name := range bases {
@@ -216,6 +220,21 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 					for i := range batch {
 						batch[i] = sketch.Update{Item: uint64(fed + i), Delta: 1}
 					}
+					sketch.ApplyBatch(est, batch)
+					peak = max(peak, est.SpaceBytes())
+				}
+				if proj := sp.bytes(ts); (name == "f2" || name == "countsketch") && float64(peak) > proj {
+					t.Errorf("%s model=%s: narrow build peaks at %d bytes, above its projection %.0f",
+						sp.Display(), ts.Model, peak, proj)
+				}
+				// One 2³¹ delta, then a lag buffer of unit updates so the
+				// drain carries it to the trailing copies.
+				est.Update(1, 1<<31)
+				peak = max(peak, est.SpaceBytes())
+				for i := range batch {
+					batch[i] = sketch.Update{Item: 1, Delta: 1}
+				}
+				for fed := 0; fed < widenFeed[name]; fed += len(batch) {
 					sketch.ApplyBatch(est, batch)
 					peak = max(peak, est.SpaceBytes())
 				}

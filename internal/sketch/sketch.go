@@ -33,6 +33,7 @@
 //	PointQuerier          CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.point_ns, engine.point_us
 //	TopKQuerier           CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
 //	RobustnessReporter    Switcher, Paths, robust.HeavyHitters                                 engine shard publish, to /v1/stats and /v2/query    robust.switches, robust.copies_live
+//	Resetter              F2Sketch, CountSketch                                                core.Switcher.advance (ring), HeavyHitters.refresh  robust.state_bytes, server_rss_mb (a flip reuses the copy it retires)
 //	DuplicateInsensitive  KMV, Median (iff its members), Alg2 (unbatched), HLL, Exact          robust.NewCryptoF0, NewOracleF0 refuse non-declarers none: a soundness check (Theorem 10.1)
 //	engine.MassReporter   entropy.CC                                                           engine shard publish; the Entropy combiner needs it none: a merged cc tenant is wrong without it
 //
@@ -44,13 +45,16 @@
 // no per-coordinate interface — the server's point gate, engine.QueryBatch
 // and the frozen ring all probe by assertion.
 //
-// robust's estimate adapter forwards the first two and the reporter.
+// robust's estimate adapter forwards the first two and the reporter, and
+// over a norm ring's F2 copies the Resetter.
 // IncrementalEstimator is the one with no caller outside its implementers
 // (each resummates itself on ResumInterval, Merge and Unmarshal): it names
 // a contract, it is not dispatched on. The two per-coordinate rows stop at
 // the sketches and HeavyHitters on purpose: a generic wrapper's guarantee
 // covers its rounded estimate only.
 package sketch
+
+import "math/rand"
 
 // Estimator is a one-pass streaming algorithm that tracks a real-valued
 // statistic g(f) of the frequency vector f of the stream processed so far.
@@ -75,6 +79,18 @@ type Estimator interface {
 // once per copy (and again on every restart in ring mode), so instances
 // built from distinct seeds must use independent randomness.
 type Factory func(seed int64) Estimator
+
+// Resetter is implemented by kernels that can restart in place: Reset(rng)
+// leaves the instance exactly as its constructor would have built it from
+// rng at the same dimensions — every coefficient drawn in the same order,
+// counters zero — in the memory it already holds. A ring restarts a slot
+// through it instead of building a copy to throw the old one away:
+// core.Switcher, whose Factory must then build an instance from
+// rand.New(rand.NewSource(seed)) and nothing else, and the Theorem 6.5
+// CountSketch ring.
+type Resetter interface {
+	Reset(rng *rand.Rand)
+}
 
 // PointQuerier is implemented by sketches that support per-coordinate
 // frequency estimates (e.g. CountSketch), the primitive behind the heavy
