@@ -2,25 +2,18 @@ package main
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/entropy"
 	"repro/internal/f0"
-	"repro/internal/prf"
 	"repro/internal/robust"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
-// runAblation exercises four design choices:
+// runAblation exercises two design choices:
 //
 //  1. ring vs dense sketch switching (Theorem 4.1's optimization);
-//  2. rounding granularity vs instance burn rate;
-//  3. Clifford–Cosma vs Rényi-via-Fα entropy estimation at equal space
-//     (the α→1 precision blow-up of Prop. 7.1 made tangible);
-//  4. KMV vs HyperLogLog as the inner sketch of the Section 10 wrapper.
+//  2. rounding granularity vs instance burn rate.
 func runAblation() {
 	fmt.Println("--- 1. ring vs dense switching: copies needed ---")
 	fmt.Printf("  %8s %12s %12s %12s\n", "ε", "ring", "dense n=2^20", "dense n=2^40")
@@ -53,46 +46,4 @@ func runAblation() {
 		}
 		fmt.Printf("  %8.2f %10d\n", eps, sw.(sketch.RobustnessReporter).Robustness().Switches)
 	}
-
-	fmt.Println("\n--- 3. entropy: Clifford–Cosma vs Rényi-via-Fα at equal counters ---")
-	const counters = 1024
-	g := stream.Collect(stream.NewZipf(1<<12, 8000, 1.3, 7), 0)
-	truth := stream.NewFreq()
-	truth.ApplyAll(g)
-	h := truth.Entropy()
-	fmt.Printf("  true H = %.3f bits; %d counters each\n", h, counters)
-	cc := entropy.NewCC(entropy.CCSizing{Groups: 4, Per: counters / 4}, rand.New(rand.NewSource(1)))
-	for _, u := range g {
-		cc.Update(u.Item, u.Delta)
-	}
-	fmt.Printf("  %-28s estimate %6.3f  add.err %6.3f\n", "Clifford–Cosma [11]", cc.Estimate(), math.Abs(cc.Estimate()-h))
-	for _, alpha := range []float64{1.5, 1.2, 1.05} {
-		r := entropy.NewRenyi(alpha, counters, rand.New(rand.NewSource(1)))
-		for _, u := range g {
-			r.Update(u.Item, u.Delta)
-		}
-		fmt.Printf("  %-28s estimate %6.3f  add.err %6.3f\n",
-			fmt.Sprintf("Rényi α=%.2f", alpha), r.Estimate(), math.Abs(r.Estimate()-h))
-	}
-	fmt.Println("  (Rényi's bias shrinks as α→1 but its variance at fixed counters grows")
-	fmt.Println("   ∝ 1/(α−1)² — the Prop. 7.1 trade-off; CC avoids it entirely)")
-
-	fmt.Println("\n--- 4. Section 10 inner sketch: KMV vs HyperLogLog ---")
-	fmt.Printf("  %-14s %12s %12s %10s\n", "inner", "space (B)", "estimate", "rel.err")
-	const truthN = 50000
-	run := func(name string, inner sketch.Estimator) {
-		alg, err := robust.NewCryptoF0(prf.NewFromSeed(9), inner)
-		if err != nil {
-			panic(err)
-		}
-		for i := uint64(0); i < truthN; i++ {
-			alg.Update(i, 1)
-			alg.Update(i, 1) // duplicates are free
-		}
-		fmt.Printf("  %-14s %12d %12.0f %9.2f%%\n",
-			name, alg.SpaceBytes(), alg.Estimate(), 100*math.Abs(alg.Estimate()-truthN)/truthN)
-	}
-	run("KMV k=1024", f0.NewKMV(1024, rand.New(rand.NewSource(2))))
-	run("HLL p=12", f0.NewHLL(12, rand.New(rand.NewSource(3))))
-	fmt.Println("  (HLL: ~4x less space at comparable error — wrap what production runs)")
 }

@@ -339,7 +339,7 @@ func buildTarget(c comboConfig) (campaignTarget, error) {
 		ctx := context.Background()
 		cl := client.New(hs.URL, hs.Client(), client.WithCodec(c.codec))
 		// The v2 declarative surface: the tenant's spec carries its own
-		// sketch × policy cell, so the sweep no longer leans on the
+		// sketch × policy cell, so the sweep does not lean on the
 		// server-wide defaults to shape the keyspace.
 		if _, err := cl.CreateTenant(ctx, "campaign", ts); err != nil {
 			hs.Close()

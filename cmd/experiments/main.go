@@ -5,13 +5,14 @@
 //	ams        Theorem 9.1: Algorithm 3 vs the dense AMS sketch (series + success rate)
 //	kmv        Section 10 motivation: seed-leakage attack vs KMV / crypto / switching
 //	flip       Cor. 3.5, Prop. 7.2, Lemma 8.2: empirical flip numbers vs bounds
-//	fastf0     Theorem 1.2: update-time comparison at tiny δ
+//	fastf0     Theorem 1.2: update-time comparison at tiny δ, and the degree where multipoint hashing overtakes Horner
 //	crossover  Theorems 4.1 vs 4.2: switching vs computation-paths space as δ shrinks
 //	fpbig      Theorem 1.7: n^{1−2/p} width scaling and F3 accuracy
 //	turnstile  Theorem 1.6: robust Fp on λ-bounded turnstile streams
 //	bdel       Theorem 1.11: bounded-deletion sweep over α
 //	entropy    Theorem 1.10: robust entropy accuracy and space
 //	hh         Theorem 1.9: robust heavy hitters vs adaptive flooder
+//	ablation   Theorem 4.1: ring vs dense switching copies, rounding granularity vs switches
 //	all        everything above
 //
 // Usage: go run ./cmd/experiments -exp t1
@@ -39,14 +40,14 @@ var experiments = []struct {
 	{"ams", "Theorem 9.1 attack on AMS", runAMS},
 	{"kmv", "seed-leakage attack on KMV vs Section 10 defenses", runKMV},
 	{"flip", "empirical flip numbers vs theoretical bounds", runFlip},
-	{"fastf0", "fast F0 update-time comparison", runFastF0},
+	{"fastf0", "fast F0 update-time comparison and hashing crossover", runFastF0},
 	{"crossover", "switching vs computation-paths space crossover", runCrossover},
 	{"fpbig", "Fp for p>2: width scaling and accuracy", runFpBig},
 	{"turnstile", "robust Fp on bounded-flip turnstile streams", runTurnstile},
 	{"bdel", "bounded-deletion robust Fp sweep", runBoundedDeletion},
 	{"entropy", "robust entropy estimation", runEntropy},
 	{"hh", "robust L2 heavy hitters vs flooder", runHH},
-	{"ablation", "design-choice ablations (switching mode, rounding, entropy route, inner sketch)", runAblation},
+	{"ablation", "design-choice ablations (switching mode, rounding)", runAblation},
 	{"cascade", "cascaded-norm extension (Prop. 3.4 applicability)", runCascade},
 }
 

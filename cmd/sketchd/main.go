@@ -81,6 +81,10 @@ var recoveringHandler http.Handler = http.HandlerFunc(func(w http.ResponseWriter
 	fmt.Fprintln(w, `{"error":"recovering: write-ahead log replay in progress; retry shortly"}`)
 })
 
+// listen binds the serving socket; a variable so a test can hold the
+// listener and close it under a running server.
+var listen = net.Listen
+
 // run is the whole server lifecycle, factored out of main so tests can
 // drive it: parse args, bind the listener, open (and recover) the server
 // behind a recovering stub, serve until ctx is cancelled, then drain and
@@ -127,7 +131,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 	// Bind before recovery: a restarting durable node is immediately
 	// probeable (and answers retryable 503s) instead of refusing
 	// connections for as long as log replay takes.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
@@ -179,8 +183,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		})
 		if err != nil {
 			ln.Close()
-			srv.Drain()
-			return err
+			return errors.Join(err, srv.Shutdown())
 		}
 		cnode.Start()
 		live = cnode.Handler()
@@ -197,11 +200,12 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 
 	select {
 	case err := <-errc:
+		// The listener died: still a durable exit — final checkpoints
+		// land and the log is synced and closed before the process goes.
 		if cnode != nil {
 			cnode.Close()
 		}
-		srv.Drain()
-		return err
+		return errors.Join(err, srv.Shutdown())
 	case <-ctx.Done():
 	}
 	// Restore default signal handling before draining, not after: the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // startRun drives run in a goroutine and hands back the bound address,
@@ -85,6 +88,72 @@ func TestRunServesDrainsAndRecovers(t *testing.T) {
 	addr2, cancel2, _, errc2 := startRun(t, args...)
 	if got := readEstimate("http://" + addr2.String()); got != want {
 		t.Errorf("estimate after restart = %s, want %s", got, want)
+	}
+	cancel2()
+	if err := <-errc2; err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+}
+
+// TestListenerFailureIsADurableExit: when the listener dies under a durable
+// server, run still shuts down — final checkpoints, log synced and closed —
+// so under -fsync batch every acknowledged update survives and the static
+// tenant recovers from its checkpoint alone, replaying nothing.
+func TestListenerFailureIsADurableExit(t *testing.T) {
+	var ln net.Listener
+	listen = func(network, addr string) (net.Listener, error) {
+		l, err := net.Listen(network, addr)
+		ln = l
+		return l, err
+	}
+	t.Cleanup(func() { listen = net.Listen })
+
+	dir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-data-dir", dir, "-fsync", "batch", "-seed", "42"}
+	addr, _, _, errc := startRun(t, args...)
+	base := "http://" + addr.String()
+	for i := 0; i < 50; i++ {
+		body := strings.NewReader(fmt.Sprintf(`{"updates":[{"item":%d,"delta":1}]}`, i))
+		resp, err := http.Post(base+"/v1/update?key=k&sketch=kmv", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	ln.Close()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("run returned nil after its listener was closed")
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run did not exit after its listener was closed")
+	}
+
+	addr2, cancel2, _, errc2 := startRun(t, args...)
+	base = "http://" + addr2.String()
+	var health server.HealthResponse
+	var est server.EstimateResponse
+	for url, into := range map[string]any{"/v1/healthz": &health, "/v1/estimate?key=k": &est} {
+		resp, err := http.Get(base + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(into)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decode %v", url, resp.StatusCode, err)
+		}
+	}
+	if health.Recovery == nil || health.Recovery.Tenants != 1 || health.Recovery.ReplayedUpdates != 0 {
+		t.Errorf("recovery = %+v, want 1 tenant from its checkpoint with 0 updates replayed", health.Recovery)
+	}
+	if est.Estimate != 50 {
+		t.Errorf("estimate after restart = %v, want all 50 acknowledged items", est.Estimate)
 	}
 	cancel2()
 	if err := <-errc2; err != nil {

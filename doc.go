@@ -89,8 +89,8 @@
 //     /v2/keys with a TenantSpec — each tenant a sketch × policy ×
 //     stream-model combination sized from its own ε, δ, n, shards and
 //     flip budget, plus λ for model=turnstile and α for
-//     model=bounded_deletion, with the server Config demoted to
-//     defaults and caps; the old robust-* names resolve as aliases and
+//     model=bounded_deletion, with the server Config supplying
+//     defaults and caps; the robust-* names resolve as aliases and
 //     the ?sketch=/?policy= v1 form stays as a thin alias; tenants
 //     default to model=insertion and then reject negative deltas with
 //     400 before anything from the batch is applied, while

@@ -1,8 +1,8 @@
 // Package dist supplies the deterministic pseudorandom variates behind the
 // sketches that need per-(item, counter) randomness derived on the fly:
 // Indyk's p-stable sketch (internal/fp), the max-stable F_p estimator for
-// p > 2 (internal/fp), the Clifford–Cosma entropy sketch (internal/entropy)
-// and the HLL finalizer (internal/f0).
+// p > 2 (internal/fp) and the Clifford–Cosma entropy sketch
+// (internal/entropy).
 //
 // All samplers are pure functions of raw uint64 words, so a sketch can
 // re-derive the exact same variate for an item on every update — the

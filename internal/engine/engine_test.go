@@ -258,13 +258,13 @@ func TestSpaceBytesVisibleBeforeFirstRefresh(t *testing.T) {
 		Batch:  32,
 		Seed:   1,
 		Factory: func(seed int64) sketch.Estimator {
-			return f0.NewHLL(10, rand.New(rand.NewSource(seed)))
+			return f0.NewKMV(64, rand.New(rand.NewSource(seed)))
 		},
 	})
 	defer e.Close()
-	if est := e.SpaceBytes(); est < 2*(1<<10) {
-		t.Fatalf("SpaceBytes = %d before first refresh, want >= %d (two 1 KiB HLL shards)",
-			est, 2*(1<<10))
+	if est := e.SpaceBytes(); est < 2*16 {
+		t.Fatalf("SpaceBytes = %d before first refresh, want >= %d (two empty KMV shards, a 16-byte hash each)",
+			est, 2*16)
 	}
 }
 

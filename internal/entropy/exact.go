@@ -1,9 +1,7 @@
 // Package entropy implements empirical Shannon entropy estimators: an
-// exact incremental baseline, the Clifford–Cosma sketch ([11], the static
-// algorithm behind Theorem 7.3's general-model bound), and a Rényi-entropy
-// estimator built on F_α moments (the Harvey–Nelson–Onak route that also
-// powers the paper's flip-number analysis of entropy, Prop. 7.1/7.2).
-// All estimators report entropy in bits.
+// exact incremental baseline and the Clifford–Cosma sketch ([11], the
+// static algorithm behind Theorem 7.3's general-model bound). Both report
+// entropy in bits.
 package entropy
 
 import "math"

@@ -22,8 +22,8 @@ import (
 // statistically meaningful — this also absorbs the reporting delay of the
 // batched hashing below, as in the paper's proof.
 //
-// With batching enabled, incoming items are buffered and hashed d at a
-// time via the multipoint evaluation of Proposition 5.3, making the
+// From degree alg2BatchDegree up, incoming items are buffered and hashed d
+// at a time via the multipoint evaluation of Proposition 5.3, making the
 // amortized hashing cost per item o(d) field operations instead of the d
 // of Horner's rule.
 type Alg2 struct {
@@ -35,7 +35,7 @@ type Alg2 struct {
 	exactCap int
 	exactOK  bool
 	buf      []uint64
-	batch    bool
+	batch    bool // hash d buffered items at once; fixed at construction
 }
 
 type alg2Level struct {
@@ -44,6 +44,16 @@ type alg2Level struct {
 }
 
 const alg2Levels = hash.Bits // levels 0..60
+
+// alg2BatchDegree is the hash degree from which multipoint evaluation
+// (Proposition 5.3) beats Horner's rule over GF(2^61 − 1), where the
+// subproduct tree multiplies by Karatsuba. Measured, ns per Update, Horner |
+// batched: d=32 331 | 1 684, d=64 406 | 1 918, d=256 1 420 | 3 697,
+// d=1 024 5 991 | 8 169, d=4 096 23 651 | 24 663, d=8 192 48 584 | 47 113,
+// d=16 384 93 588 | 54 956. Theorem 1.2's own degrees straddle it (1 214 at
+// ε 0.4, n 2¹²; 13 358 at ε 0.1, n 2²⁰); `experiments -exp fastf0` prints
+// the crossover on the host it runs on.
+const alg2BatchDegree = 8192
 
 // Alg2Params sizes an Alg2 instance.
 type Alg2Params struct {
@@ -72,9 +82,9 @@ func Alg2Sizing(eps, lnInvDelta float64, n uint64) Alg2Params {
 	return Alg2Params{B: b, D: d}
 }
 
-// NewAlg2 returns an Algorithm 2 instance with the given parameters.
-// batch enables amortized multipoint hashing.
-func NewAlg2(p Alg2Params, batch bool, seed int64) *Alg2 {
+// NewAlg2 returns an Algorithm 2 instance with the given parameters; p.D
+// fixes its hashing (alg2BatchDegree), which DuplicateInsensitive reports.
+func NewAlg2(p Alg2Params, seed int64) *Alg2 {
 	rng := rand.New(rand.NewSource(seed))
 	a := &Alg2{
 		b:        p.B,
@@ -84,7 +94,7 @@ func NewAlg2(p Alg2Params, batch bool, seed int64) *Alg2 {
 		exact:    make(map[uint64]struct{}),
 		exactCap: 5 * p.B,
 		exactOK:  true,
-		batch:    batch,
+		batch:    p.D >= alg2BatchDegree,
 	}
 	for i := range a.levels {
 		a.levels[i].items = make(map[uint64]struct{})
@@ -186,5 +196,5 @@ func (a *Alg2) SpaceBytes() int {
 // DuplicateInsensitive: re-inserting a stored (or deleted-level) item never
 // changes the lists; the exact set is a set. The batch buffer breaks
 // *transient* insensitivity (a duplicate may sit in the buffer), so only
-// the unbatched variant declares the property.
+// an instance below the batching degree declares the property.
 func (a *Alg2) DuplicateInsensitive() bool { return !a.batch }

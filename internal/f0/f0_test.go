@@ -1,6 +1,7 @@
 package f0
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,7 +163,7 @@ func TestTrackingSizingMonotone(t *testing.T) {
 }
 
 func TestAlg2ExactMode(t *testing.T) {
-	a := NewAlg2(Alg2Params{B: 100, D: 8}, false, 1)
+	a := NewAlg2(Alg2Params{B: 100, D: 8}, 1)
 	for i := uint64(0); i < 300; i++ { // below exactCap = 500
 		a.Update(i, 1)
 		a.Update(i, 1)
@@ -177,7 +178,7 @@ func TestAlg2Accuracy(t *testing.T) {
 	failures := 0
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
-		a := NewAlg2(Alg2Sizing(0.25, 3, 1<<20), false, int64(trial)+100)
+		a := NewAlg2(Alg2Sizing(0.25, 3, 1<<20), int64(trial)+100)
 		for i := uint64(0); i < truth; i++ {
 			a.Update(i*2654435761+uint64(trial), 1)
 		}
@@ -193,7 +194,7 @@ func TestAlg2Accuracy(t *testing.T) {
 func TestAlg2TrackingAcrossScales(t *testing.T) {
 	// The estimate must stay reasonable as F0 sweeps from the exact regime
 	// through several level hand-offs.
-	a := NewAlg2(Alg2Sizing(0.25, 4, 1<<20), false, 9)
+	a := NewAlg2(Alg2Sizing(0.25, 4, 1<<20), 9)
 	f := stream.NewFreq()
 	for i := uint64(0); i < 500000; i++ {
 		item := i * 11400714819323198485
@@ -207,28 +208,42 @@ func TestAlg2TrackingAcrossScales(t *testing.T) {
 	}
 }
 
-func TestAlg2BatchedMatchesUnbatchedAtFlushBoundaries(t *testing.T) {
-	p := Alg2Params{B: 50, D: 16}
-	ab := NewAlg2(p, true, 3)
-	au := NewAlg2(p, false, 3)
-	for i := uint64(0); i < 10000; i++ {
-		item := i * 6364136223846793005
-		ab.Update(item, 1)
-		au.Update(item, 1)
-		if (i+1)%uint64(p.D) == 0 {
-			if got, want := ab.Estimate(), au.Estimate(); got != want {
-				t.Fatalf("at %d: batched=%v unbatched=%v", i+1, got, want)
-			}
-		}
+// TestAlg2PicksHashingByDegree: below alg2BatchDegree an instance hashes by
+// Horner's rule, holds no buffer and declares itself duplicate-insensitive;
+// from it up it buffers d items per multipoint evaluation and does not.
+func TestAlg2PicksHashingByDegree(t *testing.T) {
+	below := NewAlg2(Alg2Params{B: 10, D: alg2BatchDegree - 1}, 1)
+	for i := uint64(0); i < 100; i++ {
+		below.Update(i, 1)
+	}
+	if below.batch || below.buf != nil || !below.DuplicateInsensitive() {
+		t.Errorf("d = %d: batch=%v, %d buffered, duplicate-insensitive=%v; want Horner, no buffer, true",
+			alg2BatchDegree-1, below.batch, len(below.buf), below.DuplicateInsensitive())
+	}
+	at := NewAlg2(Alg2Params{B: 10, D: alg2BatchDegree}, 1)
+	at.Update(1, 1)
+	if !at.batch || len(at.buf) != 1 || at.DuplicateInsensitive() {
+		t.Errorf("d = %d: batch=%v, %d buffered, duplicate-insensitive=%v; want batched, 1, false",
+			alg2BatchDegree, at.batch, len(at.buf), at.DuplicateInsensitive())
 	}
 }
 
-func TestAlg2DuplicateInsensitiveDeclaration(t *testing.T) {
-	if NewAlg2(Alg2Params{B: 10, D: 8}, true, 1).DuplicateInsensitive() {
-		t.Error("batched Alg2 must not declare duplicate-insensitivity")
-	}
-	if !NewAlg2(Alg2Params{B: 10, D: 8}, false, 1).DuplicateInsensitive() {
-		t.Error("unbatched Alg2 should declare duplicate-insensitivity")
+// The two hashings place every item identically, so whichever one the
+// degree selects, the estimates agree whenever the batch buffer is empty.
+func TestAlg2BatchedMatchesUnbatchedAtFlushBoundaries(t *testing.T) {
+	for _, p := range []Alg2Params{{B: 50, D: 16}, {B: 20, D: 100}, {B: 5, D: alg2BatchDegree}} {
+		ab, au := NewAlg2(p, 3), NewAlg2(p, 3)
+		ab.batch, au.batch = true, false
+		for i := 0; i < max(p.D, 10000/p.D*p.D); i++ {
+			item := uint64(i) * 6364136223846793005
+			ab.Update(item, 1)
+			au.Update(item, 1)
+			if (i+1)%p.D == 0 {
+				if got, want := ab.Estimate(), au.Estimate(); got != want {
+					t.Fatalf("%+v at %d: batched=%v unbatched=%v", p, i+1, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -261,7 +276,7 @@ func TestSpaceBytesPositive(t *testing.T) {
 	ests := []sketch.Estimator{
 		NewExact(),
 		NewKMV(16, rand.New(rand.NewSource(1))),
-		NewAlg2(Alg2Params{B: 20, D: 8}, false, 1),
+		NewAlg2(Alg2Params{B: 20, D: 8}, 1),
 		NewTracking(0.3, 0.1, 1024, 1),
 	}
 	for _, e := range ests {
@@ -322,18 +337,15 @@ func BenchmarkKMVDrain(b *testing.B) {
 	}
 }
 
-func BenchmarkAlg2UpdateUnbatched(b *testing.B) {
-	a := NewAlg2(Alg2Params{B: 1000, D: 64}, false, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Update(uint64(i), 1)
-	}
-}
-
-func BenchmarkAlg2UpdateBatched(b *testing.B) {
-	a := NewAlg2(Alg2Params{B: 1000, D: 64}, true, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Update(uint64(i), 1)
+// BenchmarkAlg2Update is one benchmark per side of alg2BatchDegree.
+func BenchmarkAlg2Update(b *testing.B) {
+	for _, d := range []int{64, alg2BatchDegree} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			a := NewAlg2(Alg2Params{B: 1000, D: d}, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Update(uint64(i), 1)
+			}
+		})
 	}
 }

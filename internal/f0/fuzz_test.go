@@ -47,22 +47,3 @@ func FuzzKMVUnmarshal(f *testing.F) {
 		}
 	})
 }
-
-// FuzzHLLUnmarshal: same contract for the HLL wire format.
-func FuzzHLLUnmarshal(f *testing.F) {
-	seed := NewHLL(6, rand.New(rand.NewSource(1)))
-	for i := uint64(0); i < 100; i++ {
-		seed.Update(i, 1)
-	}
-	data, _ := seed.MarshalBinary()
-	f.Add(data)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var s HLL
-		if err := s.UnmarshalBinary(b); err != nil {
-			return
-		}
-		s.Update(42, 1)
-		_ = s.Estimate()
-	})
-}

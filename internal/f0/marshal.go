@@ -8,11 +8,8 @@ import (
 	"repro/internal/hash"
 )
 
-// Binary format versions; bumped on any layout change.
-const (
-	kmvFormatV1 = 1
-	hllFormatV1 = 1
-)
+// Binary format version; bumped on any layout change.
+const kmvFormatV1 = 1
 
 // MarshalBinary encodes the sketch state (including the hash function, so
 // the decoded sketch can continue the stream and merge with its shards).
@@ -62,39 +59,5 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 		}
 	}
 	*s = KMV{k: k, h: hash.PolyFromCoeffs(coeffs), vals: vals}
-	return nil
-}
-
-// MarshalBinary encodes the HLL state (registers + hash function).
-func (s *HLL) MarshalBinary() ([]byte, error) {
-	var w codec.Writer
-	w.U8(hllFormatV1)
-	w.U8(s.precision)
-	w.U64s(s.h.Coeffs())
-	w.U8s(s.regs)
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary decodes state produced by MarshalBinary, replacing s.
-func (s *HLL) UnmarshalBinary(data []byte) error {
-	r := codec.NewReader(data)
-	if v := r.U8(); v != hllFormatV1 && r.Err() == nil {
-		return fmt.Errorf("f0: unsupported HLL format version %d", v)
-	}
-	precision := r.U8()
-	coeffs := r.U64s()
-	regs := r.U8s()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if precision < 4 || precision > 18 {
-		return fmt.Errorf("f0: invalid HLL precision %d", precision)
-	}
-	if len(regs) != 1<<precision {
-		return fmt.Errorf("f0: HLL has %d registers for precision %d", len(regs), precision)
-	}
-	s.precision = precision
-	s.h = hash.PolyFromCoeffs(coeffs)
-	s.regs = regs
 	return nil
 }

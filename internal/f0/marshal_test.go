@@ -59,35 +59,3 @@ func TestKMVUnmarshalRejectsCorruption(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
-
-func TestHLLMarshalRoundTrip(t *testing.T) {
-	orig := NewHLL(10, rand.New(rand.NewSource(3)))
-	for i := uint64(0); i < 20000; i++ {
-		orig.Update(i*6364136223846793005, 1)
-	}
-	data, err := orig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded HLL
-	if err := decoded.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Estimate() != orig.Estimate() {
-		t.Errorf("decoded estimate %v != original %v", decoded.Estimate(), orig.Estimate())
-	}
-	if err := decoded.Merge(orig); err != nil {
-		t.Errorf("decoded sketch rejected its origin: %v", err)
-	}
-}
-
-func TestHLLUnmarshalRejectsBadPrecision(t *testing.T) {
-	orig := NewHLL(8, rand.New(rand.NewSource(4)))
-	data, _ := orig.MarshalBinary()
-	bad := append([]byte(nil), data...)
-	bad[1] = 3 // precision below the minimum
-	var s HLL
-	if err := s.UnmarshalBinary(bad); err == nil {
-		t.Error("invalid precision accepted")
-	}
-}

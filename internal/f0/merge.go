@@ -2,21 +2,12 @@ package f0
 
 import "errors"
 
-// Merge errors shared by the distributed-sketching support.
-var (
-	errPrecisionMismatch = errors.New("f0: HLL precision mismatch")
-	// ErrIncompatible is returned when two sketches do not share the
-	// randomness (hash functions / seeds) that mergeability requires.
-	ErrIncompatible = errors.New("f0: sketches do not share randomness; use Fresh() copies of one origin")
-)
+// ErrIncompatible is returned when two sketches do not share the
+// randomness (hash functions / seeds) that mergeability requires.
+var ErrIncompatible = errors.New("f0: sketches do not share randomness; use Fresh() copies of one origin")
 
-// Fresh returns an empty HLL sharing s's hash function, for use as a
+// Fresh returns an empty KMV sharing s's hash function, for use as a
 // shard sketch that can later be merged back into (a copy of) s.
-func (s *HLL) Fresh() *HLL {
-	return &HLL{precision: s.precision, regs: make([]uint8, len(s.regs)), h: s.h}
-}
-
-// Fresh returns an empty KMV sharing s's hash function.
 func (s *KMV) Fresh() *KMV {
 	return &KMV{k: s.k, h: s.h}
 }

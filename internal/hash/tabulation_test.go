@@ -32,7 +32,7 @@ func TestTabulationUniformBuckets(t *testing.T) {
 }
 
 func TestTabulationSequentialKeysWellMixed(t *testing.T) {
-	// The property a degree-1 polynomial lacks (see the HLL fix): the top
+	// The property a degree-1 polynomial lacks (a register-indexed sketch such as HyperLogLog needs it): the top
 	// bits of hashes of an arithmetic progression must not clump.
 	h := NewTabulation(rand.New(rand.NewSource(3)))
 	const regs = 1024

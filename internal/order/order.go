@@ -1,9 +1,8 @@
 // Package order provides allocation-free selection of order statistics
 // over float64 slices: the quickselect behind every median-of-rows
-// estimate in this repository's incremental estimation kernels, replacing
-// the sort.Float64s-per-query the sketches used to pay. Callers pass a
-// scratch buffer they own; Select and Median partition it in place and
-// allocate nothing.
+// estimate in this repository's incremental estimation kernels. Callers
+// pass a scratch buffer they own; Select and Median partition it in place
+// and allocate nothing.
 package order
 
 // Select partially sorts x in place so that x[k] holds the k-th smallest

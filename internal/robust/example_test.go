@@ -32,10 +32,10 @@ func ExampleNewFp() {
 	// Output: true
 }
 
-// Wrap a production HyperLogLog with the Section 10 PRF so that a
-// polynomial-time adaptive client cannot bias it.
+// Wrap a static KMV with the Section 10 PRF so that a polynomial-time
+// adaptive client cannot bias it.
 func ExampleNewCryptoF0() {
-	inner := f0.NewHLL(12, newRand())
+	inner := f0.NewKMV(1024, newRand())
 	est, err := robust.NewCryptoF0(prf.NewFromSeed(1), inner)
 	if err != nil {
 		panic(err)

@@ -15,7 +15,7 @@ import (
 )
 
 func TestOracleF0AccuracyAndSpace(t *testing.T) {
-	inner := f0.NewHLL(12, rand.New(rand.NewSource(1)))
+	inner := f0.NewKMV(1024, rand.New(rand.NewSource(1)))
 	alg, err := NewOracleF0(prf.NewOracle(7), inner)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +36,8 @@ func TestOracleF0AccuracyAndSpace(t *testing.T) {
 }
 
 func TestOracleF0RejectsNonDuplicateInsensitive(t *testing.T) {
-	if _, err := NewOracleF0(prf.NewOracle(1), f0.NewAlg2(f0.Alg2Params{B: 8, D: 8}, true, 1)); err == nil {
-		t.Error("batched Alg2 must be rejected")
+	if _, err := NewOracleF0(prf.NewOracle(1), f0.NewAlg2(f0.Alg2Params{B: 8, D: 8192}, 1)); err == nil {
+		t.Error("batched Alg2 (d ≥ 8192) must be rejected")
 	}
 }
 

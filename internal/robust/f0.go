@@ -26,10 +26,11 @@ func NewF0(eps, delta float64, n uint64, seed int64) *core.Switcher {
 }
 
 // F0FastProblem is F0Problem with the paper's Algorithm 2 as the inner
-// instance (batched multipoint hashing, so the update cost depends only
-// poly-log-log on the failure probability). Under the paths policy it is
-// the fast robust distinct-elements estimator of Theorem 1.2, whose regime
-// is δ = n^{−Θ((1/ε)·log n)}. At laptop scale the honest δ₀ keeps
+// instance (its hashing goes multipoint from the degree where that is
+// faster, so the update cost depends only poly-log-log on the failure
+// probability). Under the paths policy it is the fast robust
+// distinct-elements estimator of Theorem 1.2, whose regime is
+// δ = n^{−Θ((1/ε)·log n)}. At laptop scale the honest δ₀ keeps
 // Algorithm 2 in its exact prefix (the space bound ε⁻³·log³n exceeds the
 // stream until n is very large — an honest consequence of the theory).
 func F0FastProblem() Problem {
@@ -37,7 +38,7 @@ func F0FastProblem() Problem {
 	prob.Name = "f0-fast"
 	prob.Eps0Div = 10
 	prob.Inner = func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-		return f0.NewAlg2(f0.Alg2Sizing(eps0, lnInvDelta, n), true, seed)
+		return f0.NewAlg2(f0.Alg2Sizing(eps0, lnInvDelta, n), seed)
 	}
 	return prob
 }

@@ -3,7 +3,6 @@ package robust
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -141,7 +140,7 @@ func (hh *HeavyHitters) TopK(k int) []sketch.ItemWeight {
 	if hh.ranked == nil {
 		hh.ranked = hh.frozen.TopK(math.MaxInt)
 	}
-	return slices.Clone(hh.ranked[:min(k, len(hh.ranked))])
+	return append(hh.ranked[:0:0], hh.ranked[:min(k, len(hh.ranked))]...) // a copy: callers own what they get
 }
 
 // L2 returns the robust norm estimate R_t.

@@ -14,7 +14,7 @@
 //
 //	Theorem       Policy kind  Problem
 //	1.1  / 5.1    Ring         F0Problem()                               = NewF0
-//	1.2  / 5.4    Paths        F0FastProblem()
+//	1.2  / 5.4    Paths        F0FastProblem()                           f0.Alg2: Horner hashing below d = 8 192, multipoint from it
 //	1.4  / 4.1    Ring         LpProblem(p), 0 < p ≤ 2                   = NewFp
 //	1.5  / 4.2    Paths        LpProblem(p)
 //	1.6  / 4.3    Paths        LpProblemFor(p, TurnstileModel(λ))

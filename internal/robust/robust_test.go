@@ -95,7 +95,7 @@ func TestRobustF0FastScaledLevelRegime(t *testing.T) {
 	// assembled by hand.
 	const eps = 0.3
 	const n = 1 << 20
-	alg := core.NewPaths(eps, core.FlipBoundFp(0, eps/20, n, 1), f0.NewAlg2(f0.Alg2Sizing(eps/10, 3, n), true, 7))
+	alg := core.NewPaths(eps, core.FlipBoundFp(0, eps/20, n, 1), f0.NewAlg2(f0.Alg2Sizing(eps/10, 3, n), 7))
 	res := game.Run(alg,
 		game.FromGenerator(stream.NewDistinct(300000)),
 		(*stream.Freq).F0,
@@ -246,8 +246,8 @@ func TestCryptoF0RequiresDuplicateInsensitivity(t *testing.T) {
 	if _, err := NewCryptoF0(p, f0.NewKMV(64, rand.New(rand.NewSource(1)))); err != nil {
 		t.Errorf("KMV should be accepted: %v", err)
 	}
-	if _, err := NewCryptoF0(p, f0.NewAlg2(f0.Alg2Params{B: 16, D: 8}, true, 1)); err == nil {
-		t.Error("batched Alg2 must be rejected (not duplicate-insensitive)")
+	if _, err := NewCryptoF0(p, f0.NewAlg2(f0.Alg2Params{B: 16, D: 8192}, 1)); err == nil {
+		t.Error("batched Alg2 (d ≥ 8192) must be rejected (not duplicate-insensitive)")
 	}
 }
 

@@ -128,10 +128,10 @@ func TestMergeDeferredCadenceCheckpoint(t *testing.T) {
 	ship, _ := shipmentSource(t, cfg, srv)
 
 	base := checkpointCount(t, c)
-	// Exactly the eight that trip it: the cadence checkpoint runs on an
-	// untracked goroutine, and a shipment landing between its counter reset
-	// and its busy flag clearing starts a second one that outlives the test
-	// and races TempDir's cleanup (7 "directory not empty" in 300 runs).
+	// Exactly the eight that trip it: a shipment landing between a cadence
+	// checkpoint's counter reset and its busy flag clearing starts a second
+	// one, and this test ends in Drain (bootDurable's cleanup), not the
+	// Shutdown that would wait for it — it would race TempDir's cleanup.
 	for i := 0; i < 8; i++ {
 		ship()
 	}

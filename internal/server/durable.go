@@ -206,10 +206,14 @@ func (s *Server) maybeCheckpoint(t *tenant, n int) {
 	if t.sinceCkpt.Add(int64(n)) < int64(s.cfg.CheckpointEvery) {
 		return
 	}
-	if !t.ckptBusy.CompareAndSwap(false, true) {
-		return // one in flight already
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.draining.Load() || !t.ckptBusy.CompareAndSwap(false, true) {
+		return // Shutdown writes the final checkpoint itself, or one is in flight already
 	}
+	s.ckpts.Add(1)
 	go func() {
+		defer s.ckpts.Done()
 		defer t.ckptBusy.Store(false)
 		// Best effort: a failed checkpoint costs replay time, not data —
 		// the log retains the full tail. The cadence retries it.
@@ -244,8 +248,10 @@ func (s *Server) checkpointTenantLocked(t *tenant) error {
 	return nil
 }
 
-// Shutdown drains the server and, when durable, writes a final checkpoint
-// for every mergeable tenant and closes the log. The drained engine state
+// Shutdown drains the server and, when durable, waits out every cadence
+// checkpoint still in flight, writes a final checkpoint for every
+// mergeable tenant and closes the log: nothing the server started touches
+// the log or the data directory once it has returned. The drained engine state
 // is exactly the acknowledged stream (Drain flushes before Close), so after
 // a clean Shutdown recovery is checkpoint-only for mergeable tenants.
 // Robust tenants rely on the log itself, which Close syncs. Idempotent;
@@ -255,6 +261,9 @@ func (s *Server) Shutdown() error {
 	if s.wal == nil {
 		return nil
 	}
+	s.mu.Lock() // every maybeCheckpoint that saw the server undrained has registered
+	s.mu.Unlock()
+	s.ckpts.Wait()
 	var firstErr error
 	for _, t := range s.tenantList() {
 		if !t.spec.Mergeable() {

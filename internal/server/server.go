@@ -116,7 +116,7 @@ type Config struct {
 	// (Proposition 7.2) in particular — are impractically large for a
 	// server, so this is the domain-informed budget of Theorem 4.3's S_λ
 	// class; /v1/stats reports Exhausted when a stream overruns it.
-	// Defaults to 64 (the value previously hardcoded for robust-entropy).
+	// Defaults to 64.
 	FlipBudget int
 
 	// DataDir, when non-empty and the server is created with Open, enables
@@ -272,6 +272,11 @@ type Server struct {
 	wal        *wal.Log
 	recovery   RecoveryStats
 	ckptWrites atomic.Int64 // checkpoints successfully written (telemetry + debounce tests)
+	// ckpts owns the cadence checkpoint goroutines. maybeCheckpoint starts
+	// one only under mu's read side with the server not draining, and
+	// Shutdown, having drained, passes mu's write side before it waits, so
+	// none is registered once the wait has begun.
+	ckpts sync.WaitGroup
 
 	// forwarder is the cluster placement hook; see SetForwarder in
 	// cluster_support.go.
@@ -675,7 +680,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusNotImplemented, fmt.Errorf("sketch type %q does not support merge", sp.Name))
 		return
 	}
-	// Shard counts are per tenant now: an existing destination keyspace
+	// Shard counts are per tenant: an existing destination keyspace
 	// must match the snapshot's geometry, an absent one would be created
 	// with the server default.
 	want := rts.Shards

@@ -28,7 +28,6 @@ var (
 	_ sketch.Estimator = (*heavyhitters.CountSketch)(nil)
 	_ sketch.Estimator = (*entropy.Exact)(nil)
 	_ sketch.Estimator = (*entropy.CC)(nil)
-	_ sketch.Estimator = (*entropy.Renyi)(nil)
 	_ sketch.Estimator = (*robust.MappedF0)(nil)
 	_ sketch.Estimator = (*robust.HeavyHitters)(nil)
 
@@ -56,14 +55,13 @@ func TestEstimatorContractSmoke(t *testing.T) {
 	ests := map[string]sketch.Estimator{
 		"f0.Exact":       f0.NewExact(),
 		"f0.KMV":         f0.NewKMV(16, rng),
-		"f0.Alg2":        f0.NewAlg2(f0.Alg2Params{B: 16, D: 8}, false, 1),
+		"f0.Alg2":        f0.NewAlg2(f0.Alg2Params{B: 16, D: 8}, 1),
 		"fp.F2Sketch":    fp.NewF2(fp.F2Sizing{Rows: 3, Width: 16}, rng),
 		"fp.Indyk":       fp.NewIndyk(1, 16, rng),
 		"fp.MaxStable":   fp.NewMaxStable(3, 4, 2, 16, rng),
 		"hh.CountSketch": heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 3, Width: 16}, rng),
 		"entropy.Exact":  entropy.NewExact(),
 		"entropy.CC":     entropy.NewCC(entropy.CCSizing{Groups: 3, Per: 8}, rng),
-		"entropy.Renyi":  entropy.NewRenyi(1.5, 16, rng),
 		"robust.Crypto":  crypto,
 		"robust.Oracle":  oracle,
 	}

@@ -26,16 +26,16 @@
 // earn its place by a non-test caller or a rung of the benchmark ladder
 // (bench --trace 1):
 //
-//	interface             implementers                                                         non-test caller                                     ladder rung
-//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                    ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV carries no index)
-//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                              core.NewLagged: one coalesced buffer per drain      robust.self_update_ns
-//	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                     none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
-//	PointQuerier          CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.point_ns, engine.point_us
-//	TopKQuerier           CountSketch, robust.HeavyHitters                                     engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
-//	RobustnessReporter    Switcher, Paths, robust.HeavyHitters                                 engine shard publish, to /v1/stats and /v2/query    robust.switches, robust.copies_live
-//	Resetter              F2Sketch, CountSketch                                                core.Switcher.advance (ring), HeavyHitters.refresh  robust.state_bytes, server_rss_mb (a flip reuses the copy it retires)
-//	DuplicateInsensitive  KMV, Median (iff its members), Alg2 (unbatched), HLL, Exact          robust.NewCryptoF0, NewOracleF0 refuse non-declarers none: a soundness check (Theorem 10.1)
-//	engine.MassReporter   entropy.CC                                                           engine shard publish; the Entropy combiner needs it none: a merged cc tenant is wrong without it
+//	interface             implementers                                                           non-test caller                                     ladder rung
+//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV carries no index)
+//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.NewLagged: one coalesced buffer per drain      robust.self_update_ns
+//	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                       none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
+//	PointQuerier          CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.point_ns, engine.point_us
+//	TopKQuerier           CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
+//	RobustnessReporter    Switcher, Paths, robust.HeavyHitters                                   engine shard publish, to /v1/stats and /v2/query    robust.switches, robust.copies_live
+//	Resetter              F2Sketch, CountSketch                                                  core.Switcher.advance (ring), HeavyHitters.refresh  robust.state_bytes, server_rss_mb (a flip reuses the copy it retires)
+//	DuplicateInsensitive  KMV, Median (iff its members), Alg2 (below the batching degree), Exact robust.NewCryptoF0, NewOracleF0 refuse non-declarers none: a soundness check (Theorem 10.1)
+//	engine.MassReporter   entropy.CC                                                             engine shard publish; the Entropy combiner needs it none: a merged cc tenant is wrong without it
 //
 // CountSketch's counters are an fp.F2Sketch held as a named field, so where
 // both appear in a row CountSketch implements the interface through that

@@ -104,17 +104,6 @@ func (f *Freq) Entropy() float64 {
 	return h
 }
 
-// RenyiEntropy returns the α-Rényi entropy in bits,
-// H_α(f) = log₂(‖f‖_α^α / ‖f‖₁^α) / (1−α), defined for α > 0, α ≠ 1.
-func (f *Freq) RenyiEntropy(alpha float64) float64 {
-	f1 := f.F1()
-	if f1 == 0 {
-		return 0
-	}
-	fa := f.Fp(alpha)
-	return (math.Log2(fa) - alpha*math.Log2(f1)) / (1 - alpha)
-}
-
 // HeavyHitters returns every item i with |f_i| ≥ threshold, sorted by item
 // id for determinism.
 func (f *Freq) HeavyHitters(threshold float64) []uint64 {

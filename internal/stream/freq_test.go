@@ -86,26 +86,6 @@ func TestFreqEntropyDegenerate(t *testing.T) {
 	}
 }
 
-func TestFreqRenyiApproachesShannon(t *testing.T) {
-	f := NewFreq()
-	f.Apply(Update{Item: 0, Delta: 1})
-	f.Apply(Update{Item: 1, Delta: 2})
-	f.Apply(Update{Item: 2, Delta: 4})
-	h := f.Entropy()
-	// H_α → H as α → 1 (Prop. 7.1 direction).
-	prevGap := math.Inf(1)
-	for _, a := range []float64{1.5, 1.2, 1.05, 1.01} {
-		gap := math.Abs(f.RenyiEntropy(a) - h)
-		if gap > prevGap+1e-9 {
-			t.Errorf("Rényi gap increased at α=%v: %v > %v", a, gap, prevGap)
-		}
-		prevGap = gap
-	}
-	if prevGap > 0.01 {
-		t.Errorf("H_1.01 gap = %v, want < 0.01", prevGap)
-	}
-}
-
 func TestFreqHeavyHitters(t *testing.T) {
 	f := NewFreq()
 	f.Apply(Update{Item: 1, Delta: 100})
