@@ -72,8 +72,7 @@ func runFastF0() {
 		multi := time.Since(start)
 		_ = sink
 		items := float64(rounds * d)
-		fmt.Printf("  %8d %14.0f %24.0f\n", d,
-			float64(horner.Nanoseconds())/items, float64(multi.Nanoseconds())/items)
+		fmt.Printf("  %8d %14.0f %24.0f\n", d, float64(horner.Nanoseconds())/items, float64(multi.Nanoseconds())/items)
 	}
 	fmt.Println("\n(the median approach pays Θ(log 1/δ) per update; Algorithm 2's level lists")
 	fmt.Println(" pay O(1) plus hashing. Over GF(2^61−1) — which has no NTT-friendly root of")

@@ -81,8 +81,7 @@ var recoveringHandler http.Handler = http.HandlerFunc(func(w http.ResponseWriter
 	fmt.Fprintln(w, `{"error":"recovering: write-ahead log replay in progress; retry shortly"}`)
 })
 
-// listen binds the serving socket; a variable so a test can hold the
-// listener and close it under a running server.
+// listen is a variable so a test can close the listener under a running server.
 var listen = net.Listen
 
 // run is the whole server lifecycle, factored out of main so tests can
@@ -200,8 +199,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 
 	select {
 	case err := <-errc:
-		// The listener died: still a durable exit — final checkpoints
-		// land and the log is synced and closed before the process goes.
+		// The listener died: still a durable exit, final checkpoints and log close included.
 		if cnode != nil {
 			cnode.Close()
 		}

@@ -249,13 +249,12 @@ func (s *Server) checkpointTenantLocked(t *tenant) error {
 }
 
 // Shutdown drains the server and, when durable, waits out every cadence
-// checkpoint still in flight, writes a final checkpoint for every
-// mergeable tenant and closes the log: nothing the server started touches
-// the log or the data directory once it has returned. The drained engine state
-// is exactly the acknowledged stream (Drain flushes before Close), so after
-// a clean Shutdown recovery is checkpoint-only for mergeable tenants.
-// Robust tenants rely on the log itself, which Close syncs. Idempotent;
-// returns the first error, having attempted every step.
+// checkpoint in flight, writes a final checkpoint for every mergeable tenant
+// and closes the log: nothing the server started touches the log or the data
+// directory once it has returned. The drained engine state is exactly the
+// acknowledged stream (Drain flushes before Close), so after a clean Shutdown
+// recovery is checkpoint-only for mergeable tenants. Robust tenants rely on
+// the log, which Close syncs. Idempotent; returns the first error of all steps.
 func (s *Server) Shutdown() error {
 	s.Drain()
 	if s.wal == nil {

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -272,10 +273,9 @@ type Server struct {
 	wal        *wal.Log
 	recovery   RecoveryStats
 	ckptWrites atomic.Int64 // checkpoints successfully written (telemetry + debounce tests)
-	// ckpts owns the cadence checkpoint goroutines. maybeCheckpoint starts
-	// one only under mu's read side with the server not draining, and
-	// Shutdown, having drained, passes mu's write side before it waits, so
-	// none is registered once the wait has begun.
+	// ckpts owns the cadence checkpoint goroutines. maybeCheckpoint starts one
+	// only under mu's read side and undrained; Shutdown, having drained, passes
+	// mu's write side before it waits, so none registers once the wait began.
 	ckpts sync.WaitGroup
 
 	// forwarder is the cluster placement hook; see SetForwarder in
@@ -405,6 +405,12 @@ func (s *Server) getOrCreate(key string, raw TenantSpec) (*tenant, error) {
 		return nil, err
 	}
 	s.tenants[key] = t
+	// The collections that ran while the tenant's sketches were allocated left
+	// the next goal anywhere from one to two times the heap; one now, off the
+	// request path, sets it. Under the collector's 4 MiB floor nothing moves.
+	if float64(ts.Shards)*sp.bytes(ts) >= 4<<20 {
+		go runtime.GC()
+	}
 	return t, nil
 }
 
