@@ -22,9 +22,8 @@ import (
 //
 //   - drives the non-robust linear "f2" sketch outside 1±ε within a few
 //     hundred rounds, while
-//   - one robust guard tenant per policy family — f2+ring (via the
-//     robust-f2 alias), f2+switching, and f2+paths, the cell that was
-//     unreachable from sketchd before the policy layer — fed the exact
+//   - one robust guard tenant per policy family — f2+ring, f2+switching
+//     and f2+paths — fed the exact
 //     same adversarial stream with the same per-round query cadence,
 //     stays within ε of the true L2 norm for the entire campaign.
 //
@@ -52,19 +51,19 @@ func TestAdaptiveAMSCampaignOverHTTP(t *testing.T) {
 	gc := client.New(guardHS.URL, guardHS.Client())
 
 	ctx := context.Background()
-	if err := vc.CreateKey(ctx, "victim", "f2"); err != nil {
+	if _, err := vc.CreateTenant(ctx, "victim", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	guards := []struct {
 		key, sketch, policy string
 		tgt                 game.Target
 	}{
-		{key: "guard-ring", sketch: "robust-f2", policy: ""}, // the pre-matrix alias for f2+ring
+		{key: "guard-ring", sketch: "f2", policy: "ring"},
 		{key: "guard-switching", sketch: "f2", policy: "switching"},
 		{key: "guard-paths", sketch: "f2", policy: "paths"},
 	}
 	for i := range guards {
-		if err := gc.CreateKeyPolicy(ctx, guards[i].key, guards[i].sketch, guards[i].policy); err != nil {
+		if _, err := gc.CreateTenant(ctx, guards[i].key, client.TenantSpec{Sketch: guards[i].sketch, Policy: guards[i].policy}); err != nil {
 			t.Fatal(err)
 		}
 		guards[i].tgt = client.NewGameTarget(ctx, gc, guards[i].key)

@@ -376,7 +376,7 @@ func benchSketchdIngestFsync(b *testing.B, sketchType, policy string, codec clie
 	if testing.Short() {
 		b.Skip("loopback-HTTP load benchmark: binds a TCP listener and spins a real server; skipped under -short")
 	}
-	cfg := server.Config{Shards: 4, Eps: 0.3, Delta: 0.05, N: 1 << 20, Seed: 1, DefaultSketch: sketchType}
+	cfg := server.Config{Shards: 4, Eps: 0.3, Delta: 0.05, N: 1 << 20, Seed: 1}
 	if fsync != "" {
 		cfg.DataDir = b.TempDir()
 		cfg.Fsync = fsync
@@ -390,7 +390,7 @@ func benchSketchdIngestFsync(b *testing.B, sketchType, policy string, codec clie
 	defer srv.Shutdown() // == Drain for the in-memory cells
 	c := client.New(hs.URL, hs.Client(), client.WithCodec(codec))
 	ctx := context.Background()
-	if err := c.CreateKeyPolicy(ctx, "load", sketchType, policy); err != nil {
+	if _, err := c.CreateTenant(ctx, "load", client.TenantSpec{Sketch: sketchType, Policy: policy}); err != nil {
 		b.Fatal(err)
 	}
 	var producer atomic.Uint64
@@ -424,13 +424,13 @@ func BenchmarkSketchdIngestCountSketch(b *testing.B) {
 	benchSketchdIngest(b, "countsketch", client.CodecJSON)
 }
 func BenchmarkSketchdIngestRobustF2(b *testing.B) {
-	benchSketchdIngest(b, "robust-f2", client.CodecJSON)
+	benchSketchdIngestFsync(b, "f2", "ring", client.CodecJSON, "")
 }
 func BenchmarkSketchdIngestBinaryCountSketch(b *testing.B) {
 	benchSketchdIngest(b, "countsketch", client.CodecBinary)
 }
 func BenchmarkSketchdIngestBinaryRobustF2(b *testing.B) {
-	benchSketchdIngest(b, "robust-f2", client.CodecBinary)
+	benchSketchdIngestFsync(b, "f2", "ring", client.CodecBinary, "")
 }
 
 // The robust-F0 twin of the cell above (dense switching over

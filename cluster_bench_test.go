@@ -40,7 +40,7 @@ func (s *benchSwap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // bootBenchCluster builds a 3-node in-process cluster with the ship and
 // probe loops running, as a deployed cluster would have.
-func bootBenchCluster(b *testing.B, sketchType string) []*benchClusterNode {
+func bootBenchCluster(b *testing.B) []*benchClusterNode {
 	b.Helper()
 	nodes := make([]*benchClusterNode, 3)
 	urls := make([]string, 3)
@@ -52,7 +52,7 @@ func bootBenchCluster(b *testing.B, sketchType string) []*benchClusterNode {
 	for i := range nodes {
 		srv := server.New(server.Config{
 			Shards: 4, Eps: 0.3, Delta: 0.05, N: 1 << 20, Seed: 1,
-			DefaultSketch: sketchType, MaxKeys: 64,
+			MaxKeys: 64,
 		})
 		n, err := cluster.New(srv, cluster.Config{
 			Self: urls[i], Peers: urls, Replicas: 2,
@@ -85,7 +85,7 @@ func BenchmarkClusterIngestReplicated(b *testing.B) {
 	if testing.Short() {
 		b.Skip("loopback-HTTP cluster benchmark: binds TCP listeners and spins three servers; skipped under -short")
 	}
-	nodes := bootBenchCluster(b, "countsketch")
+	nodes := bootBenchCluster(b)
 	const key = "load"
 	var owner *benchClusterNode
 	for _, bn := range nodes {
@@ -95,7 +95,7 @@ func BenchmarkClusterIngestReplicated(b *testing.B) {
 	}
 	c := client.New(owner.hs.URL, &http.Client{Timeout: 30 * time.Second})
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, key, "countsketch"); err != nil {
+	if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		b.Fatal(err)
 	}
 	var producer atomic.Uint64
@@ -128,7 +128,7 @@ func BenchmarkClusterGlobalQuery(b *testing.B) {
 	if testing.Short() {
 		b.Skip("loopback-HTTP cluster benchmark: binds TCP listeners and spins three servers; skipped under -short")
 	}
-	nodes := bootBenchCluster(b, "countsketch")
+	nodes := bootBenchCluster(b)
 	const key = "global"
 	var owner, other *benchClusterNode
 	for _, bn := range nodes {
@@ -144,7 +144,7 @@ func BenchmarkClusterGlobalQuery(b *testing.B) {
 	}
 	c := client.New(owner.hs.URL, &http.Client{Timeout: 30 * time.Second})
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, key, "countsketch"); err != nil {
+	if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		b.Fatal(err)
 	}
 	batch := make([]client.Update, 0, 512)

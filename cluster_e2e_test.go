@@ -114,7 +114,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 	c := client.New(surv, &http.Client{Timeout: 10 * time.Second})
 
 	for key, sk := range map[string]string{vicF2: "f2", survF2: "f2", hotKey: "countsketch"} {
-		if err := c.CreateKey(ctx, key, sk); err != nil {
+		if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: sk}); err != nil {
 			t.Fatalf("create %s: %v", key, err)
 		}
 	}

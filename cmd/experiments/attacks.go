@@ -21,7 +21,7 @@ import (
 // impotence of the same adversary against the robust wrapper, whose
 // rounded outputs starve it of feedback. The same game against a tenant of
 // a real sketchd, every round an update then an estimate over loopback
-// HTTP, is `experiments campaign -sketches f2,robust-f2 -targets http`.
+// HTTP, is `experiments campaign -sketches f2 -policies none,ring -targets http`.
 func runAMS() {
 	fmt.Println("series: AMS estimate / true F2 under Algorithm 3 (t = 64 rows)")
 	sk := fp.NewDenseAMS(64, 1<<16, rand.New(rand.NewSource(1)))

@@ -35,9 +35,6 @@ import (
 // empirically under the same attack.
 //
 // Usage: go run ./cmd/experiments campaign -sketches f2,kmv -policies none,ring,paths -models insertion,turnstile -o report.json
-//
-// Pre-matrix aliases (robust-f2, …) are accepted in -sketches and pin
-// their own policy, ignoring -policies.
 
 // campaignResult is one swept combination.
 type campaignResult struct {
@@ -96,13 +93,13 @@ type campaignCombo struct {
 }
 
 // resolveCombos expands the -sketches, -policies and -models flags into
-// the swept (sketch, policy, model) cells: aliases pin their own policy,
-// base names cross with the policy and model lists, and "all" on any axis
-// expands to the registry (skipping cells the policy/model layer rejects
-// — cc×ring, ring under deletions, non-Fp sketches under non-insertion
-// models). A grid with any expanded axis (an "all", or a multi-valued
-// model list) skips its invalid cells; a fully explicit single invalid
-// combination exits loudly.
+// the swept (sketch, policy, model) cells: registry names cross with the
+// policy and model lists, and "all" on any axis expands to the registry
+// (skipping cells the policy/model layer rejects — cc×ring, ring under
+// deletions, non-Fp sketches under non-insertion models). A grid with any
+// expanded axis (an "all", or a multi-valued model list) skips its invalid
+// cells; a fully explicit single invalid combination, or a sketch name the
+// registry does not hold, exits loudly.
 func resolveCombos(sketches, policies, models string, alpha float64) ([]campaignCombo, []string, []string) {
 	policyList := splitList(policies)
 	if policies == "all" {
@@ -132,15 +129,11 @@ func resolveCombos(sketches, policies, models string, alpha float64) ([]campaign
 	}
 	var combos []campaignCombo
 	for _, name := range names {
-		if info, err := server.InfoFor(name, ""); err != nil {
+		// The static insertion cell exists for every registry name, so this
+		// fails only for a name the registry does not hold.
+		if _, err := server.InfoForSpec(server.TenantSpec{Sketch: name}); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(2)
-		} else if info.Name != name || info.Policy != "none" {
-			// An alias: one pinned cell, the policy grid does not apply. The
-			// pinned policies are insertion-only cells (ring, or entropy's
-			// switching), so the model grid does not apply either.
-			combos = append(combos, campaignCombo{ts: server.TenantSpec{Sketch: name}, info: info})
-			continue
 		}
 		for _, pol := range policyList {
 			for _, model := range modelList {
@@ -165,8 +158,8 @@ func runCampaign(args []string) {
 	var (
 		adversaries = fs.String("adversaries", "ams,chaser,ramp,seedleak", "comma-separated adversary strategies")
 		targets     = fs.String("targets", "estimator,engine,http", "comma-separated target kinds")
-		sketches    = fs.String("sketches", "f2,kmv,countsketch,robust-f2,robust-f0,robust-hh", "comma-separated sketch types (base names or robust-* aliases), or 'all' for the full registry (entropy types are slow)")
-		policies    = fs.String("policies", "none", "comma-separated robustness policies crossed with every base sketch in -sketches (aliases pin their own), or 'all'")
+		sketches    = fs.String("sketches", "f2,kmv,countsketch", "comma-separated registry sketch types, or 'all' for the full registry (entropy types are slow)")
+		policies    = fs.String("policies", "none,ring", "comma-separated robustness policies crossed with every sketch in -sketches, or 'all'")
 		models      = fs.String("models", "insertion", "comma-separated stream models crossed with every base sketch × policy cell (insertion, turnstile, bounded_deletion), or 'all'")
 		alpha       = fs.Float64("alpha", 4, "deletion budget α of the bounded_deletion cells (Definition 8.1)")
 		steps       = fs.Int("steps", 3000, "max adversary rounds per combination")
@@ -290,10 +283,7 @@ type comboConfig struct {
 // factories and combiners come from the server's own spec registry,
 // composed with the requested robustness policy.
 func buildTarget(c comboConfig) (campaignTarget, error) {
-	cfg := server.Config{
-		Shards: c.shards, Eps: c.eps, Delta: c.delta, N: 1 << 20, Seed: c.seed,
-		DefaultSketch: c.combo.ts.Sketch, DefaultPolicy: c.combo.ts.Policy,
-	}
+	cfg := server.Config{Shards: c.shards, Eps: c.eps, Delta: c.delta, N: 1 << 20, Seed: c.seed}
 	ts := c.combo.ts
 	switch c.target {
 	case "estimator":
@@ -338,9 +328,6 @@ func buildTarget(c comboConfig) (campaignTarget, error) {
 		hs := httptest.NewServer(srv.Handler())
 		ctx := context.Background()
 		cl := client.New(hs.URL, hs.Client(), client.WithCodec(c.codec))
-		// The v2 declarative surface: the tenant's spec carries its own
-		// sketch × policy cell, so the sweep does not lean on the
-		// server-wide defaults to shape the keyspace.
 		if _, err := cl.CreateTenant(ctx, "campaign", ts); err != nil {
 			hs.Close()
 			return campaignTarget{}, err

@@ -192,7 +192,11 @@ func (c *ctl) query(args []string) error {
 	for _, a := range qr.Answers {
 		switch a.Kind {
 		case server.QueryEstimate:
-			fmt.Fprintf(c.out, "estimate  %g  (±%g relative)\n", a.Value, a.ErrorBound)
+			unit := "relative"
+			if a.Additive {
+				unit = "bits, additive"
+			}
+			fmt.Fprintf(c.out, "estimate  %g  (±%g %s)\n", a.Value, a.ErrorBound, unit)
 		case server.QueryPoint:
 			fmt.Fprintf(c.out, "point     %d = %g  (±%g)\n", uint64(*a.Item), a.Value, a.ErrorBound)
 		case server.QueryTopK:

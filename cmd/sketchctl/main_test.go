@@ -27,10 +27,13 @@ func TestSketchctlCommands(t *testing.T) {
 
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, "ops-tenant", "countsketch"); err != nil {
+	if _, err := c.CreateTenant(ctx, "ops-tenant", client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Add(ctx, "ops-tenant", 1, 1, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateTenant(ctx, "bits-tenant", client.TenantSpec{Sketch: "cc"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +43,8 @@ func TestSketchctlCommands(t *testing.T) {
 	}{
 		{[]string{"status"}, "self"},
 		{[]string{"place", "ops-tenant"}, "owner"},
-		{[]string{"query", "ops-tenant", "estimate"}, "estimate"},
+		{[]string{"query", "ops-tenant", "estimate"}, "(±0.25 relative)"},
+		{[]string{"query", "bits-tenant", "estimate"}, "(±0.25 bits, additive)"},
 		{[]string{"query", "ops-tenant", "point", "1"}, "point"},
 		{[]string{"query", "-merge-all", "ops-tenant", "topk", "2"}, "top 1"},
 		{[]string{"rebalance"}, "shipped"},

@@ -4,13 +4,15 @@
 // n, shards and flip budget), batched JSON or binary-frame ingest,
 // structured queries (POST /v2/query: estimate | point | topk answers
 // with ε-derived error bounds), blocking and lock-free estimate reads,
-// and binary snapshot/merge state transfer between instances. The flags
-// below are the server defaults and caps a TenantSpec falls back to; see
-// internal/server for the API and README.md for a walkthrough.
+// and binary snapshot/merge state transfer between instances. A tenant's
+// sketch × policy cell is always its owner's declaration — no flag picks
+// one — and the flags below are the sizing defaults and caps a TenantSpec
+// falls back to; see internal/server for the API and README.md for a
+// walkthrough.
 //
 // Usage:
 //
-//	sketchd -addr :8080 -sketch robust-f2 -eps 0.2 -max-keys 64
+//	sketchd -addr :8080 -eps 0.2 -max-keys 64
 //	sketchd -addr :8080 -data-dir /var/lib/sketchd -fsync always
 //	sketchd -addr :9001 -node http://10.0.0.1:9001 \
 //	        -peers http://10.0.0.1:9001,http://10.0.0.2:9001,http://10.0.0.3:9001 \
@@ -104,8 +106,6 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		delta     = fs.Float64("delta", 0.05, "default per-keyspace failure probability δ (split δ/shards per shard instance; overridable per tenant)")
 		n         = fs.Uint64("n", 1<<32, "universe size bound for the robust constructors")
 		seed      = fs.Int64("seed", 1, "root randomness seed (servers exchanging snapshots or clustering must share it)")
-		sketch    = fs.String("sketch", "robust-f2", "default sketch type for new keyspaces (base types f2, kmv, countsketch, cc, or a robust-* alias)")
-		policy    = fs.String("policy", "none", "default robustness policy for keyspaces created with a base sketch type (none, switching, ring, paths; robust-* aliases pin their own)")
 		budget    = fs.Int("flip-budget", 64, "flip budget λ for the switching and paths policies (published-output changes the robustness guarantee covers; /v1/stats reports consumption)")
 		drainT    = fs.Duration("drain-timeout", 10*time.Second, "maximum time to wait for in-flight requests on shutdown")
 		dataDir   = fs.String("data-dir", "", "directory for the write-ahead log and checkpoints (empty: in-memory only)")
@@ -151,8 +151,6 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		Delta:           *delta,
 		N:               *n,
 		Seed:            *seed,
-		DefaultSketch:   *sketch,
-		DefaultPolicy:   *policy,
 		FlipBudget:      *budget,
 		DataDir:         *dataDir,
 		Fsync:           *fsync,
@@ -191,8 +189,8 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 	}
 	handler.Store(&live)
 
-	log.Printf("sketchd listening on %s (default sketch %s, default policy %s, ε=%g δ=%g, %d shards/key, quota %d keys, durable=%v)",
-		ln.Addr(), *sketch, *policy, *eps, *delta, *shards, *maxKeys, srv.Durable())
+	log.Printf("sketchd listening on %s (ε=%g δ=%g, %d shards/key, quota %d keys, durable=%v)",
+		ln.Addr(), *eps, *delta, *shards, *maxKeys, srv.Durable())
 	if ready != nil {
 		ready <- ln.Addr()
 	}

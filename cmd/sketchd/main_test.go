@@ -38,6 +38,20 @@ func startRun(t *testing.T, args ...string) (net.Addr, context.CancelFunc, *atom
 	return nil, nil, nil, nil
 }
 
+// declare admits tenant key as a policy-none sketch on the sketchd at base.
+func declare(t *testing.T, base, key, sketch string) {
+	t.Helper()
+	body := fmt.Sprintf(`{"key":%q,"spec":{"sketch":%q}}`, key, sketch)
+	resp, err := http.Post(base+"/v2/keys", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("declare %s as %s: status %d", key, sketch, resp.StatusCode)
+	}
+}
+
 // TestRunServesDrainsAndRecovers is the lifecycle round trip: run serves
 // HTTP, a first signal drains it cleanly (calling stop so later signals
 // reach the default handler), and a second run over the same data dir
@@ -48,8 +62,9 @@ func TestRunServesDrainsAndRecovers(t *testing.T) {
 	addr, cancel, stops, errc := startRun(t, args...)
 	base := "http://" + addr.String()
 
+	declare(t, base, "k", "f2")
 	body := strings.NewReader(`{"updates":[{"item":7,"delta":2},{"item":9,"delta":1}]}`)
-	resp, err := http.Post(base+"/v1/update?key=k&sketch=f2", "application/json", body)
+	resp, err := http.Post(base+"/v1/update?key=k", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +127,10 @@ func TestListenerFailureIsADurableExit(t *testing.T) {
 	args := []string{"-addr", "127.0.0.1:0", "-data-dir", dir, "-fsync", "batch", "-seed", "42"}
 	addr, _, _, errc := startRun(t, args...)
 	base := "http://" + addr.String()
+	declare(t, base, "k", "kmv")
 	for i := 0; i < 50; i++ {
 		body := strings.NewReader(fmt.Sprintf(`{"updates":[{"item":%d,"delta":1}]}`, i))
-		resp, err := http.Post(base+"/v1/update?key=k&sketch=kmv", "application/json", body)
+		resp, err := http.Post(base+"/v1/update?key=k", "application/json", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,8 +222,11 @@ func TestStopCalledWhileDrainHangs(t *testing.T) {
 // TestRunRejectsBadConfig: flag and config errors surface as errors from
 // run (main turns them into a fatal exit), not panics or silent serving.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if err := run(context.Background(), func() {}, []string{"-no-such-flag"}, nil); err == nil {
-		t.Error("unknown flag accepted")
+	// -sketch and -policy among them: no flag picks a tenant's cell.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-sketch", "f2"}, {"-policy", "ring"}} {
+		if err := run(context.Background(), func() {}, args, nil); err == nil {
+			t.Errorf("unknown flag %v accepted", args)
+		}
 	}
 	if err := run(context.Background(), func() {}, []string{"-data-dir", t.TempDir(), "-fsync", "bogus"}, nil); err == nil {
 		t.Error("bad -fsync policy accepted")

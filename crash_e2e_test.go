@@ -146,13 +146,13 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	ctx := context.Background()
 	c := client.New("http://"+addr, &http.Client{Timeout: 10 * time.Second})
 
-	if err := c.CreateKey(ctx, "plain", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "plain", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "hot", "countsketch"); err != nil {
+	if _, err := c.CreateTenant(ctx, "hot", client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKeyPolicy(ctx, "robust", "f2", "switching"); err != nil {
+	if _, err := c.CreateTenant(ctx, "robust", client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CreateTenant(ctx, "turn", client.TenantSpec{Sketch: "f2", Model: "turnstile"}); err != nil {

@@ -90,8 +90,9 @@
 //     stream-model combination sized from its own ε, δ, n, shards and
 //     flip budget, plus λ for model=turnstile and α for
 //     model=bounded_deletion, with the server Config supplying
-//     defaults and caps; the robust-* names resolve as aliases and
-//     the ?sketch=/?policy= v1 form stays as a thin alias; tenants
+//     sizing defaults and caps; a declared TenantSpec is the only way a
+//     tenant is admitted, and every other endpoint answers 404 for a
+//     key nobody declared; tenants
 //     default to model=insertion and then reject negative deltas with
 //     400 before anything from the batch is applied, while
 //     turnstile/bounded-deletion tenants accept signed updates and
@@ -105,7 +106,7 @@
 //     ids on /v1/update and /v2/update alike — one shared apply core,
 //     so codec choice never changes semantics), blocking and lock-free
 //     reads, binary snapshot/merge between seed-compatible tenants,
-//     per-keyspace engines created on demand under a quota, and
+//     per-keyspace engines admitted under a quota, and
 //     graceful drain (client.RetryTail resends only the unapplied tail
 //     of a straddled batch, under either codec — error replies are
 //     always JSON; client.UpdateRetry loops that protocol to completion

@@ -184,34 +184,10 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 
 func keyQuery(key string) url.Values { return url.Values{"key": {key}} }
 
-// CreateKey creates keyspace key with the given sketch type ("" for the
-// server default). Idempotent when the types agree. For a robust
-// combination beyond the server default policy, use CreateKeyPolicy; for
-// per-tenant accuracy and sizing, use CreateTenant.
-func (c *Client) CreateKey(ctx context.Context, key, sketch string) error {
-	return c.CreateKeyPolicy(ctx, key, sketch, "")
-}
-
-// CreateKeyPolicy creates keyspace key as a sketch × policy combination
-// (e.g. "f2", "paths") with server-default sizing — the v1 query-param
-// form, kept as a thin alias for CreateTenant. Empty sketch picks the
-// server default type; empty policy picks the sketch's pinned policy (for
-// aliases like robust-f2) or the server default policy. Idempotent when
-// the resolved combinations agree; a mismatch fails with 409.
-func (c *Client) CreateKeyPolicy(ctx context.Context, key, sketch, policy string) error {
-	q := keyQuery(key)
-	if sketch != "" {
-		q.Set("sketch", sketch)
-	}
-	if policy != "" {
-		q.Set("policy", policy)
-	}
-	return c.do(ctx, http.MethodPost, "/v1/keys", q, nil, "", "", nil, nil)
-}
-
-// CreateTenant declares keyspace key from a TenantSpec (POST /v2/keys):
-// sketch, policy, and the tenant's own ε, δ, n, shards, batch, flip
-// budget and seed, with unset fields falling back to the server defaults.
+// CreateTenant declares keyspace key from a TenantSpec (POST /v2/keys),
+// the only way a tenant is admitted: a registry sketch, a policy (empty
+// means none), and the tenant's own ε, δ, n, shards, batch, flip budget
+// and seed, with unset sizing fields falling back to the server defaults.
 // It returns the tenant's KeyStats echoing the fully resolved spec (seed
 // withheld by the server). Idempotent when every explicitly set field
 // agrees with the existing tenant; a disagreement fails with 409.
@@ -358,11 +334,11 @@ func (c *Client) DeleteKey(ctx context.Context, key string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/keys", keyQuery(key), nil, "", "", nil, nil)
 }
 
-// Update sends one batch of updates to keyspace key (created on demand
-// with the server's default sketch type if absent). Under the default
-// binary codec the batch goes to POST /v2/update as an updates frame
-// encoded into a pooled buffer; under CodecJSON it goes to POST
-// /v1/update as before. If the batch straddles a server drain the call
+// Update sends one batch of updates to keyspace key, which must have been
+// declared with CreateTenant: an unknown key fails with 404. Under the
+// default binary codec the batch goes to POST /v2/update as an updates
+// frame encoded into a pooled buffer; under CodecJSON it goes to POST
+// /v1/update. If the batch straddles a server drain the call
 // fails with a 503; AcceptedCount on the error says how many updates
 // were applied, so retry with updates[AcceptedCount(err):] only — the
 // protocol is codec-independent because error replies are always JSON.

@@ -20,9 +20,12 @@ func bootClient(t *testing.T, cfg server.Config) *client.Client {
 }
 
 func TestClientRoundTrip(t *testing.T) {
-	c := bootClient(t, server.Config{Shards: 1, Seed: 1, DefaultSketch: "kmv"})
+	c := bootClient(t, server.Config{Shards: 1, Seed: 1})
 	ctx := context.Background()
 
+	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "kmv"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Add(ctx, "k", 1, 2, 3, 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestClientErrorMapping(t *testing.T) {
 	if client.StatusCode(nil) != 0 {
 		t.Error("StatusCode(nil) != 0")
 	}
-	if err := c.CreateKey(ctx, "", ""); err == nil {
+	if _, err := c.CreateTenant(ctx, "", client.TenantSpec{Sketch: "kmv"}); err == nil {
 		t.Error("empty key accepted")
 	}
 }

@@ -45,7 +45,7 @@ func (cc *connCounter) count() int {
 func TestErrorStormReusesConnection(t *testing.T) {
 	for _, tc := range codecs {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := server.New(server.Config{Shards: 1, Seed: 1, DefaultSketch: "countsketch"})
+			srv := server.New(server.Config{Shards: 1, Seed: 1})
 			cc := newConnCounter()
 			hs := httptest.NewUnstartedServer(srv.Handler())
 			hs.Config.ConnState = cc.hook
@@ -54,6 +54,9 @@ func TestErrorStormReusesConnection(t *testing.T) {
 
 			c := client.New(hs.URL, hs.Client(), client.WithCodec(tc.codec))
 			ctx := context.Background()
+			if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "countsketch"}); err != nil {
+				t.Fatal(err)
+			}
 			if err := c.Add(ctx, "k", 1, 2, 3); err != nil {
 				t.Fatal(err)
 			}

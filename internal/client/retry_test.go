@@ -301,11 +301,14 @@ func TestUpdateRetryHonorsContext(t *testing.T) {
 // resend fails again with a retryable 503 and returns the same tail —
 // RetryTail never fabricates progress.
 func TestRetryTailAgainstRealDrain(t *testing.T) {
-	srv := server.New(server.Config{Shards: 1, Seed: 1, DefaultSketch: "kmv"})
+	srv := server.New(server.Config{Shards: 1, Seed: 1})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
+	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "kmv"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Add(ctx, "k", 1, 2, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ type gameTarget struct {
 }
 
 // NewGameTarget wraps keyspace key on the sketchd instance behind c as a
-// game.Target. The keyspace is created on first update with the server's
-// default sketch type unless the caller created it explicitly beforehand.
+// game.Target. The caller declares the keyspace with CreateTenant first;
+// the game's first update fails with 404 otherwise.
 func NewGameTarget(ctx context.Context, c *Client, key string) game.Target {
 	return gameTarget{ctx: ctx, c: c, key: key}
 }

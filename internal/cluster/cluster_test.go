@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -184,7 +185,7 @@ func TestShipReplicatesAndFailsOver(t *testing.T) {
 
 	owner := byAddr(nodes, nodes[0].node.Owner(key))
 	oc := client.New(owner.url, owner.hs.Client())
-	if err := oc.CreateKey(ctx, key, "f2"); err != nil {
+	if _, err := oc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	items := make([]uint64, 0, 500)
@@ -204,7 +205,7 @@ func TestShipReplicatesAndFailsOver(t *testing.T) {
 		t.Fatalf("replica set %v, want [%s, other]", reps, owner.url)
 	}
 	replica := byAddr(nodes, reps[1])
-	if !replica.srv.HasKey(key) {
+	if !slices.Contains(replica.srv.Keys(), key) {
 		t.Fatalf("replica %s does not hold %q after ship", replica.url, key)
 	}
 
@@ -233,6 +234,36 @@ func TestShipReplicatesAndFailsOver(t *testing.T) {
 	}
 }
 
+// A replica promoted before its owner ever shipped to it knows nothing of
+// the tenant, and must say so: a 404 tells the client the declaration was
+// lost, where admitting a default-shaped tenant on first touch would answer
+// 200 from a sketch the owner never declared.
+func TestPromotedReplicaDoesNotFabricateTenant(t *testing.T) {
+	nodes := bootCluster(t, 2, 2, true) // ship loops not started: nothing ships
+	ctx := context.Background()
+	const key = "unshipped-tenant"
+
+	owner := byAddr(nodes, nodes[0].node.Owner(key))
+	oc := client.New(owner.url, owner.hs.Client())
+	if _, err := oc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "kmv"}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	survivor := byAddr(nodes, owner.node.Replicas(key)[1])
+	owner.hs.Close()
+	markDown(nodes, owner.url)
+	if got := survivor.node.Owner(key); got != survivor.url {
+		t.Fatalf("post-failover owner %s, want survivor %s", got, survivor.url)
+	}
+
+	sc := client.New(survivor.url, survivor.hs.Client())
+	if err := sc.Add(ctx, key, 1, 2, 3); client.StatusCode(err) != http.StatusNotFound {
+		t.Errorf("update for a tenant the survivor never received: %v, want HTTP 404", err)
+	}
+	if st, err := sc.Stats(ctx); err != nil || st.Keys != 0 {
+		t.Errorf("survivor stats = %+v (%v), want no tenant", st, err)
+	}
+}
+
 func TestForwardingRedirectsToOwner(t *testing.T) {
 	nodes := bootCluster(t, 3, 2, true)
 	ctx := context.Background()
@@ -243,16 +274,16 @@ func TestForwardingRedirectsToOwner(t *testing.T) {
 	// The Go client follows the 307 transparently; the tenant must land
 	// on the owner, not the node the client spoke to.
 	c := client.New(nonOwner.url, nonOwner.hs.Client())
-	if err := c.CreateKey(ctx, key, "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatalf("create via non-owner: %v", err)
 	}
 	if err := c.Add(ctx, key, 1, 2, 3); err != nil {
 		t.Fatalf("add via non-owner: %v", err)
 	}
-	if nonOwner.srv.HasKey(key) {
+	if slices.Contains(nonOwner.srv.Keys(), key) {
 		t.Fatalf("non-owner %s holds %q locally; should have redirected", nonOwner.url, key)
 	}
-	if !byAddr(nodes, owner).srv.HasKey(key) {
+	if !slices.Contains(byAddr(nodes, owner).srv.Keys(), key) {
 		t.Fatalf("owner %s does not hold %q", owner, key)
 	}
 	if got := mustEstimate(t, c, key); got <= 0 {
@@ -267,7 +298,7 @@ func TestStaleShipRejected(t *testing.T) {
 	const key = "stale-tenant"
 	owner := byAddr(nodes, nodes[0].node.Owner(key))
 	oc := client.New(owner.url, owner.hs.Client())
-	if err := oc.CreateKey(ctx, key, "f2"); err != nil {
+	if _, err := oc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := oc.Add(ctx, key, 1, 1, 1); err != nil {
@@ -316,7 +347,7 @@ func TestClusterQueryMergeAll(t *testing.T) {
 	// Each node ingests a disjoint third of one logical stream.
 	for i, tn := range nodes {
 		c := client.New(tn.url, tn.hs.Client())
-		if err := c.CreateKey(ctx, key, "countsketch"); err != nil {
+		if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "countsketch"}); err != nil {
 			t.Fatal(err)
 		}
 		var items []uint64
@@ -334,7 +365,7 @@ func TestClusterQueryMergeAll(t *testing.T) {
 	rh := httptest.NewServer(ref.Handler())
 	defer rh.Close()
 	rc := client.New(rh.URL, rh.Client())
-	if err := rc.CreateKey(ctx, key, "countsketch"); err != nil {
+	if _, err := rc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		t.Fatal(err)
 	}
 	var union []uint64
@@ -378,7 +409,7 @@ func TestDrainHandsOff(t *testing.T) {
 	const key = "drain-tenant"
 	owner := byAddr(nodes, nodes[0].node.Owner(key))
 	oc := client.New(owner.url, owner.hs.Client())
-	if err := oc.CreateKey(ctx, key, "f2"); err != nil {
+	if _, err := oc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := oc.Add(ctx, key, 5, 5, 5, 5); err != nil {
@@ -393,7 +424,7 @@ func TestDrainHandsOff(t *testing.T) {
 	if newOwner == owner {
 		t.Fatalf("draining node still owns %q", key)
 	}
-	if !newOwner.srv.HasKey(key) {
+	if !slices.Contains(newOwner.srv.Keys(), key) {
 		t.Fatalf("new owner %s does not hold %q after drain handoff", newOwner.url, key)
 	}
 	// Drain gossips through the probe exchange: every survivor re-routes.

@@ -62,7 +62,7 @@ func TestTargetsAgreeOnExactF0(t *testing.T) {
 // TestClientTargetFeedbackLoop verifies the adaptive feedback loop is
 // wired through HTTP: the responses the adversary observes must be
 // exactly the estimates the server published each round (whatever their
-// values — a robust keyspace rounds them), and a robust-f0 tenant must
+// values — a robust keyspace rounds them), and a kmv+ring tenant must
 // track an oblivious distinct ramp within ε.
 func TestClientTargetFeedbackLoop(t *testing.T) {
 	srv := server.New(server.Config{Shards: 2, Eps: 0.3, Delta: 0.05, N: 1 << 16, Seed: 3})
@@ -71,7 +71,7 @@ func TestClientTargetFeedbackLoop(t *testing.T) {
 	defer srv.Drain()
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, "loop", "robust-f0"); err != nil {
+	if _, err := c.CreateTenant(ctx, "loop", client.TenantSpec{Sketch: "kmv", Policy: "ring"}); err != nil {
 		t.Fatal(err)
 	}
 	tgt := client.NewGameTarget(ctx, c, "loop")
@@ -95,7 +95,7 @@ func TestClientTargetFeedbackLoop(t *testing.T) {
 		t.Fatalf("Steps = %d, want 40", res.Steps)
 	}
 	if res.Broken {
-		t.Errorf("robust-f0 broke on an oblivious distinct ramp at %d (est %v, truth %v)",
+		t.Errorf("kmv+ring broke on an oblivious distinct ramp at %d (est %v, truth %v)",
 			res.BrokenAt, res.BrokenEst, res.BrokenTru)
 	}
 	if len(observed) != 40 {

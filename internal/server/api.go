@@ -8,18 +8,16 @@ import (
 
 // Wire types of the sketchd HTTP/JSON API, shared with internal/client.
 //
-// v1 endpoints (keyed by the ?key= query parameter):
+// v1 endpoints (keyed by the ?key= query parameter; a key no POST
+// /v2/keys declared on this node is a 404 on every one of them):
 //
 //	POST /v1/update    {"updates":[{"item":1,"delta":2},...]}  batched ingest
 //	GET  /v1/estimate  flushes, returns the combined estimate
 //	GET  /v1/peek      lock-free snapshot estimate, never blocks ingest
 //	GET  /v1/snapshot  binary sketch state (application/octet-stream)
 //	POST /v1/merge     folds a snapshot (possibly from another server) into
-//	                   the keyspace, creating it if absent; on a durable
-//	                   server the merged state is checkpointed before the 200
-//	POST /v1/keys      creates a keyspace (?sketch= / ?policy=) — thin
-//	                   alias for POST /v2/keys with a spec holding only
-//	                   those two fields
+//	                   the keyspace; on a durable server the merged state is
+//	                   checkpointed before the 200
 //	DELETE /v1/keys    tears a keyspace down, freeing its quota slot
 //	GET  /v1/stats     server-wide stats and per-keyspace listing,
 //	                   including each tenant's resolved spec and
@@ -29,7 +27,8 @@ import (
 // v2 endpoints (JSON bodies; update and query also take wire frames):
 //
 //	POST /v2/keys      {"key":"k","spec":{...TenantSpec...}} — declarative
-//	                   tenant creation; echoes the resolved KeyStats
+//	                   tenant creation, the only way a tenant is admitted;
+//	                   echoes the resolved KeyStats
 //	POST /v2/update    /v1/update under either negotiated codec
 //	POST /v2/query     {"key":"k","queries":[{"kind":"estimate"},
 //	                   {"kind":"point","item":"123"},{"kind":"topk","k":10}]}
@@ -135,15 +134,15 @@ type EstimateResponse struct {
 // Config supplies defaults for unset fields and caps the resource-shaped
 // ones, nothing more.
 //
-// All fields are optional. The zero value resolves to the server's
-// default sketch, policy, and sizing.
+// Sketch is required; every other field is optional and its zero value
+// resolves to the server's default sizing.
 type TenantSpec struct {
-	// Sketch is the base sketch type (f2, kmv, countsketch, cc) or a
-	// robust-* alias. Empty picks the server default.
+	// Sketch is the base sketch type (f2, kmv, countsketch, cc). A spec
+	// without one is a 400 that lists the registry.
 	Sketch string `json:"sketch,omitempty"`
 
 	// Policy is the robustness policy (none, switching, ring, paths).
-	// Empty picks the alias's pinned policy, then the server default.
+	// Empty means none.
 	Policy string `json:"policy,omitempty"`
 
 	// Eps is the tenant's accuracy target ε ∈ (0, 1): relative 1±ε for
@@ -306,7 +305,7 @@ type QueryResponse struct {
 }
 
 // KeyStats describes one keyspace in GET /v1/stats and in the POST
-// /v1/keys / /v2/keys echo.
+// /v2/keys and DELETE /v1/keys echoes.
 type KeyStats struct {
 	Key        string `json:"key"`
 	Sketch     string `json:"sketch"`

@@ -111,9 +111,6 @@ func (s *Server) Keys() []string {
 	return keys
 }
 
-// HasKey reports whether the server holds tenant key.
-func (s *Server) HasKey(key string) bool { return s.lookup(key) != nil }
-
 // AnswerLocal answers a validated QueryRequest from the local tenant
 // engine — the same core as POST /v2/query, exposed so the cluster
 // layer's global-query endpoint shares its semantics exactly. On error

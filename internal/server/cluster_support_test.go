@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func shipmentSource(t *testing.T, cfg server.Config, dst *server.Server) (ship f
 	srcCfg.Seed = cfg.Seed
 	srcCfg.Shards = cfg.Shards
 	src, cs, _ := bootMem(t, srcCfg)
-	if err := cs.CreateKey(ctx, "m", "f2"); err != nil {
+	if _, err := cs.CreateTenant(ctx, "m", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cs.Add(ctx, "m", 100, 101, 102); err != nil {
@@ -158,7 +159,7 @@ func TestHealthz(t *testing.T) {
 	}
 
 	dsrv, dc := bootDurable(t, durableCfg(t.TempDir()))
-	if err := dc.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := dc.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	dh, ready, err := dc.Healthz(ctx)
@@ -237,7 +238,6 @@ func TestForwarderRedirect(t *testing.T) {
 	wantRedirect(http.MethodGet, "/v1/peek?key=remote", "", "")
 	wantRedirect(http.MethodGet, "/v1/snapshot?key=remote", "", "")
 	wantRedirect(http.MethodPost, "/v1/merge?key=remote", "x", "application/octet-stream")
-	wantRedirect(http.MethodPost, "/v1/keys?key=remote&sketch=f2", "", "")
 	wantRedirect(http.MethodDelete, "/v1/keys?key=remote", "", "")
 	wantRedirect(http.MethodPost, "/v2/keys", `{"key":"remote","spec":{"sketch":"f2"}}`, "application/json")
 	wantRedirect(http.MethodPost, "/v2/query", `{"key":"remote","queries":[{"kind":"estimate"}]}`, "application/json")
@@ -271,8 +271,8 @@ func TestForwarderRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get("Allow"); resp.StatusCode != http.StatusMethodNotAllowed || got != "POST, DELETE" {
-		t.Errorf("GET /v1/keys: got HTTP %d with Allow %q, want 405 with Allow \"POST, DELETE\"", resp.StatusCode, got)
+	if got := resp.Header.Get("Allow"); resp.StatusCode != http.StatusMethodNotAllowed || got != "DELETE" {
+		t.Errorf("GET /v1/keys: got HTTP %d with Allow %q, want 405 with Allow \"DELETE\"", resp.StatusCode, got)
 	}
 }
 
@@ -292,10 +292,10 @@ func TestForwardingFollowedByClient(t *testing.T) {
 	if err := proxyClient.Add(ctx, "k", 1, 2, 3, 4); err != nil {
 		t.Fatal(err)
 	}
-	if proxySrv.HasKey("k") {
+	if slices.Contains(proxySrv.Keys(), "k") {
 		t.Error("forwarding node materialized the tenant locally")
 	}
-	if !ownerSrv.HasKey("k") {
+	if !slices.Contains(ownerSrv.Keys(), "k") {
 		t.Fatal("owner never saw the forwarded create")
 	}
 	got, err := proxyClient.Estimate(ctx, "k")
@@ -320,7 +320,7 @@ func TestShipTenantApplyShipment(t *testing.T) {
 	ownerSrv, ownerClient, _ := bootMem(t, cfg)
 	replicaSrv, replicaClient, _ := bootMem(t, cfg)
 
-	if err := ownerClient.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := ownerClient.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ownerClient.Add(ctx, "k", 1, 2, 3, 1, 2, 1); err != nil {
@@ -383,7 +383,7 @@ func TestShipTenantApplyShipment(t *testing.T) {
 	wide := cfg
 	wide.Shards = 3
 	wideSrv, wideClient, _ := bootMem(t, wide)
-	if err := wideClient.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := wideClient.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	narrow, err := ownerSrv.ShipTenant("k")
@@ -403,7 +403,7 @@ func TestShipTenantApplyShipment(t *testing.T) {
 	}
 
 	// Non-mergeable tenants ship as spec-only declarations.
-	if err := ownerClient.CreateKeyPolicy(ctx, "rob", "f2", "switching"); err != nil {
+	if _, err := ownerClient.CreateTenant(ctx, "rob", client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
 		t.Fatal(err)
 	}
 	sh, err := ownerSrv.ShipTenant("rob")
@@ -416,7 +416,7 @@ func TestShipTenantApplyShipment(t *testing.T) {
 	if err := replicaSrv.ApplyShipment("rob", sh.Spec, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !replicaSrv.HasKey("rob") {
+	if !slices.Contains(replicaSrv.Keys(), "rob") {
 		t.Error("spec-only shipment did not declare the tenant on the replica")
 	}
 }
@@ -433,7 +433,7 @@ func TestAnswerMerged(t *testing.T) {
 	_ = allSrv
 
 	for _, c := range []*client.Client{aClient, bClient, allClient} {
-		if err := c.CreateKey(ctx, "k", "f2"); err != nil {
+		if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -474,7 +474,7 @@ func TestAnswerMerged(t *testing.T) {
 	foreignCfg := cfg
 	foreignCfg.Seed = 777
 	fSrv, fClient, _ := bootMem(t, foreignCfg)
-	if err := fClient.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := fClient.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fClient.Add(ctx, "k", 5); err != nil {
@@ -493,7 +493,7 @@ func TestAnswerMerged(t *testing.T) {
 	wide := cfg
 	wide.Shards = 3
 	wSrv, wClient, _ := bootMem(t, wide)
-	if err := wClient.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := wClient.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	shW, err := wSrv.ShipTenant("k")

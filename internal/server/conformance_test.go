@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/robust"
+	"repro/internal/sketch"
 	"repro/internal/sketchtest"
 )
 
@@ -46,9 +47,6 @@ func TestRegistryConformance(t *testing.T) {
 	}
 	validNonInsertion := 0
 	for _, name := range sketchNames() {
-		if _, isAlias := aliases[name]; isAlias {
-			continue // aliases resolve onto cells tested below
-		}
 		for _, policy := range Policies() {
 			for _, mt := range models {
 				req := TenantSpec{Sketch: name, Policy: policy, Model: mt.Model, Alpha: mt.Alpha}
@@ -104,78 +102,56 @@ func TestRegistryConformance(t *testing.T) {
 	}
 }
 
-// TestAliasesResolve pins the pre-matrix robust type names onto their
-// sketch × policy cells — the migration contract for existing deployments
-// and saved client configurations.
-func TestAliasesResolve(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	want := map[string][2]string{
-		"robust-f2":      {"f2", "ring"},
-		"robust-f0":      {"kmv", "ring"},
-		"robust-hh":      {"countsketch", "ring"},
-		"robust-entropy": {"cc", "switching"},
-	}
-	for alias, cell := range want {
-		sp, _, err := resolve(TenantSpec{Sketch: alias}, cfg)
-		if err != nil {
-			t.Fatalf("resolve(%s): %v", alias, err)
-		}
-		if sp.Name != cell[0] || sp.Policy != cell[1] {
-			t.Errorf("alias %s resolved to %s+%s, want %s+%s", alias, sp.Name, sp.Policy, cell[0], cell[1])
-		}
-		if !sp.robust {
-			t.Errorf("alias %s did not resolve to a robust spec", alias)
-		}
-		// The pinned policy tolerates an explicitly matching request and
-		// rejects a conflicting one.
-		if _, _, err := resolve(TenantSpec{Sketch: alias, Policy: cell[1]}, cfg); err != nil {
-			t.Errorf("resolve(%s, %s): %v", alias, cell[1], err)
-		}
-		if _, _, err := resolve(TenantSpec{Sketch: alias, Policy: "paths"}, cfg); alias != "robust-entropy" && err == nil {
-			t.Errorf("resolve(%s, paths) should conflict with the pinned policy", alias)
-		}
-	}
-}
-
-// TestRobustEntropyAliasMatchesConstructor pins the alias to the
-// per-theorem constructor update for update: a robust-entropy tenant must
-// host exactly robust.NewEntropy(cfg.Eps, δ, FlipBudget, seed) — in
-// particular the additive-bits ε must reach the policy layer in the same
-// domain (EpsScale ln 2), which a coarse accuracy tolerance would not
-// catch.
-func TestRobustEntropyAliasMatchesConstructor(t *testing.T) {
+// TestRobustCellsMatchConstructors pins four cells to the per-theorem
+// constructors update for update: a cc+switching tenant must host exactly
+// robust.NewEntropy(cfg.Eps, δ, FlipBudget, seed) — in particular the
+// additive-bits ε must reach the policy layer in the same domain (EpsScale
+// ln 2), which a coarse accuracy tolerance would not catch — and the ring
+// cells of f2, kmv and countsketch exactly NewFp, NewF0 and
+// NewHeavyHitters.
+func TestRobustCellsMatchConstructors(t *testing.T) {
 	cfg := Config{Shards: 1, Eps: 0.5, Delta: 0.05, N: 1 << 16, Seed: 1, FlipBudget: 24}.withDefaults()
-	sp, ts, err := resolve(TenantSpec{Sketch: "robust-entropy"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec := sp.factory(ts)(9)
-	viaCtor := robust.NewEntropy(cfg.Eps, cfg.Delta, cfg.FlipBudget, 9)
-	for i := 0; i < 96; i++ {
-		item := uint64(i % 12)
-		viaSpec.Update(item, 1)
-		viaCtor.Update(item, 1)
-		if a, b := viaSpec.Estimate(), viaCtor.Estimate(); a != b {
-			t.Fatalf("robust-entropy spec and NewEntropy diverged at update %d: %v vs %v", i+1, a, b)
+	for _, cell := range []struct {
+		sketch, policy string
+		ctor           sketch.Estimator
+	}{
+		{"cc", "switching", robust.NewEntropy(cfg.Eps, cfg.Delta, cfg.FlipBudget, 9)},
+		{"f2", "ring", robust.NewFp(2, cfg.Eps, cfg.Delta, cfg.N, 9)},
+		{"kmv", "ring", robust.NewF0(cfg.Eps, cfg.Delta, cfg.N, 9)},
+		{"countsketch", "ring", robust.NewHeavyHitters(cfg.Eps, cfg.Delta, cfg.N, 9)},
+	} {
+		sp, ts, err := resolve(TenantSpec{Sketch: cell.sketch, Policy: cell.policy}, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if viaSpec.SpaceBytes() != viaCtor.SpaceBytes() {
-		t.Errorf("space differs: spec %d vs constructor %d (inner sizing domain mismatch?)",
-			viaSpec.SpaceBytes(), viaCtor.SpaceBytes())
+		viaSpec := sp.factory(ts)(9)
+		for i := 0; i < 96; i++ {
+			item := uint64(i % 12)
+			viaSpec.Update(item, 1)
+			cell.ctor.Update(item, 1)
+			if a, b := viaSpec.Estimate(), cell.ctor.Estimate(); a != b {
+				t.Fatalf("%s spec and its constructor diverged at update %d: %v vs %v", sp.Display(), i+1, a, b)
+			}
+		}
+		if viaSpec.SpaceBytes() != cell.ctor.SpaceBytes() {
+			t.Errorf("%s space differs: spec %d vs constructor %d (inner sizing domain mismatch?)",
+				sp.Display(), viaSpec.SpaceBytes(), cell.ctor.SpaceBytes())
+		}
 	}
 }
 
 // TestUnknownSketchErrorListsRegistry: the "(have: ...)" list must be
 // derived from the registry keys at runtime, so it can never go stale as
-// types are added.
+// types are added. A spec that names no sketch, or a name outside the
+// registry, gets the same answer: there is no default cell and no alias.
 func TestUnknownSketchErrorListsRegistry(t *testing.T) {
-	_, _, err := resolve(TenantSpec{Sketch: "no-such-sketch"}, Config{}.withDefaults())
-	if err == nil {
-		t.Fatal("expected an error for an unknown sketch type")
-	}
-	for _, name := range sketchNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-sketch error %q does not mention registry key %q", err, name)
+	for _, bad := range []string{"no-such-sketch", "", "robust-f2"} {
+		_, _, err := resolve(TenantSpec{Sketch: bad}, Config{}.withDefaults())
+		if err == nil {
+			t.Fatalf("sketch %q: expected an unknown-sketch error", bad)
+		}
+		if want := "(have: " + strings.Join(sketchNames(), ", ") + ")"; !strings.Contains(err.Error(), want) {
+			t.Errorf("sketch %q: error %q does not list the registry as %q", bad, err, want)
 		}
 	}
 	if _, _, err := resolve(TenantSpec{Sketch: "f2", Policy: "no-such-policy"}, Config{}.withDefaults()); err == nil {

@@ -5,11 +5,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // bootDurable starts a durable sketchd instance (WAL + checkpoints in
@@ -45,13 +48,13 @@ func durableCfg(dir string) server.Config {
 func seedTenants(t *testing.T, c *client.Client) map[string]float64 {
 	t.Helper()
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, "plain", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "plain", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKeyPolicy(ctx, "robust", "f2", "switching"); err != nil {
+	if _, err := c.CreateTenant(ctx, "robust", client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "hot", "countsketch"); err != nil {
+	if _, err := c.CreateTenant(ctx, "hot", client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CreateTenant(ctx, "turn", client.TenantSpec{Sketch: "f2", Model: "turnstile"}); err != nil {
@@ -247,6 +250,68 @@ func TestDurableCorruptCheckpointFallsBackToReplay(t *testing.T) {
 	}
 }
 
+// TestDurableRecoversStoredCreateRecord pins what a create record on disk
+// looks like from the reading side: the resolved sketch × policy cell and
+// every sizing field, so a log recovers from what it says alone. The record
+// is one a sketchd wrote for an f2+ring tenant (seed 7, two shards); replay
+// must rebuild exactly the tenant a fresh declaration of that cell builds.
+func TestDurableRecoversStoredCreateRecord(t *testing.T) {
+	const stored = `{"sketch":"f2","policy":"ring","eps":0.2,"delta":0.05,"n":4294967296,"shards":2,"batch":256,"flip_budget":64,"model":"insertion","seed":7}`
+	ups := make([]wire.Update, 3000)
+	adds := make([]uint64, len(ups))
+	for i := range ups {
+		adds[i] = uint64(i*i) % 509
+		ups[i] = wire.Update{Item: adds[i], Delta: 1}
+	}
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []wal.Record{
+		{Kind: wal.KindCreate, Key: "a", Data: []byte(stored)},
+		{Kind: wal.KindUpdate, Key: "a", Data: wire.AppendUpdates(nil, ups)},
+	} {
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	srv, c := bootDurable(t, durableCfg(dir))
+	if rec := srv.Recovery(); rec.Tenants != 1 || rec.ReplayedUpdates != len(ups) {
+		t.Fatalf("recovery = %+v, want 1 tenant and %d replayed updates", rec, len(ups))
+	}
+	ks, err := c.KeyStats(ctx, "a")
+	if err != nil || ks.Sketch != "f2" || ks.Policy != "ring" || ks.Shards != 2 || ks.Spec.Eps != 0.2 {
+		t.Fatalf("recovered tenant = %+v (%v), want f2+ring on 2 shards at ε = 0.2", ks, err)
+	}
+	_, fresh := boot(t, server.Config{Seed: 1})
+	if _, err := fresh.CreateTenant(ctx, "a", client.TenantSpec{Sketch: "f2", Policy: "ring", Eps: 0.2, Shards: 2, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Add(ctx, "a", adds...); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Query(ctx, "a", []client.Query{{Kind: server.QueryEstimate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query(ctx, "a", []client.Query{{Kind: server.QueryEstimate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered tenant answers %+v, a fresh f2+ring tenant %+v", got, want)
+	}
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableDeleteAndRecreateReplay pins delete semantics across a
 // crash: a deleted tenant stays gone, and a key deleted then re-created
 // recovers only its post-re-create stream.
@@ -254,7 +319,7 @@ func TestDurableDeleteAndRecreateReplay(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	_, c := bootDurable(t, durableCfg(dir))
-	if err := c.CreateKey(ctx, "gone", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "gone", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Add(ctx, "gone", 1, 2, 3, 4, 5); err != nil {
@@ -263,7 +328,7 @@ func TestDurableDeleteAndRecreateReplay(t *testing.T) {
 	if err := c.DeleteKey(ctx, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "phoenix", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "phoenix", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Add(ctx, "phoenix", 10, 11, 12); err != nil {
@@ -272,7 +337,7 @@ func TestDurableDeleteAndRecreateReplay(t *testing.T) {
 	if err := c.DeleteKey(ctx, "phoenix"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "phoenix", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "phoenix", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Add(ctx, "phoenix", 20); err != nil {
@@ -308,7 +373,7 @@ func TestDurableCheckpointCadence(t *testing.T) {
 	cfg.CheckpointEvery = 256
 	_, c := bootDurable(t, cfg)
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, "plain", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "plain", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	const total = 2000
@@ -363,7 +428,7 @@ func TestDurableMergeCheckpointed(t *testing.T) {
 	ctx := context.Background()
 	cfg := durableCfg(dir)
 	_, c := bootDurable(t, cfg)
-	if err := c.CreateKey(ctx, "m", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "m", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Add(ctx, "m", 1, 2, 3); err != nil {
@@ -379,7 +444,7 @@ func TestDurableMergeCheckpointed(t *testing.T) {
 	t.Cleanup(hs.Close)
 	t.Cleanup(src.Drain)
 	cs := client.New(hs.URL, hs.Client())
-	if err := cs.CreateKey(ctx, "m", "f2"); err != nil {
+	if _, err := cs.CreateTenant(ctx, "m", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cs.Add(ctx, "m", 100, 101, 102, 103); err != nil {
@@ -421,7 +486,7 @@ func TestEstimateDuringDrainIsCoherent(t *testing.T) {
 	_, twin := boot(t, cfg)
 	srv, c := boot(t, cfg)
 	for _, cl := range []*client.Client{twin, c} {
-		if err := cl.CreateKey(ctx, "k", "f2"); err != nil {
+		if _, err := cl.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -471,7 +536,7 @@ func TestEstimateDuringDrainIsCoherent(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, fresh := boot(t, cfg)
-			if err := fresh.CreateKey(ctx, "k", "f2"); err != nil {
+			if _, err := fresh.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 				t.Fatal(err)
 			}
 			if err := fresh.Merge(ctx, "k", snap); err != nil {

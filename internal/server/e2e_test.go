@@ -39,10 +39,10 @@ func TestEndToEnd(t *testing.T) {
 	_, c := boot(t, cfg)
 	ctx := context.Background()
 
-	if err := c.CreateKey(ctx, "norms", "robust-f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "norms", client.TenantSpec{Sketch: "f2", Policy: "ring"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "hot-items", "countsketch"); err != nil {
+	if _, err := c.CreateTenant(ctx, "hot-items", client.TenantSpec{Sketch: "countsketch"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +80,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if re := relErr(got, truth.L2()); re > eps {
-		t.Errorf("robust-f2 estimate %v vs truth %v: rel err %.3f > ε=%.2f", got, truth.L2(), re, eps)
+		t.Errorf("f2+ring estimate %v vs truth %v: rel err %.3f > ε=%.2f", got, truth.L2(), re, eps)
 	}
 
 	// The heavy hitters keyspace estimates the F2 moment.
@@ -108,6 +108,9 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, c2 := boot(t, cfg)
+	if _, err := c2.CreateTenant(ctx, "hot-items", client.TenantSpec{Sketch: "countsketch"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c2.Merge(ctx, "hot-items", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +131,9 @@ func TestEndToEnd(t *testing.T) {
 	badCfg := cfg
 	badCfg.Seed = 43
 	_, c3 := boot(t, badCfg)
+	if _, err := c3.CreateTenant(ctx, "hot-items", client.TenantSpec{Sketch: "countsketch"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := c3.Merge(ctx, "hot-items", snap); client.StatusCode(err) != 409 {
 		t.Errorf("merge into different-seed server: err = %v, want HTTP 409", err)
 	}
@@ -162,7 +168,7 @@ func TestMergeAggregatesDisjointStreams(t *testing.T) {
 		i++
 	}
 	for _, cl := range []*client.Client{cA, cB, cAgg} {
-		if err := cl.CreateKey(ctx, "moments", "f2"); err != nil {
+		if _, err := cl.CreateTenant(ctx, "moments", client.TenantSpec{Sketch: "f2"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,8 +207,10 @@ func TestEntropyMergeCarriesMass(t *testing.T) {
 	_, cB := boot(t, cfg)
 	ctx := context.Background()
 
-	if err := cA.CreateKey(ctx, "ent", "cc"); err != nil {
-		t.Fatal(err)
+	for _, c := range []*client.Client{cA, cB} {
+		if _, err := c.CreateTenant(ctx, "ent", client.TenantSpec{Sketch: "cc"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	truth := stream.NewFreq()
 	gen := stream.NewZipf(1<<10, 20000, 1.2, 9)
@@ -245,21 +253,21 @@ func TestEntropyMergeCarriesMass(t *testing.T) {
 // TestQuotaAndDelete: the server-wide keyspace quota rejects creation
 // beyond MaxKeys with 507 until a key is deleted.
 func TestQuotaAndDelete(t *testing.T) {
-	_, c := boot(t, server.Config{MaxKeys: 2, Shards: 1, Seed: 1, DefaultSketch: "kmv"})
+	_, c := boot(t, server.Config{MaxKeys: 2, Shards: 1, Seed: 1})
 	ctx := context.Background()
 
 	for _, key := range []string{"a", "b"} {
-		if err := c.CreateKey(ctx, key, ""); err != nil {
+		if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "kmv"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.CreateKey(ctx, "c", ""); client.StatusCode(err) != 507 {
+	if _, err := c.CreateTenant(ctx, "c", client.TenantSpec{Sketch: "kmv"}); client.StatusCode(err) != 507 {
 		t.Fatalf("creation beyond quota: err = %v, want HTTP 507", err)
 	}
 	if err := c.DeleteKey(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "c", ""); err != nil {
+	if _, err := c.CreateTenant(ctx, "c", client.TenantSpec{Sketch: "kmv"}); err != nil {
 		t.Fatalf("creation after delete freed a slot: %v", err)
 	}
 	st, err := c.Stats(ctx)
@@ -275,8 +283,11 @@ func TestQuotaAndDelete(t *testing.T) {
 // panic from the closed engines — the TryUpdate path), while estimates
 // keep serving the fully flushed state.
 func TestDrain(t *testing.T) {
-	srv, c := boot(t, server.Config{Shards: 2, Seed: 1, DefaultSketch: "kmv", Batch: 8})
+	srv, c := boot(t, server.Config{Shards: 2, Seed: 1, Batch: 8})
 	ctx := context.Background()
+	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "kmv"}); err != nil {
+		t.Fatal(err)
+	}
 
 	var ups []client.Update
 	for i := uint64(0); i < 1000; i++ {
@@ -298,7 +309,7 @@ func TestDrain(t *testing.T) {
 	if err := c.Merge(ctx, "k", snap); client.StatusCode(err) != 503 {
 		t.Errorf("merge while draining: err = %v, want HTTP 503", err)
 	}
-	if err := c.CreateKey(ctx, "new", ""); client.StatusCode(err) != 503 {
+	if _, err := c.CreateTenant(ctx, "new", client.TenantSpec{Sketch: "kmv"}); client.StatusCode(err) != 503 {
 		t.Errorf("create while draining: err = %v, want HTTP 503", err)
 	}
 	got, err := c.Estimate(ctx, "k")
@@ -318,16 +329,16 @@ func TestDrain(t *testing.T) {
 func TestSketchTypeConflict(t *testing.T) {
 	_, c := boot(t, server.Config{Shards: 1, Seed: 1})
 	ctx := context.Background()
-	if err := c.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateKey(ctx, "k", "kmv"); err == nil {
+	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "kmv"}); err == nil {
 		t.Error("conflicting sketch type accepted")
 	}
-	if err := c.CreateKey(ctx, "k", "f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "f2"}); err != nil {
 		t.Errorf("idempotent re-create failed: %v", err)
 	}
-	if err := c.CreateKey(ctx, "x", "no-such-sketch"); err == nil {
+	if _, err := c.CreateTenant(ctx, "x", client.TenantSpec{Sketch: "no-such-sketch"}); err == nil {
 		t.Error("unknown sketch type accepted")
 	}
 }

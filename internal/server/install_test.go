@@ -108,7 +108,7 @@ func TestInstallPathsAgree(t *testing.T) {
 
 	want := make(map[string]reading)
 	for _, name := range sketches {
-		if err := srcClient.CreateKey(ctx, name, name); err != nil {
+		if _, err := srcClient.CreateTenant(ctx, name, client.TenantSpec{Sketch: name}); err != nil {
 			t.Fatal(err)
 		}
 		feed(srcClient, name)
@@ -124,6 +124,9 @@ func TestInstallPathsAgree(t *testing.T) {
 		if err := shipSrv.ApplyShipment(name, sh.Spec, sh.State, sh.Mass, sh.Deleted); err != nil {
 			t.Fatalf("ApplyShipment %s: %v", name, err)
 		}
+		if _, err := mergeClient.CreateTenant(ctx, name, client.TenantSpec{Sketch: name}); err != nil {
+			t.Fatal(err)
+		}
 		if err := mergeClient.Merge(ctx, name, want[name].snapshot); err != nil {
 			t.Fatalf("merge %s: %v", name, err)
 		}
@@ -131,7 +134,7 @@ func TestInstallPathsAgree(t *testing.T) {
 
 	// The robust tenant: shipped as a declaration, then fed the stream on
 	// both sides.
-	if err := srcClient.CreateKeyPolicy(ctx, "rob", "f2", "switching"); err != nil {
+	if _, err := srcClient.CreateTenant(ctx, "rob", client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
 		t.Fatal(err)
 	}
 	sh, err := src.ShipTenant("rob")

@@ -231,16 +231,9 @@ func (s *Server) handleV2Update(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	*up = us[:0]
-	q := r.URL.Query()
-	if s.forwarded(w, r, q.Get("key")) {
-		return
+	if t := s.tenantFor(w, r); t != nil {
+		s.applyUpdates(w, t, us)
 	}
-	t, err := s.getOrCreate(q.Get("key"), TenantSpec{Sketch: q.Get("sketch"), Policy: q.Get("policy")})
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s.applyUpdates(w, t, us)
 }
 
 // Binary twins of the JSON query kinds.

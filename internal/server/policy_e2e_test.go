@@ -25,7 +25,7 @@ func TestPolicyMatrixOverHTTP(t *testing.T) {
 
 	policies := []string{"none", "switching", "ring", "paths"}
 	for _, pol := range policies {
-		if err := c.CreateKeyPolicy(ctx, "f2-"+pol, "f2", pol); err != nil {
+		if _, err := c.CreateTenant(ctx, "f2-"+pol, client.TenantSpec{Sketch: "f2", Policy: pol}); err != nil {
 			t.Fatalf("create f2+%s: %v", pol, err)
 		}
 	}
@@ -129,59 +129,52 @@ func TestPolicyMatrixOverHTTP(t *testing.T) {
 	}
 }
 
-// TestPolicyAliasesAndConflictsOverHTTP pins the migration contract over
-// the wire: pre-matrix names resolve to their sketch × policy cells and
-// are interchangeable with the explicit form, conflicting redefinitions
-// fail with 409, invalid cells and unknown policies fail with an
-// explanatory 400.
-func TestPolicyAliasesAndConflictsOverHTTP(t *testing.T) {
+// TestPolicyConflictsOverHTTP pins the declaration contract over the wire:
+// re-declaring a tenant's own cell is idempotent, a different cell under
+// the same key fails with 409, and a spec naming no registry sketch, an
+// invalid cell or an unknown policy fails with an explanatory 400.
+func TestPolicyConflictsOverHTTP(t *testing.T) {
 	cfg := server.Config{Shards: 1, Eps: 0.4, Delta: 0.05, N: 1 << 16, Seed: 5, MaxKeys: 8}
 	_, c := boot(t, cfg)
 	ctx := context.Background()
 
-	// Alias and explicit form are the same tenant.
-	if err := c.CreateKey(ctx, "legacy", "robust-f2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateKeyPolicy(ctx, "legacy", "f2", "ring"); err != nil {
-		t.Fatalf("explicit f2+ring should match the robust-f2 tenant: %v", err)
-	}
-	ks, err := c.KeyStats(ctx, "legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks.Sketch != "f2" || ks.Policy != "ring" || ks.Robustness == nil {
-		t.Errorf("robust-f2 tenant reports %s+%s (robustness %v)", ks.Sketch, ks.Policy, ks.Robustness)
-	}
-
-	// A conflicting policy on an existing tenant is a 409.
-	if err := c.CreateKeyPolicy(ctx, "legacy", "f2", "paths"); client.StatusCode(err) != 409 {
-		t.Errorf("conflicting policy: %v, want 409", err)
-	}
-	// An alias combined with a contradicting policy is a 400.
-	if err := c.CreateKeyPolicy(ctx, "x", "robust-f2", "paths"); client.StatusCode(err) != 400 {
-		t.Errorf("alias+conflicting policy: %v, want 400", err)
-	}
-	// Ring over entropy is invalid (non-monotone statistic).
-	if err := c.CreateKeyPolicy(ctx, "x", "cc", "ring"); client.StatusCode(err) != 400 {
-		t.Errorf("cc+ring: %v, want 400", err)
-	}
-	// Unknown names fail with the runtime-derived registry listing.
-	err = c.CreateKey(ctx, "x", "no-such")
-	if client.StatusCode(err) != 400 {
-		t.Fatalf("unknown sketch: %v, want 400", err)
-	}
-	for _, name := range []string{"f2", "kmv", "countsketch", "cc", "robust-f2", "robust-entropy"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-sketch error %q does not list %q", err, name)
+	for i := 0; i < 2; i++ {
+		ks, err := c.CreateTenant(ctx, "norms", client.TenantSpec{Sketch: "f2", Policy: "ring"})
+		if err != nil {
+			t.Fatalf("declaration %d of f2+ring: %v", i, err)
+		}
+		if ks.Sketch != "f2" || ks.Policy != "ring" || ks.Robustness == nil {
+			t.Errorf("f2+ring tenant reports %s+%s (robustness %v)", ks.Sketch, ks.Policy, ks.Robustness)
 		}
 	}
-	if err := c.CreateKeyPolicy(ctx, "x", "f2", "no-such"); client.StatusCode(err) != 400 {
+
+	// Another cell under an existing key is a 409, an empty policy meaning
+	// none included.
+	for _, policy := range []string{"paths", ""} {
+		if _, err := c.CreateTenant(ctx, "norms", client.TenantSpec{Sketch: "f2", Policy: policy}); client.StatusCode(err) != 409 {
+			t.Errorf("f2 with policy %q over an f2+ring tenant: %v, want 409", policy, err)
+		}
+	}
+	// Ring over entropy is invalid (non-monotone statistic).
+	if _, err := c.CreateTenant(ctx, "x", client.TenantSpec{Sketch: "cc", Policy: "ring"}); client.StatusCode(err) != 400 {
+		t.Errorf("cc+ring: %v, want 400", err)
+	}
+	// A spec must name a registry sketch — there is no default cell and no
+	// alias — whether the key is new or taken; the 400 lists the registry.
+	for _, key := range []string{"x", "norms"} {
+		for _, name := range []string{"no-such", "", "robust-f2"} {
+			_, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: name})
+			if want := "(have: cc, countsketch, f2, kmv)"; client.StatusCode(err) != 400 || !strings.Contains(err.Error(), want) {
+				t.Errorf("sketch %q for key %q: %v, want 400 listing %s", name, key, err, want)
+			}
+		}
+	}
+	if _, err := c.CreateTenant(ctx, "x", client.TenantSpec{Sketch: "f2", Policy: "no-such"}); client.StatusCode(err) != 400 {
 		t.Errorf("unknown policy: %v, want 400", err)
 	}
 
 	// The previously-unreachable cell: an entropy tenant under paths.
-	if err := c.CreateKeyPolicy(ctx, "ent", "cc", "paths"); err != nil {
+	if _, err := c.CreateTenant(ctx, "ent", client.TenantSpec{Sketch: "cc", Policy: "paths"}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 64; i++ {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -39,6 +40,7 @@ func TestIngestPoolsBalanced(t *testing.T) {
 	srv := New(Config{Shards: 2, Seed: 1, MaxKeys: 4})
 	defer srv.Drain()
 	h := srv.Handler()
+	declare(t, srv, "k", "f2")
 	ok := frameBody([]wire.Update{{Item: 1, Delta: 1}, {Item: 2, Delta: 3}})
 	neg := frameBody([]wire.Update{{Item: 1, Delta: -1}})
 
@@ -49,14 +51,16 @@ func TestIngestPoolsBalanced(t *testing.T) {
 		ct     string
 		status int
 	}{
-		{"json ok", "/v1/update?key=k&sketch=f2", []byte(`{"updates":[{"item":1,"delta":1}]}`), "", http.StatusOK},
+		{"json ok", "/v1/update?key=k", []byte(`{"updates":[{"item":1,"delta":1}]}`), "", http.StatusOK},
 		{"json bad body", "/v1/update?key=k", []byte(`{"updates":[`), "", http.StatusBadRequest},
 		{"json negative delta", "/v1/update?key=k", []byte(`{"updates":[{"item":1,"delta":-1}]}`), "", http.StatusBadRequest},
-		{"json unknown key spec", "/v1/update?key=k2&sketch=nope", []byte(`{"updates":[]}`), "", http.StatusBadRequest},
+		{"json unknown key", "/v1/update?key=k2", []byte(`{"updates":[{"item":1,"delta":1}]}`), "", http.StatusNotFound},
+		{"json v2 unknown key", "/v2/update?key=k2", []byte(`{"updates":[{"item":1,"delta":1}]}`), "application/json", http.StatusNotFound},
 		{"frame ok", "/v2/update?key=k", ok, wire.ContentType, http.StatusOK},
 		{"frame bad frame", "/v2/update?key=k", []byte{0xff, 0x01, 0x02}, wire.ContentType, http.StatusBadRequest},
 		{"frame negative delta", "/v2/update?key=k", neg, wire.ContentType, http.StatusBadRequest},
-		{"frame missing key", "/v2/update", ok, wire.ContentType, http.StatusBadRequest},
+		{"frame unknown key", "/v2/update?key=k2", ok, wire.ContentType, http.StatusNotFound},
+		{"frame missing key", "/v2/update", ok, wire.ContentType, http.StatusNotFound},
 		{"unsupported media", "/v2/update?key=k", ok, "text/plain", http.StatusUnsupportedMediaType},
 	}
 	for _, st := range steps {
@@ -89,6 +93,40 @@ func TestIngestPoolsBalanced(t *testing.T) {
 	}
 }
 
+// TestUpdateUnknownKeyIs404: an update names a tenant, it does not make
+// one. A key nobody declared on this node — a typo, or a replica the owner
+// never shipped to — answers 404 under every codec and leaves no tenant
+// behind to be sized by a default and charged to the quota.
+func TestUpdateUnknownKeyIs404(t *testing.T) {
+	baseBody, baseUpdates := bodyPool.live.Load(), updatesPool.live.Load()
+	srv := New(Config{Shards: 2, Seed: 1})
+	defer srv.Drain()
+	h := srv.Handler()
+	one := []byte(`{"updates":[{"item":1,"delta":1}]}`)
+	for _, st := range []struct {
+		name, target string
+		body         []byte
+		ct           string
+	}{
+		{"json v1", "/v1/update?key=x", one, ""},
+		{"json v2", "/v2/update?key=x", one, "application/json"},
+		{"frame v2", "/v2/update?key=x", frameBody([]wire.Update{{Item: 1, Delta: 1}}), wire.ContentType},
+	} {
+		w := poolReq(h, http.MethodPost, st.target, st.body, st.ct)
+		if w.Code != http.StatusNotFound || !bytes.Contains(w.Body.Bytes(), []byte(`unknown key \"x\"`)) {
+			t.Errorf("%s: status %d (%s), want 404 unknown key", st.name, w.Code, w.Body.Bytes())
+		}
+	}
+	var stats StatsResponse
+	w := poolReq(h, http.MethodGet, "/v1/stats", nil, "")
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil || stats.Keys != 0 || len(stats.Tenants) != 0 {
+		t.Errorf("stats after the 404s: %s (%v), want no tenant", w.Body.Bytes(), err)
+	}
+	if b, u := bodyPool.live.Load(), updatesPool.live.Load(); b != baseBody || u != baseUpdates {
+		t.Errorf("pools after the 404s: body %d updates %d live, want %d and %d", b, u, baseBody, baseUpdates)
+	}
+}
+
 // TestDurableIngestDoesNotRetainPooledBuffers pins the WAL layer's
 // contract with the pools: logUpdates encodes the batch into the log's
 // own buffer synchronously, so by the time a handler returns its pooled
@@ -104,6 +142,7 @@ func TestDurableIngestDoesNotRetainPooledBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
+	declare(t, srv, "k", "f2")
 	baseBody := bodyPool.live.Load()
 	baseUpdates := updatesPool.live.Load()
 
@@ -114,7 +153,7 @@ func TestDurableIngestDoesNotRetainPooledBuffers(t *testing.T) {
 		for i := range us {
 			us[i] = wire.Update{Item: uint64(round*1000 + i), Delta: int64(round + 1)}
 		}
-		if w := poolReq(h, http.MethodPost, "/v2/update?key=k&sketch=f2", frameBody(us), wire.ContentType); w.Code != http.StatusOK {
+		if w := poolReq(h, http.MethodPost, "/v2/update?key=k", frameBody(us), wire.ContentType); w.Code != http.StatusOK {
 			t.Fatalf("round %d: status %d (%s)", round, w.Code, w.Body.Bytes())
 		}
 	}

@@ -14,8 +14,13 @@ import (
 // drain error — never a panic or a torn response. Run under -race this
 // also exercises the engine handoff and the tenant map locking.
 func TestConcurrentIngestAndDrain(t *testing.T) {
-	srv, c := boot(t, server.Config{Shards: 2, Batch: 16, Seed: 1, DefaultSketch: "kmv", MaxKeys: 16})
+	srv, c := boot(t, server.Config{Shards: 2, Batch: 16, Seed: 1, MaxKeys: 16})
 	ctx := context.Background()
+	for _, key := range []string{"even", "odd"} {
+		if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "kmv"}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const producers = 8
 	var wg sync.WaitGroup
@@ -38,7 +43,7 @@ func TestConcurrentIngestAndDrain(t *testing.T) {
 					return // server is draining; stop producing
 				}
 				if i%10 == 0 {
-					if _, err := c.Peek(ctx, key); err != nil && client.StatusCode(err) != 404 {
+					if _, err := c.Peek(ctx, key); err != nil {
 						t.Errorf("producer %d peek: %v", p, err)
 					}
 				}
@@ -51,7 +56,7 @@ func TestConcurrentIngestAndDrain(t *testing.T) {
 
 	// Post-drain reads still serve.
 	for _, key := range []string{"even", "odd"} {
-		if _, err := c.Estimate(ctx, key); err != nil && client.StatusCode(err) != 404 {
+		if _, err := c.Estimate(ctx, key); err != nil {
 			t.Errorf("estimate(%s) after drain: %v", key, err)
 		}
 	}

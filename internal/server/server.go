@@ -1,8 +1,10 @@
 // Package server implements sketchd, a multi-tenant network sketch
 // service over the repository's estimators. Each keyspace (tenant) is
 // backed by its own engine.Engine — a sharded concurrent ingest pipeline
-// over a robust or static sketch factory — created on demand from a
-// server-wide quota and torn down with a graceful drain on shutdown.
+// over a robust or static sketch factory — declared by its owner (POST
+// /v2/keys) against a server-wide quota and torn down with a graceful
+// drain on shutdown. A request for a key nobody declared is a 404 on every
+// endpoint; nothing is created on first touch.
 //
 // The service exposes batched ingest under two negotiated codecs —
 // binary update frames (POST /v2/update with Content-Type
@@ -25,18 +27,17 @@
 // Tenants are declared with a TenantSpec (POST /v2/keys): a sketch ×
 // policy × model combination — any base sketch in the registry composed
 // with any robustness policy of internal/robust (none, switching, ring,
-// paths) and a stream model (insertion, turnstile, bounded_deletion),
-// plus the pre-matrix aliases robust-f2, robust-f0, robust-hh and
-// robust-entropy — together with the tenant's own (ε, δ, n, shards,
-// batch, flip budget, λ/α, seed). The paper's framework sizes each robust
-// instance from its statistic's own parameters, so accuracy accounting is
-// per tenant; the server Config supplies only defaults and caps. Invalid
-// cells — ring × any non-insertion model, non-Fp sketches under a
-// non-insertion model — are rejected at create time, and insertion-only
-// tenants reject negative deltas with a 400 instead of silently voiding
-// their guarantee. The
-// ?sketch=/?policy= query-parameter form of POST /v1/keys remains as a
-// thin alias. Structured reads go through POST /v2/query: a batch of
+// paths) and a stream model (insertion, turnstile, bounded_deletion) —
+// together with the tenant's own (ε, δ, n, shards, batch, flip budget,
+// λ/α, seed). The paper's framework sizes each robust instance from its
+// statistic's own parameters, and its guarantee belongs to the (policy,
+// problem) pair, so the cell is always something the owner said: the
+// sketch is required, an empty policy means none, and the server Config
+// supplies only sizing defaults and caps. Invalid cells — ring × any
+// non-insertion model, non-Fp sketches under a non-insertion model — are
+// rejected at create time, and insertion-only tenants reject negative
+// deltas with a 400 instead of silently voiding their guarantee.
+// Structured reads go through POST /v2/query: a batch of
 // typed queries (estimate | point | topk) with typed answers carrying the
 // tenant's ε-derived error bound and flip-budget state — the Section 6
 // heavy hitters machinery (point queries, candidate sets) end to end over
@@ -53,7 +54,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -98,22 +98,11 @@ type Config struct {
 	// server mergeable with shard i's on another.
 	Seed int64
 
-	// DefaultSketch is the sketch type used when a keyspace is created
-	// without an explicit ?sketch= parameter. Defaults to "robust-f2"
-	// (the alias for f2+ring).
-	DefaultSketch string
-
-	// DefaultPolicy is the robustness policy applied when a keyspace is
-	// created with a base sketch type but no explicit ?policy= parameter
-	// (aliases like robust-f2 pin their own policy). Defaults to "none":
-	// a bare ?sketch=f2 keeps hosting the static linear sketch.
-	DefaultPolicy string
-
 	// FlipBudget is the flip number λ handed to the dense-switching and
 	// computation-paths policies: the number of published-output changes
 	// the robustness guarantee covers (dense switching maintains λ
 	// instances; paths union-bounds δ₀ over λ flips). The paper's
-	// worst-case bounds — Õ(ε⁻²·log³n) for robust-entropy's 2^H
+	// worst-case bounds — Õ(ε⁻²·log³n) for robust entropy's 2^H
 	// (Proposition 7.2) in particular — are impractically large for a
 	// server, so this is the domain-informed budget of Theorem 4.3's S_λ
 	// class; /v1/stats reports Exhausted when a stream overruns it.
@@ -158,12 +147,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.N == 0 {
 		cfg.N = 1 << 32
 	}
-	if cfg.DefaultSketch == "" {
-		cfg.DefaultSketch = "robust-f2"
-	}
-	if cfg.DefaultPolicy == "" {
-		cfg.DefaultPolicy = "none"
-	}
 	if cfg.FlipBudget <= 0 {
 		cfg.FlipBudget = 64
 	}
@@ -180,12 +163,15 @@ var (
 	errDraining = errors.New("server is draining")
 	errQuota    = errors.New("keyspace quota exhausted; delete a key or raise -max-keys")
 	errConflict = errors.New("conflict")
+	// errPartial marks a fold that failed after counters moved: not safe to
+	// retry, so a 500 where every earlier failure is the client's 4xx.
+	errPartial = errors.New("partially applied")
 )
 
 type tenant struct {
 	key  string
 	spec spec
-	ts   TenantSpec // fully resolved: defaults applied, alias expanded
+	ts   TenantSpec // fully resolved: defaults applied
 	eng  *engine.Engine
 
 	// Durability state (idle on non-durable servers). walMu orders update
@@ -305,25 +291,18 @@ func (s *Server) lookup(key string) *tenant {
 	return s.tenants[key]
 }
 
-// specMatches checks an explicit TenantSpec request against an existing
-// tenant: every field the request sets must agree with the tenant's
-// resolved spec — sketch and policy resolve before comparing (so
-// robust-f2 matches a tenant created as f2+ring), and numeric fields the
+// specMatches checks a TenantSpec request against an existing tenant: the
+// resolved sketch × policy cell must be the tenant's, and every other field
+// the request sets must agree with the tenant's resolved spec — fields the
 // request leaves zero inherit the tenant's values rather than conflicting
-// with them, which keeps the v1 auto-create touch (?key= only) and
-// idempotent re-creates working against v2-declared tenants.
+// with them, which keeps a re-create idempotent.
 func (s *Server) specMatches(t *tenant, raw TenantSpec) error {
-	if raw == (TenantSpec{}) {
-		return nil
-	}
-	sp, rts, err := s.resolveSpec(raw)
+	sp, rts, err := resolve(raw, s.cfg)
 	if err != nil {
 		return err
 	}
-	if raw.Sketch != "" || raw.Policy != "" {
-		if sp.Name != t.spec.Name || sp.Policy != t.spec.Policy {
-			return fmt.Errorf("%w: key %q already holds a %s sketch, not %s", errConflict, t.key, t.spec.Display(), sp.Display())
-		}
+	if sp.Name != t.spec.Name || sp.Policy != t.spec.Policy {
+		return fmt.Errorf("%w: key %q already holds a %s sketch, not %s", errConflict, t.key, t.spec.Display(), sp.Display())
 	}
 	for _, f := range []struct {
 		name      string
@@ -354,14 +333,9 @@ func (s *Server) specMatches(t *tenant, raw TenantSpec) error {
 	return nil
 }
 
-// resolveSpec resolves a raw TenantSpec against the server defaults.
-func (s *Server) resolveSpec(raw TenantSpec) (spec, TenantSpec, error) {
-	return resolve(raw, s.cfg)
-}
-
-// getOrCreate returns the tenant for key, creating it from the given
-// TenantSpec (unset fields fall back to the server defaults) under the
-// quota if absent.
+// getOrCreate is the one way a client's tenant comes into being: it
+// returns the tenant for key, creating it from the given TenantSpec (unset
+// sizing fields fall back to the server defaults) under the quota if absent.
 func (s *Server) getOrCreate(key string, raw TenantSpec) (*tenant, error) {
 	if key == "" {
 		return nil, errors.New("missing key")
@@ -375,7 +349,7 @@ func (s *Server) getOrCreate(key string, raw TenantSpec) (*tenant, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
-	sp, ts, err := s.resolveSpec(raw)
+	sp, ts, err := resolve(raw, s.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +507,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // fail maps service errors onto statuses: drain → 503, quota → 507,
-// conflicts (sketch type or randomness mismatches) → 409.
+// conflicts (sketch type or randomness mismatches) → 409, a fold that
+// stopped halfway → 500.
 func fail(w http.ResponseWriter, status int, err error) {
 	switch {
 	case errors.Is(err, errDraining):
@@ -543,19 +518,34 @@ func fail(w http.ResponseWriter, status int, err error) {
 		status = http.StatusInsufficientStorage
 	case errors.Is(err, errConflict):
 		status = http.StatusConflict
+	case errors.Is(err, errPartial):
+		status = http.StatusInternalServerError
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-func methodIs(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, m := range methods {
-		if r.Method == m {
-			return true
-		}
+func methodIs(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
 	}
-	w.Header().Set("Allow", strings.Join(methods, ", "))
+	w.Header().Set("Allow", method)
 	writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "method not allowed"})
 	return false
+}
+
+// tenantFor resolves a tenant-scoped request's ?key=. It answers the 307
+// when placement puts the key on another node and the 404 when nobody
+// declared the key here, and returns nil in both cases.
+func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) *tenant {
+	key := r.URL.Query().Get("key")
+	if s.forwarded(w, r, key) {
+		return nil
+	}
+	t := s.lookup(key)
+	if t == nil {
+		fail(w, http.StatusNotFound, fmt.Errorf("unknown key %q", key))
+	}
+	return t
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -579,13 +569,8 @@ func (s *Server) handleUpdateJSON(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, fmt.Errorf("bad update body: %w", err))
 		return
 	}
-	q := r.URL.Query()
-	if s.forwarded(w, r, q.Get("key")) {
-		return
-	}
-	t, err := s.getOrCreate(q.Get("key"), TenantSpec{Sketch: q.Get("sketch"), Policy: q.Get("policy")})
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+	t := s.tenantFor(w, r)
+	if t == nil {
 		return
 	}
 	up := updatesPool.Get().(*[]wire.Update)
@@ -603,13 +588,8 @@ func (s *Server) estimateWith(w http.ResponseWriter, r *http.Request, read func(
 	if !methodIs(w, r, http.MethodGet) {
 		return
 	}
-	key := r.URL.Query().Get("key")
-	if s.forwarded(w, r, key) {
-		return
-	}
-	t := s.lookup(key)
+	t := s.tenantFor(w, r)
 	if t == nil {
-		fail(w, http.StatusNotFound, fmt.Errorf("unknown key %q", key))
 		return
 	}
 	writeJSON(w, http.StatusOK, EstimateResponse{Key: t.key, Sketch: t.spec.Name, Estimate: read(t.eng)})
@@ -627,13 +607,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodGet) {
 		return
 	}
-	key := r.URL.Query().Get("key")
-	if s.forwarded(w, r, key) {
-		return
-	}
-	t := s.lookup(key)
+	t := s.tenantFor(w, r)
 	if t == nil {
-		fail(w, http.StatusNotFound, fmt.Errorf("unknown key %q", key))
 		return
 	}
 	if !t.spec.Mergeable() {
@@ -659,48 +634,15 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		fail(w, 0, errDraining)
 		return
 	}
-	if s.forwarded(w, r, r.URL.Query().Get("key")) {
+	t := s.tenantFor(w, r)
+	if t == nil {
+		return
+	}
+	if !t.spec.Mergeable() {
+		fail(w, http.StatusNotImplemented, fmt.Errorf("sketch type %q does not support merge", t.spec.Display()))
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	name, parts, err := decodeSnapshot(body)
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// Validate everything the snapshot alone can tell us before touching
-	// the tenant map: a failed merge must not consume a quota slot or
-	// leave an engine behind. Snapshots only exist for policy-free linear
-	// sketches, so the name resolves with policy pinned to none.
-	raw := TenantSpec{Sketch: name, Policy: "none"}
-	sp, rts, err := s.resolveSpec(raw)
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if !sp.Mergeable() {
-		fail(w, http.StatusNotImplemented, fmt.Errorf("sketch type %q does not support merge", sp.Name))
-		return
-	}
-	// Shard counts are per tenant: an existing destination keyspace
-	// must match the snapshot's geometry, an absent one would be created
-	// with the server default.
-	want := rts.Shards
-	if t := s.lookup(r.URL.Query().Get("key")); t != nil {
-		want = t.eng.Shards()
-	}
-	// Still before the tenant map is touched: a snapshot that does not fit
-	// is a 409, one that does not decode a 400.
-	m, err := sp.stage(parts, want)
-	if err != nil {
-		fail(w, http.StatusBadRequest, fmt.Errorf("merge body: %w", err))
-		return
-	}
-	t, err := s.getOrCreate(r.URL.Query().Get("key"), raw)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
@@ -713,11 +655,12 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		t.walMu.Lock()
 		defer t.walMu.Unlock()
 	}
-	// A failed compatibility check is a 409 with the sketches untouched, so
-	// the client can safely retry after fixing the snapshot; a failure once
-	// counters have moved is a 500.
-	if err := m.fold(t.eng); err != nil {
-		fail(w, http.StatusInternalServerError, fmt.Errorf("merge body: %w", err))
+	// A body that does not decode is a 400 and one that does not fit the
+	// tenant (sketch type, shard count, seed) a 409, both with the sketches
+	// untouched, so the client can safely retry after fixing the snapshot; a
+	// failure once counters have moved is a 500.
+	if err := t.fold(body); err != nil {
+		fail(w, http.StatusBadRequest, fmt.Errorf("merge body: %w", err))
 		return
 	}
 	// Re-check the tenant map: Visit succeeds even on an engine closed by
@@ -741,55 +684,44 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: len(parts)})
+	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: t.eng.Shards()})
 }
 
+// handleKeys serves DELETE /v1/keys: the keyspace is torn down and its
+// quota slot freed.
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
-	if !methodIs(w, r, http.MethodPost, http.MethodDelete) {
+	if !methodIs(w, r, http.MethodDelete) {
 		return
 	}
-	q := r.URL.Query()
-	key := q.Get("key")
+	key := r.URL.Query().Get("key")
 	if s.forwarded(w, r, key) {
 		return
 	}
-	switch r.Method {
-	case http.MethodPost:
-		// The v1 query-parameter form is a thin alias for POST /v2/keys
-		// with a spec carrying only the sketch × policy cell.
-		t, err := s.getOrCreate(key, TenantSpec{Sketch: q.Get("sketch"), Policy: q.Get("policy")})
-		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+	s.mu.Lock()
+	t := s.tenants[key]
+	if t != nil {
+		// Journal the delete before the map mutation: if it cannot be
+		// made durable the tenant must stay (recovery would otherwise
+		// resurrect a key the client was told is gone).
+		if err := s.logDelete(key); err != nil {
+			s.mu.Unlock()
+			fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, t.stats())
-	case http.MethodDelete:
-		s.mu.Lock()
-		t := s.tenants[key]
-		if t != nil {
-			// Journal the delete before the map mutation: if it cannot be
-			// made durable the tenant must stay (recovery would otherwise
-			// resurrect a key the client was told is gone).
-			if err := s.logDelete(key); err != nil {
-				s.mu.Unlock()
-				fail(w, http.StatusInternalServerError, err)
-				return
-			}
-			delete(s.tenants, key)
-		}
-		s.mu.Unlock()
-		if t == nil {
-			fail(w, http.StatusNotFound, fmt.Errorf("unknown key %q", key))
-			return
-		}
-		t.eng.Close() // flushes, stops the shard workers, frees the quota slot
-		if s.wal != nil {
-			// Best effort: a stale checkpoint is harmless — replay processes
-			// the delete record after restoring it.
-			_ = wal.RemoveCheckpoint(s.cfg.DataDir, key)
-		}
-		writeJSON(w, http.StatusOK, KeyStats{Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Shards: t.eng.Shards()})
+		delete(s.tenants, key)
 	}
+	s.mu.Unlock()
+	if t == nil {
+		fail(w, http.StatusNotFound, fmt.Errorf("unknown key %q", key))
+		return
+	}
+	t.eng.Close() // flushes, stops the shard workers, frees the quota slot
+	if s.wal != nil {
+		// Best effort: a stale checkpoint is harmless — replay processes
+		// the delete record after restoring it.
+		_ = wal.RemoveCheckpoint(s.cfg.DataDir, key)
+	}
+	writeJSON(w, http.StatusOK, KeyStats{Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Shards: t.eng.Shards()})
 }
 
 // stats builds the keyspace's listing entry: the resolved spec the tenant

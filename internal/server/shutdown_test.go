@@ -37,7 +37,7 @@ func TestShutdownOwnsCadenceCheckpoints(t *testing.T) {
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(body)))
 			return rec.Code
 		}
-		if code := post("/v1/keys?key=k&sketch=kmv", ""); code/100 != 2 {
+		if code := post("/v2/keys", `{"key":"k","spec":{"sketch":"kmv"}}`); code/100 != 2 {
 			t.Fatalf("create: HTTP %d", code)
 		}
 		var acked atomic.Int64

@@ -80,12 +80,20 @@ func requester(t *testing.T, hs *httptest.Server) func(method, path string, body
 	}
 }
 
+// declare admits a policy-none tenant the way POST /v2/keys does.
+func declare(t *testing.T, srv *Server, key, sketch string) {
+	t.Helper()
+	if _, err := srv.getOrCreate(key, TenantSpec{Sketch: sketch}); err != nil {
+		t.Fatalf("declare %s as %s: %v", key, sketch, err)
+	}
+}
+
 // TestMergeAtomicityAndQuota: a snapshot with one corrupted shard blob
 // must reject the whole merge (no shard partially applied — a retry after
-// repair must not double count), and failed merges against fresh keys
-// must not consume quota slots or leave engines behind.
+// repair must not double count), and a merge against a key nobody declared
+// is a 404 that consumes no quota slot and leaves no engine behind.
 func TestMergeAtomicityAndQuota(t *testing.T) {
-	srv := New(Config{Shards: 2, Seed: 3, MaxKeys: 2, DefaultSketch: "f2"})
+	srv := New(Config{Shards: 2, Seed: 3, MaxKeys: 2})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Drain()
@@ -103,7 +111,8 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 		return e.Estimate
 	}
 
-	if code, body := do(http.MethodPost, "/v1/update?key=k&sketch=f2",
+	declare(t, srv, "k", "f2")
+	if code, body := do(http.MethodPost, "/v1/update?key=k",
 		[]byte(`{"updates":[{"item":1,"delta":5},{"item":2,"delta":3}]}`)); code != 200 {
 		t.Fatalf("update: HTTP %d: %s", code, body)
 	}
@@ -129,18 +138,25 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 		t.Errorf("estimate moved %v → %v on a rejected merge (partial apply)", before, after)
 	}
 
-	// Failed merges against fresh keys must not leak tenants into the
-	// quota: a wrong-shard-count snapshot and the corrupted one both fail
-	// without creating "fresh".
-	if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", bad); code != http.StatusBadRequest {
-		t.Errorf("corrupted merge into fresh key: HTTP %d, want 400", code)
-	}
-	code, body := do(http.MethodPost, "/v1/merge?key=fresh", encodeSnapshot(name, parts[:1]))
+	// A well-formed snapshot of the wrong geometry is a 409, same untouched
+	// state.
+	code, body := do(http.MethodPost, "/v1/merge?key=k", encodeSnapshot(name, parts[:1]))
 	if code != http.StatusConflict {
-		t.Errorf("wrong shard count into fresh key: HTTP %d, want 409", code)
+		t.Errorf("wrong shard count: HTTP %d, want 409", code)
 	}
 	if want := "merge body: conflict: snapshot has 1 shards, tenant runs 2"; !strings.Contains(string(body), want) {
-		t.Errorf("wrong shard count into fresh key answered %s, want it to say %q", body, want)
+		t.Errorf("wrong shard count answered %s, want it to say %q", body, want)
+	}
+	if after := estimate("k"); after != before {
+		t.Errorf("estimate moved %v → %v on a rejected merge (partial apply)", before, after)
+	}
+
+	// A merge names a tenant, it does not make one: the valid snapshot and
+	// the corrupted one both answer 404 for "fresh" and leave no tenant.
+	for _, b := range [][]byte{snap, bad} {
+		if code, _ := do(http.MethodPost, "/v1/merge?key=fresh", b); code != http.StatusNotFound {
+			t.Errorf("merge into an undeclared key: HTTP %d, want 404", code)
+		}
 	}
 	code, body = do(http.MethodGet, "/v1/stats", nil)
 	if code != 200 {
@@ -151,11 +167,11 @@ func TestMergeAtomicityAndQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Keys != 1 {
-		t.Errorf("failed merges leaked tenants: %d keys, want 1", st.Keys)
+		t.Errorf("merges into an undeclared key made tenants: %d keys, want 1", st.Keys)
 	}
 	for _, ks := range st.Tenants {
 		if strings.Contains(ks.Key, "fresh") {
-			t.Errorf("tenant %q exists after failed merges", ks.Key)
+			t.Errorf("tenant %q exists after merges that answered 404", ks.Key)
 		}
 	}
 	// A valid merge still works and doubles the linear state.
@@ -188,7 +204,9 @@ func TestMergeRejectsPoisonedCounters(t *testing.T) {
 		{"cc", 8, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}},
 	} {
 		key := "k-" + tc.sketch
-		if code, body := do(http.MethodPost, "/v1/update?key="+key+"&sketch="+tc.sketch,
+		declare(t, srv, key, tc.sketch)
+		declare(t, srv, "empty-"+tc.sketch, tc.sketch)
+		if code, body := do(http.MethodPost, "/v1/update?key="+key,
 			[]byte(`{"updates":[{"item":1,"delta":5},{"item":2,"delta":3},{"item":3,"delta":9}]}`)); code != 200 {
 			t.Fatalf("%s update: HTTP %d: %s", tc.sketch, code, body)
 		}
@@ -213,8 +231,8 @@ func TestMergeRejectsPoisonedCounters(t *testing.T) {
 			last := bad[len(bad)-1]
 			binary.LittleEndian.PutUint64(last[len(last)-tc.back-8:], math.Float64bits(v))
 			body := encodeSnapshot(name, bad)
-			for _, target := range []string{key, "absent-" + tc.sketch} {
-				if code, resp := do(http.MethodPost, "/v1/merge?key="+target+"&sketch="+tc.sketch, body); code != http.StatusBadRequest {
+			for _, target := range []string{key, "empty-" + tc.sketch} {
+				if code, resp := do(http.MethodPost, "/v1/merge?key="+target, body); code != http.StatusBadRequest {
 					t.Errorf("%s merge with counter %v into %q: HTTP %d (%s), want 400", tc.sketch, v, target, code, resp)
 				}
 			}
@@ -228,8 +246,10 @@ func TestMergeRejectsPoisonedCounters(t *testing.T) {
 	if err := json.Unmarshal(body, &st); code != 200 || err != nil {
 		t.Fatalf("stats: HTTP %d (%v)", code, err)
 	}
-	if st.Keys != 2 {
-		t.Errorf("refused merges created tenants: %d keys, want 2", st.Keys)
+	for _, ks := range st.Tenants {
+		if strings.HasPrefix(ks.Key, "empty-") && ks.Mass != 0 {
+			t.Errorf("tenant %q holds mass %d after refusing every merge", ks.Key, ks.Mass)
+		}
 	}
 }
 
@@ -251,7 +271,9 @@ func TestMergeRejectsImpossibleKMVMinima(t *testing.T) {
 		req.Updates = append(req.Updates, UpdateItem{Item: item, Delta: 1})
 	}
 	updates, _ := json.Marshal(req)
-	if code, body := do(http.MethodPost, "/v1/update?key=k&sketch=kmv", updates); code != 200 {
+	declare(t, srv, "k", "kmv")
+	declare(t, srv, "empty", "kmv")
+	if code, body := do(http.MethodPost, "/v1/update?key=k", updates); code != 200 {
 		t.Fatalf("update: HTTP %d: %s", code, body)
 	}
 	code, before := do(http.MethodGet, "/v1/estimate?key=k", nil)
@@ -275,8 +297,8 @@ func TestMergeRejectsImpossibleKMVMinima(t *testing.T) {
 		bad := append([][]byte(nil), parts...)
 		bad[len(bad)-1] = append(append([]byte(nil), last[:len(last)-8]...), word...)
 		body := encodeSnapshot(name, bad)
-		for _, target := range []string{"k", "absent"} {
-			if code, resp := do(http.MethodPost, "/v1/merge?key="+target+"&sketch=kmv", body); code != http.StatusBadRequest {
+		for _, target := range []string{"k", "empty"} {
+			if code, resp := do(http.MethodPost, "/v1/merge?key="+target, body); code != http.StatusBadRequest {
 				t.Errorf("merge of a %s minimum into %q: HTTP %d (%s), want 400", what, target, code, resp)
 			}
 		}

@@ -123,7 +123,10 @@ func (m *merger) fold(eng *engine.Engine) error {
 	if err := eng.Visit(m.Check); err != nil {
 		return fmt.Errorf("%w: %v", errConflict, err)
 	}
-	return eng.Visit(m.Apply)
+	if err := eng.Visit(m.Apply); err != nil {
+		return fmt.Errorf("%w: %v", errPartial, err)
+	}
+	return nil
 }
 
 func (m *merger) Check(i int, est sketch.Estimator) error {
@@ -287,27 +290,12 @@ var bases = map[string]base{
 	},
 }
 
-// aliases maps the pre-matrix robust type names onto their sketch ×
-// policy cells. They keep working everywhere a sketch name is accepted
-// (tenant creation, campaign sweeps, -sketch defaults); an alias pins its
-// policy, so combining one with a conflicting explicit policy is an
-// error rather than a silent override.
-var aliases = map[string]struct{ sketch, policy string }{
-	"robust-f2":      {"f2", "ring"},
-	"robust-f0":      {"kmv", "ring"},
-	"robust-hh":      {"countsketch", "ring"},
-	"robust-entropy": {"cc", "switching"},
-}
-
-// sketchNames lists every acceptable sketch name — base registry keys
-// plus aliases — sorted, for error messages. Deriving it at runtime keeps
-// the "(have: ...)" list correct as registrations change.
+// sketchNames lists the registry's sketch names, sorted, for error
+// messages. Deriving it at runtime keeps the "(have: ...)" list correct as
+// registrations change.
 func sketchNames() []string {
-	out := make([]string, 0, len(bases)+len(aliases))
+	out := make([]string, 0, len(bases))
 	for name := range bases {
-		out = append(out, name)
-	}
-	for name := range aliases {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -473,10 +461,8 @@ func (ts TenantSpec) model() robust.Model {
 }
 
 // resolve maps a raw TenantSpec onto a hostable spec plus the fully
-// resolved TenantSpec (defaults applied, caps enforced, alias expanded to
-// its canonical sketch × policy cell). Empty sketch picks the server
-// default; empty policy picks the alias's pinned policy, then the server
-// default, then "none".
+// resolved TenantSpec (defaults applied, caps enforced). The sketch must
+// name a registry entry; an empty policy means "none".
 func resolve(raw TenantSpec, cfg Config) (spec, TenantSpec, error) {
 	sp, ts, err := resolveWith(raw, cfg, false)
 	if err == nil {
@@ -515,22 +501,9 @@ func resolveWith(raw TenantSpec, cfg Config, trusted bool) (spec, TenantSpec, er
 		return spec{}, TenantSpec{}, err
 	}
 	name, policyName := raw.Sketch, raw.Policy
-	if name == "" {
-		name = cfg.DefaultSketch
-	}
-	if a, ok := aliases[name]; ok {
-		if policyName != "" && policyName != a.policy {
-			return spec{}, TenantSpec{}, fmt.Errorf("sketch type %q is an alias for %s+%s and cannot be combined with policy %q — request sketch=%s&policy=%s instead",
-				name, a.sketch, a.policy, policyName, a.sketch, policyName)
-		}
-		name, policyName = a.sketch, a.policy
-	}
 	b, ok := bases[name]
 	if !ok {
 		return spec{}, TenantSpec{}, fmt.Errorf("unknown sketch type %q (have: %s)", name, strings.Join(sketchNames(), ", "))
-	}
-	if policyName == "" {
-		policyName = cfg.DefaultPolicy
 	}
 	if policyName == "" {
 		policyName = "none"
@@ -667,12 +640,6 @@ func infoOf(sp spec) Info {
 	}
 }
 
-// InfoFor resolves one sketch × policy combination (aliases accepted),
-// using default server parameters for validation.
-func InfoFor(name, policy string) (Info, error) {
-	return InfoForSpec(TenantSpec{Sketch: name, Policy: policy})
-}
-
 // InfoForSpec resolves a full TenantSpec — the sketch × policy × model
 // cell plus its class parameters — using default server parameters for
 // validation. It is how out-of-process harnesses (the campaign runner)
@@ -686,7 +653,7 @@ func InfoForSpec(ts TenantSpec) (Info, error) {
 }
 
 // Types lists every base sketch type (policy none), sorted by name. Cross
-// with Policies() — or call InfoFor per cell — for the full hostable
+// with Policies() — or call InfoForSpec per cell — for the full hostable
 // matrix.
 func Types() []Info {
 	out := make([]Info, 0, len(bases))

@@ -93,8 +93,8 @@ func validateQueryRequest(req *QueryRequest) error {
 
 // handleV2Keys serves POST /v2/keys: declarative tenant creation from a
 // TenantSpec, echoing the resolved KeyStats (idempotent when the resolved
-// specs agree; any explicitly set field that disagrees with an existing
-// tenant is a 409).
+// specs agree; a different cell, or any explicitly set field that disagrees
+// with an existing tenant, is a 409).
 func (s *Server) handleV2Keys(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodPost) {
 		return

@@ -14,21 +14,21 @@ import (
 )
 
 // TestV2CreateTenantEcho: POST /v2/keys resolves the declarative spec —
-// defaults applied, alias expanded — and echoes it, with the seed
-// withheld; conflicting explicit fields against an existing tenant are a
-// 409, inherited fields are not.
+// defaults applied — and echoes it, with the seed withheld; conflicting
+// explicit fields against an existing tenant are a 409, inherited fields
+// are not.
 func TestV2CreateTenantEcho(t *testing.T) {
 	_, c := boot(t, server.Config{Shards: 2, Eps: 0.2, Delta: 0.05, N: 1 << 20, Seed: 5, MaxKeys: 8})
 	ctx := context.Background()
 
 	ks, err := c.CreateTenant(ctx, "hh", client.TenantSpec{
-		Sketch: "robust-hh", Eps: 0.1, Shards: 1, Seed: 99,
+		Sketch: "countsketch", Policy: "ring", Eps: 0.1, Shards: 1, Seed: 99,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ks.Sketch != "countsketch" || ks.Policy != "ring" {
-		t.Errorf("alias did not expand: %s+%s", ks.Sketch, ks.Policy)
+		t.Errorf("cell not echoed: %s+%s", ks.Sketch, ks.Policy)
 	}
 	if ks.Spec == nil {
 		t.Fatal("KeyStats does not echo the resolved spec")
@@ -50,23 +50,19 @@ func TestV2CreateTenantEcho(t *testing.T) {
 	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Sketch: "countsketch", Policy: "ring"}); err != nil {
 		t.Errorf("idempotent re-create failed: %v", err)
 	}
-	// A v1 create against the same key also matches (thin alias).
-	if err := c.CreateKeyPolicy(ctx, "hh", "robust-hh", ""); err != nil {
-		t.Errorf("v1 alias re-create failed: %v", err)
-	}
 	// An explicitly conflicting eps is a 409.
-	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Eps: 0.3}); client.StatusCode(err) != 409 {
+	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Sketch: "countsketch", Policy: "ring", Eps: 0.3}); client.StatusCode(err) != 409 {
 		t.Errorf("conflicting eps: err = %v, want HTTP 409", err)
 	}
 	// Naming the seed the tenant actually runs under matches (the
 	// effective root resolves into the stored spec); a different seed
 	// conflicts.
-	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Seed: 99}); err != nil {
+	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Sketch: "countsketch", Policy: "ring", Seed: 99}); err != nil {
 		t.Errorf("re-declare with the tenant's own seed failed: %v", err)
 	}
 	// The 409 must not disclose the stored seed: echoing it would hand a
 	// probing client the per-tenant randomness in one request.
-	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Seed: 100}); client.StatusCode(err) != 409 {
+	if _, err := c.CreateTenant(ctx, "hh", client.TenantSpec{Sketch: "countsketch", Policy: "ring", Seed: 100}); client.StatusCode(err) != 409 {
 		t.Errorf("conflicting seed: err = %v, want HTTP 409", err)
 	} else if strings.Contains(err.Error(), "99") {
 		t.Errorf("seed conflict error leaks the stored seed: %v", err)
@@ -76,11 +72,11 @@ func TestV2CreateTenantEcho(t *testing.T) {
 	if _, err := c.CreateTenant(ctx, "defaulted", client.TenantSpec{Sketch: "kmv"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateTenant(ctx, "defaulted", client.TenantSpec{Seed: 5}); err != nil {
+	if _, err := c.CreateTenant(ctx, "defaulted", client.TenantSpec{Sketch: "kmv", Seed: 5}); err != nil {
 		t.Errorf("re-declare with the server root seed failed: %v", err)
 	}
 	// Malformed specs are 400s.
-	if _, err := c.CreateTenant(ctx, "bad", client.TenantSpec{Eps: -2}); client.StatusCode(err) != 400 {
+	if _, err := c.CreateTenant(ctx, "bad", client.TenantSpec{Sketch: "f2", Eps: -2}); client.StatusCode(err) != 400 {
 		t.Errorf("negative eps: err = %v, want HTTP 400", err)
 	}
 	if _, err := c.CreateTenant(ctx, "bad", client.TenantSpec{Shards: server.MaxTenantShards + 1}); client.StatusCode(err) != 400 {
@@ -179,7 +175,7 @@ func TestV2QueryBatch(t *testing.T) {
 	if _, err := c.Query(ctx, "hot", []client.Query{{Kind: "frequency"}}); client.StatusCode(err) != 400 {
 		t.Errorf("unknown kind: err = %v, want HTTP 400", err)
 	}
-	if err := c.CreateKey(ctx, "norms", "robust-f2"); err != nil {
+	if _, err := c.CreateTenant(ctx, "norms", client.TenantSpec{Sketch: "f2", Policy: "ring"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(ctx, "norms", []client.Query{{Kind: server.QueryPoint, Item: 1}}); client.StatusCode(err) != 400 {
@@ -380,7 +376,7 @@ func TestCreateRefusesTenantBeyondStateCap(t *testing.T) {
 	if st.Keys != 0 || len(st.Tenants) != 0 {
 		t.Errorf("refused creates left %d tenants behind: %+v", st.Keys, st.Tenants)
 	}
-	if _, err := c.CreateTenant(context.Background(), "a", client.TenantSpec{}); err != nil {
-		t.Errorf("default tenant after the refusals: %v", err)
+	if _, err := c.CreateTenant(context.Background(), "a", client.TenantSpec{Sketch: "f2"}); err != nil {
+		t.Errorf("default-sized tenant after the refusals: %v", err)
 	}
 }

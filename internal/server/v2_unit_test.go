@@ -280,16 +280,16 @@ func TestAdmitByProjectedState(t *testing.T) {
 func FuzzTenantSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","policy":"ring","eps":0.1}}`))
 	f.Add([]byte(`{"key":"k","spec":{"eps":null}}`))
-	f.Add([]byte(`{"key":"k","spec":{"eps":"NaN"}}`))
-	f.Add([]byte(`{"key":"k","spec":{"sketch":"robust-f2","flip_budget":-1}}`))
-	f.Add([]byte(`{"key":"k","spec":{"n":"18446744073709551615","shards":9999}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","eps":"NaN"}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","policy":"ring","flip_budget":-1}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"kmv","n":"18446744073709551615","shards":9999}}`))
 	f.Add([]byte(`{"spec":{}}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","policy":"paths","model":"turnstile","lambda":64}}`))
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","model":"bounded_deletion","alpha":-4}}`))
-	f.Add([]byte(`{"key":"k","spec":{"model":"bounded_deletion","alpha":"NaN"}}`))
-	f.Add([]byte(`{"key":"k","spec":{"model":"turnstile","lambda":0,"flip_budget":8}}`))
-	f.Add([]byte(`{"key":"k","spec":{"model":"insertion","alpha":2}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","model":"bounded_deletion","alpha":"NaN"}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","policy":"switching","model":"turnstile","lambda":0,"flip_budget":8}}`))
+	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","model":"insertion","alpha":2}}`))
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"kmv","model":"turnstile"}}`))
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"f2","policy":"none","eps":0.00001}}`))
 	f.Add([]byte(`{"key":"k","spec":{"sketch":"cc","policy":"switching","eps":1e-9,"flip_budget":1048576,"shards":64}}`))

@@ -48,7 +48,7 @@ func TestCrossCodecSnapshotIdentity(t *testing.T) {
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			cfg := server.Config{Shards: 2, Seed: 42, DefaultSketch: "f2"}
+			cfg := server.Config{Shards: 2, Seed: 42}
 			jc, _ := bootCodec(t, cfg, client.CodecJSON)
 			bc, _ := bootCodec(t, cfg, client.CodecBinary)
 			ctx := context.Background()
@@ -121,7 +121,7 @@ func TestCrossCodecSnapshotIdentity(t *testing.T) {
 // batch identically whether the batch travels as JSON or as query/answer
 // frames — kinds, items, values, bounds, and robustness state all agree.
 func TestCrossCodecQueryAnswers(t *testing.T) {
-	srv := server.New(server.Config{Shards: 2, Seed: 5, DefaultSketch: "f2"})
+	srv := server.New(server.Config{Shards: 2, Seed: 5})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Drain)
@@ -215,7 +215,7 @@ func TestCrossCodecQueryAnswers(t *testing.T) {
 // the wrong type is a 400, and errors come back as JSON regardless of
 // codec so every client can decode them.
 func TestBinaryIngestRejections(t *testing.T) {
-	srv := server.New(server.Config{Shards: 1, Seed: 1, DefaultSketch: "f2"})
+	srv := server.New(server.Config{Shards: 1, Seed: 1})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Drain)
