@@ -184,13 +184,28 @@ func (a *Alg2) Estimate() float64 {
 	return best
 }
 
-// SpaceBytes charges 8 bytes per stored identity plus the hash seed.
+// SpaceBytes charges the hash seed, the batch buffer and every identity set
+// at what the runtime keeps for it.
 func (a *Alg2) SpaceBytes() int {
-	total := a.h.SpaceBytes() + 8*len(a.buf) + 8*len(a.exact)
+	total := a.h.SpaceBytes() + 8*len(a.buf) + setBytes(len(a.exact))
 	for i := range a.levels {
-		total += 8 * len(a.levels[i].items)
+		total += setBytes(len(a.levels[i].items))
 	}
 	return total
+}
+
+// setBytes is the resident size of a map[uint64]struct{} of n keys: a slot
+// is 17 bytes (key, a padding word, a control byte) and slots double to
+// hold the load at or under 7/8.
+func setBytes(n int) int {
+	if n == 0 {
+		return 0
+	}
+	slots := 8
+	for 7*slots < 8*n {
+		slots *= 2
+	}
+	return 17 * slots
 }
 
 // DuplicateInsensitive: re-inserting a stored (or deleted-level) item never

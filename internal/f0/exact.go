@@ -5,8 +5,8 @@
 // internal/core turns into adversarially robust ones (Theorems 1.1–1.3).
 //
 // A switching ensemble holds thousands of KMVs, nearly all in trailing
-// copies fed by the batch and never read, so a KMV carries a membership
-// index only once it is fed one value at a time: see KMV's two modes.
+// copies fed by the batch and never read, so a KMV is its minima in one
+// sorted run and nothing beside it.
 package f0
 
 // Exact counts distinct elements exactly in Θ(F0) space. It is the

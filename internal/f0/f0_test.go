@@ -304,8 +304,27 @@ func benchTenantCopy() (*Median, *rand.Zipf) {
 	return m, rand.NewZipf(rand.New(rand.NewSource(2)), 1.2, 1, 1<<20)
 }
 
+// BenchmarkKMVSingleInsert prices the accepted single insert, which shifts
+// O(K) words: 2 M all-distinct items through Update, from empty, at the
+// benchmark's K (ε 0.3), the server default's (ε 0.2) and two no workload
+// reaches (ε 0.1, ε 0.05).
+func BenchmarkKMVSingleInsert(b *testing.B) {
+	const inserts = 2_000_000
+	for _, k := range []int{1113, 2501, 10001, 40001} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s := NewKMV(k, rand.New(rand.NewSource(1)))
+				for item := uint64(0); item < inserts; item++ {
+					s.Update(item, 1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/inserts, "ns/update")
+		})
+	}
+}
+
 // BenchmarkKMVActivePath is the active copy: one update and one estimate
-// at a time, the path that keeps the heap and its membership index.
+// at a time.
 func BenchmarkKMVActivePath(b *testing.B) {
 	m, z := benchTenantCopy()
 	items := make([]uint64, 30000)

@@ -2,7 +2,6 @@ package f0
 
 import (
 	"bytes"
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,12 +10,26 @@ import (
 	"repro/internal/hash"
 )
 
+// checkKMVInvariant fails unless s holds at most k minima, strictly
+// descending — the one invariant every insert, merge and decode keeps.
+func checkKMVInvariant(t *testing.T, what string, s *KMV) {
+	t.Helper()
+	if len(s.vals) > s.k {
+		t.Fatalf("%s: holds %d values, k = %d", what, len(s.vals), s.k)
+	}
+	for i := 1; i < len(s.vals); i++ {
+		if s.vals[i] >= s.vals[i-1] {
+			t.Fatalf("%s: minima are not strictly descending at %d", what, i)
+		}
+	}
+}
+
 // TestKMVFeedPathIndependence: the same stream through Update, through
-// UpdateBatch and through a mix gives equal estimates wherever all three
-// can be read and byte-equal encodings, whether or not the sketch ever
-// builds its index. The first batch (5 000 golden updates into k = 1 200)
-// overflows the candidate scratch several times before the sketch is full,
-// and the mixed sketch gains its index mid-stream, full and sorted.
+// UpdateBatch and through a mix gives equal estimates and byte-equal
+// encodings at every cut, and every sketch keeps the invariant after every
+// step. The first batch (5 000 golden updates into k = 1 200) overflows
+// the candidate scratch several times before the sketch is full, and the
+// mixed sketch meets its first Update full.
 func TestKMVFeedPathIndependence(t *testing.T) {
 	updates := goldenKMVStream()
 	origin := NewKMV(1200, rand.New(rand.NewSource(9)))
@@ -25,6 +38,7 @@ func TestKMVFeedPathIndependence(t *testing.T) {
 		hi := min(lo+[]int{5000, 1, 700, 16, 3000}[i%5], len(updates))
 		for _, u := range updates[lo:hi] {
 			single.Update(u.Item, u.Delta)
+			checkKMVInvariant(t, "per-update", single)
 		}
 		batched.UpdateBatch(updates[lo:hi])
 		if i < 4 || i%2 == 0 {
@@ -35,11 +49,12 @@ func TestKMVFeedPathIndependence(t *testing.T) {
 			}
 		}
 		lo = hi
-		if i == 3 && (mixed.in != nil || len(mixed.vals) != mixed.k) {
-			t.Fatalf("the mixed sketch should be full (%d of %d) and still unindexed before its first Update", len(mixed.vals), mixed.k)
+		if i == 3 && len(mixed.vals) != mixed.k {
+			t.Fatalf("the mixed sketch should be full (%d of %d) before its first Update", len(mixed.vals), mixed.k)
 		}
 		want, _ := single.MarshalBinary()
 		for name, s := range map[string]*KMV{"batched": batched, "mixed": mixed} {
+			checkKMVInvariant(t, name, s)
 			if s.Estimate() != single.Estimate() {
 				t.Fatalf("after %d updates: %s estimate %v, per-update %v", hi, name, s.Estimate(), single.Estimate())
 			}
@@ -48,50 +63,38 @@ func TestKMVFeedPathIndependence(t *testing.T) {
 			}
 		}
 	}
-	if single.in == nil || mixed.in == nil || batched.in != nil {
-		t.Errorf("indexed: per-update %v, mixed %v, batched %v; want true, true, false", single.in != nil, mixed.in != nil, batched.in != nil)
-	}
-	if !slices.IsSortedFunc(batched.vals, func(a, b uint64) int { return cmp.Compare(b, a) }) {
-		t.Error("an unindexed sketch's minima are not sorted descending")
-	}
-	if len(mixed.in) != len(mixed.vals) {
-		t.Errorf("index holds %d values, heap %d", len(mixed.in), len(mixed.vals))
-	}
 }
 
-// TestKMVMergeBuildsNoIndex: folding shards into an unindexed sketch — what
-// a merge endpoint, a shipment and a global query do — leaves it
-// unindexed, whatever mode the shards are in, and equal to the sketch of
-// the concatenated stream; k may differ and the receiver's wins.
-func TestKMVMergeBuildsNoIndex(t *testing.T) {
+// TestKMVMergeAcrossFeedsAndWidths: folding shards into a sketch — what a
+// merge endpoint, a shipment and a global query do — gives the sketch of
+// the concatenated stream however each shard was fed; k may differ and the
+// receiver's wins.
+func TestKMVMergeAcrossFeedsAndWidths(t *testing.T) {
 	updates := goldenKMVStream()[:6000]
 	origin := NewKMV(256, rand.New(rand.NewSource(3)))
-	whole, acc, indexedShard, batchShard := origin.Fresh(), origin.Fresh(), origin.Fresh(), origin.Fresh()
+	whole, acc, updateShard, batchShard := origin.Fresh(), origin.Fresh(), origin.Fresh(), origin.Fresh()
 	wide := &KMV{k: 1024, h: origin.h}
 	whole.UpdateBatch(updates)
 	for _, u := range updates[:2000] {
-		indexedShard.Update(u.Item, u.Delta)
+		updateShard.Update(u.Item, u.Delta)
 	}
 	batchShard.UpdateBatch(updates[2000:4500])
 	wide.UpdateBatch(updates[4000:])
-	for _, shard := range []*KMV{indexedShard, batchShard, wide, origin.Fresh(), batchShard} {
+	for _, shard := range []*KMV{updateShard, batchShard, wide, origin.Fresh(), batchShard} {
 		if err := acc.Merge(shard); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if acc.in != nil {
-		t.Error("merging into an unindexed sketch built an index")
+		checkKMVInvariant(t, "accumulator", acc)
 	}
 	if !slices.Equal(acc.vals, whole.vals) {
 		t.Errorf("merged minima differ from the whole stream's (%d vs %d values)", len(acc.vals), len(whole.vals))
 	}
-	// The other direction: an indexed receiver keeps its heap and index in step.
-	if err := indexedShard.Merge(acc); err != nil {
+	// The other direction: a receiver fed by Update takes a merge the same way.
+	if err := updateShard.Merge(acc); err != nil {
 		t.Fatal(err)
 	}
-	if indexedShard.Estimate() != whole.Estimate() || len(indexedShard.in) != len(indexedShard.vals) {
-		t.Errorf("indexed receiver: estimate %v (want %v), index %d, heap %d",
-			indexedShard.Estimate(), whole.Estimate(), len(indexedShard.in), len(indexedShard.vals))
+	if !slices.Equal(updateShard.vals, whole.vals) {
+		t.Errorf("update-fed receiver: estimate %v, want %v", updateShard.Estimate(), whole.Estimate())
 	}
 }
 
@@ -135,9 +138,8 @@ func kmvBlob(k uint64, vals ...uint64) []byte {
 	return w.Bytes()
 }
 
-// Blobs no stream produces: a "full" sketch holding one distinct value
-// (decoded, its heap and index disagreed from the first eviction on), and
-// minima outside the hash range.
+// Blobs no stream produces: a "full" sketch holding one distinct value,
+// and minima outside the hash range.
 var (
 	kmvRepeatedBlob   = kmvBlob(4, 50, 50, 50, 50)
 	kmvOutOfFieldBlob = kmvBlob(4, 9, hash.Prime, 3)
@@ -160,7 +162,7 @@ func TestKMVUnmarshalRejectsImpossibleMinima(t *testing.T) {
 	if err := s.UnmarshalBinary(kmvBlob(4, 3, hash.Prime-1, 9, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{hash.Prime - 1, 9, 3, 0}; !slices.Equal(s.vals, want) || s.in != nil {
-		t.Errorf("decoded minima %v (indexed %v), want %v unindexed", s.vals, s.in != nil, want)
+	if want := []uint64{hash.Prime - 1, 9, 3, 0}; !slices.Equal(s.vals, want) {
+		t.Errorf("decoded minima %v, want %v", s.vals, want)
 	}
 }

@@ -1,13 +1,14 @@
 package f0
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
 
 // FuzzKMVUnmarshal: arbitrary bytes must never panic or produce a sketch
-// that panics on use — fed one value at a time, by the batch, or both, so
-// with and without its index; valid encodings must round-trip.
+// that panics on use or leaves the invariant — fed one value at a time, by
+// the batch, or both; valid encodings must round-trip.
 func FuzzKMVUnmarshal(f *testing.F) {
 	seed := NewKMV(16, rand.New(rand.NewSource(1)))
 	for i := uint64(0); i < 100; i++ {
@@ -38,12 +39,24 @@ func FuzzKMVUnmarshal(f *testing.F) {
 		if s.Estimate() != viaUpdate.Estimate() {
 			t.Fatalf("batch-fed estimate %v, update-fed %v", s.Estimate(), viaUpdate.Estimate())
 		}
-		s.Update(42, 1)
+		for item := uint64(40); item < 44; item++ {
+			s.Update(item, 1)
+			checkKMVInvariant(t, "after Update", &s)
+		}
 		s.UpdateBatch(batch[:7])
+		checkKMVInvariant(t, "after UpdateBatch", &s)
 		_ = s.Estimate()
 		_ = s.SpaceBytes()
-		if _, err := s.MarshalBinary(); err != nil {
+		enc, err := s.MarshalBinary()
+		if err != nil {
 			t.Fatal(err)
+		}
+		var again KMV
+		if err := again.UnmarshalBinary(enc); err != nil {
+			t.Fatal(err)
+		}
+		if reenc, _ := again.MarshalBinary(); !bytes.Equal(reenc, enc) {
+			t.Fatal("a decoded sketch re-encodes differently")
 		}
 	})
 }

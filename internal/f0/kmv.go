@@ -22,22 +22,14 @@ import (
 // Section 10 of the paper requires of the inner sketch of its
 // cryptographically robust F0 algorithm.
 //
-// A KMV is fed in one of two modes and pays for a membership index in one.
-// Update — a value at a time with an Estimate between, the active copy of
-// a switching ensemble — keeps vals as a max-heap beside a map of its
-// members, built from vals by the first insert that needs a membership
-// test. Until then (a new, Fresh or decoded sketch, and one fed by
-// UpdateBatch and Merge alone, as every trailing copy is) there is no map
-// and vals is sorted descending: a batch is hashed, cut at the threshold,
-// sorted and merged in. A descending run is a valid max-heap, so vals[0]
-// is the k-th minimum in both modes and the heap code takes over wherever
-// the merges left off. The state is the k smallest distinct values seen,
-// in any order and either mode: same estimates, same encoded bytes.
+// The state is one run: vals holds the retained minima distinct and
+// descending, the k-th minimum at vals[0] once full, which is also the
+// encoded order. A rejected update costs the threshold compare; an
+// accepted single insert shifts O(k) words, a batch is merged in one pass.
 type KMV struct {
 	k    int
 	h    hash.Poly
-	vals []uint64            // the retained minima, the k-th at vals[0] once full
-	in   map[uint64]struct{} // the members of vals; nil until insertValue needs it
+	vals []uint64
 }
 
 // NewKMV returns a KMV sketch retaining the k smallest hash values, with a
@@ -50,19 +42,38 @@ func NewKMV(k int, rng *rand.Rand) *KMV {
 }
 
 // Update implements sketch.Estimator (deltas ignored; F0 counts presence).
-func (s *KMV) Update(item uint64, delta int64) { s.insertValue(s.h.Eval(item)) }
-
-// UpdateBatch implements sketch.BatchUpdater. An indexed sketch inserts
-// value by value. An unindexed one collects the values under its threshold
-// on the stack and merges when that fills or the batch ends — not per
-// input block, which is an O(k) pass for a couple of values.
-func (s *KMV) UpdateBatch(batch []sketch.Update) {
-	if s.in != nil {
-		for _, u := range batch {
-			s.insertValue(s.h.Eval(u.Item))
-		}
+// Once the sketch is full almost every value is at or above the k-th
+// minimum, so that compare comes first and is the whole cost of a rejected
+// update; below it a binary search finds a repeat or the insertion point.
+func (s *KMV) Update(item uint64, delta int64) {
+	v := s.h.Eval(item)
+	full := len(s.vals) == s.k
+	if full && v >= s.vals[0] {
 		return
 	}
+	i, j := 0, len(s.vals) // the values above v are vals[:i]
+	for i < j {
+		if mid := int(uint(i+j) >> 1); s.vals[mid] > v {
+			i = mid + 1
+		} else {
+			j = mid
+		}
+	}
+	if i < len(s.vals) && s.vals[i] == v {
+		return
+	}
+	if !full {
+		s.vals = slices.Insert(s.vals, i, v)
+		return
+	}
+	copy(s.vals, s.vals[1:i]) // over the evicted maximum
+	s.vals[i-1] = v
+}
+
+// UpdateBatch implements sketch.BatchUpdater. It collects the values under
+// the threshold on the stack and merges when that fills or the batch ends —
+// not per input block, which is an O(k) pass for a couple of values.
+func (s *KMV) UpdateBatch(batch []sketch.Update) {
 	var cand [512]uint64
 	for len(batch) > 0 {
 		n, limit := 0, uint64(math.MaxUint64)
@@ -79,7 +90,7 @@ func (s *KMV) UpdateBatch(batch []sketch.Update) {
 	}
 }
 
-// mergeValues folds hashed values into an unindexed sketch, using c as
+// mergeValues folds hashed values into the sketch, using c as
 // scratch: an ascending pass finds what the k smallest distinct values of
 // the union keep — the a smallest of vals and b of c, compacted to c[:b] —
 // and a descending pass merges them in place.
@@ -115,69 +126,6 @@ func (s *KMV) mergeValues(c []uint64) {
 // ignored and a repeated item changes nothing.
 func (s *KMV) CoalesceInvariant() bool { return true }
 
-// insertValue inserts an already-hashed value, preserving the k-minima
-// invariant. Once the heap is full almost every value is at or above the
-// k-th minimum, so that compare comes first and is the whole cost of a
-// rejected update; the membership map is consulted — and, the first time,
-// built — only below it.
-func (s *KMV) insertValue(v uint64) {
-	full := len(s.vals) == s.k
-	if full && v >= s.vals[0] {
-		return
-	}
-	if s.in == nil {
-		s.in = make(map[uint64]struct{}, len(s.vals)) // not k: a decoded k is any number
-		for _, have := range s.vals {
-			s.in[have] = struct{}{}
-		}
-	}
-	if _, ok := s.in[v]; ok {
-		return
-	}
-	if full {
-		delete(s.in, s.vals[0])
-		s.vals[0] = v
-		siftDown(s.vals, 0)
-	} else {
-		s.vals = append(s.vals, v)
-		siftUp(s.vals, len(s.vals)-1)
-	}
-	s.in[v] = struct{}{}
-}
-
-// siftUp and siftDown restore the max-heap order of h around index i.
-func siftUp(h []uint64, i int) {
-	v := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] >= v {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = v
-}
-
-func siftDown(h []uint64, i int) {
-	v := h[i]
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			break
-		}
-		if r := child + 1; r < len(h) && h[r] > h[child] {
-			child = r
-		}
-		if h[child] <= v {
-			break
-		}
-		h[i] = h[child]
-		i = child
-	}
-	h[i] = v
-}
-
 // Estimate returns the current distinct-count estimate.
 func (s *KMV) Estimate() float64 {
 	if len(s.vals) < s.k {
@@ -191,15 +139,8 @@ func (s *KMV) Estimate() float64 {
 	return float64(s.k-1) / uk
 }
 
-// SpaceBytes charges 8 bytes per retained hash value, the hash seed, and,
-// while it exists, the index: a Go map keeps ~33 bytes resident per key.
-func (s *KMV) SpaceBytes() int {
-	total := 8*len(s.vals) + s.h.SpaceBytes()
-	if s.in != nil {
-		total += 33 * len(s.vals)
-	}
-	return total
-}
+// SpaceBytes charges 8 bytes per retained hash value and the hash seed.
+func (s *KMV) SpaceBytes() int { return 8*len(s.vals) + s.h.SpaceBytes() }
 
 // DuplicateInsensitive implements sketch.DuplicateInsensitive.
 func (s *KMV) DuplicateInsensitive() bool { return true }
@@ -239,7 +180,7 @@ func (m *Median) Update(item uint64, delta int64) {
 }
 
 // UpdateBatch implements sketch.BatchUpdater repetition-outer: one
-// repetition's hash and heap stay hot while the batch streams through it.
+// repetition's hash and minima stay hot while the batch streams through it.
 func (m *Median) UpdateBatch(batch []sketch.Update) {
 	for _, r := range m.reps {
 		sketch.ApplyBatch(r, batch)

@@ -13,27 +13,21 @@ const kmvFormatV1 = 1
 
 // MarshalBinary encodes the sketch state (including the hash function, so
 // the decoded sketch can continue the stream and merge with its shards).
-// The minima are written descending whatever mode the sketch is in, so
-// equal states encode to equal bytes.
+// The minima are written as held, descending, so equal states encode to
+// equal bytes.
 func (s *KMV) MarshalBinary() ([]byte, error) {
-	vals := s.vals
-	if s.in != nil {
-		vals = slices.Clone(vals)
-		slices.Sort(vals)
-		slices.Reverse(vals)
-	}
 	var w codec.Writer
 	w.U8(kmvFormatV1)
 	w.U64(uint64(s.k))
 	w.U64s(s.h.Coeffs())
-	w.U64s(vals)
+	w.U64s(s.vals)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes state produced by MarshalBinary, replacing s with
-// an unindexed sketch. It takes the minima in any order (V1 was first
-// written in heap order) but not repeated or outside the field: no stream
-// produces either, and a repeat makes a heap its index disagrees with.
+// UnmarshalBinary decodes state produced by MarshalBinary, replacing s. It
+// takes the minima in any order (V1 was first written in heap order) but
+// not repeated or outside the field: no stream produces either, and a
+// repeat breaks the invariant every insert and merge relies on.
 func (s *KMV) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
 	if v := r.U8(); v != kmvFormatV1 && r.Err() == nil {

@@ -1,6 +1,9 @@
 package f0
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // ErrIncompatible is returned when two sketches do not share the
 // randomness (hash functions / seeds) that mergeability requires.
@@ -16,18 +19,11 @@ func (s *KMV) Fresh() *KMV {
 // the k smallest. Both sketches must share the hash function (be Fresh
 // copies of one origin); k may differ, the receiver's k wins. The merged
 // sketch is exactly the sketch of the concatenated streams, so shards of
-// a distributed stream can be combined losslessly. An unindexed receiver
-// stays unindexed.
+// a distributed stream can be combined losslessly.
 func (s *KMV) Merge(other *KMV) error {
 	if !s.h.Equal(other.h) {
 		return ErrIncompatible
 	}
-	if s.in == nil {
-		s.mergeValues(append([]uint64(nil), other.vals...))
-		return nil
-	}
-	for _, v := range other.vals {
-		s.insertValue(v)
-	}
+	s.mergeValues(slices.Clone(other.vals))
 	return nil
 }

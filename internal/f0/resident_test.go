@@ -10,53 +10,72 @@ import (
 	"repro/internal/stream"
 )
 
+// liveHeap is the heap in use after a forced collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
 // TestSwitchingEnsembleResidentSet holds the line on what λ multiplies. One
 // shard of the benchmark's kmv+switching tenant — 96 copies of a median of
-// 17 KMVs — is built the way sketchd builds it; a freshly wrapped one holds
-// next to nothing (it was 57.7 MiB of empty membership maps when every KMV
-// was born with one), and after 40 000 updates, two lag-buffer drains and
-// several switches in, the only indexed KMVs alive are the active copy's:
-// trailing copies are fed by the batch alone.
+// 17 KMVs — is built the way sketchd builds it: a freshly wrapped one holds
+// next to nothing, and 40 000 updates, two lag-buffer drains and several
+// switches in, it is still an unexhausted ensemble shedding a copy a switch.
 func TestSwitchingEnsembleResidentSet(t *testing.T) {
-	prob := robust.F0Problem()
-	inner := prob.Inner
-	var copies []*f0.Median
-	prob.Inner = func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-		est := inner(eps0, lnInvDelta, n, kCap, seed)
-		copies = append(copies, est.(*f0.Median))
-		return est
-	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	est, err := robust.Policy{Kind: robust.Switching, Budget: 96}.Wrap(0.3, 0.025, 1<<20, 7, prob)
+	before := liveHeap()
+	est, err := robust.Policy{Kind: robust.Switching, Budget: 96}.Wrap(0.3, 0.025, 1<<20, 7, robust.F0Problem())
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > 1<<20 {
+	if live := liveHeap() - before; live > 1<<20 {
 		t.Errorf("a fresh kmv+switching estimator holds %d bytes of live heap, want under 1 MiB", live)
 	}
-	if len(copies) != 96 {
-		t.Fatalf("built %d copies, want 96", len(copies))
-	}
-
 	gen := stream.NewZipf(1<<20, 40000, 1.2, 31)
 	for u, ok := gen.Next(); ok; u, ok = gen.Next() {
 		est.Update(u.Item, u.Delta)
 	}
-	r := est.(sketch.RobustnessReporter).Robustness()
-	if r.Exhausted || r.Switches < 3 || r.Switches != len(copies)-r.Copies {
+	if r := est.(sketch.RobustnessReporter).Robustness(); r.Exhausted || r.Switches < 3 || r.Switches != 96-r.Copies {
 		t.Fatalf("robustness %+v: want an unexhausted ensemble a few switches in", r)
 	}
-	// copies[:r.Switches] are spent and dropped; only this test still holds them.
-	for i, c := range copies[r.Switches:] {
-		indexed, reps := c.Indexed()
-		if active := i == 0; (active && indexed != reps) || (!active && indexed != 0) {
-			t.Errorf("copy %d (active is %d): %d of %d repetitions indexed", r.Switches+i, r.Switches, indexed, reps)
+}
+
+// TestDeclaredSpaceIsResident: SpaceBytes is what admission and every
+// reported byte count trust, so the heap an F0 estimator actually keeps
+// after a stream must sit within [1.0, 1.35] × its declaration: the kmv
+// ensembles after 400 000 Zipf(1.2) updates, Algorithm 2 inside its exact
+// prefix and well past it.
+func TestDeclaredSpaceIsResident(t *testing.T) {
+	wrap := func(pol robust.Policy) func() sketch.Estimator {
+		return func() sketch.Estimator {
+			est, err := pol.Wrap(0.3, 0.025, 1<<20, 7, robust.F0Problem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est
 		}
 	}
-	runtime.KeepAlive(est)
+	alg2 := func() sketch.Estimator { return f0.NewAlg2(f0.Alg2Sizing(0.2, 40, 1<<20), 5) }
+	for _, c := range []struct {
+		name  string
+		build func() sketch.Estimator
+		gen   stream.Generator
+	}{
+		{"kmv+switching", wrap(robust.Policy{Kind: robust.Switching, Budget: 96}), stream.NewZipf(1<<20, 400000, 1.2, 31)},
+		{"kmv+ring", wrap(robust.Policy{Kind: robust.Ring}), stream.NewZipf(1<<20, 400000, 1.2, 31)},
+		{"alg2/exact prefix", alg2, stream.NewDistinct(3000)},
+		{"alg2/levels", alg2, stream.NewDistinct(200000)},
+	} {
+		before := liveHeap()
+		est := c.build()
+		for u, ok := c.gen.Next(); ok; u, ok = c.gen.Next() {
+			est.Update(u.Item, u.Delta)
+		}
+		live, declared := liveHeap()-before, est.SpaceBytes()
+		if ratio := float64(live) / float64(declared); ratio < 1.0 || ratio > 1.35 {
+			t.Errorf("%s: %d bytes live against %d declared (%.2f×), want within [1.0, 1.35]", c.name, live, declared, ratio)
+		}
+		runtime.KeepAlive(est)
+	}
 }

@@ -117,19 +117,19 @@ func goldenCells(t *testing.T) []goldenCell {
 // goldenPins: the stream digests were generated at the last commit where
 // Switcher and Paths still served unrounded point/top-k reads, and no
 // change to the wrappers may edit one. Shapes follow the bookkeeping: a
-// dense-switching cell holds its slots minus one per switch, and a KMV is
-// charged 8 bytes a retained value plus 33 for its membership index while
-// it has one (the five kmv cells were re-pinned when trailing copies
-// stopped carrying an index and the charge for one went from 8 to 33), a
+// dense-switching cell holds its slots minus one per switch, a KMV is
+// charged 8 bytes a retained value and nothing else (the five kmv cells
+// were re-pinned, each down, when its state became that one run), a
 // signed counter 4 bytes until one overflows (the thirteen f2 and
 // countsketch cells were re-pinned, each down, when F2Sketch went narrow),
-// and an Algorithm 2 below its batching degree holds no batch buffer
-// (F0-fast was re-pinned, down 920 bytes, when d = 1 214 stopped buffering).
+// and an Algorithm 2 holds no batch buffer below its batching degree and
+// charges its identity sets at a Go map's 17 bytes a slot (F0-fast was
+// re-pinned down 920 bytes by the first and up 52 384 by the second).
 var goldenPins = map[string]goldenPin{
-	"F0-fast":                   {"5040067f2e70393e", 39248, 1, 423},
+	"F0-fast":                   {"5040067f2e70393e", 91632, 1, 423},
 	"Fp-big":                    {"7570bb2cfe8171da", 323316, 1, 561},
 	"NewEntropy":                {"44110b87c0ed9816", 514248, 21, 30},
-	"NewF0":                     {"703b690abf8cbe24", 293426, 32, -1},
+	"NewF0":                     {"703b690abf8cbe24", 96416, 32, -1},
 	"NewFp/p=1":                 {"5e3795570f4d4554", 834096, 25, -1},
 	"NewFp/p=1.5":               {"871437e321335868", 834096, 25, -1},
 	"NewFp/p=2":                 {"aadf5bcc2e76d117", 3856656, 32, -1},
@@ -148,11 +148,11 @@ var goldenPins = map[string]goldenPin{
 	"f2+paths/turnstile":        {"4aa3f4058ff2ce57", 20872, 1, 64},
 	"f2+ring":                   {"c13b9f86ff3f4625", 541896, 25, -1},
 	"f2+switching":              {"c13b9f86ff3f4625", 41352, 1, 24},
-	"kmv+paths":                 {"ac6bac138760c0c7", 26263, 1, 24},
-	"kmv+ring":                  {"ac6bac138760c0c7", 47895, 25, -1},
-	"kmv+switching":             {"ac6bac138760c0c7", 46935, 5, 24},
+	"kmv+paths":                 {"ac6bac138760c0c7", 5176, 1, 24},
+	"kmv+ring":                  {"ac6bac138760c0c7", 26808, 25, -1},
+	"kmv+switching":             {"ac6bac138760c0c7", 25848, 5, 24},
 	"long/f2+ring":              {"8aa832588dd47949", 2892092, 43, -1},
-	"long/kmv+switching":        {"065269990a0fd867", 1719635, 43, 96},
+	"long/kmv+switching":        {"065269990a0fd867", 1609448, 43, 96},
 }
 
 // TestGoldenEstimates pins every constructor and every registry cell:

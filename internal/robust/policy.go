@@ -181,9 +181,8 @@ type Problem struct {
 	// InnerBytes optionally prices copies instances of what Inner would
 	// build, by the same sizing and without building them: the most they
 	// keep resident once filled — signed counters at their widened 8 bytes,
-	// which one large client delta makes true of every copy — one of them
-	// fed an update at a time (a KMV indexes only then). RingBytes does the
-	// same for NewRing.
+	// which one large client delta makes true of every copy. RingBytes does
+	// the same for NewRing.
 	InnerBytes func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64
 	RingBytes  func(eps, delta float64, n uint64) float64
 }
@@ -456,8 +455,7 @@ func F0Problem() Problem {
 		},
 		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
 			tp := f0.TrackingSizingLn(eps0, lnInvDelta, n)
-			values := float64(oddReps(tp.Reps, tp.K, kCap)) * float64(tp.K)
-			return values * (8*float64(copies) + 33) // KMV.SpaceBytes: the minima, and one copy's index
+			return float64(copies) * float64(oddReps(tp.Reps, tp.K, kCap)) * float64(tp.K) * 8 // KMV.SpaceBytes
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundFp(0, eps, n, maxCount)

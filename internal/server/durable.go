@@ -88,8 +88,9 @@ func (s *Server) Durable() bool { return s.wal != nil }
 // recoverLocked rebuilds the tenant map from checkpoints and log replay. It
 // runs before the server serves traffic, so it owns the maps without locks.
 func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
-	// minLSN[key]: this tenant's updates at or below it are already folded
-	// into restored checkpoint state and must not be replayed.
+	// minLSN[key]: this tenant's records at or below it, a delete as much
+	// as an update, are history its restored checkpoint state already
+	// holds and must not be replayed.
 	minLSN := make(map[string]uint64)
 
 	for key, ck := range cks {
@@ -132,7 +133,7 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 			s.tenants[rec.Key] = t
 			minLSN[rec.Key] = lsn
 		case wal.KindDelete:
-			if t, ok := s.tenants[rec.Key]; ok {
+			if t, ok := s.tenants[rec.Key]; ok && lsn > minLSN[rec.Key] {
 				t.eng.Close()
 				delete(s.tenants, rec.Key)
 				delete(minLSN, rec.Key)

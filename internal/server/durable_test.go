@@ -364,6 +364,106 @@ func TestDurableDeleteAndRecreateReplay(t *testing.T) {
 	}
 }
 
+// TestDurableRecreatedKeyKeepsItsCheckpoint: a delete record older than a
+// key's restored checkpoint is that key's previous life and must not kill
+// the checkpointed tenant — after a crash the merge the checkpoint alone
+// carries survives, after a clean shutdown nothing replays. A delete newer
+// than the checkpoint (the file outlived its tenant) still deletes.
+func TestDurableRecreatedKeyKeepsItsCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	spec := client.TenantSpec{Sketch: "kmv"}
+	// recreated leaves key "k" created, deleted, created again, fed two
+	// items and merged with four more, and returns its estimate.
+	recreated := func(t *testing.T, cfg server.Config) (*server.Server, float64) {
+		srv, c := bootDurable(t, cfg)
+		src := server.New(server.Config{
+			Shards: cfg.Shards, Eps: cfg.Eps, Delta: cfg.Delta, N: cfg.N,
+			Seed: cfg.Seed, MaxKeys: cfg.MaxKeys,
+		})
+		hs := httptest.NewServer(src.Handler())
+		t.Cleanup(hs.Close)
+		t.Cleanup(src.Drain)
+		cs := client.New(hs.URL, hs.Client())
+		if _, err := cs.CreateTenant(ctx, "k", spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Add(ctx, "k", 100, 101, 102, 103); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := cs.Snapshot(ctx, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []func() error{
+			func() error { _, err := c.CreateTenant(ctx, "k", spec); return err },
+			func() error { return c.DeleteKey(ctx, "k") },
+			func() error { _, err := c.CreateTenant(ctx, "k", spec); return err },
+			func() error { return c.Add(ctx, "k", 1, 2) },
+			func() error { return c.Merge(ctx, "k", snap) },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := c.Estimate(ctx, "k")
+		if err != nil || want != 6 {
+			t.Fatalf("estimate before restart: %v (%v), want 6", want, err)
+		}
+		return srv, want
+	}
+
+	for _, arm := range []string{"crash", "clean shutdown"} {
+		t.Run(arm, func(t *testing.T) {
+			cfg := durableCfg(t.TempDir())
+			srv, want := recreated(t, cfg)
+			if arm == "clean shutdown" {
+				if err := srv.Shutdown(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv2, c2 := bootDurable(t, cfg)
+			if rec := srv2.Recovery(); arm == "clean shutdown" && rec.ReplayedUpdates != 0 {
+				t.Errorf("replayed %d updates after a clean shutdown, want a checkpoint-only recovery", rec.ReplayedUpdates)
+			}
+			if got, err := c2.Estimate(ctx, "k"); err != nil || got != want {
+				t.Errorf("recovered estimate %v (%v), want %v: the merge's checkpoint was discarded", got, err, want)
+			}
+			if err := srv2.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Run("stale checkpoint", func(t *testing.T) {
+		cfg := durableCfg(t.TempDir())
+		srv, _ := recreated(t, cfg)
+		if err := srv.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		paths, _ := filepath.Glob(filepath.Join(cfg.DataDir, "ck-*.ckpt"))
+		if len(paths) != 1 {
+			t.Fatalf("checkpoint files %v, want one", paths)
+		}
+		stale, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, c := bootDurable(t, cfg)
+		if err := c.DeleteKey(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paths[0], stale, 0o644); err != nil { // as if its removal had failed
+			t.Fatal(err)
+		}
+		srv2, c2 := bootDurable(t, cfg) // no Shutdown above
+		if _, err := c2.Estimate(ctx, "k"); client.StatusCode(err) != 404 {
+			t.Errorf("a tenant deleted after its checkpoint came back: err=%v", err)
+		}
+		if err := srv2.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestDurableCheckpointCadence drives a mergeable tenant past
 // CheckpointEvery and verifies a background checkpoint lands and cuts
 // the replay tail on the next boot.

@@ -166,6 +166,9 @@ var (
 	// errPartial marks a fold that failed after counters moved: not safe to
 	// retry, so a 500 where every earlier failure is the client's 4xx.
 	errPartial = errors.New("partially applied")
+	// errJournal marks a declaration the log refused: the disk's failure, a
+	// 500, not the client's malformed spec.
+	errJournal = errors.New("journal")
 )
 
 type tenant struct {
@@ -376,7 +379,7 @@ func (s *Server) getOrCreate(key string, raw TenantSpec) (*tenant, error) {
 	// have no create record to hang off at recovery).
 	if err := s.logCreate(t); err != nil {
 		t.eng.Close()
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", errJournal, err)
 	}
 	s.tenants[key] = t
 	// The collections that ran while the tenant's sketches were allocated left
@@ -508,7 +511,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // fail maps service errors onto statuses: drain → 503, quota → 507,
 // conflicts (sketch type or randomness mismatches) → 409, a fold that
-// stopped halfway → 500.
+// stopped halfway or a declaration the log refused → 500.
 func fail(w http.ResponseWriter, status int, err error) {
 	switch {
 	case errors.Is(err, errDraining):
@@ -518,7 +521,7 @@ func fail(w http.ResponseWriter, status int, err error) {
 		status = http.StatusInsufficientStorage
 	case errors.Is(err, errConflict):
 		status = http.StatusConflict
-	case errors.Is(err, errPartial):
+	case errors.Is(err, errPartial), errors.Is(err, errJournal):
 		status = http.StatusInternalServerError
 	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})

@@ -256,9 +256,8 @@ func TestMergeRejectsPoisonedCounters(t *testing.T) {
 // TestMergeRejectsImpossibleKMVMinima: a correctly checksummed kmv
 // envelope whose minima no stream produces — one value twice, or a value
 // the hash cannot reach — must be refused as a 400 and leave the tenant
-// answering what it answered before. Decoded, a repeated minimum made a
-// sketch whose heap and membership index disagree from the first eviction
-// on.
+// answering what it answered before. Decoded, either would break the
+// distinct-and-descending invariant every KMV insert and merge relies on.
 func TestMergeRejectsImpossibleKMVMinima(t *testing.T) {
 	srv := New(Config{Shards: 2, Seed: 3})
 	hs := httptest.NewServer(srv.Handler())

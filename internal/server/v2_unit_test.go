@@ -3,8 +3,12 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sketch"
 )
@@ -188,7 +192,7 @@ func TestResolvePerTenantSizing(t *testing.T) {
 // TestProjectedStateTracksBuilt holds admit's arithmetic to the estimators
 // it stands in for: for every registry cell, at test-scale parameters, the
 // projection is within 2× of the peak SpaceBytes of the built shard
-// estimator. The occupancy-priced sketches (a KMV charges per retained
+// estimator, and within 5 % for a kmv cell. The occupancy-priced sketches (a KMV charges per retained
 // minimum, a CountSketch per pool entry) are first fed enough distinct
 // items, in engine-sized batches, to fill them and to force a drain of the
 // trailing copies; the fixed-footprint ones are read as built, which also
@@ -238,15 +242,54 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 					sketch.ApplyBatch(est, batch)
 					peak = max(peak, est.SpaceBytes())
 				}
-				if ratio := sp.bytes(ts) / float64(peak); ratio < 0.5 || ratio > 2 {
-					t.Errorf("%s model=%s: projected %.0f bytes, built estimator peaks at %d (ratio %.2f, want within 2×)",
-						sp.Display(), ts.Model, sp.bytes(ts), peak, ratio)
+				lo, hi := 0.5, 2.0
+				if name == "kmv" && policy != "switching" {
+					// 8 bytes a minimum and nothing per key to estimate; a
+					// dense ensemble has shed copies by the time a KMV fills.
+					lo, hi = 0.95, 1.05
+				}
+				if ratio := sp.bytes(ts) / float64(peak); ratio < lo || ratio > hi {
+					t.Errorf("%s model=%s: projected %.0f bytes, built estimator peaks at %d (ratio %.2f, want within [%.2f, %.2f])",
+						sp.Display(), ts.Model, sp.bytes(ts), peak, ratio, lo, hi)
 				}
 			}
 		}
 	}
 	if cells < 23 {
 		t.Errorf("only %d cells resolved, want the 15 insertion cells and at least 8 signed ones", cells)
+	}
+}
+
+// TestCreateJournalFailureIs500: a declaration the log cannot take is the
+// disk's failure, not a malformed spec — 500 as on the update and delete
+// paths, no tenant listed, and its engine's workers stopped.
+func TestCreateJournalFailureIs500(t *testing.T) {
+	srv, err := Open(Config{Shards: 2, DataDir: t.TempDir(), Fsync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	do := requester(t, hs)
+	if code, body := do(http.MethodGet, "/v1/stats", nil); code != 200 {
+		t.Fatalf("stats: HTTP %d: %s", code, body)
+	}
+	idle := runtime.NumGoroutine() // the keep-alive connection's goroutines included
+	if err := srv.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := do(http.MethodPost, "/v2/keys", []byte(`{"key":"k","spec":{"sketch":"kmv"}}`)); code != http.StatusInternalServerError {
+		t.Errorf("create with the log closed: HTTP %d (%s), want 500", code, body)
+	}
+	var st StatsResponse
+	if code, body := do(http.MethodGet, "/v1/stats", nil); code != 200 || json.Unmarshal(body, &st) != nil || st.Keys != 0 || len(st.Tenants) != 0 {
+		t.Errorf("stats after the refused create: HTTP %d, %s", code, body)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > idle; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the refused create: its engine was left running", runtime.NumGoroutine(), idle)
+		}
 	}
 }
 
