@@ -101,7 +101,6 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		maxKeys   = fs.Int("max-keys", 64, "server-wide keyspace quota")
 		shards    = fs.Int("shards", 4, "engine shards per keyspace")
 		batch     = fs.Int("batch", 256, "engine batch size")
-		queue     = fs.Int("queue", 8, "engine queue depth (batches per shard)")
 		eps       = fs.Float64("eps", 0.2, "default per-keyspace accuracy target ε (overridable per tenant via TenantSpec)")
 		delta     = fs.Float64("delta", 0.05, "default per-keyspace failure probability δ (split δ/shards per shard instance; overridable per tenant)")
 		n         = fs.Uint64("n", 1<<32, "universe size bound for the robust constructors")
@@ -146,7 +145,6 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		MaxKeys:         *maxKeys,
 		Shards:          *shards,
 		Batch:           *batch,
-		Queue:           *queue,
 		Eps:             *eps,
 		Delta:           *delta,
 		N:               *n,

@@ -107,10 +107,10 @@
 //     so codec choice never changes semantics), blocking and lock-free
 //     reads, binary snapshot/merge between seed-compatible tenants,
 //     per-keyspace engines admitted under a quota, and
-//     graceful drain (client.RetryTail resends only the unapplied tail
-//     of a straddled batch, under either codec — error replies are
-//     always JSON; client.UpdateRetry loops that protocol to completion
-//     for at-least-once ingest across drains and restarts), and — with
+//     graceful drain (a batch lands whole or not at all under either
+//     codec; a 503 or 410 applied none of it, and client.UpdateRetry
+//     resends it whole for at-least-once ingest across drains and
+//     restarts), and — with
 //     -data-dir — crash safety: acknowledged updates are journaled
 //     to the WAL before their ack, checkpoints bound replay, and boot
 //     recovery restores bit-identical estimates (TestCrashRecoveryE2E

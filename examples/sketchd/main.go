@@ -139,9 +139,9 @@ func main() {
 		fmt.Printf("snapshot of robust keyspace refused: %v\n", err)
 	}
 
-	// Graceful drain: writes turn into retryable 503s (client.RetryTail
-	// resends only the unapplied tail of a straddled batch), reads still
-	// serve the fully flushed state.
+	// Graceful drain: a batch lands whole before the drain or not at all,
+	// later writes turn into retryable 503s (client.UpdateRetry resends the
+	// whole batch), and reads still serve the fully flushed state.
 	aggSrv.Drain()
 	if err := cAgg.Add(ctx, "hot-items", 1); err != nil {
 		fmt.Printf("update after drain refused: %v\n", err)

@@ -8,9 +8,8 @@
 // frames with frame answers — and falls back to nothing: servers of this
 // repository always understand frames, and every other endpoint stays
 // JSON. WithCodec(CodecJSON) pins the JSON codec instead (debug/compat;
-// byte-identical semantics, including the partial-batch Accepted protocol
-// RetryTail consumes, which works unchanged under either codec because
-// error responses are always JSON).
+// byte-identical semantics, error responses included: they are always
+// JSON).
 package client
 
 import (
@@ -99,12 +98,10 @@ func New(base string, hc *http.Client, opts ...Option) *Client {
 }
 
 // apiError turns a non-2xx reply into an error carrying the server's
-// message, status code, and (for partial batch failures) the count of
-// updates the server applied before failing.
+// message and status code.
 type apiError struct {
-	Status   int
-	Msg      string
-	Accepted int
+	Status int
+	Msg    string
 }
 
 func (e *apiError) Error() string {
@@ -117,18 +114,6 @@ func StatusCode(err error) int {
 	var ae *apiError
 	if errors.As(err, &ae) {
 		return ae.Status
-	}
-	return 0
-}
-
-// AcceptedCount returns the number of updates the server applied before
-// the batch failed (an update that straddled a drain). A retrying client
-// must resend only updates[AcceptedCount:] — the prefix is already in the
-// drained state and would be double counted.
-func AcceptedCount(err error) int {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.Accepted
 	}
 	return 0
 }
@@ -168,7 +153,7 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 	if resp.StatusCode/100 != 2 {
 		var e server.ErrorResponse
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return &apiError{Status: resp.StatusCode, Msg: e.Error, Accepted: e.Accepted}
+			return &apiError{Status: resp.StatusCode, Msg: e.Error}
 		}
 		return &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
@@ -338,10 +323,8 @@ func (c *Client) DeleteKey(ctx context.Context, key string) error {
 // declared with CreateTenant: an unknown key fails with 404. Under the
 // default binary codec the batch goes to POST /v2/update as an updates
 // frame encoded into a pooled buffer; under CodecJSON it goes to POST
-// /v1/update. If the batch straddles a server drain the call
-// fails with a 503; AcceptedCount on the error says how many updates
-// were applied, so retry with updates[AcceptedCount(err):] only — the
-// protocol is codec-independent because error replies are always JSON.
+// /v1/update. A batch lands whole or not at all: on any error reply
+// (a draining server's 503 included) none of it was applied.
 func (c *Client) Update(ctx context.Context, key string, updates []Update) error {
 	if c.codec == CodecJSON {
 		body, err := json.Marshal(server.UpdateRequest{Updates: updates})
@@ -360,62 +343,24 @@ func (c *Client) Update(ctx context.Context, key string, updates []Update) error
 	return err
 }
 
-// RetryTail resends the suffix of a partially applied batch after Update
-// failed: the server's partial-failure protocol (an update batch that
-// straddled a drain) reports how many updates of the batch were applied
-// before the failure, and those are already in the server's state — a
-// full re-send would double count them. RetryTail slices the batch at
-// AcceptedCount(err) and re-sends only the unapplied tail, once; callers
-// wanting more attempts loop, feeding each failure back in:
-//
-//	err := c.Update(ctx, key, batch)
-//	for err != nil && client.StatusCode(err) == 503 {
-//		time.Sleep(backoff)
-//		batch, err = c.RetryTail(ctx, key, batch, err)
-//	}
-//
-// It returns the batch this attempt sent and the attempt's outcome —
-// (nil, nil) once everything has been applied. The invariant the loop
-// relies on: the returned error (if any) came from sending the returned
-// batch, so its AcceptedCount indexes into that batch and the pair feeds
-// straight back into the next RetryTail call. A nil err re-sends nothing
-// and reports success.
-func (c *Client) RetryTail(ctx context.Context, key string, updates []Update, err error) ([]Update, error) {
-	if err == nil {
-		return nil, nil
-	}
-	tail := updates
-	if n := AcceptedCount(err); n > 0 {
-		if n >= len(updates) {
-			return nil, nil // every update landed before the failure surfaced
-		}
-		tail = updates[n:]
-	}
-	if retryErr := c.Update(ctx, key, tail); retryErr != nil {
-		return tail, retryErr
-	}
-	return nil, nil
-}
-
 // UpdateRetry sends a batch and rides out transient failures until it is
-// fully acknowledged, the context ends, or the server rejects it for
-// good. It is the ingest loop for clients that must survive a sketchd
+// acknowledged, the context ends, or the server rejects it for good. It is
+// the ingest loop for clients that must survive a sketchd drain or
 // restart (durable servers journal acknowledged batches and recover them
 // on boot; unacknowledged ones are the client's to re-send):
 //
-//   - 503 (drain): the accepted prefix is in the server's state; only the
-//     tail beyond AcceptedCount is re-sent, so nothing double counts.
-//   - transport errors (connection refused/reset while the server is
-//     down or restarting): the whole outstanding batch is re-sent after
-//     a backoff. Delivery is therefore at-least-once — a crash after
-//     apply but before the ack makes the retry a duplicate. A durable
-//     server narrows that window to exactly the unacknowledged request
-//     in flight, it does not close it.
+//   - 503 (drain, recovery) and transport errors (connection refused or
+//     reset while the server is down or restarting): the whole batch is
+//     re-sent after a backoff. A 503 applied none of it. Delivery across a
+//     transport error is at-least-once — a crash after the journal append
+//     but before the ack makes the retry a duplicate; a durable server
+//     narrows that window to the unacknowledged request in flight, it does
+//     not close it.
 //   - any other API error (4xx conflicts, quota, validation) is final
 //     and returned as-is.
 //
 // Backoff doubles from 10ms and caps at 500ms; a cancelled context
-// returns ctx.Err wrapped, with the remaining batch unapplied.
+// returns ctx.Err wrapped, with the batch unacknowledged.
 func (c *Client) UpdateRetry(ctx context.Context, key string, updates []Update) error {
 	backoff := 10 * time.Millisecond
 	const maxBackoff = 500 * time.Millisecond
@@ -424,16 +369,7 @@ func (c *Client) UpdateRetry(ctx context.Context, key string, updates []Update) 
 		if err == nil {
 			return nil
 		}
-		switch StatusCode(err) {
-		case http.StatusServiceUnavailable:
-			if n := AcceptedCount(err); n > 0 {
-				if n >= len(updates) {
-					return nil // every update landed before the drain surfaced
-				}
-				updates = updates[n:]
-			}
-		case 0: // transport error: nothing decoded, re-send the batch
-		default:
+		if code := StatusCode(err); code != 0 && code != http.StatusServiceUnavailable {
 			return err
 		}
 		select {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,8 +15,8 @@ import (
 	"repro/internal/wire"
 )
 
-// codecs parameterizes the retry-protocol tests: the Accepted contract is
-// codec-independent (error replies are always JSON), so RetryTail must
+// codecs parameterizes the retry tests: a refused batch applied nothing
+// under either codec (error replies are always JSON), so UpdateRetry must
 // behave identically whichever codec carried the batch.
 var codecs = []struct {
 	name  string
@@ -27,18 +26,14 @@ var codecs = []struct {
 	{"json", client.CodecJSON},
 }
 
-// drainingUpdateServer simulates the server-side partial-batch protocol:
-// the first failAfter requests apply only a prefix of each batch and
-// answer 503 with the applied count (exactly what a drain straddling the
-// batch produces), after which batches are accepted whole. Every applied
-// update is recorded, so the test can detect double counting — the bug
-// RetryTail exists to prevent. It serves both ingest codecs: JSON on
+// drainingUpdateServer simulates a draining sketchd: the first failures
+// requests answer 503 with nothing applied, after which batches are
+// accepted whole. Every applied update is recorded, so the test can detect
+// loss or double counting. It serves both ingest codecs: JSON on
 // /v1/update and binary frames on /v2/update, like the real server.
 type drainingUpdateServer struct {
 	failures int // remaining requests to fail
-	prefix   int // updates applied before each failure
 	applied  []client.Update
-	requests int
 }
 
 func (d *drainingUpdateServer) handler(w http.ResponseWriter, r *http.Request) {
@@ -73,115 +68,14 @@ func (d *drainingUpdateServer) handler(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	d.requests++
 	if d.failures > 0 {
 		d.failures--
-		n := d.prefix
-		if n > len(updates) {
-			n = len(updates)
-		}
-		d.applied = append(d.applied, updates[:n]...)
 		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(server.ErrorResponse{
-			Error:    fmt.Sprintf("server is draining (accepted %d of %d updates)", n, len(updates)),
-			Accepted: n,
-		})
+		_ = json.NewEncoder(w).Encode(server.ErrorResponse{Error: "server is draining"})
 		return
 	}
 	d.applied = append(d.applied, updates...)
 	_ = json.NewEncoder(w).Encode(server.UpdateResponse{Accepted: len(updates)})
-}
-
-// TestRetryTailResendsOnlyUnappliedSuffix: after a partial batch failure,
-// RetryTail must resend exactly the unapplied tail — the applied prefix
-// is in the drained state, and re-sending it would double count.
-func TestRetryTailResendsOnlyUnappliedSuffix(t *testing.T) {
-	for _, tc := range codecs {
-		t.Run(tc.name, func(t *testing.T) {
-			d := &drainingUpdateServer{failures: 1, prefix: 60}
-			hs := httptest.NewServer(http.HandlerFunc(d.handler))
-			defer hs.Close()
-			c := client.New(hs.URL, hs.Client(), client.WithCodec(tc.codec))
-			ctx := context.Background()
-
-			var batch []client.Update
-			for i := uint64(0); i < 100; i++ {
-				batch = append(batch, client.Update{Item: i, Delta: 1})
-			}
-			err := c.Update(ctx, "k", batch)
-			if client.StatusCode(err) != 503 {
-				t.Fatalf("first update: err = %v, want HTTP 503", err)
-			}
-			if got := client.AcceptedCount(err); got != 60 {
-				t.Fatalf("AcceptedCount = %d, want 60", got)
-			}
-
-			tail, err := c.RetryTail(ctx, "k", batch, err)
-			if err != nil {
-				t.Fatalf("RetryTail: %v", err)
-			}
-			if tail != nil {
-				t.Fatalf("RetryTail reported success but returned a tail of %d updates", len(tail))
-			}
-			if d.requests != 2 {
-				t.Fatalf("RetryTail issued %d requests, want exactly 1 resend", d.requests-1)
-			}
-			// Every update applied exactly once, in order: no loss, no
-			// double counting.
-			if len(d.applied) != len(batch) {
-				t.Fatalf("server applied %d updates, want %d", len(d.applied), len(batch))
-			}
-			for i, u := range d.applied {
-				if u.Item != uint64(i) {
-					t.Fatalf("update %d applied as item %d: prefix re-sent or tail dropped", i, u.Item)
-				}
-			}
-		})
-	}
-}
-
-// TestRetryTailAcrossRepeatedFailures: the loop pattern from the docs —
-// each retry that fails again reports its own applied prefix, and feeding
-// the returned tail back in converges with every update applied once.
-func TestRetryTailAcrossRepeatedFailures(t *testing.T) {
-	for _, tc := range codecs {
-		t.Run(tc.name, func(t *testing.T) {
-			d := &drainingUpdateServer{failures: 3, prefix: 25}
-			hs := httptest.NewServer(http.HandlerFunc(d.handler))
-			defer hs.Close()
-			c := client.New(hs.URL, hs.Client(), client.WithCodec(tc.codec))
-			ctx := context.Background()
-
-			var batch []client.Update
-			for i := uint64(0); i < 100; i++ {
-				batch = append(batch, client.Update{Item: i, Delta: 1})
-			}
-			err := c.Update(ctx, "k", batch)
-			tail := batch
-			for attempts := 0; err != nil; attempts++ {
-				if attempts > 10 {
-					t.Fatal("RetryTail did not converge")
-				}
-				if client.StatusCode(err) != 503 {
-					t.Fatalf("unexpected failure: %v", err)
-				}
-				tail, err = c.RetryTail(ctx, "k", tail, err)
-			}
-			if len(d.applied) != len(batch) {
-				t.Fatalf("server applied %d updates, want %d", len(d.applied), len(batch))
-			}
-			for i, u := range d.applied {
-				if u.Item != uint64(i) {
-					t.Fatalf("update %d applied as item %d", i, u.Item)
-				}
-			}
-
-			// A nil error is a no-op success.
-			if tail, err := c.RetryTail(ctx, "k", batch, nil); err != nil || tail != nil {
-				t.Errorf("RetryTail(nil) = (%v, %v), want (nil, nil)", tail, err)
-			}
-		})
-	}
 }
 
 // flakyServer fronts drainingUpdateServer with injected transport
@@ -205,13 +99,13 @@ func (f *flakyServer) handler(w http.ResponseWriter, r *http.Request) {
 	f.inner.handler(w, r)
 }
 
-// TestUpdateRetryConvergesAcrossDrains: UpdateRetry rides the partial
-// batch protocol to completion on its own — every drained prefix counted
-// once, every tail re-sent until acknowledged.
+// TestUpdateRetryConvergesAcrossDrains: UpdateRetry resends the whole
+// batch through repeated drains until it is acknowledged — every update
+// applied exactly once, none lost, none double counted.
 func TestUpdateRetryConvergesAcrossDrains(t *testing.T) {
 	for _, tc := range codecs {
 		t.Run(tc.name, func(t *testing.T) {
-			d := &drainingUpdateServer{failures: 3, prefix: 25}
+			d := &drainingUpdateServer{failures: 3}
 			hs := httptest.NewServer(http.HandlerFunc(d.handler))
 			defer hs.Close()
 			c := client.New(hs.URL, hs.Client(), client.WithCodec(tc.codec))
@@ -228,7 +122,7 @@ func TestUpdateRetryConvergesAcrossDrains(t *testing.T) {
 			}
 			for i, u := range d.applied {
 				if u.Item != uint64(i) {
-					t.Fatalf("update %d applied as item %d: prefix re-sent or tail dropped", i, u.Item)
+					t.Fatalf("update %d applied as item %d: an update was re-applied or dropped", i, u.Item)
 				}
 			}
 		})
@@ -297,10 +191,9 @@ func TestUpdateRetryHonorsContext(t *testing.T) {
 	}
 }
 
-// TestRetryTailAgainstRealDrain: on a genuinely drained sketchd the tail
-// resend fails again with a retryable 503 and returns the same tail —
-// RetryTail never fabricates progress.
-func TestRetryTailAgainstRealDrain(t *testing.T) {
+// TestUpdateAgainstRealDrain: a genuinely drained sketchd refuses a batch
+// with a retryable 503 every time it is sent, and none of it lands.
+func TestUpdateAgainstRealDrain(t *testing.T) {
 	srv := server.New(server.Config{Shards: 1, Seed: 1})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -314,15 +207,16 @@ func TestRetryTailAgainstRealDrain(t *testing.T) {
 	}
 	srv.Drain()
 	batch := []client.Update{{Item: 9, Delta: 1}, {Item: 10, Delta: 1}}
-	err := c.Update(ctx, "k", batch)
-	if client.StatusCode(err) != 503 {
-		t.Fatalf("update after drain: err = %v, want 503", err)
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := c.Update(ctx, "k", batch); client.StatusCode(err) != 503 {
+			t.Fatalf("update %d after drain: err = %v, want 503", attempt, err)
+		}
 	}
-	tail, err := c.RetryTail(ctx, "k", batch, err)
-	if client.StatusCode(err) != 503 {
-		t.Fatalf("retry against a drained server: err = %v, want 503", err)
+	ks, err := c.KeyStats(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(tail) != len(batch) {
-		t.Fatalf("drained server accepted nothing but tail shrank to %d of %d", len(tail), len(batch))
+	if ks.Mass != 3 {
+		t.Fatalf("mass %d after two refused batches, want the 3 updates acknowledged before the drain", ks.Mass)
 	}
 }

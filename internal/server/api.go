@@ -371,12 +371,9 @@ type StatsResponse struct {
 	Tenants  []KeyStats `json:"tenants"`
 }
 
-// ErrorResponse is the body of every non-2xx reply. Accepted is set on a
-// partial batch failure (an update batch that straddled a drain): the
-// first Accepted updates were applied and are in the drained state, so a
-// retrying client must resend only the remaining tail to avoid double
-// counting (client.RetryTail does exactly that).
+// ErrorResponse is the body of every non-2xx reply. An update batch
+// answered with one (400, 410, 500, or a draining server's 503) applied
+// none of its updates, so a client retrying it resends it whole.
 type ErrorResponse struct {
-	Error    string `json:"error"`
-	Accepted int    `json:"accepted,omitempty"`
+	Error string `json:"error"`
 }

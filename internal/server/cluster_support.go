@@ -86,7 +86,9 @@ func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted
 	s.tenants[key] = t
 	s.mu.Unlock()
 	if old != nil {
+		old.writeMu.Lock()
 		old.eng.Close()
+		old.writeMu.Unlock()
 	}
 	s.maybeCheckpoint(t, s.deferredCheckpointWeight())
 	return nil

@@ -14,15 +14,19 @@ import (
 // the latest checkpoint per tenant and replays the log tail; a torn final
 // record (crash mid-write) is truncated, never a failed boot.
 //
-// Ordering is apply → log → ack: an update batch reaches the engine first,
-// is appended to the WAL under the tenant's walMu read lock, and only then
-// acknowledged. A crash between apply and ack loses nothing the client was
-// told survived — the batch is unacknowledged and the client's retry path
-// (client.UpdateRetry) re-sends it. The log therefore IS the acknowledged
-// stream, which is exactly the state the crash-recovery e2e asserts against.
+// Ordering is log → apply → ack: under the read side of the tenant's
+// writeMu an update batch is appended to the WAL, then applied to the
+// engine, and acknowledged once the lock is released. A batch the log
+// refuses never reaches the engine, so the live state never holds what
+// recovery would not. This is no weaker than applying first: either way a
+// crash after the append and before the ack recovers a batch the client
+// was not told survived, and the client's retry path (client.UpdateRetry)
+// re-sends it: delivery is at-least-once. The log therefore IS the
+// acknowledged stream plus at most the batches in flight at the crash,
+// which is the state the crash-recovery e2e asserts against.
 //
 // Checkpoints cut the log per tenant: the checkpoint's LSN is the log head
-// taken under walMu's write lock, so no update for that tenant can sit
+// taken under writeMu's write side, so no update for that tenant can sit
 // between the serialized sketch state and the recorded position. Recovery
 // restores the state and replays only this tenant's records with LSN beyond
 // the cut. Non-mergeable (robust-policy) tenants have no serializable state;
@@ -182,9 +186,9 @@ func (s *Server) logDelete(key string) error {
 	return err
 }
 
-// logUpdates journals an applied update batch as a wire updates frame —
-// the record body on disk is byte-identical to what a binary-codec client
-// sent. Caller holds t.walMu.RLock.
+// logUpdates journals an update batch, before it is applied, as a wire
+// updates frame — the record body on disk is byte-identical to what a
+// binary-codec client sent. Caller holds t.writeMu's read side.
 func (s *Server) logUpdates(t *tenant, us []wire.Update) error {
 	if s.wal == nil || len(us) == 0 {
 		return nil
@@ -224,12 +228,12 @@ func (s *Server) maybeCheckpoint(t *tenant, n int) {
 
 // checkpointTenant writes a checkpoint for t at the current log head.
 func (s *Server) checkpointTenant(t *tenant) error {
-	t.walMu.Lock()
-	defer t.walMu.Unlock()
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
 	return s.checkpointTenantLocked(t)
 }
 
-// checkpointTenantLocked is checkpointTenant with t.walMu already held:
+// checkpointTenantLocked is checkpointTenant with t.writeMu already held:
 // no update for this tenant can land between the state serialization and
 // the recorded LSN, so the cut is exact.
 func (s *Server) checkpointTenantLocked(t *tenant) error {

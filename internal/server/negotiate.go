@@ -18,11 +18,11 @@ import (
 // sent) or binary frames (Content-Type: application/x-sketch-frame), and
 // /v2/query answers in frames when the Accept header asks for them. The
 // two codecs are semantically byte-identical — both funnel into the same
-// apply core and the same validation, so the insertion-model 400, the
-// drain protocol's Accepted counts, and the 503/410 split do not depend
-// on the encoding. Error responses are always JSON: a client in either
-// codec needs the structured ErrorResponse contract (RetryTail reads
-// Accepted from it), and an error path is never hot enough to frame.
+// apply core and the same validation, so the insertion-model 400 and the
+// 503/410/500 refusals, each of which applies nothing, do not depend on
+// the encoding. Error responses are always JSON {"error": …}: one shape
+// for a client in either codec, and an error path is never hot enough to
+// frame.
 
 // countedPool wraps sync.Pool with an outstanding-checkout counter. The
 // counter exists for the pool-safety regression tests: every request path
@@ -136,12 +136,13 @@ func failMedia(w http.ResponseWriter, err error) {
 }
 
 // applyUpdates is the single apply core behind every ingest codec and
-// endpoint version: the insertion-model pre-scan (the whole batch is
-// rejected before anything lands) followed by the TryUpdate drain/delete
-// protocol. One core is what keeps the JSON and binary paths
-// byte-identical in semantics — same 400 message, same Accepted counts,
-// same 503/410 split. Responses (success and error alike) are JSON in
-// both codecs: they are a handful of bytes either way.
+// endpoint version. A batch lands whole or not at all: the insertion-model
+// pre-scan rejects it with a 400 before anything lands, and ingest either
+// journals and applies all of it or refuses it with nothing journaled or
+// applied. One core is what keeps the JSON and binary paths byte-identical
+// in semantics — same 400 message, same 503/410/500 split. Responses
+// (success and error alike) are JSON in both codecs: they are a handful of
+// bytes either way.
 func (s *Server) applyUpdates(w http.ResponseWriter, t *tenant, us []wire.Update) {
 	if !t.spec.signed {
 		for i, u := range us {
@@ -154,49 +155,32 @@ func (s *Server) applyUpdates(w http.ResponseWriter, t *tenant, us []wire.Update
 			}
 		}
 	}
-	// Durable ordering is apply → log → ack under the tenant's walMu read
-	// side, so a checkpoint (write side) never cuts between an update's
-	// engine state and its log record; see durable.go.
-	if s.wal != nil {
-		t.walMu.RLock()
-		defer t.walMu.RUnlock()
-	}
-	// TryUpdate instead of Update: a request that lost the race against
-	// Drain (or a concurrent DELETE of the key) finds the engine closed
-	// and gets a clean error, not a panicking connection. Under drain the
-	// applied prefix is in the drained state, so Accepted tells the client
-	// to retry only the tail; under delete the prefix died with the
-	// engine, so Accepted stays 0 and the client re-sends the full batch.
-	for i, u := range us {
-		if !t.eng.TryUpdate(u.Item, u.Delta) {
-			if s.draining.Load() {
-				// The accepted prefix is in the drained state the client is
-				// told about; journal it so a crash after the drain recovers
-				// exactly what Accepted promised. Best effort — a clean
-				// shutdown's checkpoints capture the drained state anyway.
-				_ = s.logUpdates(t, us[:i])
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
-					Error:    fmt.Sprintf("%v (accepted %d of %d updates)", errDraining, i, len(us)),
-					Accepted: i,
-				})
-			} else {
-				writeJSON(w, http.StatusGone, ErrorResponse{
-					Error: fmt.Sprintf("keyspace %q was deleted concurrently; re-send the full batch", t.key),
-				})
-			}
-			return
-		}
-	}
-	if err := s.logUpdates(t, us); err != nil {
-		// Applied in memory but not journaled: refuse the ack so the
-		// client retries. Over-acknowledging here would break the "log ≡
-		// acknowledged stream" invariant recovery depends on.
+	if err := s.ingest(t, us); err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: len(us)})
 	s.maybeCheckpoint(t, len(us))
+}
+
+// ingest journals a batch, then applies it, under t's write-lock read side,
+// which it releases before the caller writes the response. Nothing that
+// closes a mapped engine does so without the write side, so once writable
+// passes, no TryUpdate of the batch can report a closed engine; and a
+// batch the log refuses never reaches the engine.
+func (s *Server) ingest(t *tenant, us []wire.Update) error {
+	t.writeMu.RLock()
+	defer t.writeMu.RUnlock()
+	if err := s.writable(t); err != nil {
+		return err
+	}
+	if err := s.logUpdates(t, us); err != nil {
+		return fmt.Errorf("%w: %v", errJournal, err)
+	}
+	for _, u := range us {
+		t.eng.TryUpdate(u.Item, u.Delta)
+	}
+	return nil
 }
 
 // handleV2Update serves POST /v2/update: the same ?key= addressing and

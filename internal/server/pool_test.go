@@ -69,7 +69,7 @@ func TestIngestPoolsBalanced(t *testing.T) {
 		}
 	}
 
-	// The drain exits (503 with an Accepted count) release buffers too.
+	// The drain exits (503, nothing applied) release buffers too.
 	srv.Drain()
 	for _, st := range []struct {
 		name   string

@@ -75,11 +75,10 @@ type Config struct {
 	// it fails with 507 until another keyspace is deleted. Defaults to 64.
 	MaxKeys int
 
-	// Shards, Batch, Queue configure each tenant's engine.Engine.
-	// Shards defaults to 4, Batch to 256, Queue to 8.
+	// Shards and Batch configure each tenant's engine.Engine.
+	// Shards defaults to 4, Batch to 256.
 	Shards int
 	Batch  int
-	Queue  int
 
 	// Eps and Delta are the per-keyspace accuracy targets; robust and
 	// static factories size each shard instance at Delta/Shards so the
@@ -135,9 +134,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 256
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 8
-	}
 	if cfg.Eps <= 0 {
 		cfg.Eps = 0.2
 	}
@@ -166,9 +162,12 @@ var (
 	// errPartial marks a fold that failed after counters moved: not safe to
 	// retry, so a 500 where every earlier failure is the client's 4xx.
 	errPartial = errors.New("partially applied")
-	// errJournal marks a declaration the log refused: the disk's failure, a
-	// 500, not the client's malformed spec.
+	// errJournal marks a declaration or batch the log refused: the disk's
+	// failure, a 500, not the client's malformed request.
 	errJournal = errors.New("journal")
+	// errGone marks a write that found its key deleted or replaced under it:
+	// a 410, nothing applied.
+	errGone = errors.New("gone")
 )
 
 type tenant struct {
@@ -177,12 +176,16 @@ type tenant struct {
 	ts   TenantSpec // fully resolved: defaults applied
 	eng  *engine.Engine
 
-	// Durability state (idle on non-durable servers). walMu orders update
-	// logging against checkpoints: the apply path holds the read side
-	// around engine-apply + WAL-append, a checkpoint holds the write side
-	// around state-serialization + LSN capture, so a checkpoint's LSN cut
-	// never splits an update between sketch state and log tail.
-	walMu     sync.RWMutex
+	// writeMu orders every write to the tenant against everything that
+	// closes its engine or cuts its state. An update batch holds the read
+	// side from its draining/lookup check through its last TryUpdate (see
+	// ingest); Drain, DELETE /v1/keys, ApplyShipment's replacement,
+	// /v1/merge and checkpoints hold the write side. So a mapped engine
+	// never closes under a batch, and a checkpoint's LSN cut never splits a
+	// batch between sketch state and log tail.
+	writeMu sync.RWMutex
+
+	// Durability state (idle on non-durable servers).
 	sinceCkpt atomic.Int64 // updates applied since the last checkpoint
 	ckptBusy  atomic.Bool  // one background checkpoint at a time
 }
@@ -412,7 +415,6 @@ func (s *Server) newTenant(key string, sp spec, ts TenantSpec) *tenant {
 		eng: engine.New(engine.Config{
 			Shards:  ts.Shards,
 			Batch:   ts.Batch,
-			Queue:   s.cfg.Queue,
 			Combine: sp.combine,
 			Factory: sp.factory(ts),
 			Seed:    tenantSeed(root, key),
@@ -466,8 +468,23 @@ func (s *Server) Drain() {
 		return
 	}
 	for _, t := range s.tenantList() {
+		t.writeMu.Lock()
 		t.eng.Close()
+		t.writeMu.Unlock()
 	}
+}
+
+// writable is the check every write runs under t.writeMu before it
+// journals or applies anything: a draining server refuses it (503), and so
+// does a tenant its key no longer maps to (410).
+func (s *Server) writable(t *tenant) error {
+	if s.draining.Load() {
+		return errDraining
+	}
+	if s.lookup(t.key) != t {
+		return fmt.Errorf("%w: keyspace %q was deleted or replaced concurrently; nothing was applied", errGone, t.key)
+	}
+	return nil
 }
 
 // tenantList copies the tenant map under the read lock, so callers can do
@@ -509,14 +526,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// fail maps service errors onto statuses: drain → 503, quota → 507,
-// conflicts (sketch type or randomness mismatches) → 409, a fold that
-// stopped halfway or a declaration the log refused → 500.
+// fail maps service errors onto statuses: drain → 503, a key deleted under
+// the write → 410, quota → 507, conflicts (sketch type or randomness
+// mismatches) → 409, a fold that stopped halfway or a record the log
+// refused → 500.
 func fail(w http.ResponseWriter, status int, err error) {
 	switch {
 	case errors.Is(err, errDraining):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, errGone):
+		status = http.StatusGone
 	case errors.Is(err, errQuota):
 		status = http.StatusInsufficientStorage
 	case errors.Is(err, errConflict):
@@ -564,7 +584,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // rejects the whole batch before anything is applied — a deletion
 // entering an insertion-only construction does not error anywhere
 // downstream, it silently voids the guarantee the tenant was created
-// for) and the drain/delete protocol live in applyUpdates, shared with
+// for) and the all-or-nothing ingest live in applyUpdates, shared with
 // the binary codec.
 func (s *Server) handleUpdateJSON(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
@@ -633,10 +653,6 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodPost) {
 		return
 	}
-	if s.draining.Load() {
-		fail(w, 0, errDraining)
-		return
-	}
 	t := s.tenantFor(w, r)
 	if t == nil {
 		return
@@ -650,44 +666,38 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	// A merge mutates sketch state without a WAL record (snapshot bodies
-	// are not journaled); the checkpoint written below is what makes it
-	// durable. The tenant's walMu write lock makes merge + checkpoint atomic
-	// against concurrent update logging and cadence checkpoints.
-	if s.wal != nil {
-		t.walMu.Lock()
-		defer t.walMu.Unlock()
+	if err := s.merge(t, body); err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: t.eng.Shards()})
+}
+
+// merge folds a snapshot envelope into t under its write lock. A merge has
+// no WAL record; on a durable server the checkpoint taken before the lock
+// is released is what makes it durable.
+func (s *Server) merge(t *tenant, envelope []byte) error {
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	if err := s.writable(t); err != nil {
+		return err
 	}
 	// A body that does not decode is a 400 and one that does not fit the
 	// tenant (sketch type, shard count, seed) a 409, both with the sketches
 	// untouched, so the client can safely retry after fixing the snapshot; a
 	// failure once counters have moved is a 500.
-	if err := t.fold(body); err != nil {
-		fail(w, http.StatusBadRequest, fmt.Errorf("merge body: %w", err))
-		return
+	if err := t.fold(envelope); err != nil {
+		return fmt.Errorf("merge body: %w", err)
 	}
-	// Re-check the tenant map: Visit succeeds even on an engine closed by
-	// a concurrent DELETE (the post-Close inline path), which would turn
-	// this 200 into a silently discarded merge. If the tenant is still
-	// mapped now, the merge landed in live state; a delete after this
-	// point is an ordinary later event.
-	if s.lookup(t.key) != t {
-		writeJSON(w, http.StatusGone, ErrorResponse{
-			Error: fmt.Sprintf("keyspace %q was deleted concurrently; the merge was discarded", t.key),
-		})
-		return
+	if s.wal == nil {
+		return nil
 	}
-	if s.wal != nil {
-		if err := s.checkpointTenantLocked(t); err != nil {
-			// The merge is applied in memory but not durable. Refuse the
-			// 200: the client must treat the merge outcome as unknown (a
-			// blind retry could double-fold the snapshot into live state).
-			fail(w, http.StatusInternalServerError,
-				fmt.Errorf("merge applied but checkpoint failed; merged state is not durable: %w", err))
-			return
-		}
+	if err := s.checkpointTenantLocked(t); err != nil {
+		// Applied in memory but not durable: the client must treat the
+		// outcome as unknown (a blind retry could double-fold the snapshot).
+		return fmt.Errorf("%w: merge applied but checkpoint failed; merged state is not durable: %v", errJournal, err)
 	}
-	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: t.eng.Shards()})
+	return nil
 }
 
 // handleKeys serves DELETE /v1/keys: the keyspace is torn down and its
@@ -700,31 +710,45 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	if s.forwarded(w, r, key) {
 		return
 	}
-	s.mu.Lock()
-	t := s.tenants[key]
-	if t != nil {
-		// Journal the delete before the map mutation: if it cannot be
-		// made durable the tenant must stay (recovery would otherwise
-		// resurrect a key the client was told is gone).
-		if err := s.logDelete(key); err != nil {
-			s.mu.Unlock()
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		delete(s.tenants, key)
-	}
-	s.mu.Unlock()
+	t := s.lookup(key)
 	if t == nil {
 		fail(w, http.StatusNotFound, fmt.Errorf("unknown key %q", key))
 		return
 	}
-	t.eng.Close() // flushes, stops the shard workers, frees the quota slot
+	if err := s.remove(t); err != nil {
+		fail(w, http.StatusInternalServerError, err)
+		return
+	}
 	if s.wal != nil {
 		// Best effort: a stale checkpoint is harmless — replay processes
 		// the delete record after restoring it.
 		_ = wal.RemoveCheckpoint(s.cfg.DataDir, key)
 	}
 	writeJSON(w, http.StatusOK, KeyStats{Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Shards: t.eng.Shards()})
+}
+
+// remove unmaps t and closes its engine (flushing it, stopping its shard
+// workers, freeing its quota slot) under t's write lock, so the delete
+// record follows every update record of the tenant it deletes.
+func (s *Server) remove(t *tenant) error {
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	s.mu.Lock()
+	if s.tenants[t.key] != t {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: keyspace %q was deleted concurrently", errGone, t.key)
+	}
+	// Journal the delete before the map mutation: if it cannot be made
+	// durable the tenant must stay (recovery would otherwise resurrect a
+	// key the client was told is gone).
+	if err := s.logDelete(t.key); err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %v", errJournal, err)
+	}
+	delete(s.tenants, t.key)
+	s.mu.Unlock()
+	t.eng.Close()
+	return nil
 }
 
 // stats builds the keyspace's listing entry: the resolved spec the tenant

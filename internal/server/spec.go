@@ -679,7 +679,6 @@ func EngineConfig(ts TenantSpec, cfg Config, seed int64) (engine.Config, error) 
 	return engine.Config{
 		Shards:  rts.Shards,
 		Batch:   rts.Batch,
-		Queue:   cfg.Queue,
 		Combine: sp.combine,
 		Factory: sp.factory(rts),
 		Seed:    seed,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/sketch"
+	"repro/internal/wire"
 )
 
 // TestU64JSON: item identifiers survive the wire in both directions —
@@ -290,6 +291,98 @@ func TestCreateJournalFailureIs500(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines, %d before the refused create: its engine was left running", runtime.NumGoroutine(), idle)
 		}
+	}
+}
+
+// TestUpdateJournalFailureAppliesNothing: a batch the log cannot take is a
+// 500 under either codec and never reaches the engine, so the live state
+// holds nothing recovery would not and a resent batch counts once.
+func TestUpdateJournalFailureAppliesNothing(t *testing.T) {
+	srv, err := Open(Config{Shards: 2, DataDir: t.TempDir(), Fsync: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	do := requester(t, hs)
+	if code, body := do(http.MethodPost, "/v2/keys", []byte(`{"key":"k","spec":{"sketch":"kmv"}}`)); code != 200 {
+		t.Fatalf("create: HTTP %d: %s", code, body)
+	}
+	if code, body := do(http.MethodPost, "/v1/update?key=k", []byte(`{"updates":[{"item":1,"delta":1},{"item":2,"delta":1}]}`)); code != 200 {
+		t.Fatalf("update: HTTP %d: %s", code, body)
+	}
+	// The estimate flushes, so the stats read after it is exact.
+	state := func() (EstimateResponse, StatsResponse) {
+		var e EstimateResponse
+		var st StatsResponse
+		if code, body := do(http.MethodGet, "/v1/estimate?key=k", nil); code != 200 || json.Unmarshal(body, &e) != nil {
+			t.Fatalf("estimate: HTTP %d: %s", code, body)
+		}
+		if code, body := do(http.MethodGet, "/v1/stats", nil); code != 200 || json.Unmarshal(body, &st) != nil || len(st.Tenants) != 1 {
+			t.Fatalf("stats: HTTP %d: %s", code, body)
+		}
+		return e, st
+	}
+	est, st := state()
+	if err := srv.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ codec, path, ct string }{
+		{"json", "/v1/update?key=k", ""},
+		{"frame", "/v2/update?key=k", wire.ContentType},
+	} {
+		us := []wire.Update{{Item: 3, Delta: 1}, {Item: 4, Delta: 1}, {Item: 5, Delta: 1}}
+		body := []byte(`{"updates":[{"item":3,"delta":1},{"item":4,"delta":1},{"item":5,"delta":1}]}`)
+		if req.ct != "" {
+			body = wire.AppendUpdates(nil, us)
+		}
+		if w := poolReq(srv.Handler(), http.MethodPost, req.path, body, req.ct); w.Code != http.StatusInternalServerError {
+			t.Errorf("%s update with the log closed: HTTP %d (%s), want 500", req.codec, w.Code, w.Body.Bytes())
+		}
+		if est2, st2 := state(); est2.Estimate != est.Estimate || st2.Tenants[0].Mass != st.Tenants[0].Mass {
+			t.Errorf("%s: estimate %v → %v, mass %d → %d across a batch the log refused; want both unchanged",
+				req.codec, est.Estimate, est2.Estimate, st.Tenants[0].Mass, st2.Tenants[0].Mass)
+		}
+	}
+}
+
+// TestUpdateToReplacedTenantIs410: a batch that resolved its tenant before a
+// DELETE and a re-declare of the key answers 410 with nothing journaled or
+// applied: neither the deleted tenant nor the new one under the same key,
+// live or recovered, holds any of it.
+func TestUpdateToReplacedTenantIs410(t *testing.T) {
+	cfg := Config{Shards: 2, DataDir: t.TempDir(), Fsync: "none"}
+	srv, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	h := srv.Handler()
+	declare(t, srv, "k", "kmv")
+	old := srv.lookup("k")
+	if w := poolReq(h, http.MethodDelete, "/v1/keys?key=k", nil, ""); w.Code != http.StatusOK {
+		t.Fatalf("delete: HTTP %d: %s", w.Code, w.Body.Bytes())
+	}
+	declare(t, srv, "k", "kmv")
+	w := httptest.NewRecorder()
+	srv.applyUpdates(w, old, []wire.Update{{Item: 1, Delta: 1}, {Item: 2, Delta: 1}})
+	var reply map[string]any
+	if w.Code != http.StatusGone || json.Unmarshal(w.Body.Bytes(), &reply) != nil || len(reply) != 1 || reply["error"] == nil {
+		t.Fatalf("batch to the deleted tenant: HTTP %d %s, want 410 {\"error\": …}", w.Code, w.Body.Bytes())
+	}
+	recovered, err := Open(cfg) // crash: the log alone
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Drain()
+	for name, s := range map[string]*Server{"live": srv, "recovered": recovered} {
+		if e := s.lookup("k").eng; e.Estimate() != 0 || e.Mass() != 0 {
+			t.Errorf("%s re-declared tenant: estimate %v, mass %d; want the refused batch nowhere", name, e.Estimate(), e.Mass())
+		}
+	}
+	if old.eng.Estimate() != 0 {
+		t.Errorf("deleted tenant's engine took the refused batch: estimate %v", old.eng.Estimate())
 	}
 }
 
