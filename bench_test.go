@@ -437,7 +437,7 @@ func BenchmarkSketchdIngestBinaryRobustF2(b *testing.B) {
 // median-of-KMV copies, the benchmark's kmv-switching tenant). Its items
 // are all distinct, so the drain's coalescing saves it nothing: what it
 // prices is the KMV insert path, once per repetition of every live copy —
-// one compare each when the threshold comes before the map lookup.
+// one compare each when the threshold comes before any search or shift.
 func BenchmarkSketchdIngestBinaryRobustF0(b *testing.B) {
 	benchSketchdIngestFsync(b, "kmv", "switching", client.CodecBinary, "")
 }

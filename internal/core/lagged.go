@@ -14,10 +14,11 @@ import "repro/internal/sketch"
 // synchronous formulation would have produced.
 //
 // On a skewed stream most of a lag buffer repeats items already in it, so
-// when the instances declare sketch.CoalesceInvariant a Drain coalesces
-// the buffer once and feeds that to every instance that owes all of it;
-// the few that hold a prefix (stepped since the last drain, replaced
-// mid-buffer) and every catch-up outside a drain replay the raw suffix.
+// when the instances declare sketch.CoalesceInvariant every catch-up is
+// coalesced: a Drain coalesces the buffer once and feeds that to every
+// instance that owes all of it, and the few that hold a prefix (stepped
+// since the last drain, replaced mid-buffer), like a catch-up outside a
+// drain, replay their own suffix coalesced.
 //
 // Switcher keeps its trailing copies in one, robust.HeavyHitters its
 // Theorem 6.5 CountSketch ring.
@@ -27,8 +28,8 @@ type Lagged struct {
 	pending   []sketch.Update    // grows lazily toward bound: an idle tenant does not pay for it
 	bound     int
 	coalesce  bool             // the instances declare sketch.CoalesceInvariant
-	co        sketch.Coalescer // drain scratch: item index …
-	net       []sketch.Update  // … and the coalesced lag buffer, allocated by the first drain that needs it
+	co        sketch.Coalescer // catch-up scratch: item index …
+	net       []sketch.Update  // … and the coalesced suffix, allocated by the first catch-up that needs it
 }
 
 // NewLagged takes ownership of the instances, none of which has seen an
@@ -67,11 +68,15 @@ func (l *Lagged) Step(i int, item uint64, delta int64) sketch.Estimator {
 // at a point where no instance is mid-read.
 func (l *Lagged) Full() bool { return len(l.pending) >= l.bound }
 
-// Current replays instance i's unseen suffix of the buffer and returns the
-// instance (nil if it was dropped).
+// Current replays instance i's unseen suffix of the buffer, coalesced when
+// the instances allow, and returns the instance (nil if it was dropped).
 func (l *Lagged) Current(i int) sketch.Estimator {
 	inst := l.instances[i]
 	if rest := l.pending[l.applied[i]:]; inst != nil && len(rest) > 0 {
+		if l.coalesce {
+			l.net = l.co.Coalesce(l.net[:0], rest)
+			rest = l.net
+		}
 		sketch.ApplyBatch(inst, rest)
 		l.applied[i] = len(l.pending)
 	}
@@ -89,29 +94,26 @@ func (l *Lagged) Replace(i int, fresh sketch.Estimator) {
 // Drop releases instance i; its slot stays, empty.
 func (l *Lagged) Drop(i int) { l.instances[i] = nil }
 
-// Drain brings every live instance up to date and empties the buffer.
-// Instances that owe the whole buffer share one coalesced copy of it,
-// built on first need, when the instances allow.
+// Drain brings every live instance up to date and empties the buffer. The
+// instances that hold a prefix catch up first, each through the coalescing
+// scratch; then, when the instances allow, those that owe the whole buffer
+// share one coalesced copy of it.
 func (l *Lagged) Drain() {
-	coalesced := false
-	for i, inst := range l.instances {
-		if inst == nil {
-			continue
-		}
+	for i := range l.instances {
 		if !l.coalesce || l.applied[i] != 0 {
 			l.Current(i)
-			continue
 		}
-		if !coalesced {
-			l.net = l.co.Coalesce(l.net[:0], l.pending)
-			coalesced = true
+	}
+	if l.coalesce {
+		l.net = l.co.Coalesce(l.net[:0], l.pending)
+		for i, inst := range l.instances {
+			if inst != nil && l.applied[i] == 0 {
+				sketch.ApplyBatch(inst, l.net)
+			}
 		}
-		sketch.ApplyBatch(inst, l.net)
 	}
 	l.pending = l.pending[:0]
-	for i := range l.applied {
-		l.applied[i] = 0
-	}
+	clear(l.applied)
 }
 
 // SpaceBytes sums the live instances, the lag buffer, and the coalesced

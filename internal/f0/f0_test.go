@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hash"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -353,6 +355,64 @@ func BenchmarkKMVDrain(b *testing.B) {
 		}
 		b.StartTimer()
 		m.UpdateBatch(batch)
+	}
+}
+
+// BenchmarkKMVFirstDrains is a trailing copy where the workload keeps it,
+// F0 a few times k rather than far above it: a fresh copy fed the first four
+// coalesced 16 384-update Zipf(1.2) lag buffers, as drains feed it, so a
+// third of what it hashes lands under the threshold and is ordered. ns/update
+// is per buffered update.
+func BenchmarkKMVFirstDrains(b *testing.B) {
+	_, z := benchTenantCopy()
+	var co sketch.Coalescer
+	buffers := make([][]sketch.Update, 4)
+	raw := make([]sketch.Update, 16384)
+	for i := range buffers {
+		for j := range raw {
+			raw[j] = sketch.Update{Item: z.Uint64(), Delta: 1}
+		}
+		buffers[i] = co.Coalesce(nil, raw)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, _ := benchTenantCopy()
+		b.StartTimer()
+		for _, buf := range buffers {
+			m.UpdateBatch(buf)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(buffers)*len(raw)), "ns/update")
+}
+
+// BenchmarkKMVPlace orders a full candidate scratch, 512 values, by
+// placement and by slices.Sort: uniform under a threshold, as a KMV's
+// candidates are, and all in one bucket, the adversary's input, on which
+// placement counts, gives up and sorts.
+func BenchmarkKMVPlace(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	uniform, oneBucket := make([]uint64, placeMax), make([]uint64, placeMax)
+	for i := range uniform {
+		uniform[i] = rng.Uint64() % (hash.Prime / 3)
+		oneBucket[i] = 1<<60 | rng.Uint64()>>20
+	}
+	for _, in := range []struct {
+		name string
+		vals []uint64
+	}{{"uniform", uniform}, {"one-bucket", oneBucket}} {
+		for _, order := range []struct {
+			name string
+			f    func([]uint64)
+		}{{"place", place}, {"sort", slices.Sort[[]uint64]}} {
+			b.Run(in.name+"/"+order.name, func(b *testing.B) {
+				c := make([]uint64, len(in.vals))
+				for i := 0; i < b.N; i++ {
+					copy(c, in.vals)
+					order.f(c)
+				}
+			})
+		}
 	}
 }
 

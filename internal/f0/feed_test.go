@@ -100,8 +100,9 @@ func TestKMVMergeAcrossFeedsAndWidths(t *testing.T) {
 
 // TestKMVMergeValuesAgainstReference drives the in-place merge through
 // small random cases — empty, filling, overflowing and full sketches,
-// candidates that repeat each other and the retained values — against the
-// definition: the k smallest distinct values of the union, descending.
+// ascending candidates that repeat each other and the retained values —
+// against the definition: the k smallest distinct values of the union,
+// descending.
 func TestKMVMergeValuesAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 3000; trial++ {
@@ -113,6 +114,7 @@ func TestKMVMergeValuesAgainstReference(t *testing.T) {
 				c[i] = uint64(rng.Intn(40))
 				seen[c[i]] = struct{}{}
 			}
+			slices.Sort(c) // mergeValues takes its values ascending
 			s.mergeValues(c)
 			var want []uint64
 			for v := range seen {
@@ -125,6 +127,50 @@ func TestKMVMergeValuesAgainstReference(t *testing.T) {
 				t.Fatalf("trial %d round %d (k = %d): minima %v, want %v", trial, round, s.k, s.vals, want)
 			}
 		}
+	}
+}
+
+// TestKMVPlaceMatchesSort: placement orders as slices.Sort does at every
+// length up to the candidate scratch and one past it, on values of every
+// width a hash value has, uniform and under a random maximum as a KMV's
+// candidates are, and on what an adversary who knows the hash can feed it:
+// repeats, all-equal and descending input, sixteen values a bucket
+// descending within each (the most insertion work placement keeps), and
+// every value in one bucket (which it must hand to the comparison sort).
+func TestKMVPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	check := func(n, w int, what string, c []uint64) {
+		t.Helper()
+		want := slices.Sorted(slices.Values(c))
+		if place(c); !slices.Equal(c, want) {
+			t.Fatalf("%d values, width %d, %s: placed %v, want %v", n, w, what, c, want)
+		}
+	}
+	for n := 0; n <= placeMax+1; n++ {
+		for w := 1 + n%7; w <= 61; w += 7 {
+			uniform, under, repeats := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+			limit := 1 + rng.Uint64()>>(64-w)
+			for i := range uniform {
+				uniform[i] = rng.Uint64() >> (64 - w)
+				under[i] = rng.Uint64() % limit
+				repeats[i] = uniform[rng.Intn(i+1)]
+			}
+			check(n, w, "uniform", uniform)
+			check(n, w, "under a maximum", under)
+			check(n, w, "repeats", repeats)
+			if n > 0 {
+				check(n, w, "all equal", slices.Repeat(uniform[n-1:], n))
+			}
+			slices.Reverse(uniform) // its check left it ascending
+			check(n, w, "descending", uniform)
+		}
+		sixteen, one := make([]uint64, n), make([]uint64, n)
+		for i := range sixteen {
+			sixteen[i] = uint64(i/16)<<52 | uint64(15-i%16)
+			one[i] = 1<<60 | rng.Uint64()>>20 // the top 9 of 61 bits: bucket 256
+		}
+		check(n, 61, "sixteen a bucket", sixteen)
+		check(n, 61, "one bucket", one)
 	}
 }
 

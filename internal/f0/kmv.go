@@ -2,6 +2,7 @@ package f0
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -25,7 +26,8 @@ import (
 // The state is one run: vals holds the retained minima distinct and
 // descending, the k-th minimum at vals[0] once full, which is also the
 // encoded order. A rejected update costs the threshold compare; an
-// accepted single insert shifts O(k) words, a batch is merged in one pass.
+// accepted single insert shifts O(k) words. A batch's values under the
+// threshold are placed in order in linear time and merged in one pass.
 type KMV struct {
 	k    int
 	h    hash.Poly
@@ -71,31 +73,77 @@ func (s *KMV) Update(item uint64, delta int64) {
 }
 
 // UpdateBatch implements sketch.BatchUpdater. It collects the values under
-// the threshold on the stack and merges when that fills or the batch ends —
-// not per input block, which is an O(k) pass for a couple of values.
+// the threshold on the stack — every value is written and only those under
+// it kept, so the compare is not a branch to mispredict — places them in
+// order and merges when that fills or the batch ends, not per input block,
+// which is an O(k) pass for a couple of values.
 func (s *KMV) UpdateBatch(batch []sketch.Update) {
-	var cand [512]uint64
+	var cand [placeMax]uint64
 	for len(batch) > 0 {
 		n, limit := 0, uint64(math.MaxUint64)
 		if len(s.vals) == s.k {
 			limit = s.vals[0]
 		}
 		for ; n < len(cand) && len(batch) > 0; batch = batch[1:] {
-			if v := s.h.Eval(batch[0].Item); v < limit {
-				cand[n] = v
+			v := s.h.Eval(batch[0].Item)
+			if cand[n] = v; v < limit {
 				n++
 			}
 		}
+		place(cand[:n])
 		s.mergeValues(cand[:n])
 	}
 }
 
-// mergeValues folds hashed values into the sketch, using c as
+// placeMax is the candidate scratch: as many values as place has buckets.
+const placeMax = 512
+
+// place sorts c ascending. Hashed values under a threshold are uniform
+// below their maximum, so one counting pass over their top 9 bits (relative
+// to the OR of the values) puts each among a couple of others, and inserting
+// them back into c in that order finishes. Short runs, long ones, and a
+// bucket that overfills (an adversary who knows the hash can cluster
+// values) are comparison-sorted: the worst case is one counting pass more.
+func place(c []uint64) {
+	if len(c) < 32 || len(c) > placeMax {
+		slices.Sort(c)
+		return
+	}
+	var or uint64
+	for _, v := range c {
+		or |= v
+	}
+	shift := max(bits.Len64(or)-9, 0)
+	var at [placeMax]uint16 // per bucket: its count, then where its next value goes in buf
+	for _, v := range c {
+		if at[v>>shift]++; at[v>>shift] > 16 {
+			slices.Sort(c)
+			return
+		}
+	}
+	var sum uint16
+	for b, n := range at {
+		at[b], sum = sum, sum+n
+	}
+	var buf [placeMax]uint64
+	for _, v := range c {
+		buf[at[v>>shift]] = v
+		at[v>>shift]++
+	}
+	for i, v := range buf[:len(c)] {
+		j := i
+		for ; j > 0 && c[j-1] > v; j-- {
+			c[j] = c[j-1]
+		}
+		c[j] = v
+	}
+}
+
+// mergeValues folds ascending hashed values into the sketch, using c as
 // scratch: an ascending pass finds what the k smallest distinct values of
 // the union keep — the a smallest of vals and b of c, compacted to c[:b] —
 // and a descending pass merges them in place.
 func (s *KMV) mergeValues(c []uint64) {
-	slices.Sort(c)
 	m, a, b := len(s.vals), 0, 0
 	for _, v := range c {
 		for a < m && a+b < s.k && s.vals[m-1-a] < v {

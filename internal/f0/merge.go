@@ -24,6 +24,8 @@ func (s *KMV) Merge(other *KMV) error {
 	if !s.h.Equal(other.h) {
 		return ErrIncompatible
 	}
-	s.mergeValues(slices.Clone(other.vals))
+	c := slices.Clone(other.vals)
+	slices.Reverse(c) // its minima, descending: ascending is already in order
+	s.mergeValues(c)
 	return nil
 }

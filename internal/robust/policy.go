@@ -301,9 +301,15 @@ func (pol Policy) StateBytes(eps, delta float64, n uint64, prob Problem) float64
 		return 0
 	case pol.Kind == Ring && prob.NewRing != nil:
 		return prob.RingBytes(pl.eps, delta, n)
+	case pol.Kind == Switching || pol.Kind == Ring:
+		return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies) + switcherLagBytes
 	}
 	return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies)
 }
+
+// switcherLagBytes is a Switcher's full lag buffer beside its copies: 16 384
+// slots at 16 bytes, and the coalesced one with its index at 32 (Lagged.SpaceBytes).
+const switcherLagBytes = 48 * 16384
 
 // publish applies the problem's output transform.
 func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {

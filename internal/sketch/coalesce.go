@@ -7,9 +7,9 @@ package sketch
 // — the condition IncrementalEstimator documents). Sketches that multiply
 // deltas into floating-point variates (CC, Indyk, MaxStable) round a
 // merged delta differently, and CountSketch's candidate pool depends on
-// arrival order; they must not declare it. core.Switcher feeds declarers
-// one coalesced lag buffer per drain; the conformance kit's
-// coalesce-consistency property holds them to the claim.
+// arrival order; they must not declare it. core.Lagged feeds declarers
+// every catch-up coalesced; the conformance kit's coalesce-consistency
+// property holds them to the claim.
 type CoalesceInvariant interface {
 	BatchUpdater
 

@@ -17,7 +17,7 @@
 // A third, CoalesceInvariant (coalesce.go), marks batch estimators whose
 // state does not depend on whether a batch's duplicate items were merged
 // first; Coalescer does the merging, per batch for the engine's shard
-// workers and per lag buffer for core.Switcher's drain (declarers only).
+// workers and per catch-up for core.Lagged (declarers only).
 // The conformance kit's incremental-consistency, batch-consistency and
 // coalesce-consistency properties enforce the three contracts for every
 // registered type.
@@ -27,8 +27,8 @@
 // (bench --trace 1):
 //
 //	interface             implementers                                                           non-test caller                                     ladder rung
-//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV merges a sorted cut in one pass)
-//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.NewLagged: one coalesced buffer per drain      robust.self_update_ns
+//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV places its candidates and merges them in one pass)
+//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.Lagged: every catch-up coalesced               robust.self_update_ns
 //	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                       none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
 //	PointQuerier          CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.point_ns, engine.point_us
 //	TopKQuerier           CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
