@@ -3,8 +3,8 @@
 // (POST /v2/keys with a TenantSpec — each tenant sized from its own ε, δ,
 // n, shards and flip budget), batched JSON or binary-frame ingest,
 // structured queries (POST /v2/query: estimate | point | topk answers
-// with ε-derived error bounds), blocking and lock-free estimate reads,
-// and binary snapshot/merge state transfer between instances. A tenant's
+// with ε-derived error bounds), flushed estimate reads, and binary
+// snapshot/merge state transfer between instances. A tenant's
 // sketch × policy cell is always its owner's declaration — no flag picks
 // one — and the flags below are the sizing defaults and caps a TenantSpec
 // falls back to; see internal/server for the API and README.md for a
@@ -100,7 +100,6 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		addr      = fs.String("addr", ":8080", "listen address")
 		maxKeys   = fs.Int("max-keys", 64, "server-wide keyspace quota")
 		shards    = fs.Int("shards", 4, "engine shards per keyspace")
-		batch     = fs.Int("batch", 256, "engine batch size")
 		eps       = fs.Float64("eps", 0.2, "default per-keyspace accuracy target ε (overridable per tenant via TenantSpec)")
 		delta     = fs.Float64("delta", 0.05, "default per-keyspace failure probability δ (split δ/shards per shard instance; overridable per tenant)")
 		n         = fs.Uint64("n", 1<<32, "universe size bound for the robust constructors")
@@ -144,7 +143,6 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 	srv, err := server.Open(server.Config{
 		MaxKeys:         *maxKeys,
 		Shards:          *shards,
-		Batch:           *batch,
 		Eps:             *eps,
 		Delta:           *delta,
 		N:               *n,

@@ -130,9 +130,11 @@ func startSketchd(t *testing.T, bin string, args ...string) *sketchdProc {
 //  3. garbage appended to the WAL tail (torn final record);
 //  4. restart on the same address, racing the client's UpdateRetry loop;
 //  5. every quiet tenant's estimate must equal its pre-crash value
-//     exactly, the in-flight tenant's estimate must be within ε of its
-//     at-least-once delivery window, and spec/policy/model/flip-budget
-//     state must all survive;
+//     exactly — the robust tenant's flip count too, although phase 1 read
+//     it between batches and recovery replays without a read — the
+//     in-flight tenant's estimate must be within ε of its at-least-once
+//     delivery window, and spec/policy/model/flip-budget state must all
+//     survive;
 //  6. SIGTERM then drains cleanly with exit code 0.
 func TestCrashRecoveryE2E(t *testing.T) {
 	bin := sketchdBin(t)
@@ -159,7 +161,8 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 1: fully acknowledged traffic into every tenant.
+	// Phase 1: fully acknowledged traffic into every tenant, the robust
+	// one read after every batch.
 	var batch []client.Update
 	for i := 0; i < 1280; i++ {
 		batch = append(batch, client.Update{Item: uint64(i % 193), Delta: 1})
@@ -168,6 +171,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 				if err := c.Update(ctx, key, batch); err != nil {
 					t.Fatalf("phase-1 update %s: %v", key, err)
 				}
+			}
+			if _, err := c.Estimate(ctx, "robust"); err != nil {
+				t.Fatal(err)
 			}
 			batch = batch[:0]
 		}
@@ -190,6 +196,21 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		preCrash[key] = v
+	}
+	switches := func() int {
+		t.Helper()
+		ks, err := c.KeyStats(ctx, "robust")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ks.Policy != "switching" || ks.Robustness == nil {
+			t.Fatalf("robust tenant reads as policy=%q robustness=%v, want switching with state", ks.Policy, ks.Robustness)
+		}
+		return ks.Robustness.Switches
+	}
+	preCrashSwitches := switches()
+	if preCrashSwitches == 0 {
+		t.Fatal("phase 1 never made the robust tenant switch; the flip-count comparison would be vacuous")
 	}
 
 	// Phase 2: a feeder streams fresh unique items into "plain" via
@@ -298,14 +319,10 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 
 	// Specs, policies, stream models, and flip-budget state all survive.
-	ks, err := c.KeyStats(ctx, "robust")
-	if err != nil {
-		t.Fatal(err)
+	if got := switches(); got != preCrashSwitches {
+		t.Errorf("robust tenant recovered %d switches, want pre-crash %d", got, preCrashSwitches)
 	}
-	if ks.Policy != "switching" || ks.Robustness == nil {
-		t.Errorf("robust tenant recovered as policy=%q robustness=%v, want switching with state", ks.Policy, ks.Robustness)
-	}
-	ks, err = c.KeyStats(ctx, "turn")
+	ks, err := c.KeyStats(ctx, "turn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +363,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		if got != preCrash[key] {
 			t.Errorf("estimate %s = %v after clean restart, want %v", key, got, preCrash[key])
 		}
+	}
+	if got := switches(); got != preCrashSwitches {
+		t.Errorf("robust tenant has %d switches after clean restart, want %d", got, preCrashSwitches)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package client is the Go client for sketchd (internal/server): batched
-// ingest, blocking and lock-free reads, and binary snapshot/merge state
-// transfer between servers. All methods are safe for concurrent use.
+// ingest, flushed reads, and binary snapshot/merge state transfer between
+// servers. All methods are safe for concurrent use.
 //
 // By default the client speaks the negotiated binary framing of
 // internal/wire on the hot endpoints — update batches go to POST
@@ -34,7 +34,7 @@ type Update = server.UpdateItem
 
 // TenantSpec mirrors the declarative tenant description of POST /v2/keys:
 // the sketch × policy × stream-model combination plus the tenant's own
-// (ε, δ, n, shards, batch, flip budget, λ, α, seed). See server.TenantSpec
+// (ε, δ, n, shards, flip budget, λ, α, seed). See server.TenantSpec
 // for field semantics.
 type TenantSpec = server.TenantSpec
 
@@ -171,8 +171,8 @@ func keyQuery(key string) url.Values { return url.Values{"key": {key}} }
 
 // CreateTenant declares keyspace key from a TenantSpec (POST /v2/keys),
 // the only way a tenant is admitted: a registry sketch, a policy (empty
-// means none), and the tenant's own ε, δ, n, shards, batch, flip budget
-// and seed, with unset sizing fields falling back to the server defaults.
+// means none), and the tenant's own ε, δ, n, shards, flip budget and
+// seed, with unset sizing fields falling back to the server defaults.
 // It returns the tenant's KeyStats echoing the fully resolved spec (seed
 // withheld by the server). Idempotent when every explicitly set field
 // agrees with the existing tenant; a disagreement fails with 409.
@@ -397,14 +397,6 @@ func (c *Client) Add(ctx context.Context, key string, items ...uint64) error {
 func (c *Client) Estimate(ctx context.Context, key string) (float64, error) {
 	var resp server.EstimateResponse
 	err := c.do(ctx, http.MethodGet, "/v1/estimate", keyQuery(key), nil, "", "", &resp, nil)
-	return resp.Estimate, err
-}
-
-// Peek returns the lock-free snapshot estimate for key: cheap, never
-// blocks ingest, may lag Estimate slightly.
-func (c *Client) Peek(ctx context.Context, key string) (float64, error) {
-	var resp server.EstimateResponse
-	err := c.do(ctx, http.MethodGet, "/v1/peek", keyQuery(key), nil, "", "", &resp, nil)
 	return resp.Estimate, err
 }
 

@@ -336,6 +336,77 @@ func TestStaleShipRejected(t *testing.T) {
 	}
 }
 
+// A robust tenant ships as its declaration alone. When the replica's handoff
+// push reaches a restarted durable owner, which recovered the tenant from
+// its log under that same declaration, the owner must keep what it
+// recovered instead of replacing it with an empty rebuild.
+func TestHandoffKeepsRecoveredRobustTenant(t *testing.T) {
+	nodes := bootCluster(t, 2, 2, true)
+	ctx := context.Background()
+	const key = "robust-tenant"
+	owner := byAddr(nodes, nodes[0].node.Owner(key))
+	replica := byAddr(nodes, owner.node.Replicas(key)[1])
+	cfg := server.Config{Shards: 2, Eps: 0.25, Delta: 0.05, N: 1 << 20, Seed: 42, MaxKeys: 64, DataDir: t.TempDir(), Fsync: "none"}
+	// boot replaces the owner's server and Node with a durable server opened
+	// on cfg.DataDir, serving on the owner's listener.
+	boot := func() {
+		owner.node.Close()
+		owner.srv.Drain() // a crash: no Shutdown, the log is all there is
+		srv, err := server.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Drain)
+		n, err := New(srv, Config{Self: owner.url, Peers: []string{nodes[0].url, nodes[1].url}, Replicas: 2, Forward: true, SuspectAfter: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		h := n.Handler()
+		owner.hs.Config.Handler.(*swapHandler).h.Store(&h)
+		owner.node, owner.srv = n, srv
+	}
+	read := func() (float64, int) {
+		t.Helper()
+		resp, _, err := owner.srv.AnswerLocal(&server.QueryRequest{Key: key, Queries: []server.Query{{Kind: server.QueryEstimate}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Answers[0].Value, resp.Robustness.Switches
+	}
+
+	boot()
+	oc := client.New(owner.url, owner.hs.Client())
+	if _, err := oc.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		items := make([]uint64, 100)
+		for j := range items {
+			items[j] = uint64((i*100 + j) % 97)
+		}
+		if err := oc.Add(ctx, key, items...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := owner.node.shipRound(); n == 0 {
+		t.Fatal("the owner shipped its declaration nowhere")
+	}
+	wantEst, wantSwitches := read()
+	if wantEst == 0 || wantSwitches == 0 {
+		t.Fatalf("(estimate, switches) = (%v, %d) before the restart; the comparison below would be vacuous", wantEst, wantSwitches)
+	}
+
+	boot()
+	if est, switches := read(); est != wantEst || switches != wantSwitches {
+		t.Fatalf("recovered (estimate, switches) = (%v, %d), before the restart (%v, %d)", est, switches, wantEst, wantSwitches)
+	}
+	replica.node.shipRound() // the handoff push: the restarted owner holds no sequence yet
+	if est, switches := read(); est != wantEst || switches != wantSwitches {
+		t.Errorf("after the replica's ship round (estimate, switches) = (%v, %d), recovered (%v, %d)", est, switches, wantEst, wantSwitches)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Global queries
 

@@ -45,6 +45,24 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if a := res.AllocsPerOp(); a != 0 {
 		t.Fatalf("steady-state Update: %d allocs/op (%d B/op), want 0", a, res.AllocedBytesPerOp())
 	}
+
+	// Apply too: the routing scratch and the part ends ride pooled buffers.
+	batch := make([]Update, 700)
+	for i := range batch {
+		batch[i] = Update{Item: uint64(i % 300), Delta: 1}
+	}
+	for i := 0; i < 64; i++ {
+		e.Apply(batch)
+	}
+	e.Flush()
+	res = testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.Apply(batch)
+		}
+	})
+	if a := res.AllocsPerOp(); a != 0 {
+		t.Fatalf("steady-state Apply: %d allocs/op (%d B/op), want 0", a, res.AllocedBytesPerOp())
+	}
 }
 
 // BenchmarkEngineSteadyState measures the pipeline against the null

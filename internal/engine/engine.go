@@ -8,17 +8,21 @@
 // chain rule for Shannon entropy — see combine.go for why hash
 // partitioning makes each of these exact.
 //
-// The pipeline shape is shard → batch → merge: producers append updates to
-// per-shard batches under a shard-striped lock, full batches are handed to
-// the shard worker over a bounded queue (backpressure, never drops), and
-// workers periodically publish their estimate, mass and space to lock-free
-// snapshots that Peek combines without blocking ingest. Before touching
-// the estimator, a worker coalesces duplicate items within the batch
-// (pre-aggregation), so skewed streams cost the estimator only one update
-// per distinct item per batch. Estimate performs
-// a full Flush first, so it reflects every Update that happened-before the
-// call. Update, TryUpdate, Estimate, Peek, Flush, Visit and Close are all
-// safe for concurrent use.
+// The pipeline shape is shard → part → merge. Apply appends each shard's
+// part of a caller's batch to that shard's buffer in one critical section
+// and records where it ends; a buffer is sealed at Config.Batch updates and
+// at Flush, Visit and Close, and handed to the shard worker over a bounded
+// queue (backpressure, never drops). The worker coalesces each part's
+// duplicate items before its estimator sees them, so a skewed stream costs
+// one update per distinct item per part, and publishes estimate, mass and
+// space to lock-free snapshots that Peek combines without blocking ingest.
+// Coalescing is part of what the estimator sees (a robust wrapper flips on
+// the coalesced updates), so parts are cut by the caller's batches alone,
+// and every Config.Batch updates within a longer one, never by a seal: a
+// read decides when the work runs, never what the estimator sees. Update,
+// the sketch.Estimator face, accumulates a tail that the next seal or Apply
+// closes as one part. Estimate flushes first. Every method is safe for
+// concurrent use.
 package engine
 
 import (
@@ -46,8 +50,9 @@ type Config struct {
 	// parallel ingest.
 	Shards int
 
-	// Batch is the number of updates a producer accumulates per shard
-	// before handing the batch to the worker. Defaults to 256.
+	// Batch is the number of updates a shard buffer holds before it is
+	// handed to the worker, and the longest part the worker coalesces.
+	// Defaults to 256.
 	Batch int
 
 	// Queue is the number of batches buffered per shard before producers
@@ -74,9 +79,23 @@ type Config struct {
 }
 
 type op struct {
-	batch *[]Update
+	batch *buf
 	visit func(est sketch.Estimator) // if non-nil: run against the estimator
 	sync  *sync.WaitGroup            // if non-nil: refresh published state, then Done
+}
+
+// buf is a pooled shard buffer: updates and the end of every part they
+// form. Updates past the last end are Update's open tail.
+type buf struct {
+	us   []Update
+	ends []int
+}
+
+// cut closes the open tail as a part of its own.
+func (b *buf) cut() {
+	if n := len(b.us); n > 0 && (len(b.ends) == 0 || b.ends[len(b.ends)-1] != n) {
+		b.ends = append(b.ends, n)
+	}
 }
 
 type shard struct {
@@ -85,12 +104,12 @@ type shard struct {
 
 	// mu guards pending/closed — the append critical section. sendMu
 	// serializes sends on ops and is always acquired before mu is
-	// released, so sealed batches reach the worker in seal order while a
+	// released, so sealed buffers reach the worker in seal order while a
 	// producer blocked on a full queue holds only sendMu, leaving mu free
 	// for other producers to keep appending.
 	mu      sync.Mutex
 	sendMu  sync.Mutex
-	pending *[]Update
+	pending *buf
 	closed  bool
 
 	est  sketch.Estimator // owned by the worker goroutine
@@ -126,6 +145,7 @@ type Engine struct {
 	refresh   int
 	combine   Combiner
 	pool      sync.Pool
+	parts     sync.Pool    // *[][]Update, Apply's per-shard scratch
 	liveBufs  atomic.Int64 // batch buffers checked out of the pool
 	deleted   atomic.Int64 // Σ|delta| over accepted negative deltas
 	closeOnce sync.Once
@@ -140,18 +160,15 @@ type Engine struct {
 }
 
 // getBuf checks a batch buffer out of the pool, counting it as
-// outstanding until putBuf returns it. The pool traffics in *[]Update:
-// storing the slice header itself would box it into an interface on every
-// Put — one heap allocation per recycled batch — while the pointer is
-// already heap-allocated once and reused for the buffer's lifetime.
-func (e *Engine) getBuf() *[]Update {
+// outstanding until putBuf returns it.
+func (e *Engine) getBuf() *buf {
 	e.liveBufs.Add(1)
-	return e.pool.Get().(*[]Update)
+	return e.pool.Get().(*buf)
 }
 
 // putBuf returns a batch buffer to the pool.
-func (e *Engine) putBuf(b *[]Update) {
-	*b = (*b)[:0]
+func (e *Engine) putBuf(b *buf) {
+	b.us, b.ends = b.us[:0], b.ends[:0]
 	e.pool.Put(b)
 	e.liveBufs.Add(-1)
 }
@@ -184,7 +201,8 @@ func New(cfg Config) *Engine {
 		refresh: cfg.RefreshEvery,
 		combine: cfg.Combine,
 	}
-	e.pool.New = func() any { b := make([]Update, 0, cfg.Batch); return &b }
+	e.pool.New = func() any { return &buf{us: make([]Update, 0, cfg.Batch)} }
+	e.parts.New = func() any { p := make([][]Update, cfg.Shards); return &p }
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
 			ops:  make(chan op, cfg.Queue),
@@ -198,25 +216,26 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// run is the shard worker loop: drain batches, refresh periodically and on
-// sync requests, refresh once more when the ops channel closes.
+// run is the shard worker loop: apply buffers part by part, refresh
+// periodically and on sync requests, refresh once more when ops closes.
 func (e *Engine) run(s *shard) {
 	defer close(s.done)
 	sinceRefresh := 0
 	first := true
 	for o := range s.ops {
-		if o.batch != nil {
-			b := *o.batch
-			sinceRefresh += len(b) // count pre-coalesce stream updates
-			// Compacted in place. State-preserving for the F0 sketches
-			// (duplicate-insensitive) and the linear sketches (linear in
-			// delta; the float-variate ones up to rounding).
-			b = s.co.Coalesce(b[:0], b)
-			sketch.ApplyBatch(s.est, b)
-			for _, u := range b {
-				s.mass += u.Delta
+		if b := o.batch; b != nil {
+			sinceRefresh += len(b.us) // count pre-coalesce stream updates
+			start := 0
+			for _, end := range b.ends {
+				// Each part coalesced on its own, compacted in place.
+				part := s.co.Coalesce(b.us[start:start], b.us[start:end])
+				sketch.ApplyBatch(s.est, part)
+				for _, u := range part {
+					s.mass += u.Delta
+				}
+				start = end
 			}
-			e.putBuf(o.batch)
+			e.putBuf(b)
 		}
 		if o.visit != nil {
 			o.visit(s.est)
@@ -286,21 +305,42 @@ func (e *Engine) shardOf(item uint64) *shard {
 	return e.shards[e.shardIndex(item)]
 }
 
-// Update implements sketch.Estimator. It appends to the item's shard batch
-// and hands full batches to the shard worker, blocking only when the
-// shard's queue is full. Update panics if called after Close — a
-// programmer error; a draining server racing late requests against
-// shutdown should use TryUpdate instead.
+// Update implements sketch.Estimator: it appends to the open tail of the
+// item's shard buffer, a part the next seal or Apply closes. Update panics
+// if called after Close, a programmer error; a caller racing Close uses
+// Apply.
 func (e *Engine) Update(item uint64, delta int64) {
-	if !e.TryUpdate(item, delta) {
+	if !e.add(e.shardOf(item), []Update{{Item: item, Delta: delta}}, false) {
 		panic("engine: Update after Close")
 	}
 }
 
-// TryUpdate is Update with a non-panicking failure mode: it reports false
-// (dropping the update) if the engine has been closed, and true otherwise.
-func (e *Engine) TryUpdate(item uint64, delta int64) bool {
-	s := e.shardOf(item)
+// Apply hands batch to the shards whole: each shard's part of it, in batch
+// order, is appended in one critical section and coalesced and applied on
+// its own, so what a shard estimator sees depends on the batches and their
+// order alone. Apply reports false once Close has begun; one racing Close
+// lands only on the shards Close has not reached, so a caller that needs
+// all or nothing orders Apply against Close.
+func (e *Engine) Apply(batch []Update) bool {
+	parts := e.parts.Get().(*[][]Update)
+	defer e.parts.Put(parts)
+	for _, u := range batch {
+		k := e.shardIndex(u.Item)
+		(*parts)[k] = append((*parts)[k], u)
+	}
+	ok := true
+	for k, part := range *parts {
+		ok = ok && (len(part) == 0 || e.add(e.shards[k], part, true))
+		(*parts)[k] = part[:0]
+	}
+	return ok
+}
+
+// add appends us to s's pending buffer, as a part cut every Config.Batch
+// updates or else to the open tail, and hands the buffer to the worker once
+// it holds Config.Batch updates, blocking only on a full queue. It reports
+// false, appending nothing, once s is closed.
+func (e *Engine) add(s *shard, us []Update, part bool) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -309,30 +349,47 @@ func (e *Engine) TryUpdate(item uint64, delta int64) bool {
 	if s.pending == nil {
 		s.pending = e.getBuf()
 	}
-	*s.pending = append(*s.pending, Update{Item: item, Delta: delta})
-	if delta < 0 {
-		e.deleted.Add(-delta)
+	b := s.pending
+	if part {
+		b.cut()
 	}
-	if len(*s.pending) < e.batch {
+	for start := 0; start < len(us); start += e.batch {
+		b.us = append(b.us, us[start:min(start+e.batch, len(us))]...)
+		if part {
+			b.ends = append(b.ends, len(b.us))
+		}
+	}
+	for _, u := range us {
+		if u.Delta < 0 {
+			e.deleted.Add(-u.Delta)
+		}
+	}
+	if len(b.us) < e.batch {
 		s.mu.Unlock()
 		return true
 	}
-	b := s.pending
-	s.pending = nil
-	// Hand off outside the append critical section: sealing order fixes
-	// send order via sendMu, and a producer stalled on a full queue blocks
-	// followers only when they too have a sealed batch to send.
-	s.sendMu.Lock()
-	s.mu.Unlock()
-	s.ops <- op{batch: b}
-	s.sendMu.Unlock()
+	s.handoff(op{})
 	return true
 }
 
-// Flush pushes every pending batch to the workers and blocks until all of
+// handoff seals s's pending buffer, its open tail closed as a part, into o
+// and sends o to the worker. Caller holds s.mu, which handoff releases once
+// it holds sendMu: seal order fixes send order, and a producer stalled on a
+// full queue blocks followers only when they too have a buffer to send.
+func (s *shard) handoff(o op) {
+	if o.batch, s.pending = s.pending, nil; o.batch != nil {
+		o.batch.cut()
+	}
+	s.sendMu.Lock()
+	s.mu.Unlock()
+	s.ops <- o
+	s.sendMu.Unlock()
+}
+
+// Flush pushes every pending buffer to the workers and blocks until all of
 // them have been applied and every shard's published snapshot is fresh.
-// After Flush returns, Peek and Estimate reflect every Update that
-// happened-before the Flush call. For a shard that is closing or closed,
+// After Flush returns, Peek and Estimate reflect every Apply and Update
+// that happened-before the Flush call. For a shard that is closing or closed,
 // Flush waits for its worker to exit — the worker publishes the final
 // snapshot on the way out — so reads racing a Close (a server draining
 // under live queries) see the fully-drained state, never a stale
@@ -346,13 +403,8 @@ func (e *Engine) Flush() {
 			<-s.done // final publish happens before the worker exits
 			continue
 		}
-		b := s.pending
-		s.pending = nil
 		wg.Add(1)
-		s.sendMu.Lock()
-		s.mu.Unlock()
-		s.ops <- op{batch: b, sync: &wg}
-		s.sendMu.Unlock()
+		s.handoff(op{sync: &wg})
 	}
 	wg.Wait()
 }
@@ -382,12 +434,7 @@ func (e *Engine) Visit(fn func(shard int, est sketch.Estimator) error) error {
 		} else {
 			var wg sync.WaitGroup
 			wg.Add(1)
-			i := i
-			o := op{visit: func(est sketch.Estimator) { err = fn(i, est) }, sync: &wg}
-			s.sendMu.Lock()
-			s.mu.Unlock()
-			s.ops <- o
-			s.sendMu.Unlock()
+			s.handoff(op{visit: func(est sketch.Estimator) { err = fn(i, est) }, sync: &wg})
 			wg.Wait()
 		}
 		if err != nil && firstErr == nil {
@@ -592,23 +639,16 @@ func (e *Engine) Robustness() (agg sketch.Robustness, ok bool) {
 // Peek return the final combined estimate). Close is idempotent and safe
 // to call concurrently with active producers — the mu→sendMu handoff
 // protocol serializes it against in-flight sends, and producers that
-// arrive after it observe the closed state (TryUpdate reports false,
-// Update panics); that is the drain path a server shutting down under
-// live traffic relies on.
+// arrive after it observe the closed state (Apply reports false, Update
+// panics); that is the drain path a server shutting down under live
+// traffic relies on.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		for _, s := range e.shards {
 			s.mu.Lock()
 			s.closed = true
-			b := s.pending
-			s.pending = nil
-			s.sendMu.Lock() // wait out any producer mid-handoff
-			s.mu.Unlock()
-			if b != nil {
-				s.ops <- op{batch: b}
-			}
+			s.handoff(op{}) // waits out any producer mid-handoff; none follows
 			close(s.ops)
-			s.sendMu.Unlock()
 		}
 		for _, s := range e.shards {
 			<-s.done

@@ -476,7 +476,7 @@ func TestEstimateDuringCloseSeesFinalState(t *testing.T) {
 	go func() { e.Close(); close(closed) }()
 	// Wait until the shards observe the close (delta-0 probes are inert for
 	// a Σdelta estimator), then read mid-drain.
-	for e.TryUpdate(0, 0) {
+	for e.Apply([]Update{{Item: 0, Delta: 0}}) {
 		time.Sleep(20 * time.Microsecond)
 	}
 	if got := e.Estimate(); got != n {

@@ -103,25 +103,29 @@ func TestUpdateHandoffDoesNotConvoy(t *testing.T) {
 	}
 }
 
-// TestTryUpdateAfterClose: TryUpdate reports false instead of panicking
-// once the engine is closed (the drain path a server needs), while Update
-// keeps the panic for programmer error.
-func TestTryUpdateAfterClose(t *testing.T) {
+// TestApplyAfterClose: Apply reports false, applying nothing, once the
+// engine is closed (the drain path a server needs), while Update keeps the
+// panic for programmer error.
+func TestApplyAfterClose(t *testing.T) {
 	e := New(Config{
 		Shards:  2,
 		Batch:   4,
 		Seed:    1,
 		Factory: func(seed int64) sketch.Estimator { return f0.NewExact() },
 	})
-	for i := uint64(0); i < 100; i++ {
-		if !e.TryUpdate(i, 1) {
-			t.Fatalf("TryUpdate(%d) = false before Close", i)
+	for i := uint64(0); i < 100; i += 10 {
+		batch := make([]Update, 10)
+		for j := range batch {
+			batch[j] = Update{Item: i + uint64(j), Delta: 1}
+		}
+		if !e.Apply(batch) {
+			t.Fatalf("Apply(%d..) = false before Close", i)
 		}
 	}
 	e.Close()
 
-	if e.TryUpdate(1, 1) {
-		t.Error("TryUpdate = true after Close")
+	if e.Apply([]Update{{Item: 1000, Delta: 1}, {Item: 1001, Delta: 1}}) {
+		t.Error("Apply = true after Close")
 	}
 	func() {
 		defer func() {

@@ -60,7 +60,7 @@ func NewEngineTarget(eng *engine.Engine) Target {
 }
 
 func (t engineTarget) Update(item uint64, delta int64) error {
-	if !t.eng.TryUpdate(item, delta) {
+	if !t.eng.Apply([]sketch.Update{{Item: item, Delta: delta}}) {
 		return fmt.Errorf("game: engine target is closed")
 	}
 	return nil

@@ -13,7 +13,6 @@ import (
 //
 //	POST /v1/update    {"updates":[{"item":1,"delta":2},...]}  batched ingest
 //	GET  /v1/estimate  flushes, returns the combined estimate
-//	GET  /v1/peek      lock-free snapshot estimate, never blocks ingest
 //	GET  /v1/snapshot  binary sketch state (application/octet-stream)
 //	POST /v1/merge     folds a snapshot (possibly from another server) into
 //	                   the keyspace; on a durable server the merged state is
@@ -119,7 +118,7 @@ type UpdateResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// EstimateResponse is the body of GET /v1/estimate and GET /v1/peek.
+// EstimateResponse is the body of GET /v1/estimate.
 type EstimateResponse struct {
 	Key      string  `json:"key"`
 	Sketch   string  `json:"sketch"`
@@ -162,10 +161,6 @@ type TenantSpec struct {
 	// Shards is the tenant engine's shard count, capped at MaxTenantShards.
 	// Zero picks the server default.
 	Shards int `json:"shards,omitempty"`
-
-	// Batch is the tenant engine's batch size, capped at MaxTenantBatch.
-	// Zero picks the server default.
-	Batch int `json:"batch,omitempty"`
 
 	// FlipBudget is the flip number λ for the switching and paths
 	// policies, capped at MaxTenantFlipBudget. Zero picks the server

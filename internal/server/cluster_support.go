@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -45,12 +46,21 @@ func (s *Server) ShipTenant(key string) (*wire.Ship, error) {
 // cadence — each ship is one coalesced contribution, not one fsync (see
 // maybeCheckpoint). A replica that crashes between checkpoints recovers a
 // stale copy and is refreshed by the owner's next ship round.
+//
+// A shipment without state (a robust tenant's) leaves a tenant held under
+// the same declaration as it is: a rebuild would reset the stream it has
+// applied, a restarted owner's recovered one included, to nothing.
 func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted int64) error {
 	if key == "" {
 		return fmt.Errorf("missing key")
 	}
 	if s.draining.Load() {
 		return errDraining
+	}
+	if old := s.lookup(key); old != nil && len(state) == 0 {
+		if held, err := json.Marshal(old.ts); err == nil && string(held) == string(specJSON) {
+			return nil
+		}
 	}
 	t, err := s.rebuild(key, specJSON, state, mass, deleted)
 	if err != nil {
@@ -103,12 +113,12 @@ func DecodeQueryRequest(data []byte) (QueryRequest, error) {
 
 // Keys returns the tenant keys this server holds, sorted.
 func (s *Server) Keys() []string {
-	s.mu.RLock()
+	s.mu.Lock()
 	keys := make([]string, 0, len(s.tenants))
 	for k := range s.tenants {
 		keys = append(keys, k)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	sort.Strings(keys)
 	return keys
 }
@@ -286,9 +296,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodGet) {
 		return
 	}
-	s.mu.RLock()
+	s.mu.Lock()
 	keys := len(s.tenants)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	resp := HealthResponse{
 		Status:      "ok",
 		Draining:    s.draining.Load(),

@@ -235,7 +235,6 @@ func TestForwarderRedirect(t *testing.T) {
 	wantRedirect(http.MethodPost, "/v1/update?key=remote", `{"updates":[{"item":1,"delta":1}]}`, "application/json")
 	wantRedirect(http.MethodPost, "/v2/update?key=remote", `{"updates":[{"item":1,"delta":1}]}`, "application/json")
 	wantRedirect(http.MethodGet, "/v1/estimate?key=remote", "", "")
-	wantRedirect(http.MethodGet, "/v1/peek?key=remote", "", "")
 	wantRedirect(http.MethodGet, "/v1/snapshot?key=remote", "", "")
 	wantRedirect(http.MethodPost, "/v1/merge?key=remote", "x", "application/octet-stream")
 	wantRedirect(http.MethodDelete, "/v1/keys?key=remote", "", "")

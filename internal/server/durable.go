@@ -14,25 +14,24 @@ import (
 // the latest checkpoint per tenant and replays the log tail; a torn final
 // record (crash mid-write) is truncated, never a failed boot.
 //
-// Ordering is log → apply → ack: under the read side of the tenant's
-// writeMu an update batch is appended to the WAL, then applied to the
-// engine, and acknowledged once the lock is released. A batch the log
-// refuses never reaches the engine, so the live state never holds what
-// recovery would not. This is no weaker than applying first: either way a
-// crash after the append and before the ack recovers a batch the client
-// was not told survived, and the client's retry path (client.UpdateRetry)
-// re-sends it: delivery is at-least-once. The log therefore IS the
-// acknowledged stream plus at most the batches in flight at the crash,
-// which is the state the crash-recovery e2e asserts against.
+// Ordering is log → apply → ack under one lock: holding the tenant's
+// writeMu, an update batch is appended to the WAL, handed to the engine
+// whole (engine.Apply) and acknowledged once the lock is released. So log
+// order is apply order and, as the engine cuts by batches alone, a tenant is
+// a function of its resolved spec, seed and update records, read or not. A
+// batch the log refuses never reaches the engine. Delivery stays
+// at-least-once: a crash between append and ack recovers a batch the client
+// re-sends (client.UpdateRetry), so the log IS the acknowledged stream plus
+// at most the batches in flight at the crash, the state the crash-recovery
+// e2e asserts against.
 //
 // Checkpoints cut the log per tenant: the checkpoint's LSN is the log head
-// taken under writeMu's write side, so no update for that tenant can sit
-// between the serialized sketch state and the recorded position. Recovery
-// restores the state and replays only this tenant's records with LSN beyond
-// the cut. Non-mergeable (robust-policy) tenants have no serializable state;
-// they are re-declared from their create record and rebuilt by replaying
-// their full update history — deterministic given the resolved seed, so the
-// flip-budget state is reproduced, not approximated.
+// taken under writeMu, so no update for that tenant can sit between the
+// serialized sketch state and the recorded position. Recovery restores the
+// state and replays only this tenant's records with LSN beyond the cut.
+// Non-mergeable (robust-policy) tenants have no serializable state; they are
+// re-declared from their create record and rebuilt by replaying their full
+// update history one Apply per record, estimate and flip-budget state exact.
 
 // RecoveryStats describes what Open rebuilt from the data directory.
 type RecoveryStats struct {
@@ -152,9 +151,8 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 				return nil // CRC-valid but undecodable frame: skip, keep going
 			}
 			ubuf = us
-			for _, u := range us {
-				t.eng.TryUpdate(u.Item, u.Delta)
-			}
+			// One Apply per record, as ingest applied it: the same cuts.
+			t.eng.Apply(us)
 			t.sinceCkpt.Add(int64(len(us)))
 			s.recovery.ReplayedUpdates += len(us)
 		}
@@ -188,7 +186,7 @@ func (s *Server) logDelete(key string) error {
 
 // logUpdates journals an update batch, before it is applied, as a wire
 // updates frame — the record body on disk is byte-identical to what a
-// binary-codec client sent. Caller holds t.writeMu's read side.
+// binary-codec client sent. Caller holds t.writeMu.
 func (s *Server) logUpdates(t *tenant, us []wire.Update) error {
 	if s.wal == nil || len(us) == 0 {
 		return nil
@@ -211,8 +209,8 @@ func (s *Server) maybeCheckpoint(t *tenant, n int) {
 	if t.sinceCkpt.Add(int64(n)) < int64(s.cfg.CheckpointEvery) {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining.Load() || !t.ckptBusy.CompareAndSwap(false, true) {
 		return // Shutdown writes the final checkpoint itself, or one is in flight already
 	}

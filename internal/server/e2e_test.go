@@ -93,14 +93,6 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("countsketch F2 estimate %v vs truth %v: rel err %.3f > ε=%.2f", gotHH, wantF2, re, eps)
 	}
 
-	// Peek serves without error and lands in the same ballpark (everything
-	// is flushed, so it equals the published combined estimate).
-	if peek, err := c.Peek(ctx, "norms"); err != nil {
-		t.Fatal(err)
-	} else if relErr(peek, truth.L2()) > 2*eps {
-		t.Errorf("peek %v far from truth %v", peek, truth.L2())
-	}
-
 	// Snapshot → merge into a second server with the same seed reproduces
 	// the estimate exactly (the merged sketch state is identical).
 	snap, err := c.Snapshot(ctx, "hot-items")
@@ -280,10 +272,10 @@ func TestQuotaAndDelete(t *testing.T) {
 }
 
 // TestDrain: after Drain, updates and merges get a retryable 503 (no
-// panic from the closed engines — the TryUpdate path), while estimates
-// keep serving the fully flushed state.
+// panic from the closed engines), while estimates keep serving the fully
+// flushed state.
 func TestDrain(t *testing.T) {
-	srv, c := boot(t, server.Config{Shards: 2, Seed: 1, Batch: 8})
+	srv, c := boot(t, server.Config{Shards: 2, Seed: 1})
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "kmv"}); err != nil {
 		t.Fatal(err)
@@ -318,9 +310,6 @@ func TestDrain(t *testing.T) {
 	}
 	if re := relErr(got, 1000); re > 0.25 {
 		t.Errorf("drained estimate %v vs truth 1000: rel err %.3f", got, re)
-	}
-	if _, err := c.Peek(ctx, "k"); err != nil {
-		t.Errorf("peek after drain: %v", err)
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // into an empty key — and all three copies must be the same tenant:
 // byte-identical /v1/snapshot bodies, byte-identical /v2/query answers,
 // and (where the path carries it) the same mass telemetry. A robust
-// tenant crosses as a declaration and is rebuilt by replaying the stream.
+// tenant crosses as a declaration and is rebuilt by replaying the stream,
+// and it is the same tenant whether or not its source was read between
+// batches: a read decides when the engine works, never what it applies.
 func TestInstallPathsAgree(t *testing.T) {
 	ctx := context.Background()
 	serve := func(srv *server.Server) (*client.Client, string) {
@@ -62,14 +64,21 @@ func TestInstallPathsAgree(t *testing.T) {
 	for i := range stream {
 		stream[i] = client.Update{Item: zipf.Uint64(), Delta: 1}
 	}
-	feed := func(c *client.Client, key string) {
+	feedReading := func(c *client.Client, key string, read bool) {
 		t.Helper()
 		for i := 0; i < len(stream); i += 500 {
 			if err := c.Update(ctx, key, stream[i:i+500]); err != nil {
 				t.Fatalf("update %s: %v", key, err)
 			}
+			if !read {
+				continue
+			}
+			if _, err := c.Estimate(ctx, key); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	feed := func(c *client.Client, key string) { feedReading(c, key, false) }
 
 	cfg := durableCfg(t.TempDir())
 	src, err := server.Open(cfg)
@@ -132,30 +141,34 @@ func TestInstallPathsAgree(t *testing.T) {
 		}
 	}
 
-	// The robust tenant: shipped as a declaration, then fed the stream on
-	// both sides.
-	if _, err := srcClient.CreateTenant(ctx, "rob", client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := src.ShipTenant("rob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.State != nil {
-		t.Fatalf("robust shipment carries %d bytes of state, want a declaration", len(sh.State))
-	}
-	if err := shipSrv.ApplyShipment("rob", sh.Spec, sh.State, sh.Mass, sh.Deleted); err != nil {
-		t.Fatal(err)
-	}
-	feed(srcClient, "rob")
-	feed(shipClient, "rob")
-	robust := func(c *client.Client) (float64, int) {
-		t.Helper()
-		est, err := c.Estimate(ctx, "rob")
+	// The robust tenants: shipped as a declaration, then fed the stream on
+	// both sides; the source of "rob-read" is read after every batch, its
+	// shipped copy never.
+	robustKeys := []string{"rob", "rob-read"}
+	for _, key := range robustKeys {
+		if _, err := srcClient.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2", Policy: "switching"}); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := src.ShipTenant(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks, err := c.KeyStats(ctx, "rob")
+		if sh.State != nil {
+			t.Fatalf("robust shipment carries %d bytes of state, want a declaration", len(sh.State))
+		}
+		if err := shipSrv.ApplyShipment(key, sh.Spec, sh.State, sh.Mass, sh.Deleted); err != nil {
+			t.Fatal(err)
+		}
+		feedReading(srcClient, key, key == "rob-read")
+		feed(shipClient, key)
+	}
+	robust := func(c *client.Client, key string) (float64, int) {
+		t.Helper()
+		est, err := c.Estimate(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks, err := c.KeyStats(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,9 +177,17 @@ func TestInstallPathsAgree(t *testing.T) {
 		}
 		return est, ks.Robustness.Switches
 	}
-	wantEst, wantSwitches := robust(srcClient)
-	if wantSwitches == 0 {
-		t.Fatal("the stream never made the robust tenant switch; the comparison below would be vacuous")
+	type robustReading struct {
+		est      float64
+		switches int
+	}
+	wantRobust := make(map[string]robustReading)
+	for _, key := range robustKeys {
+		est, switches := robust(srcClient, key)
+		if switches == 0 {
+			t.Fatalf("%s: the stream never made the robust tenant switch; the comparison below would be vacuous", key)
+		}
+		wantRobust[key] = robustReading{est, switches}
 	}
 
 	// Checkpoint + Open: a clean shutdown checkpoints every mergeable
@@ -179,8 +200,8 @@ func TestInstallPathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckptClient, ckptURL := serve(reopened)
-	if got := reopened.Recovery().ReplayedUpdates; got != len(stream) {
-		t.Errorf("reopen replayed %d updates, want %d (only the robust tenant replays; the static ones restore from checkpoints)", got, len(stream))
+	if got, want := reopened.Recovery().ReplayedUpdates, len(robustKeys)*len(stream); got != want {
+		t.Errorf("reopen replayed %d updates, want %d (only the robust tenants replay; the static ones restore from checkpoints)", got, want)
 	}
 
 	for _, name := range sketches {
@@ -217,8 +238,11 @@ func TestInstallPathsAgree(t *testing.T) {
 		name string
 		c    *client.Client
 	}{{"checkpoint+open", ckptClient}, {"shipment", shipClient}} {
-		if est, switches := robust(path.c); est != wantEst || switches != wantSwitches {
-			t.Errorf("f2+switching via %s: (estimate, switches) = (%v, %d), the source (%v, %d)", path.name, est, switches, wantEst, wantSwitches)
+		for _, key := range robustKeys {
+			w := wantRobust[key]
+			if est, switches := robust(path.c, key); est != w.est || switches != w.switches {
+				t.Errorf("f2+switching %s via %s: (estimate, switches) = (%v, %d), the source (%v, %d)", key, path.name, est, switches, w.est, w.switches)
+			}
 		}
 	}
 }

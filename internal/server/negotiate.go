@@ -163,23 +163,21 @@ func (s *Server) applyUpdates(w http.ResponseWriter, t *tenant, us []wire.Update
 	s.maybeCheckpoint(t, len(us))
 }
 
-// ingest journals a batch, then applies it, under t's write-lock read side,
-// which it releases before the caller writes the response. Nothing that
-// closes a mapped engine does so without the write side, so once writable
-// passes, no TryUpdate of the batch can report a closed engine; and a
-// batch the log refuses never reaches the engine.
+// ingest journals a batch, then applies it whole, under t's write lock,
+// which it releases before the caller writes the response: log order is
+// apply order. Nothing closes a mapped engine without the lock, so once
+// writable passes Apply cannot find it closed; and a batch the log refuses
+// never reaches the engine.
 func (s *Server) ingest(t *tenant, us []wire.Update) error {
-	t.writeMu.RLock()
-	defer t.writeMu.RUnlock()
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
 	if err := s.writable(t); err != nil {
 		return err
 	}
 	if err := s.logUpdates(t, us); err != nil {
 		return fmt.Errorf("%w: %v", errJournal, err)
 	}
-	for _, u := range us {
-		t.eng.TryUpdate(u.Item, u.Delta)
-	}
+	t.eng.Apply(us)
 	return nil
 }
 

@@ -28,7 +28,7 @@ func TestConcurrentIngestAndDrain(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := map[bool]string{false: "memory", true: "durable"}[durable]
 		t.Run(name, func(t *testing.T) {
-			cfg := server.Config{Shards: 2, Batch: 16, Seed: 1, MaxKeys: 16}
+			cfg := server.Config{Shards: 2, Seed: 1, MaxKeys: 16}
 			if durable {
 				cfg.DataDir, cfg.Fsync = t.TempDir(), "batch"
 			}

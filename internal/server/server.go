@@ -11,9 +11,9 @@
 // application/x-sketch-frame; see internal/wire) and JSON (POST
 // /v1/update, or /v2/update without the frame Content-Type), both
 // funneling into one apply core so codec choice never changes
-// semantics — plus blocking and lock-free reads (GET /v1/estimate, GET
-// /v1/peek) and binary state transfer (GET /v1/snapshot, POST
-// /v1/merge) for the linear static sketches, which lets a fleet of
+// semantics — plus flushed reads (GET /v1/estimate, POST /v2/query) and
+// binary state transfer (GET /v1/snapshot, POST /v1/merge) for the linear
+// static sketches, which lets a fleet of
 // sketchd instances ingest independently and fold their state together
 // — the distributed-aggregation pattern that motivates mergeable
 // sketches. Error replies are always JSON, whatever the request codec.
@@ -28,8 +28,8 @@
 // policy × model combination — any base sketch in the registry composed
 // with any robustness policy of internal/robust (none, switching, ring,
 // paths) and a stream model (insertion, turnstile, bounded_deletion) —
-// together with the tenant's own (ε, δ, n, shards, batch, flip budget,
-// λ/α, seed). The paper's framework sizes each robust instance from its
+// together with the tenant's own (ε, δ, n, shards, flip budget, λ/α,
+// seed). The paper's framework sizes each robust instance from its
 // statistic's own parameters, and its guarantee belongs to the (policy,
 // problem) pair, so the cell is always something the owner said: the
 // sketch is required, an empty policy means none, and the server Config
@@ -68,17 +68,15 @@ import (
 // default. Config is the server's default-and-cap layer only: every
 // accuracy and sizing knob here can be overridden per tenant through
 // TenantSpec (POST /v2/keys), and the caps (MaxTenantShards,
-// MaxTenantBatch, MaxTenantFlipBudget, and MaxTenantStateBytes on their
-// product) bound what a spec may ask for.
+// MaxTenantFlipBudget, and MaxTenantStateBytes on their product) bound what
+// a spec may ask for.
 type Config struct {
 	// MaxKeys is the server-wide keyspace quota: creating a tenant beyond
 	// it fails with 507 until another keyspace is deleted. Defaults to 64.
 	MaxKeys int
 
-	// Shards and Batch configure each tenant's engine.Engine.
-	// Shards defaults to 4, Batch to 256.
+	// Shards is each tenant's engine.Engine shard count. Defaults to 4.
 	Shards int
-	Batch  int
 
 	// Eps and Delta are the per-keyspace accuracy targets; robust and
 	// static factories size each shard instance at Delta/Shards so the
@@ -131,9 +129,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 256
-	}
 	if cfg.Eps <= 0 {
 		cfg.Eps = 0.2
 	}
@@ -176,14 +171,13 @@ type tenant struct {
 	ts   TenantSpec // fully resolved: defaults applied
 	eng  *engine.Engine
 
-	// writeMu orders every write to the tenant against everything that
-	// closes its engine or cuts its state. An update batch holds the read
-	// side from its draining/lookup check through its last TryUpdate (see
-	// ingest); Drain, DELETE /v1/keys, ApplyShipment's replacement,
-	// /v1/merge and checkpoints hold the write side. So a mapped engine
-	// never closes under a batch, and a checkpoint's LSN cut never splits a
-	// batch between sketch state and log tail.
-	writeMu sync.RWMutex
+	// writeMu orders every write to the tenant against every other: an
+	// update batch from its writable check through its log append and Apply
+	// (ingest), Drain, DELETE /v1/keys, ApplyShipment's replacement,
+	// /v1/merge and checkpoints. So batches reach the engine in log order, a
+	// mapped engine never closes under a batch, and a checkpoint's LSN cut
+	// never splits a batch between sketch state and log tail.
+	writeMu sync.Mutex
 
 	// Durability state (idle on non-durable servers).
 	sinceCkpt atomic.Int64 // updates applied since the last checkpoint
@@ -257,7 +251,7 @@ func (t *tenant) fold(envelope []byte) error {
 // for durable servers — on exit.
 type Server struct {
 	cfg      Config
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	tenants  map[string]*tenant
 	draining atomic.Bool
 
@@ -266,8 +260,8 @@ type Server struct {
 	recovery   RecoveryStats
 	ckptWrites atomic.Int64 // checkpoints successfully written (telemetry + debounce tests)
 	// ckpts owns the cadence checkpoint goroutines. maybeCheckpoint starts one
-	// only under mu's read side and undrained; Shutdown, having drained, passes
-	// mu's write side before it waits, so none registers once the wait began.
+	// only under mu and undrained; Shutdown, having drained, passes mu before
+	// it waits, so none registers once the wait began.
 	ckpts sync.WaitGroup
 
 	// forwarder is the cluster placement hook; see SetForwarder in
@@ -292,8 +286,8 @@ func tenantSeed(root int64, key string) int64 {
 
 // lookup returns the tenant for key, or nil.
 func (s *Server) lookup(key string) *tenant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.tenants[key]
 }
 
@@ -319,7 +313,6 @@ func (s *Server) specMatches(t *tenant, raw TenantSpec) error {
 		{"delta", raw.Delta != 0, rts.Delta, t.ts.Delta},
 		{"n", raw.N != 0, rts.N, t.ts.N},
 		{"shards", raw.Shards != 0, rts.Shards, t.ts.Shards},
-		{"batch", raw.Batch != 0, rts.Batch, t.ts.Batch},
 		{"flip_budget", raw.FlipBudget != 0, rts.FlipBudget, t.ts.FlipBudget},
 		{"model", raw.Model != "", rts.Model, t.ts.Model},
 		{"lambda", raw.Lambda != 0, rts.Lambda, t.ts.Lambda},
@@ -394,32 +387,10 @@ func (s *Server) getOrCreate(key string, raw TenantSpec) (*tenant, error) {
 	return t, nil
 }
 
-// newTenant builds a tenant (and starts its engine) from a resolved spec.
-// A tenant-supplied seed replaces the server root for this keyspace:
-// snapshot exchange needs only the two tenants' resolved seeds (and shard
-// counts) to match, wherever their servers' roots differ. The effective
-// root is resolved into the stored spec, so a later re-declare that
-// explicitly names the seed the tenant actually runs under matches instead
-// of conflicting — and recovery, replaying the stored spec, rebuilds the
-// same shard seeds and therefore snapshot-compatible sketches.
+// newTenant builds a tenant (and starts its engine) from a resolved spec,
+// its shard seeds derived from the resolved root seed and the key.
 func (s *Server) newTenant(key string, sp spec, ts TenantSpec) *tenant {
-	root := s.cfg.Seed
-	if ts.Seed != 0 {
-		root = ts.Seed
-	}
-	ts.Seed = root
-	return &tenant{
-		key:  key,
-		spec: sp,
-		ts:   ts,
-		eng: engine.New(engine.Config{
-			Shards:  ts.Shards,
-			Batch:   ts.Batch,
-			Combine: sp.combine,
-			Factory: sp.factory(ts),
-			Seed:    tenantSeed(root, key),
-		}),
-	}
+	return &tenant{key: key, spec: sp, ts: ts, eng: engine.New(sp.engineConfig(ts, tenantSeed(ts.Seed, key)))}
 }
 
 // rebuild is the one way a tenant comes back from bytes this or another
@@ -458,7 +429,7 @@ func (s *Server) rebuild(key string, specJSON, state []byte, mass, deleted int64
 
 // Drain stops accepting writes and closes every tenant engine, flushing
 // all pending updates so reads served after Drain reflect the full
-// ingested stream. Reads (estimate, peek, snapshot, stats) keep working —
+// ingested stream. Reads (estimate, query, snapshot, stats) keep working —
 // including reads racing the drain itself: engine.Flush waits for closing
 // shards' final publish, so an estimate or snapshot served mid-drain is
 // the fully-drained state, never a stale mid-close snapshot. Updates,
@@ -487,12 +458,12 @@ func (s *Server) writable(t *tenant) error {
 	return nil
 }
 
-// tenantList copies the tenant map under the read lock, so callers can do
+// tenantList copies the tenant map under mu, so callers can do
 // per-tenant work that visits shard workers (stats, close, checkpoint)
 // without blocking concurrent keyspace creation or deletion.
 func (s *Server) tenantList() []*tenant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ts := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		ts = append(ts, t)
@@ -508,7 +479,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/update", s.handleUpdate)
 	mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	mux.HandleFunc("/v1/peek", s.handlePeek)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/merge", s.handleMerge)
 	mux.HandleFunc("/v1/keys", s.handleKeys)
@@ -606,8 +576,7 @@ func (s *Server) handleUpdateJSON(w http.ResponseWriter, r *http.Request) {
 	updatesPool.Put(up)
 }
 
-// estimateWith answers /v1/estimate and /v1/peek with the given read.
-func (s *Server) estimateWith(w http.ResponseWriter, r *http.Request, read func(*engine.Engine) float64) {
+func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodGet) {
 		return
 	}
@@ -615,15 +584,7 @@ func (s *Server) estimateWith(w http.ResponseWriter, r *http.Request, read func(
 	if t == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, EstimateResponse{Key: t.key, Sketch: t.spec.Name, Estimate: read(t.eng)})
-}
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.estimateWith(w, r, (*engine.Engine).Estimate)
-}
-
-func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
-	s.estimateWith(w, r, (*engine.Engine).Peek)
+	writeJSON(w, http.StatusOK, EstimateResponse{Key: t.key, Sketch: t.spec.Name, Estimate: t.eng.Estimate()})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -314,9 +314,6 @@ const (
 	// full-size estimator, so shards multiply the tenant's space.
 	MaxTenantShards = 64
 
-	// MaxTenantBatch caps TenantSpec.Batch (per-shard buffer sizing).
-	MaxTenantBatch = 1 << 16
-
 	// MaxTenantFlipBudget caps TenantSpec.FlipBudget: the dense-switching
 	// ensemble multiplies space by λ. TenantSpec.Lambda (a turnstile
 	// tenant's declared flip bound, which becomes its budget) shares the
@@ -371,9 +368,6 @@ func (ts TenantSpec) normalize(cfg Config, trusted bool) (TenantSpec, error) {
 	if ts.Shards != 0 && capped(ts.Shards, MaxTenantShards) {
 		return bad("shards", "must be in [1, %d], got %d", MaxTenantShards, ts.Shards)
 	}
-	if ts.Batch != 0 && capped(ts.Batch, MaxTenantBatch) {
-		return bad("batch", "must be in [1, %d], got %d", MaxTenantBatch, ts.Batch)
-	}
 	if ts.FlipBudget != 0 && capped(ts.FlipBudget, MaxTenantFlipBudget) {
 		return bad("flip_budget", "must be in [1, %d], got %d", MaxTenantFlipBudget, ts.FlipBudget)
 	}
@@ -423,11 +417,13 @@ func (ts TenantSpec) normalize(cfg Config, trusted bool) (TenantSpec, error) {
 	if ts.Shards == 0 {
 		ts.Shards = cfg.Shards
 	}
-	if ts.Batch == 0 {
-		ts.Batch = cfg.Batch
-	}
 	if ts.FlipBudget == 0 {
 		ts.FlipBudget = cfg.FlipBudget
+	}
+	// The root seed is resolved into the stored spec: a re-declare naming it
+	// matches, and recovery rebuilds the same, snapshot-compatible shards.
+	if ts.Seed == 0 {
+		ts.Seed = cfg.Seed
 	}
 	if ts.Model == "" {
 		ts.Model = "insertion"
@@ -676,11 +672,12 @@ func EngineConfig(ts TenantSpec, cfg Config, seed int64) (engine.Config, error) 
 	if err != nil {
 		return engine.Config{}, err
 	}
-	return engine.Config{
-		Shards:  rts.Shards,
-		Batch:   rts.Batch,
-		Combine: sp.combine,
-		Factory: sp.factory(rts),
-		Seed:    seed,
-	}, nil
+	return sp.engineConfig(rts, seed), nil
+}
+
+// engineConfig is the engine a tenant of the resolved spec runs, seeded with
+// seed. Batch is the engine's default, spelled out for harnesses that chunk
+// a request the way the worker cuts it; the client's batches cut the rest.
+func (sp spec) engineConfig(ts TenantSpec, seed int64) engine.Config {
+	return engine.Config{Shards: ts.Shards, Batch: 256, Combine: sp.combine, Factory: sp.factory(ts), Seed: seed}
 }

@@ -66,7 +66,7 @@ func TestTenantSpecNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ts.Eps != cfg.Eps || ts.Delta != cfg.Delta || ts.Shards != cfg.Shards ||
-		ts.Batch != cfg.Batch || ts.FlipBudget != cfg.FlipBudget || uint64(ts.N) != cfg.N {
+		ts.FlipBudget != cfg.FlipBudget || uint64(ts.N) != cfg.N {
 		t.Errorf("zero spec did not inherit server defaults: %+v vs %+v", ts, cfg)
 	}
 	if ts, err := (TenantSpec{Eps: 0.01, Shards: 2}).normalize(cfg, false); err != nil || ts.Eps != 0.01 || ts.Shards != 2 {
@@ -76,7 +76,6 @@ func TestTenantSpecNormalize(t *testing.T) {
 		{Eps: math.NaN()}, {Eps: -0.1}, {Eps: 1}, {Eps: math.Inf(1)},
 		{Delta: math.NaN()}, {Delta: -1}, {Delta: 2},
 		{Shards: -1}, {Shards: MaxTenantShards + 1},
-		{Batch: -5}, {Batch: MaxTenantBatch + 1},
 		{FlipBudget: -2}, {FlipBudget: MaxTenantFlipBudget + 1},
 		{Model: "cash_register"},
 		{Model: "turnstile", Lambda: -3},
@@ -137,12 +136,12 @@ func TestTenantSpecNormalize(t *testing.T) {
 
 	// Caps bound client requests, not operator flags: a server run with
 	// -shards above the cap keeps serving default-shaped tenants.
-	bigCfg := Config{Shards: MaxTenantShards * 2, Batch: MaxTenantBatch * 2, FlipBudget: MaxTenantFlipBudget * 2}.withDefaults()
+	bigCfg := Config{Shards: MaxTenantShards * 2, FlipBudget: MaxTenantFlipBudget * 2}.withDefaults()
 	ts, err = TenantSpec{}.normalize(bigCfg, false)
 	if err != nil {
 		t.Fatalf("inherited over-cap server flags rejected: %v", err)
 	}
-	if ts.Shards != bigCfg.Shards || ts.Batch != bigCfg.Batch || ts.FlipBudget != bigCfg.FlipBudget {
+	if ts.Shards != bigCfg.Shards || ts.FlipBudget != bigCfg.FlipBudget {
 		t.Errorf("over-cap server flags not inherited: %+v", ts)
 	}
 	// An explicit over-cap request on the same server is still refused.
@@ -450,9 +449,6 @@ func FuzzTenantSpecDecode(f *testing.F) {
 		}
 		if ts.Shards < 1 || ts.Shards > MaxTenantShards {
 			t.Fatalf("resolved shards %d escaped validation (input %q)", ts.Shards, data)
-		}
-		if ts.Batch < 1 || ts.Batch > MaxTenantBatch {
-			t.Fatalf("resolved batch %d escaped validation (input %q)", ts.Batch, data)
 		}
 		if ts.FlipBudget < 1 || ts.FlipBudget > MaxTenantFlipBudget {
 			t.Fatalf("resolved flip budget %d escaped validation (input %q)", ts.FlipBudget, data)

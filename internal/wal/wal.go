@@ -175,7 +175,7 @@ type Log struct {
 	segs    []segment
 	nextLSN uint64
 	dirty   bool
-	syncErr error
+	err     error // the first failed write or sync: every later Append and Sync returns it
 	closed  bool
 
 	buf   []byte
@@ -387,15 +387,15 @@ func (l *Log) newSegmentLocked() error {
 }
 
 // Append writes rec and returns its LSN, honoring the configured fsync
-// policy before returning.
+// policy before returning. A failed write or sync poisons the log (fail).
 func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if l.syncErr != nil {
-		return 0, l.syncErr
+	if l.err != nil {
+		return 0, l.err
 	}
 
 	l.buf = l.buf[:0]
@@ -411,30 +411,39 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	active := &l.segs[len(l.segs)-1]
 	if active.size+int64(len(l.buf)) > l.opts.SegmentBytes && active.records > 0 {
 		if err := l.newSegmentLocked(); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 		active = &l.segs[len(l.segs)-1]
 	}
 
 	if _, err := l.f.Write(l.buf); err != nil {
-		// A partial write leaves a torn tail; the next Open repairs it. Do
-		// not advance the LSN.
-		return 0, fmt.Errorf("wal: %w", err)
+		return 0, l.fail(fmt.Errorf("wal: %w", err))
+	}
+	switch l.opts.Fsync {
+	case FsyncAlways:
+		if err := l.f.Sync(); err != nil {
+			return 0, l.fail(fmt.Errorf("wal: %w", err))
+		}
+	case FsyncBatch:
+		l.dirty = true
 	}
 	active.size += int64(len(l.buf))
 	active.records++
 	lsn := l.nextLSN
 	l.nextLSN++
-
-	switch l.opts.Fsync {
-	case FsyncAlways:
-		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
-		}
-	case FsyncBatch:
-		l.dirty = true
-	}
 	return lsn, nil
+}
+
+// fail poisons the log with err, cutting the active segment back to its
+// last good record: no later record lands behind torn bytes, and a record
+// refused to its caller does not come back at the next boot.
+func (l *Log) fail(err error) error {
+	active := l.segs[len(l.segs)-1]
+	if terr := os.Truncate(active.path, active.size); terr != nil {
+		err = errors.Join(err, fmt.Errorf("wal: cutting %s back to its last record: %w", active.path, terr))
+	}
+	l.err = err
+	return err
 }
 
 // Sync forces an fsync of the active segment regardless of policy.
@@ -448,11 +457,12 @@ func (l *Log) syncLocked() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if l.syncErr != nil {
-		return l.syncErr
+	if l.err != nil {
+		return l.err
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		l.err = fmt.Errorf("wal: %w", err)
+		return l.err
 	}
 	l.dirty = false
 	return nil
@@ -469,10 +479,10 @@ func (l *Log) syncLoop() {
 		case <-t.C:
 			l.mu.Lock()
 			if !l.closed && l.dirty {
-				if err := l.f.Sync(); err != nil && l.syncErr == nil {
+				if err := l.f.Sync(); err != nil && l.err == nil {
 					// Surface the broken disk on the next Append instead of
 					// silently acknowledging non-durable writes.
-					l.syncErr = fmt.Errorf("wal: background sync: %w", err)
+					l.err = fmt.Errorf("wal: background sync: %w", err)
 				}
 				l.dirty = false
 			}
@@ -534,7 +544,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if l.syncErr == nil {
+	if l.err == nil {
 		if serr := l.f.Sync(); serr != nil {
 			err = fmt.Errorf("wal: %w", serr)
 		}

@@ -415,3 +415,76 @@ func TestParsePolicy(t *testing.T) {
 		t.Fatal("ParsePolicy accepted garbage")
 	}
 }
+
+// TestFailedAppendPoisonsLog: an Append whose write fails cuts the segment
+// back to its last good record and poisons the log — the next Append fails
+// even on a healthy descriptor, so no acknowledged record can land behind
+// torn bytes that the next Open would truncate it with — and recovery
+// returns exactly the records appended before the failure.
+func TestFailedAppendPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Record
+	for i := 0; i < 3; i++ {
+		rec := Record{Kind: KindUpdate, Key: "k", Data: []byte{byte(i), 1, 2}}
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	active := l.segs[len(l.segs)-1]
+
+	// A short write leaves torn bytes behind the last record, and the
+	// descriptor refuses the rest.
+	torn, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := torn.Write([]byte{0x20, 0, 0, 0, 0xba}); err != nil {
+		t.Fatal(err)
+	}
+	torn.Close()
+	ro, err := os.Open(active.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := l.f
+	l.f = ro
+	if _, err := l.Append(Record{Kind: KindUpdate, Key: "k", Data: []byte{9}}); err == nil {
+		t.Fatal("Append through a read-only descriptor succeeded")
+	}
+	l.f = good
+	ro.Close()
+	fi, err := os.Stat(active.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != active.size {
+		t.Fatalf("segment after the failed append: %d bytes, want it cut back to %d", fi.Size(), active.size)
+	}
+	if _, err := l.Append(Record{Kind: KindUpdate, Key: "k", Data: []byte{10}}); err == nil {
+		t.Fatal("Append after a failed append succeeded; the log must stay poisoned")
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync after a failed append succeeded")
+	}
+	l.Close()
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := collect(t, l2)
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d records, want the %d appended before the failure", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -40,6 +40,7 @@ import (
 	"math"
 
 	"repro/internal/codec"
+	"repro/internal/sketch"
 )
 
 // ContentType is the negotiated media type for binary frames: a request
@@ -103,11 +104,9 @@ var (
 )
 
 // Update is one stream update, f[Item] += Delta — the binary twin of the
-// JSON UpdateItem.
-type Update struct {
-	Item  uint64
-	Delta int64
-}
+// JSON UpdateItem. It is sketch.Update, so a decoded frame goes to a
+// tenant's engine without a copy.
+type Update = sketch.Update
 
 // Query kinds (binary twins of the JSON "kind" strings).
 const (
