@@ -44,8 +44,13 @@ func (s *Server) ShipTenant(key string) (*wire.Ship, error) {
 // Durability is deferred: the spec is journaled (so a restarted replica
 // still knows the tenant), but the state rides the CheckpointEvery
 // cadence — each ship is one coalesced contribution, not one fsync (see
-// maybeCheckpoint). A replica that crashes between checkpoints recovers a
-// stale copy and is refreshed by the owner's next ship round.
+// cadence). A replica that crashes between checkpoints recovers a stale
+// copy and is refreshed by the owner's next ship round.
+//
+// A replacement unmaps the held tenant, and like every write and checkpoint
+// it does so under that tenant's lock, past writable's checks: it locks the
+// new tenant (nobody else can see it yet), then the held one, and swaps only
+// while the server is not draining and the key still maps to the held one.
 //
 // A shipment without state (a robust tenant's) leaves a tenant held under
 // the same declaration as it is: a rebuild would reset the stream it has
@@ -57,7 +62,8 @@ func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted
 	if s.draining.Load() {
 		return errDraining
 	}
-	if old := s.lookup(key); old != nil && len(state) == 0 {
+	old := s.lookup(key)
+	if old != nil && len(state) == 0 {
 		if held, err := json.Marshal(old.ts); err == nil && string(held) == string(specJSON) {
 			return nil
 		}
@@ -66,41 +72,49 @@ func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted
 	if err != nil {
 		return fmt.Errorf("shipment for %q: %w", key, err)
 	}
-	// journal logs what recovery needs to re-declare the tenant in place of
-	// old; if it cannot, the shipment is refused and old stays.
-	journal := func(old *tenant) error {
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	if old != nil {
+		old.writeMu.Lock()
+		defer old.writeMu.Unlock()
+	}
+	// swap logs what recovery needs to re-declare t in place of old and maps
+	// it; if it cannot, the shipment is refused and old stays.
+	swap := func() (err error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		switch {
+		case s.draining.Load():
+			return errDraining
+		case s.tenants[key] != old:
+			return fmt.Errorf("%w: keyspace %q changed concurrently; shipment not applied", errGone, key)
 		case old == nil:
-			return s.logCreate(t)
+			err = s.logCreate(t)
 		case old.ts != t.ts:
 			// The owner re-declared the tenant: journal the replacement so
 			// recovery rebuilds the new declaration, not the old one.
-			if err := s.logDelete(key); err != nil {
-				return err
+			if err = s.logDelete(key); err == nil {
+				err = s.logCreate(t)
 			}
-			return s.logCreate(t)
+		default:
+			// Same declaration: the shipment only refreshes state, and state
+			// persistence rides the checkpoint cadence. Carry the counter
+			// over so coalescing accumulates across ships.
+			t.sinceCkpt = old.sinceCkpt
 		}
-		// Same declaration: the shipment only refreshes state, and state
-		// persistence rides the checkpoint cadence. Carry the debounce
-		// counter over so coalescing accumulates across ships.
-		t.sinceCkpt.Store(old.sinceCkpt.Load())
-		return nil
+		if err == nil {
+			s.tenants[key] = t
+		}
+		return err
 	}
-	s.mu.Lock()
-	old := s.tenants[key]
-	if err := journal(old); err != nil {
-		s.mu.Unlock()
+	if err := swap(); err != nil {
 		t.eng.Close()
 		return err
 	}
-	s.tenants[key] = t
-	s.mu.Unlock()
 	if old != nil {
-		old.writeMu.Lock()
 		old.eng.Close()
-		old.writeMu.Unlock()
 	}
-	s.maybeCheckpoint(t, s.deferredCheckpointWeight())
+	s.cadence(t, s.deferredCheckpointWeight())
 	return nil
 }
 

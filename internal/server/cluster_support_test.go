@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -120,8 +119,9 @@ func TestMergeDeferredDebounce(t *testing.T) {
 }
 
 // TestMergeDeferredCadenceCheckpoint: enough shipments must still reach
-// durability through the cadence (a background checkpoint), so deferral
-// is a debounce, not a durability hole that only a restart closes.
+// durability through the cadence, so deferral is a debounce, not a
+// durability hole that only a restart closes. The shipment that crosses the
+// cadence checkpoints before ApplyShipment returns.
 func TestMergeDeferredCadenceCheckpoint(t *testing.T) {
 	cfg := durableCfg(t.TempDir())
 	cfg.CheckpointEvery = 16 // shipment weight = 2: 8 shipments trip the cadence
@@ -129,19 +129,11 @@ func TestMergeDeferredCadenceCheckpoint(t *testing.T) {
 	ship, _ := shipmentSource(t, cfg, srv)
 
 	base := checkpointCount(t, c)
-	// Exactly the eight that trip it: a shipment landing between a cadence
-	// checkpoint's counter reset and its busy flag clearing starts a second
-	// one, and this test ends in Drain (bootDurable's cleanup), not the
-	// Shutdown that would wait for it — it would race TempDir's cleanup.
-	for i := 0; i < 8; i++ {
+	for i := 1; i <= 8; i++ {
 		ship()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for checkpointCount(t, c) == base {
-		if time.Now().After(deadline) {
-			t.Fatal("shipments never reached a cadence checkpoint")
+		if got, want := checkpointCount(t, c)-base, int64(i/8); got != want {
+			t.Fatalf("after %d shipments: %d cadence checkpoints, want %d", i, got, want)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -25,10 +25,16 @@ import (
 // at most the batches in flight at the crash, the state the crash-recovery
 // e2e asserts against.
 //
-// Checkpoints cut the log per tenant: the checkpoint's LSN is the log head
-// taken under writeMu, so no update for that tenant can sit between the
-// serialized sketch state and the recorded position. Recovery restores the
-// state and replays only this tenant's records with LSN beyond the cut.
+// A checkpoint is a write: every write, checkpoint and unmap of a tenant
+// holds its writeMu past writable. The batch that crosses CheckpointEvery
+// checkpoints before its ack, /v1/merge before its 200, and DELETE and
+// ApplyShipment unmap a tenant only while the key still maps to it. So no
+// checkpoint outlives its tenant's mapping, at most one runs per key, and
+// once Drain has passed every tenant lock the tenant map and the log are
+// frozen. The checkpoint's LSN is the log head taken under writeMu, so no
+// update for that tenant can sit between the serialized sketch state and the
+// recorded position. Recovery restores the state and replays only this
+// tenant's records with LSN beyond the cut.
 // Non-mergeable (robust-policy) tenants have no serializable state; they are
 // re-declared from their create record and rebuilt by replaying their full
 // update history one Apply per record, estimate and flip-budget state exact.
@@ -153,7 +159,7 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 			ubuf = us
 			// One Apply per record, as ingest applied it: the same cuts.
 			t.eng.Apply(us)
-			t.sinceCkpt.Add(int64(len(us)))
+			t.sinceCkpt += len(us)
 			s.recovery.ReplayedUpdates += len(us)
 		}
 		return nil
@@ -199,42 +205,25 @@ func (s *Server) logUpdates(t *tenant, us []wire.Update) error {
 	return err
 }
 
-// maybeCheckpoint advances the tenant's update counter and, past the
-// configured cadence, checkpoints it in the background. Non-mergeable
-// tenants are never checkpointed — their recovery is full replay.
-func (s *Server) maybeCheckpoint(t *tenant, n int) {
+// cadence counts n updates (or a shipment's weight) applied to t and, past
+// CheckpointEvery, checkpoints it. The caller holds t.writeMu past writable.
+// Non-mergeable tenants are never checkpointed — their recovery is replay.
+func (s *Server) cadence(t *tenant, n int) {
 	if s.wal == nil || !t.spec.Mergeable() {
 		return
 	}
-	if t.sinceCkpt.Add(int64(n)) < int64(s.cfg.CheckpointEvery) {
+	if t.sinceCkpt += n; t.sinceCkpt < s.cfg.CheckpointEvery {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining.Load() || !t.ckptBusy.CompareAndSwap(false, true) {
-		return // Shutdown writes the final checkpoint itself, or one is in flight already
-	}
-	s.ckpts.Add(1)
-	go func() {
-		defer s.ckpts.Done()
-		defer t.ckptBusy.Store(false)
-		// Best effort: a failed checkpoint costs replay time, not data —
-		// the log retains the full tail. The cadence retries it.
-		_ = s.checkpointTenant(t)
-	}()
+	// Best effort: a failed checkpoint costs replay time, not data — the log
+	// retains the full tail. The next write past the cadence retries it.
+	_ = s.checkpoint(t)
 }
 
-// checkpointTenant writes a checkpoint for t at the current log head.
-func (s *Server) checkpointTenant(t *tenant) error {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	return s.checkpointTenantLocked(t)
-}
-
-// checkpointTenantLocked is checkpointTenant with t.writeMu already held:
-// no update for this tenant can land between the state serialization and
-// the recorded LSN, so the cut is exact.
-func (s *Server) checkpointTenantLocked(t *tenant) error {
+// checkpoint writes a checkpoint for t at the current log head. The caller
+// holds t.writeMu: no update for this tenant can land between the state
+// serialization and the recorded LSN, so the cut is exact.
+func (s *Server) checkpoint(t *tenant) error {
 	sh, err := t.export(true)
 	if err != nil {
 		return err
@@ -247,14 +236,14 @@ func (s *Server) checkpointTenantLocked(t *tenant) error {
 		return err
 	}
 	s.ckptWrites.Add(1)
-	t.sinceCkpt.Store(0)
+	t.sinceCkpt = 0
 	return nil
 }
 
-// Shutdown drains the server and, when durable, waits out every cadence
-// checkpoint in flight, writes a final checkpoint for every mergeable tenant
-// and closes the log: nothing the server started touches the log or the data
-// directory once it has returned. The drained engine state is exactly the
+// Shutdown drains the server and, when durable, writes a final checkpoint for
+// every mergeable tenant and closes the log: nothing the server started
+// touches the log or the data directory once it has returned. Drain froze the
+// tenant map and the log, and the drained engine state is exactly the
 // acknowledged stream (Drain flushes before Close), so after a clean Shutdown
 // recovery is checkpoint-only for mergeable tenants. Robust tenants rely on
 // the log, which Close syncs. Idempotent; returns the first error of all steps.
@@ -263,15 +252,15 @@ func (s *Server) Shutdown() error {
 	if s.wal == nil {
 		return nil
 	}
-	s.mu.Lock() // every maybeCheckpoint that saw the server undrained has registered
-	s.mu.Unlock()
-	s.ckpts.Wait()
 	var firstErr error
 	for _, t := range s.tenantList() {
 		if !t.spec.Mergeable() {
 			continue
 		}
-		if err := s.checkpointTenant(t); err != nil && firstErr == nil {
+		t.writeMu.Lock()
+		err := s.checkpoint(t)
+		t.writeMu.Unlock()
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

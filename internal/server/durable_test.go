@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -465,8 +464,8 @@ func TestDurableRecreatedKeyKeepsItsCheckpoint(t *testing.T) {
 }
 
 // TestDurableCheckpointCadence drives a mergeable tenant past
-// CheckpointEvery and verifies a background checkpoint lands and cuts
-// the replay tail on the next boot.
+// CheckpointEvery and verifies the checkpoint is on disk when the crossing
+// update is acknowledged, and cuts the replay tail on the next boot.
 func TestDurableCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
@@ -485,17 +484,12 @@ func TestDurableCheckpointCadence(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch = batch[:0]
+			// The update that crosses the cadence checkpoints before its ack.
+			cks, _ := filepath.Glob(filepath.Join(dir, "ck-*.ckpt"))
+			if crossed := i+1 >= cfg.CheckpointEvery; crossed != (len(cks) > 0) {
+				t.Fatalf("after %d updates with CheckpointEvery=%d: checkpoints %v", i+1, cfg.CheckpointEvery, cks)
+			}
 		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if cks, _ := filepath.Glob(filepath.Join(dir, "ck-*.ckpt")); len(cks) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint after %d updates with CheckpointEvery=%d", total, cfg.CheckpointEvery)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	want, err := c.Estimate(ctx, "plain")
 	if err != nil {

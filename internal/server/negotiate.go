@@ -160,14 +160,13 @@ func (s *Server) applyUpdates(w http.ResponseWriter, t *tenant, us []wire.Update
 		return
 	}
 	writeJSON(w, http.StatusOK, UpdateResponse{Accepted: len(us)})
-	s.maybeCheckpoint(t, len(us))
 }
 
-// ingest journals a batch, then applies it whole, under t's write lock,
-// which it releases before the caller writes the response: log order is
-// apply order. Nothing closes a mapped engine without the lock, so once
-// writable passes Apply cannot find it closed; and a batch the log refuses
-// never reaches the engine.
+// ingest journals a batch, applies it whole and takes the checkpoint it may
+// be due, under t's write lock, which it releases before the caller writes
+// the response: log order is apply order. Nothing closes a mapped engine
+// without the lock, so once writable passes Apply cannot find it closed; and
+// a batch the log refuses never reaches the engine.
 func (s *Server) ingest(t *tenant, us []wire.Update) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
@@ -178,6 +177,7 @@ func (s *Server) ingest(t *tenant, us []wire.Update) error {
 		return fmt.Errorf("%w: %v", errJournal, err)
 	}
 	t.eng.Apply(us)
+	s.cadence(t, len(us))
 	return nil
 }
 

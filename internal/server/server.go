@@ -171,17 +171,15 @@ type tenant struct {
 	ts   TenantSpec // fully resolved: defaults applied
 	eng  *engine.Engine
 
-	// writeMu orders every write to the tenant against every other: an
-	// update batch from its writable check through its log append and Apply
-	// (ingest), Drain, DELETE /v1/keys, ApplyShipment's replacement,
-	// /v1/merge and checkpoints. So batches reach the engine in log order, a
-	// mapped engine never closes under a batch, and a checkpoint's LSN cut
-	// never splits a batch between sketch state and log tail.
+	// writeMu orders every write to the tenant against every other. Each
+	// write, checkpoint and unmap holds it past writable: ingest (log append,
+	// Apply, cadence checkpoint), /v1/merge, DELETE /v1/keys, ApplyShipment's
+	// replacement; Drain and Shutdown take it too. So batches reach the engine
+	// in log order, a mapped engine never closes under a batch, and a
+	// checkpoint neither splits a batch nor outlives the tenant's mapping.
 	writeMu sync.Mutex
 
-	// Durability state (idle on non-durable servers).
-	sinceCkpt atomic.Int64 // updates applied since the last checkpoint
-	ckptBusy  atomic.Bool  // one background checkpoint at a time
+	sinceCkpt int // updates applied since the last checkpoint; guarded by writeMu
 }
 
 // snapshot serializes a mergeable tenant's state into a snapshot
@@ -259,10 +257,6 @@ type Server struct {
 	wal        *wal.Log
 	recovery   RecoveryStats
 	ckptWrites atomic.Int64 // checkpoints successfully written (telemetry + debounce tests)
-	// ckpts owns the cadence checkpoint goroutines. maybeCheckpoint starts one
-	// only under mu and undrained; Shutdown, having drained, passes mu before
-	// it waits, so none registers once the wait began.
-	ckpts sync.WaitGroup
 
 	// forwarder is the cluster placement hook; see SetForwarder in
 	// cluster_support.go.
@@ -653,7 +647,7 @@ func (s *Server) merge(t *tenant, envelope []byte) error {
 	if s.wal == nil {
 		return nil
 	}
-	if err := s.checkpointTenantLocked(t); err != nil {
+	if err := s.checkpoint(t); err != nil {
 		// Applied in memory but not durable: the client must treat the
 		// outcome as unknown (a blind retry could double-fold the snapshot).
 		return fmt.Errorf("%w: merge applied but checkpoint failed; merged state is not durable: %v", errJournal, err)
@@ -680,32 +674,31 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	if s.wal != nil {
-		// Best effort: a stale checkpoint is harmless — replay processes
-		// the delete record after restoring it.
-		_ = wal.RemoveCheckpoint(s.cfg.DataDir, key)
-	}
 	writeJSON(w, http.StatusOK, KeyStats{Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Shards: t.eng.Shards()})
 }
 
 // remove unmaps t and closes its engine (flushing it, stopping its shard
-// workers, freeing its quota slot) under t's write lock, so the delete
-// record follows every update record of the tenant it deletes.
+// workers, freeing its quota slot) under t's write lock, past writable, so
+// the delete record follows every update record and checkpoint of t, and the
+// key stays t's (only t's lock holder unmaps t) until the map mutation.
 func (s *Server) remove(t *tenant) error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	s.mu.Lock()
-	if s.tenants[t.key] != t {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: keyspace %q was deleted concurrently", errGone, t.key)
+	if err := s.writable(t); err != nil {
+		return err
 	}
 	// Journal the delete before the map mutation: if it cannot be made
 	// durable the tenant must stay (recovery would otherwise resurrect a
 	// key the client was told is gone).
 	if err := s.logDelete(t.key); err != nil {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %v", errJournal, err)
 	}
+	if s.wal != nil {
+		// Before the unmap: never a re-created tenant's. Best effort: a stale
+		// checkpoint is harmless — replay processes the delete after it.
+		_ = wal.RemoveCheckpoint(s.cfg.DataDir, t.key)
+	}
+	s.mu.Lock()
 	delete(s.tenants, t.key)
 	s.mu.Unlock()
 	t.eng.Close()
