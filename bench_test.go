@@ -479,6 +479,37 @@ func BenchmarkPolicyIngestRing(b *testing.B)      { benchPolicyIngest(b, "ring")
 func BenchmarkPolicyIngestSwitching(b *testing.B) { benchPolicyIngest(b, "switching") }
 func BenchmarkPolicyIngestPaths(b *testing.B)     { benchPolicyIngest(b, "paths") }
 
+// BenchmarkPolicyBuild prices what a robust tenant costs before its first
+// update: one shard estimator of each cell the repository's ingest_robust
+// workload declares, built by the registry factory at that sketchd's
+// per-shard sizing (ε 0.3, δ 0.05 over two shards, n 2²⁰). Every copy
+// draws its hash coefficients when built, so kmv+switching (96 copies of
+// 17 KMVs) is mostly the seeding of 1 632 generators. Run with -benchmem.
+func BenchmarkPolicyBuild(b *testing.B) {
+	cfg := server.Config{Shards: 1, Eps: 0.3, Delta: 0.025, N: 1 << 20, Seed: 1}
+	for _, c := range []struct {
+		name, sketch, policy string
+		budget               int
+	}{
+		{"f2+switching", "f2", "switching", 80},
+		{"f2+ring", "f2", "ring", 0},
+		{"kmv+switching", "kmv", "switching", 96},
+		{"f2+paths", "f2", "paths", 80},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ec, err := server.EngineConfig(server.TenantSpec{Sketch: c.sketch, Policy: c.policy, FlipBudget: c.budget}, cfg, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; b.Loop(); i++ {
+				builtEstimator = ec.Factory(int64(i))
+			}
+		})
+	}
+}
+
+var builtEstimator sketch.Estimator
+
 // benchModelIngest — the stream-model column of the same trade-off: the
 // per-update cost of an f2+paths shard estimator under each declared
 // model, built exactly as a sketchd tenant builds it. The update stream

@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
+	"repro/internal/dist"
 	"repro/internal/sketch"
 )
 
@@ -104,7 +104,7 @@ func (s *Switcher) advance() {
 		// replacement for one that cannot.
 		inst := s.lag.Current(s.active)
 		if r, ok := inst.(sketch.Resetter); ok {
-			r.Reset(rand.New(rand.NewSource(s.nextSeed)))
+			r.Reset(dist.Rand(s.nextSeed))
 		} else {
 			inst = s.factory(s.nextSeed)
 		}

@@ -9,6 +9,10 @@
 // standard substitute for storing the full random matrix the analyses
 // assume. Uniforms come from the SplitMix64 finalizer; continuous variates
 // use inverse-CDF (exponential) and Chambers–Mallows–Stuck (stable).
+//
+// Rand seeds the sketches that draw their coefficients once, at
+// construction: it yields math/rand's sequence for a seed at a cost that
+// follows the draws made, not the 607 words math/rand seeds first.
 package dist
 
 import (

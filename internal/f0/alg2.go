@@ -3,8 +3,8 @@ package f0
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 
+	"repro/internal/dist"
 	"repro/internal/hash"
 )
 
@@ -85,7 +85,7 @@ func Alg2Sizing(eps, lnInvDelta float64, n uint64) Alg2Params {
 // NewAlg2 returns an Algorithm 2 instance with the given parameters; p.D
 // fixes its hashing (alg2BatchDegree), which DuplicateInsensitive reports.
 func NewAlg2(p Alg2Params, seed int64) *Alg2 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := dist.Rand(seed)
 	a := &Alg2{
 		b:        p.B,
 		d:        p.D,

@@ -28,8 +28,8 @@ func (e *Exact) Update(item uint64, delta int64) {
 // Estimate returns the exact distinct count.
 func (e *Exact) Estimate() float64 { return float64(len(e.seen)) }
 
-// SpaceBytes charges 8 bytes per stored identity.
-func (e *Exact) SpaceBytes() int { return 8 * len(e.seen) }
+// SpaceBytes charges the identity set at what the runtime keeps for it.
+func (e *Exact) SpaceBytes() int { return setBytes(len(e.seen)) }
 
 // DuplicateInsensitive reports that re-inserting a seen item is a no-op.
 func (e *Exact) DuplicateInsensitive() bool { return true }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/dist"
 	"repro/internal/hash"
 	"repro/internal/order"
 	"repro/internal/sketch"
@@ -314,6 +315,6 @@ func TrackingSizingLn(eps, lnInvDelta float64, n uint64) TrackingParams {
 func NewTracking(eps, delta float64, n uint64, seed int64) *Median {
 	p := TrackingSizing(eps, delta, n)
 	return NewMedian(p.Reps, seed, func(s int64) sketch.Estimator {
-		return NewKMV(p.K, rand.New(rand.NewSource(s)))
+		return NewKMV(p.K, dist.Rand(s))
 	})
 }

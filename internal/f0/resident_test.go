@@ -45,7 +45,7 @@ func TestSwitchingEnsembleResidentSet(t *testing.T) {
 // reported byte count trust, so the heap an F0 estimator actually keeps
 // after a stream must sit within [1.0, 1.35] × its declaration: the kmv
 // ensembles after 400 000 Zipf(1.2) updates, Algorithm 2 inside its exact
-// prefix and well past it.
+// prefix and well past it, and the exact counter at 200 000 keys.
 func TestDeclaredSpaceIsResident(t *testing.T) {
 	wrap := func(pol robust.Policy) func() sketch.Estimator {
 		return func() sketch.Estimator {
@@ -66,6 +66,7 @@ func TestDeclaredSpaceIsResident(t *testing.T) {
 		{"kmv+ring", wrap(robust.Policy{Kind: robust.Ring}), stream.NewZipf(1<<20, 400000, 1.2, 31)},
 		{"alg2/exact prefix", alg2, stream.NewDistinct(3000)},
 		{"alg2/levels", alg2, stream.NewDistinct(200000)},
+		{"exact", func() sketch.Estimator { return f0.NewExact() }, stream.NewDistinct(200000)},
 	} {
 		before := liveHeap()
 		est := c.build()

@@ -3,9 +3,9 @@ package robust
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/fp"
 	"repro/internal/sketch"
 )
@@ -38,7 +38,7 @@ func FpBigProblem(p float64, reps, rows int) Problem {
 		Name:     fmt.Sprintf("l%g-norm", p),
 		Monotone: true,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-			return fp.NewMaxStable(p, reps, rows, fp.SizeMaxStableWidth(p, n), rand.New(rand.NewSource(seed)))
+			return fp.NewMaxStable(p, reps, rows, fp.SizeMaxStableWidth(p, n), dist.Rand(seed))
 		},
 		FlipBound: func(eps float64, n uint64, maxCount float64) int {
 			return core.FlipBoundLp(p, eps, n, maxCount)

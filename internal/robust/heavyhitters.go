@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/heavyhitters"
 	"repro/internal/sketch"
 )
@@ -64,7 +65,7 @@ func NewHeavyHitters(eps, delta float64, n uint64, seed int64) *HeavyHitters {
 		// tests validate the end-to-end guarantee empirically.
 		norm:   NewFp(2, eps, delta/2, n, seed),
 		sizing: sizing,
-		rng:    rand.New(rand.NewSource(seed + 0x5ee)),
+		rng:    dist.Rand(seed + 0x5ee),
 	}
 	ring := make([]sketch.Estimator, copies)
 	for i := range ring {

@@ -3,10 +3,10 @@ package robust
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/fp"
 	"repro/internal/sketch"
 )
@@ -192,7 +192,7 @@ func fpMomentProblem(p float64, m Model, flip func(eps float64, n uint64, maxCou
 		Eps0Div:  6,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 			if p == 2 {
-				return fp.NewF2(f2Sizing(eps0, lnInvDelta, kCap), rand.New(rand.NewSource(seed)))
+				return fp.NewF2(f2Sizing(eps0, lnInvDelta, kCap), dist.Rand(seed))
 			}
 			k := int(math.Ceil(3 / (eps0 * eps0) * 0.3 * lnInvDelta * math.Log2E))
 			if k < 16 {
@@ -201,7 +201,7 @@ func fpMomentProblem(p float64, m Model, flip func(eps float64, n uint64, maxCou
 			if kCap > 0 && k > kCap {
 				k = kCap
 			}
-			return mapAdapter{fp.NewIndyk(p, k, rand.New(rand.NewSource(seed))), func(norm float64) float64 { return math.Pow(norm, p) }}
+			return mapAdapter{fp.NewIndyk(p, k, dist.Rand(seed)), func(norm float64) float64 { return math.Pow(norm, p) }}
 		},
 		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
 			if p != 2 {

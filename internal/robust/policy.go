@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/entropy"
 	"repro/internal/f0"
 	"repro/internal/fp"
@@ -399,7 +400,7 @@ func LpProblem(p float64) Problem {
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 			lnInv := trackingLnInv(eps0, lnInvDelta, n)
 			if p == 2 {
-				k := fp.NewF2(f2Sizing(eps0, lnInv, kCap), rand.New(rand.NewSource(seed)))
+				k := fp.NewF2(f2Sizing(eps0, lnInv, kCap), dist.Rand(seed))
 				return resettable{mapAdapter{k, math.Sqrt}, k}
 			}
 			boost := 0.3 * lnInv * math.Log2E
@@ -413,7 +414,7 @@ func LpProblem(p float64) Problem {
 			if kCap > 0 && k > kCap {
 				k = kCap
 			}
-			return fp.NewIndyk(p, k, rand.New(rand.NewSource(seed)))
+			return fp.NewIndyk(p, k, dist.Rand(seed))
 		},
 		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
 			if p != 2 {
@@ -456,7 +457,7 @@ func F0Problem() Problem {
 			tp := f0.TrackingSizingLn(eps0, lnInvDelta, n)
 			reps := oddReps(tp.Reps, tp.K, kCap)
 			return f0.NewMedian(reps, seed, func(s int64) sketch.Estimator {
-				return f0.NewKMV(tp.K, rand.New(rand.NewSource(s)))
+				return f0.NewKMV(tp.K, dist.Rand(s))
 			})
 		},
 		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
@@ -488,7 +489,7 @@ func EntropyProblem() Problem {
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 			// Prop. 7.2 bounds the flip number of 2^H, not of H: the
 			// multiplicative rounding machinery tracks the former.
-			return mapAdapter{entropy.NewCC(ccSizing(eps0, lnInvDelta, kCap), rand.New(rand.NewSource(seed))), func(h float64) float64 { return math.Pow(2, h) }}
+			return mapAdapter{entropy.NewCC(ccSizing(eps0, lnInvDelta, kCap), dist.Rand(seed)), func(h float64) float64 { return math.Pow(2, h) }}
 		},
 		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
 			return float64(copies) * ccSizing(eps0, lnInvDelta, kCap).Bytes()
@@ -527,7 +528,7 @@ func HHL2Problem() Problem {
 		Monotone: true,
 		Eps0Div:  4,
 		Inner: func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
-			return mapAdapter{heavyhitters.NewCountSketch(countSketchSizing(eps0, lnInvDelta, n, kCap), rand.New(rand.NewSource(seed))), math.Sqrt}
+			return mapAdapter{heavyhitters.NewCountSketch(countSketchSizing(eps0, lnInvDelta, n, kCap), dist.Rand(seed)), math.Sqrt}
 		},
 		InnerBytes: func(eps0, lnInvDelta float64, n uint64, kCap, copies int) float64 {
 			return float64(copies) * countSketchSizing(eps0, lnInvDelta, n, kCap).Bytes()

@@ -3,10 +3,10 @@ package server
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
+	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/entropy"
 	"repro/internal/f0"
@@ -206,7 +206,7 @@ var bases = map[string]base{
 			factory: func(ts TenantSpec) sketch.Factory {
 				sizing := fp.SizeF2(ts.Eps, ts.Delta/float64(ts.Shards))
 				return func(seed int64) sketch.Estimator {
-					return fp.NewF2(sizing, rand.New(rand.NewSource(seed)))
+					return fp.NewF2(sizing, dist.Rand(seed))
 				}
 			},
 			bytes: func(ts TenantSpec) float64 { return fp.SizeF2(ts.Eps, ts.Delta/float64(ts.Shards)).Bytes() },
@@ -231,7 +231,7 @@ var bases = map[string]base{
 			factory: func(ts TenantSpec) sketch.Factory {
 				k := kmvK(ts.Eps, ts.Delta/float64(ts.Shards))
 				return func(seed int64) sketch.Estimator {
-					return f0.NewKMV(k, rand.New(rand.NewSource(seed)))
+					return f0.NewKMV(k, dist.Rand(seed))
 				}
 			},
 			bytes: func(ts TenantSpec) float64 { return 8 * float64(kmvK(ts.Eps, ts.Delta/float64(ts.Shards))) },
@@ -251,7 +251,7 @@ var bases = map[string]base{
 			factory: func(ts TenantSpec) sketch.Factory {
 				sizing := heavyhitters.SizeForPointQuery(ts.Eps, ts.Delta/float64(ts.Shards))
 				return func(seed int64) sketch.Estimator {
-					return heavyhitters.NewCountSketch(sizing, rand.New(rand.NewSource(seed)))
+					return heavyhitters.NewCountSketch(sizing, dist.Rand(seed))
 				}
 			},
 			bytes: func(ts TenantSpec) float64 {
@@ -276,7 +276,7 @@ var bases = map[string]base{
 			factory: func(ts TenantSpec) sketch.Factory {
 				sizing := entropy.SizeCC(ts.Eps, ts.Delta/float64(ts.Shards))
 				return func(seed int64) sketch.Estimator {
-					return entropy.NewCC(sizing, rand.New(rand.NewSource(seed)))
+					return entropy.NewCC(sizing, dist.Rand(seed))
 				}
 			},
 			bytes: func(ts TenantSpec) float64 { return entropy.SizeCC(ts.Eps, ts.Delta/float64(ts.Shards)).Bytes() },

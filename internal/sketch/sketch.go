@@ -86,8 +86,8 @@ type Factory func(seed int64) Estimator
 // counters zero — in the memory it already holds. A ring restarts a slot
 // through it instead of building a copy to throw the old one away:
 // core.Switcher, whose Factory must then build an instance from
-// rand.New(rand.NewSource(seed)) and nothing else, and the Theorem 6.5
-// CountSketch ring.
+// dist.Rand(seed) (math/rand's sequence for that seed) and nothing else,
+// and the Theorem 6.5 CountSketch ring.
 type Resetter interface {
 	Reset(rng *rand.Rand)
 }
