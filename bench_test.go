@@ -278,12 +278,14 @@ func BenchmarkEngineIngestSingleThread(b *testing.B) {
 }
 
 // benchEngineSharded ingests through the engine at the given shard count
-// with parallel producers; compare ns/op against the single-thread
-// baseline above (the acceptance bar is ≥2× throughput at 8 shards).
+// with parallel producers, each handing Apply chunks of Shards×Batch
+// updates; compare ns/op against the single-thread baseline above (the
+// acceptance bar is ≥2× throughput at 8 shards).
 func benchEngineSharded(b *testing.B, shards int) {
+	const batch = 512
 	eng := engine.New(engine.Config{
 		Shards:  shards,
-		Batch:   512,
+		Batch:   batch,
 		Combine: engine.Norm(1),
 		Factory: indykFactory,
 		Seed:    1,
@@ -292,11 +294,14 @@ func benchEngineSharded(b *testing.B, shards int) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		base := producer.Add(1) << 40
-		i := uint64(0)
-		for pb.Next() {
-			eng.Update(dist.SplitMix64(base+i), 1)
-			i++
+		chunk := make([]sketch.Update, 0, shards*batch)
+		for i := uint64(0); pb.Next(); i++ {
+			if chunk = append(chunk, sketch.Update{Item: dist.SplitMix64(base + i), Delta: 1}); len(chunk) == cap(chunk) {
+				eng.Apply(chunk)
+				chunk = chunk[:0]
+			}
 		}
+		eng.Apply(chunk)
 	})
 	b.StopTimer()
 	eng.Close()
@@ -330,14 +335,16 @@ func BenchmarkEngineIngestZipfSingleThread(b *testing.B) {
 }
 
 // BenchmarkEngineIngestZipfSharded8 — the same skewed stream through the
-// 8-shard engine: batch coalescing merges duplicates before the estimator
-// sees them, so this wins even without spare cores, and stacks with the
-// parallel speedup when GOMAXPROCS > 1.
+// 8-shard engine in Apply chunks of Shards×Batch updates: batch coalescing
+// merges duplicates before the estimator sees them, so this wins even
+// without spare cores, and stacks with the parallel speedup when
+// GOMAXPROCS > 1.
 func BenchmarkEngineIngestZipfSharded8(b *testing.B) {
+	const shards, batch = 8, 512
 	items := zipfItems(1 << 16)
 	eng := engine.New(engine.Config{
-		Shards:  8,
-		Batch:   512,
+		Shards:  shards,
+		Batch:   batch,
 		Combine: engine.Norm(1),
 		Factory: indykFactory,
 		Seed:    1,
@@ -345,11 +352,14 @@ func BenchmarkEngineIngestZipfSharded8(b *testing.B) {
 	var producer atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		i := producer.Add(0x9E3779B97F4A7C15)
-		for pb.Next() {
-			eng.Update(items[i&(1<<16-1)], 1)
-			i++
+		chunk := make([]sketch.Update, 0, shards*batch)
+		for i := producer.Add(0x9E3779B97F4A7C15); pb.Next(); i++ {
+			if chunk = append(chunk, sketch.Update{Item: items[i&(1<<16-1)], Delta: 1}); len(chunk) == cap(chunk) {
+				eng.Apply(chunk)
+				chunk = chunk[:0]
+			}
 		}
+		eng.Apply(chunk)
 	})
 	b.StopTimer()
 	eng.Close()

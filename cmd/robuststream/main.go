@@ -1,7 +1,9 @@
 // Command robuststream runs an adversarially robust estimator over a
 // stream read from stdin, one update per line: "<item> [delta]" (delta
 // defaults to 1). It prints the tracked estimate every -every updates and
-// a summary at EOF.
+// a summary at EOF. Every -stat is an insertion-only construction, so a
+// line with a negative delta is skipped with a message: a deletion would
+// void its guarantee.
 //
 // With -shards > 1 the updates are ingested through the sharded concurrent
 // engine (internal/engine): items are hash-routed to independent robust
@@ -12,7 +14,7 @@
 // Examples:
 //
 //	awk 'BEGIN{for(i=0;i<100000;i++) print int(rand()*4096)}' | go run ./cmd/robuststream -stat f0 -eps 0.2
-//	cat trace.txt | go run ./cmd/robuststream -stat l2 -eps 0.3 -every 10000 -shards 8 -batch 512
+//	cat trace.txt | go run ./cmd/robuststream -stat l2 -eps 0.3 -every 10000 -shards 8
 //
 // Supported -stat values: f0, f1, l1, l2, fp (with -p), entropy.
 package main
@@ -39,7 +41,6 @@ func main() {
 	every := flag.Int("every", 5000, "print the estimate every k updates")
 	seed := flag.Int64("seed", 1, "sketch randomness seed")
 	shards := flag.Int("shards", 1, "shard workers for concurrent ingest (1 = single-threaded)")
-	batch := flag.Int("batch", 256, "updates per shard batch when -shards > 1")
 	flag.Parse()
 	if *shards < 1 {
 		*shards = 1
@@ -57,23 +58,11 @@ func main() {
 	var est sketch.Estimator
 	var eng *engine.Engine
 	if *shards > 1 {
-		// Keep the lock-free snapshots at least as fresh as the progress
-		// cadence: each shard sees roughly every/shards of the stream
-		// between prints.
-		refresh := 0
-		if *every > 0 {
-			refresh = *every / (2 * *shards)
-			if refresh < 64 {
-				refresh = 64
-			}
-		}
 		eng = engine.New(engine.Config{
-			Shards:       *shards,
-			Batch:        *batch,
-			RefreshEvery: refresh,
-			Combine:      combine,
-			Factory:      factory,
-			Seed:         *seed,
+			Shards:  *shards,
+			Combine: combine,
+			Factory: factory,
+			Seed:    *seed,
 		})
 		est = eng
 	} else {
@@ -83,33 +72,31 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var m int64
-	for sc.Scan() {
+	for line := 1; sc.Scan(); line++ {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
 			continue
 		}
 		item, err := strconv.ParseUint(fields[0], 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipping line %d: %v\n", m+1, err)
+			fmt.Fprintf(os.Stderr, "skipping line %d: %v\n", line, err)
 			continue
 		}
 		delta := int64(1)
 		if len(fields) > 1 {
 			if delta, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-				fmt.Fprintf(os.Stderr, "skipping line %d: %v\n", m+1, err)
+				fmt.Fprintf(os.Stderr, "skipping line %d: %v\n", line, err)
 				continue
 			}
+		}
+		if delta < 0 {
+			fmt.Fprintf(os.Stderr, "skipping line %d: negative delta %d: -stat %s is insertion-only\n", line, delta, *stat)
+			continue
 		}
 		est.Update(item, delta)
 		m++
 		if *every > 0 && m%int64(*every) == 0 {
-			// Sharded path: Peek reads the lock-free snapshots instead of
-			// stalling the pipeline with a full Flush per progress line.
-			cur := est.Estimate
-			if eng != nil {
-				cur = eng.Peek
-			}
-			fmt.Printf("m=%-10d %s ≈ %.4g\n", m, label, cur())
+			fmt.Printf("m=%-10d %s ≈ %.4g\n", m, label, est.Estimate())
 		}
 	}
 	if err := sc.Err(); err != nil {

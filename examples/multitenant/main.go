@@ -6,9 +6,10 @@
 // freely; per-shard distinct counts recombine by summation because the
 // shards partition the item space.
 //
-// A monitor goroutine polls the lock-free Peek snapshot while ingestion is
-// running — the production read path, which never blocks producers — and
-// the final Close'd estimate is checked against the exact distinct count.
+// A monitor goroutine reads the flushed estimate while ingestion is
+// running — a read decides when the shards do their work, never what their
+// estimators see — and the final Close'd estimate is checked against the
+// exact distinct count.
 //
 // Run with: go run ./examples/multitenant
 package main
@@ -71,7 +72,7 @@ func main() {
 		}(tenant)
 	}
 
-	// Live monitor: non-blocking snapshots while producers are running.
+	// Live monitor: estimates while producers are running.
 	monitorDone := make(chan struct{})
 	go func() {
 		defer close(monitorDone)
@@ -79,8 +80,8 @@ func main() {
 		defer tick.Stop()
 		for ingested.Load() < tenants*perTenant {
 			<-tick.C
-			fmt.Printf("  [monitor] ingested≈%-7d distinct users ≈ %.0f (Peek, lock-free)\n",
-				ingested.Load(), eng.Peek())
+			fmt.Printf("  [monitor] ingested≈%-7d distinct users ≈ %.0f\n",
+				ingested.Load(), eng.Estimate())
 		}
 	}()
 

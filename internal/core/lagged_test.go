@@ -34,7 +34,7 @@ func TestLaggedCoalescedCatchUp(t *testing.T) {
 				for i := range instances {
 					instances[i] = tc.factory(int64(i))
 				}
-				l := NewLagged(instances, pendingCap)
+				l := NewLagged(instances, PendingCap)
 				return &l
 			}
 			got, raw := build(), build()

@@ -7,10 +7,10 @@ import (
 	"repro/internal/sketch"
 )
 
-// pendingCap bounds the Switcher's lag buffer: non-active instances may
+// PendingCap bounds the Switcher's lag buffer: non-active instances may
 // fall at most this many updates behind before a drain applies the backlog
 // to every live copy in one pass.
-const pendingCap = 16384
+const PendingCap = 16384
 
 // Switcher implements sketch switching (Algorithm 1 of the paper): it
 // maintains several independent instances of a static strong-tracking
@@ -78,7 +78,7 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 		instances[i] = factory(s.nextSeed)
 		s.nextSeed += 7919
 	}
-	s.lag = NewLagged(instances, pendingCap)
+	s.lag = NewLagged(instances, PendingCap)
 	return s
 }
 

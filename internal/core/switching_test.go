@@ -155,11 +155,11 @@ func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 	// buffer and its item index — and from then on it is charged, like the
 	// lag buffer it shadows. Four items keep the switch count under the
 	// copy count, so trailing copies exist for the drain to feed.
-	for i := 0; i < pendingCap; i++ {
+	for i := 0; i < PendingCap; i++ {
 		big.Update(uint64(i%4), 1)
 	}
 	if len(big.lag.pending) != 0 || len(big.lag.net) != 4 {
-		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", pendingCap, len(big.lag.pending), len(big.lag.net))
+		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", PendingCap, len(big.lag.pending), len(big.lag.net))
 	}
 	if got, want := big.SpaceBytes()-liveBytes(big), 16+16*cap(big.lag.pending)+32*cap(big.lag.net); got != want {
 		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer + coalesced buffer and its index)", got, want)
@@ -407,7 +407,7 @@ func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	zipf := rand.NewZipf(rng, 1.2, 1, 1<<16)
 	deltas := []int64{1, 1, 2, 3, -1, -2}
-	ups := make([]sketch.Update, 3*pendingCap+777)
+	ups := make([]sketch.Update, 3*PendingCap+777)
 	for i := range ups {
 		ups[i] = sketch.Update{Item: zipf.Uint64(), Delta: deltas[rng.Intn(len(deltas))]}
 	}

@@ -66,25 +66,37 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkEngineSteadyState measures the pipeline against the null
-// estimator — the engine's own overhead per update. Run with -benchmem:
-// the allocs/op column must read 0.
+// estimator — the engine's own overhead per update, fed as Apply of
+// Shards×Batch-update chunks so each shard coalesces a full buffer at a
+// time. Run with -benchmem: the allocs/op column must read 0.
 func BenchmarkEngineSteadyState(b *testing.B) {
+	const shards, batch = 2, 256
 	e := New(Config{
-		Shards:  2,
-		Batch:   256,
+		Shards:  shards,
+		Batch:   batch,
 		Seed:    1,
 		Factory: func(int64) sketch.Estimator { return nullEst{} },
 	})
 	defer e.Close()
-	for i := 0; i < 1<<14; i++ {
-		e.Update(uint64(i), 1)
+	chunk := make([]Update, 0, shards*batch)
+	for i := 0; i < 1<<14; i += cap(chunk) {
+		chunk = chunk[:0]
+		for j := 0; j < cap(chunk); j++ {
+			chunk = append(chunk, Update{Item: uint64(i + j), Delta: 1})
+		}
+		e.Apply(chunk)
 	}
 	e.Flush()
+	chunk = chunk[:0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Update(uint64(i), 1)
+		if chunk = append(chunk, Update{Item: uint64(i), Delta: 1}); len(chunk) == cap(chunk) {
+			e.Apply(chunk)
+			chunk = chunk[:0]
+		}
 	}
+	e.Apply(chunk)
 }
 
 // TestSteadyStateZeroAllocsRobustF0 extends the contract through a robust

@@ -51,16 +51,16 @@ func coalesced(part []Update) []Update {
 // TestApplyCutsByBatchAlone pins the engine contract a durable tenant's
 // recovery rests on: each shard estimator sees exactly the coalesced parts
 // computed from the batches alone — a shard's updates of one batch, in
-// batch order, cut every Config.Batch from the part's own start — while
-// another goroutine flushes, visits and reads as fast as it can. Where the
-// reads land decides when the work runs, never what the estimator sees.
+// batch order, cut every Config.Batch from the part's own start, and every
+// Update between batches a part of its own — while another goroutine
+// flushes, visits and reads as fast as it can. Where the reads land decides
+// when the work runs, never what the estimator sees.
 func TestApplyCutsByBatchAlone(t *testing.T) {
 	const shards, batch = 3, 8
 	var recs []*recorder
 	e := New(Config{
 		Shards: shards,
 		Batch:  batch,
-		Queue:  2,
 		Seed:   5,
 		Factory: func(int64) sketch.Estimator {
 			r := &recorder{}
@@ -78,14 +78,21 @@ func TestApplyCutsByBatchAlone(t *testing.T) {
 		}
 		batches = append(batches, b)
 	}
+	single := func(i int) bool { return i%3 == 2 } // fed by Update, one update at a time
 	want := make([][][]Update, shards)
-	for _, b := range batches {
+	for i, b := range batches {
 		for k := 0; k < shards; k++ {
 			var part []Update
 			for _, u := range b {
 				if e.shardIndex(u.Item) == k {
 					part = append(part, u)
 				}
+			}
+			if single(i) {
+				for _, u := range part {
+					want[k] = append(want[k], []Update{u})
+				}
+				continue
 			}
 			for len(part) > 0 {
 				n := min(len(part), batch)
@@ -116,7 +123,13 @@ func TestApplyCutsByBatchAlone(t *testing.T) {
 			}
 		}
 	}()
-	for _, b := range batches {
+	for i, b := range batches {
+		if single(i) {
+			for _, u := range b {
+				e.Update(u.Item, u.Delta)
+			}
+			continue
+		}
 		if !e.Apply(b) {
 			t.Fatal("Apply = false on an open engine")
 		}

@@ -13,16 +13,15 @@
 // and records where it ends; a buffer is sealed at Config.Batch updates and
 // at Flush, Visit and Close, and handed to the shard worker over a bounded
 // queue (backpressure, never drops). The worker coalesces each part's
-// duplicate items before its estimator sees them, so a skewed stream costs
+// duplicate items before its estimator sees them, so a skewed batch costs
 // one update per distinct item per part, and publishes estimate, mass and
-// space to lock-free snapshots that Peek combines without blocking ingest.
-// Coalescing is part of what the estimator sees (a robust wrapper flips on
-// the coalesced updates), so parts are cut by the caller's batches alone,
-// and every Config.Batch updates within a longer one, never by a seal: a
-// read decides when the work runs, never what the estimator sees. Update,
-// the sketch.Estimator face, accumulates a tail that the next seal or Apply
-// closes as one part. Estimate flushes first. Every method is safe for
-// concurrent use.
+// space to lock-free snapshots. Coalescing is part of what the estimator
+// sees (a robust wrapper flips on the coalesced updates), so parts are cut
+// by the caller's batches alone, and every Config.Batch updates within a
+// longer one, never by a seal: a read decides when the work runs, never
+// what the estimator sees. Update, the sketch.Estimator face, is a
+// one-update part; a caller that wants coalescing hands Apply its batches.
+// Estimate flushes first. Every method is safe for concurrent use.
 package engine
 
 import (
@@ -42,6 +41,16 @@ import (
 // sketch.BatchUpdater estimator without copying.
 type Update = sketch.Update
 
+const (
+	// queueDepth is the number of sealed buffers a shard queues before
+	// producers block (backpressure; updates are never dropped): enough to
+	// ride out a worker's pause without holding unbounded memory.
+	queueDepth = 8
+	// refreshEvery is the number of updates a worker applies between
+	// refreshes of its published snapshots. Flush and Close always refresh.
+	refreshEvery = 4096
+)
+
 // Config parameterizes New. Factory is the only required field.
 type Config struct {
 	// Shards is the number of shard workers (and independent estimator
@@ -54,15 +63,6 @@ type Config struct {
 	// handed to the worker, and the longest part the worker coalesces.
 	// Defaults to 256.
 	Batch int
-
-	// Queue is the number of batches buffered per shard before producers
-	// block (backpressure; updates are never dropped). Defaults to 8.
-	Queue int
-
-	// RefreshEvery is the number of updates a worker processes between
-	// refreshes of its published (Peek-visible) estimate. Defaults to
-	// 4096. Flush and Close always refresh regardless.
-	RefreshEvery int
 
 	// Combine turns the per-shard estimates into the global estimate.
 	// Defaults to Sum, which is exact for additive statistics over the
@@ -85,17 +85,10 @@ type op struct {
 }
 
 // buf is a pooled shard buffer: updates and the end of every part they
-// form. Updates past the last end are Update's open tail.
+// form.
 type buf struct {
 	us   []Update
 	ends []int
-}
-
-// cut closes the open tail as a part of its own.
-func (b *buf) cut() {
-	if n := len(b.us); n > 0 && (len(b.ends) == 0 || b.ends[len(b.ends)-1] != n) {
-		b.ends = append(b.ends, n)
-	}
 }
 
 type shard struct {
@@ -116,7 +109,7 @@ type shard struct {
 	mass int64            // worker-local net Σdelta
 	co   sketch.Coalescer // coalescing scratch, worker-local
 
-	// Published snapshots, refreshed every RefreshEvery updates and on
+	// Published snapshots, refreshed every refreshEvery updates and on
 	// every Flush/Close.
 	pubEstimate atomic.Uint64 // math.Float64bits
 	pubMass     atomic.Int64
@@ -141,8 +134,6 @@ type Engine struct {
 	shards    []*shard
 	salt      uint64
 	batch     int
-	queue     int
-	refresh   int
 	combine   Combiner
 	pool      sync.Pool
 	parts     sync.Pool    // *[][]Update, Apply's per-shard scratch
@@ -185,27 +176,19 @@ func New(cfg Config) *Engine {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 256
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 8
-	}
-	if cfg.RefreshEvery <= 0 {
-		cfg.RefreshEvery = 4096
-	}
 	if cfg.Combine == nil {
 		cfg.Combine = Sum
 	}
 	e := &Engine{
 		salt:    dist.SplitMix64(uint64(cfg.Seed) ^ 0xA5A5A5A55A5A5A5A),
 		batch:   cfg.Batch,
-		queue:   cfg.Queue,
-		refresh: cfg.RefreshEvery,
 		combine: cfg.Combine,
 	}
 	e.pool.New = func() any { return &buf{us: make([]Update, 0, cfg.Batch)} }
 	e.parts.New = func() any { p := make([][]Update, cfg.Shards); return &p }
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
-			ops:  make(chan op, cfg.Queue),
+			ops:  make(chan op, queueDepth),
 			done: make(chan struct{}),
 			est:  cfg.Factory(int64(dist.SplitMix64(uint64(cfg.Seed) + uint64(i)))),
 		}
@@ -244,9 +227,9 @@ func (e *Engine) run(s *shard) {
 			s.publish()
 			sinceRefresh = 0
 			o.sync.Done()
-		} else if sinceRefresh >= e.refresh || first {
-			// Publishing after the first batch gives early Peeks a real
-			// (if partial) value instead of the zero snapshot.
+		} else if sinceRefresh >= refreshEvery || first {
+			// Publishing after the first batch gives early snapshot reads
+			// a real (if partial) value instead of the zero snapshot.
 			s.publish()
 			sinceRefresh = 0
 		}
@@ -305,12 +288,11 @@ func (e *Engine) shardOf(item uint64) *shard {
 	return e.shards[e.shardIndex(item)]
 }
 
-// Update implements sketch.Estimator: it appends to the open tail of the
-// item's shard buffer, a part the next seal or Apply closes. Update panics
-// if called after Close, a programmer error; a caller racing Close uses
-// Apply.
+// Update implements sketch.Estimator: the update is a part of its own, as
+// if Apply had been handed a one-update batch. Update panics if called
+// after Close, a programmer error; a caller racing Close uses Apply.
 func (e *Engine) Update(item uint64, delta int64) {
-	if !e.add(e.shardOf(item), []Update{{Item: item, Delta: delta}}, false) {
+	if !e.add(e.shardOf(item), []Update{{Item: item, Delta: delta}}) {
 		panic("engine: Update after Close")
 	}
 }
@@ -330,17 +312,17 @@ func (e *Engine) Apply(batch []Update) bool {
 	}
 	ok := true
 	for k, part := range *parts {
-		ok = ok && (len(part) == 0 || e.add(e.shards[k], part, true))
+		ok = ok && (len(part) == 0 || e.add(e.shards[k], part))
 		(*parts)[k] = part[:0]
 	}
 	return ok
 }
 
-// add appends us to s's pending buffer, as a part cut every Config.Batch
-// updates or else to the open tail, and hands the buffer to the worker once
-// it holds Config.Batch updates, blocking only on a full queue. It reports
-// false, appending nothing, once s is closed.
-func (e *Engine) add(s *shard, us []Update, part bool) bool {
+// add appends us to s's pending buffer as a part cut every Config.Batch
+// updates, and hands the buffer to the worker once it holds Config.Batch
+// updates, blocking only on a full queue. It reports false, appending
+// nothing, once s is closed.
+func (e *Engine) add(s *shard, us []Update) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -350,14 +332,9 @@ func (e *Engine) add(s *shard, us []Update, part bool) bool {
 		s.pending = e.getBuf()
 	}
 	b := s.pending
-	if part {
-		b.cut()
-	}
 	for start := 0; start < len(us); start += e.batch {
 		b.us = append(b.us, us[start:min(start+e.batch, len(us))]...)
-		if part {
-			b.ends = append(b.ends, len(b.us))
-		}
+		b.ends = append(b.ends, len(b.us))
 	}
 	for _, u := range us {
 		if u.Delta < 0 {
@@ -372,14 +349,12 @@ func (e *Engine) add(s *shard, us []Update, part bool) bool {
 	return true
 }
 
-// handoff seals s's pending buffer, its open tail closed as a part, into o
-// and sends o to the worker. Caller holds s.mu, which handoff releases once
-// it holds sendMu: seal order fixes send order, and a producer stalled on a
-// full queue blocks followers only when they too have a buffer to send.
+// handoff seals s's pending buffer into o and sends o to the worker.
+// Caller holds s.mu, which handoff releases once it holds sendMu: seal
+// order fixes send order, and a producer stalled on a full queue blocks
+// followers only when they too have a buffer to send.
 func (s *shard) handoff(o op) {
-	if o.batch, s.pending = s.pending, nil; o.batch != nil {
-		o.batch.cut()
-	}
+	o.batch, s.pending = s.pending, nil
 	s.sendMu.Lock()
 	s.mu.Unlock()
 	s.ops <- o
@@ -388,8 +363,8 @@ func (s *shard) handoff(o op) {
 
 // Flush pushes every pending buffer to the workers and blocks until all of
 // them have been applied and every shard's published snapshot is fresh.
-// After Flush returns, Peek and Estimate reflect every Apply and Update
-// that happened-before the Flush call. For a shard that is closing or closed,
+// After Flush returns, the snapshots reflect every Apply and Update that
+// happened-before the Flush call. For a shard that is closing or closed,
 // Flush waits for its worker to exit — the worker publishes the final
 // snapshot on the way out — so reads racing a Close (a server draining
 // under live queries) see the fully-drained state, never a stale
@@ -445,23 +420,16 @@ func (e *Engine) Visit(fn func(shard int, est sketch.Estimator) error) error {
 }
 
 // Estimate implements sketch.Estimator: it flushes all pending updates and
-// returns the combined global estimate. For a cheap non-blocking (and
-// possibly slightly stale) read from a monitoring path, use Peek.
+// returns the combined global estimate.
 func (e *Engine) Estimate() float64 {
 	e.Flush()
 	return e.combine(e.ShardEstimates())
 }
 
-// Peek combines the shards' last published snapshots without flushing or
-// blocking ingest. It lags Estimate by at most RefreshEvery updates per
-// shard plus whatever sits in the batch buffers.
-func (e *Engine) Peek() float64 {
-	return e.combine(e.ShardEstimates())
-}
-
 // ShardEstimates returns the last published per-shard estimates and
 // masses, in shard order — the Combiner's input, exposed for debugging
-// and custom combiners.
+// and custom combiners. It never flushes, so it may lag the ingested
+// stream; call Flush first for an exact happened-before reading.
 func (e *Engine) ShardEstimates() []ShardEstimate {
 	out := make([]ShardEstimate, len(e.shards))
 	for i, s := range e.shards {
@@ -476,9 +444,9 @@ func (e *Engine) ShardEstimates() []ShardEstimate {
 // SpaceBytes implements sketch.Estimator: the sum of the shard estimators'
 // published space plus the engine's buffers actually outstanding — batch
 // buffers currently checked out of the pool (pending, sealed and awaiting
-// handoff, queued, or being applied; at most Queue+3 per shard under full
-// backpressure, zero when the pipeline has drained) and the coalescing
-// scratch maps.
+// handoff, queued, or being applied; at most queueDepth+3 per shard under
+// full backpressure, zero when the pipeline has drained) and the
+// coalescing scratch maps.
 func (e *Engine) SpaceBytes() int {
 	total := 0
 	for _, s := range e.shards {
@@ -493,9 +461,9 @@ func (e *Engine) SpaceBytes() int {
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // Mass returns the net signed stream mass Σdelta across shards, read from
-// the shards' last published snapshots. Like Peek it never blocks ingest,
-// so it may lag by at most RefreshEvery updates per shard plus the batch
-// buffers; call Flush first for an exact happened-before reading.
+// the shards' last published snapshots. It never blocks ingest, so it may
+// lag by at most refreshEvery updates per shard plus the batch buffers;
+// call Flush first for an exact happened-before reading.
 func (e *Engine) Mass() int64 {
 	total := e.baseMass.Load()
 	for _, s := range e.shards {
@@ -602,10 +570,10 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 // overran, and an unbounded budget anywhere (ring mode) makes the whole
 // engine's budget unbounded. ok is false when the shard estimators are
 // static (non-reporting), which is how callers distinguish a robust
-// tenant from a plain one. Like Peek, it reads the shards' last published
+// tenant from a plain one. Like Mass, it reads the shards' last published
 // snapshots without flushing or blocking ingest — a monitoring scraper
 // polling it never stalls producers — so it may lag the ingested stream
-// by at most RefreshEvery updates per shard; call Flush first for an
+// by at most refreshEvery updates per shard; call Flush first for an
 // exact happened-before reading.
 func (e *Engine) Robustness() (agg sketch.Robustness, ok bool) {
 	found := false
@@ -635,9 +603,9 @@ func (e *Engine) Robustness() (agg sketch.Robustness, ok bool) {
 }
 
 // Close flushes every pending update, stops the shard workers and waits
-// for them to exit. The engine stays queryable after Close (Estimate and
-// Peek return the final combined estimate). Close is idempotent and safe
-// to call concurrently with active producers — the mu→sendMu handoff
+// for them to exit. The engine stays queryable after Close (Estimate
+// returns the final combined estimate). Close is idempotent and safe to
+// call concurrently with active producers — the mu→sendMu handoff
 // protocol serializes it against in-flight sends, and producers that
 // arrive after it observe the closed state (Apply reports false, Update
 // panics); that is the drain path a server shutting down under live

@@ -155,7 +155,6 @@ func TestConcurrentProducers(t *testing.T) {
 	e := New(Config{
 		Shards:  4,
 		Batch:   32,
-		Queue:   2,
 		Seed:    1,
 		Factory: func(seed int64) sketch.Estimator { return f0.NewExact() },
 	})
@@ -181,25 +180,50 @@ func TestConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestPeekConvergesAfterFlush: Peek may lag mid-stream, but after a Flush
-// it must agree with Estimate.
-func TestPeekConvergesAfterFlush(t *testing.T) {
-	e := New(Config{
-		Shards:  3,
-		Batch:   16,
-		Seed:    2,
-		Factory: func(seed int64) sketch.Estimator { return f0.NewExact() },
-	})
-	defer e.Close()
-	for i := 0; i < 5000; i++ {
-		e.Update(uint64(i), 1)
+// TestReadsDoNotShapeUpdates is the in-process twin of the server's
+// TestReadsDoNotShapeTheTenant: one Update stream into an f2+switching
+// engine ends in the same (estimate, switches) whether nobody reads it, an
+// Estimate lands every 100 updates, or one lands every 7. A read seals the
+// shard buffers, so it decides when the work runs; if it also cut the
+// parts the workers coalesce, it would decide what the robust wrappers see
+// and how many flips they spend.
+func TestReadsDoNotShapeUpdates(t *testing.T) {
+	ups := collect(stream.NewZipf(1<<12, 40000, 1.1, 5))
+	run := func(every int) (float64, int) {
+		e := New(Config{
+			Shards: 2,
+			Seed:   7,
+			Factory: func(seed int64) sketch.Estimator {
+				est, err := robust.Policy{Kind: robust.Switching, Budget: 512, KCap: 64}.Wrap(0.3, 0.05, 1<<16, seed, robust.LpProblem(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return est
+			},
+		})
+		defer e.Close()
+		for i, u := range ups {
+			e.Update(u.Item, u.Delta)
+			if every > 0 && (i+1)%every == 0 {
+				e.Estimate()
+			}
+		}
+		est := e.Estimate()
+		r, _ := e.Robustness()
+		if r.Exhausted {
+			t.Fatalf("flip budget exhausted (%+v): the switch counts could no longer differ", r)
+		}
+		return est, r.Switches
 	}
-	e.Flush()
-	if p, est := e.Peek(), e.Estimate(); p != est {
-		t.Fatalf("after Flush, Peek = %v but Estimate = %v", p, est)
-	}
-	if got := e.Estimate(); got != 5000 {
-		t.Fatalf("exact F0 = %v, want 5000", got)
+	est, switches := run(0)
+	t.Logf("no reads: estimate %v, %d switches", est, switches)
+	for _, every := range []int{100, 7} {
+		gotEst, gotSwitches := run(every)
+		t.Logf("an Estimate every %d updates: estimate %v, %d switches", every, gotEst, gotSwitches)
+		if gotEst != est || gotSwitches != switches {
+			t.Errorf("an Estimate every %d updates: (estimate, switches) = (%v, %d), unread (%v, %d)",
+				every, gotEst, gotSwitches, est, switches)
+		}
 	}
 }
 
@@ -457,19 +481,20 @@ func (s *slowSum) SpaceBytes() int                 { return 8 }
 // after) an engine is Close()d — sketchd's shutdown drain — return the
 // final state because Flush waits for closing shards' workers to exit.
 func TestEstimateDuringCloseSeesFinalState(t *testing.T) {
+	// Fewer updates than refreshEvery keep the published snapshot stale
+	// until a flush; one-update buffers fill the queue, so the worker
+	// still has queueDepth slow updates to go when the loop returns.
 	const n = 50
 	e := New(Config{
-		Shards:       1,
-		Batch:        1,
-		Queue:        n + 16,
-		Seed:         1,
-		RefreshEvery: 1 << 30, // keep the published snapshot stale on purpose
-		Factory:      func(int64) sketch.Estimator { return &slowSum{delay: 200 * time.Microsecond} },
+		Shards:  1,
+		Batch:   1,
+		Seed:    1,
+		Factory: func(int64) sketch.Estimator { return &slowSum{delay: time.Millisecond} },
 	})
 	for i := 0; i < n; i++ {
 		e.Update(uint64(i), 1)
 	}
-	if peek := e.Peek(); peek >= n {
+	if stale := e.ShardEstimates()[0].Estimate; stale >= n {
 		t.Skip("worker drained before Close could race it") // can't exercise the race
 	}
 	closed := make(chan struct{})

@@ -39,43 +39,43 @@ func (g *gatedEst) items() []uint64 {
 }
 
 // TestUpdateHandoffDoesNotConvoy is the regression test for the lock-held
-// blocking handoff: with a tiny queue and a slow estimator, a producer
+// blocking handoff: with a full queue and a slow estimator, a producer
 // stalled on shard backpressure must not hold the append lock, so a second
 // producer whose update merely lands in the fresh pending batch completes
 // immediately. Against the old code (channel send under the shard mutex)
 // the second producer convoys on the lock until the estimator is released,
 // and this test times out.
 func TestUpdateHandoffDoesNotConvoy(t *testing.T) {
+	const batch, sealed = 2, queueDepth + 2
 	est := &gatedEst{release: make(chan struct{}), entered: make(chan struct{})}
 	e := New(Config{
 		Shards:  1,
-		Batch:   2,
-		Queue:   1,
+		Batch:   batch,
 		Seed:    1,
 		Factory: func(seed int64) sketch.Estimator { return est },
 	})
 
-	// Producer 1: three sealed batches. B1 is taken by the worker (which
-	// parks inside est.Update), B2 fills the queue, and the send of B3
-	// blocks on backpressure.
+	// Producer 1: queueDepth+2 sealed batches. The first is taken by the
+	// worker (which parks inside est.Update), the next queueDepth fill the
+	// queue, and the send of the last blocks on backpressure.
 	var p1 sync.WaitGroup
 	p1.Add(1)
 	go func() {
 		defer p1.Done()
-		for i := uint64(0); i < 6; i++ {
+		for i := uint64(0); i < batch*sealed; i++ {
 			e.Update(i, 1)
 		}
 	}()
 
 	<-est.entered // worker is parked inside the estimator
-	// Give producer 1 time to reach the blocking send of its third batch.
+	// Give producer 1 time to reach the blocking send of its last batch.
 	time.Sleep(100 * time.Millisecond)
 
 	// Producer 2: a single update that only appends to the fresh pending
 	// batch. It must complete while producer 1 is still blocked.
 	done := make(chan struct{})
 	go func() {
-		e.Update(6, 1)
+		e.Update(batch*sealed, 1)
 		close(done)
 	}()
 	select {
@@ -89,9 +89,12 @@ func TestUpdateHandoffDoesNotConvoy(t *testing.T) {
 	e.Close()
 
 	// The handoff restructure must not reorder batches: the estimator sees
-	// the six producer-1 items in seal order, then producer 2's item from
-	// the final pending batch flushed by Close.
-	want := []uint64{0, 1, 2, 3, 4, 5, 6}
+	// the producer-1 items in seal order, then producer 2's item from the
+	// final pending batch flushed by Close.
+	var want []uint64
+	for i := uint64(0); i <= batch*sealed; i++ {
+		want = append(want, i)
+	}
 	got := est.items()
 	if len(got) != len(want) {
 		t.Fatalf("estimator saw %d updates, want %d (%v)", len(got), len(want), got)
@@ -143,14 +146,13 @@ func TestApplyAfterClose(t *testing.T) {
 
 // TestSpaceBytesReflectsOutstandingBuffers: the engine charges only batch
 // buffers actually checked out — zero once the pipeline has drained, one
-// batch after a single buffered update — rather than the old permanent
-// (Queue+1)·Batch·16 per shard.
+// batch after a single buffered update — rather than a permanent charge
+// for a full queue per shard.
 func TestSpaceBytesReflectsOutstandingBuffers(t *testing.T) {
 	const shards, batch = 2, 8
 	e := New(Config{
 		Shards:  shards,
 		Batch:   batch,
-		Queue:   4,
 		Seed:    1,
 		Factory: func(seed int64) sketch.Estimator { return f0.NewExact() },
 	})
@@ -222,14 +224,14 @@ func TestVisit(t *testing.T) {
 
 	// A post-Close Visit that mutates the estimator (the server's merge
 	// path racing a drain) must refresh the published snapshots, or the
-	// acknowledged mutation would be invisible to Peek/Estimate forever.
+	// acknowledged mutation would be invisible to Estimate forever.
 	if err := e.Visit(func(i int, est sketch.Estimator) error {
 		est.Update(uint64(1000+i), 1) // one new distinct item per shard
 		return nil
 	}); err != nil {
 		t.Fatalf("mutating Visit after Close: %v", err)
 	}
-	if got := e.Peek(); got != 504 {
-		t.Errorf("Peek after post-Close mutating Visit = %v, want 504", got)
+	if got := e.Estimate(); got != 504 {
+		t.Errorf("Estimate after post-Close mutating Visit = %v, want 504", got)
 	}
 }

@@ -308,9 +308,10 @@ func (pol Policy) StateBytes(eps, delta float64, n uint64, prob Problem) float64
 	return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies)
 }
 
-// switcherLagBytes is a Switcher's full lag buffer beside its copies: 16 384
-// slots at 16 bytes, and the coalesced one with its index at 32 (Lagged.SpaceBytes).
-const switcherLagBytes = 48 * 16384
+// switcherLagBytes is a Switcher's full lag buffer beside its copies:
+// core.PendingCap slots at 16 bytes, and the coalesced one with its index at
+// 32 (Lagged.SpaceBytes).
+const switcherLagBytes = 48 * core.PendingCap
 
 // publish applies the problem's output transform.
 func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sketch"
 	"repro/internal/wire"
 )
@@ -207,7 +208,7 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 	// dense ensemble must outlast that for its trailing copies to be seen
 	// full at the drain.
 	budget := map[string]int{"kmv": 256}
-	widenFeed := map[string]int{"f2": 16384, "countsketch": 16384} // core's pendingCap
+	widenFeed := map[string]int{"f2": core.PendingCap, "countsketch": core.PendingCap}
 	batch := make([]sketch.Update, 256)
 	cells := 0
 	for name := range bases {
