@@ -233,8 +233,8 @@ func (c *ctl) health() error {
 	}
 	fmt.Fprintf(c.out, "status    %s  (HTTP %d)\n", h.Status, resp.StatusCode)
 	fmt.Fprintf(c.out, "durable   %v, %d/%d keys, %d checkpoints written\n", h.Durable, h.Keys, h.MaxKeys, h.Checkpoints)
-	if h.WAL != nil {
-		fmt.Fprintf(c.out, "wal       %d segments, %d records\n", h.WAL.Segments, h.WAL.Records)
+	if h.Recovery != nil {
+		fmt.Fprintf(c.out, "wal       %d segments, %d records\n", h.Recovery.WAL.Segments, h.Recovery.WAL.Records)
 	}
 	return nil
 }

@@ -153,7 +153,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 		CheckpointEvery: *ckptEvery,
 	})
 	if err != nil {
-		ln.Close()
+		hs.Close() // a held data directory (wal.ErrLocked) too: the stub stops serving
 		return err
 	}
 	if srv.Durable() {

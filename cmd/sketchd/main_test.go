@@ -3,16 +3,31 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/wal"
 )
+
+// TestMain runs the test binary as sketchd itself when SKETCHD_ARGS is set,
+// so a test can watch main's exit status.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("SKETCHD_ARGS"); args != "" {
+		os.Args = append([]string{"sketchd"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // startRun drives run in a goroutine and hands back the bound address,
 // the cancel that simulates the first signal, a counter of stop calls,
@@ -216,6 +231,46 @@ func TestStopCalledWhileDrainHangs(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not exit after the hung connection closed")
+	}
+}
+
+// TestHeldDataDirRefusesToServe: a second sketchd on a data directory a
+// running one holds fails with the lock error, in process and as a process
+// (non-zero exit), and its listener, bound before recovery, closes instead
+// of serving the recovering stub. The first keeps serving.
+func TestHeldDataDirRefusesToServe(t *testing.T) {
+	dir := t.TempDir()
+	addr, cancel, _, errc := startRun(t, "-addr", "127.0.0.1:0", "-data-dir", dir, "-fsync", "none")
+	base := "http://" + addr.String()
+
+	var second net.Listener
+	listen = func(network, addr string) (net.Listener, error) {
+		l, err := net.Listen(network, addr)
+		second = l
+		return l, err
+	}
+	t.Cleanup(func() { listen = net.Listen })
+	err := run(context.Background(), func() {}, []string{"-addr", "127.0.0.1:0", "-data-dir", dir}, nil)
+	if !errors.Is(err, wal.ErrLocked) {
+		t.Fatalf("second run on a held data dir: err = %v, want wal.ErrLocked", err)
+	}
+	if c, err := net.Dial("tcp", second.Addr().String()); err == nil {
+		c.Close()
+		t.Error("the refused run's listener still accepts connections")
+	}
+
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SKETCHD_ARGS=-addr 127.0.0.1:0 -data-dir "+dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 || !strings.Contains(string(out), wal.ErrLocked.Error()) {
+		t.Errorf("sketchd on a held data dir: err = %v, output %q; want a non-zero exit naming the lock", err, out)
+	}
+
+	declare(t, base, "k", "f2") // the owner still serves
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("first run: %v", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/waltest"
 )
 
 // ---------------------------------------------------------------------------
@@ -352,6 +353,9 @@ func TestHandoffKeepsRecoveredRobustTenant(t *testing.T) {
 	boot := func() {
 		owner.node.Close()
 		owner.srv.Drain() // a crash: no Shutdown, the log is all there is
+		if owner.srv.Durable() {
+			cfg.DataDir = waltest.Crash(t, cfg.DataDir)
+		}
 		srv, err := server.Open(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/waltest"
 )
 
 // TestCheckpointNeverOutlivesItsKey: with a checkpoint due after every
@@ -132,6 +134,7 @@ func TestCheckpointNeverOutlivesItsKey(t *testing.T) {
 				}
 			} else {
 				srv.Drain() // a crash: no final checkpoints
+				cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 			}
 
 			srv2, err := Open(cfg)

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/sketch"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -297,7 +296,6 @@ type HealthResponse struct {
 	Keys        int            `json:"keys"`
 	MaxKeys     int            `json:"max_keys"`
 	Checkpoints int64          `json:"checkpoints_written"`
-	WAL         *wal.Stats     `json:"wal,omitempty"`
 	Recovery    *RecoveryStats `json:"recovery,omitempty"`
 }
 
@@ -322,8 +320,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Checkpoints: s.ckptWrites.Load(),
 	}
 	if s.wal != nil {
-		st := s.wal.Stats()
-		resp.WAL = &st
 		rec := s.recovery
 		resp.Recovery = &rec
 	}

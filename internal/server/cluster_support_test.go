@@ -158,7 +158,7 @@ func TestHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ready || !dh.Durable || dh.WAL == nil || dh.Recovery == nil || dh.Keys != 1 {
+	if !ready || !dh.Durable || dh.Recovery == nil || dh.Keys != 1 {
 		t.Errorf("durable healthz = %+v ready=%v", dh, ready)
 	}
 	if err := dsrv.Shutdown(); err != nil {

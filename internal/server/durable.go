@@ -10,9 +10,7 @@ import (
 // update batches, tenant delete — to a write-ahead log before the HTTP ack,
 // and periodically folds each mergeable tenant's sketch state into a
 // per-tenant checkpoint (the snapshot envelope plus the resolved TenantSpec,
-// so recovery re-declares the tenant exactly). Boot-time recovery restores
-// the latest checkpoint per tenant and replays the log tail; a torn final
-// record (crash mid-write) is truncated, never a failed boot.
+// so recovery re-declares the tenant exactly).
 //
 // Ordering is log → apply → ack under one lock: holding the tenant's
 // writeMu, an update batch is appended to the WAL, handed to the engine
@@ -33,11 +31,15 @@ import (
 // once Drain has passed every tenant lock the tenant map and the log are
 // frozen. The checkpoint's LSN is the log head taken under writeMu, so no
 // update for that tenant can sit between the serialized sketch state and the
-// recorded position. Recovery restores the state and replays only this
-// tenant's records with LSN beyond the cut.
-// Non-mergeable (robust-policy) tenants have no serializable state; they are
-// re-declared from their create record and rebuilt by replaying their full
-// update history one Apply per record, estimate and flip-budget state exact.
+// recorded position. wal.Open locks the directory: it has one owner.
+//
+// Recovery has one rule: a record at or below its key's restored checkpoint
+// LSN is history; every other record replays in log order, an update record
+// as one Apply, and a torn final record is truncated, never a failed boot. A
+// checkpoint that fails to load restores nothing, and its key's create
+// record re-declares the tenant. Robust tenants are never checkpointed: full
+// replay rebuilds them, flip-budget state exact. A checkpoint past the
+// recovered log head is retaken at the head.
 
 // RecoveryStats describes what Open rebuilt from the data directory.
 type RecoveryStats struct {
@@ -97,61 +99,40 @@ func (s *Server) Durable() bool { return s.wal != nil }
 // recoverLocked rebuilds the tenant map from checkpoints and log replay. It
 // runs before the server serves traffic, so it owns the maps without locks.
 func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
-	// minLSN[key]: this tenant's records at or below it, a delete as much
-	// as an update, are history its restored checkpoint state already
-	// holds and must not be replayed.
-	minLSN := make(map[string]uint64)
-
+	// restored[key]: the key's records at or below it are history its
+	// restored checkpoint already holds.
+	restored := make(map[string]uint64)
 	for key, ck := range cks {
-		// The checkpoint covers the log up to its LSN only if it restores
-		// state; from a bare declaration the whole log replays.
-		low := ck.LSN
-		if len(ck.State) == 0 {
-			low = 0
-		}
 		t, err := s.rebuild(key, ck.Spec, ck.State, ck.Mass, ck.Deleted)
 		if err != nil {
-			// Corrupt or incompatible state: declare the tenant from the
-			// checkpoint's spec alone and let full replay rebuild it. If
-			// the spec is the unreadable part, the create record will
-			// re-declare it.
+			// Corrupt or incompatible state: the key's create record
+			// re-declares the tenant and full replay rebuilds it.
 			s.recovery.SkippedCheckpoints++
-			low = 0
-			if t, err = s.rebuild(key, ck.Spec, nil, 0, 0); err != nil {
-				continue
-			}
+			continue
 		}
 		s.tenants[key] = t
-		minLSN[key] = low
+		restored[key] = ck.LSN
 	}
 
 	var ubuf []wire.Update
-	return s.wal.Replay(func(lsn uint64, rec wal.Record) error {
-		switch rec.Kind {
-		case wal.KindCreate:
-			if _, ok := s.tenants[rec.Key]; ok {
-				return nil // already restored from a checkpoint
-			}
-			// Recovery re-admits every tenant the log once admitted, even
-			// past a lowered MaxKeys: refusing would silently drop
-			// acknowledged data. New creations stay quota-gated.
-			t, err := s.rebuild(rec.Key, rec.Data, nil, 0, 0)
-			if err != nil {
-				return nil // unreadable spec: updates for it are dropped too
-			}
-			s.tenants[rec.Key] = t
-			minLSN[rec.Key] = lsn
-		case wal.KindDelete:
-			if t, ok := s.tenants[rec.Key]; ok && lsn > minLSN[rec.Key] {
+	err := s.wal.Replay(func(lsn uint64, rec wal.Record) error {
+		t := s.tenants[rec.Key]
+		switch {
+		case lsn <= restored[rec.Key]: // history the checkpoint holds
+		case rec.Kind != wal.KindUpdate:
+			// A create or delete ends the key's tenant; a create declares the
+			// next, past MaxKeys if need be (refusing would drop acknowledged
+			// data). An unreadable spec drops its updates too.
+			if t != nil {
 				t.eng.Close()
 				delete(s.tenants, rec.Key)
-				delete(minLSN, rec.Key)
 			}
-		case wal.KindUpdate:
-			t, ok := s.tenants[rec.Key]
-			if !ok || lsn <= minLSN[rec.Key] {
-				return nil
+			if rec.Kind == wal.KindCreate {
+				if t, err := s.rebuild(rec.Key, rec.Data, nil, 0, 0); err == nil {
+					s.tenants[rec.Key] = t
+				}
 			}
+		case t != nil:
 			us, err := wire.DecodeUpdates(rec.Data, ubuf[:0])
 			if err != nil {
 				return nil // CRC-valid but undecodable frame: skip, keep going
@@ -164,6 +145,21 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	// A checkpoint never claims past the log head: records it covers that
+	// the log lost (a torn or unsynced tail) would lend their LSNs to the
+	// next appends, and the next recovery would skip those as history.
+	head := s.wal.HeadLSN()
+	for key, lsn := range restored {
+		if lsn > head {
+			if err := s.checkpoint(s.tenants[key]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // logCreate journals a tenant declaration. Called under s.mu before the

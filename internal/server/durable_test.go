@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/internal/waltest"
 	"repro/internal/wire"
 )
 
@@ -163,7 +165,7 @@ func TestDurableRecoveryAfterCrash(t *testing.T) {
 	_, c := bootDurable(t, durableCfg(dir)) // never Shutdown: simulated crash
 	want := seedTenants(t, c)
 
-	srv2, c2 := bootDurable(t, durableCfg(dir))
+	srv2, c2 := bootDurable(t, durableCfg(waltest.Crash(t, dir)))
 	rec := srv2.Recovery()
 	if rec.Tenants != 4 {
 		t.Fatalf("recovered %d tenants, want 4 (stats: %+v)", rec.Tenants, rec)
@@ -198,7 +200,7 @@ func TestDurableTornTailRecovers(t *testing.T) {
 	}
 	f.Close()
 
-	srv2, c2 := bootDurable(t, durableCfg(dir))
+	srv2, c2 := bootDurable(t, durableCfg(waltest.Crash(t, dir)))
 	rec := srv2.Recovery()
 	if rec.WAL.TruncatedBytes == 0 {
 		t.Errorf("torn tail not truncated (stats: %+v)", rec.WAL)
@@ -347,7 +349,7 @@ func TestDurableDeleteAndRecreateReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, c2 := bootDurable(t, durableCfg(dir)) // crash: no Shutdown above
+	srv2, c2 := bootDurable(t, durableCfg(waltest.Crash(t, dir))) // crash: no Shutdown above
 	if _, err := c2.Estimate(ctx, "gone"); client.StatusCode(err) != 404 {
 		t.Errorf("deleted tenant resurrected across restart: err=%v", err)
 	}
@@ -419,6 +421,8 @@ func TestDurableRecreatedKeyKeepsItsCheckpoint(t *testing.T) {
 				if err := srv.Shutdown(); err != nil {
 					t.Fatal(err)
 				}
+			} else {
+				cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 			}
 			srv2, c2 := bootDurable(t, cfg)
 			if rec := srv2.Recovery(); arm == "clean shutdown" && rec.ReplayedUpdates != 0 {
@@ -453,6 +457,7 @@ func TestDurableRecreatedKeyKeepsItsCheckpoint(t *testing.T) {
 		if err := os.WriteFile(paths[0], stale, 0o644); err != nil { // as if its removal had failed
 			t.Fatal(err)
 		}
+		cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 		srv2, c2 := bootDurable(t, cfg) // no Shutdown above
 		if _, err := c2.Estimate(ctx, "k"); client.StatusCode(err) != 404 {
 			t.Errorf("a tenant deleted after its checkpoint came back: err=%v", err)
@@ -496,6 +501,7 @@ func TestDurableCheckpointCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cfg.DataDir = waltest.Crash(t, dir)
 	srv2, c2 := bootDurable(t, cfg) // crash: replay only the post-checkpoint tail
 	rec := srv2.Recovery()
 	if rec.ReplayedUpdates >= total {
@@ -556,6 +562,7 @@ func TestDurableMergeCheckpointed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cfg.DataDir = waltest.Crash(t, dir)
 	srv2, c2 := bootDurable(t, cfg) // crash: no Shutdown — checkpoint must carry the merge
 	got, err := c2.Estimate(ctx, "m")
 	if err != nil {
@@ -642,5 +649,102 @@ func TestEstimateDuringDrainIsCoherent(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// recordOffset is the byte offset of the n-th record (from 1) of the
+// segment at path.
+func recordOffset(t *testing.T, path string, n int) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(13) // segment header: magic, version, first LSN
+	for i := 1; i < n; i++ {
+		if off+8 > int64(len(data)) {
+			t.Fatalf("%s holds fewer than %d records", path, n)
+		}
+		off += 8 + int64(binary.LittleEndian.Uint32(data[off:]))
+	}
+	return off
+}
+
+// TestCheckpointNeverClaimsPastTheLogHead: a kmv tenant checkpoints at LSN
+// 11, and the log then loses update records 9–11 (a torn or unsynced tail,
+// or a corrupt record 9). Recovery restores the checkpoint, which still
+// holds those updates, and the server acknowledges five more batches under
+// LSNs 9–13. A second recovery must replay all five: the checkpoint must not
+// claim the LSNs the log reused.
+func TestCheckpointNeverClaimsPastTheLogHead(t *testing.T) {
+	ctx := context.Background()
+	batch := func(i int) []uint64 { // ten items no other batch holds
+		items := make([]uint64, 10)
+		for j := range items {
+			items[j] = uint64(i*10 + j)
+		}
+		return items
+	}
+	for _, arm := range []struct {
+		fsync string
+		lose  func(t *testing.T, seg string) // loses records 9 onward
+	}{
+		{"batch", truncateFromRecord9},
+		{"none", truncateFromRecord9},
+		{"always", func(t *testing.T, seg string) {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[recordOffset(t, seg, 9)+10] ^= 0x01
+			if err := os.WriteFile(seg, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(arm.fsync, func(t *testing.T) {
+			cfg := durableCfg(t.TempDir())
+			cfg.Fsync, cfg.CheckpointEvery = arm.fsync, 100
+			_, c := bootDurable(t, cfg)
+			if _, err := c.CreateTenant(ctx, "k", client.TenantSpec{Sketch: "kmv"}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ { // LSNs 2–11; the tenth batch checkpoints
+				if err := c.Add(ctx, "k", batch(i)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.DataDir = waltest.Crash(t, cfg.DataDir)
+			arm.lose(t, filepath.Join(cfg.DataDir, "seg-00000001.wal"))
+
+			srv, c := bootDurable(t, cfg)
+			if rec := srv.Recovery(); rec.Tenants != 1 {
+				t.Fatalf("recovery = %+v, want the checkpointed tenant", rec)
+			}
+			for i := 10; i < 15; i++ {
+				if err := c.Add(ctx, "k", batch(i)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := c.Estimate(ctx, "k")
+			if err != nil || want != 150 {
+				t.Fatalf("estimate before the second crash: %v (%v), want 150", want, err)
+			}
+
+			cfg.DataDir = waltest.Crash(t, cfg.DataDir)
+			srv2, c2 := bootDurable(t, cfg)
+			if got, err := c2.Estimate(ctx, "k"); err != nil || got != want {
+				t.Errorf("second recovery estimates %v (%v), want %v: the checkpoint claimed LSNs the log reused", got, err, want)
+			}
+			if err := srv2.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func truncateFromRecord9(t *testing.T, seg string) {
+	if err := os.Truncate(seg, recordOffset(t, seg, 9)); err != nil {
+		t.Fatal(err)
 	}
 }

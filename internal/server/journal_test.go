@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/waltest"
 )
 
 // journaled is a durable server behind a loopback listener, with the raw
@@ -109,6 +110,7 @@ func TestReadsDoNotShapeTheTenant(t *testing.T) {
 	}
 	live.srv.Drain() // the crash: no final checkpoint, the log is all there is
 
+	cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 	recovered := openJournaled(t, cfg)
 	for _, ts := range cells {
 		if got := recovered.answer(t, key(ts), ts.Sketch == "countsketch"); !bytes.Equal(got, want[key(ts)]) {
@@ -153,6 +155,7 @@ func TestConcurrentWritersApplyInLogOrder(t *testing.T) {
 		want := live.answer(t, "w", false)
 		live.srv.Drain()
 
+		cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 		if got := openJournaled(t, cfg).answer(t, "w", false); !bytes.Equal(got, want) {
 			t.Errorf("seed %d: recovered answer\n%s, the live tenant\n%s", seed, got, want)
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/waltest"
 	"repro/internal/wire"
 )
 
@@ -166,6 +167,7 @@ func TestDurableIngestDoesNotRetainPooledBuffers(t *testing.T) {
 	}
 	// Crash (no Shutdown): replay must reproduce the stream from the
 	// journaled frames alone.
+	cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 	srv2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

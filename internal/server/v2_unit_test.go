@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sketch"
+	"repro/internal/waltest"
 	"repro/internal/wire"
 )
 
@@ -371,6 +372,7 @@ func TestUpdateToReplacedTenantIs410(t *testing.T) {
 	if w.Code != http.StatusGone || json.Unmarshal(w.Body.Bytes(), &reply) != nil || len(reply) != 1 || reply["error"] == nil {
 		t.Fatalf("batch to the deleted tenant: HTTP %d %s, want 410 {\"error\": …}", w.Code, w.Body.Bytes())
 	}
+	cfg.DataDir = waltest.Crash(t, cfg.DataDir)
 	recovered, err := Open(cfg) // crash: the log alone
 	if err != nil {
 		t.Fatal(err)

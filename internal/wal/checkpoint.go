@@ -87,21 +87,16 @@ func WriteCheckpoint(dir string, ck Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
+	if _, err = f.Write(out); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, final)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -128,22 +123,15 @@ func LoadCheckpoints(dir string) (map[string]Checkpoint, []string, error) {
 	out := make(map[string]Checkpoint, len(paths))
 	var corrupt []string
 	for _, p := range paths {
-		ck, err := readCheckpoint(p)
-		if err != nil {
+		data, err := os.ReadFile(p)
+		ck, derr := decodeCheckpoint(data)
+		if err != nil || derr != nil {
 			corrupt = append(corrupt, p)
 			continue
 		}
 		out[ck.Key] = ck
 	}
 	return out, corrupt, nil
-}
-
-func readCheckpoint(p string) (Checkpoint, error) {
-	data, err := os.ReadFile(p)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	return decodeCheckpoint(data)
 }
 
 // decodeCheckpoint parses the bytes of a checkpoint file. Whatever is wrong

@@ -9,6 +9,7 @@
 //
 // On-disk layout inside a data directory:
 //
+//	LOCK               held (flock) by the one Log open on the directory
 //	seg-00000001.wal   segment: header + records
 //	seg-00000002.wal   ...
 //	ck-<hash>.ckpt     one checkpoint per tenant (see checkpoint.go)
@@ -51,6 +52,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/codec"
@@ -65,8 +67,8 @@ const (
 	// acknowledged record survives power loss.
 	FsyncAlways Policy = iota
 	// FsyncBatch lets Append return after write(2); a background goroutine
-	// syncs the active segment every Options.BatchInterval. A crash can lose
-	// at most the records written inside the last interval.
+	// syncs the active segment every batchInterval. A crash can lose at most
+	// the records written inside the last interval.
 	FsyncBatch
 	// FsyncNone never calls fsync. Durability is whatever the OS page cache
 	// feels like; process crashes (as opposed to power loss) still keep all
@@ -87,18 +89,6 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, batch, or none)", s)
 }
 
-func (p Policy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncBatch:
-		return "batch"
-	case FsyncNone:
-		return "none"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
 // Record kinds. The numbering is part of the on-disk format.
 type Kind uint8
 
@@ -115,25 +105,18 @@ type Record struct {
 	Data []byte // kind-dependent; during Replay only valid inside the callback
 }
 
-// Options configures a Log. The zero value is usable: fsync on every append,
-// 64 MiB segments.
+// Options configures a Log. The zero value is usable: fsync on every append.
 type Options struct {
-	Fsync         Policy
-	SegmentBytes  int64         // rotate when the active segment reaches this size; default 64 MiB
-	BatchInterval time.Duration // FsyncBatch sync cadence; default 50ms
+	Fsync Policy
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	if o.BatchInterval <= 0 {
-		o.BatchInterval = 50 * time.Millisecond
-	}
-	return o
-}
+// segmentBytes is the active segment's rotation size (a variable for tests).
+var segmentBytes int64 = 64 << 20
 
 const (
+	// batchInterval is FsyncBatch's sync cadence.
+	batchInterval = 50 * time.Millisecond
+
 	segMagic      = "SKWL"
 	segVersion    = 1
 	segHeaderSize = 4 + 1 + 8
@@ -148,6 +131,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by Append and Sync after Close.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrLocked is returned by Open for a directory another Log holds.
+var ErrLocked = errors.New("wal: data directory is locked by another log")
 
 type segment struct {
 	path     string
@@ -169,6 +155,7 @@ type Stats struct {
 type Log struct {
 	dir  string
 	opts Options
+	lock *os.File // LOCK, flocked for the Log's lifetime
 
 	mu      sync.Mutex
 	f       *os.File
@@ -179,21 +166,37 @@ type Log struct {
 	closed  bool
 
 	buf   []byte
-	stats Stats
+	stats Stats // set by Open, read-only after
 
 	stopSync chan struct{}
 	syncDone chan struct{}
 }
 
-// Open opens (creating if needed) the log in dir, validates all segments, and
-// truncates a torn tail. Corruption is repaired, not fatal: only I/O errors
-// and unparseable directories fail Open.
-func Open(dir string, opts Options) (*Log, error) {
-	opts = opts.withDefaults()
+// Open opens (creating if needed) and flocks the log in dir until Close,
+// validates all segments, and truncates a torn tail. Corruption is repaired,
+// not fatal: only I/O errors, unparseable directories and a directory another
+// Log holds (ErrLocked) fail Open. A dead process's lock is the kernel's to drop.
+func Open(dir string, opts Options) (l *Log, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts, nextLSN: 1}
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("%w: %s", ErrLocked, dir)
+		}
+		return nil, fmt.Errorf("wal: locking %s: %w", dir, err)
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	l = &Log{dir: dir, opts: opts, lock: lock, nextLSN: 1}
 
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil {
@@ -202,7 +205,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	sort.Strings(paths)
 
 	for i, p := range paths {
-		seg, clean, serr := scanSegment(p, l.nextLSN)
+		seg, n, serr := scanSegment(p, l.nextLSN)
 		if serr != nil {
 			// Unreadable header or out-of-sequence segment: everything from
 			// here on is unusable history. Set it aside and stop.
@@ -214,13 +217,10 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.nextLSN = seg.firstLSN + seg.records
 		l.stats.Records += seg.records
 		l.segs = append(l.segs, seg)
-		if !clean {
-			fi, _ := os.Stat(p)
-			if fi != nil && fi.Size() > seg.size {
-				l.stats.TruncatedBytes += fi.Size() - seg.size
-				if terr := os.Truncate(p, seg.size); terr != nil {
-					return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", p, terr)
-				}
+		if seg.size < n {
+			l.stats.TruncatedBytes += n - seg.size
+			if terr := os.Truncate(p, seg.size); terr != nil {
+				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", p, terr)
 			}
 			if derr := l.dropFrom(paths[i+1:]); derr != nil {
 				return nil, derr
@@ -268,28 +268,28 @@ func (l *Log) dropFrom(paths []string) error {
 }
 
 // scanSegment validates p's header and records. It returns the segment
-// metadata with size set to the last valid byte, clean=false if a torn or
-// corrupt record was found (the segment is still usable up to size), and an
-// error only if the header itself is unusable or the first LSN does not
-// continue the sequence.
-func scanSegment(p string, wantLSN uint64) (segment, bool, error) {
+// metadata with size set to the last valid byte, the file's length (past
+// size when a torn or corrupt record ends the segment early; it is usable up
+// to size), and an error only if the header itself is unusable or the first
+// LSN does not continue the sequence.
+func scanSegment(p string, wantLSN uint64) (segment, int64, error) {
 	data, err := os.ReadFile(p)
 	if err != nil {
-		return segment{}, false, err
+		return segment{}, 0, err
 	}
 	if len(data) < segHeaderSize || string(data[:4]) != segMagic || data[4] != segVersion {
-		return segment{}, false, fmt.Errorf("wal: bad segment header in %s", p)
+		return segment{}, 0, fmt.Errorf("wal: bad segment header in %s", p)
 	}
 	first := binary.LittleEndian.Uint64(data[5:13])
 	if first != wantLSN {
-		return segment{}, false, fmt.Errorf("wal: segment %s starts at LSN %d, want %d", p, first, wantLSN)
+		return segment{}, 0, fmt.Errorf("wal: segment %s starts at LSN %d, want %d", p, first, wantLSN)
 	}
 	seg := segment{path: p, firstLSN: first, size: segHeaderSize}
 	fmt.Sscanf(filepath.Base(p), "seg-%08d.wal", &seg.index)
 
 	n := int64(len(data))
 	seg.size, seg.records, _ = walkRecords(data, n, nil)
-	return seg, seg.size == n, nil
+	return seg, n, nil
 }
 
 // walkRecords is the one record walk, behind Open's scan and Replay alike:
@@ -409,7 +409,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	binary.LittleEndian.PutUint32(l.buf[4:], crc32.Checksum(payload, crcTable))
 
 	active := &l.segs[len(l.segs)-1]
-	if active.size+int64(len(l.buf)) > l.opts.SegmentBytes && active.records > 0 {
+	if active.size+int64(len(l.buf)) > segmentBytes && active.records > 0 {
 		if err := l.newSegmentLocked(); err != nil {
 			return 0, l.fail(err)
 		}
@@ -470,7 +470,7 @@ func (l *Log) syncLocked() error {
 
 func (l *Log) syncLoop() {
 	defer close(l.syncDone)
-	t := time.NewTicker(l.opts.BatchInterval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -499,11 +499,7 @@ func (l *Log) HeadLSN() uint64 {
 }
 
 // Stats returns what Open found and repaired.
-func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
+func (l *Log) Stats() Stats { return l.stats }
 
 // Replay calls fn for every record in LSN order. rec.Data is only valid for
 // the duration of the callback. Replay may be called on a live log, but only
@@ -535,8 +531,8 @@ func (l *Log) Replay(fn func(lsn uint64, rec Record) error) error {
 	return nil
 }
 
-// Close syncs and closes the active segment. Further Appends fail with
-// ErrClosed. Close is idempotent.
+// Close syncs and closes the active segment and releases the directory.
+// Further Appends fail with ErrClosed. Close is idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -561,6 +557,7 @@ func (l *Log) Close() error {
 		close(stop)
 		<-done
 	}
+	l.lock.Close() // closing the descriptor drops the flock
 	return err
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,9 +83,17 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// shrinkSegments makes segments rotate at n bytes for the rest of the test.
+func shrinkSegments(t *testing.T, n int64) {
+	old := segmentBytes
+	segmentBytes = n
+	t.Cleanup(func() { segmentBytes = old })
+}
+
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 256})
+	shrinkSegments(t, 256)
+	l, err := Open(dir, Options{Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +259,8 @@ func TestReplayRejectsSegmentRewrittenAfterOpen(t *testing.T) {
 
 func TestCorruptSegmentQuarantinesLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncNone, SegmentBytes: 64})
+	shrinkSegments(t, 64)
+	l, err := Open(dir, Options{Fsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +299,7 @@ func TestCorruptSegmentQuarantinesLaterSegments(t *testing.T) {
 
 func TestFsyncBatchSyncsInBackground(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Fsync: FsyncBatch, BatchInterval: 5 * time.Millisecond})
+	l, err := Open(dir, Options{Fsync: FsyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +322,81 @@ func TestFsyncBatchSyncsInBackground(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOpenLocksDirectory: one Log owns a directory. A second Open fails with
+// ErrLocked and leaves the owner working, Close hands the directory on, and
+// a copy of a held directory opens.
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	appendSome(t, dir, 3)
+	l, err := Open(dir, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // a failed Open releases nothing it did not take
+		if l2, err := Open(dir, Options{}); !errors.Is(err, ErrLocked) {
+			if l2 != nil {
+				l2.Close()
+			}
+			t.Fatalf("second Open of a held directory: err = %v, want ErrLocked", err)
+		}
+	}
+	if _, err := l.Append(Record{Kind: KindDelete, Key: "x"}); err != nil {
+		t.Fatalf("owner after a refused Open: %v", err)
+	}
+
+	cp := t.TempDir()
+	paths, _ := filepath.Glob(filepath.Join(dir, "*"))
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, filepath.Base(p)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc, err := Open(cp, Options{})
+	if err != nil {
+		t.Fatalf("Open of a copied directory: %v", err)
+	}
+	if got := lc.HeadLSN(); got != 4 {
+		t.Fatalf("copy's HeadLSN = %d, want 4", got)
+	}
+	lc.Close()
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	l3.Close()
+
+	// A failed Open lets go of the lock. A junk segment whose quarantine name
+	// is taken by a directory fails Open; cleared, the next Open succeeds.
+	bad := t.TempDir()
+	seg := filepath.Join(bad, "seg-00000001.wal")
+	if err := os.WriteFile(seg, []byte("JUNK"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(seg+".corrupt", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if l4, err := Open(bad, Options{}); err == nil {
+		l4.Close()
+		t.Fatal("Open succeeded with its quarantine blocked")
+	}
+	if err := os.RemoveAll(seg + ".corrupt"); err != nil {
+		t.Fatal(err)
+	}
+	l5, err := Open(bad, Options{})
+	if err != nil {
+		t.Fatalf("Open after a failed Open: %v", err)
+	}
+	l5.Close()
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -407,8 +492,17 @@ func TestParsePolicy(t *testing.T) {
 		if err != nil || got != want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)
 		}
-		if s != "" && got.String() != s {
-			t.Fatalf("Policy.String() = %q, want %q", got.String(), s)
+	}
+	// Round trip: every policy has exactly one flag value naming it.
+	for _, p := range []Policy{FsyncAlways, FsyncBatch, FsyncNone} {
+		var names []string
+		for s, want := range cases {
+			if s != "" && want == p {
+				names = append(names, s)
+			}
+		}
+		if len(names) != 1 {
+			t.Fatalf("policy %d is named by %q, want exactly one flag value", p, names)
 		}
 	}
 	if _, err := ParsePolicy("sometimes"); err == nil {
