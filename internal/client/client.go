@@ -409,8 +409,10 @@ func (c *Client) Snapshot(ctx context.Context, key string) ([]byte, error) {
 }
 
 // Merge folds a snapshot (typically from another sketchd sharing the same
-// -seed and -shards) into keyspace key, creating it if absent. On a
-// durable server the merged state is checkpointed before the 200.
+// -seed and -shards) into keyspace key, which must have been declared (an
+// undeclared key is a 404). A merge folds state, not stream, so the key's
+// mass and deleted mass do not move. On a durable server the merged state
+// is checkpointed before the 200.
 func (c *Client) Merge(ctx context.Context, key string, snapshot []byte) error {
 	return c.do(ctx, http.MethodPost, "/v1/merge", keyQuery(key), snapshot, "application/octet-stream", "", nil, nil)
 }

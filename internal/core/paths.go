@@ -51,7 +51,6 @@ func (p *Paths) Changes() int { return p.r.Changes() }
 // Robustness implements sketch.RobustnessReporter.
 func (p *Paths) Robustness() sketch.Robustness {
 	return sketch.Robustness{
-		Policy:    "paths",
 		Copies:    1,
 		Switches:  p.Changes(),
 		Budget:    p.budget,

@@ -153,14 +153,12 @@ func (s *Switcher) Copies() int {
 // instances not yet spent.
 func (s *Switcher) Robustness() sketch.Robustness {
 	r := sketch.Robustness{
-		Policy:    "switching",
 		Copies:    s.Copies(),
 		Switches:  s.switches,
 		Budget:    s.lag.Len(),
 		Exhausted: s.exhausted,
 	}
 	if s.ring {
-		r.Policy = "ring"
 		r.Budget = -1
 	}
 	return r

@@ -3,7 +3,8 @@ package engine
 import "math"
 
 // ShardEstimate is one shard's published state: its estimator's estimate
-// and the net mass (Σ delta) of the updates routed to it.
+// and the net mass (Σ delta) of the updates routed to it, or a
+// MassReporter's own mass. The mass is the Entropy combiner's weight.
 type ShardEstimate struct {
 	Estimate float64
 	Mass     int64

@@ -22,6 +22,10 @@
 // what the estimator sees. Update, the sketch.Estimator face, is a
 // one-update part; a caller that wants coalescing hands Apply its batches.
 // Estimate flushes first. Every method is safe for concurrent use.
+//
+// A shard's published mass (ShardEstimate.Mass) is the Entropy combiner's
+// weight, not telemetry: stream-wide mass and deletion counts belong to the
+// stream's owner, which knows which batches it acknowledged.
 package engine
 
 import (
@@ -106,7 +110,7 @@ type shard struct {
 	closed  bool
 
 	est  sketch.Estimator // owned by the worker goroutine
-	mass int64            // worker-local net Σdelta
+	mass int64            // worker-local net Σdelta, the Entropy combiner's weight
 	co   sketch.Coalescer // coalescing scratch, worker-local
 
 	// Published snapshots, refreshed every refreshEvery updates and on
@@ -121,7 +125,6 @@ type shard struct {
 	// budget pack into one word each; pubRobust is 0 until the estimator
 	// reports, 1 bare, 3 when also exhausted.
 	pubRobust   atomic.Int32
-	pubPolicy   atomic.Pointer[string]
 	pubCopies   atomic.Int64
 	pubSwitches atomic.Int64
 	pubBudget   atomic.Int64
@@ -138,16 +141,7 @@ type Engine struct {
 	pool      sync.Pool
 	parts     sync.Pool    // *[][]Update, Apply's per-shard scratch
 	liveBufs  atomic.Int64 // batch buffers checked out of the pool
-	deleted   atomic.Int64 // Σ|delta| over accepted negative deltas
 	closeOnce sync.Once
-
-	// baseMass/baseDeleted credit stream mass restored from durable
-	// checkpoint state rather than streamed through Update. Sketch state
-	// folded in by Visit carries no worker-side mass tally (and the
-	// engine-level deletion counter lives outside the sketch entirely),
-	// so recovery seeds these via SeedMass.
-	baseMass    atomic.Int64
-	baseDeleted atomic.Int64
 }
 
 // getBuf checks a batch buffer out of the pool, counting it as
@@ -240,9 +234,9 @@ func (e *Engine) run(s *shard) {
 
 // MassReporter is implemented by estimators that track the stream mass
 // (net Σdelta) themselves, e.g. the CC entropy sketch's exact F1 counter.
-// The engine publishes a reporter's own mass instead of its worker-side
-// tally, so mass folded in by a Visit-applied Merge (which bypasses the
-// worker's update path) is reflected in the published snapshots — the
+// The engine publishes a reporter's own mass as ShardEstimate.Mass instead
+// of its worker-side tally, so mass folded in by a Visit-applied Merge
+// (which bypasses the worker's update path) weights the shard — the
 // Entropy combiner depends on it.
 type MassReporter interface {
 	Mass() int64
@@ -260,13 +254,6 @@ func (s *shard) publish() {
 	s.pubSpace.Store(int64(s.est.SpaceBytes()))
 	if rr, ok := s.est.(sketch.RobustnessReporter); ok {
 		r := rr.Robustness()
-		// The policy name almost never changes; re-storing the cached
-		// pointer (instead of &r.Policy, which escapes) keeps the refresh
-		// allocation-free in steady state.
-		if p := s.pubPolicy.Load(); p == nil || *p != r.Policy {
-			policy := r.Policy
-			s.pubPolicy.Store(&policy)
-		}
 		s.pubCopies.Store(int64(r.Copies))
 		s.pubSwitches.Store(int64(r.Switches))
 		s.pubBudget.Store(int64(r.Budget))
@@ -335,11 +322,6 @@ func (e *Engine) add(s *shard, us []Update) bool {
 	for start := 0; start < len(us); start += e.batch {
 		b.us = append(b.us, us[start:min(start+e.batch, len(us))]...)
 		b.ends = append(b.ends, len(b.us))
-	}
-	for _, u := range us {
-		if u.Delta < 0 {
-			e.deleted.Add(-u.Delta)
-		}
 	}
 	if len(b.us) < e.batch {
 		s.mu.Unlock()
@@ -460,37 +442,6 @@ func (e *Engine) SpaceBytes() int {
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Mass returns the net signed stream mass Σdelta across shards, read from
-// the shards' last published snapshots. It never blocks ingest, so it may
-// lag by at most refreshEvery updates per shard plus the batch buffers;
-// call Flush first for an exact happened-before reading.
-func (e *Engine) Mass() int64 {
-	total := e.baseMass.Load()
-	for _, s := range e.shards {
-		total += s.pubMass.Load()
-	}
-	return total
-}
-
-// DeletedMass returns the total magnitude Σ|delta| of negative deltas
-// accepted since the engine started — the deletion side of the signed
-// mass. It is counted at the accept point (exact and current, unlike the
-// published Mass snapshot): zero on an insertion-only tenant by
-// construction, and the stream-model telemetry for turnstile and
-// bounded-deletion tenants.
-func (e *Engine) DeletedMass() int64 { return e.deleted.Load() + e.baseDeleted.Load() }
-
-// SeedMass credits mass and deletion magnitude accounted for by
-// externally restored state (a durable checkpoint folded in via Visit):
-// the restored sketch answers queries, but the engine's mass telemetry
-// would otherwise restart from zero. Callers pass the delta still
-// missing after the restore — for a MassReporter estimator the published
-// mass already includes the restored state, so its delta is zero.
-func (e *Engine) SeedMass(mass, deleted int64) {
-	e.baseMass.Add(mass)
-	e.baseDeleted.Add(deleted)
-}
-
 // ErrNoPointQueries is returned by QueryBatch when the shard estimators do
 // not implement the point-query surface (sketch.PointQuerier / TopKQuerier).
 var ErrNoPointQueries = errors.New("engine: shard estimators do not support point queries")
@@ -570,11 +521,11 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 // overran, and an unbounded budget anywhere (ring mode) makes the whole
 // engine's budget unbounded. ok is false when the shard estimators are
 // static (non-reporting), which is how callers distinguish a robust
-// tenant from a plain one. Like Mass, it reads the shards' last published
-// snapshots without flushing or blocking ingest — a monitoring scraper
-// polling it never stalls producers — so it may lag the ingested stream
-// by at most refreshEvery updates per shard; call Flush first for an
-// exact happened-before reading.
+// tenant from a plain one. Like ShardEstimates, it reads the shards' last
+// published snapshots without flushing or blocking ingest — a monitoring
+// scraper polling it never stalls producers — so it may lag the ingested
+// stream by at most refreshEvery updates per shard; call Flush first for
+// an exact happened-before reading.
 func (e *Engine) Robustness() (agg sketch.Robustness, ok bool) {
 	found := false
 	unbounded := false
@@ -584,9 +535,6 @@ func (e *Engine) Robustness() (agg sketch.Robustness, ok bool) {
 			continue
 		}
 		found = true
-		if p := s.pubPolicy.Load(); p != nil {
-			agg.Policy = *p
-		}
 		agg.Copies += int(s.pubCopies.Load())
 		agg.Switches += int(s.pubSwitches.Load())
 		agg.Exhausted = agg.Exhausted || flags&2 != 0

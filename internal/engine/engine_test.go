@@ -306,51 +306,6 @@ func (s *sumSq) Estimate() float64 {
 	return t
 }
 
-// TestMassAndDeletedMass: the engine's signed-mass accounting — Mass is
-// the net Σdelta after a flush, DeletedMass the exact magnitude of the
-// negative side, and an insertion-only stream leaves DeletedMass at zero.
-func TestMassAndDeletedMass(t *testing.T) {
-	e := New(Config{
-		Shards:  4,
-		Batch:   16,
-		Seed:    5,
-		Factory: func(seed int64) sketch.Estimator { return &sumSq{counts: make(map[uint64]int64)} },
-	})
-	defer e.Close()
-	var net, del int64
-	for i := 0; i < 5000; i++ {
-		delta := int64(1 + i%3)
-		if i%4 == 3 {
-			delta = -delta
-		}
-		e.Update(uint64(i%97), delta)
-		net += delta
-		if delta < 0 {
-			del -= delta
-		}
-	}
-	if got := e.DeletedMass(); got != del {
-		t.Errorf("DeletedMass = %d, want %d", got, del)
-	}
-	e.Flush()
-	if got := e.Mass(); got != net {
-		t.Errorf("Mass after flush = %d, want %d", got, net)
-	}
-
-	ins := New(Config{
-		Shards:  2,
-		Seed:    6,
-		Factory: func(seed int64) sketch.Estimator { return &sumSq{counts: make(map[uint64]int64)} },
-	})
-	defer ins.Close()
-	for i := 0; i < 1000; i++ {
-		ins.Update(uint64(i), 1)
-	}
-	if got := ins.DeletedMass(); got != 0 {
-		t.Errorf("insertion-only DeletedMass = %d, want 0", got)
-	}
-}
-
 // TestCoalescePreservesTurnstile: mixed-sign duplicate-heavy batches,
 // coalesced before they reach the estimator, must produce exactly the
 // state of the uncoalesced stream.

@@ -309,10 +309,11 @@ type KeyStats struct {
 	Shards     int    `json:"shards"`
 	SpaceBytes int    `json:"space_bytes"`
 
-	// Mass is the tenant's net signed stream mass Σdelta (from the
-	// engine's last published snapshots, so it may lag ingest slightly);
-	// DeletedMass is the exact magnitude of the negative side — zero on
-	// an insertion-only tenant by construction.
+	// Mass is the tenant's net signed stream mass Σdelta and DeletedMass
+	// the magnitude of its negative side (zero on an insertion-only tenant
+	// by construction), both exact as of the last acknowledged batch. They
+	// count the stream the tenant applied, restored or was shipped; a
+	// /v1/merge carries state, not stream, and moves neither.
 	Mass        int64 `json:"mass"`
 	DeletedMass int64 `json:"deleted_mass,omitempty"`
 
@@ -332,11 +333,13 @@ type KeyStats struct {
 	Robustness *RobustnessStats `json:"robustness,omitempty"`
 }
 
-// RobustnessStats is the flip-budget state of a robust keyspace, summed
-// over its engine shards. Operators should watch Remaining (and
-// Exhausted) on dense-switching and paths tenants: once the stream's flip
-// number overruns the configured budget the robustness guarantee no
-// longer covers it, so estimates may degrade under adaptive traffic.
+// RobustnessStats is the flip-budget state of a robust keyspace. Copies,
+// Switches and Budget are sums over its engine shards, each of which has a
+// budget of its own, so the sums can show headroom a shard no longer has.
+// Operators should watch Exhausted (and Remaining, which is 0 once it is
+// set) on dense-switching and paths tenants: once the stream's flip number
+// overruns the configured budget the robustness guarantee no longer covers
+// it, so estimates may degrade under adaptive traffic.
 type RobustnessStats struct {
 	// Policy is the transformation in effect: switching, ring, or paths.
 	Policy string `json:"policy"`
@@ -351,7 +354,8 @@ type RobustnessStats struct {
 	// recycles instances and never exhausts).
 	Budget int `json:"budget"`
 
-	// Remaining is Budget − Switches floored at 0, or -1 when unbounded.
+	// Remaining is Budget − Switches floored at 0, 0 once Exhausted, or
+	// -1 when unbounded.
 	Remaining int `json:"remaining"`
 
 	// Exhausted reports that some shard overran its flip budget.

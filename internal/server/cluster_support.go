@@ -20,17 +20,21 @@ import (
 
 // ShipTenant serializes tenant key for replication as a wire.Ship with
 // Key, Spec, State, Mass and Deleted filled (tenant.export); the cluster
-// layer stamps From and Seq. Spec carries the resolved seed, which is why a
-// shipment is a server-to-server surface: handing one to a tenant would
-// leak the seed the API everywhere else withholds. Non-mergeable
-// (robust-policy) tenants ship as spec-only declarations (State nil):
-// replication preserves the declaration and the replica rebuilds state
+// layer stamps From and Seq. It exports under the tenant's write lock, as a
+// checkpoint does, so the state is the one after an acknowledged batch and
+// Mass and Deleted are that state's. Spec carries the resolved seed, which
+// is why a shipment is a server-to-server surface: handing one to a tenant
+// would leak the seed the API everywhere else withholds. Non-mergeable
+// (robust-policy) tenants ship as spec-only declarations (State nil, Mass
+// 0): replication preserves the declaration and the replica rebuilds state
 // only if the key fails over to it and the stream is replayed by clients.
 func (s *Server) ShipTenant(key string) (*wire.Ship, error) {
 	t := s.lookup(key)
 	if t == nil {
 		return nil, fmt.Errorf("unknown key %q", key)
 	}
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
 	return t.export(true)
 }
 
@@ -241,9 +245,7 @@ func (s *Server) answerQuery(t *tenant, req *QueryRequest, batch func([]uint64, 
 			})
 		}
 	}
-	if rb, ok := t.eng.Robustness(); ok {
-		resp.Robustness = t.robustnessStats(rb)
-	}
+	resp.Robustness = t.robustnessStats()
 	return resp, http.StatusOK, nil
 }
 

@@ -31,11 +31,16 @@ import (
 // once Drain has passed every tenant lock the tenant map and the log are
 // frozen. The checkpoint's LSN is the log head taken under writeMu, so no
 // update for that tenant can sit between the serialized sketch state and the
-// recorded position. wal.Open locks the directory: it has one owner.
+// recorded position. Every export reads under the tenant lock the same way —
+// a checkpoint, a shipment (ShipTenant) and a /v1/snapshot — so each is the
+// state after one acknowledged batch, and the mass and deleted mass a
+// checkpoint or shipment carries are that state's. wal.Open locks the
+// directory: it has one owner.
 //
 // Recovery has one rule: a record at or below its key's restored checkpoint
 // LSN is history; every other record replays in log order, an update record
-// as one Apply, and a torn final record is truncated, never a failed boot. A
+// as one tenant.apply (the engine's Apply and the ledger's count, as ingest
+// applied it), and a torn final record is truncated, never a failed boot. A
 // checkpoint that fails to load restores nothing, and its key's create
 // record re-declares the tenant. Robust tenants are never checkpointed: full
 // replay rebuilds them, flip-budget state exact. A checkpoint past the
@@ -138,8 +143,8 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 				return nil // CRC-valid but undecodable frame: skip, keep going
 			}
 			ubuf = us
-			// One Apply per record, as ingest applied it: the same cuts.
-			t.eng.Apply(us)
+			// One apply per record, as ingest applied it: the same cuts.
+			t.apply(us)
 			t.sinceCkpt += len(us)
 			s.recovery.ReplayedUpdates += len(us)
 		}

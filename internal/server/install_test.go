@@ -17,7 +17,8 @@ import (
 // checkpoint + Open, ShipTenant → ApplyShipment, /v1/snapshot → /v1/merge
 // into an empty key — and all three copies must be the same tenant:
 // byte-identical /v1/snapshot bodies, byte-identical /v2/query answers,
-// and (where the path carries it) the same mass telemetry. A robust
+// and the same mass and deleted mass where the path carries stream (a
+// merge carries state alone, so its copy's ledger reads zero). A robust
 // tenant crosses as a declaration and is rebuilt by replaying the stream,
 // and it is the same tenant whether or not its source was read between
 // batches: a read decides when the engine works, never what it applies.
@@ -206,21 +207,17 @@ func TestInstallPathsAgree(t *testing.T) {
 
 	for _, name := range sketches {
 		w := want[name]
-		// A /v1/merge body carries no mass, so that copy reads only what the
-		// sketch itself reports: CC counts its own F1, the others nothing.
-		mergeMass := int64(0)
-		if name == "cc" {
-			mergeMass = w.mass
-		}
+		// A /v1/merge body carries state, not stream: the merged copy's
+		// ledger stays at zero for every sketch, cc's F1 counter included.
 		for _, path := range []struct {
-			name string
-			c    *client.Client
-			base string
-			mass int64
+			name          string
+			c             *client.Client
+			base          string
+			mass, deleted int64
 		}{
-			{"checkpoint+open", ckptClient, ckptURL, w.mass},
-			{"shipment", shipClient, shipURL, w.mass},
-			{"snapshot+merge", mergeClient, mergeURL, mergeMass},
+			{"checkpoint+open", ckptClient, ckptURL, w.mass, w.deleted},
+			{"shipment", shipClient, shipURL, w.mass, w.deleted},
+			{"snapshot+merge", mergeClient, mergeURL, 0, 0},
 		} {
 			got := read(path.c, path.base, name)
 			if !bytes.Equal(got.snapshot, w.snapshot) {
@@ -229,8 +226,8 @@ func TestInstallPathsAgree(t *testing.T) {
 			if !bytes.Equal(got.answer, w.answer) {
 				t.Errorf("%s via %s: /v2/query answered\n%s, the source\n%s", name, path.name, got.answer, w.answer)
 			}
-			if got.mass != path.mass || got.deleted != w.deleted {
-				t.Errorf("%s via %s: mass %d deleted %d, want %d and %d", name, path.name, got.mass, got.deleted, path.mass, w.deleted)
+			if got.mass != path.mass || got.deleted != path.deleted {
+				t.Errorf("%s via %s: mass %d deleted %d, want %d and %d", name, path.name, got.mass, got.deleted, path.mass, path.deleted)
 			}
 		}
 	}

@@ -3,21 +3,23 @@ package server
 // A model-checked single node. A seeded generator (or the fuzzer's bytes)
 // draws a sequence of operations against one durable server: declarations
 // over random registry cells, updates in both codecs, every query kind,
-// snapshot, merge, delete and re-create, drain, Shutdown then Open, and two
-// kinds of crash. Beside the server runs a twin: for every tenant an
-// in-memory engine built exactly as the server builds one, fed every
-// acknowledged batch as one Apply, and every merged snapshot as one fold.
-// Every answer, (estimate, switches) included, every snapshot and every
-// stats entry must be bit-equal to the twin's, and the log must hold
-// exactly the acknowledged records.
+// snapshot, merge, shipment to a second server, delete and re-create,
+// drain, Shutdown then Open, and two kinds of crash. Beside the server runs
+// a twin: for every tenant an in-memory engine built exactly as the server
+// builds one, fed every acknowledged batch as one Apply, and every merged
+// snapshot as one fold, with its mass and deleted mass counted from the
+// acknowledged batches. Every answer, (estimate, switches) included, every
+// snapshot, every shipment's replica and every stats entry must be
+// bit-equal to the twin's, and the log must hold exactly the acknowledged
+// records.
 //
 // A clean crash abandons the server without Shutdown, copies its data
 // directory and opens the copy: nothing acknowledged may be lost. A torn
 // crash also cuts the copy's newest segment at a random byte. Which tenant
 // each key then holds follows from the records that survived and the
 // checkpoints on disk, a robust twin replays only the batches whose records
-// survived, and a static twin folds the recovered snapshot once its mass
-// lies between the surviving records' and everything acknowledged.
+// survived, and a static twin folds the recovered snapshot and counts the
+// batches its checkpoint or the surviving records hold.
 //
 // A failing sequence is shrunk by dropping operations while it still fails,
 // and printed as a Go test body.
@@ -69,10 +71,11 @@ const (
 	opRestart                 // Shutdown, then Open on the same directory
 	opCrash                   // abandon the server, copy the directory, Open the copy
 	opTornCrash               // opCrash, cutting the copy's newest segment at cut/65536 of its bytes
+	opShip                    // ShipTenant, then ApplyShipment into a second, in-memory server
 )
 
 var opNames = [...]string{"opCreate", "opUpdate", "opQuery", "opEstimate", "opSnapshot", "opMerge",
-	"opDelete", "opStats", "opDrain", "opRestart", "opCrash", "opTornCrash"}
+	"opDelete", "opStats", "opDrain", "opRestart", "opCrash", "opTornCrash", "opShip"}
 
 func (k opKind) String() string { return opNames[k] }
 
@@ -161,25 +164,27 @@ func genOp(c choices) modelOp {
 	switch r := c.intn(100); {
 	case r < 14:
 		op.kind, op.spec = opCreate, genSpec(c)
-	case r < 46:
+	case r < 44:
 		op.kind, op.us, op.codec = opUpdate, genUpdates(c), c.intn(3)
-	case r < 62:
+	case r < 59:
 		op.kind, op.qs, op.codec = opQuery, genQueries(c), c.intn(4)
-	case r < 65:
+	case r < 62:
 		op.kind = opEstimate
-	case r < 70:
+	case r < 67:
 		op.kind = opSnapshot
-	case r < 75:
+	case r < 72:
 		op.kind, op.us = opMerge, genUpdates(c)
-	case r < 81:
+	case r < 77:
+		op.kind = opShip
+	case r < 83:
 		op.kind = opDelete
-	case r < 84:
-		op.kind = opStats
 	case r < 86:
+		op.kind = opStats
+	case r < 88:
 		op.kind = opDrain
-	case r < 91:
+	case r < 93:
 		op.kind = opRestart
-	case r < 96:
+	case r < 97:
 		op.kind = opCrash
 	default:
 		op.kind, op.cut = opTornCrash, c.intn(1<<16)
@@ -241,9 +246,9 @@ type incarnation struct {
 	sp   spec
 	ts   TenantSpec
 	twin *tenant
-	// hiPos and hiNeg are the most positive and negative mass the twin has
-	// held: no recovery may restore more.
-	hiPos, hiNeg int64
+	// lost holds the acknowledged batches a cut took from the log that the
+	// incarnation's checkpoint still holds: recovery counts them again.
+	lost [][]wire.Update
 }
 
 // era: from log position from on, the key holds inc (nil: nothing).
@@ -268,6 +273,7 @@ type modelRun struct {
 	draining bool
 	log      []logEntry // by LSN, from 1
 	eras     map[string][]era
+	replica  *Server // in memory: where opShip applies its shipments
 	// others counts the engine workers and WAL sync loops at the last Open
 	// that are neither the server's nor the twins'.
 	others [2]int
@@ -282,10 +288,24 @@ func newTwin(inc *incarnation) {
 	inc.twin = &tenant{key: inc.key, spec: inc.sp, ts: inc.ts, eng: twinEngine(inc.sp, inc.ts, inc.key)}
 }
 
+// count adds an acknowledged batch to the twin's mass and deleted mass.
+func (inc *incarnation) count(us []wire.Update) {
+	for _, u := range us {
+		inc.twin.mass.Add(u.Delta)
+		inc.twin.deleted.Add(max(-u.Delta, 0))
+	}
+}
+
+// ack feeds the twin an acknowledged batch: one Apply, and its count.
+func (inc *incarnation) ack(us []wire.Update) {
+	inc.twin.eng.Apply(us)
+	inc.count(us)
+}
+
 // runModel plays ops against a fresh server and its twin, then crashes it,
 // and returns the first violation.
 func runModel(tb testing.TB, mc modelConfig, ops []modelOp) error {
-	m := &modelRun{tb: tb, mc: mc, eras: make(map[string][]era)}
+	m := &modelRun{tb: tb, mc: mc, eras: make(map[string][]era), replica: New(mc.server(""))}
 	defer m.close()
 	if err := m.open(filepath.Join(tb.TempDir(), "data")); err != nil {
 		return err
@@ -309,6 +329,7 @@ func (m *modelRun) close() {
 	if m.srv != nil {
 		m.abandon()
 	}
+	m.replica.Drain()
 	for _, inc := range m.liveIncs() {
 		inc.twin.eng.Close()
 	}
@@ -324,7 +345,7 @@ func (m *modelRun) abandon() {
 
 func (m *modelRun) open(dir string) error {
 	m.others = workers()
-	m.others[0] -= m.twinShards()
+	m.others[0] -= m.ownShards()
 	srv, err := Open(m.mc.server(dir))
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
@@ -360,10 +381,15 @@ func (m *modelRun) liveIncs() []*incarnation {
 	return incs
 }
 
-func (m *modelRun) twinShards() int {
+// ownShards counts the engine workers the model runs itself: its twins' and
+// its replica's.
+func (m *modelRun) ownShards() int {
 	n := 0
 	for _, inc := range m.liveIncs() {
 		n += inc.twin.eng.Shards()
+	}
+	for _, t := range m.replica.tenantList() {
+		n += t.eng.Shards()
 	}
 	return n
 }
@@ -432,6 +458,8 @@ func (m *modelRun) step(op modelOp) error {
 		return nil
 	case opRestart:
 		return m.restart()
+	case opShip:
+		return m.ship(op.key)
 	default:
 		return m.crash(op)
 	}
@@ -515,21 +543,13 @@ func (m *modelRun) update(op modelOp) error {
 	if want == http.StatusOK {
 		// The twin goes first, so the next operation follows the ack at once.
 		m.appendRecord(wal.KindUpdate, op.key, wire.AppendUpdates(nil, op.us), live)
-		live.twin.eng.Apply(op.us)
-		live.noteMass()
+		live.ack(op.us)
 	}
 	w := m.do(http.MethodPost, path+"?key="+op.key, body, ct, "")
 	if err := status(w, want); err != nil || want != http.StatusOK {
 		return err
 	}
 	return sameBytes("update reply", w.Body.Bytes(), []byte(fmt.Sprintf("{\"accepted\":%d}\n", len(op.us))))
-}
-
-// noteMass raises the incarnation's mass ceiling to what its twin holds.
-func (inc *incarnation) noteMass() {
-	inc.twin.eng.Flush()
-	pos, neg := inc.twin.eng.Mass()+inc.twin.eng.DeletedMass(), inc.twin.eng.DeletedMass()
-	inc.hiPos, inc.hiNeg = max(inc.hiPos, pos), max(inc.hiNeg, neg)
 }
 
 func (m *modelRun) query(key string, qs []Query, codec int) error {
@@ -639,11 +659,67 @@ func (m *modelRun) merge(op modelOp) error {
 	if err := live.twin.fold(env); err != nil {
 		return fmt.Errorf("twin fold: %w", err)
 	}
-	live.noteMass()
 	return nil
 }
 
+// ship takes the key's shipment and applies it to the replica. A robust
+// tenant ships its declaration alone; a mergeable one ships state the
+// replica answers exactly as the twin does, with the twin's mass.
+func (m *modelRun) ship(key string) error {
+	sh, err := m.srv.ShipTenant(key)
+	live := m.live(key)
+	if live == nil {
+		if err == nil {
+			return fmt.Errorf("shipped %q, which the model does not hold", key)
+		}
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	spec, _ := json.Marshal(live.ts)
+	if sh.Key != key || !bytes.Equal(sh.Spec, spec) {
+		return fmt.Errorf("shipment declares %q as %s, the model %s", sh.Key, sh.Spec, spec)
+	}
+	if !live.sp.Mergeable() {
+		if sh.State != nil || sh.Mass != 0 || sh.Deleted != 0 {
+			return fmt.Errorf("robust shipment carries %d state bytes, mass %d, deleted %d; want its declaration alone", len(sh.State), sh.Mass, sh.Deleted)
+		}
+		return m.replica.ApplyShipment(key, sh.Spec, sh.State, sh.Mass, sh.Deleted)
+	}
+	if err := m.replica.ApplyShipment(key, sh.Spec, sh.State, sh.Mass, sh.Deleted); err != nil {
+		return err
+	}
+	qs := []Query{{Kind: QueryEstimate}}
+	if live.sp.points {
+		qs = append(qs, Query{Kind: QueryPoint, Item: 1}, Query{Kind: QueryTopK, K: 8})
+	}
+	body, _ := json.Marshal(QueryRequest{Key: key, Queries: qs})
+	req := httptest.NewRequest(http.MethodPost, "/v2/query", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	m.replica.Handler().ServeHTTP(w, req)
+	if err := status(w, http.StatusOK); err != nil {
+		return fmt.Errorf("replica query: %w", err)
+	}
+	resp, _, err := m.srv.answerQuery(live.twin, &QueryRequest{Key: key, Queries: qs}, live.twin.eng.QueryBatch)
+	if err != nil {
+		return err
+	}
+	tw := httptest.NewRecorder()
+	writeQueryResponse(tw, req, resp)
+	if err := sameBytes("replica query "+key, w.Body.Bytes(), tw.Body.Bytes()); err != nil {
+		return err
+	}
+	got, want := m.replica.lookup(key).stats(), live.twin.stats()
+	if got.Mass != want.Mass || got.DeletedMass != want.DeletedMass {
+		return fmt.Errorf("replica holds mass %d, deleted %d; the twin %d, %d", got.Mass, got.DeletedMass, want.Mass, want.DeletedMass)
+	}
+	return nil
+}
+
+// delete removes the key's tenant, whose echo is its last stats entry.
 func (m *modelRun) delete(key string) error {
+	m.flush(key)
 	w := m.do(http.MethodDelete, "/v1/keys?key="+key, nil, "", "")
 	live := m.live(key)
 	want := http.StatusOK
@@ -658,8 +734,9 @@ func (m *modelRun) delete(key string) error {
 	}
 	lsn := m.appendRecord(wal.KindDelete, key, nil, nil)
 	m.eras[key] = append(m.eras[key], era{lsn, nil})
+	echo, _ := json.Marshal(live.twin.stats())
 	live.twin.eng.Close()
-	return nil
+	return sameBytes("delete echo", bytes.TrimSpace(w.Body.Bytes()), echo)
 }
 
 func (m *modelRun) stats() error {
@@ -774,7 +851,7 @@ func (m *modelRun) crash(op modelOp) error {
 	if err := m.open(dir); err != nil {
 		return err
 	}
-	if err := m.resync(head, want); err != nil {
+	if err := m.resync(head, want, cks); err != nil {
 		return err
 	}
 	return m.sweep()
@@ -837,12 +914,14 @@ func (m *modelRun) expectAfterCut(head uint64, cks map[string]wal.Checkpoint) (m
 
 // resync checks the recovered server against want and rebuilds the twins
 // from what survived: a robust twin replays its surviving batches, and a
-// static twin folds the recovered snapshot once the recovered mass lies
-// between its surviving records' and the most the twin ever held.
-func (m *modelRun) resync(head uint64, want map[string]*incarnation) error {
+// static twin folds the recovered snapshot. Either counts the acknowledged
+// batches the recovered tenant holds: those its checkpoint covers, which may
+// lie past this cut or an earlier one, and the surviving ones after it.
+func (m *modelRun) resync(head uint64, want map[string]*incarnation, cks map[string]wal.Checkpoint) error {
 	for _, inc := range m.liveIncs() {
 		inc.twin.eng.Close()
 	}
+	acked := m.log
 	m.log = m.log[:head]
 	for key, es := range m.eras {
 		var kept []era
@@ -865,27 +944,28 @@ func (m *modelRun) resync(head uint64, want map[string]*incarnation) error {
 			return fmt.Errorf("%q recovered as %+v, want %+v", key, t.ts, inc.ts)
 		}
 		newTwin(inc)
-		var lowPos, lowNeg int64
-		for _, e := range m.log {
+		// A checkpoint past the cut belongs to the incarnation the key holds:
+		// no surviving record followed it.
+		covered := max(head, cks[key].LSN)
+		for _, us := range inc.lost {
+			inc.count(us)
+		}
+		for i, e := range acked[:covered] {
 			if e.inc != inc || e.rec.Kind != wal.KindUpdate {
 				continue
 			}
 			us, _ := wire.DecodeUpdates(e.rec.Data, nil)
 			if !inc.sp.Mergeable() {
-				inc.twin.eng.Apply(us)
+				inc.ack(us)
+				continue
 			}
-			for _, u := range us {
-				lowPos, lowNeg = lowPos+max(u.Delta, 0), lowNeg+max(-u.Delta, 0)
+			inc.count(us)
+			if uint64(i) >= head {
+				inc.lost = append(inc.lost, us)
 			}
 		}
 		if !inc.sp.Mergeable() {
 			continue
-		}
-		t.eng.Flush()
-		pos, neg := t.eng.Mass()+t.eng.DeletedMass(), t.eng.DeletedMass()
-		if pos < lowPos || neg < lowNeg || pos > inc.hiPos || neg > inc.hiNeg {
-			return fmt.Errorf("%q recovered mass (+%d, -%d), outside the surviving records' (+%d, -%d) and the acknowledged (+%d, -%d)",
-				key, pos, neg, lowPos, lowNeg, inc.hiPos, inc.hiNeg)
 		}
 		env, err := t.snapshot()
 		if err != nil {
@@ -894,7 +974,6 @@ func (m *modelRun) resync(head uint64, want map[string]*incarnation) error {
 		if err := inc.twin.fold(env); err != nil {
 			return fmt.Errorf("twin fold of %q: %w", key, err)
 		}
-		inc.twin.eng.SeedMass(t.eng.Mass()-inc.twin.eng.Mass(), t.eng.DeletedMass())
 	}
 	return nil
 }
@@ -918,7 +997,7 @@ func workers() [2]int {
 func (m *modelRun) noServerGoroutines() error {
 	for i := 0; ; i++ {
 		w := workers()
-		engines, syncs := w[0]-m.twinShards()-m.others[0], w[1]-m.others[1]
+		engines, syncs := w[0]-m.ownShards()-m.others[0], w[1]-m.others[1]
 		if engines <= 0 && syncs <= 0 {
 			return nil
 		}

@@ -176,7 +176,7 @@ func (s *Server) ingest(t *tenant, us []wire.Update) error {
 	if err := s.logUpdates(t, us); err != nil {
 		return fmt.Errorf("%w: %v", errJournal, err)
 	}
-	t.eng.Apply(us)
+	t.apply(us)
 	s.cadence(t, len(us))
 	return nil
 }

@@ -174,18 +174,41 @@ type tenant struct {
 	// writeMu orders every write to the tenant against every other. Each
 	// write, checkpoint and unmap holds it past writable: ingest (log append,
 	// Apply, cadence checkpoint), /v1/merge, DELETE /v1/keys, ApplyShipment's
-	// replacement; Drain and Shutdown take it too. So batches reach the engine
-	// in log order, a mapped engine never closes under a batch, and a
-	// checkpoint neither splits a batch nor outlives the tenant's mapping.
+	// replacement; Drain and Shutdown take it too, and so does every export
+	// (checkpoint, shipment, /v1/snapshot). So batches reach the engine in log
+	// order, a mapped engine never closes under a batch, and no checkpoint,
+	// shipment or snapshot splits a batch or outlives the tenant's mapping.
 	writeMu sync.Mutex
 
 	sinceCkpt int // updates applied since the last checkpoint; guarded by writeMu
+
+	// The tenant's ledger: the net mass Σdelta and the deleted mass
+	// Σ|delta < 0| of the stream it applied, or of the stream its checkpoint
+	// or shipment stood for. Written only under writeMu, by apply and
+	// rebuild; read lock-free by stats. A /v1/merge moves neither: a
+	// snapshot envelope carries state, not stream.
+	mass, deleted atomic.Int64
+}
+
+// apply hands one journaled batch to the engine whole and counts it into
+// the ledger: ingest and recovery's replay both apply through it. The
+// caller holds writeMu, or owns the tenant outright as recovery does.
+func (t *tenant) apply(us []wire.Update) {
+	t.eng.Apply(us)
+	var mass, deleted int64
+	for _, u := range us {
+		mass += u.Delta
+		if u.Delta < 0 {
+			deleted -= u.Delta
+		}
+	}
+	t.mass.Add(mass)
+	t.deleted.Add(deleted)
 }
 
 // snapshot serializes a mergeable tenant's state into a snapshot
-// envelope, one part per shard. The Visit flushes and republishes every
-// shard first, so a Mass/DeletedMass reading taken right after matches the
-// serialized state.
+// envelope, one part per shard. The caller holds writeMu, so the envelope
+// is the state after one acknowledged batch and the ledger describes it.
 func (t *tenant) snapshot() ([]byte, error) {
 	parts := make([][]byte, t.eng.Shards())
 	err := t.eng.Visit(func(i int, est sketch.Estimator) error {
@@ -204,10 +227,10 @@ func (t *tenant) snapshot() ([]byte, error) {
 // the resolved TenantSpec as JSON (seed included, which is what makes the
 // rebuilt copy snapshot-compatible, and why none of the three is a
 // tenant-facing surface) and, withState, the snapshot envelope plus the
-// mass telemetry that lives outside it. A robust tenant exports its
-// declaration only, whatever withState says: a switching ensemble is not
-// linear state, it is rebuilt by replaying the stream under the same seed.
-// rebuild is the inverse.
+// ledger that describes it. The caller holds writeMu for a withState
+// export. A robust tenant exports its declaration only, whatever withState
+// says: a switching ensemble is not linear state, it is rebuilt by
+// replaying the stream under the same seed. rebuild is the inverse.
 func (t *tenant) export(withState bool) (*wire.Ship, error) {
 	specJSON, err := json.Marshal(t.ts)
 	if err != nil {
@@ -220,10 +243,7 @@ func (t *tenant) export(withState bool) (*wire.Ship, error) {
 	if sh.State, err = t.snapshot(); err != nil {
 		return nil, err
 	}
-	// snapshot flushed and republished, so the mass reading is the
-	// serialized state's.
-	sh.Mass = t.eng.Mass()
-	sh.Deleted = t.eng.DeletedMass()
+	sh.Mass, sh.Deleted = t.mass.Load(), t.deleted.Load()
 	return sh, nil
 }
 
@@ -393,7 +413,8 @@ func (s *Server) newTenant(key string, sp spec, ts TenantSpec) *tenant {
 // resolves as trusted — the caps bound client requests, not declarations a
 // server already admitted — and the tenant is admitted past MaxKeys by
 // every caller: refusing would silently drop acknowledged or replicated
-// data. The returned tenant has a running engine and is not yet mapped.
+// data. The ledger starts at the exported mass and deleted mass. The
+// returned tenant has a running engine and is not yet mapped.
 func (s *Server) rebuild(key string, specJSON, state []byte, mass, deleted int64) (*tenant, error) {
 	var raw TenantSpec
 	if err := json.Unmarshal(specJSON, &raw); err != nil {
@@ -407,17 +428,14 @@ func (s *Server) rebuild(key string, specJSON, state []byte, mass, deleted int64
 		return nil, fmt.Errorf("state for %s, which is not mergeable", sp.Display())
 	}
 	t := s.newTenant(key, sp, ts)
-	if len(state) == 0 {
-		return t, nil
+	if len(state) > 0 {
+		if err := t.fold(state); err != nil {
+			t.eng.Close()
+			return nil, err
+		}
 	}
-	if err := t.fold(state); err != nil {
-		t.eng.Close()
-		return nil, err
-	}
-	// Mass telemetry lives outside the sketch state; credit whatever the
-	// fold itself did not surface (zero for a MassReporter estimator, the
-	// full exported mass for the others).
-	t.eng.SeedMass(mass-t.eng.Mass(), deleted)
+	t.mass.Store(mass)
+	t.deleted.Store(deleted)
 	return t, nil
 }
 
@@ -594,7 +612,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sketch type %q is not serializable (robust ensembles are not linear-mergeable)", t.spec.Display()))
 		return
 	}
+	t.writeMu.Lock() // an export, so the state after one acknowledged batch
 	state, err := t.snapshot()
+	t.writeMu.Unlock()
 	if err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
@@ -674,7 +694,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, KeyStats{Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Shards: t.eng.Shards()})
+	writeJSON(w, http.StatusOK, t.stats())
 }
 
 // remove unmaps t and closes its engine (flushing it, stopping its shard
@@ -705,30 +725,31 @@ func (s *Server) remove(t *tenant) error {
 	return nil
 }
 
-// stats builds the keyspace's listing entry: the resolved spec the tenant
-// was sized from (seed withheld — publishing it would hand any co-tenant
-// the state compromise the seed-leak adversary needs) and the aggregated
+// stats builds the keyspace's listing entry, the one KeyStats every
+// endpoint answers with: the resolved spec the tenant was sized from (seed
+// withheld — publishing it would hand any co-tenant the state compromise
+// the seed-leak adversary needs), the ledger, and the aggregated
 // robustness-budget state for robust tenants (nil for static ones).
 func (t *tenant) stats() KeyStats {
 	echo := t.ts
 	echo.Seed = 0
-	ks := KeyStats{
+	return KeyStats{
 		Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Model: t.ts.Model,
 		Shards: t.eng.Shards(), SpaceBytes: t.eng.SpaceBytes(),
-		Mass: t.eng.Mass(), DeletedMass: t.eng.DeletedMass(),
-		Spec: &echo, PointQueries: t.spec.points,
+		Mass: t.mass.Load(), DeletedMass: t.deleted.Load(),
+		Spec: &echo, PointQueries: t.spec.points, Robustness: t.robustnessStats(),
 	}
-	if r, ok := t.eng.Robustness(); ok {
-		ks.Robustness = t.robustnessStats(r)
-	}
-	return ks
 }
 
 // robustnessStats converts the engine's aggregated robustness state into
-// its wire form.
-func (t *tenant) robustnessStats(r sketch.Robustness) *RobustnessStats {
+// its wire form, nil for a static tenant. The policy is the declaration's.
+func (t *tenant) robustnessStats() *RobustnessStats {
+	r, ok := t.eng.Robustness()
+	if !ok {
+		return nil
+	}
 	return &RobustnessStats{
-		Policy:    r.Policy,
+		Policy:    t.spec.Policy,
 		Copies:    r.Copies,
 		Switches:  r.Switches,
 		Budget:    r.Budget,

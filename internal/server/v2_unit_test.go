@@ -379,8 +379,8 @@ func TestUpdateToReplacedTenantIs410(t *testing.T) {
 	}
 	defer recovered.Drain()
 	for name, s := range map[string]*Server{"live": srv, "recovered": recovered} {
-		if e := s.lookup("k").eng; e.Estimate() != 0 || e.Mass() != 0 {
-			t.Errorf("%s re-declared tenant: estimate %v, mass %d; want the refused batch nowhere", name, e.Estimate(), e.Mass())
+		if k := s.lookup("k"); k.eng.Estimate() != 0 || k.mass.Load() != 0 {
+			t.Errorf("%s re-declared tenant: estimate %v, mass %d; want the refused batch nowhere", name, k.eng.Estimate(), k.mass.Load())
 		}
 	}
 	if old.eng.Estimate() != 0 {

@@ -1,16 +1,12 @@
 package sketch
 
 // Robustness is the introspectable state of an adversarially robust
-// wrapper: which transformation is protecting the estimator and how much
-// of its robustness budget has been consumed. The sketchd /v1/stats
-// endpoint aggregates it across engine shards so operators can see a
-// tenant approaching flip-budget exhaustion before estimates degrade.
+// wrapper: how much of its robustness budget has been consumed. Which
+// transformation protects the estimator is its declaration's, not state it
+// reports. The sketchd /v1/stats endpoint aggregates it across engine
+// shards so operators can see a tenant approaching flip-budget exhaustion
+// before estimates degrade.
 type Robustness struct {
-	// Policy names the transformation: "ring" or "switching" for the
-	// sketch-switching variants (Algorithm 1 / Theorem 4.1), "paths" for
-	// the computation-paths reduction (Lemma 3.8).
-	Policy string
-
 	// Copies is the number of maintained static instances (1 for paths).
 	Copies int
 
@@ -30,12 +26,13 @@ type Robustness struct {
 }
 
 // Remaining returns the unconsumed flip budget, or -1 when the budget is
-// unbounded (ring mode).
+// unbounded (ring mode). An exhausted budget has none left, even where a
+// sum over shards whose own budgets differ in use would show headroom.
 func (r Robustness) Remaining() int {
 	if r.Budget < 0 {
 		return -1
 	}
-	if r.Switches >= r.Budget {
+	if r.Exhausted || r.Switches >= r.Budget {
 		return 0
 	}
 	return r.Budget - r.Switches

@@ -23,10 +23,9 @@ type Checkpoint struct {
 	Spec  []byte // resolved tenant-spec JSON
 	State []byte // snapshot envelope; empty for non-mergeable tenants
 
-	// Mass and Deleted carry the tenant's engine-level stream-mass
-	// accounting (net Σdelta and Σ|delta| over deletions), which lives
-	// outside the sketch state: replay rebuilds it, a restored snapshot
-	// alone does not.
+	// Mass and Deleted carry the tenant's ledger as of State (net Σdelta
+	// and Σ|delta| over deletions), which lives outside the sketch state:
+	// replay rebuilds it, a restored snapshot alone does not.
 	Mass    int64
 	Deleted int64
 }

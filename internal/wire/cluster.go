@@ -46,8 +46,9 @@ type Ship struct {
 	// ships (and a late ship from a deposed owner) cannot roll a replica
 	// back.
 	Seq uint64
-	// Mass and Deleted carry the sender's mass telemetry, which lives
-	// outside the sketch state (see engine.SeedMass).
+	// Mass and Deleted carry the tenant's ledger as of State (net Σdelta
+	// and Σ|delta| over deletions), which lives outside the sketch state;
+	// both are 0 in a spec-only shipment.
 	Mass    int64
 	Deleted int64
 	// Spec is the resolved TenantSpec as JSON.
