@@ -106,8 +106,9 @@ func main() {
 		float64(ingested.Load())/elapsed.Seconds()/1e3)
 	fmt.Printf("  exact distinct:    %.0f\n", totalDistinct)
 	fmt.Printf("  engine estimate:   %.0f  (rel err %+.3f, ε=%.2f)\n", got, relErr, eps)
-	fmt.Printf("  shards: %d, space %d KiB\n", eng.Shards(), eng.SpaceBytes()/1024)
-	for i, se := range eng.ShardEstimates() {
+	r := eng.Read()
+	fmt.Printf("  shards: %d, space %d KiB\n", eng.Shards(), r.SpaceBytes/1024)
+	for i, se := range r.Shards {
 		fmt.Printf("    shard %d: ≈%6.0f distinct, mass %d\n", i, se.Estimate, se.Mass)
 	}
 }

@@ -206,16 +206,8 @@ func (c *Client) Query(ctx context.Context, key string, queries []Query) (*serve
 		if !framable {
 			break
 		}
-		switch q.Kind {
-		case server.QueryEstimate:
-			wq.Queries[i] = wire.Query{Kind: wire.KindEstimate}
-		case server.QueryPoint:
-			wq.Queries[i] = wire.Query{Kind: wire.KindPoint, Item: uint64(q.Item)}
-		case server.QueryTopK:
-			wq.Queries[i] = wire.Query{Kind: wire.KindTopK, K: q.K}
-		default:
-			framable = false
-		}
+		wq.Queries[i] = wire.Query{Kind: wire.KindOf(q.Kind), Item: uint64(q.Item), K: q.K}
+		framable = wq.Queries[i].Kind != 0
 	}
 	if !framable {
 		body, err := json.Marshal(server.QueryRequest{Key: key, Queries: queries})
@@ -249,27 +241,19 @@ func (c *Client) Query(ctx context.Context, key string, queries []Query) (*serve
 // codec.
 func queryResponseFromFrame(wr *wire.QueryResponse) *server.QueryResponse {
 	resp := &server.QueryResponse{
-		Key:    wr.Key,
-		Sketch: wr.Sketch,
-		Policy: wr.Policy,
-		Model:  wr.Model,
-		// Same fields, JSON tags apart: a conversion, not a copy to maintain.
-		Robustness: (*server.RobustnessStats)(wr.Robustness),
+		Key:        wr.Key,
+		Sketch:     wr.Sketch,
+		Policy:     wr.Policy,
+		Model:      wr.Model,
+		Robustness: wr.Robustness,
 	}
 	resp.Answers = make([]Answer, 0, len(wr.Answers))
 	for _, wa := range wr.Answers {
 		a := Answer{
+			Kind:       wire.KindName(wa.Kind),
 			Value:      wa.Value,
 			ErrorBound: wa.ErrorBound,
 			Additive:   wa.Additive,
-		}
-		switch wa.Kind {
-		case wire.KindEstimate:
-			a.Kind = server.QueryEstimate
-		case wire.KindPoint:
-			a.Kind = server.QueryPoint
-		case wire.KindTopK:
-			a.Kind = server.QueryTopK
 		}
 		if wa.HasItem {
 			item := server.U64(wa.Item)

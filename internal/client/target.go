@@ -7,9 +7,11 @@ import (
 )
 
 // gameTarget drives one sketchd keyspace over HTTP as the algorithm side
-// of the adversarial game: every adversary round becomes a POST
-// /v1/update followed by a GET /v1/estimate, the exact query→adapt→update
-// interleaving a shared network endpoint cannot prevent. It lives here
+// of the adversarial game: every adversary round becomes one update (a
+// POST /v2/update frame under the default binary codec, a POST /v1/update
+// under CodecJSON) followed by a GET /v1/estimate, the exact
+// query→adapt→update interleaving a shared network endpoint cannot
+// prevent. It lives here
 // rather than in internal/game because game sits below the server stack
 // in the dependency order (the estimator packages' tests import it).
 type gameTarget struct {

@@ -127,7 +127,7 @@ func TestSteadyStateZeroAllocsRobustF0(t *testing.T) {
 		e.Update(uint64(i%universe), 1)
 	}
 	e.Flush()
-	if r, _ := e.Robustness(); r.Exhausted || r.Copies < 2*8 {
+	if r := e.Read().Robustness; r.Exhausted || r.Copies < 2*8 {
 		t.Fatalf("robustness %+v after the warm-up; the drains need trailing copies to feed", r)
 	}
 	res := testing.Benchmark(func(b *testing.B) {

@@ -14,14 +14,16 @@
 // at Flush, Visit and Close, and handed to the shard worker over a bounded
 // queue (backpressure, never drops). The worker coalesces each part's
 // duplicate items before its estimator sees them, so a skewed batch costs
-// one update per distinct item per part, and publishes estimate, mass and
-// space to lock-free snapshots. Coalescing is part of what the estimator
-// sees (a robust wrapper flips on the coalesced updates), so parts are cut
-// by the caller's batches alone, and every Config.Batch updates within a
-// longer one, never by a seal: a read decides when the work runs, never
-// what the estimator sees. Update, the sketch.Estimator face, is a
-// one-update part; a caller that wants coalescing hands Apply its batches.
-// Estimate flushes first. Every method is safe for concurrent use.
+// one update per distinct item per part, and publishes the shard's state as
+// one record — estimate, mass, space and flip budget from one instant —
+// that Read copies whole, so a reading never mixes two publishes.
+// Coalescing is part of what the estimator sees (a robust wrapper flips on
+// the coalesced updates), so parts are cut by the caller's batches alone,
+// and every Config.Batch updates within a longer one, never by a seal: a
+// read decides when the work runs, never what the estimator sees. Update,
+// the sketch.Estimator face, is a one-update part; a caller that wants
+// coalescing hands Apply its batches. Estimate flushes first. Every method
+// is safe for concurrent use.
 //
 // A shard's published mass (ShardEstimate.Mass) is the Entropy combiner's
 // weight, not telemetry: stream-wide mass and deletion counts belong to the
@@ -51,7 +53,7 @@ const (
 	// ride out a worker's pause without holding unbounded memory.
 	queueDepth = 8
 	// refreshEvery is the number of updates a worker applies between
-	// refreshes of its published snapshots. Flush and Close always refresh.
+	// refreshes of its published record. Flush and Close always refresh.
 	refreshEvery = 4096
 )
 
@@ -113,21 +115,20 @@ type shard struct {
 	mass int64            // worker-local net Σdelta, the Entropy combiner's weight
 	co   sketch.Coalescer // coalescing scratch, worker-local
 
-	// Published snapshots, refreshed every refreshEvery updates and on
-	// every Flush/Close.
-	pubEstimate atomic.Uint64 // math.Float64bits
-	pubMass     atomic.Int64
-	pubSpace    atomic.Int64
+	// rec is the shard's published record, refreshed every refreshEvery
+	// updates and on every Flush/Close. recMu guards it: publish stores it
+	// whole and Read copies it whole. Producers never take recMu.
+	recMu sync.Mutex
+	rec   record
+}
 
-	// Published robustness state (sketch.RobustnessReporter estimators
-	// only), refreshed alongside the snapshots above so budget telemetry
-	// reads stay lock-free and never perturb ingest. Copies, switches and
-	// budget pack into one word each; pubRobust is 0 until the estimator
-	// reports, 1 bare, 3 when also exhausted.
-	pubRobust   atomic.Int32
-	pubCopies   atomic.Int64
-	pubSwitches atomic.Int64
-	pubBudget   atomic.Int64
+// record is one shard's published state, every field read from its
+// estimator at the same instant.
+type record struct {
+	ShardEstimate
+	space  int
+	robust bool              // the estimator is a sketch.RobustnessReporter
+	rob    sketch.Robustness // its flip-budget state, when robust
 }
 
 // Engine is a sharded concurrent ingest pipeline. It implements
@@ -222,8 +223,8 @@ func (e *Engine) run(s *shard) {
 			sinceRefresh = 0
 			o.sync.Done()
 		} else if sinceRefresh >= refreshEvery || first {
-			// Publishing after the first batch gives early snapshot reads
-			// a real (if partial) value instead of the zero snapshot.
+			// Publishing after the first batch gives early reads a real
+			// (if partial) value instead of the zero estimate.
 			s.publish()
 			sinceRefresh = 0
 		}
@@ -242,27 +243,20 @@ type MassReporter interface {
 	Mass() int64
 }
 
-// publish refreshes the lock-free snapshot of the shard's state. Worker
-// goroutine only (or Visit's post-Close inline path, under mu).
+// publish builds the shard's record from its estimator and stores it
+// whole. Worker goroutine only (or Visit's post-Close inline path, under
+// mu).
 func (s *shard) publish() {
-	s.pubEstimate.Store(math.Float64bits(s.est.Estimate()))
-	mass := s.mass
+	r := record{ShardEstimate: ShardEstimate{Estimate: s.est.Estimate(), Mass: s.mass}, space: s.est.SpaceBytes()}
 	if mr, ok := s.est.(MassReporter); ok {
-		mass = mr.Mass()
+		r.Mass = mr.Mass()
 	}
-	s.pubMass.Store(mass)
-	s.pubSpace.Store(int64(s.est.SpaceBytes()))
 	if rr, ok := s.est.(sketch.RobustnessReporter); ok {
-		r := rr.Robustness()
-		s.pubCopies.Store(int64(r.Copies))
-		s.pubSwitches.Store(int64(r.Switches))
-		s.pubBudget.Store(int64(r.Budget))
-		flags := int32(1)
-		if r.Exhausted {
-			flags |= 2
-		}
-		s.pubRobust.Store(flags)
+		r.robust, r.rob = true, rr.Robustness()
 	}
+	s.recMu.Lock()
+	s.rec = r
+	s.recMu.Unlock()
 }
 
 // shardIndex routes an item to its shard index; the salted mix keeps
@@ -344,13 +338,13 @@ func (s *shard) handoff(o op) {
 }
 
 // Flush pushes every pending buffer to the workers and blocks until all of
-// them have been applied and every shard's published snapshot is fresh.
-// After Flush returns, the snapshots reflect every Apply and Update that
+// them have been applied and every shard's published record is fresh.
+// After Flush returns, the records reflect every Apply and Update that
 // happened-before the Flush call. For a shard that is closing or closed,
 // Flush waits for its worker to exit — the worker publishes the final
-// snapshot on the way out — so reads racing a Close (a server draining
+// record on the way out — so reads racing a Close (a server draining
 // under live queries) see the fully-drained state, never a stale
-// mid-close snapshot.
+// mid-close record.
 func (e *Engine) Flush() {
 	var wg sync.WaitGroup
 	for _, s := range e.shards {
@@ -372,7 +366,7 @@ func (e *Engine) Flush() {
 // type-specific estimator operations — serializing sketch state for a
 // snapshot, merging a peer's sketch in — without giving up the ownership
 // discipline that makes the pipeline race-free. fn may mutate the
-// estimator; the shard's published snapshot is refreshed after it
+// estimator; the shard's published record is refreshed after it
 // returns. Visit reports the first error fn returns, visiting every shard
 // regardless. After Close, fn runs inline on the caller's goroutine
 // (safe: the workers have exited); concurrent post-Close Visits are
@@ -405,39 +399,64 @@ func (e *Engine) Visit(fn func(shard int, est sketch.Estimator) error) error {
 // returns the combined global estimate.
 func (e *Engine) Estimate() float64 {
 	e.Flush()
-	return e.combine(e.ShardEstimates())
+	return e.Read().Estimate
 }
 
-// ShardEstimates returns the last published per-shard estimates and
-// masses, in shard order — the Combiner's input, exposed for debugging
-// and custom combiners. It never flushes, so it may lag the ingested
-// stream; call Flush first for an exact happened-before reading.
-func (e *Engine) ShardEstimates() []ShardEstimate {
-	out := make([]ShardEstimate, len(e.shards))
+// Reading is one pass over the shards' published records, one record per
+// shard, so all its numbers describe the same state.
+type Reading struct {
+	Estimate float64         // the Combiner's value over Shards
+	Shards   []ShardEstimate // each shard's estimate and mass, in shard order
+
+	// SpaceBytes is the shard estimators' space plus the engine's buffers
+	// actually outstanding: batch buffers checked out of the pool (at most
+	// queueDepth+3 per shard under full backpressure, none once drained)
+	// and the coalescing scratch maps.
+	SpaceBytes int
+
+	// Robustness sums the shards' copies, switches and flip budgets; one
+	// exhausted shard exhausts it, and one unbounded (ring) budget makes
+	// its Budget -1. Robust is false, and Robustness zero, when the shard
+	// estimators are static (no sketch.RobustnessReporter).
+	Robustness sketch.Robustness
+	Robust     bool
+}
+
+// Read returns the shards' last published records as one Reading. It
+// never flushes or blocks ingest — a monitoring scraper polling it never
+// stalls producers — so it may lag the ingested stream by at most
+// refreshEvery updates per shard; call Flush first for an exact
+// happened-before reading.
+func (e *Engine) Read() Reading {
+	r := Reading{Shards: make([]ShardEstimate, len(e.shards))}
+	unbounded := false
 	for i, s := range e.shards {
-		out[i] = ShardEstimate{
-			Estimate: math.Float64frombits(s.pubEstimate.Load()),
-			Mass:     s.pubMass.Load(),
+		s.recMu.Lock()
+		rec := s.rec
+		s.recMu.Unlock()
+		r.Shards[i] = rec.ShardEstimate
+		r.SpaceBytes += rec.space
+		if !rec.robust {
+			continue
 		}
+		r.Robust = true
+		r.Robustness.Copies += rec.rob.Copies
+		r.Robustness.Switches += rec.rob.Switches
+		r.Robustness.Budget += rec.rob.Budget
+		r.Robustness.Exhausted = r.Robustness.Exhausted || rec.rob.Exhausted
+		unbounded = unbounded || rec.rob.Budget < 0
 	}
-	return out
+	if unbounded {
+		r.Robustness.Budget = -1
+	}
+	r.SpaceBytes += int(e.liveBufs.Load()) * e.batch * 16 // Update structs
+	r.SpaceBytes += len(e.shards) * e.batch * 24          // coalescing map entries: item, index, bucket overhead
+	r.Estimate = e.combine(r.Shards)
+	return r
 }
 
-// SpaceBytes implements sketch.Estimator: the sum of the shard estimators'
-// published space plus the engine's buffers actually outstanding — batch
-// buffers currently checked out of the pool (pending, sealed and awaiting
-// handoff, queued, or being applied; at most queueDepth+3 per shard under
-// full backpressure, zero when the pipeline has drained) and the
-// coalescing scratch maps.
-func (e *Engine) SpaceBytes() int {
-	total := 0
-	for _, s := range e.shards {
-		total += int(s.pubSpace.Load())
-	}
-	total += int(e.liveBufs.Load()) * e.batch * 16 // Update structs
-	total += len(e.shards) * e.batch * 24          // coalescing map entries: item, index, bucket overhead
-	return total
-}
+// SpaceBytes implements sketch.Estimator: Read's SpaceBytes.
+func (e *Engine) SpaceBytes() int { return e.Read().SpaceBytes }
 
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
@@ -496,9 +515,9 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	// The Visit's per-shard sync refreshes every published snapshot, so
-	// this combine reads the flushed state the answers above saw.
-	estimate = e.combine(e.ShardEstimates())
+	// The Visit's per-shard sync republishes every record, so this
+	// reading is the flushed state the answers above saw.
+	estimate = e.Read().Estimate
 	if k > 0 {
 		sort.Slice(merged, func(i, j int) bool {
 			ai, aj := math.Abs(merged[i].Weight), math.Abs(merged[j].Weight)
@@ -513,41 +532,6 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 		topk = merged
 	}
 	return estimate, points, topk, nil
-}
-
-// Robustness aggregates the robustness-budget state of the shard
-// estimators (sketch.RobustnessReporter): copies, consumed switches and
-// flip budgets sum across shards, Exhausted is true if any shard's budget
-// overran, and an unbounded budget anywhere (ring mode) makes the whole
-// engine's budget unbounded. ok is false when the shard estimators are
-// static (non-reporting), which is how callers distinguish a robust
-// tenant from a plain one. Like ShardEstimates, it reads the shards' last
-// published snapshots without flushing or blocking ingest — a monitoring
-// scraper polling it never stalls producers — so it may lag the ingested
-// stream by at most refreshEvery updates per shard; call Flush first for
-// an exact happened-before reading.
-func (e *Engine) Robustness() (agg sketch.Robustness, ok bool) {
-	found := false
-	unbounded := false
-	for _, s := range e.shards {
-		flags := s.pubRobust.Load()
-		if flags == 0 {
-			continue
-		}
-		found = true
-		agg.Copies += int(s.pubCopies.Load())
-		agg.Switches += int(s.pubSwitches.Load())
-		agg.Exhausted = agg.Exhausted || flags&2 != 0
-		if b := int(s.pubBudget.Load()); b < 0 {
-			unbounded = true
-		} else {
-			agg.Budget += b
-		}
-	}
-	if unbounded {
-		agg.Budget = -1
-	}
-	return agg, found
 }
 
 // Close flushes every pending update, stops the shard workers and waits

@@ -209,7 +209,7 @@ func TestReadsDoNotShapeUpdates(t *testing.T) {
 			}
 		}
 		est := e.Estimate()
-		r, _ := e.Robustness()
+		r := e.Read().Robustness
 		if r.Exhausted {
 			t.Fatalf("flip budget exhausted (%+v): the switch counts could no longer differ", r)
 		}
@@ -449,7 +449,7 @@ func TestEstimateDuringCloseSeesFinalState(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Update(uint64(i), 1)
 	}
-	if stale := e.ShardEstimates()[0].Estimate; stale >= n {
+	if stale := e.Read().Shards[0].Estimate; stale >= n {
 		t.Skip("worker drained before Close could race it") // can't exercise the race
 	}
 	closed := make(chan struct{})
@@ -466,4 +466,75 @@ func TestEstimateDuringCloseSeesFinalState(t *testing.T) {
 	if got := e.Estimate(); got != n {
 		t.Fatalf("Estimate after Close = %v, want %v", got, n)
 	}
+}
+
+// counter reports its update count as everything it publishes: estimate,
+// space and every robustness field. Fed one-update parts of delta 1, the
+// worker's mass tally is that count too, so one publish is recognisable
+// by all its fields agreeing.
+type counter struct{ n int }
+
+func (c *counter) Update(uint64, int64) { c.n++ }
+func (c *counter) Estimate() float64    { return float64(c.n) }
+func (c *counter) SpaceBytes() int      { return c.n }
+func (c *counter) Robustness() sketch.Robustness {
+	return sketch.Robustness{Copies: c.n, Switches: c.n, Budget: c.n}
+}
+
+// TestReadingIsOneRecordPerShard: a reading takes every number from one
+// published record per shard. A writer and a flushing goroutine keep one
+// shard publishing while the test reads; a reading whose estimate, mass,
+// copies and switches disagree mixed two publishes.
+func TestReadingIsOneRecordPerShard(t *testing.T) {
+	e := New(Config{Shards: 1, Batch: 1, Seed: 1, Factory: func(int64) sketch.Estimator { return &counter{} }})
+	defer e.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Update(i, 1)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Flush()
+			}
+		}
+	}()
+	const reads = 300000
+	torn, moved := 0, 0
+	last := -1.0
+	for i := 0; i < reads; i++ {
+		r := e.Read()
+		s := r.Shards[0]
+		if float64(s.Mass) != s.Estimate || float64(r.Robustness.Copies) != s.Estimate ||
+			float64(r.Robustness.Switches) != s.Estimate || r.Estimate != s.Estimate || !r.Robust {
+			torn++
+			if torn <= 3 {
+				t.Errorf("reading %d mixes publishes: %+v", i, r)
+			}
+		}
+		if s.Estimate != last {
+			moved++
+			last = s.Estimate
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of %d readings mixed two publishes", torn, reads)
+	}
+	t.Logf("%d readings over %d publishes, none torn", reads, moved)
 }

@@ -161,7 +161,9 @@ func TestSpaceBytesReflectsOutstandingBuffers(t *testing.T) {
 	base := func() int {
 		total := shards * batch * 24 // coalescing scratch maps
 		for _, s := range e.shards {
-			total += int(s.pubSpace.Load())
+			s.recMu.Lock()
+			total += s.rec.space
+			s.recMu.Unlock()
 		}
 		return total
 	}

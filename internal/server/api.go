@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"repro/internal/wire"
 )
 
 // Wire types of the sketchd HTTP/JSON API, shared with internal/client.
@@ -300,7 +302,10 @@ type QueryResponse struct {
 }
 
 // KeyStats describes one keyspace in GET /v1/stats and in the POST
-// /v2/keys and DELETE /v1/keys echoes.
+// /v2/keys and DELETE /v1/keys echoes. SpaceBytes and Robustness come from
+// one reading of the engine shards' published records, which may trail
+// the ledger's exact Mass by up to the engine's refreshEvery (4096)
+// updates per shard.
 type KeyStats struct {
 	Key        string `json:"key"`
 	Sketch     string `json:"sketch"`
@@ -333,34 +338,9 @@ type KeyStats struct {
 	Robustness *RobustnessStats `json:"robustness,omitempty"`
 }
 
-// RobustnessStats is the flip-budget state of a robust keyspace. Copies,
-// Switches and Budget are sums over its engine shards, each of which has a
-// budget of its own, so the sums can show headroom a shard no longer has.
-// Operators should watch Exhausted (and Remaining, which is 0 once it is
-// set) on dense-switching and paths tenants: once the stream's flip number
-// overruns the configured budget the robustness guarantee no longer covers
-// it, so estimates may degrade under adaptive traffic.
-type RobustnessStats struct {
-	// Policy is the transformation in effect: switching, ring, or paths.
-	Policy string `json:"policy"`
-
-	// Copies is the total number of maintained static instances.
-	Copies int `json:"copies"`
-
-	// Switches is the number of published-output changes consumed.
-	Switches int `json:"switches"`
-
-	// Budget is the total flip budget; -1 means unbounded (ring mode
-	// recycles instances and never exhausts).
-	Budget int `json:"budget"`
-
-	// Remaining is Budget − Switches floored at 0, 0 once Exhausted, or
-	// -1 when unbounded.
-	Remaining int `json:"remaining"`
-
-	// Exhausted reports that some shard overran its flip budget.
-	Exhausted bool `json:"exhausted"`
-}
+// RobustnessStats is the flip-budget state of a robust keyspace; see
+// wire.Robustness, which it is.
+type RobustnessStats = wire.Robustness
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {

@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"sort"
 
-	"repro/internal/sketch"
+	"repro/internal/engine"
 	"repro/internal/wire"
 )
 
@@ -149,7 +149,7 @@ func (s *Server) AnswerLocal(req *QueryRequest) (*QueryResponse, int, error) {
 	if t == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("unknown key %q", req.Key)
 	}
-	return s.answerQuery(t, req, t.eng.QueryBatch)
+	return s.answerQuery(t, t.eng, req)
 }
 
 // AnswerMerged answers a validated QueryRequest from a scratch engine
@@ -177,14 +177,16 @@ func (s *Server) AnswerMerged(req *QueryRequest, envelopes [][]byte) (*QueryResp
 			return nil, http.StatusConflict, fmt.Errorf("envelope %d: %w", i, err)
 		}
 	}
-	return s.answerQuery(t, req, scratch.eng.QueryBatch)
+	return s.answerQuery(t, scratch.eng, req)
 }
 
 // answerQuery routes a validated query batch into one engine pass and
 // assembles the typed answers, shared by the v2 HTTP handler and the
-// cluster query paths. batch is the engine read to use (the tenant's
-// live engine, or a scratch merge engine sharing its spec and seeds).
-func (s *Server) answerQuery(t *tenant, req *QueryRequest, batch func([]uint64, int) (float64, []float64, []sketch.ItemWeight, error)) (*QueryResponse, int, error) {
+// cluster query paths. eng is the engine to read (the tenant's live
+// engine, or a scratch merge engine sharing its spec and seeds): points
+// and top-k come from its QueryBatch visit, and the estimate, the point
+// bound and the flip-budget state from one reading after it.
+func (s *Server) answerQuery(t *tenant, eng *engine.Engine, req *QueryRequest) (*QueryResponse, int, error) {
 	var pointItems []uint64
 	maxK := 0
 	needsPoints := false
@@ -206,13 +208,14 @@ func (s *Server) answerQuery(t *tenant, req *QueryRequest, batch func([]uint64, 
 				t.key, t.spec.Display())
 	}
 
-	estimate, pointVals, top, err := batch(pointItems, maxK)
+	_, pointVals, top, err := eng.QueryBatch(pointItems, maxK)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
+	r := eng.Read()
 	pointBound := 0.0
 	if t.spec.points && t.spec.l2Of != nil {
-		pointBound = t.ts.Eps * t.spec.l2Of(estimate)
+		pointBound = t.ts.Eps * t.spec.l2Of(r.Estimate)
 	}
 	topItems := make([]ItemWeight, len(top))
 	for i, iw := range top {
@@ -225,7 +228,7 @@ func (s *Server) answerQuery(t *tenant, req *QueryRequest, batch func([]uint64, 
 		switch q.Kind {
 		case QueryEstimate:
 			resp.Answers = append(resp.Answers, Answer{
-				Kind: QueryEstimate, Value: estimate,
+				Kind: QueryEstimate, Value: r.Estimate,
 				ErrorBound: t.ts.Eps, Additive: t.spec.additive,
 			})
 		case QueryPoint:
@@ -245,7 +248,7 @@ func (s *Server) answerQuery(t *tenant, req *QueryRequest, batch func([]uint64, 
 			})
 		}
 	}
-	resp.Robustness = t.robustnessStats()
+	resp.Robustness = t.robustness(r)
 	return resp, http.StatusOK, nil
 }
 

@@ -559,7 +559,7 @@ func (m *modelRun) query(key string, qs []Query, codec int) error {
 	if codec&1 != 0 {
 		wq := wire.QueryRequest{Key: key}
 		for _, q := range qs {
-			wq.Queries = append(wq.Queries, wire.Query{Kind: kindBytes[q.Kind], Item: uint64(q.Item), K: q.K})
+			wq.Queries = append(wq.Queries, wire.Query{Kind: wire.KindOf(q.Kind), Item: uint64(q.Item), K: q.K})
 		}
 		ct, body = wire.ContentType, wire.AppendQuery(nil, &wq)
 	}
@@ -577,7 +577,7 @@ func (m *modelRun) query(key string, qs []Query, codec int) error {
 	if err := status(w, http.StatusOK); err != nil {
 		return err
 	}
-	resp, _, err := m.srv.answerQuery(live.twin, &req, live.twin.eng.QueryBatch)
+	resp, _, err := m.srv.answerQuery(live.twin, live.twin.eng, &req)
 	if err != nil {
 		return err
 	}
@@ -701,7 +701,7 @@ func (m *modelRun) ship(key string) error {
 	if err := status(w, http.StatusOK); err != nil {
 		return fmt.Errorf("replica query: %w", err)
 	}
-	resp, _, err := m.srv.answerQuery(live.twin, &QueryRequest{Key: key, Queries: qs}, live.twin.eng.QueryBatch)
+	resp, _, err := m.srv.answerQuery(live.twin, live.twin.eng, &QueryRequest{Key: key, Queries: qs})
 	if err != nil {
 		return err
 	}

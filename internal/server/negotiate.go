@@ -218,19 +218,6 @@ func (s *Server) handleV2Update(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Binary twins of the JSON query kinds.
-var kindNames = map[uint8]string{
-	wire.KindEstimate: QueryEstimate,
-	wire.KindPoint:    QueryPoint,
-	wire.KindTopK:     QueryTopK,
-}
-
-var kindBytes = map[string]uint8{
-	QueryEstimate: wire.KindEstimate,
-	QueryPoint:    wire.KindPoint,
-	QueryTopK:     wire.KindTopK,
-}
-
 // queryFromFrame converts a decoded query frame into the canonical
 // QueryRequest, then runs the same validation as the JSON decoder, so
 // both codecs enforce identical batch and k limits with identical
@@ -238,8 +225,8 @@ var kindBytes = map[string]uint8{
 func queryFromFrame(wq *wire.QueryRequest) (QueryRequest, error) {
 	req := QueryRequest{Key: wq.Key, Queries: make([]Query, 0, len(wq.Queries))}
 	for i, q := range wq.Queries {
-		kind, ok := kindNames[q.Kind]
-		if !ok {
+		kind := wire.KindName(q.Kind)
+		if kind == "" {
 			return QueryRequest{}, fmt.Errorf("query %d: unknown kind %d", i, q.Kind)
 		}
 		req.Queries = append(req.Queries, Query{Kind: kind, Item: U64(q.Item), K: q.K})
@@ -254,17 +241,16 @@ func queryFromFrame(wq *wire.QueryRequest) (QueryRequest, error) {
 // form.
 func responseToFrame(resp *QueryResponse) wire.QueryResponse {
 	out := wire.QueryResponse{
-		Key:     resp.Key,
-		Sketch:  resp.Sketch,
-		Policy:  resp.Policy,
-		Model:   resp.Model,
-		Answers: make([]wire.Answer, 0, len(resp.Answers)),
-		// Same fields, JSON tags apart: a conversion, not a copy to maintain.
-		Robustness: (*wire.Robustness)(resp.Robustness),
+		Key:        resp.Key,
+		Sketch:     resp.Sketch,
+		Policy:     resp.Policy,
+		Model:      resp.Model,
+		Answers:    make([]wire.Answer, 0, len(resp.Answers)),
+		Robustness: resp.Robustness,
 	}
 	for _, a := range resp.Answers {
 		wa := wire.Answer{
-			Kind:       kindBytes[a.Kind],
+			Kind:       wire.KindOf(a.Kind),
 			Value:      a.Value,
 			ErrorBound: a.ErrorBound,
 			Additive:   a.Additive,

@@ -147,7 +147,7 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// maxBodyBytes bounds /v1/update and /v1/merge request bodies.
+// maxBodyBytes bounds every request body the server reads.
 const maxBodyBytes = 64 << 20
 
 var (
@@ -416,6 +416,9 @@ func (s *Server) newTenant(key string, sp spec, ts TenantSpec) *tenant {
 // data. The ledger starts at the exported mass and deleted mass. The
 // returned tenant has a running engine and is not yet mapped.
 func (s *Server) rebuild(key string, specJSON, state []byte, mass, deleted int64) (*tenant, error) {
+	// Lenient, unlike a client's create body: a stored spec may carry a
+	// field since removed (a data directory written before TenantSpec lost
+	// "batch" still says it), and its tenant must come back all the same.
 	var raw TenantSpec
 	if err := json.Unmarshal(specJSON, &raw); err != nil {
 		return nil, fmt.Errorf("bad spec: %w", err)
@@ -570,7 +573,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // the binary codec.
 func (s *Server) handleUpdateJSON(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := decodeOne(json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)), &req); err != nil {
 		fail(w, http.StatusBadRequest, fmt.Errorf("bad update body: %w", err))
 		return
 	}
@@ -586,6 +589,19 @@ func (s *Server) handleUpdateJSON(w http.ResponseWriter, r *http.Request) {
 	s.applyUpdates(w, t, us)
 	*up = us[:0]
 	updatesPool.Put(up)
+}
+
+// decodeOne decodes the one JSON value dec reads into v: anything but
+// whitespace after it is an error, as it is to json.Unmarshal, so a body
+// carrying a second object is refused rather than half applied.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the top-level value")
+	}
+	return nil
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -728,33 +744,33 @@ func (s *Server) remove(t *tenant) error {
 // stats builds the keyspace's listing entry, the one KeyStats every
 // endpoint answers with: the resolved spec the tenant was sized from (seed
 // withheld — publishing it would hand any co-tenant the state compromise
-// the seed-leak adversary needs), the ledger, and the aggregated
-// robustness-budget state for robust tenants (nil for static ones).
+// the seed-leak adversary needs), the ledger, and one engine reading's
+// space and flip-budget state (nil for static tenants).
 func (t *tenant) stats() KeyStats {
 	echo := t.ts
 	echo.Seed = 0
+	r := t.eng.Read()
 	return KeyStats{
 		Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Model: t.ts.Model,
-		Shards: t.eng.Shards(), SpaceBytes: t.eng.SpaceBytes(),
+		Shards: t.eng.Shards(), SpaceBytes: r.SpaceBytes,
 		Mass: t.mass.Load(), DeletedMass: t.deleted.Load(),
-		Spec: &echo, PointQueries: t.spec.points, Robustness: t.robustnessStats(),
+		Spec: &echo, PointQueries: t.spec.points, Robustness: t.robustness(r),
 	}
 }
 
-// robustnessStats converts the engine's aggregated robustness state into
-// its wire form, nil for a static tenant. The policy is the declaration's.
-func (t *tenant) robustnessStats() *RobustnessStats {
-	r, ok := t.eng.Robustness()
-	if !ok {
+// robustness is a reading's flip-budget state in its wire form, nil for a
+// static tenant. The policy is the declaration's.
+func (t *tenant) robustness(r engine.Reading) *RobustnessStats {
+	if !r.Robust {
 		return nil
 	}
 	return &RobustnessStats{
 		Policy:    t.spec.Policy,
-		Copies:    r.Copies,
-		Switches:  r.Switches,
-		Budget:    r.Budget,
-		Remaining: r.Remaining(),
-		Exhausted: r.Exhausted,
+		Copies:    r.Robustness.Copies,
+		Switches:  r.Robustness.Switches,
+		Budget:    r.Robustness.Budget,
+		Remaining: r.Robustness.Remaining(),
+		Exhausted: r.Robustness.Exhausted,
 	}
 }
 

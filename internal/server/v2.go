@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,11 +33,15 @@ const (
 )
 
 // decodeCreateTenant parses and structurally validates a POST /v2/keys
-// body. Spec-level validation (ranges, caps, registry membership) happens
-// in resolve, against the server defaults.
+// body. A field the spec does not have is a 400 naming it: a misspelt
+// "policy" would otherwise declare a static tenant without the guarantee
+// its owner asked for. Spec-level validation (ranges, caps, registry
+// membership) happens in resolve, against the server defaults.
 func decodeCreateTenant(data []byte) (CreateTenantRequest, error) {
 	var req CreateTenantRequest
-	if err := json.Unmarshal(data, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := decodeOne(dec, &req); err != nil {
 		return CreateTenantRequest{}, fmt.Errorf("bad create body: %w", err)
 	}
 	if req.Key == "" {

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/sketch"
@@ -108,12 +109,30 @@ var (
 // tenant's engine without a copy.
 type Update = sketch.Update
 
-// Query kinds (binary twins of the JSON "kind" strings).
+// Query kinds: each byte is the binary twin of a JSON "kind" name, and
+// KindName and KindOf are the one table between them.
 const (
 	KindEstimate uint8 = 1
 	KindPoint    uint8 = 2
 	KindTopK     uint8 = 3
 )
+
+var kindNames = [...]string{KindEstimate: "estimate", KindPoint: "point", KindTopK: "topk"}
+
+// KindName returns the JSON name of kind byte k, or "" when k names no
+// kind.
+func KindName(k uint8) string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return ""
+}
+
+// KindOf returns the kind byte of a JSON kind name, or 0 when name names
+// no kind.
+func KindOf(name string) uint8 {
+	return uint8(max(slices.Index(kindNames[:], name), 0))
+}
 
 // Query is one typed query in a batch.
 type Query struct {
@@ -145,15 +164,24 @@ type Answer struct {
 	Additive   bool
 }
 
-// Robustness is the flip-budget state attached to answers from robust
-// tenants.
+// Robustness is the flip-budget state of a robust tenant, in an answer
+// frame and (as server.RobustnessStats) in JSON answers and stats. Copies,
+// Switches and Budget are sums over its engine shards, each of which has a
+// budget of its own, so the sums can show headroom a shard no longer has.
+// Every field comes from one reading of the shards' published records,
+// which may trail the tenant's acknowledged stream by up to the engine's
+// refreshEvery (4096) updates per shard. Operators should watch Exhausted
+// (and Remaining, which is 0 once it is set) on dense-switching and paths
+// tenants: once the stream's flip number overruns the configured budget
+// the robustness guarantee no longer covers it, so estimates may degrade
+// under adaptive traffic.
 type Robustness struct {
-	Policy    string
-	Copies    int
-	Switches  int
-	Budget    int // -1 = unbounded
-	Remaining int // -1 = unbounded
-	Exhausted bool
+	Policy    string `json:"policy"`    // the declaration's: switching, ring, or paths
+	Copies    int    `json:"copies"`    // maintained static instances
+	Switches  int    `json:"switches"`  // published-output changes consumed
+	Budget    int    `json:"budget"`    // total flip budget; -1 = unbounded (ring never exhausts)
+	Remaining int    `json:"remaining"` // Budget − Switches floored at 0; 0 once Exhausted; -1 = unbounded
+	Exhausted bool   `json:"exhausted"` // some shard overran its flip budget
 }
 
 // QueryResponse is the binary twin of the JSON POST /v2/query response.

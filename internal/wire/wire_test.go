@@ -94,6 +94,26 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKindTable: KindName and KindOf invert each other over the three
+// query kinds and name nothing else.
+func TestKindTable(t *testing.T) {
+	for k, name := range map[uint8]string{KindEstimate: "estimate", KindPoint: "point", KindTopK: "topk"} {
+		if KindName(k) != name || KindOf(name) != k {
+			t.Errorf("kind %d: KindName = %q, KindOf(%q) = %d", k, KindName(k), name, KindOf(name))
+		}
+	}
+	for _, k := range []uint8{0, 4, 255} {
+		if n := KindName(k); n != "" {
+			t.Errorf("KindName(%d) = %q, want none", k, n)
+		}
+	}
+	for _, n := range []string{"", "Estimate", "top-k"} {
+		if k := KindOf(n); k != 0 {
+			t.Errorf("KindOf(%q) = %d, want none", n, k)
+		}
+	}
+}
+
 func TestAnswerRoundTrip(t *testing.T) {
 	item := uint64(1) << 60
 	resp := &QueryResponse{
