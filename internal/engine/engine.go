@@ -32,9 +32,8 @@ package engine
 
 import (
 	"errors"
-	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -360,39 +359,42 @@ func (e *Engine) Flush() {
 	wg.Wait()
 }
 
-// Visit flushes the engine and then runs fn against each shard's
-// estimator in shard order, serialized with that shard's updates (fn runs
-// on the worker goroutine). It is the engine's escape hatch for
-// type-specific estimator operations — serializing sketch state for a
-// snapshot, merging a peer's sketch in — without giving up the ownership
-// discipline that makes the pipeline race-free. fn may mutate the
-// estimator; the shard's published record is refreshed after it
-// returns. Visit reports the first error fn returns, visiting every shard
-// regardless. After Close, fn runs inline on the caller's goroutine
-// (safe: the workers have exited); concurrent post-Close Visits are
-// serialized per shard.
+// Visit runs fn against every shard's estimator, serialized with that
+// shard's updates: fn sees every update handed to the engine before Visit
+// was called, and its shard's published record is refreshed after it
+// returns. It is the engine's escape hatch for type-specific estimator
+// operations — serializing sketch state for a snapshot, merging a peer's
+// sketch in — without giving up the ownership discipline that makes the
+// pipeline race-free. fn may mutate the estimator.
+//
+// Visit hands fn to every open shard's worker before it waits for any, so
+// fn may run at once for different shards: state fn shares across shards
+// must be indexed by shard or synchronized. Visit reports the first error
+// in shard order, visiting every shard regardless. After Close, fn runs
+// inline on the caller's goroutine (safe: the workers have exited);
+// concurrent post-Close Visits are serialized per shard.
 func (e *Engine) Visit(fn func(shard int, est sketch.Estimator) error) error {
-	e.Flush()
-	var firstErr error
+	errs := make([]error, len(e.shards))
+	var wg sync.WaitGroup
 	for i, s := range e.shards {
-		var err error
 		s.mu.Lock()
 		if s.closed {
 			<-s.done // worker has exited; mu now guards est
-			err = fn(i, s.est)
+			errs[i] = fn(i, s.est)
 			s.publish()
 			s.mu.Unlock()
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(1)
-			s.handoff(op{visit: func(est sketch.Estimator) { err = fn(i, est) }, sync: &wg})
-			wg.Wait()
+			continue
 		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		wg.Add(1)
+		s.handoff(op{visit: func(est sketch.Estimator) { errs[i] = fn(i, est) }, sync: &wg})
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // Estimate implements sketch.Estimator: it flushes all pending updates and
@@ -465,12 +467,13 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // not implement the point-query surface (sketch.PointQuerier / TopKQuerier).
 var ErrNoPointQueries = errors.New("engine: shard estimators do not support point queries")
 
-// QueryBatch answers a structured read in one flush pass: the combined
+// QueryBatch answers a structured read in one Visit: the combined
 // estimate, point estimates of f[item] for every requested item, and —
-// when k > 0 — the merged global top-k, all computed from a single Visit
-// so every answer reflects the same flush barrier (the coherence
-// Estimate itself provides; concurrent producers may land updates
-// between per-shard visits, exactly as they may during Estimate).
+// when k > 0 — the merged global top-k, every answer reading the state
+// each shard held when the Visit reached it (the coherence Estimate
+// itself provides; concurrent producers may land updates between
+// per-shard visits, exactly as they may during Estimate). The shards
+// answer at once, each into its own slots.
 //
 // Point answers come from the owning shard alone. The global estimate of
 // a coordinate is the sum of per-shard point estimates, but routing makes
@@ -480,7 +483,7 @@ var ErrNoPointQueries = errors.New("engine: shard estimators do not support poin
 // instead of paying √Shards extra noise. The top-k merges each shard's
 // own k largest-magnitude candidates (k per shard suffices: a global
 // top-k item is routed to exactly one shard, where it ranks at least as
-// high as globally), re-ranked by |weight| with ties by ascending item.
+// high as globally), re-ranked by sketch.CompareRank.
 //
 // With items empty and k zero any estimator works; otherwise the shard
 // estimators must implement sketch.PointQuerier / sketch.TopKQuerier, and
@@ -492,7 +495,7 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 		o := e.shardIndex(item)
 		ownedBy[o] = append(ownedBy[o], j)
 	}
-	var merged []sketch.ItemWeight
+	tops := make([][]sketch.ItemWeight, len(e.shards))
 	err = e.Visit(func(i int, est sketch.Estimator) error {
 		if len(items) > 0 {
 			pq, ok := est.(sketch.PointQuerier)
@@ -508,7 +511,7 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 			if !ok {
 				return ErrNoPointQueries
 			}
-			merged = append(merged, tk.TopK(k)...)
+			tops[i] = tk.TopK(k)
 		}
 		return nil
 	})
@@ -516,20 +519,14 @@ func (e *Engine) QueryBatch(items []uint64, k int) (estimate float64, points []f
 		return 0, nil, nil, err
 	}
 	// The Visit's per-shard sync republishes every record, so this
-	// reading is the flushed state the answers above saw.
+	// reading is the state the answers above saw.
 	estimate = e.Read().Estimate
 	if k > 0 {
-		sort.Slice(merged, func(i, j int) bool {
-			ai, aj := math.Abs(merged[i].Weight), math.Abs(merged[j].Weight)
-			if ai != aj {
-				return ai > aj
-			}
-			return merged[i].Item < merged[j].Item
-		})
-		if len(merged) > k {
-			merged = merged[:k]
+		topk = slices.Concat(tops...)
+		slices.SortFunc(topk, sketch.CompareRank)
+		if len(topk) > k {
+			topk = topk[:k]
 		}
-		topk = merged
 	}
 	return estimate, points, topk, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -189,7 +190,8 @@ func TestSpaceBytesReflectsOutstandingBuffers(t *testing.T) {
 
 // TestVisit: fn observes a flushed estimator per shard (their F0s sum to
 // the global count), runs serialized with ingest, and keeps working after
-// Close.
+// Close. fn may run for several shards at once, so each writes its own
+// shard's slot.
 func TestVisit(t *testing.T) {
 	e := New(Config{
 		Shards:  4,
@@ -201,11 +203,20 @@ func TestVisit(t *testing.T) {
 		e.Update(i, 1)
 	}
 
-	var sum float64
-	if err := e.Visit(func(_ int, est sketch.Estimator) error {
-		sum += est.Estimate()
-		return nil
-	}); err != nil {
+	perShard := make([]float64, e.Shards())
+	visitSum := func() (float64, error) {
+		err := e.Visit(func(i int, est sketch.Estimator) error {
+			perShard[i] = est.Estimate()
+			return nil
+		})
+		var sum float64
+		for _, v := range perShard {
+			sum += v
+		}
+		return sum, err
+	}
+	sum, err := visitSum()
+	if err != nil {
 		t.Fatalf("Visit: %v", err)
 	}
 	if sum != 500 {
@@ -213,11 +224,8 @@ func TestVisit(t *testing.T) {
 	}
 
 	e.Close()
-	sum = 0
-	if err := e.Visit(func(_ int, est sketch.Estimator) error {
-		sum += est.Estimate()
-		return nil
-	}); err != nil {
+	sum, err = visitSum()
+	if err != nil {
 		t.Fatalf("Visit after Close: %v", err)
 	}
 	if sum != 500 {
@@ -235,5 +243,64 @@ func TestVisit(t *testing.T) {
 	}
 	if got := e.Estimate(); got != 504 {
 		t.Errorf("Estimate after post-Close mutating Visit = %v, want 504", got)
+	}
+}
+
+// TestVisitRunsShardsAtOnce: Visit hands fn to every shard before it
+// waits, so shard 0's fn can wait for shard 1's to start. A Visit that
+// ran the shards one after another would leave shard 0 waiting until the
+// timeout.
+func TestVisitRunsShardsAtOnce(t *testing.T) {
+	e := New(Config{Shards: 2, Seed: 3, Factory: func(int64) sketch.Estimator { return f0.NewExact() }})
+	defer e.Close()
+	started := make(chan struct{})
+	err := e.Visit(func(i int, _ sketch.Estimator) error {
+		if i == 1 {
+			close(started)
+			return nil
+		}
+		select {
+		case <-started:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("shard 1's fn never started while shard 0's ran")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVisitReportsFirstErrorInShardOrder: whichever shard errs first in
+// time, Visit reports the lowest-numbered shard's error, and still visits
+// every shard.
+func TestVisitReportsFirstErrorInShardOrder(t *testing.T) {
+	e := New(Config{Shards: 4, Seed: 3, Factory: func(int64) sketch.Estimator { return f0.NewExact() }})
+	defer e.Close()
+	errOne, errTwo := errors.New("shard 1"), errors.New("shard 2")
+	twoErred := make(chan struct{})
+	visited := make([]bool, e.Shards())
+	err := e.Visit(func(i int, _ sketch.Estimator) error {
+		visited[i] = true
+		switch i {
+		case 1:
+			select {
+			case <-twoErred:
+			case <-time.After(10 * time.Second):
+			}
+			return errOne
+		case 2:
+			close(twoErred)
+			return errTwo
+		}
+		return nil
+	})
+	if !errors.Is(err, errOne) {
+		t.Errorf("Visit = %v, want shard 1's error", err)
+	}
+	for i, v := range visited {
+		if !v {
+			t.Errorf("shard %d not visited", i)
+		}
 	}
 }

@@ -7,7 +7,8 @@
 //
 // F2Sketch (f2.go) is also the repository's one signed-counter matrix:
 // the row update kernel, the running row aggregates, Resummate, the
-// counter merge and the per-row codec exist here and nowhere else.
+// counter merge, the per-row codec and the block read of medians over a
+// pool exist here and nowhere else.
 // heavyhitters.CountSketch holds an F2Sketch for its counters and owns
 // only what Lemma 6.4 adds on top — the median point query and the
 // candidate pool. The matrix is one flat allocation, int32 until a counter
@@ -18,6 +19,7 @@ package fp
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/hash"
@@ -302,6 +304,87 @@ func (f *F2Sketch) AppendSigned(dst []float64, item uint64) []float64 {
 		dst = append(dst, float64(sign*f.at(r*f.w+b)))
 	}
 	return dst
+}
+
+// AppendMedians appends, for each of items in order, the median over rows
+// of its signed counters — order.Median of what AppendSigned appends, the
+// point estimate CountSketch.Query returns — and returns dst. It reads a
+// pool as UpdateBatch writes a batch: per block of items it takes their
+// field powers once for all rows, hashes one row over the block with
+// SignBuckets and gathers that row's signed counters, then sorts every
+// item's column of rows at once, one compare-exchange of two rows across
+// the block at a time, with no branch on the values. The block's
+// rows × items integers live in one buffer sized to the block and dropped
+// at return, so nothing that grows with len(items) outlives the call.
+func (f *F2Sketch) AppendMedians(dst []float64, items []uint64) []float64 {
+	var pw [f2Block][3]uint64
+	var sb [f2Block]uint64
+	n := min(len(items), f2Block)
+	vals := make([]int64, f.rows*n) // row-major: row r of the block is vals[r*n : (r+1)*n]
+	for lo := 0; lo < len(items); lo += n {
+		blk := items[lo:min(lo+n, len(items))]
+		m := len(blk)
+		for i, it := range blk {
+			pw[i] = hash.Powers(it)
+		}
+		for r := 0; r < f.rows; r++ {
+			f.hs[r].SignBuckets(sb[:m], pw[:], f.w)
+			if f.c64 != nil {
+				gatherSigned(vals[r*n:r*n+m], f.c64[r*f.w:(r+1)*f.w], sb[:m])
+			} else {
+				gatherSigned(vals[r*n:r*n+m], f.c32[r*f.w:(r+1)*f.w], sb[:m])
+			}
+		}
+		sortColumns(vals, f.rows, n, m)
+		// order.Median's value: the middle of an odd column, the mean of
+		// the two middles of an even one, each converted before the mean.
+		k := f.rows / 2
+		hi := vals[k*n : k*n+m]
+		if f.rows%2 == 1 {
+			for _, v := range hi {
+				dst = append(dst, float64(v))
+			}
+			continue
+		}
+		for i, v := range vals[(k-1)*n : (k-1)*n+m] {
+			dst = append(dst, (float64(v)+float64(hi[i]))/2)
+		}
+	}
+	return dst
+}
+
+// sortColumns sorts the first m columns of the rows × n row-major matrix
+// vals, every column at once, by Batcher's merge exchange (Knuth, TAOCP
+// 5.2.2, Algorithm M): a fixed network of compare-exchanges of two rows,
+// O(rows·log² rows) of them for any row count, none branching on a value.
+func sortColumns(vals []int64, rows, n, m int) {
+	t := bits.Len(uint(rows - 1)) // 2^t ≥ rows
+	for p := 1 << t >> 1; p > 0; p >>= 1 {
+		q, r, d := 1<<t>>1, 0, p
+		for {
+			for i := 0; i+d < rows; i++ {
+				if i&p != r {
+					continue
+				}
+				a, b := vals[i*n:i*n+m], vals[(i+d)*n:(i+d)*n+m]
+				for j := range a {
+					a[j], b[j] = min(a[j], b[j]), max(a[j], b[j])
+				}
+			}
+			if q == p {
+				break
+			}
+			q, r, d = q>>1, p, q-p
+		}
+	}
+}
+
+// gatherSigned sets vals[i] to the signed counter of row that sb[i] names,
+// sign times integer as AppendSigned computes it.
+func gatherSigned[T counter](vals []int64, row []T, sb []uint64) {
+	for i, s := range sb {
+		vals[i] = (int64(s&1)*2 - 1) * int64(row[s>>1])
+	}
 }
 
 // at returns counter i of the row-major matrix.

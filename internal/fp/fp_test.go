@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hash"
+	"repro/internal/order"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -139,6 +140,37 @@ func TestF2SketchStrongTracking(t *testing.T) {
 		f.Apply(u)
 		if e := relErr(sk.Estimate(), f.Fp(2)); e > eps {
 			t.Fatalf("tracking violated at step %d: err=%v", f.Updates(), e)
+		}
+	}
+}
+
+// TestAppendMediansMatchesAppendSigned: the block read's medians are, to
+// the bit, order.Median over each item's AppendSigned — for every row count
+// from 1 to 40, odd and even (the sorting network differs per count),
+// blocks cut mid-pool, narrow and widened counters, turnstile deltas.
+func TestAppendMediansMatchesAppendSigned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for rows := 1; rows <= 40; rows++ {
+		f := NewF2(F2Sizing{Rows: rows, Width: 4 + rng.Intn(60)}, rng)
+		for i := 0; i < 500; i++ {
+			f.Update(uint64(rng.Intn(300)), int64(rng.Intn(11)-5))
+		}
+		if rows%3 == 0 {
+			f.Update(uint64(rng.Intn(300)), -1<<40) // widens
+		}
+		items := make([]uint64, 1+rng.Intn(400))
+		for i := range items {
+			items[i] = uint64(rng.Intn(350))
+		}
+		got := f.AppendMedians([]float64{-1}, items)
+		if len(got) != 1+len(items) || got[0] != -1 {
+			t.Fatalf("rows %d: AppendMedians returned %d values, want dst's 1 then %d", rows, len(got), len(items))
+		}
+		for i, item := range items {
+			want := order.Median(f.AppendSigned(nil, item))
+			if math.Float64bits(got[1+i]) != math.Float64bits(want) {
+				t.Fatalf("rows %d, item %d: median %v, per-item %v", rows, item, got[1+i], want)
+			}
 		}
 	}
 }

@@ -15,7 +15,7 @@ package heavyhitters
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/fp"
 	"repro/internal/order"
@@ -141,7 +141,7 @@ func (cs *CountSketch) UpdateBatch(batch []sketch.Update) {
 // only super-constant work, so it stays off the sketch counters entirely:
 // one pass over the pool, one expected-linear selection on the scratch
 // slice (the survivor *set* is what matters — the pool is a map, so no
-// full sort and none of sort.Slice's reflection), no hashing.
+// full sort), no hashing.
 func (cs *CountSketch) pruneCandidates() {
 	all := cs.pbuf[:0]
 	for it, w := range cs.cands {
@@ -235,43 +235,59 @@ func (cs *CountSketch) Resummate() { cs.kernel.Resummate() }
 // L2 returns the estimate of ‖f‖₂.
 func (cs *CountSketch) L2() float64 { return math.Sqrt(cs.Estimate()) }
 
+// weigh reads the whole pool through the kernel's block read: the items
+// in map order and, index for index, their point-query estimates. Both
+// slices are the caller's to drop.
+func (cs *CountSketch) weigh() (items []uint64, ws []float64) {
+	items = make([]uint64, 0, len(cs.cands))
+	for it := range cs.cands {
+		items = append(items, it)
+	}
+	return items, cs.kernel.AppendMedians(make([]float64, 0, len(items)), items)
+}
+
 // HeavyHitters returns every candidate whose estimated magnitude is at
 // least thresh, sorted by id.
 func (cs *CountSketch) HeavyHitters(thresh float64) []uint64 {
+	items, ws := cs.weigh()
 	var out []uint64
-	for it := range cs.cands {
-		if math.Abs(cs.Query(it)) >= thresh {
+	for i, it := range items {
+		if math.Abs(ws[i]) >= thresh {
 			out = append(out, it)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // TopK implements sketch.TopKQuerier: the k candidates of largest
-// estimated magnitude, ordered by decreasing |weight| (ties by ascending
-// id, so the answer is deterministic for a fixed sketch state). Weights
-// are the signed point-query estimates, so a turnstile stream can surface
-// heavily negative coordinates too.
+// estimated magnitude, ordered by sketch.CompareRank — decreasing
+// |weight|, ties by ascending id, so the answer is deterministic for a
+// fixed sketch state. Weights are the signed point-query estimates, so a
+// turnstile stream can surface heavily negative coordinates too. The pool
+// is weighed whole, but only the candidates at least as heavy as the k-th
+// heaviest are sorted.
 func (cs *CountSketch) TopK(k int) []sketch.ItemWeight {
 	if k <= 0 {
 		return nil
 	}
-	all := make([]sketch.ItemWeight, 0, len(cs.cands))
-	for it := range cs.cands {
-		all = append(all, sketch.ItemWeight{Item: it, Weight: cs.Query(it)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		ai, aj := math.Abs(all[i].Weight), math.Abs(all[j].Weight)
-		if ai != aj {
-			return ai > aj
+	items, ws := cs.weigh()
+	cut := 0.0 // the k-th largest magnitude, when the pool holds more than k
+	if len(items) > k {
+		mags := make([]float64, len(ws))
+		for i, w := range ws {
+			mags[i] = math.Abs(w)
 		}
-		return all[i].Item < all[j].Item
-	})
-	if len(all) > k {
-		all = all[:k]
+		cut = order.Select(mags, len(mags)-k)
 	}
-	return all
+	top := make([]sketch.ItemWeight, 0, min(k, len(items)))
+	for i, it := range items {
+		if math.Abs(ws[i]) >= cut {
+			top = append(top, sketch.ItemWeight{Item: it, Weight: ws[i]})
+		}
+	}
+	slices.SortFunc(top, sketch.CompareRank) // ties at cut may leave more than k
+	return top[:min(k, len(top))]
 }
 
 // SpaceBytes charges the kernel (counters, hash seeds, row aggregates) and

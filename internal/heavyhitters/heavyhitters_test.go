@@ -158,3 +158,29 @@ func BenchmarkCountSketchQuery(b *testing.B) {
 		cs.Query(uint64(i % 10000))
 	}
 }
+
+// BenchmarkCountSketchTopK ranks a full pool (the prune trigger, 8·width
+// candidates): TopK(10) at the 9 × 89 sizing sketchd gives a countsketch
+// tenant at ε = 0.3, and the whole pool of a 31 × 1 423 Theorem 6.5 ring
+// copy, which the robust wrapper ranks once per refresh.
+func BenchmarkCountSketchTopK(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		s    Sizing
+		k    int
+	}{
+		{"static/k=10", Sizing{Rows: 9, Width: 89}, 10},
+		{"ring/k=all", Sizing{Rows: 31, Width: 1423}, math.MaxInt},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cs := NewCountSketch(c.s, rand.New(rand.NewSource(1)))
+			for i := 0; len(cs.cands) < 2*cs.candCap; i++ {
+				cs.Update(uint64(i)*0x9E3779B97F4A7C15, int64(1+i%7))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cs.TopK(c.k)
+			}
+		})
+	}
+}

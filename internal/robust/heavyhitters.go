@@ -3,7 +3,6 @@ package robust
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -157,9 +156,7 @@ func (hh *HeavyHitters) Set() []uint64 {
 	if hh.frozen == nil {
 		return nil
 	}
-	out := hh.frozen.HeavyHitters(0.75 * hh.eps * hh.lastR)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return hh.frozen.HeavyHitters(0.75 * hh.eps * hh.lastR) // sorted by id already
 }
 
 // Robustness implements sketch.RobustnessReporter: the ring policy with

@@ -54,7 +54,11 @@
 // covers its rounded estimate only.
 package sketch
 
-import "math/rand"
+import (
+	"cmp"
+	"math"
+	"math/rand"
+)
 
 // Estimator is a one-pass streaming algorithm that tracks a real-valued
 // statistic g(f) of the frequency vector f of the stream processed so far.
@@ -109,12 +113,25 @@ type ItemWeight struct {
 	Weight float64
 }
 
+// CompareRank is the order every top-k answer is ranked in: decreasing
+// |Weight|, ties by ascending Item — a total order on a set of distinct
+// items, so a ranking is a function of the weights alone. It is a
+// slices.SortFunc comparator.
+func CompareRank(a, b ItemWeight) int {
+	if wa, wb := math.Abs(a.Weight), math.Abs(b.Weight); wa != wb {
+		if wa > wb {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Item, b.Item)
+}
+
 // TopKQuerier is implemented by sketches that maintain a bounded candidate
 // pool of heavy items (Section 6's heavy hitters surface): TopK emits the
 // k candidates of largest estimated magnitude without enumerating the
-// universe. Implementations must order by decreasing |Weight| with ties
-// broken by ascending Item, so answers are deterministic for a fixed
-// sketch state.
+// universe. Implementations must order by CompareRank, so answers are
+// deterministic for a fixed sketch state.
 type TopKQuerier interface {
 	PointQuerier
 
