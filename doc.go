@@ -62,7 +62,9 @@
 //   - internal/engine — a sharded, batched, concurrent ingest pipeline
 //     that hash-routes updates to per-shard estimator instances (static
 //     or robust), coalesces duplicates per batch (sketch.Coalescer, the
-//     routine the Switcher's drain shares), and recombines the
+//     routine every core.Lagged catch-up shares: a flat open-addressing
+//     index, stamped per call instead of cleared, so a call costs
+//     O(len(batch)) whatever it met before), and recombines the
 //     per-shard estimates into the global statistic (sums, power sums, or
 //     the entropy chain rule). Batch buffers are pooled end to end, so
 //     the steady-state ingest path allocates nothing per update

@@ -18,7 +18,9 @@ import "repro/internal/sketch"
 // coalesced: a Drain coalesces the buffer once and feeds that to every
 // instance that owes all of it, and the few that hold a prefix (stepped
 // since the last drain, replaced mid-buffer), like a catch-up outside a
-// drain, replay their own suffix coalesced.
+// drain, replay their own suffix coalesced. The coalescer's index is
+// stamped per call rather than cleared, so a catch-up costs its own suffix
+// even right after a drain has grown the index to the whole buffer.
 //
 // Switcher keeps its trailing copies in one, robust.HeavyHitters its
 // Theorem 6.5 CountSketch ring.
@@ -116,10 +118,10 @@ func (l *Lagged) Drain() {
 	clear(l.applied)
 }
 
-// SpaceBytes sums the live instances, the lag buffer, and the coalesced
-// buffer with its item index (one 16-byte entry per slot each).
+// SpaceBytes sums the live instances, the lag buffer and the coalesced
+// buffer (16 bytes a slot each), and the coalescer's index as allocated.
 func (l *Lagged) SpaceBytes() int {
-	total := 16*cap(l.pending) + 32*cap(l.net)
+	total := 16*cap(l.pending) + 16*cap(l.net) + l.co.SpaceBytes()
 	for _, inst := range l.instances {
 		if inst != nil {
 			total += inst.SpaceBytes()

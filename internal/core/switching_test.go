@@ -153,15 +153,16 @@ func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 
 	// The first drain allocates the coalescing scratch — the net-delta
 	// buffer and its item index — and from then on it is charged, like the
-	// lag buffer it shadows. Four items keep the switch count under the
-	// copy count, so trailing copies exist for the drain to feed.
+	// lag buffer it shadows: the index as allocated, 2 × PendingCap slots
+	// however few items the buffer held. Four items keep the switch count
+	// under the copy count, so trailing copies exist for the drain to feed.
 	for i := 0; i < PendingCap; i++ {
 		big.Update(uint64(i%4), 1)
 	}
 	if len(big.lag.pending) != 0 || len(big.lag.net) != 4 {
 		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", PendingCap, len(big.lag.pending), len(big.lag.net))
 	}
-	if got, want := big.SpaceBytes()-liveBytes(big), 16+16*cap(big.lag.pending)+32*cap(big.lag.net); got != want {
+	if got, want := big.SpaceBytes()-liveBytes(big), 16+16*cap(big.lag.pending)+16*cap(big.lag.net)+16*2*PendingCap; got != want {
 		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer + coalesced buffer and its index)", got, want)
 	}
 }

@@ -2,12 +2,14 @@ package f0
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/hash"
+	"repro/internal/sketch"
 )
 
 // checkKMVInvariant fails unless s holds at most k minima, strictly
@@ -60,6 +62,68 @@ func TestKMVFeedPathIndependence(t *testing.T) {
 			}
 			if got, _ := s.MarshalBinary(); !bytes.Equal(got, want) {
 				t.Fatalf("after %d updates: %s sketch encodes differently from the per-update one", hi, name)
+			}
+		}
+	}
+}
+
+// TestKMVBatchShapesMatchUpdates holds every batch kernel to per-update
+// feeding: batches on both sides of placeMax and cutMax and a whole lag
+// buffer, growing from one update and, several times over, from a first
+// batch that fills the candidate scratch exactly (where the cut must keep
+// exactly what the k smallest need), at k = 2, 1 113 and 5 000, on distinct items, on items at or
+// above the field size that alias smaller ones (equal values, distinct
+// items), on repeats, and on a cluster an adversary who knows the hash
+// aims into one bucket under every threshold. After every batch the
+// batch-fed minima must equal the update-fed ones and keep the invariant.
+func TestKMVBatchShapesMatchUpdates(t *testing.T) {
+	orders := [][]int{
+		{1, 511, 512, 513, 4096, 4097, 16384},
+		{4096, 16384, 4097, 513, 1, 512, 511},
+		{4096, 4097}, {4096, 512}, {4096, 1}, {4096, 16384},
+	}
+	for _, k := range []int{2, 1113, 5000} {
+		origin := NewKMV(k, rand.New(rand.NewSource(int64(k))))
+		c := origin.h.Coeffs() // h(x) = c[0] + c[1]·x over the field
+		preimage := func(v uint64) uint64 { return hash.Mul(hash.Sub(v, c[0]), hash.Inv(c[1])) }
+		for _, st := range []struct {
+			name string
+			item func(rng *rand.Rand) uint64
+		}{
+			{"distinct", func(rng *rand.Rand) uint64 { return rng.Uint64() }},
+			{"aliasing mod p", func(rng *rand.Rand) uint64 {
+				x := rng.Uint64() % (1 << 14)
+				if rng.Intn(2) == 0 {
+					return x + hash.Prime // ≥ 2⁶¹−1, hashed as x
+				}
+				return x
+			}},
+			{"repeats", func(rng *rand.Rand) uint64 { return uint64(rng.Intn(3000)) }},
+			{"one-bucket cluster", func(rng *rand.Rand) uint64 {
+				if rng.Intn(4) == 0 {
+					return rng.Uint64()
+				}
+				return preimage(rng.Uint64() >> 44) // a value under 2²⁰
+			}},
+		} {
+			for o, sizes := range orders {
+				rng := rand.New(rand.NewSource(int64(7 + o)))
+				single, batched := origin.Fresh(), origin.Fresh()
+				fed := 0
+				for _, n := range sizes {
+					batch := make([]sketch.Update, n)
+					for i := range batch {
+						batch[i] = sketch.Update{Item: st.item(rng), Delta: 1}
+						single.Update(batch[i].Item, 1)
+					}
+					batched.UpdateBatch(batch)
+					fed += n
+					what := fmt.Sprintf("k = %d, %s, sizes %v, after a batch of %d (%d fed)", k, st.name, sizes, n, fed)
+					checkKMVInvariant(t, what, batched)
+					if !slices.Equal(batched.vals, single.vals) {
+						t.Fatalf("%s: batch-fed minima (%d) differ from update-fed ones (%d)", what, len(batched.vals), len(single.vals))
+					}
+				}
 			}
 		}
 	}

@@ -26,9 +26,11 @@ import (
 //
 // The state is one run: vals holds the retained minima distinct and
 // descending, the k-th minimum at vals[0] once full, which is also the
-// encoded order. A rejected update costs the threshold compare; an
-// accepted single insert shifts O(k) words. A batch's values under the
-// threshold are placed in order in linear time and merged in one pass.
+// encoded order, in an array never longer than k. A rejected update costs
+// the threshold compare; an accepted single insert shifts O(k) words. A
+// batch's values under the threshold are ordered in linear time and merged
+// in one pass; a long batch orders only those that can be among the k
+// smallest, so a fresh copy's first drain does not sort what it drops.
 type KMV struct {
 	k    int
 	h    hash.Poly
@@ -66,38 +68,64 @@ func (s *KMV) Update(item uint64, delta int64) {
 		return
 	}
 	if !full {
-		s.vals = slices.Insert(s.vals, i, v)
+		s.vals = s.grow(len(s.vals) + 1)
+		copy(s.vals[i+1:], s.vals[i:])
+		s.vals[i] = v
 		return
 	}
 	copy(s.vals, s.vals[1:i]) // over the evicted maximum
 	s.vals[i-1] = v
 }
 
-// UpdateBatch implements sketch.BatchUpdater. It collects the values under
-// the threshold on the stack — every value is written and only those under
-// it kept, so the compare is not a branch to mispredict — places them in
-// order and merges when that fills or the batch ends, not per input block,
-// which is an O(k) pass for a couple of values.
+// UpdateBatch implements sketch.BatchUpdater. Every value is written to
+// scratch on the stack and only those under the threshold kept, so the
+// compare is not a branch to mispredict. A batch of at most placeMax
+// updates places its candidates and merges once. A longer one — a drain, a
+// catch-up — collects up to cutMax candidates at a time, and cut orders
+// only those that can be among the k smallest for one merge: the
+// threshold tightens once per cutMax candidates, not once per placeMax.
 func (s *KMV) UpdateBatch(batch []sketch.Update) {
-	var cand [placeMax]uint64
-	for len(batch) > 0 {
-		n, limit := 0, uint64(math.MaxUint64)
-		if len(s.vals) == s.k {
-			limit = s.vals[0]
-		}
-		for ; n < len(cand) && len(batch) > 0; batch = batch[1:] {
-			v := s.h.Eval(batch[0].Item)
+	if len(batch) <= placeMax {
+		var cand [placeMax]uint64
+		n, limit := 0, s.limit()
+		for _, u := range batch {
+			v := s.h.Eval(u.Item)
 			if cand[n] = v; v < limit {
 				n++
 			}
 		}
 		place(cand[:n])
 		s.mergeValues(cand[:n])
+		return
+	}
+	var cand [cutMax]uint64
+	for len(batch) > 0 {
+		n, i, limit := 0, 0, s.limit()
+		for ; n < len(cand) && i < len(batch); i++ {
+			v := s.h.Eval(batch[i].Item)
+			if cand[n] = v; v < limit {
+				n++
+			}
+		}
+		batch = batch[i:]
+		s.mergeValues(s.cut(cand[:n], bits.Len64(limit)))
 	}
 }
 
-// placeMax is the candidate scratch: as many values as place has buckets.
-const placeMax = 512
+// limit is the threshold a hashed value must fall under to be a candidate:
+// the k-th minimum once the sketch is full, and until then the field size,
+// which every hashed value is under.
+func (s *KMV) limit() uint64 {
+	if len(s.vals) == s.k {
+		return s.vals[0]
+	}
+	return hash.Prime
+}
+
+const (
+	placeMax = 512  // the candidate scratch of a short batch: as many values as place has buckets
+	cutMax   = 4096 // the candidate scratch of a long batch: as many values as cut has buckets
+)
 
 // place sorts c ascending. Hashed values under a threshold are uniform
 // below their maximum, so one counting pass over their top 9 bits (relative
@@ -140,6 +168,62 @@ func place(c []uint64) {
 	}
 }
 
+// cut returns, ascending, the values of c a merge into the sketch can
+// keep; every value of c is under 2^width. One counting pass over about as
+// many buckets of that range as c has values puts them in order of bucket,
+// so the lowest buckets that together hold k values hold the k smallest,
+// and nothing above them can be among the k smallest of the union with the
+// retained minima. Those buckets are placed as place does and the rest is
+// dropped. A bucket that overfills, or a repeated value when the cut drops
+// any, hands all of c to the comparison sort instead.
+func (s *KMV) cut(c []uint64, width int) []uint64 {
+	if len(c) <= placeMax {
+		place(c)
+		return c
+	}
+	// 1<<nb buckets, at most cutMax. Every v>>shift is under 1<<nb; the
+	// masks below restate such ranges so the compiler drops its checks.
+	nb := bits.Len(uint(len(c) - 1))
+	shift := uint(max(width-nb, 0)) & 63
+	var count [cutMax]uint32 // per bucket: its count, then where its next value goes in buf
+	for _, v := range c {
+		count[v>>shift%cutMax]++
+	}
+	kept, keep := 0, 1<<nb
+	for b, n := range count[:keep] {
+		if n > 16 {
+			slices.Sort(c)
+			return c
+		}
+		count[b], kept = uint32(kept), kept+int(n)
+		if kept >= s.k {
+			keep = b + 1
+			break
+		}
+	}
+	var buf [cutMax]uint64
+	for _, v := range c {
+		if b := v >> shift; b < uint64(keep) {
+			buf[count[b]%cutMax] = v
+			count[b]++
+		}
+	}
+	repeat := false
+	for i, v := range buf[:kept] {
+		j := i
+		for ; j > 0 && buf[j-1] > v; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = v
+		repeat = repeat || j > 0 && buf[j-1] == v
+	}
+	if repeat && kept < len(c) { // the kept buckets may hold fewer than k distinct values
+		slices.Sort(c)
+		return c
+	}
+	return c[:copy(c, buf[:kept])]
+}
+
 // mergeValues folds ascending hashed values into the sketch, using c as
 // scratch: an ascending pass finds what the k smallest distinct values of
 // the union keep — the a smallest of vals and b of c, compacted to c[:b] —
@@ -147,6 +231,9 @@ func place(c []uint64) {
 func (s *KMV) mergeValues(c []uint64) {
 	m, a, b := len(s.vals), 0, 0
 	for _, v := range c {
+		if a+b == s.k {
+			break
+		}
 		for a < m && a+b < s.k && s.vals[m-1-a] < v {
 			a++
 		}
@@ -156,8 +243,8 @@ func (s *KMV) mergeValues(c []uint64) {
 		}
 	}
 	a = min(m, s.k-b)
-	s.vals = append(s.vals, c[:a+b-m]...) // a+b >= m: a sketch never shrinks
-	copy(s.vals[b:], s.vals[m-a:m])       // the survivors, to the tail
+	s.vals = s.grow(a + b)          // a+b >= m: a sketch never shrinks
+	copy(s.vals[b:], s.vals[m-a:m]) // the survivors, to the tail
 	// Largest first. The write index trails the read index by the number
 	// of candidates left, so when none is left the rest is in place.
 	for o, i, j := 0, b, b-1; j >= 0; o++ {
@@ -169,6 +256,19 @@ func (s *KMV) mergeValues(c []uint64) {
 			j--
 		}
 	}
+}
+
+// grow extends vals to n ≤ k values. Past its capacity it moves to a new
+// array of twice its length or n, whichever is more, and never more than k:
+// a merge that fills the sketch allocates it once at its final size, and a
+// sketch never holds a slot past k.
+func (s *KMV) grow(n int) []uint64 {
+	if n <= cap(s.vals) {
+		return s.vals[:n]
+	}
+	vals := make([]uint64, n, min(s.k, max(n, 2*len(s.vals))))
+	copy(vals, s.vals)
+	return vals
 }
 
 // CoalesceInvariant implements sketch.CoalesceInvariant: deltas are

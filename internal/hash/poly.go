@@ -67,11 +67,15 @@ func PolyFromCoeffs(coeffs []uint64) Poly {
 }
 
 // Eval returns h(x) ∈ [0, Prime) by Horner's rule in O(k) field
-// operations. The 4-wise case (AMS, CountSketch — every per-update hot
-// path in the repository) is unrolled.
+// operations. The pairwise case (KMV, whose trailing copies hash every
+// buffered update) and the 4-wise case (AMS, CountSketch — every
+// per-update hot path in the repository) are unrolled.
 func (p Poly) Eval(x uint64) uint64 {
 	x = Canon(x)
 	c := p.coeffs
+	if len(c) == 2 {
+		return Add(Mul(c[1], x), c[0])
+	}
 	if len(c) == 4 {
 		acc := Add(Mul(c[3], x), c[2])
 		acc = Add(Mul(acc, x), c[1])

@@ -133,30 +133,30 @@ var goldenPins = map[string]goldenPin{
 	"F0-fast":                   {"5040067f2e70393e", 91632, 1, 423},
 	"Fp-big":                    {"7570bb2cfe8171da", 323316, 1, 561},
 	"NewEntropy":                {"44110b87c0ed9816", 514248, 21, 30},
-	"NewF0":                     {"703b690abf8cbe24", 112800, 32, -1},
+	"NewF0":                     {"703b690abf8cbe24", 235680, 32, -1},
 	"NewFp/p=1":                 {"5e3795570f4d4554", 834096, 25, -1},
 	"NewFp/p=1.5":               {"871437e321335868", 834096, 25, -1},
-	"NewFp/p=2":                 {"aadf5bcc2e76d117", 3873040, 32, -1},
-	"NewHeavyHitters":           {"05aa2030e7a97c4e", 15846388, 86, -1},
+	"NewFp/p=2":                 {"aadf5bcc2e76d117", 3995920, 32, -1},
+	"NewHeavyHitters":           {"05aa2030e7a97c4e", 15969268, 86, -1},
 	"cascaded(1,2)":             {"79ea6c67e5911445", 81632, 52, -1},
-	"cascaded(2,2)":             {"f4a10a040efaf203", 15894896, 52, -1},
+	"cascaded(2,2)":             {"f4a10a040efaf203", 16017776, 52, -1},
 	"cc+paths":                  {"74ec798ec2111301", 21624, 1, 24},
 	"cc+switching":              {"b5abd9406b228642", 128536, 5, 24},
 	"countsketch+paths":         {"1809c267e82b0e01", 9688, 1, 24},
-	"countsketch+ring":          {"fa1a6118fb4ba630", 3064504, 50, -1},
+	"countsketch+ring":          {"fa1a6118fb4ba630", 3125944, 50, -1},
 	"countsketch+switching":     {"d8a34ff62e98283b", 30168, 1, 24},
 	"f1+paths/bounded_deletion": {"1ccaad91ce70f7ff", 40016, 1, 2224},
 	"f2+paths":                  {"9cd527fa90e56d86", 20872, 1, 24},
 	"f2+paths/bounded_deletion": {"fa76d44daf814f8f", 20872, 1, 137984},
 	"f2+paths/theorem-1.5":      {"706368d5b88eea8c", 20872, 1, 424},
 	"f2+paths/turnstile":        {"4aa3f4058ff2ce57", 20872, 1, 64},
-	"f2+ring":                   {"c13b9f86ff3f4625", 550088, 25, -1},
-	"f2+switching":              {"c13b9f86ff3f4625", 49544, 1, 24},
+	"f2+ring":                   {"c13b9f86ff3f4625", 611528, 25, -1},
+	"f2+switching":              {"c13b9f86ff3f4625", 110984, 1, 24},
 	"kmv+paths":                 {"ac6bac138760c0c7", 5176, 1, 24},
-	"kmv+ring":                  {"ac6bac138760c0c7", 35000, 25, -1},
-	"kmv+switching":             {"ac6bac138760c0c7", 34040, 5, 24},
-	"long/f2+ring":              {"8aa832588dd47949", 2941244, 43, -1},
-	"long/kmv+switching":        {"065269990a0fd867", 1609448, 43, 96},
+	"kmv+ring":                  {"ac6bac138760c0c7", 63672, 25, -1},
+	"kmv+switching":             {"ac6bac138760c0c7", 62712, 5, 24},
+	"long/f2+ring":              {"8aa832588dd47949", 3383612, 43, -1},
+	"long/kmv+switching":        {"065269990a0fd867", 2051816, 43, 96},
 }
 
 // TestGoldenEstimates pins every constructor and every registry cell:

@@ -309,9 +309,9 @@ func (pol Policy) StateBytes(eps, delta float64, n uint64, prob Problem) float64
 }
 
 // switcherLagBytes is a Switcher's full lag buffer beside its copies:
-// core.PendingCap slots at 16 bytes, and the coalesced one with its index at
-// 32 (Lagged.SpaceBytes).
-const switcherLagBytes = 48 * core.PendingCap
+// core.PendingCap slots at 16 bytes, the coalesced one at 16, and the
+// coalescer's index of 2 × core.PendingCap slots at 16 (Lagged.SpaceBytes).
+const switcherLagBytes = 64 * core.PendingCap
 
 // publish applies the problem's output transform.
 func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {

@@ -27,7 +27,7 @@
 // (bench --trace 1):
 //
 //	interface             implementers                                                           non-test caller                                     ladder rung
-//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV places its candidates and merges them in one pass)
+//	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV orders only the candidates it can keep and merges them in one pass)
 //	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.Lagged: every catch-up coalesced               robust.self_update_ns
 //	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                       none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
 //	PointQuerier          CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.point_ns, engine.point_us
