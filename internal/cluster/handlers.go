@@ -98,17 +98,17 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack := wire.ShipAck{Key: sh.Key, Seq: sh.Seq}
-	// The staleness check, the apply, and the applied-map record must be
-	// one atomic step per key: two concurrent shipments for the same key
+	// The staleness check, the apply, and raising the key's sequence must
+	// be one atomic step per key: two concurrent shipments for the same key
 	// could otherwise both pass the check and apply in either order,
 	// leaving the older state in place under the newer recorded sequence —
 	// exactly the rollback the sequence check exists to prevent.
-	lk := n.keyLock(sh.Key)
-	lk.Lock()
+	k := n.seqOf(sh.Key)
+	k.mu.Lock()
 	switch {
 	case n.selfDraining.Load():
 		ack.Err = "draining"
-	case sh.Seq <= n.localSeq(sh.Key):
+	case sh.Seq <= k.seq:
 		// Stale: we already hold this shipment or a newer one. Applying it
 		// would roll us back (late ship from a deposed owner, duplicated
 		// delivery, or a handoff push we do not need).
@@ -117,14 +117,10 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 			ack.Err = err.Error()
 		} else {
 			ack.Applied = true
-			n.mu.Lock()
-			if sh.Seq > n.applied[sh.Key] {
-				n.applied[sh.Key] = sh.Seq
-			}
-			n.mu.Unlock()
+			k.seq = sh.Seq
 		}
 	}
-	lk.Unlock()
+	k.mu.Unlock()
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(wire.AppendShipAck(nil, &ack))

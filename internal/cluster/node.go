@@ -74,10 +74,8 @@ type Node struct {
 	selfSeq      atomic.Uint64
 	selfDraining atomic.Bool
 
-	mu      sync.Mutex
-	shipSeq map[string]uint64      // per key: last Seq this node shipped as owner
-	applied map[string]uint64      // per key: last Seq applied from a peer's ship
-	keyMu   map[string]*sync.Mutex // per key: serializes ship check-then-apply
+	mu   sync.Mutex
+	seqs map[string]*keySeq // per key: its replication sequence; mu guards the map
 
 	peers map[string]*peerState // remote members only; immutable after New
 
@@ -134,9 +132,7 @@ func New(srv *server.Server, cfg Config) (*Node, error) {
 		srv:     srv,
 		hc:      hc,
 		members: members,
-		shipSeq: make(map[string]uint64),
-		applied: make(map[string]uint64),
-		keyMu:   make(map[string]*sync.Mutex),
+		seqs:    make(map[string]*keySeq),
 		peers:   make(map[string]*peerState, len(members)-1),
 		shipNow: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -399,47 +395,46 @@ func (n *Node) shipLoop() {
 	}
 }
 
-// keyLock returns the mutex serializing shipment application for key.
-// The replica-side check-then-apply (staleness test, ApplyShipment,
-// applied-map record) must be atomic per key: concurrent ship rounds —
-// the shipper's ticker plus a view-change round — can deliver two
-// shipments for the same key, and without the lock the older one can
-// apply last while the newer sequence is what gets recorded.
-func (n *Node) keyLock(key string) *sync.Mutex {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	m := n.keyMu[key]
-	if m == nil {
-		m = &sync.Mutex{}
-		n.keyMu[key] = m
-	}
-	return m
+// keySeq is one key's replication sequence: the highest shipment sequence
+// this node knows for the key, whether it shipped it as owner or applied
+// it as replica. mu guards seq and makes a replica's check-then-apply
+// (staleness test, ApplyShipment, raising seq) one step: concurrent ship
+// rounds — the shipper's ticker plus a view-change round — can deliver
+// two shipments for the same key, and without it the older one can apply
+// last while the newer sequence is what gets recorded.
+type keySeq struct {
+	mu  sync.Mutex
+	seq uint64
 }
 
-// localSeq is the highest shipment sequence this node knows for key —
-// what it last shipped as owner or last applied as replica. Caller holds
-// no locks.
-func (n *Node) localSeq(key string) uint64 {
+// seqOf returns key's replication sequence, creating it at 0.
+func (n *Node) seqOf(key string) *keySeq {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := n.shipSeq[key]
-	if a := n.applied[key]; a > s {
-		s = a
+	k := n.seqs[key]
+	if k == nil {
+		k = &keySeq{}
+		n.seqs[key] = k
 	}
-	return s
+	return k
+}
+
+// localSeq is the highest shipment sequence this node knows for key.
+// Caller holds no locks.
+func (n *Node) localSeq(key string) uint64 {
+	k := n.seqOf(key)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.seq
 }
 
 // nextShipSeq allocates the next shipment sequence for key as its owner.
 func (n *Node) nextShipSeq(key string) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s := n.shipSeq[key]
-	if a := n.applied[key]; a > s {
-		s = a
-	}
-	s++
-	n.shipSeq[key] = s
-	return s
+	k := n.seqOf(key)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.seq++
+	return k.seq
 }
 
 // shipRound replicates every local tenant once. Keys this node owns ship

@@ -44,12 +44,20 @@ func FlipBoundFp(p, eps float64, n uint64, maxCount float64) int {
 	if p > 0 {
 		t = float64(n) * math.Pow(maxCount, p)
 	}
+	// Proposition 3.4 with T = n·M^p; only the upward range matters for a
+	// monotone statistic, hence log rather than 2·log.
+	return climb(t, eps)
+}
+
+// climb counts the (1+step)-fold rises that take a statistic from 1 up to
+// t (floored at 2), plus the two boundary flips: ⌈ln t / ln(1+step)⌉ + 2,
+// the upward half of Proposition 3.4 that every insertion-only bound
+// below applies at its own growth factor.
+func climb(t, step float64) int {
 	if t < 2 {
 		t = 2
 	}
-	// Proposition 3.4 with T = n·M^p; only the upward range matters for a
-	// monotone statistic, hence log rather than 2·log.
-	return int(math.Ceil(math.Log(t)/math.Log1p(eps))) + 2
+	return int(math.Ceil(math.Log(t)/math.Log1p(step))) + 2
 }
 
 // FlipBoundLp bounds the flip number of the norm ‖·‖_p = F_p^{1/p} on
@@ -59,11 +67,7 @@ func FlipBoundLp(p, eps float64, n uint64, maxCount float64) int {
 	if p <= 0 {
 		return FlipBoundFp(0, eps, n, maxCount)
 	}
-	t := math.Pow(float64(n)*math.Pow(maxCount, p), 1/p)
-	if t < 2 {
-		t = 2
-	}
-	return int(math.Ceil(math.Log(t)/math.Log1p(eps))) + 2
+	return climb(math.Pow(float64(n)*math.Pow(maxCount, p), 1/p), eps)
 }
 
 // FlipBoundEntropyExp bounds the flip number of g = 2^{H(·)} on
@@ -71,9 +75,9 @@ func FlipBoundLp(p, eps float64, n uint64, maxCount float64) int {
 // ‖f‖₁ must grow by (1 + Θ̃(ε²/log²n)), which can happen at most
 // O(ε⁻²·log³ n) times.
 func FlipBoundEntropyExp(eps float64, n uint64, maxCount float64) int {
-	logn := math.Log2(float64(n)*maxCount + 4)
-	tau := eps * eps / (logn * logn)
-	return int(math.Ceil(math.Log(float64(n)*maxCount+4)/math.Log1p(tau))) + 2
+	t := float64(n)*maxCount + 4
+	logn := math.Log2(t)
+	return climb(t, eps*eps/(logn*logn))
 }
 
 // FlipBoundTurnstile bounds the flip number of the class S_λ of turnstile
@@ -95,10 +99,5 @@ func FlipBoundBoundedDeletion(p, alpha, eps float64, n uint64, maxCount float64)
 	if p < 1 || alpha < 1 {
 		panic("core: FlipBoundBoundedDeletion needs p >= 1 and alpha >= 1")
 	}
-	t := float64(n) * math.Pow(maxCount, p)
-	if t < 2 {
-		t = 2
-	}
-	growth := math.Pow(eps, p) / alpha
-	return int(math.Ceil(math.Log(t)/math.Log1p(growth))) + 2
+	return climb(float64(n)*math.Pow(maxCount, p), math.Pow(eps, p)/alpha)
 }

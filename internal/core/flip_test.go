@@ -294,3 +294,59 @@ func TestFlipBoundMonotoneFormula(t *testing.T) {
 		t.Errorf("bound %d below the %d powers it must cover", bound, k)
 	}
 }
+
+// TestFlipBoundsShareOneClimb holds the four insertion-only bounds, which
+// now count their climb through one function, bit-equal to the formulas
+// each carried inline before, over a grid of (p, ε, n, maxCount, α) that
+// reaches the floor at t = 2 (n = 0 and 1, maxCount 0 and 1).
+func TestFlipBoundsShareOneClimb(t *testing.T) {
+	floored := func(x float64) float64 { return max(x, 2) }
+	fpRef := func(p, eps float64, n uint64, m float64) int {
+		x := float64(n)
+		if p > 0 {
+			x = float64(n) * math.Pow(m, p)
+		}
+		return int(math.Ceil(math.Log(floored(x))/math.Log1p(eps))) + 2
+	}
+	lpRef := func(p, eps float64, n uint64, m float64) int {
+		if p <= 0 {
+			return fpRef(0, eps, n, m)
+		}
+		x := math.Pow(float64(n)*math.Pow(m, p), 1/p)
+		return int(math.Ceil(math.Log(floored(x))/math.Log1p(eps))) + 2
+	}
+	entropy := func(eps float64, n uint64, m float64) int {
+		logn := math.Log2(float64(n)*m + 4)
+		tau := eps * eps / (logn * logn)
+		return int(math.Ceil(math.Log(float64(n)*m+4)/math.Log1p(tau))) + 2
+	}
+	deletion := func(p, alpha, eps float64, n uint64, m float64) int {
+		x := float64(n) * math.Pow(m, p)
+		return int(math.Ceil(math.Log(floored(x))/math.Log1p(math.Pow(eps, p)/alpha))) + 2
+	}
+	for _, p := range []float64{0, 0.5, 1, 1.5, 2, 3} {
+		for _, eps := range []float64{0.001, 0.015, 0.05, 0.1, 0.3, 0.5, 0.9} {
+			for _, n := range []uint64{0, 1, 2, 3, 1000, 1 << 20, 1 << 40} {
+				for _, m := range []float64{0, 1, 2, 8, 1 << 20} {
+					if got, want := FlipBoundFp(p, eps, n, m), fpRef(p, eps, n, m); got != want {
+						t.Errorf("FlipBoundFp(%v, %v, %d, %v) = %d, want %d", p, eps, n, m, got, want)
+					}
+					if got, want := FlipBoundLp(p, eps, n, m), lpRef(p, eps, n, m); got != want {
+						t.Errorf("FlipBoundLp(%v, %v, %d, %v) = %d, want %d", p, eps, n, m, got, want)
+					}
+					if got, want := FlipBoundEntropyExp(eps, n, m), entropy(eps, n, m); got != want {
+						t.Errorf("FlipBoundEntropyExp(%v, %d, %v) = %d, want %d", eps, n, m, got, want)
+					}
+					if p < 1 {
+						continue
+					}
+					for _, alpha := range []float64{1, 2, 16, 1000} {
+						if got, want := FlipBoundBoundedDeletion(p, alpha, eps, n, m), deletion(p, alpha, eps, n, m); got != want {
+							t.Errorf("FlipBoundBoundedDeletion(%v, %v, %v, %d, %v) = %d, want %d", p, alpha, eps, n, m, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

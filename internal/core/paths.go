@@ -9,7 +9,9 @@ import (
 // Paths implements the computation-paths transformation (Definition 3.7 /
 // Lemma 3.8): a single static estimator instance, instantiated at a
 // failure probability δ₀ small enough to union-bound over every output
-// sequence the ε-rounded algorithm can emit, wrapped in a Rounder. Against
+// sequence the ε-rounded algorithm can emit, publishing through the same
+// ε/2-rounding step as the Switcher, so a flip costs λ the same in both
+// wrappers and an output that never leaves 0 spends none of it. Against
 // the rounded output the adversary's adaptive choices collapse to one of
 // at most C(m, λ)·S^λ fixed streams (λ = flip number, S = number of
 // rounded values), all of which the inner instance handles simultaneously
@@ -20,7 +22,7 @@ import (
 // probability, so sizings in this repository accept it in log form.
 type Paths struct {
 	inner  sketch.Estimator
-	r      *Rounder
+	r      rounding
 	budget int
 }
 
@@ -33,28 +35,25 @@ func NewPaths(eps float64, lambda int, inner sketch.Estimator) *Paths {
 	if lambda < 1 {
 		panic("core: NewPaths needs lambda >= 1")
 	}
-	return &Paths{inner: inner, r: NewRounder(eps / 2), budget: lambda}
+	return &Paths{inner: inner, r: rounding{eps: eps / 2}, budget: lambda}
 }
 
 // Update implements sketch.Estimator.
 func (p *Paths) Update(item uint64, delta int64) {
 	p.inner.Update(item, delta)
-	p.r.Next(p.inner.Estimate())
+	p.r.step(p.inner.Estimate(), RoundEps)
 }
 
 // Estimate returns the rounded output.
-func (p *Paths) Estimate() float64 { return p.r.Current() }
-
-// Changes returns how many distinct values the output has taken.
-func (p *Paths) Changes() int { return p.r.Changes() }
+func (p *Paths) Estimate() float64 { return p.r.out }
 
 // Robustness implements sketch.RobustnessReporter.
 func (p *Paths) Robustness() sketch.Robustness {
 	return sketch.Robustness{
 		Copies:    1,
-		Switches:  p.Changes(),
+		Switches:  p.r.flips,
 		Budget:    p.budget,
-		Exhausted: p.Changes() > p.budget,
+		Exhausted: p.r.flips > p.budget,
 	}
 }
 

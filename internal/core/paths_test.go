@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/f0"
+	"repro/internal/fp"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -40,8 +43,8 @@ func TestPathsChangeBudget(t *testing.T) {
 		}
 		p.Update(u.Item, u.Delta)
 	}
-	if r := p.Robustness(); r.Exhausted || r.Budget != budget || r.Switches != p.Changes() {
-		t.Errorf("rounded output changed %d times; robustness %+v, want unexhausted budget %d", p.Changes(), r, budget)
+	if r := p.Robustness(); r.Exhausted || r.Budget != budget || r.Switches != p.r.flips {
+		t.Errorf("rounded output changed %d times; robustness %+v, want unexhausted budget %d", p.r.flips, r, budget)
 	}
 
 	tiny := NewPaths(eps, 2, f0.NewExact())
@@ -103,5 +106,34 @@ func TestPathsSpaceDominatedByInner(t *testing.T) {
 	}
 	if p.SpaceBytes() > inner.SpaceBytes()+64 {
 		t.Error("wrapper overhead should be O(1)")
+	}
+}
+
+// TestPathsAndSwitcherAgreeFromZero: both wrappers publish through one
+// rounding step, so over the same inner estimates they publish the same
+// sequence and count the same flips — including a first update that
+// leaves the estimate at 0, which moves no output and spends no budget.
+// Every Switcher instance is the same seeded F2 sketch, so its estimates
+// are the Paths inner's whichever instance is active.
+func TestPathsAndSwitcherAgreeFromZero(t *testing.T) {
+	f2 := func(int64) sketch.Estimator {
+		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(7)))
+	}
+	sw := NewSwitcher(0.3, 64, false, 1, f2)
+	p := NewPaths(0.3, 64, f2(0))
+	ups := []sketch.Update{{Item: 3, Delta: 0}, {Item: 3, Delta: 1}}
+	for i := uint64(0); i < 200; i++ {
+		ups = append(ups, sketch.Update{Item: i % 37, Delta: 1})
+	}
+	for i, u := range ups {
+		sw.Update(u.Item, u.Delta)
+		p.Update(u.Item, u.Delta)
+		if sw.Estimate() != p.Estimate() || sw.Switches() != p.Robustness().Switches {
+			t.Fatalf("update %d: switcher publishes %v after %d switches, paths %v after %d",
+				i, sw.Estimate(), sw.Switches(), p.Estimate(), p.Robustness().Switches)
+		}
+		if i == 1 && sw.Switches() != 1 {
+			t.Fatalf("after a zero update and a +1: %d switches, want 1", sw.Switches())
+		}
 	}
 }

@@ -37,49 +37,32 @@ func NumRoundedValues(eps, t float64) int {
 	return 2*perSign + 1
 }
 
-// Rounder produces the ε-rounding of a sequence (Definition 3.1): the
-// first value is rounded outright; afterwards the held output is kept as
-// long as it remains a (1±ε) approximation of the incoming value, and
-// re-rounded otherwise. Lemma 3.3 guarantees that if the incoming values
-// (ε/10)-track a function g, the output changes at most λ_{ε/10,m}(g)
-// times. The zero value is not usable; construct with NewRounder.
-type Rounder struct {
-	eps     float64
-	cur     float64
-	started bool
-	changes int
+// rounding is the ε-rounding of a sequence (Definition 3.1), the one step
+// through which Algorithm 1 and Lemma 3.8 publish: out is held as long as
+// it stays a (1±eps) approximation of the tracked value and re-rounded
+// otherwise. Each re-rounding is a flip, the unit the flip budget λ counts:
+// if the tracked values (ε/10)-track g, out flips at most λ_{ε/10,m}(g)
+// times (Lemma 3.3). The zero value holds out = 0, so a sequence that
+// starts at 0 does not flip.
+type rounding struct {
+	eps, out float64
+	flips    int
 }
 
-// NewRounder returns a Rounder with granularity eps.
-func NewRounder(eps float64) *Rounder {
-	if eps <= 0 {
-		panic("core: NewRounder needs eps > 0")
+// step feeds the tracked value y and reports whether out flipped. A flip
+// re-rounds out with round, which is always RoundEps, and always changes
+// out: RoundEps(y) lies inside the band that out just left. round is a
+// parameter because the inliner prices a call through one at 17 rather
+// than 57, which keeps step within its budget of 80; so step inlines into
+// both wrappers' Update, and a value inside the band costs no call.
+func (r *rounding) step(y float64, round func(x, eps float64) float64) bool {
+	if withinRel(r.out, y, r.eps) {
+		return false
 	}
-	return &Rounder{eps: eps}
+	r.out = round(y, r.eps)
+	r.flips++
+	return true
 }
-
-// Next feeds the next raw value and returns the held rounded output.
-func (r *Rounder) Next(y float64) float64 {
-	if !r.started {
-		r.started = true
-		r.cur = RoundEps(y, r.eps)
-		r.changes++
-		return r.cur
-	}
-	if withinRel(r.cur, y, r.eps) {
-		return r.cur
-	}
-	r.cur = RoundEps(y, r.eps)
-	r.changes++
-	return r.cur
-}
-
-// Current returns the held output without feeding a value.
-func (r *Rounder) Current() float64 { return r.cur }
-
-// Changes returns how many times the output has changed (including the
-// initial rounding).
-func (r *Rounder) Changes() int { return r.changes }
 
 // withinRel reports whether out lies in the interval [(1−eps)·y, (1+eps)·y]
 // (the interval orientation flips for negative y; for y == 0 only out == 0

@@ -53,37 +53,43 @@ func TestRoundEpsApproximationGuarantee(t *testing.T) {
 	}
 }
 
+// next feeds y to the rounding step and returns the held output.
+func (r *rounding) next(y float64) float64 {
+	r.step(y, RoundEps)
+	return r.out
+}
+
 func TestRounderHoldsStableValues(t *testing.T) {
-	r := NewRounder(0.2)
-	first := r.Next(100)
+	r := rounding{eps: 0.2}
+	first := r.next(100)
 	// Values within ±20% of the held output must not change it.
 	for _, y := range []float64{100, 95, 105, 90, 110} {
-		if got := r.Next(y); got != first {
-			t.Errorf("Next(%v) changed output to %v, want held %v", y, got, first)
+		if got := r.next(y); got != first {
+			t.Errorf("step(%v) changed output to %v, want held %v", y, got, first)
 		}
 	}
-	if r.Changes() != 1 {
-		t.Errorf("Changes = %d, want 1", r.Changes())
+	if r.flips != 1 {
+		t.Errorf("flips = %d, want 1", r.flips)
 	}
 	// A big jump must re-round.
-	if got := r.Next(200); got == first {
-		t.Error("Next(200) kept the stale output")
+	if got := r.next(200); got == first {
+		t.Error("step(200) kept the stale output")
 	}
-	if r.Changes() != 2 {
-		t.Errorf("Changes = %d, want 2", r.Changes())
+	if r.flips != 2 {
+		t.Errorf("flips = %d, want 2", r.flips)
 	}
 }
 
 func TestRounderTracksZeroCrossing(t *testing.T) {
-	r := NewRounder(0.3)
-	if got := r.Next(0); got != 0 {
-		t.Errorf("Next(0) = %v, want 0", got)
+	r := rounding{eps: 0.3}
+	if got := r.next(0); got != 0 {
+		t.Errorf("step(0) = %v, want 0", got)
 	}
-	if got := r.Next(5); got == 0 {
-		t.Error("Next(5) should move off zero")
+	if got := r.next(5); got == 0 {
+		t.Error("step(5) should move off zero")
 	}
-	if got := r.Next(0); got != 0 {
-		t.Errorf("Next(0) after positive = %v, want 0", got)
+	if got := r.next(0); got != 0 {
+		t.Errorf("step(0) after positive = %v, want 0", got)
 	}
 }
 
@@ -92,7 +98,7 @@ func TestRounderLemma33ChangeBudget(t *testing.T) {
 	// of output changes must stay within the flip bound of the clean
 	// trajectory (Lemma 3.3).
 	eps := 0.3
-	r := NewRounder(eps / 2)
+	r := rounding{eps: eps / 2}
 	noise := []float64{1, 1.02, 0.99, 1.01, 0.98}
 	var clean []float64
 	v := 1.0
@@ -101,11 +107,11 @@ func TestRounderLemma33ChangeBudget(t *testing.T) {
 		v *= 1.02
 	}
 	for i, c := range clean {
-		r.Next(c * noise[i%len(noise)])
+		r.next(c * noise[i%len(noise)])
 	}
 	bound := FlipBoundMonotone(eps/20, clean[len(clean)-1])
-	if r.Changes() > bound {
-		t.Errorf("rounder changed %d times, Lemma 3.3 budget is %d", r.Changes(), bound)
+	if r.flips > bound {
+		t.Errorf("rounding flipped %d times, Lemma 3.3 budget is %d", r.flips, bound)
 	}
 }
 

@@ -42,13 +42,11 @@ const PendingCap = 16384
 // output again — it is dropped at switch time, so a dense Switcher's
 // footprint shrinks as its flip budget is consumed.
 type Switcher struct {
-	eps       float64
+	r         rounding // the published output; a flip spends the active instance
 	factory   sketch.Factory
 	lag       Lagged // the instances; dense mode drops the slots below active
 	active    int
-	out       float64
 	ring      bool
-	switches  int
 	exhausted bool
 	nextSeed  int64
 }
@@ -72,7 +70,7 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 	if copies < 1 {
 		panic("core: NewSwitcher needs copies >= 1")
 	}
-	s := &Switcher{eps: eps, factory: factory, ring: ring, nextSeed: seed}
+	s := &Switcher{r: rounding{eps: eps / 2}, factory: factory, ring: ring, nextSeed: seed}
 	instances := make([]sketch.Estimator, copies)
 	for i := range instances {
 		instances[i] = factory(s.nextSeed)
@@ -86,9 +84,7 @@ func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.
 // trailing instances, applied to the active instance immediately, and the
 // published output is refreshed from the active instance if it drifted.
 func (s *Switcher) Update(item uint64, delta int64) {
-	if y := s.lag.Step(s.active, item, delta).Estimate(); !withinRel(s.out, y, s.eps/2) {
-		s.out = RoundEps(y, s.eps/2)
-		s.switches++
+	if s.r.step(s.lag.Step(s.active, item, delta).Estimate(), RoundEps) {
 		s.advance()
 	}
 	if s.lag.Full() {
@@ -129,10 +125,10 @@ func (s *Switcher) advance() {
 }
 
 // Estimate returns the current published (rounded) output.
-func (s *Switcher) Estimate() float64 { return s.out }
+func (s *Switcher) Estimate() float64 { return s.r.out }
 
 // Switches returns how many times the published output changed.
-func (s *Switcher) Switches() int { return s.switches }
+func (s *Switcher) Switches() int { return s.r.flips }
 
 // Exhausted reports whether a dense-mode Switcher ran out of instances
 // (never true in ring mode).
@@ -154,7 +150,7 @@ func (s *Switcher) Copies() int {
 func (s *Switcher) Robustness() sketch.Robustness {
 	r := sketch.Robustness{
 		Copies:    s.Copies(),
-		Switches:  s.switches,
+		Switches:  s.r.flips,
 		Budget:    s.lag.Len(),
 		Exhausted: s.exhausted,
 	}

@@ -360,7 +360,7 @@ func TestSwitcherBatchMatchesReference(t *testing.T) {
 		flips func() (fed, twin int)
 	}{
 		{"switcher", sw, ref, func() (int, int) { return sw.Switches(), ref.switches }},
-		{"paths", paths, pathsTwin, func() (int, int) { return paths.Changes(), pathsTwin.Changes() }},
+		{"paths", paths, pathsTwin, func() (int, int) { return paths.r.flips, pathsTwin.r.flips }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ups := streamF2Updates(6000, 13)

@@ -85,8 +85,8 @@ type Config struct {
 
 type op struct {
 	batch *buf
-	visit func(est sketch.Estimator) // if non-nil: run against the estimator
-	sync  *sync.WaitGroup            // if non-nil: refresh published state, then Done
+	visit func(est sketch.Estimator) // if non-nil: run against the estimator, refresh published state, then sync.Done
+	sync  *sync.WaitGroup
 }
 
 // buf is a pooled shard buffer: updates and the end of every part they
@@ -125,7 +125,7 @@ type shard struct {
 // estimator at the same instant.
 type record struct {
 	ShardEstimate
-	space  int
+	space  int               // the estimator's and the coalescing index's
 	robust bool              // the estimator is a sketch.RobustnessReporter
 	rob    sketch.Robustness // its flip-budget state, when robust
 }
@@ -186,6 +186,10 @@ func New(cfg Config) *Engine {
 			done: make(chan struct{}),
 			est:  cfg.Factory(int64(dist.SplitMix64(uint64(cfg.Seed) + uint64(i)))),
 		}
+		// A part is at most cfg.Batch long, so the index never grows past
+		// this: every shard holds, and publishes, the same index whatever
+		// parts it has met, restored from a checkpoint or fed since New.
+		s.co.Reserve(cfg.Batch)
 		s.publish() // estimator space and zero estimate visible before the first refresh
 		e.shards = append(e.shards, s)
 		go e.run(s)
@@ -194,7 +198,7 @@ func New(cfg Config) *Engine {
 }
 
 // run is the shard worker loop: apply buffers part by part, refresh
-// periodically and on sync requests, refresh once more when ops closes.
+// periodically and after every visit, refresh once more when ops closes.
 func (e *Engine) run(s *shard) {
 	defer close(s.done)
 	sinceRefresh := 0
@@ -216,8 +220,6 @@ func (e *Engine) run(s *shard) {
 		}
 		if o.visit != nil {
 			o.visit(s.est)
-		}
-		if o.sync != nil {
 			s.publish()
 			sinceRefresh = 0
 			o.sync.Done()
@@ -246,7 +248,7 @@ type MassReporter interface {
 // whole. Worker goroutine only (or Visit's post-Close inline path, under
 // mu).
 func (s *shard) publish() {
-	r := record{ShardEstimate: ShardEstimate{Estimate: s.est.Estimate(), Mass: s.mass}, space: s.est.SpaceBytes()}
+	r := record{ShardEstimate: ShardEstimate{Estimate: s.est.Estimate(), Mass: s.mass}, space: s.est.SpaceBytes() + s.co.SpaceBytes()}
 	if mr, ok := s.est.(MassReporter); ok {
 		r.Mass = mr.Mass()
 	}
@@ -336,27 +338,15 @@ func (s *shard) handoff(o op) {
 	s.sendMu.Unlock()
 }
 
-// Flush pushes every pending buffer to the workers and blocks until all of
-// them have been applied and every shard's published record is fresh.
-// After Flush returns, the records reflect every Apply and Update that
-// happened-before the Flush call. For a shard that is closing or closed,
-// Flush waits for its worker to exit — the worker publishes the final
-// record on the way out — so reads racing a Close (a server draining
-// under live queries) see the fully-drained state, never a stale
-// mid-close record.
+// Flush is a Visit that runs nothing: it pushes every pending buffer to
+// the workers and blocks until all of them have been applied and every
+// shard's published record is fresh. After Flush returns, the records
+// reflect every Apply and Update that happened-before the Flush call. For
+// a shard that is closing or closed, it waits for the worker to exit, so
+// reads racing a Close (a server draining under live queries) see the
+// fully-drained state, never a stale mid-close record.
 func (e *Engine) Flush() {
-	var wg sync.WaitGroup
-	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			<-s.done // final publish happens before the worker exits
-			continue
-		}
-		wg.Add(1)
-		s.handoff(op{sync: &wg})
-	}
-	wg.Wait()
+	_ = e.Visit(func(int, sketch.Estimator) error { return nil })
 }
 
 // Visit runs fn against every shard's estimator, serialized with that
@@ -413,7 +403,8 @@ type Reading struct {
 	// SpaceBytes is the shard estimators' space plus the engine's buffers
 	// actually outstanding: batch buffers checked out of the pool (at most
 	// queueDepth+3 per shard under full backpressure, none once drained)
-	// and the coalescing scratch maps.
+	// and each shard's coalescing index, sized at New for a part of
+	// Config.Batch updates.
 	SpaceBytes int
 
 	// Robustness sums the shards' copies, switches and flip budgets; one
@@ -452,7 +443,6 @@ func (e *Engine) Read() Reading {
 		r.Robustness.Budget = -1
 	}
 	r.SpaceBytes += int(e.liveBufs.Load()) * e.batch * 16 // Update structs
-	r.SpaceBytes += len(e.shards) * e.batch * 24          // coalescing map entries: item, index, bucket overhead
 	r.Estimate = e.combine(r.Shards)
 	return r
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fp"
@@ -28,7 +29,7 @@ const (
 
 	// goldenCSV1Hex is a hand-built format-V1 encoding (no retention
 	// tallies after the candidate ids): 3 rows × 4 counters, pool cap 16,
-	// candidates {2, 5, 9}. V1 must keep decoding.
+	// candidates {2, 5, 9}. It once decoded; V1 is now refused.
 	goldenCSV1Hex = "010300000000000000040000000000000010000000000000000400000000000000338282cbe2f96915703144c0aa4ced0156dbd967dc289706846af3bed8a63a0f04000000000000000000000000000000f9ffffffffffffff0300000000000000020000000000000004000000000000008bfbe72b6064281c9604a531f967891390f5319ee029921800d94021fa5052020400000000000000fdfffffffffffffffeffffffffffffff0000000000000000f9ffffffffffffff0400000000000000e2807d9c1dce261fb300ca81d4fe110dc73e8eb6752e1f0ca1d716c61fc24f190400000000000000000000000000000003000000000000000700000000000000feffffffffffffff0300000000000000020000000000000005000000000000000900000000000000"
 )
 
@@ -127,43 +128,15 @@ func TestCountSketchGolden(t *testing.T) {
 	}
 }
 
-func TestCountSketchV1BlobStillDecodes(t *testing.T) {
+func TestCountSketchV1BlobIsRefused(t *testing.T) {
 	blob, err := hex.DecodeString(goldenCSV1Hex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cs CountSketch
-	if err := cs.UnmarshalBinary(blob); err != nil {
-		t.Fatalf("V1 blob does not decode: %v", err)
-	}
-	// Rows hold ±{7, 3, 2} in the buckets of items 2, 5 and 9 by
-	// construction, so the point queries are exact and F2 = 49 + 9 + 4.
-	for it, want := range map[uint64]float64{2: 7, 5: -3, 9: 2} {
-		if got := cs.Query(it); got != want {
-			t.Errorf("Query(%d) = %v, want %v", it, got, want)
-		}
-	}
-	if got := cs.Estimate(); got != 62 {
-		t.Errorf("Estimate = %v, want 62", got)
-	}
-	if got := cs.HeavyHitters(2.5); !slices.Equal(got, []uint64{2, 5}) {
-		t.Errorf("HeavyHitters(2.5) = %v, want [2 5]", got)
-	}
-	// V1 carries no tallies: candidates are re-admitted at zero.
-	if len(cs.cands) != 3 || cs.cands[2] != 0 || cs.cands[5] != 0 || cs.cands[9] != 0 {
-		t.Errorf("pool = %v, want {2:0 5:0 9:0}", cs.cands)
-	}
-	// It re-encodes as V2 and keeps working.
-	data, err := cs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] != csFormatV2 || len(data) != len(blob)+8+3*8 {
-		t.Errorf("re-encoded as version %d, %d bytes; want version %d, %d bytes", data[0], len(data), csFormatV2, len(blob)+8+3*8)
-	}
-	cs.Update(2, 1)
-	if got := cs.Query(2); got != 8 {
-		t.Errorf("Query(2) after one more update = %v, want 8", got)
+	err = cs.UnmarshalBinary(blob)
+	if err == nil || !strings.Contains(err.Error(), "unsupported CountSketch format version 1") {
+		t.Fatalf("V1 blob: err = %v, want an unsupported-version error", err)
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 	"repro/internal/fp"
 )
 
-const (
-	csFormatV1 = 1
-	csFormatV2 = 2 // adds per-candidate retention tallies after the id list
-)
+// csFormatV2 is the one CountSketch encoding: retention tallies follow the
+// candidate ids. Version 1, without tallies, predates the V2 snapshot
+// envelope that every stored or shipped state now travels in, so no
+// decoder input can be one, and it is refused as unsupported.
+const csFormatV2 = 2
 
 // MarshalBinary encodes the sketch state (hash functions, counters, and
 // the candidate pool with its retention tallies, so heavy hitters — and
@@ -44,7 +45,7 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	r := codec.NewReader(data)
 	version := r.U8()
-	if version != csFormatV1 && version != csFormatV2 && r.Err() == nil {
+	if version != csFormatV2 && r.Err() == nil {
 		return fmt.Errorf("heavyhitters: unsupported CountSketch format version %d", version)
 	}
 	dims := fp.F2Sizing{Rows: int(r.U64()), Width: int(r.U64())}
@@ -57,12 +58,9 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	cands := r.U64s()
-	var weights []int64
-	if version >= csFormatV2 {
-		weights = r.I64s()
-		if r.Err() == nil && len(weights) != len(cands) {
-			return fmt.Errorf("heavyhitters: %d candidate weights for %d candidates", len(weights), len(cands))
-		}
+	weights := r.I64s()
+	if r.Err() == nil && len(weights) != len(cands) {
+		return fmt.Errorf("heavyhitters: %d candidate weights for %d candidates", len(weights), len(cands))
 	}
 	if err := r.Done(); err != nil {
 		return err
@@ -70,13 +68,7 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	cs.kernel, cs.candCap = kernel, candCap
 	cs.cands = make(map[uint64]int64, len(cands))
 	for i, it := range cands {
-		// V1 snapshots carry no tallies; re-admit at zero and let future
-		// updates rebuild them.
-		var wt int64
-		if weights != nil {
-			wt = weights[i]
-		}
-		cs.cands[it] = wt
+		cs.cands[it] = weights[i]
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ type HeavyHitters struct {
 	next   int         // index of the least-recently-restarted live instance
 	frozen *heavyhitters.CountSketch
 	ranked []sketch.ItemWeight // frozen's whole pool in TopK order; nil until a TopK asks after a refresh
-	lastR  float64
+	flips  int                 // the norm tracker's switches at the last refresh
 	sizing heavyhitters.Sizing
 	rng    *rand.Rand
 }
@@ -88,12 +88,13 @@ func heavyHittersBytes(eps, delta float64, n uint64) float64 {
 }
 
 // Update feeds the norm tracker, buffers the update for the ring, and
-// refreshes the frozen snapshot whenever the published norm moves.
+// refreshes the frozen snapshot whenever the tracker flips: a flip is
+// exactly a change of the published norm.
 func (hh *HeavyHitters) Update(item uint64, delta int64) {
 	hh.norm.Update(item, delta)
 	hh.ring.Push(item, delta)
-	if r := hh.norm.Estimate(); r != hh.lastR {
-		hh.lastR = r
+	if n := hh.norm.Switches(); n != hh.flips {
+		hh.flips = n
 		hh.refresh()
 	}
 	if hh.ring.Full() {
@@ -144,7 +145,7 @@ func (hh *HeavyHitters) TopK(k int) []sketch.ItemWeight {
 }
 
 // L2 returns the robust norm estimate R_t.
-func (hh *HeavyHitters) L2() float64 { return hh.lastR }
+func (hh *HeavyHitters) L2() float64 { return hh.norm.Estimate() }
 
 // Estimate implements sketch.Estimator with the robust L2 norm.
 func (hh *HeavyHitters) Estimate() float64 { return hh.L2() }
@@ -156,7 +157,7 @@ func (hh *HeavyHitters) Set() []uint64 {
 	if hh.frozen == nil {
 		return nil
 	}
-	return hh.frozen.HeavyHitters(0.75 * hh.eps * hh.lastR) // sorted by id already
+	return hh.frozen.HeavyHitters(0.75 * hh.eps * hh.L2()) // sorted by id already
 }
 
 // Robustness implements sketch.RobustnessReporter: the ring policy with

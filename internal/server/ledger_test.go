@@ -271,3 +271,32 @@ func TestExhaustedTenantReadsNoRemaining(t *testing.T) {
 	}
 	t.Fatal("the tenant never exhausted its flip budget")
 }
+
+// TestPathsTenantSpendsNoFlipOnZero: a paths tenant publishes through the
+// same rounding step as a switching one, so a batch that leaves the
+// estimate at 0 moves no output and spends no flip budget; the +1 after it
+// spends exactly one.
+func TestPathsTenantSpendsNoFlipOnZero(t *testing.T) {
+	const budget = 16
+	srv := server.New(server.Config{Shards: 2, Seed: 3, MaxKeys: 2})
+	defer srv.Drain()
+	h := srv.Handler()
+	declare(t, h, "k", server.TenantSpec{Sketch: "f2", Policy: "paths", Shards: 1, FlipBudget: budget})
+	query, _ := json.Marshal(server.QueryRequest{Key: "k", Queries: []server.Query{{Kind: server.QueryEstimate}}})
+	for i, us := range [][]wire.Update{
+		{{Item: 1, Delta: 0}, {Item: 2, Delta: 0}, {Item: 3, Delta: 0}},
+		{{Item: 7, Delta: 1}},
+	} {
+		if w := call(h, http.MethodPost, "/v2/update?key=k", wire.AppendUpdates(nil, us), wire.ContentType, ""); w.Code != http.StatusOK {
+			t.Fatalf("batch %d: HTTP %d %s", i, w.Code, w.Body.Bytes())
+		}
+	}
+	w := call(h, http.MethodPost, "/v2/query", query, "application/json", "")
+	var resp server.QueryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Robustness == nil {
+		t.Fatalf("query: HTTP %d %s", w.Code, w.Body.Bytes())
+	}
+	if rb := *resp.Robustness; rb.Switches != 1 || rb.Remaining != budget-1 {
+		t.Errorf("robustness %+v after a zero batch and a +1, want switches 1, remaining %d", rb, budget-1)
+	}
+}

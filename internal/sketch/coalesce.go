@@ -59,10 +59,8 @@ func (c *Coalescer) Coalesce(dst, b []Update) []Update {
 	if len(b) == 0 {
 		return dst
 	}
-	lg := bits.Len(uint(2*len(b) - 1)) // the table's first 1<<lg slots: at least twice the batch
-	if 1<<lg > len(c.slots) {
-		c.slots = make([]coalesceSlot, 1<<lg)
-	}
+	c.Reserve(len(b))
+	lg := indexLg(len(b))    // the table's first 1<<lg slots
 	if c.gen++; c.gen == 0 { // wrapped: a stamp from 2³² calls ago would read as live
 		clear(c.slots)
 		c.gen = 1
@@ -86,6 +84,19 @@ func (c *Coalescer) Coalesce(dst, b []Update) []Update {
 	}
 	return dst
 }
+
+// Reserve grows the index to what a call of n updates uses. A caller that
+// knows its longest call reserves it up front, so what it holds is a
+// function of n, not of the calls it happened to meet.
+func (c *Coalescer) Reserve(n int) {
+	if n > 0 && 1<<indexLg(n) > len(c.slots) {
+		c.slots = make([]coalesceSlot, 1<<indexLg(n))
+	}
+}
+
+// indexLg is the log size of the index a call of n > 0 updates uses: the
+// first power of two at least 2n.
+func indexLg(n int) int { return bits.Len(uint(2*n - 1)) }
 
 // SpaceBytes is the index as allocated: 16 bytes a slot.
 func (c *Coalescer) SpaceBytes() int { return 16 * len(c.slots) }

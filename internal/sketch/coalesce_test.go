@@ -106,6 +106,15 @@ func TestCoalescerSpace(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { co.Coalesce(dst[:0], big[:150]) }); allocs != 0 {
 		t.Fatalf("a small call after a large one allocates %v times", allocs)
 	}
+
+	var reserved Coalescer
+	reserved.Reserve(256)
+	if want := 16 * 512; reserved.SpaceBytes() != want {
+		t.Fatalf("reserved for 256 updates the index declares %d bytes, want %d", reserved.SpaceBytes(), want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { reserved.Coalesce(dst[:0], big[:256]) }); allocs != 0 {
+		t.Fatalf("a call within the reservation allocates %v times", allocs)
+	}
 }
 
 // FuzzCoalesce decodes the input as (item, delta) pairs over a small item
