@@ -103,7 +103,10 @@
 //     estimate | point | topk batches answered with ε-derived error
 //     bounds and flip-budget state — the Section 6 point-query and heavy
 //     hitters machinery over HTTP, frozen-ring-backed for
-//     countsketch+ring), batched ingest under both codecs (binary
+//     countsketch+ring; every batch is checked and answered as one
+//     wire.QueryRequest and wire.QueryResponse, and a JSON batch is
+//     transcoded at the edge by server.QueryRequest.Frame and
+//     server.ResponseFromFrame, which the client shares), batched ingest under both codecs (binary
 //     frames on POST /v2/update, JSON with string-or-number uint64 item
 //     ids on /v1/update and /v2/update alike — one shared apply core,
 //     so codec choice never changes semantics), blocking and lock-free
@@ -136,9 +139,9 @@
 //     exchanges route frames (probe + membership gossip in one) and
 //     fails ownership over by re-reading the ranking without the dead
 //     node, any member 307-redirects tenant traffic to the owner, and
-//     global queries answer from the owner or — for independently
-//     ingesting fleets — from the additive cross-node merge
-//     (POST /cluster/query?merge=all). Replicas are bounded-stale by the
+//     global queries answer from the owner (POST /cluster/query is the
+//     owner's POST /v2/query) or — for independently ingesting fleets —
+//     from the additive cross-node merge (POST /cluster/query?merge=all). Replicas are bounded-stale by the
 //     ship interval; TestClusterFailoverE2E SIGKILLs a keyspace owner
 //     under feeder load across three real processes and asserts the ε
 //     envelopes hold through failover. The robust policies

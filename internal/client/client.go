@@ -192,25 +192,18 @@ func (c *Client) CreateTenant(ctx context.Context, key string, spec TenantSpec) 
 // key and returns the full response: one typed answer per query in
 // request order, each carrying the tenant's ε-derived error bound, plus
 // the tenant's flip-budget state. Every answer in a batch reflects the
-// same flushed stream prefix. Under the default binary codec the batch
-// is a query frame and the answer is negotiated back as a frame via
-// Accept; under CodecJSON both directions are JSON. The decoded response
-// is identical either way — including errors: a batch the frame codec
-// cannot express (an unknown kind string) is sent as JSON instead, so
-// the server stays the single validation authority and the caller sees
-// its 400, not a client-side guess.
+// same flushed stream prefix. Under the default binary codec the batch is
+// transcoded by server.QueryRequest.Frame and sent as a query frame, and
+// the answer frame comes back through server.ResponseFromFrame; under
+// CodecJSON both directions are JSON. The decoded response is identical
+// either way — including errors: a batch Frame refuses is sent as JSON,
+// so the server stays the single validation authority and the caller
+// sees its 400, not a client-side guess.
 func (c *Client) Query(ctx context.Context, key string, queries []Query) (*server.QueryResponse, error) {
-	wq := wire.QueryRequest{Key: key, Queries: make([]wire.Query, len(queries))}
-	framable := c.codec != CodecJSON
-	for i, q := range queries {
-		if !framable {
-			break
-		}
-		wq.Queries[i] = wire.Query{Kind: wire.KindOf(q.Kind), Item: uint64(q.Item), K: q.K}
-		framable = wq.Queries[i].Kind != 0
-	}
-	if !framable {
-		body, err := json.Marshal(server.QueryRequest{Key: key, Queries: queries})
+	req := server.QueryRequest{Key: key, Queries: queries}
+	wq, err := req.Frame()
+	if c.codec == CodecJSON || err != nil {
+		body, err := json.Marshal(req)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +216,7 @@ func (c *Client) Query(ctx context.Context, key string, queries []Query) (*serve
 	bp := c.encPool.Get().(*[]byte)
 	frame := wire.AppendQuery((*bp)[:0], &wq)
 	var raw []byte
-	err := c.do(ctx, http.MethodPost, "/v2/query", nil, frame, wire.ContentType, wire.ContentType, nil, &raw)
+	err = c.do(ctx, http.MethodPost, "/v2/query", nil, frame, wire.ContentType, wire.ContentType, nil, &raw)
 	*bp = frame[:0]
 	c.encPool.Put(bp)
 	if err != nil {
@@ -233,41 +226,7 @@ func (c *Client) Query(ctx context.Context, key string, queries []Query) (*serve
 	if err != nil {
 		return nil, fmt.Errorf("sketchd: bad answer frame: %w", err)
 	}
-	return queryResponseFromFrame(wresp), nil
-}
-
-// queryResponseFromFrame converts a decoded answer frame into the
-// canonical JSON-shaped response, so callers see one type regardless of
-// codec.
-func queryResponseFromFrame(wr *wire.QueryResponse) *server.QueryResponse {
-	resp := &server.QueryResponse{
-		Key:        wr.Key,
-		Sketch:     wr.Sketch,
-		Policy:     wr.Policy,
-		Model:      wr.Model,
-		Robustness: wr.Robustness,
-	}
-	resp.Answers = make([]Answer, 0, len(wr.Answers))
-	for _, wa := range wr.Answers {
-		a := Answer{
-			Kind:       wire.KindName(wa.Kind),
-			Value:      wa.Value,
-			ErrorBound: wa.ErrorBound,
-			Additive:   wa.Additive,
-		}
-		if wa.HasItem {
-			item := server.U64(wa.Item)
-			a.Item = &item
-		}
-		if len(wa.Items) > 0 {
-			a.Items = make([]ItemWeight, len(wa.Items))
-			for i, iw := range wa.Items {
-				a.Items[i] = ItemWeight{Item: server.U64(iw.Item), Weight: iw.Weight}
-			}
-		}
-		resp.Answers = append(resp.Answers, a)
-	}
-	return resp
+	return server.ResponseFromFrame(wresp), nil
 }
 
 // QueryPoint returns the point estimate of f[item] for keyspace key,

@@ -292,6 +292,52 @@ func TestForwardingRedirectsToOwner(t *testing.T) {
 	}
 }
 
+// TestClusterQueryIsV2Query: without ?merge=all, POST /cluster/query is
+// the owner's POST /v2/query, answers and refusals byte for byte, and a
+// non-owner redirects it to the owner's /cluster/query.
+func TestClusterQueryIsV2Query(t *testing.T) {
+	nodes := bootCluster(t, 3, 2, true)
+	ctx := context.Background()
+	const key = "same-path"
+	owner := byAddr(nodes, nodes[0].node.Owner(key))
+	c := client.New(owner.url, owner.hs.Client())
+	if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "countsketch", Policy: "ring"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 40; i++ {
+		if err := c.Add(ctx, key, i%7, i%13, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post := func(h http.Handler, path, body string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		return w
+	}
+	absent := "absent"
+	for i := 0; nodes[0].node.Owner(absent) != owner.url; i++ {
+		absent = fmt.Sprint("absent-", i)
+	}
+	for _, body := range []string{
+		`{"key":"same-path","queries":[{"kind":"estimate"},{"kind":"point","item":3},{"kind":"topk","k":4},{"kind":"topk"}]}`,
+		`{"key":"same-path","queries":[{"kind":"topk","k":5000}]}`,
+		`{"key":"same-path","queries":[{"kind":"point","items":[1,2,3,50]}]}`,
+		`{"key":"` + absent + `","queries":[{"kind":"estimate"}]}`,
+	} {
+		got, want := post(owner.node.Handler(), "/cluster/query", body), post(owner.node.Handler(), "/v2/query", body)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("%s: /cluster/query HTTP %d %s, /v2/query HTTP %d %s", body, got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
+		}
+	}
+	nonOwner := byAddr(nodes, nodes[0].node.Place(key)[2])
+	w := post(nonOwner.node.Handler(), "/cluster/query", `{"key":"same-path","queries":[{"kind":"estimate"}]}`)
+	if loc := w.Header().Get("Location"); w.Code != http.StatusTemporaryRedirect || loc != owner.url+"/cluster/query" {
+		t.Fatalf("non-owner: HTTP %d to %q, want 307 to %s/cluster/query", w.Code, loc, owner.url)
+	}
+}
+
 // A deposed owner's late ship must not roll the promoted owner back.
 func TestStaleShipRejected(t *testing.T) {
 	nodes := bootCluster(t, 3, 2, true)

@@ -147,17 +147,21 @@ func (n *Node) handlePull(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery serves POST /cluster/query: the global query entry point.
-// The body is the same JSON QueryRequest as POST /v2/query.
 //
-//   - Default (ownership mode): a non-owner answers 307 to the owner, so
-//     the answer always comes from the freshest copy; the owner answers
-//     locally.
-//   - ?merge=all (fleet aggregation): the node pulls every live peer's
-//     copy and answers from the additive cross-node fold — sound exactly
-//     when the nodes ingest disjoint sub-streams (Forward off), which is
-//     the caveat AnswerMerged enforces semantically and the README spells
-//     out.
+//   - Default (ownership mode): the server's POST /v2/query handler, so a
+//     non-owner answers 307 to the owner through the forwarder New
+//     installs when Forward is set, and the answer always comes from the
+//     freshest copy.
+//   - ?merge=all (fleet aggregation): the body is the same JSON
+//     QueryRequest; the node checks it, pulls every live peer's copy and
+//     answers from the additive cross-node fold — sound exactly when the
+//     nodes ingest disjoint sub-streams (Forward off), which is the caveat
+//     AnswerMerged enforces semantically and the README spells out.
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("merge") != "all" {
+		n.srv.ServeQuery(w, r)
+		return
+	}
 	if !methodIs(w, r, http.MethodPost) {
 		return
 	}
@@ -166,27 +170,12 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 		clusterFail(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := server.DecodeQueryRequest(body)
+	req, _, err := server.DecodeQueryRequest(body)
 	if err != nil {
 		clusterFail(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("merge") == "all" {
-		n.answerMergeAll(w, &req)
-		return
-	}
-	if n.cfg.Forward {
-		if owner := n.Owner(req.Key); owner != n.cfg.Self {
-			http.Redirect(w, r, owner+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-			return
-		}
-	}
-	resp, status, err := n.srv.AnswerLocal(&req)
-	if err != nil {
-		clusterFail(w, status, err)
-		return
-	}
-	clusterJSON(w, http.StatusOK, resp)
+	n.answerMergeAll(w, &req)
 }
 
 // answerMergeAll gathers every live member's copy of the key and answers

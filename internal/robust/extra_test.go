@@ -237,7 +237,7 @@ func TestHeavyHittersBatchMatchesPerUpdate(t *testing.T) {
 		if !ok {
 			break
 		}
-		ups = append(ups, sketch.Update(u))
+		ups = append(ups, u)
 	}
 	items := []uint64{0, 1, 2, 3, 1 << 30}
 	for len(ups) > 0 {

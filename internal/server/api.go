@@ -2,13 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 
 	"repro/internal/wire"
 )
 
-// Wire types of the sketchd HTTP/JSON API, shared with internal/client.
+// JSON shapes of the sketchd HTTP API, shared with internal/client. A
+// query is checked and answered in one form, wire.QueryRequest and
+// wire.QueryResponse, whichever codec carried it; a JSON query body is
+// transcoded into it by QueryRequest.Frame and a JSON answer out of it by
+// ResponseFromFrame, and the client decodes with the same two functions.
 //
 // v1 endpoints (keyed by the ?key= query parameter; a key no POST
 // /v2/keys declared on this node is a 404 on every one of them):
@@ -299,6 +304,57 @@ type QueryResponse struct {
 	// for static tenants): a client auditing its own adaptive query load
 	// can check Exhausted alongside every batch.
 	Robustness *RobustnessStats `json:"robustness,omitempty"`
+}
+
+// Frame transcodes q into the form every query is checked and answered in,
+// then checks it as a query frame is checked (validateQuery), so both
+// codecs refuse a batch with the same message. Only the field its kind
+// reads is carried: an item on a point query, k on a topk query.
+func (q *QueryRequest) Frame() (wire.QueryRequest, error) {
+	wq := wire.QueryRequest{Key: q.Key, Queries: make([]wire.Query, len(q.Queries))}
+	for i, jq := range q.Queries {
+		wq.Queries[i].Kind = wire.KindOf(jq.Kind)
+		switch wq.Queries[i].Kind {
+		case wire.KindPoint:
+			wq.Queries[i].Item = uint64(jq.Item)
+		case wire.KindTopK:
+			wq.Queries[i].K = jq.K
+		}
+	}
+	err := validateQuery(&wq)
+	var bad unknownKind
+	if errors.As(err, &bad) {
+		err = fmt.Errorf("query %d: unknown kind %q (have: %s, %s, %s)",
+			int(bad), q.Queries[bad].Kind, QueryEstimate, QueryPoint, QueryTopK)
+	}
+	return wq, err
+}
+
+// ResponseFromFrame transcodes an answer into its JSON shape.
+func ResponseFromFrame(wr *wire.QueryResponse) *QueryResponse {
+	resp := &QueryResponse{
+		Key:        wr.Key,
+		Sketch:     wr.Sketch,
+		Policy:     wr.Policy,
+		Model:      wr.Model,
+		Answers:    make([]Answer, len(wr.Answers)),
+		Robustness: wr.Robustness,
+	}
+	for i, wa := range wr.Answers {
+		resp.Answers[i] = Answer{Kind: wire.KindName(wa.Kind), Value: wa.Value, ErrorBound: wa.ErrorBound, Additive: wa.Additive}
+		a := &resp.Answers[i]
+		if wa.HasItem {
+			item := U64(wa.Item)
+			a.Item = &item
+		}
+		if len(wa.Items) > 0 {
+			a.Items = make([]ItemWeight, len(wa.Items))
+			for j, iw := range wa.Items {
+				a.Items[j] = ItemWeight{Item: U64(iw.Item), Weight: iw.Weight}
+			}
+		}
+	}
+	return resp
 }
 
 // KeyStats describes one keyspace in GET /v1/stats and in the POST

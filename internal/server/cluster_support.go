@@ -121,13 +121,6 @@ func (s *Server) ApplyShipment(key string, specJSON, state []byte, mass, deleted
 	return nil
 }
 
-// DecodeQueryRequest parses and validates a JSON query body with exactly
-// the decoder POST /v2/query uses (same batch and k limits, same
-// messages), exported for the cluster layer's global-query endpoint.
-func DecodeQueryRequest(data []byte) (QueryRequest, error) {
-	return decodeQueryRequest(data)
-}
-
 // Keys returns the tenant keys this server holds, sorted.
 func (s *Server) Keys() []string {
 	s.mu.Lock()
@@ -140,11 +133,23 @@ func (s *Server) Keys() []string {
 	return keys
 }
 
-// AnswerLocal answers a validated QueryRequest from the local tenant
-// engine — the same core as POST /v2/query, exposed so the cluster
-// layer's global-query endpoint shares its semantics exactly. On error
-// the returned status is the HTTP code the v2 handler would have used.
+// AnswerLocal answers a JSON-shaped query batch from the local tenant
+// engine, through the same check and answer as POST /v2/query. On error the
+// returned status is the HTTP code that handler would have used.
 func (s *Server) AnswerLocal(req *QueryRequest) (*QueryResponse, int, error) {
+	wq, err := req.Frame()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	resp, status, err := s.answerLocal(&wq)
+	if err != nil {
+		return nil, status, err
+	}
+	return ResponseFromFrame(resp), status, nil
+}
+
+// answerLocal answers a checked batch from the local tenant's engine.
+func (s *Server) answerLocal(req *wire.QueryRequest) (*wire.QueryResponse, int, error) {
 	t := s.lookup(req.Key)
 	if t == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("unknown key %q", req.Key)
@@ -152,7 +157,7 @@ func (s *Server) AnswerLocal(req *QueryRequest) (*QueryResponse, int, error) {
 	return s.answerQuery(t, t.eng, req)
 }
 
-// AnswerMerged answers a validated QueryRequest from a scratch engine
+// AnswerMerged answers a JSON-shaped query batch from a scratch engine
 // built by folding the given snapshot envelopes together — the engine's
 // cross-shard merge generalized to cross-node fan-out. The tenant must
 // exist locally (it supplies the resolved spec and seeds for the scratch
@@ -162,6 +167,10 @@ func (s *Server) AnswerLocal(req *QueryRequest) (*QueryResponse, int, error) {
 // would double count it, which is why replication uses replace-on-ship
 // instead.
 func (s *Server) AnswerMerged(req *QueryRequest, envelopes [][]byte) (*QueryResponse, int, error) {
+	wq, err := req.Frame()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
 	t := s.lookup(req.Key)
 	if t == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("unknown key %q", req.Key)
@@ -177,32 +186,31 @@ func (s *Server) AnswerMerged(req *QueryRequest, envelopes [][]byte) (*QueryResp
 			return nil, http.StatusConflict, fmt.Errorf("envelope %d: %w", i, err)
 		}
 	}
-	return s.answerQuery(t, scratch.eng, req)
+	resp, status, err := s.answerQuery(t, scratch.eng, &wq)
+	if err != nil {
+		return nil, status, err
+	}
+	return ResponseFromFrame(resp), status, nil
 }
 
-// answerQuery routes a validated query batch into one engine pass and
-// assembles the typed answers, shared by the v2 HTTP handler and the
-// cluster query paths. eng is the engine to read (the tenant's live
-// engine, or a scratch merge engine sharing its spec and seeds): points
-// and top-k come from its QueryBatch visit, and the estimate, the point
-// bound and the flip-budget state from one reading after it.
-func (s *Server) answerQuery(t *tenant, eng *engine.Engine, req *QueryRequest) (*QueryResponse, int, error) {
+// answerQuery routes a checked query batch into one engine pass and
+// builds its answer, for every query route. eng is the engine to read
+// (the tenant's live engine, or a scratch merge engine sharing its spec
+// and seeds): points and top-k come from its QueryBatch visit, and the
+// estimate, the point bound and the flip-budget state from one reading
+// after it.
+func (s *Server) answerQuery(t *tenant, eng *engine.Engine, req *wire.QueryRequest) (*wire.QueryResponse, int, error) {
 	var pointItems []uint64
 	maxK := 0
-	needsPoints := false
 	for _, q := range req.Queries {
 		switch q.Kind {
-		case QueryPoint:
-			pointItems = append(pointItems, uint64(q.Item))
-			needsPoints = true
-		case QueryTopK:
-			if q.K > maxK {
-				maxK = q.K
-			}
-			needsPoints = true
+		case wire.KindPoint:
+			pointItems = append(pointItems, q.Item)
+		case wire.KindTopK:
+			maxK = max(maxK, q.K)
 		}
 	}
-	if needsPoints && !t.spec.points {
+	if (len(pointItems) > 0 || maxK > 0) && !t.spec.points {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("keyspace %q hosts %s, which does not answer point or topk queries (countsketch+none and countsketch+ring do)",
 				t.key, t.spec.Display())
@@ -217,38 +225,23 @@ func (s *Server) answerQuery(t *tenant, eng *engine.Engine, req *QueryRequest) (
 	if t.spec.points && t.spec.l2Of != nil {
 		pointBound = t.ts.Eps * t.spec.l2Of(r.Estimate)
 	}
-	topItems := make([]ItemWeight, len(top))
-	for i, iw := range top {
-		topItems[i] = ItemWeight{Item: U64(iw.Item), Weight: iw.Weight}
-	}
 
-	resp := &QueryResponse{Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Model: t.ts.Model}
+	resp := &wire.QueryResponse{
+		Key: t.key, Sketch: t.spec.Name, Policy: t.spec.Policy, Model: t.ts.Model,
+		Answers: make([]wire.Answer, len(req.Queries)), Robustness: t.robustness(r),
+	}
 	nextPoint := 0
-	for _, q := range req.Queries {
+	for i, q := range req.Queries {
 		switch q.Kind {
-		case QueryEstimate:
-			resp.Answers = append(resp.Answers, Answer{
-				Kind: QueryEstimate, Value: r.Estimate,
-				ErrorBound: t.ts.Eps, Additive: t.spec.additive,
-			})
-		case QueryPoint:
-			item := q.Item
-			resp.Answers = append(resp.Answers, Answer{
-				Kind: QueryPoint, Item: &item, Value: pointVals[nextPoint],
-				ErrorBound: pointBound,
-			})
+		case wire.KindEstimate:
+			resp.Answers[i] = wire.Answer{Kind: q.Kind, Value: r.Estimate, ErrorBound: t.ts.Eps, Additive: t.spec.additive}
+		case wire.KindPoint:
+			resp.Answers[i] = wire.Answer{Kind: q.Kind, HasItem: true, Item: q.Item, Value: pointVals[nextPoint], ErrorBound: pointBound}
 			nextPoint++
-		case QueryTopK:
-			items := topItems
-			if len(items) > q.K {
-				items = items[:q.K]
-			}
-			resp.Answers = append(resp.Answers, Answer{
-				Kind: QueryTopK, Items: items, ErrorBound: pointBound,
-			})
+		case wire.KindTopK:
+			resp.Answers[i] = wire.Answer{Kind: q.Kind, Items: top[:min(len(top), q.K)], ErrorBound: pointBound}
 		}
 	}
-	resp.Robustness = t.robustness(r)
 	return resp, http.StatusOK, nil
 }
 

@@ -554,13 +554,13 @@ func (m *modelRun) update(op modelOp) error {
 
 func (m *modelRun) query(key string, qs []Query, codec int) error {
 	req := QueryRequest{Key: key, Queries: qs}
+	wq, err := req.Frame()
+	if err != nil {
+		return err
+	}
 	body, _ := json.Marshal(req)
 	ct, accept := "application/json", ""
 	if codec&1 != 0 {
-		wq := wire.QueryRequest{Key: key}
-		for _, q := range qs {
-			wq.Queries = append(wq.Queries, wire.Query{Kind: wire.KindOf(q.Kind), Item: uint64(q.Item), K: q.K})
-		}
 		ct, body = wire.ContentType, wire.AppendQuery(nil, &wq)
 	}
 	if codec&2 != 0 {
@@ -577,7 +577,7 @@ func (m *modelRun) query(key string, qs []Query, codec int) error {
 	if err := status(w, http.StatusOK); err != nil {
 		return err
 	}
-	resp, _, err := m.srv.answerQuery(live.twin, live.twin.eng, &req)
+	resp, _, err := m.srv.answerQuery(live.twin, live.twin.eng, &wq)
 	if err != nil {
 		return err
 	}
@@ -701,7 +701,11 @@ func (m *modelRun) ship(key string) error {
 	if err := status(w, http.StatusOK); err != nil {
 		return fmt.Errorf("replica query: %w", err)
 	}
-	resp, _, err := m.srv.answerQuery(live.twin, live.twin.eng, &QueryRequest{Key: key, Queries: qs})
+	wq, err := (&QueryRequest{Key: key, Queries: qs}).Frame()
+	if err != nil {
+		return err
+	}
+	resp, _, err := m.srv.answerQuery(live.twin, live.twin.eng, &wq)
 	if err != nil {
 		return err
 	}

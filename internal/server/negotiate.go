@@ -218,68 +218,15 @@ func (s *Server) handleV2Update(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// queryFromFrame converts a decoded query frame into the canonical
-// QueryRequest, then runs the same validation as the JSON decoder, so
-// both codecs enforce identical batch and k limits with identical
-// messages.
-func queryFromFrame(wq *wire.QueryRequest) (QueryRequest, error) {
-	req := QueryRequest{Key: wq.Key, Queries: make([]Query, 0, len(wq.Queries))}
-	for i, q := range wq.Queries {
-		kind := wire.KindName(q.Kind)
-		if kind == "" {
-			return QueryRequest{}, fmt.Errorf("query %d: unknown kind %d", i, q.Kind)
-		}
-		req.Queries = append(req.Queries, Query{Kind: kind, Item: U64(q.Item), K: q.K})
-	}
-	if err := validateQueryRequest(&req); err != nil {
-		return QueryRequest{}, err
-	}
-	return req, nil
-}
-
-// responseToFrame converts the canonical QueryResponse into its frame
-// form.
-func responseToFrame(resp *QueryResponse) wire.QueryResponse {
-	out := wire.QueryResponse{
-		Key:        resp.Key,
-		Sketch:     resp.Sketch,
-		Policy:     resp.Policy,
-		Model:      resp.Model,
-		Answers:    make([]wire.Answer, 0, len(resp.Answers)),
-		Robustness: resp.Robustness,
-	}
-	for _, a := range resp.Answers {
-		wa := wire.Answer{
-			Kind:       wire.KindOf(a.Kind),
-			Value:      a.Value,
-			ErrorBound: a.ErrorBound,
-			Additive:   a.Additive,
-		}
-		if a.Item != nil {
-			wa.HasItem = true
-			wa.Item = uint64(*a.Item)
-		}
-		if len(a.Items) > 0 {
-			wa.Items = make([]wire.ItemWeight, len(a.Items))
-			for i, iw := range a.Items {
-				wa.Items[i] = wire.ItemWeight{Item: uint64(iw.Item), Weight: iw.Weight}
-			}
-		}
-		out.Answers = append(out.Answers, wa)
-	}
-	return out
-}
-
 // writeQueryResponse answers a /v2/query in the negotiated codec.
-func writeQueryResponse(w http.ResponseWriter, r *http.Request, resp *QueryResponse) {
+func writeQueryResponse(w http.ResponseWriter, r *http.Request, resp *wire.QueryResponse) {
 	if !wantsFrame(r) {
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, ResponseFromFrame(resp))
 		return
 	}
 	fp := framePool.Get().(*[]byte)
 	defer framePool.Put(fp)
-	out := responseToFrame(resp)
-	frame := wire.AppendAnswer((*fp)[:0], &out)
+	frame := wire.AppendAnswer((*fp)[:0], resp)
 	*fp = frame[:0]
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)

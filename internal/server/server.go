@@ -501,7 +501,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v2/keys", s.handleV2Keys)
 	mux.HandleFunc("/v2/update", s.handleV2Update)
-	mux.HandleFunc("/v2/query", s.handleV2Query)
+	mux.HandleFunc("/v2/query", s.ServeQuery)
 	return mux
 }
 

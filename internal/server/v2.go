@@ -50,24 +50,35 @@ func decodeCreateTenant(data []byte) (CreateTenantRequest, error) {
 	return req, nil
 }
 
-// decodeQueryRequest parses and validates a POST /v2/query JSON body.
-func decodeQueryRequest(data []byte) (QueryRequest, error) {
+// DecodeQueryRequest parses a JSON query body and transcodes it through
+// QueryRequest.Frame, returning both forms; it is the one JSON query
+// decoder, behind POST /v2/query and the cluster's merge-all query. As for
+// a create body, a field the body's shape does not have is a 400 naming
+// it: a stray "items" on a query would be answered as item 0.
+func DecodeQueryRequest(data []byte) (QueryRequest, wire.QueryRequest, error) {
 	var req QueryRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return QueryRequest{}, fmt.Errorf("bad query body: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := decodeOne(dec, &req); err != nil {
+		return QueryRequest{}, wire.QueryRequest{}, fmt.Errorf("bad query body: %w", err)
 	}
-	if err := validateQueryRequest(&req); err != nil {
-		return QueryRequest{}, err
-	}
-	return req, nil
+	wq, err := req.Frame()
+	return req, wq, err
 }
 
-// validateQueryRequest enforces the query-batch contract regardless of
-// codec (the binary path funnels through it too, so both codecs reject
-// with identical messages): a known kind on every query, a k within
-// bounds on topk queries (zero takes the default), and a non-empty batch
-// — an empty batch is a client bug, not a trivially satisfiable request.
-func validateQueryRequest(req *QueryRequest) error {
+// unknownKind is validateQuery's refusal of query i's kind byte. Only a
+// transcoded JSON body can carry one (wire.DecodeQuery refuses the byte),
+// so QueryRequest.Frame words it with the kind name it was sent.
+type unknownKind int
+
+func (i unknownKind) Error() string { return fmt.Sprintf("query %d: unknown kind", int(i)) }
+
+// validateQuery enforces the query-batch contract for both codecs, in this
+// order: a key, a non-empty batch (an empty one is a client bug, not a
+// trivially satisfiable request) within the batch limit, then each query
+// in turn: a known kind, and on topk a k within bounds (zero takes the
+// default).
+func validateQuery(req *wire.QueryRequest) error {
 	if req.Key == "" {
 		return errors.New("bad query body: missing key")
 	}
@@ -80,8 +91,8 @@ func validateQueryRequest(req *QueryRequest) error {
 	for i := range req.Queries {
 		q := &req.Queries[i]
 		switch q.Kind {
-		case QueryEstimate, QueryPoint:
-		case QueryTopK:
+		case wire.KindEstimate, wire.KindPoint:
+		case wire.KindTopK:
 			if q.K == 0 {
 				q.K = defaultTopK
 			}
@@ -89,8 +100,7 @@ func validateQueryRequest(req *QueryRequest) error {
 				return fmt.Errorf("query %d: topk k must be in [1, %d], got %d", i, maxTopK, q.K)
 			}
 		default:
-			return fmt.Errorf("query %d: unknown kind %q (have: %s, %s, %s)",
-				i, q.Kind, QueryEstimate, QueryPoint, QueryTopK)
+			return unknownKind(i)
 		}
 	}
 	return nil
@@ -125,17 +135,14 @@ func (s *Server) handleV2Keys(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, t.stats())
 }
 
-// handleV2Query serves POST /v2/query: a batch of typed queries answered
+// ServeQuery serves POST /v2/query, and POST /cluster/query without
+// ?merge=all: a batch of typed queries (see Query and Answer) answered
 // from one flushed read of the tenant's engine, so every answer in the
-// batch reflects the same stream prefix. Point and topk queries are
-// answered by countsketch+none and countsketch+ring tenants only (see
-// QueryPoint); their error bound is the Section 6 guarantee ε·‖f‖₂, from
-// the tenant's resolved ε and its current norm estimate. Queries keep
-// working on a draining server — they are reads, like /v1/estimate. The
-// body codec is negotiated by Content-Type (JSON or a query frame) and the
-// answer codec by Accept; both arms share validateQueryRequest and the
-// answer assembly below, so codec choice never changes semantics.
-func (s *Server) handleV2Query(w http.ResponseWriter, r *http.Request) {
+// batch reflects the same stream prefix. Queries keep working on a
+// draining server — they are reads, like /v1/estimate. The body codec is
+// negotiated by Content-Type (JSON or a query frame), the answer codec by
+// Accept.
+func (s *Server) ServeQuery(w http.ResponseWriter, r *http.Request) {
 	if !methodIs(w, r, http.MethodPost) {
 		return
 	}
@@ -149,30 +156,24 @@ func (s *Server) handleV2Query(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	var req QueryRequest
+	var req wire.QueryRequest
 	if isFrame {
-		var wq wire.QueryRequest
-		if err := wire.DecodeQuery(body, &wq); err != nil {
+		if err := wire.DecodeQuery(body, &req); err != nil {
 			fail(w, http.StatusBadRequest, fmt.Errorf("bad query frame: %w", err))
 			return
 		}
-		if req, err = queryFromFrame(&wq); err != nil {
-			fail(w, http.StatusBadRequest, err)
-			return
-		}
-	} else if req, err = decodeQueryRequest(body); err != nil {
+		err = validateQuery(&req)
+	} else {
+		_, req, err = DecodeQueryRequest(body)
+	}
+	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.forwarded(w, r, req.Key) {
 		return
 	}
-
-	// The batch is routed into one engine pass — a single flush barrier
-	// answers the whole batch, and any smaller topk answer is a prefix of
-	// the ranked maximum-k result; see answerQuery (shared with the
-	// cluster global-query paths).
-	resp, status, err := s.AnswerLocal(&req)
+	resp, status, err := s.answerLocal(&req)
 	if err != nil {
 		fail(w, status, err)
 		return

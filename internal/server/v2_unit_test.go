@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -490,9 +491,12 @@ func FuzzTenantSpecDecode(f *testing.F) {
 	})
 }
 
-// FuzzQueryDecode drives the POST /v2/query parsing path: decoded batches
-// must have a key, a bounded non-zero length, only known kinds, and
-// in-range topk sizes.
+// FuzzQueryDecode drives the JSON POST /v2/query parsing path: decoded
+// batches must have a key, a bounded non-zero length, only known kinds,
+// and in-range topk sizes; a field the body's shape does not have, or data
+// after it, is refused. A body it accepts is accepted as a frame too:
+// wire.DecodeQuery returns what wire.AppendQuery wrote, unchanged, and the
+// frame check passes it.
 func FuzzQueryDecode(f *testing.F) {
 	f.Add([]byte(`{"key":"k","queries":[{"kind":"estimate"},{"kind":"point","item":"123"},{"kind":"topk","k":10}]}`))
 	f.Add([]byte(`{"key":"k","queries":[]}`))
@@ -500,27 +504,40 @@ func FuzzQueryDecode(f *testing.F) {
 	f.Add([]byte(`{"key":"k","queries":[{"kind":"topk","k":-1}]}`))
 	f.Add([]byte(`{"queries":[{"kind":"estimate"}]}`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"key":"k","queries":[{"kind":"point","items":[1,2,3,50]}]}`))
+	f.Add([]byte(`{"key":"k","queries":[{"kind":"estimate"}],"limit":3}`))
+	f.Add([]byte(`{"key":"k","queries":[{"kind":"estimate"}]} {"key":"k","queries":[{"kind":"estimate"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeQueryRequest(data)
+		_, req, err := DecodeQueryRequest(data)
 		if err != nil {
 			return
 		}
 		if req.Key == "" {
-			t.Fatalf("decodeQueryRequest accepted a missing key: %q", data)
+			t.Fatalf("DecodeQueryRequest accepted a missing key: %q", data)
 		}
 		if len(req.Queries) == 0 || len(req.Queries) > maxQueryBatch {
-			t.Fatalf("decodeQueryRequest accepted a batch of %d queries: %q", len(req.Queries), data)
+			t.Fatalf("DecodeQueryRequest accepted a batch of %d queries: %q", len(req.Queries), data)
 		}
 		for _, q := range req.Queries {
 			switch q.Kind {
-			case QueryEstimate, QueryPoint:
-			case QueryTopK:
+			case wire.KindEstimate, wire.KindPoint:
+			case wire.KindTopK:
 				if q.K < 1 || q.K > maxTopK {
-					t.Fatalf("decodeQueryRequest accepted topk k=%d: %q", q.K, data)
+					t.Fatalf("DecodeQueryRequest accepted topk k=%d: %q", q.K, data)
 				}
 			default:
-				t.Fatalf("decodeQueryRequest accepted kind %q: %q", q.Kind, data)
+				t.Fatalf("DecodeQueryRequest accepted kind %d: %q", q.Kind, data)
 			}
+		}
+		var back wire.QueryRequest
+		if err := wire.DecodeQuery(wire.AppendQuery(nil, &req), &back); err != nil {
+			t.Fatalf("the frame of an accepted body does not decode: %v (body %q)", err, data)
+		}
+		if !reflect.DeepEqual(back, req) {
+			t.Fatalf("the frame of %q decodes to %+v, want %+v", data, back, req)
+		}
+		if err := validateQuery(&back); err != nil {
+			t.Fatalf("the frame of an accepted body is refused: %v (body %q)", err, data)
 		}
 	})
 }

@@ -322,10 +322,7 @@ func checkCoalesceConsistency(h Harness) error {
 	ups := h.testStream(13, h.updates())
 	var co sketch.Coalescer
 	for third := 1; third <= 3; third++ {
-		var batch []sketch.Update
-		for _, u := range ups[(third-1)*len(ups)/3 : third*len(ups)/3] {
-			batch = append(batch, sketch.Update(u))
-		}
+		batch := ups[(third-1)*len(ups)/3 : third*len(ups)/3]
 		raw.UpdateBatch(batch)
 		b.(sketch.BatchUpdater).UpdateBatch(co.Coalesce(nil, batch))
 		if ea, eb := a.Estimate(), b.Estimate(); math.Float64bits(ea) != math.Float64bits(eb) {

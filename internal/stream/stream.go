@@ -5,13 +5,13 @@
 // considers: insertion-only, turnstile, and α-bounded-deletion streams.
 package stream
 
+import "repro/internal/sketch"
+
 // Update is a single stream update (a_t, Δ_t): Item receives an increment
 // of Delta. In the insertion-only model Delta > 0; in the turnstile model
-// Delta may be negative.
-type Update struct {
-	Item  uint64
-	Delta int64
-}
+// Delta may be negative. It is sketch.Update, so a generated stream feeds
+// a sketch's batch path without a copy.
+type Update = sketch.Update
 
 // Stream is a finite sequence of updates.
 type Stream []Update

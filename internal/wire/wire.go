@@ -109,8 +109,8 @@ var (
 // tenant's engine without a copy.
 type Update = sketch.Update
 
-// Query kinds: each byte is the binary twin of a JSON "kind" name, and
-// KindName and KindOf are the one table between them.
+// Query kinds: each byte names one JSON "kind", and KindName and KindOf
+// are the one table between them.
 const (
 	KindEstimate uint8 = 1
 	KindPoint    uint8 = 2
@@ -141,17 +141,18 @@ type Query struct {
 	K    int    // kind topk only
 }
 
-// QueryRequest is the binary twin of the JSON POST /v2/query body.
+// QueryRequest is a POST /v2/query batch in the form sketchd checks and
+// answers it, whichever codec carried it: a query frame decodes into it,
+// and a JSON body is transcoded into it at the server's edge.
 type QueryRequest struct {
 	Key     string
 	Queries []Query
 }
 
-// ItemWeight is one candidate heavy item with its estimated frequency.
-type ItemWeight struct {
-	Item   uint64
-	Weight float64
-}
+// ItemWeight is one candidate heavy item with its estimated frequency. It
+// is sketch.ItemWeight, so an engine's ranked top-k goes into an answer
+// without a copy.
+type ItemWeight = sketch.ItemWeight
 
 // Answer is the typed response to one Query, in request order.
 type Answer struct {
@@ -184,7 +185,9 @@ type Robustness struct {
 	Exhausted bool   `json:"exhausted"` // some shard overran its flip budget
 }
 
-// QueryResponse is the binary twin of the JSON POST /v2/query response.
+// QueryResponse is a POST /v2/query answer in the form sketchd builds it:
+// an answer frame encodes it, and a JSON answer is transcoded from it at
+// the server's edge.
 type QueryResponse struct {
 	Key        string
 	Sketch     string
