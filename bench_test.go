@@ -520,6 +520,36 @@ func BenchmarkPolicyBuild(b *testing.B) {
 
 var builtEstimator sketch.Estimator
 
+// BenchmarkRingSteadyState is the in-process cost of one countsketch+ring
+// shard, the Theorem 6.5 ring, built as the benchmark's sketchd builds it
+// (ε 0.3, δ 0.05 over two shards, n 2²⁰): ns per update of a Zipf(1.2)
+// stream over 2²⁰ once four full ring drains of it have gone in, so drains
+// and refreshes are amortized and the first drain is not timed.
+func BenchmarkRingSteadyState(b *testing.B) {
+	cfg := server.Config{Shards: 1, Eps: 0.3, Delta: 0.025, N: 1 << 20, Seed: 1}
+	ec, err := server.EngineConfig(server.TenantSpec{Sketch: "countsketch", Policy: "ring"}, cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ups []sketch.Update
+	for gen := stream.NewZipf(1<<20, 1<<20, 1.2, 7); ; {
+		u, ok := gen.Next()
+		if !ok {
+			break
+		}
+		ups = append(ups, u)
+	}
+	est, i := ec.Factory(1), 4*core.PendingCap
+	for _, u := range ups[:i] {
+		est.Update(u.Item, u.Delta)
+	}
+	for b.Loop() {
+		u := ups[i%len(ups)]
+		est.Update(u.Item, u.Delta)
+		i++
+	}
+}
+
 // benchModelIngest — the stream-model column of the same trade-off: the
 // per-update cost of an f2+paths shard estimator under each declared
 // model, built exactly as a sketchd tenant builds it. The update stream

@@ -14,22 +14,25 @@ import "repro/internal/sketch"
 // synchronous formulation would have produced.
 //
 // On a skewed stream most of a lag buffer repeats items already in it, so
-// when the instances declare sketch.CoalesceInvariant every catch-up is
-// coalesced: a Drain coalesces the buffer once and feeds that to every
-// instance that owes all of it, and the few that hold a prefix (stepped
-// since the last drain, replaced mid-buffer), like a catch-up outside a
-// drain, replay their own suffix coalesced. The coalescer's index is
-// stamped per call rather than cleared, so a catch-up costs its own suffix
-// even right after a drain has grown the index to the whole buffer.
+// when the instances declare sketch.CoalesceInvariant, or take a batch in
+// both forms through sketch.CoalescedUpdater, every catch-up is coalesced:
+// a Drain coalesces the buffer once and feeds that to every instance that
+// owes all of it, and the few that hold a prefix (stepped since the last
+// drain, replaced mid-buffer), like a catch-up outside a drain, replay
+// their own suffix coalesced. A CoalescedUpdater is handed the raw suffix
+// beside the coalesced one, for the state that depends on arrival order.
+// The coalescer's index is stamped per call rather than cleared, so a
+// catch-up costs its own suffix even right after a drain has grown the
+// index to the whole buffer.
 //
 // Switcher keeps its trailing copies in one, robust.HeavyHitters its
-// Theorem 6.5 CountSketch ring.
+// Theorem 6.5 CountSketch ring; both bound it at PendingCap.
 type Lagged struct {
 	instances []sketch.Estimator // nil once dropped
 	applied   []int              // per instance: prefix of pending already applied
 	pending   []sketch.Update    // grows lazily toward bound: an idle tenant does not pay for it
 	bound     int
-	coalesce  bool             // the instances declare sketch.CoalesceInvariant
+	coalesce  bool             // the instances declare sketch.CoalesceInvariant or implement sketch.CoalescedUpdater
 	co        sketch.Coalescer // catch-up scratch: item index …
 	net       []sketch.Update  // … and the coalesced suffix, allocated by the first catch-up that needs it
 }
@@ -39,11 +42,12 @@ type Lagged struct {
 // Full asks for a Drain.
 func NewLagged(instances []sketch.Estimator, bound int) Lagged {
 	ci, ok := instances[0].(sketch.CoalesceInvariant)
+	_, split := instances[0].(sketch.CoalescedUpdater)
 	return Lagged{
 		instances: instances,
 		applied:   make([]int, len(instances)),
 		bound:     bound,
-		coalesce:  ok && ci.CoalesceInvariant(),
+		coalesce:  split || ok && ci.CoalesceInvariant(),
 	}
 }
 
@@ -75,11 +79,16 @@ func (l *Lagged) Full() bool { return len(l.pending) >= l.bound }
 func (l *Lagged) Current(i int) sketch.Estimator {
 	inst := l.instances[i]
 	if rest := l.pending[l.applied[i]:]; inst != nil && len(rest) > 0 {
+		net := rest
 		if l.coalesce {
 			l.net = l.co.Coalesce(l.net[:0], rest)
-			rest = l.net
+			net = l.net
 		}
-		sketch.ApplyBatch(inst, rest)
+		if cu, ok := inst.(sketch.CoalescedUpdater); ok {
+			cu.UpdateCoalesced(net, rest)
+		} else {
+			sketch.ApplyBatch(inst, net)
+		}
 		l.applied[i] = len(l.pending)
 	}
 	return inst
@@ -109,7 +118,12 @@ func (l *Lagged) Drain() {
 	if l.coalesce {
 		l.net = l.co.Coalesce(l.net[:0], l.pending)
 		for i, inst := range l.instances {
-			if inst != nil && l.applied[i] == 0 {
+			if inst == nil || l.applied[i] != 0 {
+				continue
+			}
+			if cu, ok := inst.(sketch.CoalescedUpdater); ok {
+				cu.UpdateCoalesced(l.net, l.pending)
+			} else {
 				sketch.ApplyBatch(inst, l.net)
 			}
 		}

@@ -8,16 +8,19 @@ import (
 
 	"repro/internal/f0"
 	"repro/internal/fp"
+	"repro/internal/heavyhitters"
 	"repro/internal/sketch"
 )
 
-// TestLaggedCoalescedCatchUp: a Lagged over coalesce-invariant instances
-// replays every suffix coalesced, and leaves each instance byte-equal to a
-// twin that replays it raw — for an instance stepped mid-buffer, a slot
-// replaced mid-buffer, the next active copy caught up at a switch over a
-// suffix with repeats, negative deltas and one delta past int32, and a Drain
-// whose prefix-holders sit between full-owers, so that each prefix-holder's
-// catch-up reuses the scratch the full-owers are fed from.
+// TestLaggedCoalescedCatchUp: a Lagged over coalesce-invariant instances,
+// or over instances that take a catch-up in both forms (a CountSketch whose
+// candidate pool prunes within the stream), replays every suffix coalesced,
+// and leaves each instance byte-equal to a twin that replays it raw — for
+// an instance stepped mid-buffer, a slot replaced mid-buffer, the next
+// active copy caught up at a switch over a suffix with repeats, negative
+// deltas and one delta past int32, and a Drain whose prefix-holders sit
+// between full-owers, so that each prefix-holder's catch-up reuses the
+// scratch the full-owers are fed from.
 func TestLaggedCoalescedCatchUp(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -27,6 +30,9 @@ func TestLaggedCoalescedCatchUp(t *testing.T) {
 			return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"kmv", func(seed int64) sketch.Estimator { return f0.NewKMV(24, rand.New(rand.NewSource(seed))) }},
+		{"countsketch", func(seed int64) sketch.Estimator {
+			return heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 5, Width: 8}, rand.New(rand.NewSource(seed)))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() *Lagged {
@@ -39,7 +45,7 @@ func TestLaggedCoalescedCatchUp(t *testing.T) {
 			}
 			got, raw := build(), build()
 			if !got.coalesce {
-				t.Fatal("the instances do not declare sketch.CoalesceInvariant")
+				t.Fatal("the instances neither declare sketch.CoalesceInvariant nor implement sketch.CoalescedUpdater")
 			}
 			raw.coalesce = false
 			both := func(op func(l *Lagged)) { op(got); op(raw) }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/sketch"
 )
 
-// PendingCap bounds the Switcher's lag buffer: non-active instances may
-// fall at most this many updates behind before a drain applies the backlog
-// to every live copy in one pass.
+// PendingCap bounds every Lagged's buffer, the Switcher's and the Theorem
+// 6.5 ring's: an instance not read since may fall at most this many updates
+// behind before a drain applies the backlog to every live copy in one pass.
 const PendingCap = 16384
 
 // Switcher implements sketch switching (Algorithm 1 of the paper): it

@@ -31,7 +31,9 @@ import (
 // rows double as AMS estimators of F2 — they are an fp.F2Sketch, held as a
 // named field and not embedded: the pool depends on arrival order, so a
 // CountSketch must not inherit the kernel's sketch.CoalesceInvariant
-// declaration, nor its codec, Fresh or Merge.
+// declaration, nor its codec, Fresh or Merge. It implements
+// sketch.CoalescedUpdater instead: a batch's coalesced form for the
+// counters, the batch itself in arrival order for the pool.
 //
 // The candidate pool carries one int64 per item: the net delta observed
 // since the item was admitted. It is retention metadata only — a cheap
@@ -124,9 +126,14 @@ func (cs *CountSketch) Update(item uint64, delta int64) {
 // UpdateBatch implements sketch.BatchUpdater: the kernel's batch pass
 // over the counters, then the candidate-pool pass in update order, so
 // admission and pruning decisions match per-update calls exactly.
-func (cs *CountSketch) UpdateBatch(batch []sketch.Update) {
-	cs.kernel.UpdateBatch(batch)
-	for _, u := range batch {
+func (cs *CountSketch) UpdateBatch(batch []sketch.Update) { cs.UpdateCoalesced(batch, batch) }
+
+// UpdateCoalesced implements sketch.CoalescedUpdater: the counters are an
+// F2Sketch, coalesce-invariant, so they take the net batch; the pool pass
+// still walks raw in arrival order.
+func (cs *CountSketch) UpdateCoalesced(net, raw []sketch.Update) {
+	cs.kernel.UpdateBatch(net)
+	for _, u := range raw {
 		cs.cands[u.Item] += u.Delta
 		if len(cs.cands) > 2*cs.candCap {
 			cs.pruneCandidates()

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/f0"
 	"repro/internal/game"
+	"repro/internal/heavyhitters"
 	"repro/internal/prf"
 	"repro/internal/sketch"
 	"repro/internal/stream"
@@ -181,35 +183,32 @@ func readHH(hh *HeavyHitters, items []uint64) hhAnswers {
 // TestFrozenCopyIsOutOfTheRing: refresh moves the caught-up instance out
 // of the ring instead of cloning it, which is sound only if nothing feeds
 // the frozen instance again. Located on the stream itself: the first
-// refresh followed by 1 000 quiet updates that cross a ring drain (where a
-// copy still in a slot would be fed its backlog) must leave every
-// per-coordinate answer bit-identical, and no slot may hold the pointer.
+// refresh followed by core.PendingCap quiet updates, which cross a ring
+// drain wherever the refresh fell (where a copy still in a slot would be
+// fed its backlog), must leave every per-coordinate answer bit-identical,
+// and no slot may hold the pointer.
 func TestFrozenCopyIsOutOfTheRing(t *testing.T) {
-	const quiet = 1000
+	const quiet = core.PendingCap
 	hh := NewHeavyHitters(0.3, 0.05, 1<<20, 25)
-	gen := stream.NewZipf(1<<12, 60000, 1.2, 31)
+	gen := stream.NewZipf(1<<12, 1<<19, 1.2, 31)
 	items := make([]uint64, 16) // the heaviest ranks: every window feeds them
 	for i := range items {
 		items[i] = uint64(i)
 	}
 	var want hhAnswers
-	since, drains := -1, false // updates since the last refresh; -1 before the first
-	for step := 0; ; step++ {
+	since := -1 // updates since the last refresh; -1 before the first
+	for since < quiet {
 		u, ok := gen.Next()
 		if !ok {
-			t.Fatalf("no refresh followed by %d quiet updates across a drain: lengthen the stream", quiet)
+			t.Fatalf("no refresh followed by %d quiet updates: lengthen the stream", quiet)
 		}
 		before := hh.L2()
 		hh.Update(u.Item, u.Delta)
 		switch {
 		case hh.L2() != before:
 			want, since = readHH(hh, items), 0
-			drains = (step+1)%ringLagBound+quiet >= ringLagBound
 		case since >= 0:
 			since++
-		}
-		if since == quiet && drains {
-			break
 		}
 	}
 	if got := readHH(hh, items); !reflect.DeepEqual(got, want) {
@@ -222,6 +221,101 @@ func TestFrozenCopyIsOutOfTheRing(t *testing.T) {
 		if hh.ring.Current(i) == sketch.Estimator(hh.frozen) {
 			t.Errorf("ring slot %d still holds the frozen instance", i)
 		}
+	}
+}
+
+// referenceHeavyHitters is Theorem 6.5 in its textbook synchronous form,
+// the shape of core's referenceSwitcher: every ring copy ingests every
+// update at once, and a refresh freezes the next copy where it stands and
+// builds its replacement afresh. HeavyHitters' lag buffer, coalesced
+// catch-up, drains and in-place restarts are performance machinery, so the
+// two must publish the same answers.
+type referenceHeavyHitters struct {
+	eps    float64
+	norm   *core.Switcher
+	ring   []*heavyhitters.CountSketch
+	next   int
+	frozen *heavyhitters.CountSketch
+	flips  int
+	sizing heavyhitters.Sizing
+	rng    *rand.Rand
+}
+
+func newReferenceHeavyHitters(eps, delta float64, n uint64, seed int64) *referenceHeavyHitters {
+	copies, sizing := ringSizing(eps, delta)
+	r := &referenceHeavyHitters{eps: eps, norm: NewFp(2, eps, delta/2, n, seed), sizing: sizing, rng: dist.Rand(seed + 0x5ee)}
+	for range copies {
+		r.ring = append(r.ring, heavyhitters.NewCountSketch(sizing, r.rng))
+	}
+	return r
+}
+
+func (r *referenceHeavyHitters) Update(item uint64, delta int64) {
+	r.norm.Update(item, delta)
+	for _, cs := range r.ring {
+		cs.Update(item, delta)
+	}
+	if n := r.norm.Switches(); n != r.flips {
+		r.flips = n
+		r.frozen, r.ring[r.next] = r.ring[r.next], heavyhitters.NewCountSketch(r.sizing, r.rng)
+		r.next = (r.next + 1) % len(r.ring)
+	}
+}
+
+// answers is readHH for the reference.
+func (r *referenceHeavyHitters) answers(items []uint64) hhAnswers {
+	var a hhAnswers
+	if r.frozen != nil {
+		a.top, a.set = r.frozen.TopK(10), r.frozen.HeavyHitters(0.75*r.eps*r.norm.Estimate())
+	}
+	for _, it := range items {
+		if r.frozen == nil {
+			a.points = append(a.points, 0)
+		} else {
+			a.points = append(a.points, r.frozen.Query(it))
+		}
+	}
+	return a
+}
+
+// TestHeavyHittersMatchesReference: over three full ring drains and a
+// ragged tail of Zipf updates, HeavyHitters publishes bit for bit what the
+// synchronous ring publishes — point queries of the 16 heaviest ranks and
+// two absent items, TopK(10) and Set() — after every refresh and at the
+// end.
+func TestHeavyHittersMatchesReference(t *testing.T) {
+	const eps, delta, n, seed = 0.3, 0.05, 1 << 20, 25
+	hh, ref := NewHeavyHitters(eps, delta, n, seed), newReferenceHeavyHitters(eps, delta, n, seed)
+	items := []uint64{1 << 40, 1<<40 + 1} // absent: the universe is [0, n)
+	for i := range 16 {
+		items = append(items, uint64(i))
+	}
+	m := 3*core.PendingCap + 777
+	gen := stream.NewZipf(n, m, 1.2, 41)
+	late := 0 // refreshes after the first ring drain
+	for step := 1; ; step++ {
+		u, ok := gen.Next()
+		if !ok {
+			break
+		}
+		flips := ref.flips
+		hh.Update(u.Item, u.Delta)
+		ref.Update(u.Item, u.Delta)
+		if ref.flips == flips {
+			continue
+		}
+		if step > core.PendingCap {
+			late++
+		}
+		if got, want := readHH(hh, items), ref.answers(items); !reflect.DeepEqual(got, want) {
+			t.Fatalf("refresh %d at update %d: published %+v, synchronous ring %+v", ref.flips, step, got, want)
+		}
+	}
+	if got, want := readHH(hh, items), ref.answers(items); !reflect.DeepEqual(got, want) {
+		t.Fatalf("at the end: published %+v, synchronous ring %+v", got, want)
+	}
+	if hh.Robustness().Switches != ref.flips || late < 3 {
+		t.Fatalf("%d refreshes (reference %d), %d of them past the first drain: the comparison is too thin", hh.Robustness().Switches, ref.flips, late)
 	}
 }
 

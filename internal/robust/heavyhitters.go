@@ -30,11 +30,13 @@ import (
 // the same mechanism that makes sketch switching robust.
 //
 // Ring instances are not updated synchronously: they sit in a core.Lagged
-// and are brought up to date in batch (or on demand, just before one is
-// frozen), so the per-update cost is the norm tracker plus an append. The
-// frozen snapshot is always taken at the exact refresh position, so
-// published answers are update-for-update identical to the synchronous
-// formulation.
+// bounded at core.PendingCap, like a Switcher's trailing copies, and are
+// brought up to date in batch (or on demand, just before one is frozen),
+// so the per-update cost is the norm tracker plus an append. A catch-up is
+// coalesced once for every copy's counters, while each pool walks it in
+// arrival order (sketch.CoalescedUpdater). The frozen snapshot is always
+// taken at the exact refresh position, so published answers are
+// update-for-update identical to the synchronous formulation.
 type HeavyHitters struct {
 	eps    float64
 	norm   *core.Switcher
@@ -46,10 +48,6 @@ type HeavyHitters struct {
 	sizing heavyhitters.Sizing
 	rng    *rand.Rand
 }
-
-// ringLagBound is how far the ring may fall behind before it is drained:
-// enough to amortize the catch-up, small beside the sketches themselves.
-const ringLagBound = 1024
 
 // NewHeavyHitters returns a robust (ε, δ)-L2 heavy hitters algorithm
 // (Definition 6.1 semantics with threshold parameter ε) over a universe of
@@ -70,7 +68,7 @@ func NewHeavyHitters(eps, delta float64, n uint64, seed int64) *HeavyHitters {
 	for i := range ring {
 		ring[i] = heavyhitters.NewCountSketch(sizing, hh.rng)
 	}
-	hh.ring = core.NewLagged(ring, ringLagBound)
+	hh.ring = core.NewLagged(ring, core.PendingCap)
 	return hh
 }
 
@@ -80,11 +78,11 @@ func ringSizing(eps, delta float64) (int, heavyhitters.Sizing) {
 	return copies, heavyhitters.SizeForPointQuery(eps/4, delta/float64(copies*4))
 }
 
-// heavyHittersBytes prices NewHeavyHitters: the norm tracker, and the ring
-// plus the frozen copy at their full pools.
+// heavyHittersBytes prices NewHeavyHitters: the norm tracker, the ring
+// plus the frozen copy at their full pools, and the ring's lag buffer.
 func heavyHittersBytes(eps, delta float64, n uint64) float64 {
 	copies, sizing := ringSizing(eps, delta)
-	return Policy{Kind: Ring}.StateBytes(eps, delta/2, n, LpProblem(2)) + float64(copies+1)*sizing.Bytes()
+	return Policy{Kind: Ring}.StateBytes(eps, delta/2, n, LpProblem(2)) + float64(copies+1)*sizing.Bytes() + lagBytes
 }
 
 // Update feeds the norm tracker, buffers the update for the ring, and

@@ -303,15 +303,16 @@ func (pol Policy) StateBytes(eps, delta float64, n uint64, prob Problem) float64
 	case pol.Kind == Ring && prob.NewRing != nil:
 		return prob.RingBytes(pl.eps, delta, n)
 	case pol.Kind == Switching || pol.Kind == Ring:
-		return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies) + switcherLagBytes
+		return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies) + lagBytes
 	}
 	return prob.InnerBytes(pl.eps0, pl.lnInvDelta, n, pol.KCap, pl.copies)
 }
 
-// switcherLagBytes is a Switcher's full lag buffer beside its copies:
-// core.PendingCap slots at 16 bytes, the coalesced one at 16, and the
-// coalescer's index of 2 × core.PendingCap slots at 16 (Lagged.SpaceBytes).
-const switcherLagBytes = 64 * core.PendingCap
+// lagBytes is a full core.Lagged beside its instances (a Switcher's
+// trailing copies, the Theorem 6.5 ring): core.PendingCap slots at 16
+// bytes, the coalesced one at 16, and the coalescer's index of
+// 2 × core.PendingCap slots at 16 (Lagged.SpaceBytes).
+const lagBytes = 64 * core.PendingCap
 
 // publish applies the problem's output transform.
 func (pol Policy) publish(prob Problem, est sketch.Estimator) sketch.Estimator {

@@ -1,12 +1,16 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/client"
@@ -176,6 +180,48 @@ func TestDurableRecoveryAfterCrash(t *testing.T) {
 	checkRecovered(t, c2, want)
 	if err := srv2.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveredStatsListKeysInOrder: /v1/stats lists a keyspace sorted by
+// key, so two servers recovered from copies of one data directory answer it
+// with equal bodies. The tenant map is ranged in a fresh order on every
+// pass, so over a dozen keys, declared out of order, an unsorted list
+// almost never matches sorted order or the other server's.
+func TestRecoveredStatsListKeysInOrder(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.MaxKeys = 16
+	_, c := bootDurable(t, cfg) // never Shutdown: both copies recover by replay
+	ctx := context.Background()
+	for i := range 12 {
+		key := fmt.Sprintf("k%02d", i*7%12)
+		if _, err := c.CreateTenant(ctx, key, client.TenantSpec{Sketch: "f2"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Update(ctx, key, []client.Update{{Item: uint64(i), Delta: int64(i + 1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bodies [2][]byte
+	for i := range bodies {
+		cfg.DataDir = waltest.Crash(t, dir)
+		_, c := bootDurable(t, cfg)
+		stats, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, ks := range stats.Tenants {
+			keys = append(keys, ks.Key)
+		}
+		if len(keys) != 12 || !slices.IsSorted(keys) {
+			t.Errorf("recovered server %d lists keys %v, want the 12 in key order", i, keys)
+		}
+		bodies[i], _ = json.Marshal(stats)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("two recoveries of one directory answer /v1/stats differently:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 

@@ -54,6 +54,8 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -473,16 +475,18 @@ func (s *Server) writable(t *tenant) error {
 	return nil
 }
 
-// tenantList copies the tenant map under mu, so callers can do
-// per-tenant work that visits shard workers (stats, close, checkpoint)
-// without blocking concurrent keyspace creation or deletion.
+// tenantList copies the tenant map under mu, sorted by key, so callers can
+// do per-tenant work that visits shard workers (stats, close, checkpoint)
+// without blocking concurrent keyspace creation or deletion, and /v1/stats
+// lists the same keyspace in the same order on every process.
 func (s *Server) tenantList() []*tenant {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	ts := make([]*tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		ts = append(ts, t)
 	}
+	s.mu.Unlock()
+	slices.SortFunc(ts, func(a, b *tenant) int { return strings.Compare(a.key, b.key) })
 	return ts
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/sketch"
 	"repro/internal/waltest"
 	"repro/internal/wire"
@@ -260,6 +261,37 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 	}
 	if cells < 23 {
 		t.Errorf("only %d cells resolved, want the 15 insertion cells and at least 8 signed ones", cells)
+	}
+}
+
+// TestRingShardSpaceWithinProjection: a countsketch+ring shard at the
+// benchmark's sizing, its counters widened by one 2³¹ delta and its pools
+// filled by distinct items, publishes no more space than its spec projects,
+// before and after every full ring drain: the projection prices the ring's
+// lag buffer (core.PendingCap slots, their coalesced twin and the
+// coalescer's index) beside the sketches.
+func TestRingShardSpaceWithinProjection(t *testing.T) {
+	cfg := Config{Shards: 1, Eps: 0.3, Delta: 0.05, N: 1 << 20, Seed: 7}.withDefaults()
+	sp, ts, err := resolve(TenantSpec{Sketch: "countsketch", Policy: "ring"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(sp.engineConfig(ts, 7))
+	defer eng.Close()
+	proj := sp.bytes(ts)
+	eng.Apply([]engine.Update{{Item: 1 << 40, Delta: 1 << 31}})
+	batch, peak := make([]engine.Update, 512), 0
+	for fed := 0; fed < 3*core.PendingCap; fed += len(batch) {
+		for i := range batch {
+			batch[i] = engine.Update{Item: uint64(fed + i), Delta: 1}
+		}
+		eng.Apply(batch)
+		eng.Flush()
+		peak = max(peak, eng.Read().SpaceBytes)
+	}
+	t.Logf("peak %d projected %.0f ratio %.3f", peak, proj, float64(peak)/proj)
+	if float64(peak) > proj {
+		t.Errorf("published space peaks at %d bytes, above the projected %.0f", peak, proj)
 	}
 }
 

@@ -23,6 +23,21 @@ type CoalesceInvariant interface {
 	CoalesceInvariant() bool
 }
 
+// CoalescedUpdater is implemented by batch estimators whose state is part
+// coalesce-invariant and part order-dependent: CountSketch's counters are
+// an F2Sketch, its candidate pool is not. UpdateCoalesced(Coalesce(raw),
+// raw) must leave exactly the state UpdateBatch(raw) leaves, so the
+// invariant part may take the short net batch while the rest walks raw in
+// arrival order. core.Lagged hands every catch-up to implementers in both
+// forms, coalescing once per catch-up; the conformance kit's
+// split-coalesce-consistency property holds them to the contract.
+type CoalescedUpdater interface {
+	BatchUpdater
+
+	// UpdateCoalesced processes raw, given net, its coalesced form.
+	UpdateCoalesced(net, raw []Update)
+}
+
 // Coalescer merges the duplicate items of a batch by summing their
 // deltas. Its index is one flat open-addressing table of (item, position,
 // generation) slots, probed linearly from a hash of the item mixed with a

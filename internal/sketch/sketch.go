@@ -17,10 +17,12 @@
 // A third, CoalesceInvariant (coalesce.go), marks batch estimators whose
 // state does not depend on whether a batch's duplicate items were merged
 // first; Coalescer does the merging, per batch for the engine's shard
-// workers and per catch-up for core.Lagged (declarers only).
-// The conformance kit's incremental-consistency, batch-consistency and
-// coalesce-consistency properties enforce the three contracts for every
-// registered type.
+// workers and per catch-up for core.Lagged. A fourth, CoalescedUpdater,
+// takes a catch-up in both forms, coalesced for the state that allows it
+// and raw for the rest; core.Lagged coalesces for declarers of either.
+// The conformance kit's incremental-consistency, batch-consistency,
+// coalesce-consistency and split-coalesce-consistency properties enforce
+// the four contracts for every registered type.
 //
 // Every optional interface is probed by type assertion, so each has to
 // earn its place by a non-test caller or a rung of the benchmark ladder
@@ -29,6 +31,7 @@
 //	interface             implementers                                                           non-test caller                                     ladder rung
 //	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV orders only the candidates it can keep and merges them in one pass)
 //	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.Lagged: every catch-up coalesced               robust.self_update_ns
+//	CoalescedUpdater      CountSketch                                                            core.Lagged: the Theorem 6.5 ring's catch-ups       robust.update_ns on mixed_durable
 //	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                       none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
 //	PointQuerier          CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.point_ns, engine.point_us
 //	TopKQuerier           CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
@@ -41,12 +44,16 @@
 // both appear in a row CountSketch implements the interface through that
 // kernel (UpdateBatch, Resummate and Estimate forward to it). It still
 // does not declare CoalesceInvariant, and must not come to by embedding:
-// its candidate pool depends on arrival order. Likewise F2Sketch answers
+// its candidate pool depends on arrival order. That is why it is the
+// CoalescedUpdater: its counters take a catch-up coalesced, its pool the
+// same catch-up raw. Likewise F2Sketch answers
 // no per-coordinate interface — the server's point gate, engine.QueryBatch
 // and the frozen ring all probe by assertion.
 //
-// robust's estimate adapter forwards the first two and the reporter, and
-// over a norm ring's F2 copies the Resetter.
+// robust's estimate adapter forwards BatchUpdater, CoalesceInvariant and
+// the reporter, and over a norm ring's F2 copies the Resetter; it does not
+// forward CoalescedUpdater, so a Switcher over CountSketch copies replays
+// its catch-ups raw.
 // IncrementalEstimator is the one with no caller outside its implementers
 // (each resummates itself on ResumInterval, Merge and Unmarshal): it names
 // a contract, it is not dispatched on. The two per-coordinate rows stop at

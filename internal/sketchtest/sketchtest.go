@@ -2,10 +2,10 @@
 // this repository: hand it a sketch.Factory (and, for mergeable types, a
 // sketch.Codec) and it checks the contracts every estimator must honor —
 // the update/estimate tracking contract, determinism under a fixed seed,
-// duplicate-insensitivity and coalesce-invariance where declared,
-// serialization round-trips, and the merge laws (zero identity,
-// associativity, linearity) that the engine's snapshot/merge path and the
-// server's /v1/merge endpoint rely on. The server's spec registry is run
+// duplicate-insensitivity, coalesce-invariance and the split coalesced
+// update where declared, serialization round-trips, and the merge laws
+// (zero identity, associativity, linearity) that the engine's
+// snapshot/merge path and the server's /v1/merge endpoint rely on. The server's spec registry is run
 // through the full battery by internal/server's conformance test, so a
 // newly registered sketch type inherits every check from its single
 // registry entry.
@@ -119,6 +119,7 @@ func Properties(h Harness) []Property {
 		{"incremental-consistency", checkIncrementalConsistency},
 		{"batch-consistency", checkBatchConsistency},
 		{"coalesce-consistency", checkCoalesceConsistency},
+		{"split-coalesce-consistency", checkSplitCoalesceConsistency},
 	}
 	if h.Codec != nil {
 		props = append(props,
@@ -338,6 +339,51 @@ func checkCoalesceConsistency(h Harness) error {
 		}
 		if !bytes.Equal(sa, sb) {
 			return fmt.Errorf("after batch %d: serialized state differs between raw and coalesced batches", third)
+		}
+	}
+	return nil
+}
+
+// checkSplitCoalesceConsistency holds sketch.CoalescedUpdater implementers
+// to their contract: same-seed instances fed the same three batches, one
+// through UpdateBatch(raw) and one through UpdateCoalesced(Coalesce(raw),
+// raw), must agree after each batch on the estimate, bit for bit, and (when
+// a codec is available) on the serialized state. The batches repeat items
+// under mixed-sign deltas, and the last one carries a delta of 2³¹, past
+// any int32 counter. Past it only the state is held bit for bit: a squared
+// counter of 2⁶² leaves float64 row aggregates to their order of addition,
+// so the estimate need only agree to 1e-12. core.Lagged feeds implementers
+// every catch-up in both forms on the strength of this property alone.
+func checkSplitCoalesceConsistency(h Harness) error {
+	a, b := h.Factory(h.Seed+14), h.Factory(h.Seed+14)
+	split, ok := b.(sketch.CoalescedUpdater)
+	if !ok {
+		return nil // property not declared; nothing to enforce
+	}
+	ups := h.testStream(14, h.updates())
+	for i := range ups {
+		ups[i].Delta = []int64{1, 2, -1, -3}[i%4]
+	}
+	ups[5*len(ups)/6].Delta = 1 << 31
+	var co sketch.Coalescer
+	for third := 1; third <= 3; third++ {
+		batch := ups[(third-1)*len(ups)/3 : third*len(ups)/3]
+		a.(sketch.BatchUpdater).UpdateBatch(batch)
+		split.UpdateCoalesced(co.Coalesce(nil, batch), batch)
+		ea, eb := a.Estimate(), b.Estimate()
+		if third < 3 && math.Float64bits(ea) != math.Float64bits(eb) || !near(ea, eb, 1e-12) {
+			return fmt.Errorf("after batch %d: UpdateBatch estimate %v, UpdateCoalesced estimate %v", third, ea, eb)
+		}
+		if h.Codec == nil {
+			continue
+		}
+		sa, errA := h.Codec.Marshal(a)
+		sb, errB := h.Codec.Marshal(b)
+		if errA != nil || errB != nil {
+			return fmt.Errorf("marshal: %v, %v", errA, errB)
+		}
+		if !bytes.Equal(sa, sb) {
+			return fmt.Errorf("after batch %d: serialized state differs between UpdateBatch and UpdateCoalesced", third)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/f0"
 	"repro/internal/fp"
+	"repro/internal/heavyhitters"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -68,6 +69,16 @@ func (f *falseCoalesce) UpdateBatch(batch []sketch.Update) {
 	}
 }
 
+// falseSplit implements sketch.CoalescedUpdater but decays its state on
+// every update, so the net batch it feeds itself lands elsewhere than the
+// raw one.
+type falseSplit struct{ falseCoalesce }
+
+func (f *falseSplit) CoalesceInvariant() bool { return false }
+func (f *falseSplit) UpdateCoalesced(net, _ []sketch.Update) {
+	f.UpdateBatch(net)
+}
+
 // TestKitCatchesViolations feeds deliberately broken estimators through
 // Check and requires the matching property to fail — the kit is only
 // trustworthy if it actually rejects bad implementations.
@@ -111,6 +122,14 @@ func TestKitCatchesViolations(t *testing.T) {
 			},
 			property: "coalesce-consistency",
 		},
+		{
+			name: "false split coalesced update",
+			h: Harness{
+				Name:    "falseSplit",
+				Factory: func(int64) sketch.Estimator { return &falseSplit{} },
+			},
+			property: "split-coalesce-consistency",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,6 +155,19 @@ func TestKitMergePropertiesExerciseKMV(t *testing.T) {
 			return f0.NewKMV(64, rand.New(rand.NewSource(seed)))
 		},
 		Codec: sketch.CodecFor[f0.KMV]("kmv"),
+	})
+}
+
+// TestKitSplitPropertyExercisesCountSketch holds CountSketch, the one
+// sketch.CoalescedUpdater, to its contract at a width whose candidate pool
+// prunes within the kit's stream, so the pool's arrival order is at stake.
+func TestKitSplitPropertyExercisesCountSketch(t *testing.T) {
+	Run(t, Harness{
+		Name: "heavyhitters.CountSketch",
+		Factory: func(seed int64) sketch.Estimator {
+			return heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 5, Width: 16}, rand.New(rand.NewSource(seed)))
+		},
+		Codec: sketch.CodecFor[heavyhitters.CountSketch]("countsketch"),
 	})
 }
 
