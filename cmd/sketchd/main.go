@@ -99,7 +99,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		maxKeys   = fs.Int("max-keys", 64, "server-wide keyspace quota")
-		shards    = fs.Int("shards", 4, "engine shards per keyspace")
+		shards    = fs.Int("shards", 4, "engine shards per static keyspace; a robust spec without shards runs on 1")
 		eps       = fs.Float64("eps", 0.2, "default per-keyspace accuracy target ε (overridable per tenant via TenantSpec)")
 		delta     = fs.Float64("delta", 0.05, "default per-keyspace failure probability δ (split δ/shards per shard instance; overridable per tenant)")
 		n         = fs.Uint64("n", 1<<32, "universe size bound for the robust constructors")
@@ -154,6 +154,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 	})
 	if err != nil {
 		hs.Close() // a held data directory (wal.ErrLocked) too: the stub stops serving
+		<-errc     // and Serve, which closes the listener, has returned
 		return err
 	}
 	if srv.Durable() {
@@ -185,7 +186,7 @@ func run(ctx context.Context, stop func(), args []string, ready chan<- net.Addr)
 	}
 	handler.Store(&live)
 
-	log.Printf("sketchd listening on %s (ε=%g δ=%g, %d shards/key, quota %d keys, durable=%v)",
+	log.Printf("sketchd listening on %s (ε=%g δ=%g, %d shards/static key, quota %d keys, durable=%v)",
 		ln.Addr(), *eps, *delta, *shards, *maxKeys, srv.Durable())
 	if ready != nil {
 		ready <- ln.Addr()

@@ -254,9 +254,15 @@ func TestHeldDataDirRefusesToServe(t *testing.T) {
 	if !errors.Is(err, wal.ErrLocked) {
 		t.Fatalf("second run on a held data dir: err = %v, want wal.ErrLocked", err)
 	}
-	if c, err := net.Dial("tcp", second.Addr().String()); err == nil {
-		c.Close()
-		t.Error("the refused run's listener still accepts connections")
+	// Ask the listener itself, not its port: another listener may have taken
+	// the port since. A deadline already past makes an open listener's
+	// Accept return at once, with a timeout rather than net.ErrClosed.
+	_ = second.(*net.TCPListener).SetDeadline(time.Now())
+	if c, err := second.Accept(); !errors.Is(err, net.ErrClosed) {
+		if c != nil {
+			c.Close()
+		}
+		t.Errorf("the refused run's listener is still open: Accept = %v, want net.ErrClosed", err)
 	}
 
 	cmd := exec.Command(os.Args[0])

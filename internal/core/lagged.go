@@ -1,6 +1,12 @@
 package core
 
-import "repro/internal/sketch"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/sketch"
+)
 
 // Lagged is a set of estimator instances that all owe the same stream but
 // need not be current at the same moment: updates land in one shared
@@ -8,7 +14,9 @@ import "repro/internal/sketch"
 // applied, and an instance catches up — through its batch kernel when it
 // has one — only when it is about to be read (Current) or when the buffer
 // fills (Drain: copy-outer, update-inner, so each instance's state stays
-// hot in cache while it chews through the backlog). Every instance still
+// hot in cache while it chews through the backlog, and the copies that owe
+// the whole buffer are spread over up to GOMAXPROCS goroutines, since they
+// share nothing but the buffer they read). Every instance still
 // ingests every update it is responsible for, in stream order, so whatever
 // is read from a Current instance is update-for-update what the
 // synchronous formulation would have produced.
@@ -106,28 +114,47 @@ func (l *Lagged) Replace(i int, fresh sketch.Estimator) {
 func (l *Lagged) Drop(i int) { l.instances[i] = nil }
 
 // Drain brings every live instance up to date and empties the buffer. The
-// instances that hold a prefix catch up first, each through the coalescing
-// scratch; then, when the instances allow, those that owe the whole buffer
-// share one coalesced copy of it.
+// instances that hold a prefix catch up first, one after another, each
+// through the coalescing scratch; then those that owe the whole buffer read
+// one shared copy of it, coalesced when the instances allow. Full-owers are
+// independent of each other and the shared copy is only read, so they are
+// fed from up to GOMAXPROCS goroutines, each claiming the next instance from
+// a shared counter; with one, the loop runs on the caller's goroutine.
 func (l *Lagged) Drain() {
 	for i := range l.instances {
-		if !l.coalesce || l.applied[i] != 0 {
+		if l.applied[i] != 0 {
 			l.Current(i)
 		}
 	}
+	net := l.pending
 	if l.coalesce {
 		l.net = l.co.Coalesce(l.net[:0], l.pending)
-		for i, inst := range l.instances {
+		net = l.net
+	}
+	var next atomic.Int64
+	feed := func() {
+		for i := int(next.Add(1) - 1); i < len(l.instances); i = int(next.Add(1) - 1) {
+			inst := l.instances[i]
 			if inst == nil || l.applied[i] != 0 {
 				continue
 			}
 			if cu, ok := inst.(sketch.CoalescedUpdater); ok {
-				cu.UpdateCoalesced(l.net, l.pending)
+				cu.UpdateCoalesced(net, l.pending)
 			} else {
-				sketch.ApplyBatch(inst, l.net)
+				sketch.ApplyBatch(inst, net)
 			}
 		}
 	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(l.instances)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feed()
+		}()
+	}
+	feed()
+	wg.Wait()
 	l.pending = l.pending[:0]
 	clear(l.applied)
 }

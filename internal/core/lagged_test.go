@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/entropy"
 	"repro/internal/f0"
 	"repro/internal/fp"
 	"repro/internal/heavyhitters"
@@ -93,6 +95,81 @@ func TestLaggedCoalescedCatchUp(t *testing.T) {
 			push(500)
 			both(func(l *Lagged) { l.Current(0) })
 			same("caught up after the drain")
+		})
+	}
+}
+
+// TestDrainFanOutMatchesSerialLoop: Drain feeds its full-owers from up to
+// GOMAXPROCS goroutines. A Lagged drained under GOMAXPROCS 4 leaves every
+// instance byte-equal to a twin drained under GOMAXPROCS 1, where the loop
+// runs on the caller's goroutine, over three drains whose prefix-holders
+// (stepped, replaced, caught up) sit between full-owers, and over one slot
+// dropped. CC declares neither coalescing interface, so its full-owers read
+// the raw buffer.
+func TestDrainFanOutMatchesSerialLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name    string
+		factory sketch.Factory
+	}{
+		{"f2", func(seed int64) sketch.Estimator {
+			return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
+		}},
+		{"kmv", func(seed int64) sketch.Estimator { return f0.NewKMV(24, rand.New(rand.NewSource(seed))) }},
+		{"countsketch", func(seed int64) sketch.Estimator {
+			return heavyhitters.NewCountSketch(heavyhitters.Sizing{Rows: 5, Width: 8}, rand.New(rand.NewSource(seed)))
+		}},
+		{"cc", func(seed int64) sketch.Estimator {
+			return entropy.NewCC(entropy.CCSizing{Groups: 3, Per: 8}, rand.New(rand.NewSource(seed)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Lagged {
+				instances := make([]sketch.Estimator, 8)
+				for i := range instances {
+					instances[i] = tc.factory(int64(i))
+				}
+				l := NewLagged(instances, PendingCap)
+				return &l
+			}
+			serial, fanned := build(), build()
+			rng := rand.New(rand.NewSource(8))
+			for round := range 3 {
+				for n := range 2000 {
+					item, delta := uint64(n/8+rng.Intn(50)), int64(1+rng.Intn(3))
+					serial.Push(item, delta)
+					fanned.Push(item, delta)
+					switch n {
+					case 500:
+						serial.Step(2, item, 1)
+						fanned.Step(2, item, 1)
+					case 900:
+						serial.Replace(4, tc.factory(int64(100+round)))
+						fanned.Replace(4, tc.factory(int64(100+round)))
+					case 1500:
+						serial.Current(6)
+						fanned.Current(6)
+					}
+				}
+				if round == 1 {
+					serial.Drop(5)
+					fanned.Drop(5)
+				}
+				runtime.GOMAXPROCS(1)
+				serial.Drain()
+				runtime.GOMAXPROCS(4)
+				fanned.Drain()
+				for i, inst := range serial.instances {
+					if inst == nil {
+						continue
+					}
+					a, _ := inst.(encoding.BinaryMarshaler).MarshalBinary()
+					b, _ := fanned.instances[i].(encoding.BinaryMarshaler).MarshalBinary()
+					if !bytes.Equal(a, b) {
+						t.Fatalf("drain %d: instance %d encodes differently fanned out than drained serially", round, i)
+					}
+				}
+			}
 		})
 	}
 }

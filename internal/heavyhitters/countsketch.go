@@ -130,9 +130,14 @@ func (cs *CountSketch) UpdateBatch(batch []sketch.Update) { cs.UpdateCoalesced(b
 
 // UpdateCoalesced implements sketch.CoalescedUpdater: the counters are an
 // F2Sketch, coalesce-invariant, so they take the net batch; the pool pass
-// still walks raw in arrival order.
+// walks raw in arrival order. When the pool and net's distinct items
+// together fit under the prune trigger, no prune can fire on the way, and
+// walking net lands the same keys and tallies in fewer steps.
 func (cs *CountSketch) UpdateCoalesced(net, raw []sketch.Update) {
 	cs.kernel.UpdateBatch(net)
+	if len(cs.cands)+len(net) <= 2*cs.candCap {
+		raw = net
+	}
 	for _, u := range raw {
 		cs.cands[u.Item] += u.Delta
 		if len(cs.cands) > 2*cs.candCap {

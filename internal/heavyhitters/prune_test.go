@@ -1,9 +1,12 @@
 package heavyhitters
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
 // TestSelectTopMatchesSort: the quickselect prune must retain exactly
@@ -40,6 +43,50 @@ func TestSelectTopMatchesSort(t *testing.T) {
 		}
 		if len(wantSet) != 0 {
 			t.Fatalf("trial %d (n=%d, k=%d): selectTop dropped %d top items", trial, n, k, len(wantSet))
+		}
+	}
+}
+
+// TestUpdateCoalescedAtThePruneBoundary: UpdateCoalesced walks net in place
+// of raw only while the pool and net's distinct items fit under the prune
+// trigger, 2·candCap. Pools filled so that pool + batch lands one below, at
+// and one above it must each encode byte-equal to UpdateBatch(raw). The
+// batch's items are fresh, each seen once at unit weight and again later at
+// a weight that grows with its position, plus one that sums to zero: above
+// the trigger a raw walk prunes on the unit tallies and a net walk on the
+// final ones, so walking net there keeps a different pool.
+func TestUpdateCoalescedAtThePruneBoundary(t *testing.T) {
+	sizing := Sizing{Rows: 5, Width: 8}
+	trigger := 2 * NewCountSketch(sizing, rand.New(rand.NewSource(1))).candCap
+	const fresh = 40
+	for _, total := range []int{trigger - 1, trigger, trigger + 1} {
+		split := NewCountSketch(sizing, rand.New(rand.NewSource(5)))
+		whole := NewCountSketch(sizing, rand.New(rand.NewSource(5)))
+		pool := make([]sketch.Update, total-fresh)
+		for i := range pool {
+			pool[i] = sketch.Update{Item: 1000 + uint64(i), Delta: int64(1 + i%5)}
+		}
+		split.UpdateBatch(pool)
+		whole.UpdateBatch(pool)
+		var raw []sketch.Update
+		for i := range fresh - 1 {
+			raw = append(raw, sketch.Update{Item: uint64(i), Delta: 1})
+		}
+		raw = append(raw, sketch.Update{Item: 99, Delta: 3}, sketch.Update{Item: 99, Delta: -3})
+		for i := range fresh - 1 {
+			raw = append(raw, sketch.Update{Item: uint64(i), Delta: int64(2 * i)})
+		}
+		var co sketch.Coalescer
+		net := co.Coalesce(nil, raw)
+		if len(pool)+len(net) != total {
+			t.Fatalf("pool %d + net %d, want %d", len(pool), len(net), total)
+		}
+		split.UpdateCoalesced(net, raw)
+		whole.UpdateBatch(raw)
+		a, _ := split.MarshalBinary()
+		b, _ := whole.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Errorf("pool + batch = %d (prune trigger %d): UpdateCoalesced encodes differently from UpdateBatch(raw)", total, trigger)
 		}
 	}
 }

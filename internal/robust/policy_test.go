@@ -3,6 +3,7 @@ package robust
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -249,14 +250,16 @@ func TestThinConstructorsMatchPolicyLayer(t *testing.T) {
 	}
 }
 
-// batchCounter counts the UpdateBatch calls that reach an F2 sketch.
+// batchCounter counts the UpdateBatch calls that reach an F2 sketch. The
+// count is shared across copies, which a drain feeds from several
+// goroutines at once.
 type batchCounter struct {
 	*fp.F2Sketch
-	batches *int
+	batches *atomic.Int64
 }
 
 func (c batchCounter) UpdateBatch(b []sketch.Update) {
-	*c.batches++
+	c.batches.Add(1)
 	c.F2Sketch.UpdateBatch(b)
 }
 
@@ -266,7 +269,7 @@ func (c batchCounter) UpdateBatch(b []sketch.Update) {
 // through it — the trailing copies' batch catch-up down to the inner F2
 // sketch — and it must add no per-coordinate read of its own.
 func TestAdapterForwardsOptionalInterfaces(t *testing.T) {
-	batches := 0
+	var batches atomic.Int64
 	prob := LpProblem(2)
 	prob.Inner = func(eps0, lnInvDelta float64, n uint64, kCap int, seed int64) sketch.Estimator {
 		f2 := fp.NewF2(fp.SizeF2Ln(eps0, lnInvDelta), rand.New(rand.NewSource(seed)))
@@ -278,9 +281,9 @@ func TestAdapterForwardsOptionalInterfaces(t *testing.T) {
 	// climbs slowly enough to leave trailing copies — feeds several at once.
 	drained := false
 	for i := uint64(0); i < 20000; i++ {
-		before := batches
+		before := batches.Load()
 		est.Update(i%4, 1)
-		drained = drained || batches-before > 1
+		drained = drained || batches.Load()-before > 1
 	}
 	if !drained {
 		t.Error("f2+switching: no drain fed the trailing copies their backlog through UpdateBatch")

@@ -166,7 +166,9 @@ type TenantSpec struct {
 	N U64 `json:"n,omitempty"`
 
 	// Shards is the tenant engine's shard count, capped at MaxTenantShards.
-	// Zero picks the server default.
+	// Zero picks the server default for a static tenant and one for a
+	// robust tenant, so a robust tenant's flip budget, switches and copies
+	// are one ensemble's, the whole tenant's.
 	Shards int `json:"shards,omitempty"`
 
 	// FlipBudget is the flip number λ for the switching and paths

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -792,5 +793,67 @@ func TestCheckpointNeverClaimsPastTheLogHead(t *testing.T) {
 func truncateFromRecord9(t *testing.T, seg string) {
 	if err := os.Truncate(seg, recordOffset(t, seg, 9)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoredRobustSpecKeepsItsShards: a robust spec that names no shards
+// resolves to one, but a stored spec carries its resolved count. A data
+// directory journaled when such a declaration resolved to the server's two
+// shards — its create record written here byte for byte as that server
+// stored it — recovers a two-shard tenant on a server whose robust default
+// is now one, answering /v2/query (both codecs) and /v1/stats byte-equal to
+// a twin declared with two shards outright and fed the same batches.
+func TestStoredRobustSpecKeepsItsShards(t *testing.T) {
+	const key = "robust"
+	const stored = `{"sketch":"f2","policy":"switching","eps":0.25,"delta":0.05,"n":1048576,"shards":2,"flip_budget":64,"model":"insertion","seed":42}`
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := durableCfg("")
+	twin := server.New(cfg)
+	defer twin.Drain()
+	declare(t, twin.Handler(), key, server.TenantSpec{Sketch: "f2", Policy: "switching", Shards: 2})
+	if _, err := l.Append(wal.Record{Kind: wal.KindCreate, Key: key, Data: []byte(stored)}); err != nil {
+		t.Fatal(err)
+	}
+	for b := range 40 {
+		us := make([]wire.Update, 512)
+		for j := range us {
+			us[j] = wire.Update{Item: uint64((b*len(us) + j) % (700 + 60*b)), Delta: 1}
+		}
+		frame := wire.AppendUpdates(nil, us)
+		if _, err := l.Append(wal.Record{Kind: wal.KindUpdate, Key: key, Data: frame}); err != nil {
+			t.Fatal(err)
+		}
+		if w := call(twin.Handler(), http.MethodPost, "/v2/update?key="+key, frame, wire.ContentType, ""); w.Code != http.StatusOK {
+			t.Fatalf("twin batch %d: HTTP %d %s", b, w.Code, w.Body.Bytes())
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.DataDir = dir
+	rec, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Drain()
+	if ks := keyStats(t, rec.Handler(), key); ks.Shards != 2 || ks.Robustness == nil || ks.Robustness.Switches == 0 {
+		t.Fatalf("recovered tenant %+v, want two shards that have switched", ks)
+	}
+	query, _ := json.Marshal(server.QueryRequest{Key: key, Queries: []server.Query{{Kind: server.QueryEstimate}}})
+	for _, accept := range []string{"", wire.ContentType} {
+		a := call(rec.Handler(), http.MethodPost, "/v2/query", query, "application/json", accept)
+		b := call(twin.Handler(), http.MethodPost, "/v2/query", query, "application/json", accept)
+		if a.Code != http.StatusOK || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+			t.Errorf("/v2/query (Accept %q): recovered HTTP %d %q, twin %q", accept, a.Code, a.Body.Bytes(), b.Body.Bytes())
+		}
+	}
+	a := call(rec.Handler(), http.MethodGet, "/v1/stats", nil, "", "")
+	b := call(twin.Handler(), http.MethodGet, "/v1/stats", nil, "", "")
+	if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+		t.Errorf("/v1/stats: recovered %s, twin %s", a.Body.Bytes(), b.Body.Bytes())
 	}
 }

@@ -2,15 +2,20 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/waltest"
 	"repro/internal/wire"
 )
 
@@ -299,4 +304,86 @@ func TestPathsTenantSpendsNoFlipOnZero(t *testing.T) {
 	if rb := *resp.Robustness; rb.Switches != 1 || rb.Remaining != budget-1 {
 		t.Errorf("robustness %+v after a zero batch and a +1, want switches 1, remaining %d", rb, budget-1)
 	}
+}
+
+// TestAbsoluteMassIsBounded: a batch that would take a tenant's absolute
+// mass Σ|delta| past 2⁶² is a 400 naming the bound, with nothing journaled
+// or applied, in both codecs over loopback HTTP. A one-shard f2 turnstile
+// tenant takes {7: 2⁶²}, then refuses the same batch again (unbounded, the
+// third copy wrapped its mass to −2⁶²); another fills the bound exactly with
+// mixed signs, then refuses one more unit; a third refuses MinInt64 outright.
+// A crash copy of the data directory recovers every ledger unchanged.
+func TestAbsoluteMassIsBounded(t *testing.T) {
+	const bound = int64(1) << 62
+	cfg := server.Config{Shards: 1, Seed: 9, MaxKeys: 8, DataDir: t.TempDir(), Fsync: "none"}
+	srv, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Drain()
+	ctx := context.Background()
+	type ledger struct{ mass, deleted int64 }
+	want := map[string]ledger{}
+	for _, codec := range []client.Codec{client.CodecBinary, client.CodecJSON} {
+		c := client.New(hs.URL, hs.Client(), client.WithCodec(codec))
+		key := func(name string) string { return fmt.Sprintf("%s-%d", name, codec) }
+		send := func(name string, refused bool, us ...client.Update) {
+			t.Helper()
+			err := c.Update(ctx, key(name), us)
+			switch {
+			case !refused && err != nil:
+				t.Fatalf("codec %d: %s %v: %v", codec, name, us, err)
+			case refused && (client.StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "absolute mass")):
+				t.Fatalf("codec %d: %s %v answered %v, want a 400 naming the absolute mass bound", codec, name, us, err)
+			}
+		}
+		for _, name := range []string{"flood", "edge", "min"} {
+			if _, err := c.CreateTenant(ctx, key(name), client.TenantSpec{Sketch: "f2", Model: "turnstile"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send("flood", false, client.Update{Item: 7, Delta: bound})
+		est, err := c.Estimate(ctx, key("flood"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		send("flood", true, client.Update{Item: 7, Delta: bound})
+		send("flood", true, client.Update{Item: 8, Delta: -1})
+		if got, err := c.Estimate(ctx, key("flood")); err != nil || got != est {
+			t.Fatalf("codec %d: a refused batch moved the estimate %v → %v (%v)", codec, est, got, err)
+		}
+		want[key("flood")] = ledger{bound, 0}
+
+		send("edge", false, client.Update{Item: 1, Delta: bound / 2}, client.Update{Item: 2, Delta: -bound / 4})
+		send("edge", false, client.Update{Item: 3, Delta: bound / 4})
+		send("edge", true, client.Update{Item: 4, Delta: 1})
+		want[key("edge")] = ledger{bound / 2, bound / 4}
+
+		send("min", true, client.Update{Item: 5, Delta: 1}, client.Update{Item: 5, Delta: math.MinInt64})
+		want[key("min")] = ledger{}
+	}
+	check := func(what string, c *client.Client) {
+		t.Helper()
+		for k, w := range want {
+			ks, err := c.KeyStats(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ks.Mass != w.mass || ks.DeletedMass != w.deleted {
+				t.Errorf("%s: %s reads mass %d, deleted %d; want %d and %d", what, k, ks.Mass, ks.DeletedMass, w.mass, w.deleted)
+			}
+		}
+	}
+	check("live", client.New(hs.URL, hs.Client()))
+	cfg.DataDir = waltest.Crash(t, cfg.DataDir)
+	rec, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Drain()
+	rhs := httptest.NewServer(rec.Handler())
+	defer rhs.Close()
+	check("recovered", client.New(rhs.URL, rhs.Client()))
 }

@@ -173,6 +173,9 @@ func (s *Server) ingest(t *tenant, us []wire.Update) error {
 	if err := s.writable(t); err != nil {
 		return err
 	}
+	if err := t.admitMass(us); err != nil {
+		return err
+	}
 	if err := s.logUpdates(t, us); err != nil {
 		return fmt.Errorf("%w: %v", errJournal, err)
 	}

@@ -77,7 +77,10 @@ type Config struct {
 	// it fails with 507 until another keyspace is deleted. Defaults to 64.
 	MaxKeys int
 
-	// Shards is each tenant's engine.Engine shard count. Defaults to 4.
+	// Shards is a static tenant's engine.Engine shard count. Defaults to
+	// 4. A robust tenant whose spec names no shards runs on one: its
+	// guarantee, flip budget and copies are per ensemble, and each shard
+	// would be a whole ensemble of its own.
 	Shards int
 
 	// Eps and Delta are the per-keyspace accuracy targets; robust and
@@ -165,7 +168,15 @@ var (
 	// errGone marks a write that found its key deleted or replaced under it:
 	// a 410, nothing applied.
 	errGone = errors.New("gone")
+	// errMassBound marks a batch that would take a tenant's absolute mass
+	// past maxAbsMass: a 400, nothing journaled or applied.
+	errMassBound = errors.New("absolute mass bound")
 )
+
+// maxAbsMass bounds a tenant's absolute mass Σ|Δ| over its whole stream,
+// the paper's bounded-entry model made concrete: under it no counter, and
+// no ledger sum, leaves int64.
+const maxAbsMass = 1 << 62
 
 type tenant struct {
 	key  string
@@ -206,6 +217,29 @@ func (t *tenant) apply(us []wire.Update) {
 	}
 	t.mass.Add(mass)
 	t.deleted.Add(deleted)
+}
+
+// admitMass refuses a batch that would take the tenant's absolute mass
+// past maxAbsMass. The ledger holds it as mass + 2·deleted: the net mass
+// is the inserted minus the deleted mass, so that sum is inserted plus
+// deleted, Σ|Δ|. Every partial sum stays at or below 2⁶², so nothing here
+// overflows, and a single |Δ| above the bound (MinInt64's included) is
+// refused before it is added. The caller holds writeMu. Replay applies what
+// was journaled, so it never asks.
+func (t *tenant) admitMass(us []wire.Update) error {
+	abs := uint64(t.mass.Load()) + 2*uint64(t.deleted.Load())
+	for i, u := range us {
+		d := uint64(u.Delta)
+		if u.Delta < 0 {
+			d = -d
+		}
+		if abs > maxAbsMass || d > maxAbsMass-abs {
+			return fmt.Errorf("%w: update %d (delta %d) takes tenant %q's absolute mass Σ|delta| past 2^62 — nothing was applied",
+				errMassBound, i, u.Delta, t.key)
+		}
+		abs += d
+	}
+	return nil
 }
 
 // snapshot serializes a mergeable tenant's state into a snapshot
@@ -530,6 +564,8 @@ func fail(w http.ResponseWriter, status int, err error) {
 		status = http.StatusInsufficientStorage
 	case errors.Is(err, errConflict):
 		status = http.StatusConflict
+	case errors.Is(err, errMassBound):
+		status = http.StatusBadRequest
 	case errors.Is(err, errPartial), errors.Is(err, errJournal):
 		status = http.StatusInternalServerError
 	}

@@ -414,8 +414,15 @@ func (ts TenantSpec) normalize(cfg Config, trusted bool) (TenantSpec, error) {
 	if ts.N == 0 {
 		ts.N = U64(cfg.N)
 	}
+	// A robust tenant's guarantee is per ensemble: every shard would walk
+	// the flip ladder of its own substream, spending λ S times over at S
+	// times the copies, so an unset shard count is one. A static sketch
+	// takes the server's.
 	if ts.Shards == 0 {
 		ts.Shards = cfg.Shards
+		if ts.Policy != "" && ts.Policy != "none" {
+			ts.Shards = 1
+		}
 	}
 	if ts.FlipBudget == 0 {
 		ts.FlipBudget = cfg.FlipBudget

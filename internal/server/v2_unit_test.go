@@ -154,6 +154,40 @@ func TestTenantSpecNormalize(t *testing.T) {
 	}
 }
 
+// TestShardsResolution: a robust spec that names no shards resolves to one
+// shard, one ensemble whose flips walk the ladder once; a static spec takes
+// the server's count; an explicit count wins either way, and a stored spec,
+// resolved as trusted, keeps the count it carries.
+func TestShardsResolution(t *testing.T) {
+	cfg := Config{Shards: 3}.withDefaults()
+	for _, c := range []struct {
+		spec TenantSpec
+		want int
+	}{
+		{TenantSpec{Sketch: "f2"}, 3},
+		{TenantSpec{Sketch: "f2", Policy: "none"}, 3},
+		{TenantSpec{Sketch: "kmv", Policy: "switching"}, 1},
+		{TenantSpec{Sketch: "f2", Policy: "ring"}, 1},
+		{TenantSpec{Sketch: "f2", Policy: "paths"}, 1},
+		{TenantSpec{Sketch: "countsketch", Policy: "ring"}, 1},
+		{TenantSpec{Sketch: "f2", Policy: "switching", Model: "turnstile"}, 1},
+		{TenantSpec{Sketch: "f2", Shards: 2}, 2},
+		{TenantSpec{Sketch: "f2", Policy: "switching", Shards: 2}, 2},
+		{TenantSpec{Sketch: "kmv", Policy: "ring", Shards: 5}, 5},
+	} {
+		_, ts, err := resolve(c.spec, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		if ts.Shards != c.want {
+			t.Errorf("%+v resolved to %d shards, want %d", c.spec, ts.Shards, c.want)
+		}
+		if _, again, err := resolveTrusted(ts, cfg); err != nil || again.Shards != c.want {
+			t.Errorf("%+v stored and read back: %d shards (%v), want %d", c.spec, again.Shards, err, c.want)
+		}
+	}
+}
+
 // TestResolvePerTenantSizing: resolve is a function of the tenant spec —
 // two tenants with different ε get differently sized shard estimators
 // from the same server config.
