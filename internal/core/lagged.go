@@ -33,29 +33,65 @@ import (
 // catch-up costs its own suffix even right after a drain has grown the
 // index to the whole buffer.
 //
-// Switcher keeps its trailing copies in one, robust.HeavyHitters its
-// Theorem 6.5 CountSketch ring; both bound it at PendingCap.
+// An instance that has seen nothing is its constructor's, so a slot need
+// not be built before it is read: until the first Drain the buffer holds
+// the whole stream, and a slot built then and fed it from its start ends
+// where one built up front would. The slots NewLagged is not given are
+// owed, built (see Owe) when first read or by the first Drain, which builds
+// every one left before it empties the buffer.
+//
+// Switcher keeps its trailing copies in one (a dense one owes all but the
+// first), robust.HeavyHitters its Theorem 6.5 CountSketch ring; both bound
+// it at PendingCap.
 type Lagged struct {
-	instances []sketch.Estimator // nil once dropped
+	instances []sketch.Estimator // nil once dropped, and until built
 	applied   []int              // per instance: prefix of pending already applied
 	pending   []sketch.Update    // grows lazily toward bound: an idle tenant does not pay for it
 	bound     int
 	coalesce  bool             // the instances declare sketch.CoalesceInvariant or implement sketch.CoalescedUpdater
 	co        sketch.Coalescer // catch-up scratch: item index …
 	net       []sketch.Update  // … and the coalesced suffix, allocated by the first catch-up that needs it
+
+	// Slots from built on are owed: not built yet, each owing the whole
+	// stream since NewLagged, which pending still holds, since the first
+	// Drain builds them all. build (see Owe) makes slot i, restarting spare
+	// (the instance dropped last, or nil) in place when it can.
+	build func(i int, spare sketch.Estimator) sketch.Estimator
+	built int
+	spare sketch.Estimator
 }
 
 // NewLagged takes ownership of the instances, none of which has seen an
 // update; bound is how many updates an instance may fall behind before
-// Full asks for a Drain.
+// Full asks for a Drain. The first instance must be there; the slots after
+// the last one given are owed, and Owe says how to build them.
 func NewLagged(instances []sketch.Estimator, bound int) Lagged {
 	ci, ok := instances[0].(sketch.CoalesceInvariant)
 	_, split := instances[0].(sketch.CoalescedUpdater)
+	built := 0
+	for built < len(instances) && instances[built] != nil {
+		built++
+	}
 	return Lagged{
 		instances: instances,
 		applied:   make([]int, len(instances)),
 		bound:     bound,
 		coalesce:  split || ok && ci.CoalesceInvariant(),
+		built:     built,
+	}
+}
+
+// Owe sets how the owed slots are built: build(i, spare) makes slot i,
+// restarting spare in place when it can, when the slot is first read
+// (Current) or at the first Drain, whichever comes first.
+func (l *Lagged) Owe(build func(i int, spare sketch.Estimator) sketch.Estimator) { l.build = build }
+
+// buildTo builds every owed slot below n, in slot order. A slot built here
+// owes the buffer from its start: applied is still 0 for it.
+func (l *Lagged) buildTo(n int) {
+	for ; l.built < n; l.built++ {
+		l.instances[l.built] = l.build(l.built, l.spare)
+		l.spare = nil
 	}
 }
 
@@ -84,7 +120,9 @@ func (l *Lagged) Full() bool { return len(l.pending) >= l.bound }
 
 // Current replays instance i's unseen suffix of the buffer, coalesced when
 // the instances allow, and returns the instance (nil if it was dropped).
+// An owed slot is built first, with every owed slot below it.
 func (l *Lagged) Current(i int) sketch.Estimator {
+	l.buildTo(i + 1)
 	inst := l.instances[i]
 	if rest := l.pending[l.applied[i]:]; inst != nil && len(rest) > 0 {
 		net := rest
@@ -110,17 +148,25 @@ func (l *Lagged) Replace(i int, fresh sketch.Estimator) {
 	l.applied[i] = len(l.pending)
 }
 
-// Drop releases instance i; its slot stays, empty.
-func (l *Lagged) Drop(i int) { l.instances[i] = nil }
+// Drop releases instance i; its slot stays, empty. While a slot is owed,
+// the next build may restart the dropped instance in place.
+func (l *Lagged) Drop(i int) {
+	if l.built < len(l.instances) {
+		l.spare = l.instances[i]
+	}
+	l.instances[i] = nil
+}
 
-// Drain brings every live instance up to date and empties the buffer. The
-// instances that hold a prefix catch up first, one after another, each
-// through the coalescing scratch; then those that owe the whole buffer read
-// one shared copy of it, coalesced when the instances allow. Full-owers are
+// Drain builds every owed slot, brings every live instance up to date and
+// empties the buffer. The instances that hold a prefix catch up first, one
+// after another, each through the coalescing scratch; then those that owe
+// the whole buffer read one shared copy of it, coalesced when the instances
+// allow. Full-owers are
 // independent of each other and the shared copy is only read, so they are
 // fed from up to GOMAXPROCS goroutines, each claiming the next instance from
 // a shared counter; with one, the loop runs on the caller's goroutine.
 func (l *Lagged) Drain() {
+	l.buildTo(len(l.instances))
 	for i := range l.instances {
 		if l.applied[i] != 0 {
 			l.Current(i)
@@ -159,8 +205,9 @@ func (l *Lagged) Drain() {
 	clear(l.applied)
 }
 
-// SpaceBytes sums the live instances, the lag buffer and the coalesced
-// buffer (16 bytes a slot each), and the coalescer's index as allocated.
+// SpaceBytes sums the live instances (built and not dropped), the lag
+// buffer and the coalesced buffer (16 bytes a slot each), and the
+// coalescer's index as allocated.
 func (l *Lagged) SpaceBytes() int {
 	total := 16*cap(l.pending) + 16*cap(l.net) + l.co.SpaceBytes()
 	for _, inst := range l.instances {

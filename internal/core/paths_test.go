@@ -114,10 +114,13 @@ func TestPathsSpaceDominatedByInner(t *testing.T) {
 // sequence and count the same flips — including a first update that
 // leaves the estimate at 0, which moves no output and spends no budget.
 // Every Switcher instance is the same seeded F2 sketch, so its estimates
-// are the Paths inner's whichever instance is active.
+// are the Paths inner's whichever instance is active. A factory that
+// ignores its seed cannot promise what sketch.Resetter asks of it, so the
+// sketch is handed over with its Reset hidden: a flip builds the next
+// copy from the factory instead of restarting the spent one from a seed.
 func TestPathsAndSwitcherAgreeFromZero(t *testing.T) {
 	f2 := func(int64) sketch.Estimator {
-		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(7)))
+		return struct{ sketch.Estimator }{fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(7)))}
 	}
 	sw := NewSwitcher(0.3, 64, false, 1, f2)
 	p := NewPaths(0.3, 64, f2(0))

@@ -40,11 +40,17 @@ const PendingCap = 16384
 // update-for-update identical to the synchronous formulation. In dense
 // mode an instance whose value has been published can never influence an
 // output again — it is dropped at switch time, so a dense Switcher's
-// footprint shrinks as its flip budget is consumed.
+// footprint shrinks as its flip budget is consumed. Nor is a dense copy
+// built before it is needed: one that has seen nothing is its seed, and
+// until the first drain the lag buffer holds the whole stream, so slot i
+// is built when it becomes active or at the first drain, whichever comes
+// first, and fed the buffer from its start. A dense footprint is the
+// copies still owed; before the first drain, only the active one is
+// resident, and each flip restarts the spent copy in place as the next.
 type Switcher struct {
 	r         rounding // the published output; a flip spends the active instance
 	factory   sketch.Factory
-	lag       Lagged // the instances; dense mode drops the slots below active
+	lag       Lagged // the instances; dense mode builds slots as they are needed and drops the slots below active
 	active    int
 	ring      bool
 	exhausted bool
@@ -65,19 +71,37 @@ func RingCopies(eps float64) int {
 // NewSwitcher returns a sketch-switching wrapper publishing (1±ε)-accurate
 // estimates. copies is the number of instances (the flip number in dense
 // mode, RingCopies(eps) in ring mode); factory must build independent
-// (Θ(ε), δ/copies)-strong-tracking instances.
+// (Θ(ε), δ/copies)-strong-tracking instances. Instance i is seeded
+// seed + 7919·i; a ring builds them all here, since the first drain needs
+// every one, a dense ensemble only the first.
 func NewSwitcher(eps float64, copies int, ring bool, seed int64, factory sketch.Factory) *Switcher {
 	if copies < 1 {
 		panic("core: NewSwitcher needs copies >= 1")
 	}
-	s := &Switcher{r: rounding{eps: eps / 2}, factory: factory, ring: ring, nextSeed: seed}
-	instances := make([]sketch.Estimator, copies)
-	for i := range instances {
-		instances[i] = factory(s.nextSeed)
-		s.nextSeed += 7919
+	s := &Switcher{r: rounding{eps: eps / 2}, factory: factory, ring: ring, nextSeed: seed + 7919*int64(copies)}
+	build := func(i int, spent sketch.Estimator) sketch.Estimator { return s.fresh(spent, seed+7919*int64(i)) }
+	instances, now := make([]sketch.Estimator, copies), 1
+	if ring {
+		now = copies // the first drain feeds every ring slot
+	}
+	for i := range now {
+		instances[i] = build(i, nil)
 	}
 	s.lag = NewLagged(instances, PendingCap)
+	s.lag.Owe(build)
 	return s
+}
+
+// fresh is the one place a copy is made: the spent one (nil if there is
+// none) restarted in place from seed when it can re-draw itself, a new one
+// from the factory otherwise. Either way the copy is what factory(seed)
+// builds, which is what sketch.Resetter asks of the factory.
+func (s *Switcher) fresh(spent sketch.Estimator, seed int64) sketch.Estimator {
+	if r, ok := spent.(sketch.Resetter); ok {
+		r.Reset(dist.Rand(seed))
+		return spent
+	}
+	return s.factory(seed)
 }
 
 // Update implements sketch.Estimator: the update is buffered for the
@@ -95,16 +119,8 @@ func (s *Switcher) Update(item uint64, delta int64) {
 func (s *Switcher) advance() {
 	if s.ring {
 		// Restart the just-used instance with fresh randomness; it will
-		// track the suffix of the stream until its turn comes again. One
-		// that can re-draw itself in place does; the factory builds a
-		// replacement for one that cannot.
-		inst := s.lag.Current(s.active)
-		if r, ok := inst.(sketch.Resetter); ok {
-			r.Reset(dist.Rand(s.nextSeed))
-		} else {
-			inst = s.factory(s.nextSeed)
-		}
-		s.lag.Replace(s.active, inst)
+		// track the suffix of the stream until its turn comes again.
+		s.lag.Replace(s.active, s.fresh(s.lag.Current(s.active), s.nextSeed))
 		s.nextSeed += 7919
 		s.active = (s.active + 1) % s.lag.Len()
 		s.lag.Current(s.active)
@@ -118,7 +134,8 @@ func (s *Switcher) advance() {
 		return
 	}
 	// Dense mode: the instance just published is spent — drop it, so the
-	// wrapper's footprint tracks the remaining flip budget.
+	// wrapper's footprint tracks the remaining flip budget. If the next
+	// slot is still owed, reading it builds it in the spent copy's memory.
 	s.lag.Drop(s.active)
 	s.active++
 	s.lag.Current(s.active)
@@ -135,7 +152,7 @@ func (s *Switcher) Switches() int { return s.r.flips }
 func (s *Switcher) Exhausted() bool { return s.exhausted }
 
 // Copies returns the number of live instances: every slot in ring mode,
-// the active one and those above it in dense mode.
+// the active one and those above it in dense mode, built or still owed.
 func (s *Switcher) Copies() int {
 	if s.ring {
 		return s.lag.Len()
@@ -160,6 +177,6 @@ func (s *Switcher) Robustness() sketch.Robustness {
 	return r
 }
 
-// SpaceBytes charges the published output plus the live instances, the lag
-// buffer and the drain's coalescing scratch.
+// SpaceBytes charges the published output plus the instances built and not
+// dropped, the lag buffer and the drain's coalescing scratch.
 func (s *Switcher) SpaceBytes() int { return 16 + s.lag.SpaceBytes() }

@@ -140,15 +140,22 @@ func TestRingCopiesScaling(t *testing.T) {
 func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 	// Fresh switchers: retirement shrinks a dense switcher once updates
 	// consume flip budget (see TestSwitcherRetirementShrinksSpace), so the
-	// copy-count scaling is a property of the initial footprint.
+	// copy-count scaling is a property of the footprint before any flip.
+	// Until the first drain only the active copy is built, so both hold
+	// one; a drain builds the copies still owed.
 	small := NewSwitcher(0.3, 2, false, 1, func(seed int64) sketch.Estimator {
 		return f0.NewKMV(16, rand.New(rand.NewSource(seed)))
 	})
 	big := NewSwitcher(0.3, 8, false, 1, func(seed int64) sketch.Estimator {
 		return f0.NewKMV(16, rand.New(rand.NewSource(seed)))
 	})
-	if big.SpaceBytes() < 3*small.SpaceBytes() {
-		t.Errorf("8-copy space %d not ≈ 4x the 2-copy space %d", big.SpaceBytes(), small.SpaceBytes())
+	if big.SpaceBytes() != small.SpaceBytes() {
+		t.Errorf("before a drain the 8-copy ensemble holds %d bytes, the 2-copy one %d: want one copy each", big.SpaceBytes(), small.SpaceBytes())
+	}
+	small.lag.Drain()
+	big.lag.Drain()
+	if liveBytes(big) < 3*liveBytes(small) {
+		t.Errorf("after a drain the 8 copies hold %d bytes, not ≈ 4x the 2 copies' %d", liveBytes(big), liveBytes(small))
 	}
 
 	// The first drain allocates the coalescing scratch — the net-delta
@@ -172,15 +179,22 @@ func TestSwitcherRetirementShrinksSpace(t *testing.T) {
 	// an output again, so switching must release its space and report
 	// fewer live copies. The inner sketch allocates its full footprint at
 	// construction (unlike KMV, which grows as it fills), so retirement
-	// shows up as an absolute drop.
+	// shows up as an absolute drop. A first drain's worth of zero updates,
+	// which move no estimate and so spend no flip, builds every copy first.
 	sw := NewSwitcher(0.1, 8, false, 1, func(seed int64) sketch.Estimator {
 		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 4096}, rand.New(rand.NewSource(seed)))
 	})
 	if got := sw.Robustness().Copies; got != 8 {
 		t.Fatalf("fresh switcher reports %d live copies, want 8", got)
 	}
+	for range PendingCap {
+		sw.Update(0, 0)
+	}
+	if got := liveBytes(sw); sw.Switches() != 0 || got != 8*sw.lag.instances[7].SpaceBytes() {
+		t.Fatalf("after a first drain and %d switches: %d live bytes, want 8 copies", sw.Switches(), got)
+	}
 	g := stream.NewDistinct(5000)
-	peak := 0
+	peak := sw.SpaceBytes()
 	for {
 		u, ok := g.Next()
 		if !ok {
@@ -268,24 +282,34 @@ func liveBytes(sw *Switcher) int {
 }
 
 // checkShape is the footprint half of the equivalence: what the production
-// Switcher holds is a function of the reference's switch count alone. A
-// ring keeps every slot; a dense ensemble of slots instances has spent one
-// per switch, until the last one, which stays and keeps answering. With
+// Switcher holds is a function of the reference's switch count and of
+// whether the first drain (after update PendingCap−1) has run. A ring keeps
+// every slot; a dense ensemble of slots instances has spent one per switch,
+// until the last one, which stays and keeps answering. Of those, a dense
+// ensemble has built only the active one before the first drain (slots
+// built: the switches plus one), and every one from it on. With
 // fixedFootprint inner sketches (allocated whole at construction) the live
 // bytes are that many instances exactly, so SpaceBytes — live bytes plus
 // buffers a switch does not touch — never rises across a switch.
 func checkShape(t *testing.T, i int, sw *Switcher, ref *referenceSwitcher, fixedFootprint bool) {
 	t.Helper()
 	slots := len(ref.instances)
-	want := slots
+	want, built, resident := slots, slots, slots
 	if !ref.ring {
 		want = max(slots-ref.switches, 1)
+		resident = want
+		if i+1 < PendingCap {
+			built, resident = min(ref.switches+1, slots), 1
+		}
 	}
 	if got := sw.Copies(); got != want {
 		t.Fatalf("update %d: %d live copies after %d switches of %d slots, want %d", i, got, ref.switches, slots, want)
 	}
-	if per := ref.instances[slots-1].SpaceBytes(); fixedFootprint && liveBytes(sw) != want*per {
-		t.Fatalf("update %d: %d live bytes, want %d copies of %d", i, liveBytes(sw), want, per)
+	if sw.lag.built != built {
+		t.Fatalf("update %d: %d slots built after %d switches of %d slots, want %d", i, sw.lag.built, ref.switches, slots, built)
+	}
+	if per := ref.instances[slots-1].SpaceBytes(); fixedFootprint && liveBytes(sw) != resident*per {
+		t.Fatalf("update %d: %d live bytes, want %d copies of %d", i, liveBytes(sw), resident, per)
 	}
 }
 
@@ -454,5 +478,54 @@ func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 				t.Fatalf("%d live instances; nothing trailing was compared", live)
 			}
 		})
+	}
+}
+
+// TestDrainBuildsEveryOwedSlot: a slot is owed until it is first read or
+// until the first drain, because only until then does the lag buffer hold
+// the whole stream a late-built copy must be fed. So a drain — the one
+// Update triggers and a direct one alike — must build every owed slot
+// before it empties the buffer: one that passed an owed slot would leave a
+// copy built later from the post-drain suffix alone, whose estimates stop
+// matching the reference's as soon as it is active. Six flips are spent,
+// a direct drain follows, and the ensemble must hold every unspent slot
+// built and equal to its reference instance, then keep matching the
+// reference update for update until it exhausts.
+func TestDrainBuildsEveryOwedSlot(t *testing.T) {
+	factory := func(seed int64) sketch.Estimator {
+		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
+	}
+	const copies = 24
+	sw := NewSwitcher(0.3, copies, false, 42, factory)
+	ref := newReferenceSwitcher(0.3, copies, false, 42, factory)
+	ups := streamF2Updates(6000, 17)
+	fed := 0
+	for ; sw.Switches() < 6; fed++ {
+		sw.Update(ups[fed].Item, ups[fed].Delta)
+		ref.Update(ups[fed].Item, ups[fed].Delta)
+	}
+	if sw.lag.built != sw.Switches()+1 {
+		t.Fatalf("%d switches, %d slots built: want a few flips spent and most slots owed", sw.Switches(), sw.lag.built)
+	}
+	sw.lag.Drain()
+	for i := sw.active; i < copies; i++ {
+		inst := sw.lag.instances[i]
+		if inst == nil {
+			t.Fatalf("slot %d of %d (active %d) is unbuilt after a direct drain", i, copies, sw.active)
+		}
+		if got, want := inst.Estimate(), ref.instances[i].Estimate(); got != want {
+			t.Fatalf("slot %d after the direct drain estimates %v, reference %v", i, got, want)
+		}
+	}
+	for i, u := range ups[fed:] {
+		sw.Update(u.Item, u.Delta)
+		ref.Update(u.Item, u.Delta)
+		if sw.Estimate() != ref.Estimate() || sw.Switches() != ref.switches || sw.Exhausted() != ref.exhausted {
+			t.Fatalf("update %d past the drain: (estimate, switches, exhausted) = (%v, %d, %v), reference (%v, %d, %v)",
+				fed+i, sw.Estimate(), sw.Switches(), sw.Exhausted(), ref.Estimate(), ref.switches, ref.exhausted)
+		}
+	}
+	if !ref.exhausted {
+		t.Fatal("the stream never reached the last slot: the owed slots were not all read")
 	}
 }

@@ -1,6 +1,9 @@
 package dist
 
-import "math/rand"
+import (
+	"math/rand"
+	"unsafe"
+)
 
 // Rand returns a generator whose every draw equals those of
 // rand.New(rand.NewSource(seed)), at a cost that follows the draws made.
@@ -13,6 +16,12 @@ func Rand(seed int64) *rand.Rand {
 	s.Seed(seed)
 	return rand.New(s)
 }
+
+// RandBytes is what a Rand keeps resident once its 274th draw has built the
+// real source: the rand.Rand, its lazy source, and the source's 607 words
+// and two indices. A Rand kept to draw from for good (robust.HeavyHitters')
+// is past that after its first few sketches, so it is charged this whole.
+const RandBytes = int(unsafe.Sizeof(rand.Rand{})+unsafe.Sizeof(lazySource{})) + 8*rngLen + 16
 
 const (
 	rngLen = 607       // words in Go's additive lagged Fibonacci state

@@ -79,10 +79,11 @@ func ringSizing(eps, delta float64) (int, heavyhitters.Sizing) {
 }
 
 // heavyHittersBytes prices NewHeavyHitters: the norm tracker, the ring
-// plus the frozen copy at their full pools, and the ring's lag buffer.
+// plus the frozen copy at their full pools, the ring's lag buffer and the
+// generator the ring draws its restarts from.
 func heavyHittersBytes(eps, delta float64, n uint64) float64 {
 	copies, sizing := ringSizing(eps, delta)
-	return Policy{Kind: Ring}.StateBytes(eps, delta/2, n, LpProblem(2)) + float64(copies+1)*sizing.Bytes() + lagBytes
+	return Policy{Kind: Ring}.StateBytes(eps, delta/2, n, LpProblem(2)) + float64(copies+1)*sizing.Bytes() + lagBytes + float64(dist.RandBytes)
 }
 
 // Update feeds the norm tracker, buffers the update for the ring, and
@@ -167,10 +168,10 @@ func (hh *HeavyHitters) Robustness() sketch.Robustness {
 	return r
 }
 
-// SpaceBytes charges the norm tracker, the ring with its lag buffer, and
-// the frozen snapshot with its ranking.
+// SpaceBytes charges the norm tracker, the ring with its lag buffer, the
+// frozen snapshot with its ranking, and the generator behind the restarts.
 func (hh *HeavyHitters) SpaceBytes() int {
-	total := hh.norm.SpaceBytes() + hh.ring.SpaceBytes() + 16*len(hh.ranked)
+	total := hh.norm.SpaceBytes() + hh.ring.SpaceBytes() + 16*len(hh.ranked) + dist.RandBytes
 	if hh.frozen != nil {
 		total += hh.frozen.SpaceBytes()
 	}

@@ -58,6 +58,71 @@ func TestRingFlipRecycles(t *testing.T) {
 	}
 }
 
+// TestDenseFlipRecycles: a dense ensemble builds a copy only when it
+// becomes active, so before its first drain each flip makes the next copy —
+// in the memory of the copy it spends, since an F2 sketch restarts in
+// place. A flip of the benchmark's f2+switching tenant (ε 0.3, λ 80) then
+// costs the row polynomials and a catch-up over the buffer, not the ~100 KB
+// copy the factory would build; and until the drain only the active copy
+// is resident.
+func TestDenseFlipRecycles(t *testing.T) {
+	est, err := Policy{Kind: Switching, Budget: 80}.Wrap(0.3, 0.05, 1<<20, 7, LpProblem(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := est.(*core.Switcher)
+	est.Update(0, 1) // the first flip, which sizes nothing
+	if per := climb(t, sw, sw.Switches, 50); per >= 16<<10 {
+		t.Errorf("an f2+switching flip before the first drain allocates %d bytes, want < 16 KiB", per)
+	}
+	if r := sw.Robustness(); r.Copies != 80-r.Switches || sw.SpaceBytes() > 1<<20 {
+		t.Fatalf("robustness %+v, %d bytes: want one copy resident, before the first drain", r, sw.SpaceBytes())
+	}
+}
+
+// liveHeap is the heap in use after a forced collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestSwitchingSpaceIsResident: SpaceBytes is what every reported byte
+// count trusts, so the heap the benchmark's f2+switching tenant (ε 0.3,
+// λ 80) keeps must sit within [1.0, 1.35] × its declaration both before its
+// first drain, when only the active copy is built, and after it, when every
+// copy not yet spent is.
+func TestSwitchingSpaceIsResident(t *testing.T) {
+	liveHeap() // the first collection frees what the test binary's start-up left
+	before := liveHeap()
+	est, err := Policy{Kind: Switching, Budget: 80}.Wrap(0.3, 0.05, 1<<20, 7, LpProblem(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := stream.NewZipf(1<<20, 2*core.PendingCap, 1.2, 31)
+	check := func(when string) {
+		t.Helper()
+		live, declared := liveHeap()-before, est.SpaceBytes()
+		if ratio := float64(live) / float64(declared); ratio < 1.0 || ratio > 1.35 {
+			t.Errorf("%s: %d bytes live against %d declared (%.2f×), want within [1.0, 1.35]", when, live, declared, ratio)
+		}
+	}
+	for range core.PendingCap - 1 {
+		u, _ := gen.Next()
+		est.Update(u.Item, u.Delta)
+	}
+	check("before the first drain")
+	for u, ok := gen.Next(); ok; u, ok = gen.Next() {
+		est.Update(u.Item, u.Delta)
+	}
+	check("after the first drain")
+	if r := est.(sketch.RobustnessReporter).Robustness(); r.Exhausted || r.Copies < 10 {
+		t.Fatalf("robustness %+v: want an unexhausted ensemble with copies built at the drain", r)
+	}
+	runtime.KeepAlive(est)
+}
+
 // TestTopKRanksOncePerRefresh: the cached ranking answers what the frozen
 // copy would, for every k, across refreshes, and is not the caller's to
 // scribble on.

@@ -36,7 +36,7 @@
 //	PointQuerier          CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.point_ns, engine.point_us
 //	TopKQuerier           CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.topk_us, robust.topk_us, engine.topk_us
 //	RobustnessReporter    Switcher, Paths, robust.HeavyHitters                                   engine shard publish, to /v1/stats and /v2/query    robust.switches, robust.copies_live
-//	Resetter              F2Sketch, CountSketch                                                  core.Switcher.advance (ring), HeavyHitters.refresh  robust.state_bytes, server_rss_mb (a flip reuses the copy it retires)
+//	Resetter              F2Sketch, CountSketch                                                  core.Switcher.fresh, HeavyHitters.refresh           robust.state_bytes, server_rss_mb (a flip reuses the copy it retires)
 //	DuplicateInsensitive  KMV, Median (iff its members), Alg2 (below the batching degree), Exact robust.NewCryptoF0, NewOracleF0 refuse non-declarers none: a soundness check (Theorem 10.1)
 //	engine.MassReporter   entropy.CC                                                             engine shard publish; the Entropy combiner needs it none: a merged cc tenant is wrong without it
 //
@@ -94,11 +94,13 @@ type Factory func(seed int64) Estimator
 // Resetter is implemented by kernels that can restart in place: Reset(rng)
 // leaves the instance exactly as its constructor would have built it from
 // rng at the same dimensions — every coefficient drawn in the same order,
-// counters zero — in the memory it already holds. A ring restarts a slot
-// through it instead of building a copy to throw the old one away:
-// core.Switcher, whose Factory must then build an instance from
-// dist.Rand(seed) (math/rand's sequence for that seed) and nothing else,
-// and the Theorem 6.5 CountSketch ring.
+// counters zero — in the memory it already holds. Its callers restart a
+// copy through it instead of building one to throw the old one away:
+// core.Switcher, a ring when it restarts a slot and a dense ensemble when
+// it builds the copy a flip makes active in the one the flip spent (in
+// both modes its Factory must then build an instance from dist.Rand(seed),
+// math/rand's sequence for that seed, and nothing else), and the Theorem
+// 6.5 CountSketch ring.
 type Resetter interface {
 	Reset(rng *rand.Rand)
 }
