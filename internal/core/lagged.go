@@ -161,13 +161,13 @@ func (l *Lagged) Drop(i int) {
 // empties the buffer. The instances that hold a prefix catch up first, one
 // after another, each through the coalescing scratch; then those that owe
 // the whole buffer read one shared copy of it, coalesced when the instances
-// allow. Full-owers are
-// independent of each other and the shared copy is only read, so they are
-// fed from up to GOMAXPROCS goroutines, each claiming the next instance from
-// a shared counter; with one, the loop runs on the caller's goroutine.
+// allow. Full-owers are independent of each other and the shared copy is
+// only read, so they are fed from up to GOMAXPROCS goroutines, each
+// claiming the next slot from a shared counter and building it first if it
+// is owed (the lowest owed slot gets the spare); with one, the loop runs
+// on the caller's goroutine.
 func (l *Lagged) Drain() {
-	l.buildTo(len(l.instances))
-	for i := range l.instances {
+	for i := range l.built {
 		if l.applied[i] != 0 {
 			l.Current(i)
 		}
@@ -177,9 +177,16 @@ func (l *Lagged) Drain() {
 		l.net = l.co.Coalesce(l.net[:0], l.pending)
 		net = l.net
 	}
+	owed := l.built
 	var next atomic.Int64
 	feed := func() {
 		for i := int(next.Add(1) - 1); i < len(l.instances); i = int(next.Add(1) - 1) {
+			switch {
+			case i == owed:
+				l.instances[i] = l.build(i, l.spare)
+			case i > owed:
+				l.instances[i] = l.build(i, nil)
+			}
 			inst := l.instances[i]
 			if inst == nil || l.applied[i] != 0 {
 				continue
@@ -201,6 +208,7 @@ func (l *Lagged) Drain() {
 	}
 	feed()
 	wg.Wait()
+	l.built, l.spare = len(l.instances), nil
 	l.pending = l.pending[:0]
 	clear(l.applied)
 }

@@ -48,18 +48,10 @@ import (
 type CountSketch struct {
 	kernel *fp.F2Sketch // the rows × width signed counters
 
-	cands   map[uint64]int64
+	pool    candPool
 	candCap int
 
-	qbuf []float64   // Query scratch: per-row estimates awaiting the median
-	pbuf []candEntry // prune scratch: the pool staged for selection
-}
-
-// candEntry is the prune scratch element: one pool item with its running
-// net-delta tally.
-type candEntry struct {
-	item   uint64
-	weight int64
+	qbuf []float64 // Query scratch: per-row estimates awaiting the median
 }
 
 // Sizing holds CountSketch dimensions.
@@ -69,9 +61,11 @@ type Sizing struct {
 
 // Bytes is the most a sketch of these dimensions keeps resident once its
 // stream has filled it: the counters at the kernel's widened 8 bytes each
-// (fp.F2Sizing.Bytes says why), and the candidate pool at the 8·width
-// entries that trigger a prune.
-func (s Sizing) Bytes() float64 { return float64(s.Width) * (8*float64(s.Rows) + 8*16) }
+// (fp.F2Sizing.Bytes says why), and the candidate pool as NewCountSketch
+// reserves it.
+func (s Sizing) Bytes() float64 {
+	return 8*float64(s.Rows)*float64(s.Width) + float64(poolBytes(4*s.Width))
+}
 
 // SizeForPointQuery returns dimensions giving additive error ε‖f‖₂ on
 // every point query with probability 1−δ (union-bound δ over the queries
@@ -96,30 +90,31 @@ func SizeForPointQueryLn(eps, lnInvDelta float64) Sizing {
 }
 
 // NewCountSketch returns a CountSketch with the given dimensions. The
-// candidate pool holds up to 4·width items (enough for every possible
-// ε-heavy hitter at the sizing above).
+// candidate pool keeps 4·width items through a prune (enough for every
+// possible ε-heavy hitter at the sizing above) and is reserved here for
+// the twice as many, plus one, that trigger it.
 func NewCountSketch(s Sizing, rng *rand.Rand) *CountSketch {
 	return &CountSketch{
 		kernel:  fp.NewF2(fp.F2Sizing(s), rng),
-		cands:   make(map[uint64]int64),
+		pool:    newCandPool(4 * s.Width),
 		candCap: 4 * s.Width,
 	}
 }
 
 // Reset implements sketch.Resetter: the sketch becomes what NewCountSketch
 // would build from rng at the same dimensions, in the memory it already
-// holds — the kernel's counters and the emptied pool's buckets.
+// holds — the kernel's counters and the emptied pool.
 func (cs *CountSketch) Reset(rng *rand.Rand) {
 	cs.kernel.Reset(rng)
-	clear(cs.cands)
+	cs.pool.reset()
 }
 
 // Update implements sketch.PointQuerier (turnstile deltas allowed).
 func (cs *CountSketch) Update(item uint64, delta int64) {
 	cs.kernel.Update(item, delta)
-	cs.cands[item] += delta
-	if len(cs.cands) > 2*cs.candCap {
-		cs.pruneCandidates()
+	cs.pool.add(item, delta)
+	if len(cs.pool.entries) > 2*cs.candCap {
+		cs.pool.keep(cs.candCap)
 	}
 }
 
@@ -135,39 +130,15 @@ func (cs *CountSketch) UpdateBatch(batch []sketch.Update) { cs.UpdateCoalesced(b
 // walking net lands the same keys and tallies in fewer steps.
 func (cs *CountSketch) UpdateCoalesced(net, raw []sketch.Update) {
 	cs.kernel.UpdateBatch(net)
-	if len(cs.cands)+len(net) <= 2*cs.candCap {
+	if len(cs.pool.entries)+len(net) <= 2*cs.candCap {
 		raw = net
 	}
 	for _, u := range raw {
-		cs.cands[u.Item] += u.Delta
-		if len(cs.cands) > 2*cs.candCap {
-			cs.pruneCandidates()
+		cs.pool.add(u.Item, u.Delta)
+		if len(cs.pool.entries) > 2*cs.candCap {
+			cs.pool.keep(cs.candCap)
 		}
 	}
-}
-
-// pruneCandidates keeps the candCap candidates with the largest running
-// net-delta magnitudes (ties broken by ascending item id, so pruning is
-// deterministic for a fixed update sequence regardless of map iteration
-// order). Survivors keep their tallies. This is the ingest hot path's
-// only super-constant work, so it stays off the sketch counters entirely:
-// one pass over the pool, one expected-linear selection on the scratch
-// slice (the survivor *set* is what matters — the pool is a map, so no
-// full sort), no hashing.
-func (cs *CountSketch) pruneCandidates() {
-	all := cs.pbuf[:0]
-	for it, w := range cs.cands {
-		all = append(all, candEntry{item: it, weight: w})
-	}
-	if len(all) > cs.candCap {
-		selectTop(all, cs.candCap)
-		all = all[:cs.candCap]
-	}
-	clear(cs.cands)
-	for _, e := range all {
-		cs.cands[e.item] = e.weight
-	}
-	cs.pbuf = all
 }
 
 // entryLess is the deterministic retention order: decreasing net-delta
@@ -248,12 +219,12 @@ func (cs *CountSketch) Resummate() { cs.kernel.Resummate() }
 func (cs *CountSketch) L2() float64 { return math.Sqrt(cs.Estimate()) }
 
 // weigh reads the whole pool through the kernel's block read: the items
-// in map order and, index for index, their point-query estimates. Both
+// in pool order and, index for index, their point-query estimates. Both
 // slices are the caller's to drop.
 func (cs *CountSketch) weigh() (items []uint64, ws []float64) {
-	items = make([]uint64, 0, len(cs.cands))
-	for it := range cs.cands {
-		items = append(items, it)
+	items = make([]uint64, len(cs.pool.entries))
+	for i, e := range cs.pool.entries {
+		items[i] = e.item
 	}
 	return items, cs.kernel.AppendMedians(make([]float64, 0, len(items)), items)
 }
@@ -303,5 +274,6 @@ func (cs *CountSketch) TopK(k int) []sketch.ItemWeight {
 }
 
 // SpaceBytes charges the kernel (counters, hash seeds, row aggregates) and
-// the candidate pool (item id plus retention tally per entry).
-func (cs *CountSketch) SpaceBytes() int { return cs.kernel.SpaceBytes() + 16*len(cs.cands) }
+// the candidate pool as reserved (item id plus retention tally per entry,
+// and its index).
+func (cs *CountSketch) SpaceBytes() int { return cs.kernel.SpaceBytes() + cs.pool.spaceBytes() }

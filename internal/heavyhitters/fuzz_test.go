@@ -19,6 +19,10 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 	// 30 bytes claiming 2²⁰ rows of 2⁴⁰ counters: the kernel's one flat
 	// matrix must not be sized by the header alone.
 	f.Add(append([]byte{csFormatV2, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 4}, make([]byte, 12)...))
+	// Pools the decoder refuses before it reserves one (TestUnmarshalRefusesBadPools).
+	for _, bad := range badPools() {
+		f.Add(bad)
+	}
 	batch := make([]sketch.Update, 300) // through the shared block kernel too
 	for i := range batch {
 		batch[i] = sketch.Update{Item: uint64(i % 97), Delta: int64(i%5) - 2}

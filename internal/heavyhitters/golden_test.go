@@ -85,10 +85,10 @@ func TestCountSketchGolden(t *testing.T) {
 			probe()
 			next += 50
 		}
-		if len(cs.cands) < last {
+		if len(cs.pool.entries) < last {
 			prunes++
 		}
-		last = len(cs.cands)
+		last = len(cs.pool.entries)
 	}
 	if prunes == 0 {
 		t.Fatal("the golden stream never pruned the candidate pool")
@@ -185,7 +185,7 @@ func TestCountSketchRowsAreF2(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("merge", 0)
-	if got, want := cs.SpaceBytes()-f.SpaceBytes(), 16*len(cs.cands); got != want {
-		t.Errorf("CountSketch charges %d bytes beyond its rows, want 16·len(pool) = %d", got, want)
+	if got, want := cs.SpaceBytes()-f.SpaceBytes(), poolBytes(4*64); got != want {
+		t.Errorf("CountSketch charges %d bytes beyond its rows, want the reserved pool's %d", got, want)
 	}
 }

@@ -105,8 +105,8 @@ func TestCountSketchCandidatePoolBounded(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
 		cs.Update(i, 1)
 	}
-	if len(cs.cands) > 2*cs.candCap+1 {
-		t.Errorf("candidate pool grew to %d, cap is %d", len(cs.cands), cs.candCap)
+	if len(cs.pool.entries) > 2*cs.candCap+1 {
+		t.Errorf("candidate pool grew to %d, cap is %d", len(cs.pool.entries), cs.candCap)
 	}
 }
 
@@ -174,7 +174,7 @@ func BenchmarkCountSketchTopK(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			cs := NewCountSketch(c.s, rand.New(rand.NewSource(1)))
-			for i := 0; len(cs.cands) < 2*cs.candCap; i++ {
+			for i := 0; len(cs.pool.entries) < 2*cs.candCap; i++ {
 				cs.Update(uint64(i)*0x9E3779B97F4A7C15, int64(1+i%7))
 			}
 			b.ResetTimer()

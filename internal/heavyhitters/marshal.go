@@ -1,8 +1,9 @@
 package heavyhitters
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/fp"
@@ -25,18 +26,14 @@ func (cs *CountSketch) MarshalBinary() ([]byte, error) {
 	w.U64(uint64(dims.Width))
 	w.U64(uint64(cs.candCap))
 	cs.kernel.AppendRows(&w, (*codec.Writer).I64s)
-	cands := make([]uint64, 0, len(cs.cands))
-	for it := range cs.cands {
-		cands = append(cands, it)
+	// Canonical order, by id: the pool keeps arrival order, so two pools
+	// holding one state may differ in it.
+	pool := slices.SortedFunc(slices.Values(cs.pool.entries), func(a, b candEntry) int { return cmp.Compare(a.item, b.item) })
+	cands, weights := make([]uint64, len(pool)), make([]int64, len(pool))
+	for i, e := range pool {
+		cands[i], weights[i] = e.item, e.weight
 	}
-	// Canonical order: the candidate pool is a map, and ranging over it
-	// would make two encodings of identical state differ byte-for-byte.
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	w.U64s(cands)
-	weights := make([]int64, len(cands))
-	for i, it := range cands {
-		weights[i] = cs.cands[it]
-	}
 	w.I64s(weights)
 	return w.Bytes(), nil
 }
@@ -50,8 +47,8 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	}
 	dims := fp.F2Sizing{Rows: int(r.U64()), Width: int(r.U64())}
 	candCap := int(r.U64())
-	if r.Err() == nil && candCap < 0 {
-		return fmt.Errorf("heavyhitters: invalid CountSketch candidate cap %d", candCap)
+	if r.Err() == nil && candCap != 4*dims.Width {
+		return fmt.Errorf("heavyhitters: candidate cap %d for width %d, want 4·width", candCap, dims.Width)
 	}
 	kernel, err := fp.ReadRows(&r, dims, (*codec.Reader).I64s)
 	if err != nil {
@@ -62,13 +59,21 @@ func (cs *CountSketch) UnmarshalBinary(data []byte) error {
 	if r.Err() == nil && len(weights) != len(cands) {
 		return fmt.Errorf("heavyhitters: %d candidate weights for %d candidates", len(weights), len(cands))
 	}
+	// The pool is reserved at its cap, so both are checked before it is.
+	if len(cands) > 2*candCap {
+		return fmt.Errorf("heavyhitters: %d candidates, more than twice the cap %d", len(cands), candCap)
+	}
+	for i := 1; i < len(cands); i++ {
+		if cands[i] <= cands[i-1] {
+			return fmt.Errorf("heavyhitters: candidate %d out of order", i)
+		}
+	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	cs.kernel, cs.candCap = kernel, candCap
-	cs.cands = make(map[uint64]int64, len(cands))
+	cs.kernel, cs.candCap, cs.pool = kernel, candCap, newCandPool(candCap)
 	for i, it := range cands {
-		cs.cands[it] = weights[i]
+		cs.pool.add(it, weights[i])
 	}
 	return nil
 }

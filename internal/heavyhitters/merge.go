@@ -8,22 +8,31 @@ var ErrIncompatible = errors.New("heavyhitters: sketches do not share randomness
 
 // Fresh returns an empty CountSketch sharing cs's hash functions.
 func (cs *CountSketch) Fresh() *CountSketch {
-	return &CountSketch{kernel: cs.kernel.Fresh(), cands: make(map[uint64]int64), candCap: cs.candCap}
+	return &CountSketch{kernel: cs.kernel.Fresh(), pool: newCandPool(cs.candCap), candCap: cs.candCap}
 }
 
 // Merge adds other's counters into cs and unions the candidate pools,
-// summing retention tallies (pruning if oversized). Both sketches must
-// share hash functions (be Fresh copies of one origin); the merged
-// counters equal the sketch of the concatenated streams.
+// summing retention tallies, then prunes once if the union is oversized.
+// Both sketches must share hash functions (be Fresh copies of one origin);
+// the merged counters equal the sketch of the concatenated streams.
 func (cs *CountSketch) Merge(other *CountSketch) error {
 	if err := cs.kernel.Merge(other.kernel); err != nil {
 		return ErrIncompatible // the kernel's one failure, under this package's name
 	}
-	for it, w := range other.cands {
-		cs.cands[it] += w
+	var spill []candEntry // other's items cs lacks
+	for _, e := range other.pool.entries {
+		if s := cs.pool.at(e.item); *s != 0 {
+			cs.pool.entries[*s-1].weight += e.weight
+		} else {
+			spill = append(spill, e)
+		}
 	}
-	if len(cs.cands) > 2*cs.candCap {
-		cs.pruneCandidates()
+	union := append(cs.pool.entries, spill...) // past the reserve only if it is pruned
+	if len(union) > 2*cs.candCap {
+		selectTop(union, cs.candCap)
+		union = union[:cs.candCap]
 	}
+	cs.pool.entries = append(cs.pool.entries[:0], union...) // back in the reserve
+	cs.pool.keep(len(union))                                // which indexes it
 	return nil
 }

@@ -17,9 +17,9 @@ func referenceTopK(cs *CountSketch, k int) []sketch.ItemWeight {
 	if k <= 0 {
 		return nil
 	}
-	all := make([]sketch.ItemWeight, 0, len(cs.cands))
-	for it := range cs.cands {
-		all = append(all, sketch.ItemWeight{Item: it, Weight: cs.Query(it)})
+	all := make([]sketch.ItemWeight, 0, len(cs.pool.entries))
+	for _, e := range cs.pool.entries {
+		all = append(all, sketch.ItemWeight{Item: e.item, Weight: cs.Query(e.item)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		ai, aj := math.Abs(all[i].Weight), math.Abs(all[j].Weight)
@@ -37,9 +37,9 @@ func referenceTopK(cs *CountSketch, k int) []sketch.ItemWeight {
 // referenceHeavyHitters is HeavyHitters read one Query per candidate.
 func referenceHeavyHitters(cs *CountSketch, thresh float64) []uint64 {
 	var out []uint64
-	for it := range cs.cands {
-		if math.Abs(cs.Query(it)) >= thresh {
-			out = append(out, it)
+	for _, e := range cs.pool.entries {
+		if math.Abs(cs.Query(e.item)) >= thresh {
+			out = append(out, e.item)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -73,12 +73,15 @@ func TestTopKMatchesPerItemQuery(t *testing.T) {
 		cs := NewCountSketch(s, rand.New(rand.NewSource(int64(trial))))
 		narrow := cs.kernel.SpaceBytes()
 		universe := 1 + rng.Intn(20*s.Width) // up to 5× the prune trigger: pools past a prune
+		seen := map[uint64]bool{}
 		for n := rng.Intn(4000); n > 0; n-- {
 			d := int64(1 + rng.Intn(5))
 			if rng.Intn(3) == 0 {
 				d = -d
 			}
-			cs.Update(uint64(rng.Intn(universe)), d)
+			it := uint64(rng.Intn(universe))
+			seen[it] = true
+			cs.Update(it, d)
 		}
 		if trial%4 == 0 { // one delta no int32 counter holds: the kernel widens
 			cs.Update(uint64(rng.Intn(universe)), 1<<31+int64(rng.Intn(100)))
@@ -86,10 +89,10 @@ func TestTopKMatchesPerItemQuery(t *testing.T) {
 				t.Fatalf("trial %d: kernel did not widen", trial)
 			}
 		}
-		if cs.pbuf != nil {
+		if len(cs.pool.entries) < len(seen) {
 			pruned++
 		}
-		pool := len(cs.cands)
+		pool := len(cs.pool.entries)
 		for _, k := range []int{1, 10, pool, math.MaxInt} {
 			if got, want := cs.TopK(k), referenceTopK(cs, k); !identical(got, want) {
 				t.Fatalf("trial %d (%d×%d, pool %d), k=%d:\ngot  %v\nwant %v", trial, s.Rows, s.Width, pool, k, got, want)
@@ -127,8 +130,8 @@ func TestTopKRetainsNoScratch(t *testing.T) {
 	for i := 0; i < 2*cs.candCap; i++ { // the largest pool before a prune
 		cs.Update(uint64(i)*0x9E3779B97F4A7C15, int64(1+i%7))
 	}
-	if len(cs.cands) != 2*cs.candCap {
-		t.Fatalf("pool holds %d, want %d", len(cs.cands), 2*cs.candCap)
+	if len(cs.pool.entries) != 2*cs.candCap {
+		t.Fatalf("pool holds %d, want %d", len(cs.pool.entries), 2*cs.candCap)
 	}
 	cs.Query(1) // Query's row scratch is bounded by the rows; let it exist before measuring
 	before := liveHeap()

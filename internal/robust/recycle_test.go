@@ -123,6 +123,35 @@ func TestSwitchingSpaceIsResident(t *testing.T) {
 	runtime.KeepAlive(est)
 }
 
+// TestRingSpaceIsResident: the benchmark's countsketch+ring tenant (ε 0.3)
+// keeps its 44 CountSketch copies, each pool reserved whole, so after six
+// full ring drains of a Zipf(1.2) stream, when the pools have filled, the
+// heap it keeps must sit within [1.0, 1.35] × its declaration, as
+// TestSwitchingSpaceIsResident asks of a dense ensemble. A pool kept as a
+// map, beside a prune scratch, read 1.69× (1.30× after three drains).
+func TestRingSpaceIsResident(t *testing.T) {
+	liveHeap()
+	before := liveHeap()
+	est, err := Policy{Kind: Ring}.Wrap(0.3, 0.05, 1<<20, 7, HHL2Problem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hh := est.(*HeavyHitters)
+	gen := stream.NewZipf(1<<20, 6*core.PendingCap+1000, 1.2, 31)
+	for u, ok := gen.Next(); ok; u, ok = gen.Next() {
+		hh.Update(u.Item, u.Delta)
+	}
+	if hh.TopK(10); hh.Robustness().Switches < 3 {
+		t.Fatalf("robustness %+v: want refreshes, so the frozen copy and its ranking are held", hh.Robustness())
+	}
+	live, declared := liveHeap()-before, hh.SpaceBytes()
+	t.Logf("%d bytes live, %d declared (%.3f×)", live, declared, float64(live)/float64(declared))
+	if ratio := float64(live) / float64(declared); ratio < 1.0 || ratio > 1.35 {
+		t.Errorf("%d bytes live against %d declared (%.2f×), want within [1.0, 1.35]", live, declared, ratio)
+	}
+	runtime.KeepAlive(hh)
+}
+
 // TestTopKRanksOncePerRefresh: the cached ranking answers what the frozen
 // copy would, for every k, across refreshes, and is not the caller's to
 // scribble on.
