@@ -18,3 +18,7 @@ func (r *referenceSwitcher) State() (float64, int, bool) { return r.out, r.switc
 
 // BuiltSlots is how many of the Switcher's slots have been built.
 func (s *Switcher) BuiltSlots() int { return s.lag.built }
+
+// DrainsAt lists the updates after which a Switcher's buffer drains: see
+// drainsAt.
+func DrainsAt(ups []sketch.Update, folded bool) []int { return drainsAt(ups, folded) }

@@ -10,6 +10,9 @@ import (
 // PendingCap bounds every Lagged's buffer, the Switcher's and the Theorem
 // 6.5 ring's: an instance not read since may fall at most this many updates
 // behind before a drain applies the backlog to every live copy in one pass.
+// A dense ensemble over coalesce-invariant copies keeps its buffer folded,
+// one entry per distinct item, so there the bound is this many distinct
+// items since the last drain, and a skewed stream drains less often.
 const PendingCap = 16384
 
 // Switcher implements sketch switching (Algorithm 1 of the paper): it
@@ -178,5 +181,5 @@ func (s *Switcher) Robustness() sketch.Robustness {
 }
 
 // SpaceBytes charges the published output plus the instances built and not
-// dropped, the lag buffer and the drain's coalescing scratch.
+// dropped, the lag buffer and its coalescing index and scratch.
 func (s *Switcher) SpaceBytes() int { return 16 + s.lag.SpaceBytes() }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/f0"
@@ -158,19 +159,26 @@ func TestSwitcherSpaceScalesWithCopies(t *testing.T) {
 		t.Errorf("after a drain the 8 copies hold %d bytes, not ≈ 4x the 2 copies' %d", liveBytes(big), liveBytes(small))
 	}
 
-	// The first drain allocates the coalescing scratch — the net-delta
-	// buffer and its item index — and from then on it is charged, like the
-	// lag buffer it shadows: the index as allocated, 2 × PendingCap slots
-	// however few items the buffer held. Four items keep the switch count
+	// A dense ensemble keeps its buffer folded, one entry per distinct item,
+	// and charges the buffer and the fold's index as allocated, sized by the
+	// updates pushed since the last drain: PendingCap slots and 2 ×
+	// PendingCap however few items the buffer holds. PendingCap updates over
+	// four items fold to four entries and leave a drain still owed, which a
+	// direct Drain pays; the scratch stays. Four items keep the switch count
 	// under the copy count, so trailing copies exist for the drain to feed.
 	for i := 0; i < PendingCap; i++ {
 		big.Update(uint64(i%4), 1)
 	}
-	if len(big.lag.pending) != 0 || len(big.lag.net) != 4 {
-		t.Fatalf("after %d updates: %d pending, %d coalesced entries; want a drain that coalesced to 4", PendingCap, len(big.lag.pending), len(big.lag.net))
+	if len(big.lag.pending) != 4 || big.lag.folded != 4 {
+		t.Fatalf("after %d updates over 4 items: %d pending, %d folded; want a folded buffer of 4", PendingCap, len(big.lag.pending), big.lag.folded)
 	}
-	if got, want := big.SpaceBytes()-liveBytes(big), 16+16*cap(big.lag.pending)+16*cap(big.lag.net)+16*2*PendingCap; got != want {
-		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer + coalesced buffer and its index)", got, want)
+	want := 16 + 16*PendingCap + 16*2*PendingCap
+	if got := big.SpaceBytes() - liveBytes(big); got != want {
+		t.Errorf("wrapper overhead %d bytes, want %d (output + lag buffer and its index)", got, want)
+	}
+	big.lag.Drain()
+	if got := big.SpaceBytes() - liveBytes(big); len(big.lag.pending) != 0 || cap(big.lag.net) != 0 || got != want {
+		t.Errorf("after a drain: %d pending, %d-entry scratch, overhead %d bytes; want an empty buffer, no scratch, and %d", len(big.lag.pending), cap(big.lag.net), got, want)
 	}
 }
 
@@ -179,16 +187,17 @@ func TestSwitcherRetirementShrinksSpace(t *testing.T) {
 	// an output again, so switching must release its space and report
 	// fewer live copies. The inner sketch allocates its full footprint at
 	// construction (unlike KMV, which grows as it fills), so retirement
-	// shows up as an absolute drop. A first drain's worth of zero updates,
-	// which move no estimate and so spend no flip, builds every copy first.
+	// shows up as an absolute drop. A first drain's worth of zero updates to
+	// distinct items, which move no estimate and so spend no flip, builds
+	// every copy first.
 	sw := NewSwitcher(0.1, 8, false, 1, func(seed int64) sketch.Estimator {
 		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 4096}, rand.New(rand.NewSource(seed)))
 	})
 	if got := sw.Robustness().Copies; got != 8 {
 		t.Fatalf("fresh switcher reports %d live copies, want 8", got)
 	}
-	for range PendingCap {
-		sw.Update(0, 0)
+	for i := range PendingCap {
+		sw.Update(uint64(i), 0)
 	}
 	if got := liveBytes(sw); sw.Switches() != 0 || got != 8*sw.lag.instances[7].SpaceBytes() {
 		t.Fatalf("after a first drain and %d switches: %d live bytes, want 8 copies", sw.Switches(), got)
@@ -283,22 +292,22 @@ func liveBytes(sw *Switcher) int {
 
 // checkShape is the footprint half of the equivalence: what the production
 // Switcher holds is a function of the reference's switch count and of
-// whether the first drain (after update PendingCap−1) has run. A ring keeps
-// every slot; a dense ensemble of slots instances has spent one per switch,
-// until the last one, which stays and keeps answering. Of those, a dense
-// ensemble has built only the active one before the first drain (slots
-// built: the switches plus one), and every one from it on. With
-// fixedFootprint inner sketches (allocated whole at construction) the live
-// bytes are that many instances exactly, so SpaceBytes — live bytes plus
-// buffers a switch does not touch — never rises across a switch.
-func checkShape(t *testing.T, i int, sw *Switcher, ref *referenceSwitcher, fixedFootprint bool) {
+// whether the first drain (see drainsAt) has run. A ring keeps every slot;
+// a dense ensemble of slots instances has spent one per switch, until the
+// last one, which stays and keeps answering. Of those, a dense ensemble has
+// built only the active one before the first drain (slots built: the
+// switches plus one), and every one from it on. With fixedFootprint inner
+// sketches (allocated whole at construction) the live bytes are that many
+// instances exactly, so SpaceBytes — live bytes plus buffers a switch does
+// not touch — never rises across a switch.
+func checkShape(t *testing.T, i int, sw *Switcher, ref *referenceSwitcher, fixedFootprint, drained bool) {
 	t.Helper()
 	slots := len(ref.instances)
 	want, built, resident := slots, slots, slots
 	if !ref.ring {
 		want = max(slots-ref.switches, 1)
 		resident = want
-		if i+1 < PendingCap {
+		if !drained {
 			built, resident = min(ref.switches+1, slots), 1
 		}
 	}
@@ -311,6 +320,24 @@ func checkShape(t *testing.T, i int, sw *Switcher, ref *referenceSwitcher, fixed
 	if per := ref.instances[slots-1].SpaceBytes(); fixedFootprint && liveBytes(sw) != resident*per {
 		t.Fatalf("update %d: %d live bytes, want %d copies of %d", i, liveBytes(sw), resident, per)
 	}
+}
+
+// drainsAt lists the updates of ups after which a Switcher's lag buffer
+// drains: every PendingCap-th update when the buffer is raw, and when it is
+// folded the update that brings the PendingCap-th distinct item since the
+// last drain.
+func drainsAt(ups []sketch.Update, folded bool) []int {
+	var at []int
+	seen, since := map[uint64]bool{}, 0
+	for i, u := range ups {
+		seen[u.Item] = true
+		if since++; folded && len(seen) == PendingCap || !folded && since == PendingCap {
+			at = append(at, i)
+			clear(seen)
+			since = 0
+		}
+	}
+	return at
 }
 
 // streamF2Updates yields a deterministic mixed-sign update sequence with
@@ -351,7 +378,7 @@ func TestSwitcherMatchesReferencePerUpdate(t *testing.T) {
 				if sw.Exhausted() != ref.exhausted {
 					t.Fatalf("update %d: exhausted %v != reference %v", i, sw.Exhausted(), ref.exhausted)
 				}
-				checkShape(t, i, sw, ref, true)
+				checkShape(t, i, sw, ref, true, false)
 			}
 			if ref.exhausted == tc.ring {
 				t.Fatalf("exhausted %v after %d switches of %d copies: the dense case must outrun its budget, so the last instance is seen staying", ref.exhausted, ref.switches, tc.copies)
@@ -413,13 +440,18 @@ func TestSwitcherBatchMatchesReference(t *testing.T) {
 }
 
 // TestSwitcherMatchesReferenceAcrossDrains is the equality oracle that
-// actually executes drain(): the stream is longer than three lag buffers,
-// Zipf-skewed so most entries of a buffer repeat an item already in it,
-// with small mixed-sign deltas so repeats net to zero now and then.
-// Published output, switch count, exhaustion and live-copy count must match
-// the synchronous reference after every update, and once the backlog is
-// drained every live
-// instance must hold the reference instance's estimate bit for bit.
+// actually executes drain(), and the oracle of the folded buffer. Each
+// stream is long enough for three drains of a folded buffer: Zipf(1.2)
+// items with small mixed-sign deltas, so most entries of a buffer repeat
+// an item already in it and repeats net to zero now and then, and a
+// turnstile stream of ±1 on the same items. Every ensemble runs beside a
+// twin whose buffer stays raw, as a ring's does, and the synchronous
+// reference. After every update both publish the reference's output,
+// switch count and exhaustion, the folded ensemble holds the reference's
+// shape, and each buffer has drained exactly where drainsAt puts it: the
+// folded one at the PendingCap-th distinct item, the raw one at the
+// PendingCap-th update. Once the backlog is drained every live instance of
+// both must hold the reference instance's estimate bit for bit.
 func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 	f2 := func(seed int64) sketch.Estimator {
 		return fp.NewF2(fp.F2Sizing{Rows: 5, Width: 64}, rand.New(rand.NewSource(seed)))
@@ -429,55 +461,117 @@ func TestSwitcherMatchesReferenceAcrossDrains(t *testing.T) {
 			return f0.NewKMV(24, rand.New(rand.NewSource(s)))
 		})
 	}
-	rng := rand.New(rand.NewSource(29))
-	zipf := rand.NewZipf(rng, 1.2, 1, 1<<16)
-	deltas := []int64{1, 1, 2, 3, -1, -2}
-	ups := make([]sketch.Update, 3*PendingCap+777)
-	for i := range ups {
-		ups[i] = sketch.Update{Item: zipf.Uint64(), Delta: deltas[rng.Intn(len(deltas))]}
+	stream := func(deltas []int64) []sketch.Update {
+		rng := rand.New(rand.NewSource(29))
+		zipf := rand.NewZipf(rng, 1.2, 1, 1<<30)
+		ups := make([]sketch.Update, 400000)
+		for i := range ups {
+			ups[i] = sketch.Update{Item: zipf.Uint64(), Delta: deltas[rng.Intn(len(deltas))]}
+		}
+		return ups[:drainsAt(ups, true)[2]+778]
 	}
+	zipf, turnstile := stream([]int64{1, 1, 2, 3, -1, -2}), stream([]int64{1, -1})
 	for _, tc := range []struct {
 		name    string
 		factory sketch.Factory
 		ring    bool
 		copies  int
 		fixed   bool // the inner sketch allocates its whole footprint up front
+		ups     []sketch.Update
 	}{
-		{"f2/dense", f2, false, 160, true},
-		{"f2/ring", f2, true, RingCopies(0.3), true},
-		{"kmv/dense", kmv, false, 96, false},
-		{"kmv/ring", kmv, true, 12, false},
+		{"f2/dense", f2, false, 160, true, zipf},
+		{"f2/dense/turnstile", f2, false, 160, true, turnstile},
+		{"f2/ring", f2, true, RingCopies(0.3), true, zipf},
+		{"kmv/dense", kmv, false, 128, false, zipf},
+		{"kmv/ring", kmv, true, 12, false, zipf},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sw := NewSwitcher(0.3, tc.copies, tc.ring, 42, tc.factory)
+			raw := NewSwitcher(0.3, tc.copies, tc.ring, 42, tc.factory)
+			raw.lag.fold = false
+			if sw.lag.fold == tc.ring {
+				t.Fatalf("folded buffer %v in a ring %v: want a dense ensemble's folded and a ring's raw", sw.lag.fold, tc.ring)
+			}
 			ref := newReferenceSwitcher(0.3, tc.copies, tc.ring, 42, tc.factory)
-			for i, u := range ups {
-				sw.Update(u.Item, u.Delta)
+			want := map[*Switcher][]int{sw: drainsAt(tc.ups, !tc.ring), raw: drainsAt(tc.ups, false)}
+			got := map[*Switcher][]int{}
+			for i, u := range tc.ups {
 				ref.Update(u.Item, u.Delta)
-				if sw.Estimate() != ref.Estimate() || sw.Switches() != ref.switches || sw.Exhausted() != ref.exhausted {
-					t.Fatalf("update %d: (estimate, switches, exhausted) = (%v, %d, %v), reference (%v, %d, %v)",
-						i, sw.Estimate(), sw.Switches(), sw.Exhausted(), ref.Estimate(), ref.switches, ref.exhausted)
+				for _, s := range []*Switcher{sw, raw} {
+					s.Update(u.Item, u.Delta)
+					if s.Estimate() != ref.Estimate() || s.Switches() != ref.switches || s.Exhausted() != ref.exhausted {
+						t.Fatalf("update %d, folded %v: (estimate, switches, exhausted) = (%v, %d, %v), reference (%v, %d, %v)",
+							i, s.lag.fold, s.Estimate(), s.Switches(), s.Exhausted(), ref.Estimate(), ref.switches, ref.exhausted)
+					}
+					if len(s.lag.pending) == 0 {
+						got[s] = append(got[s], i)
+					}
 				}
-				checkShape(t, i, sw, ref, tc.fixed)
+				checkShape(t, i, sw, ref, tc.fixed, len(got[sw]) > 0)
 			}
-			if sw.Switches() < 8 {
-				t.Fatalf("only %d switches; the stream must move instances between the drained groups", sw.Switches())
+			for s, at := range got {
+				if !slices.Equal(at, want[s]) {
+					t.Fatalf("folded %v: drained after updates %v, want %v", s.lag.fold, at, want[s])
+				}
 			}
-			sw.lag.Drain()
+			if len(want[sw]) < 3 || sw.Switches() < 8 {
+				t.Fatalf("%d drains, %d switches: the stream must move instances between the drained groups", len(want[sw]), sw.Switches())
+			}
 			live := 0
-			for i, inst := range sw.lag.instances {
-				if inst == nil {
-					continue
-				}
-				live++
-				if got, want := inst.Estimate(), ref.instances[i].Estimate(); got != want {
-					t.Errorf("instance %d after the final drain estimates %v, reference %v", i, got, want)
+			for _, s := range []*Switcher{sw, raw} {
+				s.lag.Drain()
+				for i, inst := range s.lag.instances {
+					if inst == nil {
+						continue
+					}
+					live++
+					if got, want := inst.Estimate(), ref.instances[i].Estimate(); got != want {
+						t.Errorf("folded %v: instance %d after the final drain estimates %v, reference %v", s.lag.fold, i, got, want)
+					}
 				}
 			}
-			if live < 2 {
-				t.Fatalf("%d live instances; nothing trailing was compared", live)
+			if live < 4 {
+				t.Fatalf("%d live instances in the two ensembles; nothing trailing was compared", live)
 			}
 		})
+	}
+}
+
+// TestLagBufferDrainCadence pins when a lag buffer drains. A dense kmv
+// ensemble keeps its buffer folded, one entry per distinct item: 4 ×
+// PendingCap updates over PendingCap/2 items never drain it, and fresh
+// items then drain it at exactly the PendingCap-th distinct one. A ring's
+// buffer stays raw, so the same stream drains it at the PendingCap-th
+// update.
+func TestLagBufferDrainCadence(t *testing.T) {
+	kmv := func(seed int64) sketch.Estimator { return f0.NewKMV(16, rand.New(rand.NewSource(seed))) }
+	var ups []sketch.Update
+	for i := range 4 * PendingCap {
+		ups = append(ups, sketch.Update{Item: uint64(i % (PendingCap / 2)), Delta: 1})
+	}
+	for i := range PendingCap {
+		ups = append(ups, sketch.Update{Item: uint64(PendingCap + i), Delta: 1})
+	}
+	for _, tc := range []struct {
+		name   string
+		ring   bool
+		copies int
+		first  int // the update after which the buffer first drains
+	}{
+		{"kmv+switching", false, 128, 4*PendingCap + PendingCap/2 - 1},
+		{"kmv+ring", true, RingCopies(0.3), PendingCap - 1},
+	} {
+		sw := NewSwitcher(0.3, tc.copies, tc.ring, 42, kmv)
+		drained := -1
+		for i, u := range ups {
+			if sw.Update(u.Item, u.Delta); len(sw.lag.pending) == 0 {
+				drained = i
+				break
+			}
+		}
+		if drained != tc.first || sw.Exhausted() {
+			t.Errorf("%s: first drained after update %d (exhausted %v), want %d", tc.name, drained, sw.Exhausted(), tc.first)
+		}
 	}
 }
 

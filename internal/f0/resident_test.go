@@ -21,8 +21,9 @@ func liveHeap() int64 {
 // TestSwitchingEnsembleResidentSet holds the line on what λ multiplies. One
 // shard of the benchmark's kmv+switching tenant — 96 copies of a median of
 // 17 KMVs — is built the way sketchd builds it: a freshly wrapped one holds
-// next to nothing, and 40 000 updates, two lag-buffer drains and several
-// switches in, it is still an unexhausted ensemble shedding a copy a switch.
+// next to nothing, and 40 000 updates and several switches in (too few
+// distinct items to drain its folded lag buffer), it is still an
+// unexhausted ensemble shedding a copy a switch.
 func TestSwitchingEnsembleResidentSet(t *testing.T) {
 	before := liveHeap()
 	est, err := robust.Policy{Kind: robust.Switching, Budget: 96}.Wrap(0.3, 0.025, 1<<20, 7, robust.F0Problem())

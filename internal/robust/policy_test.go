@@ -277,12 +277,13 @@ func TestAdapterForwardsOptionalInterfaces(t *testing.T) {
 	}
 	est := mustWrap(t, Policy{Kind: Switching, Budget: 64}, 0.5, 0.05, 1<<16, 3, prob)
 	// A switch catches up one instance, the new active one. Only a drain —
-	// forced here by feeding past the lag bound, on four items so the norm
-	// climbs slowly enough to leave trailing copies — feeds several at once.
+	// forced here by feeding past the lag bound, which a dense ensemble
+	// counts in distinct items, so on that many of them, whose norm climbs
+	// slowly enough to leave trailing copies — feeds several at once.
 	drained := false
 	for i := uint64(0); i < 20000; i++ {
 		before := batches.Load()
-		est.Update(i%4, 1)
+		est.Update(i, 1)
 		drained = drained || batches.Load()-before > 1
 	}
 	if !drained {

@@ -92,15 +92,27 @@ func liveHeap() int64 {
 // count trusts, so the heap the benchmark's f2+switching tenant (ε 0.3,
 // λ 80) keeps must sit within [1.0, 1.35] × its declaration both before its
 // first drain, when only the active copy is built, and after it, when every
-// copy not yet spent is.
+// copy not yet spent is. Its lag buffer is folded, so the first drain comes
+// with the PendingCap-th distinct item of the Zipf(1.2) stream.
 func TestSwitchingSpaceIsResident(t *testing.T) {
+	// The stream up to a thousand distinct items past the drain, and where
+	// it holds one short of the drain's PendingCap.
+	var ups []sketch.Update
+	short, seen := 0, map[uint64]bool{}
+	for gen := stream.NewZipf(1<<20, 1<<20, 1.2, 31); len(seen) < core.PendingCap+1000; {
+		u, _ := gen.Next()
+		if seen[u.Item] = true; len(seen) < core.PendingCap {
+			short = len(ups) + 1
+		}
+		ups = append(ups, sketch.Update{Item: u.Item, Delta: u.Delta})
+	}
+	seen = nil
 	liveHeap() // the first collection frees what the test binary's start-up left
 	before := liveHeap()
 	est, err := Policy{Kind: Switching, Budget: 80}.Wrap(0.3, 0.05, 1<<20, 7, LpProblem(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := stream.NewZipf(1<<20, 2*core.PendingCap, 1.2, 31)
 	check := func(when string) {
 		t.Helper()
 		live, declared := liveHeap()-before, est.SpaceBytes()
@@ -108,18 +120,14 @@ func TestSwitchingSpaceIsResident(t *testing.T) {
 			t.Errorf("%s: %d bytes live against %d declared (%.2f×), want within [1.0, 1.35]", when, live, declared, ratio)
 		}
 	}
-	for range core.PendingCap - 1 {
-		u, _ := gen.Next()
-		est.Update(u.Item, u.Delta)
-	}
+	sketch.ApplyBatch(est, ups[:short])
 	check("before the first drain")
-	for u, ok := gen.Next(); ok; u, ok = gen.Next() {
-		est.Update(u.Item, u.Delta)
-	}
+	sketch.ApplyBatch(est, ups[short:])
 	check("after the first drain")
 	if r := est.(sketch.RobustnessReporter).Robustness(); r.Exhausted || r.Copies < 10 {
 		t.Fatalf("robustness %+v: want an unexhausted ensemble with copies built at the drain", r)
 	}
+	runtime.KeepAlive(ups)
 	runtime.KeepAlive(est)
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -51,6 +52,9 @@ func TestRegistryConformance(t *testing.T) {
 			for _, mt := range models {
 				req := TenantSpec{Sketch: name, Policy: policy, Model: mt.Model, Alpha: mt.Alpha}
 				sp, ts, err := resolve(req, cfg)
+				if errors.Is(err, errRobustEntropy) {
+					sp, ts, err = inProcessEntropy(req, cfg)
+				}
 				if err != nil {
 					if !expectedInvalid(err) {
 						t.Errorf("resolve(%s, %s, model=%s): %v", name, policy, mt.Model, err)
@@ -102,20 +106,47 @@ func TestRegistryConformance(t *testing.T) {
 	}
 }
 
-// TestRobustCellsMatchConstructors pins four cells to the per-theorem
-// constructors update for update: a cc+switching tenant must host exactly
-// robust.NewEntropy(cfg.Eps, δ, FlipBudget, seed) — in particular the
-// additive-bits ε must reach the policy layer in the same domain (EpsScale
-// ln 2), which a coarse accuracy tolerance would not catch — and the ring
-// cells of f2, kmv and countsketch exactly NewFp, NewF0 and
-// NewHeavyHitters.
+// inProcessEntropy is the cell a robust cc spec resolved to before robust
+// entropy left the server: the battery keeps holding robust.EntropyProblem
+// under every policy it admits to the kit's contract, in process, where
+// Theorem 1.10 still runs.
+func inProcessEntropy(req TenantSpec, cfg Config) (spec, TenantSpec, error) {
+	sp, ts, err := resolve(TenantSpec{Sketch: req.Sketch, Model: req.Model, Alpha: req.Alpha}, cfg)
+	if err != nil {
+		return spec{}, TenantSpec{}, err
+	}
+	pol, err := robust.ParsePolicy(req.Policy)
+	if err != nil {
+		return spec{}, TenantSpec{}, err
+	}
+	if pol.Budget = ts.FlipBudget; pol.Kind == robust.Paths {
+		pol.KCap = pathsKCap
+	}
+	if err := pol.Check(robust.EntropyProblem()); err != nil {
+		return spec{}, TenantSpec{}, err
+	}
+	sp.Policy, sp.robust, sp.codec = req.Policy, true, nil
+	sp.factory = func(ts TenantSpec) sketch.Factory {
+		return func(seed int64) sketch.Estimator {
+			est, err := pol.Wrap(ts.Eps, ts.Delta, uint64(ts.N), seed, robust.EntropyProblem())
+			if err != nil {
+				panic(err)
+			}
+			return est
+		}
+	}
+	return sp, ts, nil
+}
+
+// TestRobustCellsMatchConstructors pins three cells to the per-theorem
+// constructors update for update: the ring cells of f2, kmv and
+// countsketch host exactly NewFp, NewF0 and NewHeavyHitters.
 func TestRobustCellsMatchConstructors(t *testing.T) {
 	cfg := Config{Shards: 1, Eps: 0.5, Delta: 0.05, N: 1 << 16, Seed: 1, FlipBudget: 24}.withDefaults()
 	for _, cell := range []struct {
 		sketch, policy string
 		ctor           sketch.Estimator
 	}{
-		{"cc", "switching", robust.NewEntropy(cfg.Eps, cfg.Delta, cfg.FlipBudget, 9)},
 		{"f2", "ring", robust.NewFp(2, cfg.Eps, cfg.Delta, cfg.N, 9)},
 		{"kmv", "ring", robust.NewF0(cfg.Eps, cfg.Delta, cfg.N, 9)},
 		{"countsketch", "ring", robust.NewHeavyHitters(cfg.Eps, cfg.Delta, cfg.N, 9)},

@@ -14,22 +14,21 @@ import (
 // registry cell, one estimator fed under GOMAXPROCS 4 and its twin fed under
 // GOMAXPROCS 1, where the drain is the serial loop, must agree bit for bit in
 // estimate, switches and SpaceBytes after every chunk of a stream that
-// crosses three drains with copies of λ = 128 still live. Under -race the
-// fanned copies also show that they share nothing a drain writes. The cc
-// cells are left out: a CC update draws a stable variate per counter, so
-// three drains cost minutes; core.TestDrainFanOutMatchesSerialLoop holds
-// CC copies to the serial loop byte for byte.
+// crosses three drains with copies of λ = 128 still live: three of a folded
+// buffer, whose drain waits for PendingCap distinct items, and four of a
+// raw one. Under -race the fanned copies also show that they share nothing
+// a drain writes.
 func TestFannedDrainMatchesSerial(t *testing.T) {
 	cfg := Config{Shards: 1, Eps: 0.5, Delta: 0.05, N: 1 << 16, Seed: 1, FlipBudget: 128}.withDefaults()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const chunk = 2048
-	updates := 3*core.PendingCap + chunk
+	updates := 4*core.PendingCap + chunk
 	cells := 0
 	for _, name := range sketchNames() {
 		for _, policy := range Policies() {
 			for _, mt := range []TenantSpec{{}, {Model: "turnstile"}, {Model: "bounded_deletion", Alpha: 4}} {
 				sp, ts, err := resolve(TenantSpec{Sketch: name, Policy: policy, Model: mt.Model, Alpha: mt.Alpha}, cfg)
-				if err != nil || !sp.robust || name == "cc" {
+				if err != nil || !sp.robust {
 					continue
 				}
 				cells++
@@ -40,11 +39,11 @@ func TestFannedDrainMatchesSerial(t *testing.T) {
 					for fed := 0; fed < updates; fed += chunk {
 						for j := range batch {
 							// Fresh items keep the statistic climbing, so copies
-							// switch and drains find prefix-holders; repeats give
-							// the coalescer work.
-							item := uint64(rng.Intn(64))
+							// switch and drains find prefix-holders, and fill a
+							// folded buffer; repeats give the coalescer work.
+							item := uint64(fed + j)
 							if rng.Intn(4) == 0 {
-								item = uint64(fed + j)
+								item = uint64(rng.Intn(64))
 							}
 							batch[j] = sketch.Update{Item: item, Delta: 1}
 						}

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -88,6 +91,9 @@ func Open(cfg Config) (*Server, error) {
 	s.recovery.WAL = l.Stats()
 	s.recovery.SkippedCheckpoints = len(corrupt)
 	if err := s.recoverLocked(cks); err != nil {
+		for _, t := range s.tenants {
+			t.eng.Close()
+		}
 		l.Close()
 		return nil, err
 	}
@@ -120,6 +126,7 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 	}
 
 	var ubuf []wire.Update
+	refused := make(map[string]error) // live keys whose cell this server no longer hosts
 	err := s.wal.Replay(func(lsn uint64, rec wal.Record) error {
 		t := s.tenants[rec.Key]
 		switch {
@@ -132,9 +139,14 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 				t.eng.Close()
 				delete(s.tenants, rec.Key)
 			}
+			delete(refused, rec.Key)
 			if rec.Kind == wal.KindCreate {
-				if t, err := s.rebuild(rec.Key, rec.Data, nil, 0, 0); err == nil {
+				t, err := s.rebuild(rec.Key, rec.Data, nil, 0, 0)
+				switch {
+				case err == nil:
 					s.tenants[rec.Key] = t
+				case errors.Is(err, errRobustEntropy):
+					refused[rec.Key] = err
 				}
 			}
 		case t != nil:
@@ -152,6 +164,12 @@ func (s *Server) recoverLocked(cks map[string]wal.Checkpoint) error {
 	})
 	if err != nil {
 		return err
+	}
+	// A live robust entropy tenant is refused by name, never dropped with
+	// its acknowledged updates: an earlier release, which hosts it, can
+	// delete the key.
+	for key, err := range refused {
+		return fmt.Errorf("recover tenant %q: %w", key, err)
 	}
 	// A checkpoint never claims past the log head: records it covers that
 	// the log lost (a torn or unsynced tail) would lend their LSNs to the

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -855,5 +856,51 @@ func TestStoredRobustSpecKeepsItsShards(t *testing.T) {
 	b := call(twin.Handler(), http.MethodGet, "/v1/stats", nil, "", "")
 	if !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
 		t.Errorf("/v1/stats: recovered %s, twin %s", a.Body.Bytes(), b.Body.Bytes())
+	}
+}
+
+// TestStoredRobustEntropyIsRefusedByName: robust entropy left the server
+// (a create for cc under switching or paths is a 400), but a data directory
+// an earlier release wrote may still declare such a tenant. Recovery must
+// not drop it and its acknowledged updates without a word, nor rebuild it
+// under other sizing: Open fails, naming the key and the reason. Once the
+// key's delete follows its create in the log, which the earlier release
+// writes, the directory opens and every other tenant comes back.
+func TestStoredRobustEntropyIsRefusedByName(t *testing.T) {
+	const stored = `{"sketch":"cc","policy":"switching","eps":0.2,"delta":0.05,"n":1048576,"shards":1,"flip_budget":64,"model":"insertion","seed":42}`
+	dir := t.TempDir()
+	appendAll := func(recs ...wal.Record) {
+		t.Helper()
+		l, err := wal.Open(dir, wal.Options{Fsync: wal.FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if _, err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := wire.AppendUpdates(nil, []wire.Update{{Item: 1, Delta: 1}, {Item: 2, Delta: 3}})
+	appendAll(
+		wal.Record{Kind: wal.KindCreate, Key: "ent", Data: []byte(stored)},
+		wal.Record{Kind: wal.KindUpdate, Key: "ent", Data: frame},
+		wal.Record{Kind: wal.KindCreate, Key: "f2", Data: []byte(`{"sketch":"f2","policy":"none","shards":1}`)},
+		wal.Record{Kind: wal.KindUpdate, Key: "f2", Data: frame},
+	)
+	if _, err := server.Open(durableCfg(dir)); err == nil || !strings.Contains(err.Error(), `"ent"`) || !strings.Contains(err.Error(), "robust entropy is not hosted") {
+		t.Fatalf("Open over a stored cc+switching tenant: %v, want an error naming the key and the reason", err)
+	}
+	appendAll(wal.Record{Kind: wal.KindDelete, Key: "ent"})
+	srv, err := server.Open(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	if ks := keyStats(t, srv.Handler(), "f2"); srv.Recovery().Tenants != 1 || ks.Mass != 4 {
+		t.Fatalf("recovery %+v, f2 tenant %+v: want the one tenant, its mass 4", srv.Recovery(), ks)
 	}
 }

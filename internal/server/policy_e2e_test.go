@@ -174,19 +174,13 @@ func TestPolicyConflictsOverHTTP(t *testing.T) {
 		t.Errorf("unknown policy: %v, want 400", err)
 	}
 
-	// The previously-unreachable cell: an entropy tenant under paths.
-	if _, err := c.CreateTenant(ctx, "ent", client.TenantSpec{Sketch: "cc", Policy: "paths"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 64; i++ {
-		if err := c.Add(ctx, "ent", i%8); err != nil {
-			t.Fatal(err)
+	// Robust entropy is not hosted: cc under switching or paths is a 400
+	// that says why.
+	for _, policy := range []string{"switching", "paths"} {
+		_, err := c.CreateTenant(ctx, "ent", client.TenantSpec{Sketch: "cc", Policy: policy})
+		if client.StatusCode(err) != 400 || !strings.Contains(err.Error(), "robust entropy is not hosted") {
+			t.Errorf("cc+%s: %v, want a 400 naming the reason", policy, err)
 		}
-	}
-	if ks, err := c.KeyStats(ctx, "ent"); err != nil {
-		t.Fatal(err)
-	} else if ks.Robustness == nil || ks.Robustness.Policy != "paths" {
-		t.Errorf("cc+paths tenant robustness = %+v", ks.Robustness)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -162,13 +163,13 @@ func f2Truth(f *stream.Freq) float64 { return f.Fp(2) }
 // robustified f2 publishes the L2 norm, the static sketch the F2 moment).
 type base struct {
 	static spec
-	// problem feeds the robust policies (internal/robust Policy.Wrap).
+	// problem feeds the robust policies (internal/robust Policy.Wrap); a
+	// base without one, cc's, hosts no robust cell (errRobustEntropy).
 	problem robust.Problem
-	// robustCombine / robustTruth / robustAdditive describe the statistic
-	// the policy-wrapped estimator publishes.
-	robustCombine  engine.Combiner
-	robustTruth    func(f *stream.Freq) float64
-	robustAdditive bool
+	// robustCombine / robustTruth describe the statistic the policy-wrapped
+	// estimator publishes.
+	robustCombine engine.Combiner
+	robustTruth   func(f *stream.Freq) float64
 	// robustL2Of converts the robust cells' published estimate into the
 	// L2 norm for the point-query error bound; nil for bases whose policy
 	// column does not point-query.
@@ -283,12 +284,14 @@ var bases = map[string]base{
 			truth: (*stream.Freq).Entropy,
 			codec: sketch.CodecFor[entropy.CC]("cc"),
 		},
-		problem:        robust.EntropyProblem(),
-		robustCombine:  engine.Entropy,
-		robustTruth:    (*stream.Freq).Entropy,
-		robustAdditive: true,
 	},
 }
+
+// errRobustEntropy refuses cc under a robust policy: a robust copy draws a
+// stable variate per counter per update (a hosted cc+switching ingested 46
+// updates/s), and the honest flip budget (Prop. 7.2) is over a hundred times
+// what MaxTenantStateBytes admits. robust.NewEntropy runs in process.
+var errRobustEntropy = errors.New("robust entropy is not hosted: every copy draws a stable variate per counter per update, and no admissible flip budget is the honest one — use policy none, or robust.NewEntropy in process")
 
 // sketchNames lists the registry's sketch names, sorted, for error
 // messages. Deriving it at runtime keeps the "(have: ...)" list correct as
@@ -531,6 +534,9 @@ func resolveWith(raw TenantSpec, cfg Config, trusted bool) (spec, TenantSpec, er
 		}
 		return sp, ts, nil
 	}
+	if b.problem.Inner == nil {
+		return spec{}, TenantSpec{}, fmt.Errorf("sketch %q under policy %s: %w", name, policyName, errRobustEntropy)
+	}
 	pol.Budget = ts.FlipBudget
 	if pol.Kind == robust.Paths {
 		// Only the paths sizing needs the cap: its honest ln(1/δ₀)
@@ -539,15 +545,14 @@ func resolveWith(raw TenantSpec, cfg Config, trusted bool) (spec, TenantSpec, er
 		pol.KCap = pathsKCap
 	}
 	sp := spec{
-		Name:     name,
-		Policy:   policyName,
-		robust:   true,
-		additive: b.robustAdditive,
-		points:   b.static.points && pol.Kind == robust.Ring,
-		model:    model,
-		combine:  b.robustCombine,
-		truth:    b.robustTruth,
-		l2Of:     b.robustL2Of,
+		Name:    name,
+		Policy:  policyName,
+		robust:  true,
+		points:  b.static.points && pol.Kind == robust.Ring,
+		model:   model,
+		combine: b.robustCombine,
+		truth:   b.robustTruth,
+		l2Of:    b.robustL2Of,
 	}
 	prob := b.problem
 	if model.Kind != robust.ModelInsertion {

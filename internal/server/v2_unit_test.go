@@ -236,8 +236,8 @@ func TestResolvePerTenantSizing(t *testing.T) {
 // trailing copies; the fixed-footprint ones are read as built, which also
 // keeps the per-update cost of a CC ensemble out of the suite. A dense
 // ensemble builds its copies as they are needed, so every switching cell
-// is first fed a drain's worth of zero updates, which builds them all, but
-// cc's, whose drain is counted instead. Signed
+// is first fed a drain's worth of zero updates to distinct items, which
+// builds them all. Signed
 // counters are priced at the 8 bytes one large client delta makes of them:
 // the peak compared is that of the build after such a delta has reached
 // every copy, and until then a build must sit under its projection.
@@ -261,25 +261,15 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 				cells++
 				est := sp.factory(ts)(7)
 				peak := est.SpaceBytes()
-				switch {
-				case policy == "switching" && name == "cc":
-					// A dense copy is built when it becomes active or at the
-					// first drain, and a drain feeds every counter of every
-					// copy it builds each buffered update: 6 × 10¹⁰ stable
-					// variates for this ensemble. So its first drain is
-					// counted, not run: a CC holds its whole footprint from
-					// construction, every copy still owed is one more of
-					// the one built, and the buffer is full.
-					r := est.(sketch.RobustnessReporter).Robustness()
-					peak += (r.Copies-1)*(peak-16) + 16*core.PendingCap
-				case policy == "switching":
-					// A first drain's worth of zero updates, which move no
-					// estimate but kmv's and so spend no flip but kmv's
-					// first, builds every copy.
-					for i := range batch {
-						batch[i] = sketch.Update{}
-					}
+				if policy == "switching" {
+					// A first drain's worth of zero updates to distinct items
+					// (a dense buffer drains at PendingCap of them), which move
+					// no estimate but kmv's and so spend no flip but kmv's,
+					// builds every copy.
 					for fed := 0; fed < core.PendingCap; fed += len(batch) {
+						for i := range batch {
+							batch[i] = sketch.Update{Item: uint64(fed + i)}
+						}
 						sketch.ApplyBatch(est, batch)
 						peak = max(peak, est.SpaceBytes())
 					}
@@ -319,8 +309,8 @@ func TestProjectedStateTracksBuilt(t *testing.T) {
 			}
 		}
 	}
-	if cells < 23 {
-		t.Errorf("only %d cells resolved, want the 15 insertion cells and at least 8 signed ones", cells)
+	if cells < 21 {
+		t.Errorf("only %d cells resolved, want the 13 insertion cells and at least 8 signed ones", cells)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // deltas into floating-point variates (CC, Indyk, MaxStable) round a
 // merged delta differently, and CountSketch's candidate pool depends on
 // arrival order; they must not declare it. core.Lagged feeds declarers
-// every catch-up coalesced; the conformance kit's coalesce-consistency
+// every catch-up coalesced, and keeps a dense ensemble's whole backlog
+// folded (Coalescer.Fold); the conformance kit's coalesce-consistency
 // property holds them to the claim.
 type CoalesceInvariant interface {
 	BatchUpdater
@@ -41,13 +42,14 @@ type CoalescedUpdater interface {
 // Coalescer merges the duplicate items of a batch by summing their
 // deltas. Its index is one flat open-addressing table of (item, position,
 // generation) slots, probed linearly from a hash of the item mixed with a
-// key drawn once per process. A call uses the table's first power of two
-// at least twice its batch and stamps the slots it fills with a fresh
+// key drawn once per process. A Coalesce uses the table's first power of
+// two at least twice its batch and stamps the slots it fills with a fresh
 // generation, so it costs O(len(batch)) and clears nothing an earlier,
-// larger call left behind. The table only grows, so a long-lived caller (an
-// engine shard worker, a core.Lagged) stops allocating once it has met its
-// largest batch. Positions are 32-bit: dst stays under 2³² entries. Not
-// safe for concurrent use.
+// larger call left behind; a run of Folds shares one stamp over the whole
+// table, so a folded backlog is indexed once. The table only grows, so a
+// long-lived caller (an engine shard worker, a core.Lagged) stops
+// allocating once it has met its largest batch. Positions are 32-bit: dst
+// stays under 2³² entries. Not safe for concurrent use.
 type Coalescer struct {
 	slots []coalesceSlot
 	gen   uint32 // the stamp of the latest call; 0 marks a slot never filled
@@ -75,11 +77,36 @@ func (c *Coalescer) Coalesce(dst, b []Update) []Update {
 		return dst
 	}
 	c.Reserve(len(b))
-	lg := indexLg(len(b))    // the table's first 1<<lg slots
-	if c.gen++; c.gen == 0 { // wrapped: a stamp from 2³² calls ago would read as live
+	c.restamp()
+	return c.index(dst, b, indexLg(len(b)))
+}
+
+// Fold coalesces b onto acc, the net of the batches folded since acc was
+// last empty, through an index kept between folds over the whole table
+// (Reserve it for the longest acc), so a fold costs len(b). A fold onto an
+// empty acc starts a new index; b may be acc's own tail, buf[len(acc):].
+func (c *Coalescer) Fold(acc, b []Update) []Update {
+	if len(acc) == 0 {
+		c.restamp()
+	}
+	if len(b) == 0 {
+		return acc
+	}
+	return c.index(acc, b, bits.Len(uint(len(c.slots)))-1)
+}
+
+// restamp starts a new index. A wrapped stamp clears the table: one from
+// 2³² calls ago would read as live.
+func (c *Coalescer) restamp() {
+	if c.gen++; c.gen == 0 {
 		clear(c.slots)
 		c.gen = 1
 	}
+}
+
+// index merges b into dst through the table's first 1<<lg slots under the
+// current stamp.
+func (c *Coalescer) index(dst, b []Update, lg int) []Update {
 	slots, gen := c.slots[:1<<lg], c.gen
 	shift, mask := uint(64-lg), uint64(1<<lg-1)
 	for _, u := range b {

@@ -86,6 +86,38 @@ func TestCoalescerMatchesMap(t *testing.T) {
 	checkCoalesce(t, "after the wrap", &co, batch(100, 50, plain), false)
 }
 
+// TestCoalescerFold: a backlog folded in place, batch after batch, through
+// one index kept between folds (grown mid-run and refilled by folding the
+// backlog onto its own start, then emptied as a drain empties it), is after
+// every fold the map oracle's coalescing of everything folded since it was
+// last empty.
+func TestCoalescerFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var co Coalescer
+	co.Reserve(1024) // past the 600 items the backlog can hold
+	buf := make([]Update, 0, 4096)
+	var raw []Update
+	for step := range 200 {
+		n := 1 + rng.Intn(40)
+		for range n {
+			u := Update{Item: uint64(rng.Intn(300)) << (rng.Intn(2) * 20), Delta: rng.Int63n(7) - 3}
+			buf, raw = append(buf, u), append(raw, u)
+		}
+		acc := co.Fold(buf[:len(buf)-n], buf[len(buf)-n:])
+		if want := coalesceByMap(nil, raw); !slices.Equal(acc, want) {
+			t.Fatalf("step %d: folded to %d entries, the map oracle %d", step, len(acc), len(want))
+		}
+		buf = acc
+		switch step {
+		case 50: // grown: the prefix is refilled into the larger table
+			co.Reserve(4096)
+			co.Fold(buf[:0], buf)
+		case 120: // drained: the next fold starts a new index
+			buf, raw = buf[:0], nil
+		}
+	}
+}
+
 // TestCoalescerSpace: the index is charged as allocated, the least power of
 // two at least twice the largest batch met, and a smaller call after a
 // larger one allocates nothing.

@@ -30,7 +30,7 @@
 //
 //	interface             implementers                                                           non-test caller                                     ladder rung
 //	BatchUpdater          F2Sketch, KMV, Median, CountSketch (kernels only)                      ApplyBatch: engine shard worker, core.Lagged        sketch.update_ns, robust.update_ns, robust.state_bytes (batch-fed: F2Sketch hashes a block once, a KMV orders only the candidates it can keep and merges them in one pass)
-//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.Lagged: every catch-up coalesced               robust.self_update_ns
+//	CoalesceInvariant     F2Sketch, KMV, Median (iff its members)                                core.Lagged: every catch-up coalesced               robust.self_update_ns, ingest_updates_per_s on ingest_robust (a dense ensemble's buffer is kept folded through Coalescer.Fold, so it drains once per PendingCap distinct items)
 //	CoalescedUpdater      CountSketch                                                            core.Lagged: the Theorem 6.5 ring's catch-ups       robust.update_ns on mixed_durable
 //	IncrementalEstimator  F2Sketch, CountSketch, MaxStable                                       none; the conformance kit holds the contract        sketch.estimate_ns, robust.update_single_ns
 //	PointQuerier          CountSketch, robust.HeavyHitters                                       engine.QueryBatch                                   sketch.point_ns, engine.point_us
